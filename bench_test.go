@@ -1,11 +1,11 @@
 package canal
 
-// One benchmark per table and figure in the paper (see DESIGN.md §3).
-// Each iteration regenerates the full experiment; the benchmark time is the
-// cost of reproducing that table/figure end to end. Run a single experiment
-// with e.g.:
+// One sub-benchmark per registered experiment (bench.All plus
+// bench.Ablations; see DESIGN.md §3). Each iteration regenerates the full
+// experiment; the benchmark time is the cost of reproducing that table or
+// figure end to end. Run a single experiment by its ID with e.g.:
 //
-//	go test -bench=BenchmarkFig11 -benchtime=1x
+//	go test -bench 'Experiment/fig11$' -benchtime=1x
 //
 // and print the rows/series themselves with cmd/canalbench.
 
@@ -16,153 +16,16 @@ import (
 	"canalmesh/internal/bench"
 )
 
-func run(b *testing.B, fn func() bench.Result) {
-	b.Helper()
-	var sink bench.Result
-	for i := 0; i < b.N; i++ {
-		sink = fn()
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range append(bench.All(), bench.Ablations()...) {
+		b.Run(e.ID, func(b *testing.B) {
+			var sink bench.Result
+			for i := 0; i < b.N; i++ {
+				sink = e.Run(context.Background())
+			}
+			if sink == nil || sink.String() == "" {
+				b.Fatal("experiment produced no output")
+			}
+		})
 	}
-	if sink == nil || sink.String() == "" {
-		b.Fatal("experiment produced no output")
-	}
-}
-
-func BenchmarkFig02SidecarCPULatency(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig02SidecarCPULatency() })
-}
-
-func BenchmarkFig03SidecarGrowth(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig03SidecarGrowth() })
-}
-
-func BenchmarkFig04ControllerCPU(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig04ControllerCPU() })
-}
-
-func BenchmarkFig05IstioAmbientCPU(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig05IstioAmbientCPU() })
-}
-
-func BenchmarkTab01SidecarResources(b *testing.B) {
-	run(b, func() bench.Result { return bench.Tab01SidecarResources() })
-}
-
-func BenchmarkTab02UpdateFrequency(b *testing.B) {
-	run(b, func() bench.Result { return bench.Tab02UpdateFrequency() })
-}
-
-func BenchmarkTab03L7Adoption(b *testing.B) {
-	run(b, func() bench.Result { return bench.Tab03L7Adoption() })
-}
-
-func BenchmarkFig10LightLatency(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig10LightLatency(context.Background()) })
-}
-
-func BenchmarkFig11ThroughputKnee(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig11ThroughputKnee(context.Background()) })
-}
-
-func BenchmarkFig12CryptoOffloadCPU(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig12CryptoOffloadCPU(context.Background()) })
-}
-
-func BenchmarkFig13CPUComparison(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig13CPUComparison(context.Background()) })
-}
-
-func BenchmarkFig14ConfigCompletion(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig14ConfigCompletion() })
-}
-
-func BenchmarkFig15SouthboundBandwidth(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig15SouthboundBandwidth() })
-}
-
-func BenchmarkConfigChurn(b *testing.B) {
-	run(b, func() bench.Result { return bench.ConfigChurn(context.Background()) })
-}
-
-func BenchmarkPolicyScale(b *testing.B) {
-	run(b, func() bench.Result { return bench.PolicyScale(context.Background()) })
-}
-
-func BenchmarkFederation(b *testing.B) {
-	run(b, func() bench.Result { return bench.FedEvac(context.Background()) })
-}
-
-func BenchmarkFig16NoisyNeighbor(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig16NoisyNeighbor() })
-}
-
-func BenchmarkFig17ScalingCDF(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig17ScalingCDF(context.Background()) })
-}
-
-func BenchmarkTab04ScalingTimeline(b *testing.B) {
-	run(b, func() bench.Result { return bench.Tab04ScalingTimeline() })
-}
-
-func BenchmarkFig18ScalingOccurrences(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig18ScalingOccurrences() })
-}
-
-func BenchmarkFig19ShuffleSharding(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig19ShuffleSharding() })
-}
-
-func BenchmarkFig20DailyOps(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig20DailyOps() })
-}
-
-func BenchmarkTab05CostReduction(b *testing.B) {
-	run(b, func() bench.Result { return bench.Tab05CostReduction() })
-}
-
-func BenchmarkTab06HealthCheckExcess(b *testing.B) {
-	run(b, func() bench.Result { return bench.Tab06HealthCheckExcess() })
-}
-
-func BenchmarkTab07HealthCheckReduction(b *testing.B) {
-	run(b, func() bench.Result { return bench.Tab07HealthCheckReduction() })
-}
-
-func BenchmarkFig21IptablesPath(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig21IptablesPath() })
-}
-
-func BenchmarkFig22ContextSwitches(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig22ContextSwitches() })
-}
-
-func BenchmarkFig23CryptoCompletion(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig23CryptoCompletion() })
-}
-
-func BenchmarkFig24LatencyDistribution(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig24LatencyDistribution() })
-}
-
-func BenchmarkFig25BatchDegradation(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig25BatchDegradation() })
-}
-
-func BenchmarkFig26SessionConsistency(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig26SessionConsistency() })
-}
-
-func BenchmarkFig27OffloadThroughput(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig27OffloadThroughput(context.Background()) })
-}
-
-func BenchmarkFig28OffloadLatency(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig28OffloadLatency(context.Background()) })
-}
-
-func BenchmarkFig29EBPFThroughput(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig29EBPFThroughput() })
-}
-
-func BenchmarkFig30EBPFLatency(b *testing.B) {
-	run(b, func() bench.Result { return bench.Fig30EBPFLatency() })
 }

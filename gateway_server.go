@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -49,8 +50,8 @@ const (
 // process must not grow without limit under load.
 const liveAccessLogCap = 65536
 
-// defaultMirrorTimeout bounds each mirrored shadow request.
-const defaultMirrorTimeout = 5 * time.Second
+// mirrorTimeout bounds each mirrored shadow request.
+const mirrorTimeout = 5 * time.Second
 
 // mirrorBodyLimit is the largest request body the gateway buffers for
 // mirroring; larger bodies are mirrored without a body rather than stalling
@@ -93,21 +94,13 @@ func NewGatewayServer(seed int64) *GatewayServer {
 		start:        time.Now(), //canal:allow simdeterminism real HTTP server epoch; virtual time is offsets from this start
 		log:          log,
 		tracer:       trace.NewLive(),
-		mirrorClient: &http.Client{Timeout: defaultMirrorTimeout},
+		mirrorClient: &http.Client{Timeout: mirrorTimeout},
 	}
 }
 
 // Tracer exposes the gateway's live tracer (head-sampled and tail-kept
 // traces of the real data path).
 func (g *GatewayServer) Tracer() *trace.Tracer { return g.tracer }
-
-// SetMirrorTimeout reconfigures the deadline applied to each mirrored
-// shadow request.
-func (g *GatewayServer) SetMirrorTimeout(d time.Duration) {
-	g.mu.Lock()
-	g.mirrorClient = &http.Client{Timeout: d}
-	g.mu.Unlock()
-}
 
 // MirrorFailures returns how many mirrored shadow requests failed (build,
 // transport, or timeout errors).
@@ -154,6 +147,17 @@ func serviceKey(tenant, service string) string { return tenant + "/" + service }
 func (g *GatewayServer) ConfigureService(tenant string, cfg ServiceConfig, pools map[string][]string) error {
 	key := serviceKey(tenant, cfg.Service)
 	cfg.Service = key
+	// Header matches are keyed the way flattenHeaders keys a request's
+	// headers, so a rule on "x-user-group" matches X-User-Group. The
+	// caller's slices are copied, not mutated.
+	cfg.Rules = slices.Clone(cfg.Rules)
+	for i := range cfg.Rules {
+		hs := slices.Clone(cfg.Rules[i].Match.Headers)
+		for j := range hs {
+			hs[j].Name = http.CanonicalHeaderKey(hs[j].Name)
+		}
+		cfg.Rules[i].Match.Headers = hs
+	}
 	if err := g.engine.Configure(cfg); err != nil {
 		return err
 	}
@@ -479,10 +483,7 @@ func (g *GatewayServer) mirror(method, path string, headers http.Header, body []
 		req.Header[k] = v
 	}
 	req.Header.Set(HeaderSubset, decision.MirrorTo)
-	g.mu.RLock()
-	client := g.mirrorClient
-	g.mu.RUnlock()
-	resp, err := client.Do(req)
+	resp, err := g.mirrorClient.Do(req)
 	if err != nil {
 		g.mirrorFail.Inc()
 		return
@@ -507,18 +508,13 @@ func (g *GatewayServer) logReq(r *http.Request, tenant, service, source string, 
 	})
 }
 
+// flattenHeaders keys each header's first value by its canonical name, the
+// form ConfigureService rewrites header-match names into.
 func flattenHeaders(h http.Header) map[string]string {
 	out := make(map[string]string, len(h))
 	for k, v := range h {
 		if len(v) > 0 {
 			out[http.CanonicalHeaderKey(k)] = v[0]
-		}
-	}
-	// Route matching uses the original names case-insensitively via
-	// canonical form; expose lower-case too for convenience.
-	for k, v := range h {
-		if len(v) > 0 {
-			out[k] = v[0]
 		}
 	}
 	return out

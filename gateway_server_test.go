@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,6 +134,64 @@ func TestGatewayHeaderRoutingAndRewrite(t *testing.T) {
 	if body := readBody(t, resp2); body != "v1|/home|v1" {
 		t.Errorf("default body = %q", body)
 	}
+}
+
+// TestGatewayHeaderRuleNameAnyCase is the regression test for the silent
+// non-match: requests' headers are keyed by canonical name, so a rule (or a
+// JSON config) written on "x-user-group" never matched X-User-Group. Both
+// provisioning paths must route the lower-case rule to its subset, and
+// ConfigureService must not rewrite the caller's rule.
+func TestGatewayHeaderRuleNameAnyCase(t *testing.T) {
+	v1 := echoServer("v1")
+	beta := echoServer("beta")
+	defer v1.Close()
+	defer beta.Close()
+	check := func(t *testing.T, agent *NodeAgent) {
+		t.Helper()
+		resp, err := agent.Do(http.MethodGet, "web", "/home", nil, map[string]string{"X-User-Group": "beta"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := readBody(t, resp); body != "beta|/home|beta" {
+			t.Errorf("lower-case header rule did not route to its subset: body = %q", body)
+		}
+	}
+	t.Run("ConfigureService", func(t *testing.T) {
+		cfg := ServiceConfig{
+			Service: "web", DefaultSubset: "v1",
+			Rules: []Rule{{
+				Name:   "beta-users",
+				Match:  RouteMatch{Headers: []KVMatch{{Name: "x-user-group", Match: Exact("beta")}}},
+				Splits: []Split{{Subset: "beta", Weight: 1}},
+			}},
+		}
+		_, agent, _ := testMesh(t, cfg, map[string][]string{"v1": {v1.URL}, "beta": {beta.URL}}, false)
+		check(t, agent)
+		if name := cfg.Rules[0].Match.Headers[0].Name; name != "x-user-group" {
+			t.Errorf("ConfigureService rewrote the caller's rule to %q", name)
+		}
+	})
+	t.Run("LoadConfig", func(t *testing.T) {
+		cfg, err := LoadConfig(strings.NewReader(`{"tenants": [{"name": "tenant1", "services": [{
+			"name": "web", "default_subset": "v1",
+			"rules": [{"name": "beta-users", "headers": {"x-user-group": "beta"}, "splits": {"beta": 1}}],
+			"pools": {"v1": ["` + v1.URL + `"], "beta": ["` + beta.URL + `"]}}]}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gw := NewGatewayServer(1)
+		cas, err := cfg.Apply(gw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gwSrv := httptest.NewServer(gw)
+		defer gwSrv.Close()
+		id, err := cas["tenant1"].IssueIdentity("spiffe://tenant1/ns/default/sa/client")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, NewNodeAgent("tenant1", id, gwSrv.URL))
+	})
 }
 
 func TestGatewayZeroTrustAuth(t *testing.T) {

@@ -276,7 +276,7 @@ func TestGatewayMirrorFailureCountedNotSurfaced(t *testing.T) {
 		Rules: []Rule{{Name: "mirror", MirrorTo: "shadow"}}}
 	_, agent, gw := testMesh(t, cfg,
 		map[string][]string{"v1": {primary.URL}, "shadow": {deadURL}}, false)
-	gw.SetMirrorTimeout(500 * time.Millisecond)
+	gw.mirrorClient = &http.Client{Timeout: 500 * time.Millisecond}
 
 	resp, err := agent.Get("web", "/")
 	if err != nil {

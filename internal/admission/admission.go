@@ -196,11 +196,11 @@ func (m *Metrics) RecordShed(tenant string, r Reason) {
 	m.Tenant(tenant).Shed.Inc()
 }
 
-// RecordAdmit counts one completed request with its queue sojourn.
-func (m *Metrics) RecordAdmit(tenant string, sojourn time.Duration) {
-	tm := m.Tenant(tenant)
-	tm.Admitted.Inc()
-	tm.Sojourn.ObserveDuration(sojourn)
+// RecordAdmit counts one completed request. The live path has no queue, so
+// it records no sojourn; the simulated WDRR queue observes real sojourns
+// itself.
+func (m *Metrics) RecordAdmit(tenant string) {
+	m.Tenant(tenant).Admitted.Inc()
 }
 
 // ShedTotal sums sheds across all reasons.

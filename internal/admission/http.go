@@ -101,7 +101,7 @@ func (c *HTTPController) Admit(tenant, service string, isRetry bool) (release fu
 		c.mu.Unlock()
 		if ok {
 			c.budget(tenant).OnSuccess()
-			c.metrics.RecordAdmit(tenant, 0)
+			c.metrics.RecordAdmit(tenant)
 		}
 	}, nil
 }

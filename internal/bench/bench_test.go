@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -269,6 +270,16 @@ func TestFig23RemoteStable(t *testing.T) {
 	no := s.Get("no-offload")
 	if rem.Y[0] >= no.Y[0] {
 		t.Error("remote offload should beat software crypto")
+	}
+}
+
+func TestFig24Bimodal(t *testing.T) {
+	// The 40-50ms and 100-200ms application modes must land in different
+	// doubling buckets, with the fast mode holding its ~55% share.
+	rows := Fig24LatencyDistribution().Rows
+	want := [][]string{{"40.96-81.92", "54.5%"}, {"81.92-163.84", "28.3%"}, {"163.84-327.68", "17.2%"}}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("fig24 rows = %v, want %v", rows, want)
 	}
 }
 

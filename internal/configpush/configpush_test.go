@@ -2,6 +2,7 @@ package configpush
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -171,22 +172,69 @@ func TestScopeMatching(t *testing.T) {
 	}
 }
 
+// TestCoalescingBuildsOncePerWindow pins the debounce discipline: events
+// inside one window merge into one build, activity re-arms the window, a
+// window mixing pod and route changes ships both in its one build, and a
+// zero debounce builds on every event.
 func TestCoalescingBuildsOncePerWindow(t *testing.T) {
-	s, c, d := rig(t, controlplane.CanalModel, 2*time.Second, false)
-	// 10 pod adds inside one debounce window: one build, one version.
-	for i := 0; i < 10; i++ {
-		addPod(t, s, c, time.Duration(i)*100*time.Millisecond, "svc00", i%4)
+	every := func(n int, gap time.Duration) []time.Duration {
+		at := make([]time.Duration, n)
+		for i := range at {
+			at[i] = time.Duration(i) * gap
+		}
+		return at
 	}
-	s.Run()
-	if d.Builds() != 1 {
-		t.Errorf("builds = %d, want 1 coalesced build", d.Builds())
+	cases := []struct {
+		name        string
+		debounce    time.Duration
+		podAdds     []time.Duration
+		routeUpdate bool // one UpdateRoutes at t=0
+		builds      int
+		publishAt   time.Duration // of the last build
+		changed     map[Kind]int  // resources the last build's delta carries
+	}{
+		{name: "burst inside one window", debounce: 2 * time.Second, podAdds: every(10, 100*time.Millisecond),
+			builds: 1, publishAt: 2900 * time.Millisecond, changed: map[Kind]int{KindEndpoint: 10, KindIdentity: 10}},
+		{name: "activity re-arms the window", debounce: 2 * time.Second, podAdds: every(3, 1500*time.Millisecond),
+			builds: 1, publishAt: 5 * time.Second, changed: map[Kind]int{KindEndpoint: 3, KindIdentity: 3}},
+		{name: "mixed pod and route window", debounce: time.Second, podAdds: every(1, 0), routeUpdate: true,
+			builds: 1, publishAt: time.Second, changed: map[Kind]int{KindEndpoint: 1, KindIdentity: 1, KindRuleSet: 1}},
+		{name: "zero debounce builds per event", debounce: 0, podAdds: make([]time.Duration, 4),
+			builds: 4, publishAt: 0, changed: map[Kind]int{KindEndpoint: 1, KindIdentity: 1}},
 	}
-	if d.Events() != 10 {
-		t.Errorf("events = %d", d.Events())
-	}
-	st := d.Stats()
-	if st.Converged != 1 || st.Unconverged != 0 {
-		t.Errorf("converged=%d unconverged=%d, want 1/0", st.Converged, st.Unconverged)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, c, d := rig(t, controlplane.CanalModel, tc.debounce, false)
+			for i, at := range tc.podAdds {
+				addPod(t, s, c, at, "svc00", i%4)
+			}
+			events := len(tc.podAdds)
+			if tc.routeUpdate {
+				events++
+				s.At(0, func() {
+					if err := c.UpdateRoutes("svc01", 7); err != nil {
+						t.Errorf("UpdateRoutes: %v", err)
+					}
+				})
+			}
+			s.Run()
+			if d.Builds() != tc.builds || d.Events() != events {
+				t.Fatalf("builds = %d, events = %d, want %d builds from %d events", d.Builds(), d.Events(), tc.builds, events)
+			}
+			if at := d.records[d.Version()].publishAt; at != tc.publishAt {
+				t.Errorf("last build published at %v, want %v", at, tc.publishAt)
+			}
+			kinds := map[Kind]int{}
+			for _, r := range d.Store().DiffToHead(d.Version() - 1).Changed {
+				kinds[r.Kind]++
+			}
+			if !reflect.DeepEqual(kinds, tc.changed) {
+				t.Errorf("last delta carries %v, want %v", kinds, tc.changed)
+			}
+			if st := d.Stats(); st.Converged != tc.builds || st.Unconverged != 0 {
+				t.Errorf("converged=%d unconverged=%d, want %d/0", st.Converged, st.Unconverged, tc.builds)
+			}
+		})
 	}
 }
 

@@ -69,7 +69,7 @@ type Distributor struct {
 	version  uint64
 	routeRev map[string]int
 
-	// Coalescing state (mirrors controlplane.AutoPush's debounce).
+	// Coalescing state of the debounce window.
 	haveWork      bool
 	earliestEvent time.Duration
 	armed         bool
@@ -344,11 +344,10 @@ func (d *Distributor) Reconnect(id string) {
 	d.catchUp(s)
 }
 
-// schedule arms (or re-arms) the debounce timer, the AutoPush discipline
-// with one addition: the window extends while events keep arriving, but
-// never past earliestEvent+MaxCoalesce — otherwise continuous churn with
-// inter-event gaps below Debounce would starve flushes indefinitely (the
-// same hazard istiod bounds with PILOT_DEBOUNCE_MAX).
+// schedule arms (or re-arms) the debounce timer: the window extends while
+// events keep arriving, but never past earliestEvent+MaxCoalesce — otherwise
+// continuous churn with inter-event gaps below Debounce would starve flushes
+// indefinitely (the same hazard istiod bounds with PILOT_DEBOUNCE_MAX).
 func (d *Distributor) schedule() {
 	if d.cfg.Debounce <= 0 {
 		d.flush()

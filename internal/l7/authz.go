@@ -11,54 +11,14 @@ const (
 )
 
 // AuthzRule is one zero-trust authorization rule on a destination service.
-// Zero-value matchers match anything.
+// Zero-value matchers match anything. A service's rules are evaluated with
+// Istio-like semantics: any matching deny rejects; otherwise, if no allow
+// rules exist the request is admitted; if allow rules exist, at least one
+// must match.
 type AuthzRule struct {
 	Name          string
 	Action        AuthzAction
 	SourceService StringMatch
 	Method        StringMatch
 	Path          StringMatch
-	// denyReason is the precomputed rejection string ("denied by rule X"),
-	// filled by Engine.Configure so the per-request path never concatenates.
-	denyReason string
-}
-
-func (a AuthzRule) matches(r *Request) bool {
-	return a.SourceService.Matches(r.SourceService) &&
-		a.Method.Matches(r.Method) &&
-		a.Path.Matches(r.Path)
-}
-
-// Authorize evaluates rules with Istio-like semantics: any matching DENY
-// rejects; otherwise, if no ALLOW rules exist the request is admitted; if
-// ALLOW rules exist, at least one must match.
-//
-// The scan is a single pass: a matching deny returns immediately, and the
-// first matching allow is remembered so the allow decision needs no second
-// sweep over the rule set.
-func Authorize(rules []AuthzRule, r *Request) (bool, string) {
-	hasAllow := false
-	allowMatched := false
-	for i := range rules {
-		rule := &rules[i]
-		if rule.Action == AuthzDeny {
-			if rule.matches(r) {
-				reason := rule.denyReason
-				if reason == "" {
-					// Fallback for rule sets not installed through Configure.
-					reason = "denied by rule " + rule.Name
-				}
-				return false, reason
-			}
-			continue
-		}
-		hasAllow = true
-		if !allowMatched && rule.matches(r) {
-			allowMatched = true
-		}
-	}
-	if !hasAllow || allowMatched {
-		return true, ""
-	}
-	return false, "no allow rule matched"
 }

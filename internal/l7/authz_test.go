@@ -7,13 +7,70 @@ import (
 	"time"
 )
 
-// TestAuthorizeSinglePassSemantics pins the one-pass Authorize against the
-// documented semantics rule by rule: deny beats a matching allow regardless
-// of list order, no-allow-rules means admit, and an unmatched allow list
-// rejects with the standard reason.
-func TestAuthorizeSinglePassSemantics(t *testing.T) {
+// authorize is the reference oracle the compiled engine is compared
+// against: a linear scan with Istio-like semantics. Any matching deny
+// rejects; otherwise, if no allow rules exist the request is admitted; if
+// allow rules exist, at least one must match.
+func authorize(rules []AuthzRule, r *Request) (bool, string) {
+	matches := func(a *AuthzRule) bool {
+		return a.SourceService.Matches(r.SourceService) &&
+			a.Method.Matches(r.Method) &&
+			a.Path.Matches(r.Path)
+	}
+	hasAllow, allowMatched := false, false
+	for i := range rules {
+		rule := &rules[i]
+		if rule.Action == AuthzDeny {
+			if matches(rule) {
+				return false, "denied by rule " + rule.Name
+			}
+			continue
+		}
+		hasAllow = true
+		allowMatched = allowMatched || matches(rule)
+	}
+	if !hasAllow || allowMatched {
+		return true, ""
+	}
+	return false, "no allow rule matched"
+}
+
+// routeAuthz installs rules on a fresh engine and returns Route's
+// authorization outcome for r in the oracle's (allowed, reason) shape.
+func routeAuthz(t *testing.T, rules []AuthzRule, r *Request) (bool, string) {
+	t.Helper()
+	e := NewEngine(1)
+	if err := e.Configure(ServiceConfig{Service: r.Service, DefaultSubset: "v1", Authz: rules}); err != nil {
+		t.Fatal(err)
+	}
+	d, err := e.Route(0, r)
+	if err == nil {
+		return true, ""
+	}
+	de, ok := err.(*DecisionError)
+	if !ok || de.Status != StatusForbidden || de.Reason != d.DenyReason {
+		t.Fatalf("Route rejected with %v (decision %+v), want a 403 carrying the deny reason", err, d)
+	}
+	return false, d.DenyReason
+}
+
+// TestAuthzSemantics pins the documented semantics rule by rule, through
+// both the reference oracle and Engine.Route: deny beats a matching allow
+// regardless of list order, no-allow-rules means admit, an unmatched allow
+// list rejects with the standard reason, an unnamed deny yields the bare
+// reason prefix, and wildcard (zero-value) and exact matchers interact
+// purely through action semantics.
+func TestAuthzSemantics(t *testing.T) {
 	req := func(src, method, path string) *Request {
 		return &Request{Service: "api", SourceService: src, Method: method, Path: path}
+	}
+	allowAllDenyBatch := []AuthzRule{
+		{Name: "allow-all", Action: AuthzAllow}, // zero-value matchers: wildcard
+		{Name: "deny-batch", Action: AuthzDeny, SourceService: Exact("batch")},
+	}
+	allowWebDenyWrites := []AuthzRule{
+		{Name: "allow-web", Action: AuthzAllow, SourceService: Exact("web")},
+		{Name: "deny-writes", Action: AuthzDeny, Method: Exact("POST")},
 	}
 	cases := []struct {
 		name   string
@@ -42,16 +99,23 @@ func TestAuthorizeSinglePassSemantics(t *testing.T) {
 		{
 			name: "allow list admits a match",
 			rules: []AuthzRule{
-				{Name: "allow-web", Action: AuthzAllow, SourceService: Exact("web")},
+				{Name: "allow-web", Action: AuthzAllow, SourceService: Exact("web"), Method: Exact("GET")},
 			},
 			r: req("web", "GET", "/"), allow: true,
 		},
 		{
-			name: "allow list rejects a non-match",
+			name: "allow list rejects a non-matching source",
 			rules: []AuthzRule{
 				{Name: "allow-web", Action: AuthzAllow, SourceService: Exact("web")},
 			},
 			r: req("batch", "GET", "/"), allow: false, reason: "no allow rule matched",
+		},
+		{
+			name: "allow list rejects a non-matching method",
+			rules: []AuthzRule{
+				{Name: "allow-web", Action: AuthzAllow, SourceService: Exact("web"), Method: Exact("GET")},
+			},
+			r: req("web", "POST", "/"), allow: false, reason: "no allow rule matched",
 		},
 		{
 			name: "deny-only list admits non-matching traffic",
@@ -60,53 +124,37 @@ func TestAuthorizeSinglePassSemantics(t *testing.T) {
 			},
 			r: req("web", "GET", "/"), allow: true,
 		},
+		{
+			name:  "unnamed deny yields the bare reason prefix",
+			rules: []AuthzRule{{Action: AuthzDeny, SourceService: Exact("web")}},
+			r:     req("web", "", ""), allow: false, reason: "denied by rule ",
+		},
+		{
+			name:  "wildcard allow admits a source the exact deny does not name",
+			rules: allowAllDenyBatch, r: req("web", "", ""), allow: true,
+		},
+		{
+			name:  "exact deny beats the wildcard allow",
+			rules: allowAllDenyBatch, r: req("batch", "", ""), allow: false, reason: "denied by rule deny-batch",
+		},
+		{
+			name:  "exact allow admits traffic the wildcard deny does not match",
+			rules: allowWebDenyWrites, r: req("web", "GET", ""), allow: true,
+		},
+		{
+			name:  "wildcard deny beats the exact allow",
+			rules: allowWebDenyWrites, r: req("web", "POST", ""), allow: false, reason: "denied by rule deny-writes",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			allow, reason := Authorize(tc.rules, tc.r)
-			if allow != tc.allow || reason != tc.reason {
-				t.Fatalf("Authorize = (%v, %q), want (%v, %q)", allow, reason, tc.allow, tc.reason)
+			if allow, reason := authorize(tc.rules, tc.r); allow != tc.allow || reason != tc.reason {
+				t.Errorf("oracle = (%v, %q), want (%v, %q)", allow, reason, tc.allow, tc.reason)
+			}
+			if allow, reason := routeAuthz(t, tc.rules, tc.r); allow != tc.allow || reason != tc.reason {
+				t.Errorf("Engine.Route = (%v, %q), want (%v, %q)", allow, reason, tc.allow, tc.reason)
 			}
 		})
-	}
-}
-
-// TestAuthorizeEmptyNameDenyFallback pins the fallback reason string for a
-// matching deny rule with no Name and no precomputed reason: the
-// concatenation still runs and yields the bare prefix.
-func TestAuthorizeEmptyNameDenyFallback(t *testing.T) {
-	rules := []AuthzRule{{Action: AuthzDeny, SourceService: Exact("web")}}
-	allow, reason := Authorize(rules, &Request{Service: "api", SourceService: "web"})
-	if allow || reason != "denied by rule " {
-		t.Fatalf("Authorize = (%v, %q), want deny with bare fallback reason", allow, reason)
-	}
-}
-
-// TestAuthorizeWildcardVsExactPrecedence pins that a wildcard (zero-value)
-// source matcher and an exact matcher interact purely through action
-// semantics — a wildcard allow admits everything the exact deny doesn't
-// name, and an exact allow does not shadow a wildcard deny.
-func TestAuthorizeWildcardVsExactPrecedence(t *testing.T) {
-	rules := []AuthzRule{
-		{Name: "allow-all", Action: AuthzAllow}, // zero-value matchers: wildcard
-		{Name: "deny-batch", Action: AuthzDeny, SourceService: Exact("batch")},
-	}
-	if allow, _ := Authorize(rules, &Request{Service: "api", SourceService: "web"}); !allow {
-		t.Fatal("wildcard allow must admit a source the exact deny does not name")
-	}
-	if allow, reason := Authorize(rules, &Request{Service: "api", SourceService: "batch"}); allow || reason != "denied by rule deny-batch" {
-		t.Fatalf("exact deny must beat the wildcard allow: (%v, %q)", allow, reason)
-	}
-
-	wildDeny := []AuthzRule{
-		{Name: "allow-web", Action: AuthzAllow, SourceService: Exact("web")},
-		{Name: "deny-writes", Action: AuthzDeny, Method: Exact("POST")},
-	}
-	if allow, _ := Authorize(wildDeny, &Request{Service: "api", SourceService: "web", Method: "GET"}); !allow {
-		t.Fatal("exact allow must admit traffic the wildcard deny does not match")
-	}
-	if allow, _ := Authorize(wildDeny, &Request{Service: "api", SourceService: "web", Method: "POST"}); allow {
-		t.Fatal("wildcard deny must beat the exact allow")
 	}
 }
 
@@ -138,11 +186,11 @@ func seededAuthzCorpus(rng *rand.Rand, n int) []AuthzRule {
 	return rules
 }
 
-// TestCompiledEngineMatchesAuthorize is the old-vs-new equivalence check:
-// for a seeded rule corpus installed through Configure, the compiled policy
-// table behind Route must produce byte-identical authorization outcomes —
-// verdict and deny reason — to the linear Authorize scan over the same
-// rules, across a seeded request sweep.
+// TestCompiledEngineMatchesAuthorize is the engine-vs-oracle equivalence
+// check: for a seeded rule corpus installed through Configure, the compiled
+// policy table behind Route must produce byte-identical authorization
+// outcomes — verdict and deny reason — to the linear authorize scan over the
+// same rules, across a seeded request sweep.
 func TestCompiledEngineMatchesAuthorize(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	e := NewEngine(1)
@@ -163,7 +211,7 @@ func TestCompiledEngineMatchesAuthorize(t *testing.T) {
 			Method:        []string{"GET", "POST", "DELETE", "PUT"}[rng.Intn(4)],
 			Path:          fmt.Sprintf("/api/v%d/x", rng.Intn(5)),
 		}
-		wantAllow, wantReason := Authorize(corpora[r.Service], r)
+		wantAllow, wantReason := authorize(corpora[r.Service], r)
 		d, err := e.Route(time.Duration(i)*time.Millisecond, r)
 		gotAllow := err == nil
 		var gotReason string
@@ -180,7 +228,7 @@ func TestCompiledEngineMatchesAuthorize(t *testing.T) {
 			}
 		}
 		if gotAllow != wantAllow || gotReason != wantReason {
-			t.Fatalf("request %d %+v: engine (%v, %q), Authorize oracle (%v, %q)",
+			t.Fatalf("request %d %+v: engine (%v, %q), authorize oracle (%v, %q)",
 				i, r, gotAllow, gotReason, wantAllow, wantReason)
 		}
 	}

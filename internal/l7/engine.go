@@ -125,7 +125,7 @@ func matchToPolicy(m StringMatch) policy.Match {
 // authzIntentions translates a service's AuthzRule list into policy
 // intentions: wildcard source tenant (AuthzRule predates tenancy), exact
 // destination, precedence zero — under which the compiled winner selection
-// (deny beats allow, then installation order) reproduces Authorize exactly.
+// (deny beats allow, then installation order) gives the AuthzRule semantics.
 func authzIntentions(service string, rules []AuthzRule) []policy.Intention {
 	out := make([]policy.Intention, 0, len(rules))
 	for i, a := range rules {
@@ -181,13 +181,6 @@ func (e *Engine) Configure(cfg ServiceConfig) error {
 		// Compile every regex matcher now: the lazy fallback in
 		// StringMatch.Matches would otherwise recompile per request.
 		r.Match.compile()
-	}
-	for i := range st.cfg.Authz {
-		a := &st.cfg.Authz[i]
-		a.SourceService.compile()
-		a.Method.compile()
-		a.Path.compile()
-		a.denyReason = "denied by rule " + a.Name
 	}
 	if cfg.ServiceRateLimit != nil {
 		st.svcLimiter = NewTokenBucket(cfg.ServiceRateLimit.RPS, cfg.ServiceRateLimit.Burst)
@@ -265,8 +258,8 @@ func (e *Engine) Route(now time.Duration, r *Request) (Decision, error) {
 	}
 
 	// Authorization is a compiled-table lookup: O(candidate bucket), not
-	// O(installed rules). Semantics match Authorize over this service's
-	// AuthzRule list exactly (authzIntentions pins the translation).
+	// O(installed rules). Semantics are those documented on AuthzRule
+	// (authzIntentions pins the translation).
 	if v := e.policy.Eval(policy.Query{
 		SrcTenant:  r.Tenant,
 		SrcService: r.SourceService,

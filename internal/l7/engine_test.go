@@ -239,25 +239,6 @@ func TestAuthzDenyWins(t *testing.T) {
 	}
 }
 
-func TestAuthzAllowListSemantics(t *testing.T) {
-	rules := []AuthzRule{
-		{Name: "allow-web", Action: AuthzAllow, SourceService: Exact("web"), Method: Exact("GET")},
-	}
-	r := req("pay", "GET", "/")
-	r.SourceService = "web"
-	if ok, _ := Authorize(rules, r); !ok {
-		t.Error("web GET should be allowed")
-	}
-	r.Method = "POST"
-	if ok, _ := Authorize(rules, r); ok {
-		t.Error("web POST should be denied (no allow matched)")
-	}
-	// With no rules at all, everything is admitted.
-	if ok, _ := Authorize(nil, r); !ok {
-		t.Error("no rules should admit")
-	}
-}
-
 func TestPathRewriteRetryAndMirror(t *testing.T) {
 	e := newTestEngine(t, ServiceConfig{
 		Service: "web", DefaultSubset: "v1",

@@ -105,7 +105,7 @@ func TestSimDeterminismFires(t *testing.T) {
 func TestSimDeterminismOutOfScope(t *testing.T) {
 	// The same violations in a non-simulation package are fine: real
 	// servers may read the wall clock.
-	for _, dir := range []string{"internal/telemetry", "cmd/canalload", "examples/quickstart", "internal/meshcrypto"} {
+	for _, dir := range []string{"internal/telemetry", "examples/quickstart", "internal/meshcrypto"} {
 		if diags := runFixture(t, "simdeterminism", dir, "simdeterminism"); len(diags) != 0 {
 			t.Errorf("dir %q: expected no diagnostics out of scope, got %v", dir, diags)
 		}
@@ -245,7 +245,7 @@ func TestDirectivePipeline(t *testing.T) {
 // selfHostDirectives pins the module's //canal:allow count: every new
 // suppression is a conscious, reviewed decision, and deleting code must
 // also delete its directives (stale ones already fail -stale-as-error).
-const selfHostDirectives = 79
+const selfHostDirectives = 76
 
 // selfHostBoundaries pins the module's //canal:boundary count the same way:
 // each one declares an audited isolation point the taint engine trusts, so

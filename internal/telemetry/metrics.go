@@ -1,5 +1,5 @@
 // Package telemetry provides the observability substrate of the mesh:
-// counters, gauges, latency histograms and exact-percentile samples, sampled
+// counters, gauges, exact-percentile latency samples, sampled
 // time series, structured access logs (joinable to distributed traces from
 // internal/trace via AccessEntry.TraceID), and the full-mesh prober the
 // paper uses to "prove absence of failure" (§6.4).
@@ -151,100 +151,6 @@ func (s *Sample) Reset() {
 	s.vals = s.vals[:0]
 	s.sorted = false
 	s.mu.Unlock()
-}
-
-// Histogram is a constant-memory log-bucketed latency histogram used where
-// observation volume makes Sample impractical (region-scale runs).
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64 // upper bounds, ascending
-	counts []uint64  // len(bounds)+1, last is overflow
-	count  uint64
-	sum    float64
-}
-
-// NewLatencyHistogram returns a histogram with exponential bucket bounds from
-// 10µs to ~167s (doubling), suitable for end-to-end latencies.
-func NewLatencyHistogram() *Histogram {
-	var bounds []float64
-	for b := 10e-6; b < 200; b *= 2 {
-		bounds = append(bounds, b)
-	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.count++
-	h.sum += v
-}
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns total observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Mean returns the mean observation.
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Quantile estimates the q-th quantile (q in [0,1]) by linear interpolation
-// within the containing bucket.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	target := q * float64(h.count)
-	var cum float64
-	for i, c := range h.counts {
-		next := cum + float64(c)
-		if next >= target && c > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := lo * 2
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
-			}
-			frac := 0.5
-			if c > 0 {
-				frac = (target - cum) / float64(c)
-			}
-			return lo + (hi-lo)*frac
-		}
-		cum = next
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// Buckets returns copies of the bucket bounds and counts (for rendering
-// distributions like Fig 24).
-func (h *Histogram) Buckets() ([]float64, []uint64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	b := make([]float64, len(h.bounds))
-	copy(b, h.bounds)
-	c := make([]uint64, len(h.counts))
-	copy(c, h.counts)
-	return b, c
 }
 
 // Point is one time-series sample.

@@ -86,50 +86,6 @@ func TestSampleDurations(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewLatencyHistogram()
-	for i := 0; i < 1000; i++ {
-		h.Observe(0.001) // 1ms
-	}
-	q := h.Quantile(0.5)
-	if q < 0.0005 || q > 0.002 {
-		t.Errorf("Q50 = %v, want ~1ms", q)
-	}
-	if h.Count() != 1000 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if math.Abs(h.Mean()-0.001) > 1e-9 {
-		t.Errorf("Mean = %v", h.Mean())
-	}
-}
-
-func TestHistogramBimodal(t *testing.T) {
-	// The Fig 24 shape: modes at 40-50ms and 100-200ms must land in
-	// different buckets.
-	h := NewLatencyHistogram()
-	for i := 0; i < 100; i++ {
-		h.Observe(0.045)
-		h.Observe(0.150)
-	}
-	bounds, counts := h.Buckets()
-	populated := 0
-	for _, c := range counts {
-		if c > 0 {
-			populated++
-		}
-	}
-	if populated != 2 {
-		t.Errorf("expected exactly 2 populated buckets, got %d (bounds %v counts %v)", populated, bounds, counts)
-	}
-}
-
-func TestHistogramEmpty(t *testing.T) {
-	h := NewLatencyHistogram()
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Error("empty histogram should return 0")
-	}
-}
-
 func TestSeriesWindowAndLast(t *testing.T) {
 	s := NewSeries("rps")
 	for i := 0; i <= 10; i++ {

@@ -587,17 +587,3 @@ func (sc *Scenario) faultRegion(name string) (*Region, error) {
 	}
 	return nil, fmt.Errorf("canal: unknown region %q", name)
 }
-
-// FailAZ downs every VM in a zone at the given virtual time.
-//
-// Deprecated: use Inject(AZDown(az), at).
-func (sc *Scenario) FailAZ(az string, at time.Duration) error {
-	return sc.Inject(AZDown(az), at)
-}
-
-// RecoverAZ restores a zone at the given virtual time.
-//
-// Deprecated: use Inject(AZRecover(az), at).
-func (sc *Scenario) RecoverAZ(az string, at time.Duration) error {
-	return sc.Inject(AZRecover(az), at)
-}

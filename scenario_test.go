@@ -158,32 +158,6 @@ func TestScenarioAttackSandboxed(t *testing.T) {
 	}
 }
 
-func TestScenarioDeprecatedFaultWrappers(t *testing.T) {
-	// The pre-Inject fault entry points must keep working until removal
-	// (see DESIGN.md's deprecation policy).
-	sc := newScenario(t, ScenarioConfig{Seed: 3})
-	svc, err := sc.RegisterService("acme", "web", 100, "192.168.0.10", ServiceConfig{DefaultSubset: "v1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := svc.Drive(Constant(100).From("az1").For(20 * time.Second))
-	if err := sc.FailAZ("az1", 5*time.Second); err != nil { //canal:allow deprecated this test IS the wrapper compatibility check
-		t.Fatal(err)
-	}
-	if err := sc.RecoverAZ("az1", 15*time.Second); err != nil { //canal:allow deprecated this test IS the wrapper compatibility check
-		t.Fatal(err)
-	}
-	sc.RunFor(22 * time.Second)
-	total := stats.Count(200) + stats.Count(503)
-	if total == 0 || float64(stats.Count(200))/float64(total) < 0.99 {
-		t.Errorf("wrapper-injected AZ outage not absorbed: %d/%d ok", stats.Count(200), total)
-	}
-	// The wrappers share Inject's immediate validation.
-	if err := sc.FailAZ("nope", 0); err == nil { //canal:allow deprecated this test IS the wrapper compatibility check
-		t.Error("unknown AZ should error")
-	}
-}
-
 func TestScenarioMultiRegionSpillover(t *testing.T) {
 	sc := newScenario(t, ScenarioConfig{Seed: 7, Regions: []RegionConfig{
 		{Name: "us-east"}, {Name: "eu-west"},

@@ -5,8 +5,9 @@
 # channel-leak analyzers, the call-graph-driven hotpath, lockorder and
 # transdeterminism analyzers, plus the taint-driven tenantflow, sharedmut
 # and poolbleed analyzers — see internal/lint), and the full test suite
-# under the race detector. This is the gate every PR must pass, and CI runs
-# exactly the same steps (.github/workflows/ci.yml).
+# under the race detector, in shuffled order. This is the one gate every PR
+# must pass: CI (.github/workflows/ci.yml) calls this script and otherwise
+# only publishes artifacts.
 set -eu
 cd "$(dirname "$0")"
 
@@ -31,7 +32,13 @@ go vet ./...
 go run ./cmd/canalvet -stale-as-error -runs 2 -json /tmp/canalvet-run1.json ./...
 cmp /tmp/canalvet-run1.json /tmp/canalvet-run1.json.run2
 
-go test -race ./...
+# Shuffled execution order catches tests that depend on package-level state
+# left behind by earlier tests.
+go test -race -shuffle=on ./...
+
+# The benchmark harness that judges every PR is a module of its own
+# (benchmark/go.mod), so the root module's ./... does not reach it.
+(cd benchmark && go vet ./... && go test -race ./...)
 
 # The hot-path allocation gate skips itself under -race (instrumentation
 # changes allocation counts), so it gets a dedicated non-race invocation
