@@ -9,12 +9,14 @@ import (
 	"encoding/base64"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"canalmesh/internal/admission"
@@ -61,19 +63,28 @@ const mirrorBodyLimit = 1 << 20
 // authSkew is the accepted clock skew for signed requests.
 const authSkew = 2 * time.Minute
 
+// traceparentKey is trace.TraceparentHeader in the canonical form http.Header
+// is keyed by, so the request path indexes the map with it directly:
+// Header.Get and Header.Set would canonicalise the lower-case name, with an
+// allocation, on every request.
+var traceparentKey = http.CanonicalHeaderKey(trace.TraceparentHeader)
+
 // GatewayServer is the real-TCP centralized mesh gateway: one process
 // serving many tenants, routing on the shared L7 engine and reverse-proxying
 // to registered upstream pools.
 type GatewayServer struct {
-	mu        sync.RWMutex
-	engine    *l7.Engine
-	cas       map[string]*CA                   // tenant -> trust domain
-	upstreams map[string]map[string][]*url.URL // engine service key -> subset -> URLs
-	rr        map[string]int                   // round-robin cursors
-	start     time.Time
-	log       *telemetry.AccessLog
-	admit     *admission.HTTPController
-	tracer    *trace.Tracer
+	mu       sync.RWMutex
+	engine   *l7.Engine
+	cas      map[string]*CA                  // tenant -> trust domain
+	services map[serviceID]*serviceUpstreams // replaced whole by ConfigureService
+	start    time.Time
+	log      *telemetry.AccessLog
+	admit    *admission.HTTPController
+	tracer   *trace.Tracer
+	// proxy forwards every request of every tenant. Its hooks find the
+	// request they are called for in the request context (stateOf).
+	proxy  httputil.ReverseProxy
+	states sync.Pool // *requestState
 	// mirrorClient sends shadow traffic with its own bounded deadline, so a
 	// slow mirror subset can never pile up goroutines indefinitely.
 	mirrorClient *http.Client
@@ -82,20 +93,82 @@ type GatewayServer struct {
 	RequireAuth bool
 }
 
+// serviceID names a tenant's service as requests do, in two headers.
+type serviceID struct{ tenant, service string }
+
+// serviceUpstreams is what the gateway resolves a serviceID to, once per
+// request: the name the shared engine knows the service by and its upstream
+// pools. It is immutable once published, but for the pools' cursors.
+type serviceUpstreams struct {
+	key   string // serviceKey(tenant, service), built once
+	pools map[string]upstreamPool
+}
+
+// upstreamPool is one subset's backends and its round-robin cursor. The
+// cursor is shared with the pool that replaces this one when the service is
+// reconfigured, so the rotation carries on where it was.
+type upstreamPool struct {
+	urls []*url.URL
+	next *atomic.Uint32
+}
+
+// pick round-robins within a subset's pool without taking a lock.
+func (s *serviceUpstreams) pick(subset string) (*url.URL, error) {
+	pool := s.pools[subset]
+	if len(pool.urls) == 0 {
+		return nil, fmt.Errorf("no upstreams for %s subset %q", s.key, subset)
+	}
+	return pool.urls[(pool.next.Add(1)-1)%uint32(len(pool.urls))], nil
+}
+
+// copyBufferSize is the size of the buffer httputil.ReverseProxy copies a
+// response body through (what it allocates per response when it has no
+// BufferPool).
+const copyBufferSize = 32 << 10
+
+// copyBuffers recycles those buffers. It pools array pointers and converts
+// to and from the slice ReverseProxy wants, so that Put boxes a pointer and
+// does not allocate a slice header.
+type copyBuffers struct{ pool sync.Pool }
+
+func (b *copyBuffers) Get() []byte {
+	if buf, ok := b.pool.Get().(*[copyBufferSize]byte); ok {
+		return buf[:]
+	}
+	return make([]byte, copyBufferSize)
+}
+
+// Put takes the buffer back as it is. One tenant's reply bytes stay in it,
+// but cannot reach another's: ReverseProxy's copy loop only ever writes
+// buf[:n] straight after a Read that filled exactly those n bytes.
+func (b *copyBuffers) Put(buf []byte) { b.pool.Put((*[copyBufferSize]byte)(buf)) }
+
 // NewGatewayServer returns an empty gateway.
 func NewGatewayServer(seed int64) *GatewayServer {
 	log := &telemetry.AccessLog{}
 	log.SetCapacity(liveAccessLogCap)
-	return &GatewayServer{
+	g := &GatewayServer{
 		engine:       l7.NewEngine(seed),
 		cas:          make(map[string]*CA),
-		upstreams:    make(map[string]map[string][]*url.URL),
-		rr:           make(map[string]int),
+		services:     make(map[serviceID]*serviceUpstreams),
 		start:        time.Now(), //canal:allow simdeterminism real HTTP server epoch; virtual time is offsets from this start
 		log:          log,
 		tracer:       trace.NewLive(),
 		mirrorClient: &http.Client{Timeout: mirrorTimeout},
 	}
+	// Director, not Rewrite: Rewrite strips the client's X-Forwarded-* and
+	// leaves adding them to the hook, which would change what upstreams
+	// receive behind an earlier proxy.
+	g.proxy = httputil.ReverseProxy{
+		Director:       g.directUpstream,
+		ModifyResponse: g.recordUpstreamStatus,
+		ErrorHandler:   g.upstreamFailed,
+		BufferPool:     &copyBuffers{},
+	}
+	g.states.New = func() any {
+		return &requestState{req: Request{Headers: make(map[string]string), Cookies: make(map[string]string)}}
+	}
+	return g
 }
 
 // Tracer exposes the gateway's live tracer (head-sampled and tail-kept
@@ -143,10 +216,36 @@ func (g *GatewayServer) RegisterTenant(tenant string, ca *CA) {
 func serviceKey(tenant, service string) string { return tenant + "/" + service }
 
 // ConfigureService installs a tenant service's routing configuration and its
-// upstream pools (subset name -> backend URLs).
+// upstream pools (subset name -> backend URLs). A call that fails changes
+// nothing.
 func (g *GatewayServer) ConfigureService(tenant string, cfg ServiceConfig, pools map[string][]string) error {
-	key := serviceKey(tenant, cfg.Service)
-	cfg.Service = key
+	id := serviceID{tenant, cfg.Service}
+	// The addresses are parsed before the engine is touched: once
+	// engine.Configure has replaced the service's rules and intentions there
+	// is no undoing it for a bad address found afterwards.
+	up := &serviceUpstreams{key: serviceKey(tenant, cfg.Service), pools: make(map[string]upstreamPool, len(pools))}
+	g.mu.RLock()
+	prev := g.services[id]
+	g.mu.RUnlock()
+	for _, subset := range slices.Sorted(maps.Keys(pools)) {
+		urls := make([]*url.URL, 0, len(pools[subset]))
+		for _, a := range pools[subset] {
+			u, err := url.Parse(a)
+			if err != nil {
+				return fmt.Errorf("canal: upstream %q: %w", a, err)
+			}
+			urls = append(urls, u)
+		}
+		var next *atomic.Uint32
+		if prev != nil {
+			next = prev.pools[subset].next
+		}
+		if next == nil {
+			next = new(atomic.Uint32)
+		}
+		up.pools[subset] = upstreamPool{urls: urls, next: next}
+	}
+	cfg.Service = up.key
 	// Header matches are keyed the way flattenHeaders keys a request's
 	// headers, so a rule on "x-user-group" matches X-User-Group. The
 	// caller's slices are copied, not mutated.
@@ -161,18 +260,8 @@ func (g *GatewayServer) ConfigureService(tenant string, cfg ServiceConfig, pools
 	if err := g.engine.Configure(cfg); err != nil {
 		return err
 	}
-	parsed := make(map[string][]*url.URL, len(pools))
-	for subset, addrs := range pools {
-		for _, a := range addrs {
-			u, err := url.Parse(a)
-			if err != nil {
-				return fmt.Errorf("canal: upstream %q: %w", a, err)
-			}
-			parsed[subset] = append(parsed[subset], u)
-		}
-	}
 	g.mu.Lock()
-	g.upstreams[key] = parsed
+	g.services[id] = up
 	g.mu.Unlock()
 	return nil
 }
@@ -235,6 +324,66 @@ func (g *GatewayServer) authenticate(r *http.Request, tenant string) (string, er
 	return id, nil
 }
 
+// requestState is what the gateway holds about one request while ServeHTTP
+// runs. It is recycled through GatewayServer.states, so the next request to
+// use it may be another tenant's: nothing that outlives ServeHTTP — the
+// mirror goroutine, a kept trace, an access-log entry — may point into it,
+// and recycle clears all of it.
+type requestState struct {
+	req     Request // Headers and Cookies are this state's own maps, kept across uses
+	service string  // the tenant's name for the service; req.Service is the engine's
+	started time.Time
+	tr      *trace.Trace
+	status  int
+	// admitted is the admission slot's release; nil when admission is off
+	// or the request never got one.
+	admitted func(ok bool)
+	decision l7.Decision
+	target   *url.URL
+	// upstreamStart is the start of the gateway/upstream hop on the tracer's
+	// clock.
+	upstreamStart time.Duration
+	// inProxy is set across the call into the shared ReverseProxy. Still set
+	// when ServeHTTP unwinds, it means the proxy did not return.
+	inProxy bool
+	// proxied is the outcome the admission layer hears: the upstream
+	// answered, whatever its status.
+	proxied bool
+}
+
+// stateKey is the context key a request's state travels under, from
+// ServeHTTP to the shared proxy's hooks.
+type stateKey struct{}
+
+func stateOf(r *http.Request) *requestState {
+	return r.Context().Value(stateKey{}).(*requestState)
+}
+
+// maxKeptMapLen is the most entries a state's header or cookie map may have
+// held and still be kept. A Go map never shrinks and clear re-zeroes all of
+// its buckets, so a map that one request with thousands of headers grew
+// would tax every later request that drew its state.
+const maxKeptMapLen = 64
+
+// recycle returns st to the pool with nothing of its request left in it:
+// every field zeroed, and the two maps emptied and kept.
+func (g *GatewayServer) recycle(st *requestState) {
+	headers, cookies := emptied(st.req.Headers), emptied(st.req.Cookies)
+	*st = requestState{}
+	st.req.Headers, st.req.Cookies = headers, cookies
+	g.states.Put(st)
+}
+
+// emptied returns m cleared, or a fresh map in place of one grown past
+// maxKeptMapLen.
+func emptied(m map[string]string) map[string]string {
+	if len(m) > maxKeptMapLen {
+		return make(map[string]string)
+	}
+	clear(m)
+	return m
+}
+
 // startTrace joins the request's propagated W3C trace context when a valid
 // traceparent header is present, or starts a fresh trace otherwise. The
 // trace is keyed by the requesting tenant: the collector is shared across
@@ -247,185 +396,200 @@ func (g *GatewayServer) startTrace(r *http.Request) *trace.Trace {
 	}
 	tenant := r.Header.Get(HeaderTenant)
 	name := r.Method + " " + r.URL.Path
-	if id, parent, sampled, err := trace.ParseTraceparent(r.Header.Get(trace.TraceparentHeader)); err == nil {
-		return g.tracer.StartRemoteTenant(id, parent, sampled, "gateway", tenant, name)
+	if tp := r.Header[traceparentKey]; len(tp) > 0 {
+		if id, parent, sampled, err := trace.ParseTraceparent(tp[0]); err == nil {
+			return g.tracer.StartRemoteTenant(id, parent, sampled, "gateway", tenant, name)
+		}
 	}
 	return g.tracer.StartTenant("gateway", tenant, name)
 }
 
 // fail writes a local error response, stamping the trace ID header on it so
-// the caller can join the rejection to its trace, and logs the request. It
-// returns the status for the caller's trace bookkeeping.
+// the caller can join the rejection to its trace, and logs the request.
 //
-//canal:boundary w is the requesting tenant's own ResponseWriter and the access log entry is keyed by the tenant argument
-func (g *GatewayServer) fail(w http.ResponseWriter, r *http.Request, tr *trace.Trace,
-	tenant, service, source string, status int, msg string, started time.Time) int {
-	if tr != nil {
-		w.Header().Set(HeaderTrace, tr.ID.String())
+//canal:boundary w is the requesting tenant's own ResponseWriter and the access log entry is keyed by the tenant in st
+func (g *GatewayServer) fail(w http.ResponseWriter, st *requestState, status int, msg string) {
+	st.status = status
+	if st.tr != nil {
+		w.Header().Set(HeaderTrace, st.tr.ID.String())
 	}
-	g.logReq(r, tenant, service, source, status, started, traceIDString(tr))
+	g.logReq(st)
 	http.Error(w, msg, status)
-	return status
-}
-
-// traceIDString returns the trace's hex ID, or "" for an untraced request.
-func traceIDString(tr *trace.Trace) string {
-	if tr == nil {
-		return ""
-	}
-	return tr.ID.String()
 }
 
 // ServeHTTP implements the multi-tenant gateway data path: extract or start
 // the trace, authenticate, route, pick an upstream from the chosen subset,
 // and reverse-proxy, propagating the trace context upstream.
 func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	started := time.Now() //canal:allow simdeterminism real request latency measurement on the live HTTP path
-	tr := g.startTrace(r)
-	status := http.StatusOK
-	defer func() {
-		if g.tracer != nil && tr != nil {
-			g.tracer.Finish(tr, status)
-		}
-	}()
-	tenant := r.Header.Get(HeaderTenant)
-	service := r.Header.Get(HeaderService)
-	if tenant == "" || service == "" {
-		status = g.fail(w, r, tr, tenant, service, "", http.StatusBadRequest, "canal: missing tenant/service headers", started)
+	st := g.states.Get().(*requestState)
+	st.started = time.Now() //canal:allow simdeterminism real request latency measurement on the live HTTP path
+	st.tr = g.startTrace(r)
+	st.status = http.StatusOK
+	defer g.finish(st)
+	req := &st.req
+	req.Method, req.Path = r.Method, r.URL.Path
+	req.Tenant, st.service = r.Header.Get(HeaderTenant), r.Header.Get(HeaderService)
+	if req.Tenant == "" || st.service == "" {
+		g.fail(w, st, http.StatusBadRequest, "canal: missing tenant/service headers")
 		return
 	}
-	source := r.Header.Get(HeaderSource)
+	req.SourceService = r.Header.Get(HeaderSource)
 	if g.RequireAuth {
-		id, err := g.authenticate(r, tenant)
+		id, err := g.authenticate(r, req.Tenant)
 		if err != nil {
-			status = g.fail(w, r, tr, tenant, service, source, http.StatusForbidden, "canal: "+err.Error(), started)
+			g.fail(w, st, http.StatusForbidden, "canal: "+err.Error())
 			return
 		}
 		// The verified identity overrides whatever the client claimed.
-		source = shortID(id)
+		req.SourceService = shortID(id)
 	}
 
 	g.mu.RLock()
 	admit := g.admit
+	up := g.services[serviceID{req.Tenant, st.service}]
 	g.mu.RUnlock()
-	proxied := false
 	if admit != nil {
-		release, rej := admit.Admit(tenant, service, r.Header.Get(HeaderRetry) != "")
+		release, rej := admit.Admit(req.Tenant, st.service, r.Header.Get(HeaderRetry) != "")
 		if rej != nil {
 			w.Header().Set("Retry-After", strconv.FormatFloat(rej.RetryAfter.Seconds(), 'f', -1, 64))
-			status = g.fail(w, r, tr, tenant, service, source, http.StatusTooManyRequests, "canal: "+rej.Error(), started)
+			g.fail(w, st, http.StatusTooManyRequests, "canal: "+rej.Error())
 			return
 		}
-		defer func() { release(proxied) }()
+		st.admitted = release
 	}
 
-	req := &Request{
-		Tenant:        tenant,
-		Service:       serviceKey(tenant, service),
-		SourceService: source,
-		SourcePod:     r.Header.Get(HeaderSourcePod),
-		Method:        r.Method,
-		Path:          r.URL.Path,
-		Headers:       flattenHeaders(r.Header),
-		Cookies:       flattenCookies(r),
-		BodyBytes:     int(r.ContentLength),
-		TLS:           r.TLS != nil,
+	if up == nil {
+		// Never configured: the engine refuses it by the name it would have.
+		up = &serviceUpstreams{key: serviceKey(req.Tenant, st.service)}
 	}
-	decision, err := g.engine.Route(time.Since(g.start), req) //canal:allow simdeterminism live gateway clock feeds rate limiters with real elapsed time
+	req.Service = up.key
+	req.SourcePod = r.Header.Get(HeaderSourcePod)
+	flattenHeaders(req.Headers, r.Header)
+	flattenCookies(req.Cookies, r)
+	req.BodyBytes = int(r.ContentLength)
+	req.TLS = r.TLS != nil
+	var err error
+	st.decision, err = g.engine.Route(time.Since(g.start), req) //canal:allow simdeterminism live gateway clock feeds rate limiters with real elapsed time
 	if err != nil {
 		code := http.StatusServiceUnavailable
 		if de, ok := err.(*l7.DecisionError); ok {
 			code = de.Status
 		}
-		status = g.fail(w, r, tr, tenant, service, source, code, "canal: "+err.Error(), started)
+		g.fail(w, st, code, "canal: "+err.Error())
 		return
 	}
 
-	if decision.Delay > 0 {
+	if st.decision.Delay > 0 {
 		// Fault injection: hold the request before proxying.
-		time.Sleep(decision.Delay) //canal:allow simdeterminism fault injection must really delay live requests
+		time.Sleep(st.decision.Delay) //canal:allow simdeterminism fault injection must really delay live requests
 	}
-	if decision.Timeout > 0 {
-		ctx, cancel := context.WithTimeout(r.Context(), decision.Timeout)
+	ctx := r.Context()
+	if st.decision.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, st.decision.Timeout)
 		defer cancel()
-		r = r.WithContext(ctx)
 	}
 
-	target, err := g.pickUpstream(req.Service, decision.Subset)
+	st.target, err = up.pick(st.decision.Subset)
 	if err != nil {
-		status = g.fail(w, r, tr, tenant, service, source, http.StatusServiceUnavailable, "canal: "+err.Error(), started)
+		g.fail(w, st, http.StatusServiceUnavailable, "canal: "+err.Error())
 		return
 	}
-	if decision.MirrorTo != "" {
-		if mirror, err := g.pickUpstream(req.Service, decision.MirrorTo); err == nil {
-			g.spawnMirror(r, mirror, decision)
+	if st.decision.MirrorTo != "" {
+		if mirror, err := up.pick(st.decision.MirrorTo); err == nil {
+			g.spawnMirror(r, mirror, st.decision)
 		}
 	}
 
-	proxy := &httputil.ReverseProxy{
-		Director: func(out *http.Request) {
-			out.URL.Scheme = target.Scheme
-			out.URL.Host = target.Host
-			if decision.PathRewrite != "" {
-				out.URL.Path = decision.PathRewrite
-			}
-			for k, v := range decision.SetHeaders {
-				out.Header.Set(k, v)
-			}
-			for _, k := range decision.RemoveHeaders {
-				out.Header.Del(k)
-			}
-			out.Header.Set(HeaderSubset, decision.Subset)
-			if tr != nil {
-				// Propagate the trace context upstream: the gateway's root
-				// span becomes the upstream's parent.
-				out.Header.Set(trace.TraceparentHeader, trace.Traceparent(tr.ID, tr.Root().ID, tr.Sampled))
-			}
-		},
-		ModifyResponse: func(resp *http.Response) error {
-			// Record the upstream's real status so the trace, the access
-			// log, and tail retention ("errored traces are always kept")
-			// see 4xx/5xx exchanges as errors, and stamp the trace ID on
-			// upstream error responses so callers can join them.
-			status = resp.StatusCode
-			if resp.StatusCode >= 400 && tr != nil {
-				resp.Header.Set(HeaderTrace, tr.ID.String())
-			}
-			return nil
-		},
-		ErrorHandler: func(w http.ResponseWriter, _ *http.Request, err error) {
-			proxied = false
-			status = g.fail(w, r, tr, tenant, service, source, http.StatusBadGateway, "canal: upstream: "+err.Error(), started)
-		},
+	r = r.WithContext(context.WithValue(ctx, stateKey{}, st))
+	if st.tr != nil {
+		st.upstreamStart = g.tracer.Now()
 	}
-	proxied = true
-	var upstreamStart time.Duration
-	if g.tracer != nil {
-		upstreamStart = g.tracer.Now()
+	st.proxied, st.inProxy = true, true
+	g.proxy.ServeHTTP(w, r)
+	st.inProxy = false
+	g.exchanged(st)
+}
+
+// directUpstream is the shared proxy's Director: it points the outbound
+// request at the upstream picked for it and applies the routing decision.
+func (g *GatewayServer) directUpstream(out *http.Request) {
+	st := stateOf(out)
+	decision := &st.decision
+	out.URL.Scheme = st.target.Scheme
+	out.URL.Host = st.target.Host
+	if decision.PathRewrite != "" {
+		out.URL.Path = decision.PathRewrite
 	}
-	proxy.ServeHTTP(w, r)
-	if g.tracer != nil && tr != nil {
-		// One hop span around the upstream exchange separates gateway
-		// overhead from upstream service time in the trace.
-		tr.AddHop(trace.Hop{Name: "gateway/upstream", Start: upstreamStart, End: g.tracer.Now()})
+	for k, v := range decision.SetHeaders {
+		out.Header.Set(k, v)
 	}
-	if proxied {
-		g.logReq(r, tenant, service, source, status, started, traceIDString(tr))
+	for _, k := range decision.RemoveHeaders {
+		out.Header.Del(k)
+	}
+	out.Header.Set(HeaderSubset, decision.Subset)
+	if st.tr != nil {
+		// Propagate the trace context upstream: the gateway's root
+		// span becomes the upstream's parent.
+		out.Header[traceparentKey] = []string{trace.Traceparent(st.tr.ID, st.tr.Root().ID, st.tr.Sampled)}
 	}
 }
 
-// pickUpstream round-robins within a subset pool.
-func (g *GatewayServer) pickUpstream(key, subset string) (*url.URL, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	pool := g.upstreams[key][subset]
-	if len(pool) == 0 {
-		return nil, fmt.Errorf("no upstreams for %s subset %q", key, subset)
+// recordUpstreamStatus is the shared proxy's ModifyResponse: it records the
+// upstream's real status so the trace, the access log, and tail retention
+// ("errored traces are always kept") see 4xx/5xx exchanges as errors, and
+// stamps the trace ID on upstream error responses so callers can join them.
+func (g *GatewayServer) recordUpstreamStatus(resp *http.Response) error {
+	st := stateOf(resp.Request)
+	st.status = resp.StatusCode
+	if resp.StatusCode >= 400 && st.tr != nil {
+		resp.Header.Set(HeaderTrace, st.tr.ID.String())
 	}
-	cursor := key + "|" + subset
-	u := pool[g.rr[cursor]%len(pool)]
-	g.rr[cursor]++
-	return u, nil
+	return nil
+}
+
+// upstreamFailed is the shared proxy's ErrorHandler: no upstream response
+// arrived (refused, reset, timed out), so the caller gets a local 502. r is
+// the inbound or the outbound request, depending on where the proxy failed;
+// both carry the state.
+func (g *GatewayServer) upstreamFailed(w http.ResponseWriter, r *http.Request, err error) {
+	st := stateOf(r)
+	st.proxied = false
+	g.fail(w, st, http.StatusBadGateway, "canal: upstream: "+err.Error())
+}
+
+// exchanged closes the books on the call into the proxy: one hop span
+// around the upstream exchange separates gateway overhead from upstream
+// service time in the trace, and the request is logged unless upstreamFailed
+// already did.
+func (g *GatewayServer) exchanged(st *requestState) {
+	if st.tr != nil {
+		st.tr.AddHop(trace.Hop{Name: "gateway/upstream", Start: st.upstreamStart, End: g.tracer.Now()})
+	}
+	if st.proxied {
+		g.logReq(st)
+	}
+}
+
+// finish is ServeHTTP's deferred completion: it frees the admission slot,
+// finishes the trace and recycles the state, on every way out.
+func (g *GatewayServer) finish(st *requestState) {
+	if st.inProxy {
+		// The proxy panicked out with http.ErrAbortHandler: the upstream died
+		// mid-body or the client hung up mid-reply. The panic is not
+		// recovered — net/http has to tear the connection down — but the
+		// exchange still gets its hop and its log line, as a failed one.
+		st.status = http.StatusBadGateway
+		g.exchanged(st)
+		st.proxied = false
+	}
+	if st.admitted != nil {
+		st.admitted(st.proxied)
+	}
+	if st.tr != nil {
+		g.tracer.Finish(st.tr, st.status)
+	}
+	g.recycle(st)
 }
 
 // spawnMirror prepares a copy of the request for the shadow subset and sends
@@ -492,41 +656,40 @@ func (g *GatewayServer) mirror(method, path string, headers http.Header, body []
 	resp.Body.Close()
 }
 
-func (g *GatewayServer) logReq(r *http.Request, tenant, service, source string, status int, started time.Time, traceID string) {
+func (g *GatewayServer) logReq(st *requestState) {
+	traceID := ""
+	if st.tr != nil {
+		traceID = st.tr.ID.String()
+	}
 	g.log.Log(telemetry.AccessEntry{
 		At:      time.Since(g.start), //canal:allow simdeterminism access-log timestamps on the live path are wall-clock offsets
 		Layer:   telemetry.AccessL7,
 		Where:   "gateway",
-		Tenant:  tenant,
-		Service: service,
-		SrcPod:  source,
-		Method:  r.Method,
-		Path:    r.URL.Path,
-		Status:  status,
-		Latency: time.Since(started), //canal:allow simdeterminism real request latency on the live path
+		Tenant:  st.req.Tenant,
+		Service: st.service,
+		SrcPod:  st.req.SourceService,
+		Method:  st.req.Method,
+		Path:    st.req.Path,
+		Status:  st.status,
+		Latency: time.Since(st.started), //canal:allow simdeterminism real request latency on the live path
 		TraceID: traceID,
 	})
 }
 
 // flattenHeaders keys each header's first value by its canonical name, the
 // form ConfigureService rewrites header-match names into.
-func flattenHeaders(h http.Header) map[string]string {
-	out := make(map[string]string, len(h))
+func flattenHeaders(out map[string]string, h http.Header) {
 	for k, v := range h {
 		if len(v) > 0 {
 			out[http.CanonicalHeaderKey(k)] = v[0]
 		}
 	}
-	return out
 }
 
-func flattenCookies(r *http.Request) map[string]string {
-	cookies := r.Cookies()
-	out := make(map[string]string, len(cookies))
-	for _, c := range cookies {
+func flattenCookies(out map[string]string, r *http.Request) {
+	for _, c := range r.Cookies() {
 		out[c.Name] = c.Value
 	}
-	return out
 }
 
 // NodeAgent is the real-mode on-node proxy: it forwards workload requests to
@@ -582,9 +745,9 @@ func (a *NodeAgent) Do(method, service, path string, body io.Reader, headers map
 	}
 	req.Header.Set(HeaderSignature, base64.StdEncoding.EncodeToString(sig))
 	var tr *trace.Trace
-	if a.Tracer != nil && req.Header.Get(trace.TraceparentHeader) == "" {
+	if a.Tracer != nil && req.Header.Get(traceparentKey) == "" {
 		tr = a.Tracer.StartTenant("node-agent", a.Tenant, method+" "+path)
-		req.Header.Set(trace.TraceparentHeader, trace.Traceparent(tr.ID, tr.Root().ID, tr.Sampled))
+		req.Header.Set(traceparentKey, trace.Traceparent(tr.ID, tr.Root().ID, tr.Sampled))
 	}
 	resp, err := a.Client.Do(req)
 	if tr != nil {

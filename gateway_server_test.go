@@ -461,17 +461,31 @@ func TestGatewayRoundRobinAcrossPool(t *testing.T) {
 	b := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { bn.Add(1) }))
 	defer a.Close()
 	defer b.Close()
-	_, agent, _ := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"},
-		map[string][]string{"v1": {a.URL, b.URL}}, false)
-	for i := 0; i < 10; i++ {
-		resp, err := agent.Get("web", "/")
-		if err != nil {
-			t.Fatal(err)
+	cfg, pools := ServiceConfig{Service: "web", DefaultSubset: "v1"}, map[string][]string{"v1": {a.URL, b.URL}}
+	_, agent, gw := testMesh(t, cfg, pools, false)
+	get := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			resp, err := agent.Get("web", "/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
 		}
-		resp.Body.Close()
 	}
+	get(10)
 	if an.Load() != 5 || bn.Load() != 5 {
 		t.Errorf("round robin uneven: a=%d b=%d", an.Load(), bn.Load())
+	}
+	// The rotation carries on across a reconfiguration of the same subset:
+	// the odd request before it and the one after go to different members.
+	get(1)
+	if err := gw.ConfigureService("tenant1", cfg, pools); err != nil {
+		t.Fatal(err)
+	}
+	get(1)
+	if an.Load() != 6 || bn.Load() != 6 {
+		t.Errorf("round robin restarted by reconfiguration: a=%d b=%d", an.Load(), bn.Load())
 	}
 }
 

@@ -24,11 +24,12 @@ type hotPathBaseline struct {
 	AllocsPerOp map[string]float64 `json:"allocs_per_op"`
 }
 
-// measureHotPathAllocs measures allocations per operation on the three
+// measureHotPathAllocs measures allocations per operation on the
 // request-time operations the hotpath analyzer polices statically: L7
-// route matching, one sim event-loop step (push + pop + dispatch), and
-// trace hop recording. The static analyzer proves the code *shape* cannot
-// allocate; this measures that the compiler agrees at runtime.
+// route matching, one sim event-loop step (push + pop + dispatch), trace
+// hop recording, the policy lookup and the trace-context codec. The static
+// analyzer proves the code *shape* cannot allocate; this measures that the
+// compiler agrees at runtime.
 func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	t.Helper()
 	got := map[string]float64{}
@@ -115,6 +116,30 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	})
 	if !pv.Allowed || pv.Rule != "allow" {
 		t.Fatalf("policy bench did not exercise the matched allow path: %+v", pv)
+	}
+
+	// Trace-context codec: every live request parses one traceparent and
+	// renders one toward the upstream, and its trace ID is rendered for the
+	// access log. Parsing decodes in place; a render allocates its result.
+	tid, sid, sampled, err := trace.ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["traceparent_parse"] = testing.AllocsPerRun(1000, func() {
+		tid, sid, sampled, _ = trace.ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	})
+	var rendered string
+	got["traceparent_render"] = testing.AllocsPerRun(1000, func() {
+		rendered = trace.Traceparent(tid, sid, sampled)
+	})
+	if rendered != "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01" {
+		t.Fatalf("codec bench did not round-trip its header: %q", rendered)
+	}
+	got["trace_id_string"] = testing.AllocsPerRun(1000, func() {
+		rendered = tid.String()
+	})
+	if rendered != "4bf92f3577b34da6a3ce929d0e0e4736" {
+		t.Fatalf("codec bench rendered trace ID %q", rendered)
 	}
 
 	return got

@@ -34,10 +34,18 @@ func (id TraceID) IsZero() bool { return id == TraceID{} }
 func (id SpanID) IsZero() bool { return id == SpanID{} }
 
 // String renders the ID as lower-case hex, the W3C wire form.
-func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
+func (id TraceID) String() string {
+	var b [2 * len(id)]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // String renders the ID as lower-case hex, the W3C wire form.
-func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
+func (id SpanID) String() string {
+	var b [2 * len(id)]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // MarshalJSON emits the hex form so exported traces are human-joinable with
 // access logs and traceparent headers.

@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
-	"strings"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -161,20 +163,36 @@ func TestTailRingEviction(t *testing.T) {
 	}
 }
 
+// TestTraceparentRoundTrip is the codec's round-trip property over seeded
+// random IDs and both flag values: Traceparent renders the bytes the
+// fmt-based renderer it replaced did, ParseTraceparent returns what was
+// rendered, and the IDs' String forms are plain lower-case hex.
 func TestTraceparentRoundTrip(t *testing.T) {
-	clock, _ := testClock()
-	tr := New(Config{Seed: 11, Clock: clock})
-	tt := tr.Start("gateway", "GET /")
-	hdr := Traceparent(tt.ID, tt.Root().ID, tt.Sampled)
-	if len(hdr) != 55 || !strings.HasPrefix(hdr, "00-") {
-		t.Fatalf("malformed traceparent %q", hdr)
-	}
-	id, span, sampled, err := ParseTraceparent(hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != tt.ID || span != tt.Root().ID || sampled != tt.Sampled {
-		t.Fatalf("round trip lost fields: %v %v %v", id, span, sampled)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		var id TraceID
+		var span SpanID
+		rng.Read(id[:])
+		rng.Read(span[:])
+		sampled := i%2 == 0
+		hdr := Traceparent(id, span, sampled)
+		flags := 0
+		if sampled {
+			flags = flagSampled
+		}
+		if want := fmt.Sprintf("00-%s-%s-%02x", hex.EncodeToString(id[:]), hex.EncodeToString(span[:]), flags); hdr != want {
+			t.Fatalf("Traceparent = %q, want %q", hdr, want)
+		}
+		if id.String() != hdr[3:35] || span.String() != hdr[36:52] {
+			t.Fatalf("String forms %s %s differ from the rendered header %q", id, span, hdr)
+		}
+		gotID, gotSpan, gotSampled, err := ParseTraceparent(hdr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotID != id || gotSpan != span || gotSampled != sampled {
+			t.Fatalf("round trip of %q lost fields: %v %v %v", hdr, gotID, gotSpan, gotSampled)
+		}
 	}
 }
 

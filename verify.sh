@@ -36,6 +36,16 @@ cmp /tmp/canalvet-run1.json /tmp/canalvet-run1.json.run2
 # left behind by earlier tests.
 go test -race -shuffle=on ./...
 
+# The live gateway recycles per-request state between requests of different
+# tenants and round-robins its pools with atomics: the tests that share that
+# state between goroutines run ten times over, so an interleaving one pass
+# misses still has its chance to be seen.
+go test -race -count=10 -run 'TestPooledState' .
+
+# Fuzz smoke: the in-place traceparent parser against the split-and-decode
+# parser it replaced (kept as the oracle in w3c_test.go).
+go test -run '^$' -fuzz FuzzParseTraceparent -fuzztime 5s ./internal/trace
+
 # The benchmark harness that judges every PR is a module of its own
 # (benchmark/go.mod), so the root module's ./... does not reach it.
 (cd benchmark && go vet ./... && go test -race ./...)
