@@ -1,12 +1,12 @@
 // Command canalvet runs the repository's invariant linters (internal/lint)
 // over the module. The suite type-checks the whole module from source —
-// stdlib included — so beyond the syntax-level analyzers (simulation
-// determinism, map-iteration order, atomic/plain mixing, lock discipline,
-// dropped errors) it runs the type-aware ones (unit-safe duration
-// arithmetic, context threading, deprecation policing, goroutine/channel
-// leak detection), the call-graph trio (hotpath, lockorder,
-// transdeterminism), and the taint trio that proves tenant isolation on
-// the request path (tenantflow, sharedmut, poolbleed).
+// stdlib included — once, and every analyzer reads that one engine: the
+// per-package checks (map-iteration order, atomic/plain mixing, lock
+// discipline, dropped errors, unit-safe duration arithmetic, context
+// threading, goroutine/channel leak detection), the call-graph four
+// (simdeterminism, transdeterminism, hotpath, lockorder), and the taint
+// trio that proves tenant isolation on the request path (tenantflow,
+// sharedmut, poolbleed).
 //
 // Usage:
 //
@@ -18,7 +18,6 @@
 //	canalvet -json out.json -stale-as-error ./...
 //	canalvet -only tenantflow,sharedmut,poolbleed ./...   # run a named subset
 //	canalvet -runs 2 -json out.json ./...   # repeat the analysis, prove determinism
-//	canalvet -timings -json - ./...         # include per-phase wall time in the JSON
 //	canalvet -callgraph '(*Engine).Route'   # dump one function's call-graph node
 //	canalvet -taint 'startTrace'            # dump one function's taint summary
 //
@@ -35,14 +34,11 @@
 // that suppress nothing) are always reported with their rotting reason
 // text, but only count toward the exit code under -stale-as-error.
 //
-// -runs N repeats the load+analyze cycle N times inside one process. The
-// session cache (internal/lint.Session) reuses the parsed, type-checked
-// module when no source changed, so runs after the first pay only for the
-// analysis itself; the call graph and taint engine are rebuilt every run
-// so the determinism comparison is non-vacuous. Each run's diagnostics are
-// compared against the first and any divergence exits 2; with -json the
-// extra runs land beside the first file as <path>.run2, <path>.run3, …
-// for external cmp gates.
+// -runs N repeats the analysis N times over the one parsed, type-checked
+// module. The call graph, the taint engine and every finding are rebuilt
+// each run, so the comparison is non-vacuous: each run's diagnostics are
+// compared against the first and any divergence exits 2. -json writes the
+// first run's.
 package main
 
 import (
@@ -52,7 +48,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"canalmesh/internal/lint"
 )
@@ -68,19 +63,9 @@ type jsonDiag struct {
 	Fix      *lint.SuggestedFix `json:"suggestedFix,omitempty"`
 }
 
-// jsonPhase is one timed phase of a run, emitted under -timings.
-type jsonPhase struct {
-	Phase  string  `json:"phase"`
-	Millis float64 `json:"ms"`
-	Reused bool    `json:"reused,omitempty"`
-}
-
-// jsonReport is the -json document: the diagnostics, plus per-phase wall
-// time when -timings is set. Without -timings the phases key is omitted
-// entirely so repeated runs stay byte-comparable with cmp.
+// jsonReport is the -json document.
 type jsonReport struct {
-	Phases      []jsonPhase `json:"phases,omitempty"`
-	Diagnostics []jsonDiag  `json:"diagnostics"`
+	Diagnostics []jsonDiag `json:"diagnostics"`
 }
 
 func main() {
@@ -90,8 +75,7 @@ func main() {
 	jsonOut := flag.String("json", "", "write diagnostics as JSON to this file (\"-\" for stdout)")
 	staleAsError := flag.Bool("stale-as-error", false, "count stale //canal:allow directives toward the exit code")
 	only := flag.String("only", "", "comma-separated analyzer names to run instead of the full suite")
-	runs := flag.Int("runs", 1, "repeat the load+analyze cycle N times and require identical diagnostics")
-	timings := flag.Bool("timings", false, "report per-phase wall time (stderr, and in -json output)")
+	runs := flag.Int("runs", 1, "repeat the analysis N times and require identical diagnostics")
 	callgraph := flag.String("callgraph", "", "dump the call-graph node for a function (exact key or unique suffix) and exit")
 	taint := flag.String("taint", "", "dump the taint summary for a function (exact key or unique suffix) and exit")
 	flag.Parse()
@@ -115,7 +99,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *runs > 1 && *fix {
-		fmt.Fprintln(os.Stderr, "canalvet: -runs and -fix are mutually exclusive (-fix mutates the sources the rerun would hash)")
+		fmt.Fprintln(os.Stderr, "canalvet: -runs and -fix are mutually exclusive (the reruns analyze the sources as loaded)")
 		os.Exit(2)
 	}
 	suite, err := selectAnalyzers(*only)
@@ -129,56 +113,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "canalvet:", err)
 		os.Exit(2)
 	}
-	sess := lint.NewSession(modRoot)
+	pkgs, _, err := lint.LoadModule(modRoot)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "canalvet:", err)
+		os.Exit(2)
+	}
+	lint.TypeCheck(pkgs)
+	if *callgraph != "" {
+		os.Exit(dumpCallGraph(pkgs, *callgraph))
+	}
+	if *taint != "" {
+		os.Exit(dumpTaint(pkgs, *taint))
+	}
 
-	var diags []lint.Diagnostic
-	var firstRender string
-	for run := 1; run <= *runs; run++ {
-		loadStart := time.Now()
-		pkgs, reused, err := sess.Load()
-		if err != nil {
+	diags := lint.Run(pkgs, suite)
+	if *jsonOut != "" {
+		if err := writeJSON(*jsonOut, diags); err != nil {
 			fmt.Fprintln(os.Stderr, "canalvet:", err)
 			os.Exit(2)
 		}
-		loadMS := msSince(loadStart)
-		if run == 1 {
-			if *callgraph != "" {
-				os.Exit(dumpCallGraph(pkgs, *callgraph))
-			}
-			if *taint != "" {
-				os.Exit(dumpTaint(pkgs, *taint))
-			}
-		}
-
-		analyzeStart := time.Now()
-		diags = lint.Run(pkgs, suite)
-		analyzeMS := msSince(analyzeStart)
-
-		var phases []jsonPhase
-		if *timings {
-			phases = []jsonPhase{
-				{Phase: "load", Millis: loadMS, Reused: reused},
-				{Phase: "analyze", Millis: analyzeMS},
-			}
-			fmt.Fprintf(os.Stderr, "canalvet: run %d: load %.1fms (reused=%v) analyze %.1fms\n",
-				run, loadMS, reused, analyzeMS)
-		}
-		if *jsonOut != "" {
-			path := *jsonOut
-			if run > 1 && path != "-" {
-				path = fmt.Sprintf("%s.run%d", path, run)
-			}
-			if err := writeJSON(path, phases, diags); err != nil {
-				fmt.Fprintln(os.Stderr, "canalvet:", err)
-				os.Exit(2)
-			}
-		}
-
-		render := renderDiags(diags)
-		if run == 1 {
-			firstRender = render
-		} else if render != firstRender {
-			fmt.Fprintf(os.Stderr, "canalvet: nondeterministic diagnostics: run %d differs from run 1\n--- run 1\n%s--- run %d\n%s", run, firstRender, run, render)
+	}
+	first := renderDiags(diags)
+	for run := 2; run <= *runs; run++ {
+		if render := renderDiags(lint.Run(pkgs, suite)); render != first {
+			fmt.Fprintf(os.Stderr, "canalvet: nondeterministic diagnostics: run %d differs from run 1\n--- run 1\n%s--- run %d\n%s", run, first, run, render)
 			os.Exit(2)
 		}
 	}
@@ -189,8 +147,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "canalvet:", err)
 			os.Exit(2)
 		}
-		for file, n := range res.Fixed {
-			fmt.Printf("canalvet: fixed %d problem(s) in %s\n", n, file)
+		files := make([]string, 0, len(res.Fixed))
+		for file := range res.Fixed {
+			files = append(files, file)
+		}
+		sort.Strings(files)
+		for _, file := range files {
+			fmt.Printf("canalvet: fixed %d problem(s) in %s\n", res.Fixed[file], file)
 		}
 		for _, msg := range res.Refused {
 			fmt.Fprintln(os.Stderr, "canalvet:", msg)
@@ -262,11 +225,6 @@ func selectAnalyzers(spec string) ([]*lint.Analyzer, error) {
 		return nil, fmt.Errorf("-only selected no analyzers")
 	}
 	return out, nil
-}
-
-// msSince is time.Since in float milliseconds, for the timing report.
-func msSince(t0 time.Time) float64 {
-	return float64(time.Since(t0)) / float64(time.Millisecond)
 }
 
 // renderDiags is the canonical text form the -runs determinism gate
@@ -347,8 +305,8 @@ func dumpTaint(pkgs []*lint.Package, name string) int {
 // writeJSON renders the report in the stable -json shape. An empty
 // diagnostic list renders as [], not null, so consumers can always
 // iterate.
-func writeJSON(path string, phases []jsonPhase, diags []lint.Diagnostic) error {
-	rep := jsonReport{Phases: phases, Diagnostics: make([]jsonDiag, 0, len(diags))}
+func writeJSON(path string, diags []lint.Diagnostic) error {
+	rep := jsonReport{Diagnostics: make([]jsonDiag, 0, len(diags))}
 	for _, d := range diags {
 		rep.Diagnostics = append(rep.Diagnostics, jsonDiag{
 			File:     d.Pos.Filename,

@@ -506,6 +506,15 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		st.upstreamStart = g.tracer.Now()
 	}
 	st.proxied, st.inProxy = true, true
+	if r.ContentLength != 0 {
+		// The HTTP/1 server otherwise consumes and closes the inbound body
+		// when the reply header is written, while the outbound transport may
+		// still be reading it: the upstream connection is torn down mid-reply
+		// and the client gets a truncated body. An error means the writer has
+		// no such switch — HTTP/2 is always full duplex, a test recorder has
+		// no connection — and there is nothing to do.
+		_ = http.NewResponseController(w).EnableFullDuplex()
+	}
 	g.proxy.ServeHTTP(w, r)
 	st.inProxy = false
 	g.exchanged(st)

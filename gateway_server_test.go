@@ -1,6 +1,7 @@
 package canal
 
 import (
+	"bytes"
 	"encoding/base64"
 	"fmt"
 	"io"
@@ -563,5 +564,50 @@ func TestGatewayConcurrentLoad(t *testing.T) {
 	wg.Wait()
 	if okCount.Load() != 16*25 {
 		t.Errorf("ok = %d of %d under concurrent load+reconfig", okCount.Load(), 16*25)
+	}
+}
+
+// TestGatewayEarlyReplyKeepsRequestBody pins full-duplex proxying: an
+// upstream that starts replying before it has read the request body must
+// still receive every byte of it, and the client every byte of the reply.
+// Without EnableFullDuplex the HTTP/1 server closes the inbound body when
+// the reply header is written, the outbound transport's next body read
+// fails, the upstream connection is dropped mid-reply and the client sees
+// the reply cut short (about 1 in 20 with these sizes).
+func TestGatewayEarlyReplyKeepsRequestBody(t *testing.T) {
+	const bodyLen, replyLen, iterations = 1 << 20, 64 << 10, 200
+	reply := make([]byte, replyLen)
+	received := make(chan int64, 1)
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {
+			t.Error(err)
+		}
+		var first [1]byte
+		n, _ := io.ReadFull(r.Body, first[:])
+		w.Write(reply)
+		w.(http.Flusher).Flush()
+		rest, _ := io.Copy(io.Discard, r.Body)
+		received <- int64(n) + rest
+	}))
+	defer upstream.Close()
+	_, agent, _ := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"},
+		map[string][]string{"v1": {upstream.URL}}, false)
+	body := make([]byte, bodyLen)
+	for i := 0; i < iterations; i++ {
+		resp, err := agent.Do(http.MethodPost, "web", "/upload", bytes.NewReader(body), nil)
+		if err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("iteration %d: status %d", i, resp.StatusCode)
+		}
+		got, err := io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || got != replyLen {
+			t.Errorf("iteration %d: read %d of %d reply bytes: %v", i, got, replyLen, err)
+		}
+		if n := <-received; n != bodyLen {
+			t.Errorf("iteration %d: upstream received %d of %d request bytes", i, n, bodyLen)
+		}
 	}
 }

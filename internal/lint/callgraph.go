@@ -17,9 +17,10 @@ import (
 // treated as a may-call edge, since the value is typically invoked later).
 // Function-literal bodies attribute to the enclosing named function, so a
 // closure scheduled on the event loop counts as reachable from its
-// creator. Calls through plain function-typed variables and fields stay
-// unresolved: tracking those needs data flow the engine deliberately does
-// not attempt.
+// creator, and package-level variable initialisers attribute to their
+// package's init node, where the compiler runs them. Calls through plain
+// function-typed variables and fields stay unresolved: tracking those needs
+// data flow the engine deliberately does not attempt.
 //
 // While walking each body the builder also records the primitive facts the
 // interprocedural analyzers consume — heap allocations (escaping composite
@@ -81,6 +82,9 @@ type Fact struct {
 	// What is the human-readable description ("append may grow its backing
 	// array", "calls fmt.Sprintf", "time.Now reads the wall clock", ...).
 	What string
+	// callee is the standard-library function behind a FactWallClock or
+	// FactGlobalRand fact, for analyzers that word the finding themselves.
+	callee *types.Func
 }
 
 // CallEdge is one resolved call or function-value reference.
@@ -125,35 +129,9 @@ type FuncNode struct {
 
 // CallGraph is the module's interprocedural index.
 type CallGraph struct {
-	fset   *token.FileSet
 	module string
 	Nodes  map[string]*FuncNode
 	keys   []string // sorted node keys
-
-	// Lazily computed analyzer findings (module-wide, emitted per package).
-	hotDiags  []Diagnostic
-	hotDone   bool
-	lockDiags []Diagnostic
-	lockDone  bool
-	tdDiags   []Diagnostic
-	tdDone    bool
-}
-
-// moduleGraph is set by the runner before analyzers execute; when nil, the
-// interprocedural analyzers build a graph over just the package under
-// analysis (fixture-test mode).
-var moduleGraph *CallGraph
-
-// SetCallGraph installs a module-wide call graph (call before Run).
-func SetCallGraph(g *CallGraph) { moduleGraph = g }
-
-// graphFor returns the installed module graph, or builds a single-package
-// one for fixture runs.
-func graphFor(p *Package) *CallGraph {
-	if moduleGraph != nil {
-		return moduleGraph
-	}
-	return BuildCallGraph([]*Package{p})
 }
 
 // Keys returns the node keys in sorted order.
@@ -265,6 +243,29 @@ func (g *CallGraph) chain(seen map[string]walkStep, start, key string) string {
 // static guarantee; regexp matching allocates and is unbounded.
 var bannedPkgs = map[string]bool{"fmt": true, "reflect": true, "regexp": true}
 
+// wallClockFuncs are the package time functions that read or wait on the
+// wall clock. Conversions and constructors (time.Duration, time.Unix,
+// time.Date) are pure and stay allowed.
+var wallClockFuncs = map[string]bool{
+	"Now":       true,
+	"Since":     true,
+	"Until":     true,
+	"Sleep":     true,
+	"After":     true,
+	"Tick":      true,
+	"NewTimer":  true,
+	"NewTicker": true,
+	"AfterFunc": true,
+}
+
+// randConstructors are the math/rand package-level functions that build
+// explicit sources rather than drawing from the shared global one.
+var randConstructors = map[string]bool{
+	"New":       true,
+	"NewSource": true,
+	"NewZipf":   true,
+}
+
 // BuildCallGraph constructs the interprocedural index over the packages.
 // The packages must already be type-checked (TypeCheck); packages with
 // partial type information degrade to fewer edges, never to wrong ones.
@@ -273,7 +274,6 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	if len(pkgs) == 0 {
 		return g
 	}
-	g.fset = pkgs[0].Fset
 	g.module = pkgs[0].Module
 	if g.module == "" {
 		g.module = DefaultModule
@@ -289,11 +289,16 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	for _, p := range ordered {
 		for _, sf := range p.Files {
 			for _, decl := range sf.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Body != nil {
+						b.addFunc(p, sf, d)
+					}
+				case *ast.GenDecl:
+					if d.Tok == token.VAR {
+						b.addVarInits(p, sf, d)
+					}
 				}
-				b.addFunc(p, sf, fd)
 			}
 		}
 	}
@@ -422,8 +427,7 @@ func isHotpathDoc(doc *ast.CommentGroup) bool {
 	return false
 }
 
-// addFunc creates (or extends, for colliding keys like init) the node for
-// one declared function and analyzes its body.
+// addFunc creates the node for one declared function and analyzes its body.
 func (b *gbuilder) addFunc(p *Package, sf SourceFile, fd *ast.FuncDecl) {
 	key := ""
 	if p.TypesInfo != nil {
@@ -435,22 +439,49 @@ func (b *gbuilder) addFunc(p *Package, sf SourceFile, fd *ast.FuncDecl) {
 		// Degraded type information: fall back to a syntactic key.
 		key = p.ImportPath() + "." + fd.Name.Name
 	}
+	n := b.node(p, sf, key, fd.Pos())
+	if isHotpathDoc(fd.Doc) {
+		n.Hot = true
+	}
+	(&funcBuilder{b: b, p: p, n: n}).analyze(fd.Body)
+}
+
+// addVarInits analyzes the initialisers of one package-level var
+// declaration into the init node of the file's package: `var epoch =
+// time.Now()` runs at program start exactly as a statement in func init
+// would, so its facts and edges belong to the same node.
+func (b *gbuilder) addVarInits(p *Package, sf SourceFile, gd *ast.GenDecl) {
+	path := p.ImportPath()
+	if sf.AST.Name.Name == p.baseName()+"_test" {
+		path += "_test"
+	}
+	for _, spec := range gd.Specs {
+		for _, v := range spec.(*ast.ValueSpec).Values {
+			(&funcBuilder{b: b, p: p, n: b.node(p, sf, path+".init", v.Pos())}).analyze(v)
+		}
+	}
+}
+
+// node returns the graph node for key, creating it at pos on first sight.
+// Several declarations can share a key (every func init of a package, and
+// its var initialisers); the node is a test node only while every one of
+// them sits in a _test.go file.
+func (b *gbuilder) node(p *Package, sf SourceFile, key string, pos token.Pos) *FuncNode {
 	n := b.g.Nodes[key]
 	if n == nil {
 		n = &FuncNode{
 			Key:      key,
 			Dir:      p.Dir,
 			Test:     sf.Test,
-			Pos:      fd.Pos(),
-			Position: p.Fset.Position(fd.Pos()),
+			Pos:      pos,
+			Position: p.Fset.Position(pos),
 		}
 		b.g.Nodes[key] = n
 	}
-	if isHotpathDoc(fd.Doc) {
-		n.Hot = true
+	if !sf.Test {
+		n.Test = false
 	}
-	fb := &funcBuilder{b: b, p: p, n: n}
-	fb.analyze(fd.Body)
+	return n
 }
 
 // funcBuilder walks one function body.
@@ -465,13 +496,14 @@ type funcBuilder struct {
 	pending []*LockSite
 }
 
-func (fb *funcBuilder) fact(kind FactKind, pos token.Pos, what string) {
+func (fb *funcBuilder) fact(kind FactKind, pos token.Pos, what string) *Fact {
 	fb.n.Facts = append(fb.n.Facts, Fact{
 		Kind:     kind,
 		Pos:      pos,
 		Position: fb.p.Fset.Position(pos),
 		What:     what,
 	})
+	return &fb.n.Facts[len(fb.n.Facts)-1]
 }
 
 func (fb *funcBuilder) edge(callee string, pos token.Pos, iface, ref bool) {
@@ -484,9 +516,10 @@ func (fb *funcBuilder) edge(callee string, pos token.Pos, iface, ref bool) {
 	})
 }
 
-// analyze walks the body, collecting edges, facts, and lock sites, then
-// resolves lock hold ranges against the body's Unlock calls.
-func (fb *funcBuilder) analyze(body *ast.BlockStmt) {
+// analyze walks a function body or initialiser expression, collecting
+// edges, facts, and lock sites, then resolves lock hold ranges against its
+// Unlock calls.
+func (fb *funcBuilder) analyze(body ast.Node) {
 	fb.releases = map[string][]token.Pos{}
 	walkWithStack(body, func(n ast.Node, stack []ast.Node) bool {
 		switch v := n.(type) {
@@ -595,19 +628,16 @@ func (fb *funcBuilder) call(call *ast.CallExpr, stack []ast.Node) {
 // callee records the edge and facts for a resolved concrete callee.
 func (fb *funcBuilder) callee(obj *types.Func, call *ast.CallExpr, ref bool) {
 	pos := call.Lparen
-	path := ""
-	if obj.Pkg() != nil {
-		path = obj.Pkg().Path()
-	}
+	path := funcPkgPath(obj)
 	switch {
 	case bannedPkgs[path]:
 		fb.fact(FactBanned, pos, "calls "+displayFunc(obj))
 	case path == "time" && recvOf(obj) == nil && wallClockFuncs[obj.Name()]:
-		fb.fact(FactWallClock, pos, "time."+obj.Name()+" reads or waits on the wall clock")
+		fb.fact(FactWallClock, call.Pos(), "time."+obj.Name()+" reads or waits on the wall clock").callee = obj
 	case (path == "math/rand" || path == "math/rand/v2") && recvOf(obj) == nil && !randConstructors[obj.Name()]:
-		fb.fact(FactGlobalRand, pos, "rand."+obj.Name()+" draws from the global math/rand source")
+		fb.fact(FactGlobalRand, call.Pos(), "rand."+obj.Name()+" draws from the global math/rand source").callee = obj
 	}
-	if fb.inModule(path) {
+	if fb.p.inModule(path) {
 		fb.edge(funcKey(obj), pos, false, ref)
 	}
 	if !ref {
@@ -704,24 +734,13 @@ func (fb *funcBuilder) funcValueRef(id *ast.Ident, stack []ast.Node) {
 }
 
 func (fb *funcBuilder) refEdge(obj *types.Func, pos token.Pos) {
-	path := ""
-	if obj.Pkg() != nil {
-		path = obj.Pkg().Path()
-	}
+	path := funcPkgPath(obj)
 	if bannedPkgs[path] {
 		fb.fact(FactBanned, pos, "references "+displayFunc(obj))
 	}
-	if fb.inModule(path) {
+	if fb.p.inModule(path) {
 		fb.edge(funcKey(obj), pos, false, true)
 	}
-}
-
-// inModule reports whether a package path belongs to the module under
-// analysis.
-func (fb *funcBuilder) inModule(path string) bool {
-	mod := fb.b.g.module
-	return path == mod || strings.HasPrefix(path, mod+"/") ||
-		strings.HasSuffix(path, "_test") && (strings.TrimSuffix(path, "_test") == mod || strings.HasPrefix(path, mod+"/"))
 }
 
 // builtin records allocation facts for make/new/append.

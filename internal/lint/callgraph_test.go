@@ -128,8 +128,8 @@ func TestCallGraphLookup(t *testing.T) {
 	}
 }
 
-// TestHotPathFixture runs the hotpath analyzer over its want fixture
-// (single package: graphFor falls back to a per-package graph).
+// TestHotPathFixture runs the hotpath analyzer over its want fixture (a
+// one-package module).
 func TestHotPathFixture(t *testing.T) {
 	diags := runTypedFixture(t, "hotpath", "internal/l7", "hotpath")
 	checkFixture(t, fixtureFile("hotpath"), diags)

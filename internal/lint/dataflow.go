@@ -263,22 +263,6 @@ type TaintEngine struct {
 	done     bool
 }
 
-// moduleTaint is installed by Run; nil means fixture mode (per-package
-// engines built on demand).
-var moduleTaint *TaintEngine
-
-// SetTaint installs a module-wide taint engine (call before Run).
-func SetTaint(e *TaintEngine) { moduleTaint = e }
-
-// taintFor returns the installed module engine, or builds a single-package
-// one for fixture runs.
-func taintFor(p *Package) *TaintEngine {
-	if moduleTaint != nil {
-		return moduleTaint
-	}
-	return BuildTaint([]*Package{p}, graphFor(p))
-}
-
 // BuildTaint indexes every analyzable function body (non-test, non-main)
 // over an existing call graph. The packages must already be type-checked.
 func BuildTaint(pkgs []*Package, g *CallGraph) *TaintEngine {

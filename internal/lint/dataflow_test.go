@@ -121,9 +121,9 @@ func TestTaintSubsetDirectives(t *testing.T) {
 	}
 }
 
-// TestPoolBleedFallback runs the analyzer through the single-package
-// fixture path (no module-wide engine installed), exercising taintFor's
-// on-demand construction.
+// TestPoolBleedFallback runs the analyzer over the single-package fixture:
+// a one-package module builds its call graph and taint engine on demand
+// like any other.
 func TestPoolBleedFallback(t *testing.T) {
 	diags := runTypedFixture(t, "poolbleed", "internal/bufpool", "poolbleed")
 	checkFixture(t, fixtureFile("poolbleed"), diags)

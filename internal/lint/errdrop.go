@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // ErrDrop flags silently discarded error returns in non-test code: a call
@@ -23,11 +24,15 @@ import (
 // starts flagging defers fails the suite and forces this trade-off to be
 // re-argued rather than drifting silently.
 //
-// Callee resolution is syntactic but module-wide: package-level functions of
-// the same package, functions of any other package in this module (via the
-// import name), and methods whose receiver expression's type is evident in
-// the enclosing function (receiver, parameter, or local declared with an
-// explicit type or composite literal). Unresolvable calls are not flagged.
+// The check is typed: a bare call statement drops an error when the last
+// result of the call is the built-in error type and the callee — a
+// function, a method, or an interface method, reached through any
+// expression (a field, an interface value, another call's result) — is
+// declared in this module. Standard-library callees stay out of scope:
+// strings.Builder, hash.Hash and fmt.Fprintf to a buffer return errors that
+// are nil by contract, and flagging them would bury the real findings.
+// Calls through function-typed variables have no declared callee and are
+// not flagged.
 func ErrDrop() *Analyzer {
 	return &Analyzer{
 		Name: "errdrop",
@@ -36,207 +41,40 @@ func ErrDrop() *Analyzer {
 	}
 }
 
-// errSigs is a module-wide signature index: which functions and methods
-// have a final error result.
-type errSigs struct {
-	// funcs maps "pkgdir\x00Func" for package functions.
-	funcs map[string]bool
-	// methods maps "pkgdir\x00Type.Method".
-	methods map[string]bool
-	// dirByPath maps an import path suffix (module-relative dir) for lookup.
-	module string
-}
-
-// lastResultIsError reports whether the function type's final result is
-// spelled `error`.
-func lastResultIsError(ft *ast.FuncType) bool {
-	if ft.Results == nil || len(ft.Results.List) == 0 {
-		return false
-	}
-	last := ft.Results.List[len(ft.Results.List)-1]
-	id, ok := last.Type.(*ast.Ident)
-	return ok && id.Name == "error"
-}
-
-// BuildErrSigs indexes every package's error-returning functions and
-// methods. Exposed so the runner can build it once for all packages.
-func BuildErrSigs(pkgs []*Package) *errSigs {
-	sigs := &errSigs{funcs: map[string]bool{}, methods: map[string]bool{}}
-	for _, p := range pkgs {
-		for _, sf := range p.Files {
-			for _, decl := range sf.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if !lastResultIsError(fd.Type) {
-					continue
-				}
-				if fd.Recv == nil {
-					sigs.funcs[p.Dir+"\x00"+fd.Name.Name] = true
-				} else if typeName, _, ok := recvTypeName(fd); ok {
-					sigs.methods[p.Dir+"\x00"+typeName+"."+fd.Name.Name] = true
-				}
-			}
-		}
-	}
-	return sigs
-}
-
-// errDropSigs is set by the runner before analyzers execute; when nil, the
-// analyzer indexes only the package under analysis (fixture-test mode).
-var errDropSigs *errSigs
-
-// SetErrSigs installs a module-wide signature index (call before Run).
-func SetErrSigs(s *errSigs) { errDropSigs = s }
-
 func runErrDrop(p *Package, r *Reporter) {
-	sigs := errDropSigs
-	if sigs == nil {
-		sigs = BuildErrSigs([]*Package{p})
-	}
 	for _, sf := range p.Files {
 		if sf.Test {
 			continue
 		}
-		// Map import names to module-relative package dirs for
-		// cross-package resolution.
-		importDirs := map[string]string{}
-		for _, imp := range sf.AST.Imports {
-			path := imp.Path.Value
-			path = path[1 : len(path)-1]
-			const modPrefix = "canalmesh/"
-			var dir string
-			if path == "canalmesh" {
-				dir = ""
-			} else if len(path) > len(modPrefix) && path[:len(modPrefix)] == modPrefix {
-				dir = path[len(modPrefix):]
-			} else {
-				continue
-			}
-			name := dir
-			for i := len(dir) - 1; i >= 0; i-- {
-				if dir[i] == '/' {
-					name = dir[i+1:]
-					break
-				}
-			}
-			if imp.Name != nil {
-				name = imp.Name.Name
-			}
-			importDirs[name] = dir
-		}
-		forEachFunc(sf.AST, func(fd *ast.FuncDecl, body *ast.BlockStmt) {
-			localTypes := localTypeTable(fd)
-			ast.Inspect(body, func(n ast.Node) bool {
-				// Only bare expression statements. Defers are a documented
-				// exemption (see the ErrDrop doc comment and the fixture's
-				// deferredDiscards); go stmts and assignments are out of
-				// scope by design.
-				es, ok := n.(*ast.ExprStmt)
-				if !ok {
-					return true
-				}
-				call, ok := es.X.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name, drops := resolvesToErrCall(call, p.Dir, importDirs, localTypes, sigs)
-				if drops {
-					r.Reportf(call.Pos(), "%s returns an error that is silently discarded; handle it or discard explicitly with _ =", name)
-				}
+		ast.Inspect(sf.AST, func(n ast.Node) bool {
+			// Only bare expression statements. Defers are a documented
+			// exemption (see the ErrDrop doc comment and the fixture's
+			// deferredDiscards); go stmts and assignments are out of
+			// scope by design.
+			es, ok := n.(*ast.ExprStmt)
+			if !ok {
 				return true
-			})
+			}
+			call, ok := es.X.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if fn := p.callee(call); fn != nil && p.inModule(funcPkgPath(fn)) && endsInError(p.typeOf(call)) {
+				r.Reportf(call.Pos(), "%s returns an error that is silently discarded; handle it or discard explicitly with _ =", types.ExprString(call.Fun))
+			}
+			return true
 		})
 	}
 }
 
-// localTypeTable maps identifier names to package-local type names for the
-// receiver, typed parameters, and locals declared with an evident type.
-func localTypeTable(fd *ast.FuncDecl) map[string]string {
-	types := map[string]string{}
-	bind := func(names []*ast.Ident, t ast.Expr) {
-		if st, ok := t.(*ast.StarExpr); ok {
-			t = st.X
+// endsInError reports whether a call of result type t (a single type, or a
+// tuple for multi-value calls) ends in the built-in error type.
+func endsInError(t types.Type) bool {
+	if tuple, ok := t.(*types.Tuple); ok {
+		if tuple.Len() == 0 {
+			return false
 		}
-		id, ok := t.(*ast.Ident)
-		if !ok {
-			return
-		}
-		for _, n := range names {
-			types[n.Name] = id.Name
-		}
+		t = tuple.At(tuple.Len() - 1).Type()
 	}
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			bind(f.Names, f.Type)
-		}
-	}
-	if fd.Type.Params != nil {
-		for _, f := range fd.Type.Params.List {
-			bind(f.Names, f.Type)
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch v := n.(type) {
-		case *ast.DeclStmt:
-			if gd, ok := v.Decl.(*ast.GenDecl); ok {
-				for _, spec := range gd.Specs {
-					if s, ok := spec.(*ast.ValueSpec); ok && s.Type != nil {
-						bind(s.Names, s.Type)
-					}
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range v.Rhs {
-				if i >= len(v.Lhs) {
-					break
-				}
-				id, ok := v.Lhs[i].(*ast.Ident)
-				if !ok {
-					continue
-				}
-				switch rv := rhs.(type) {
-				case *ast.CompositeLit:
-					bind([]*ast.Ident{id}, rv.Type)
-				case *ast.UnaryExpr:
-					if cl, ok := rv.X.(*ast.CompositeLit); ok {
-						bind([]*ast.Ident{id}, cl.Type)
-					}
-				}
-			}
-		}
-		return true
-	})
-	return types
-}
-
-// resolvesToErrCall decides whether the call statement drops an error,
-// returning a printable callee name.
-func resolvesToErrCall(call *ast.CallExpr, dir string, importDirs map[string]string, localTypes map[string]string, sigs *errSigs) (string, bool) {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if sigs.funcs[dir+"\x00"+fun.Name] {
-			return fun.Name, true
-		}
-	case *ast.SelectorExpr:
-		id, ok := fun.X.(*ast.Ident)
-		if !ok {
-			return "", false
-		}
-		// Cross-package function call pkg.Fn().
-		if pdir, isPkg := importDirs[id.Name]; isPkg {
-			if sigs.funcs[pdir+"\x00"+fun.Sel.Name] {
-				return id.Name + "." + fun.Sel.Name, true
-			}
-			return "", false
-		}
-		// Method call on a value of evident package-local type.
-		if typeName, ok := localTypes[id.Name]; ok {
-			if sigs.methods[dir+"\x00"+typeName+"."+fun.Sel.Name] {
-				return id.Name + "." + fun.Sel.Name, true
-			}
-		}
-	}
-	return "", false
+	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
 }

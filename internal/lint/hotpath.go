@@ -27,38 +27,15 @@ import (
 // dataplane interface is not on the production hot path.
 func HotPath() *Analyzer {
 	return &Analyzer{
-		Name: "hotpath",
-		Doc:  "forbid allocation, locking, blocking, and fmt/reflect/regexp on //canal:hotpath-reachable code (call-graph-aware)",
-		Run:  runHotPath,
+		Name:      "hotpath",
+		Doc:       "forbid allocation, locking, blocking, and fmt/reflect/regexp on //canal:hotpath-reachable code (call-graph-aware)",
+		runModule: func(m *module) []Diagnostic { return m.callGraph().hotpathFindings() },
 	}
 }
 
-func runHotPath(p *Package, r *Reporter) {
-	for _, d := range graphFor(p).hotpathFindings() {
-		if ownsFile(p, d.Pos.Filename) {
-			r.report(d)
-		}
-	}
-}
-
-// ownsFile reports whether the package contains the named source file —
-// how module-wide findings are routed to the package whose directives
-// govern them.
-func ownsFile(p *Package, file string) bool {
-	for _, sf := range p.Files {
-		if sf.Name == file {
-			return true
-		}
-	}
-	return false
-}
-
-// hotpathFindings computes the module-wide hotpath diagnostics once.
+// hotpathFindings computes the module-wide hotpath diagnostics.
 func (g *CallGraph) hotpathFindings() []Diagnostic {
-	if g.hotDone {
-		return g.hotDiags
-	}
-	g.hotDone = true
+	var diags []Diagnostic
 	type site struct {
 		file string
 		off  int
@@ -90,14 +67,14 @@ func (g *CallGraph) hotpathFindings() []Diagnostic {
 				if k != root.Key {
 					msg = fmt.Sprintf("%s on the hot path of %s (via %s)", f.What, g.shortKey(root.Key), g.chain(seen, root.Key, k))
 				}
-				g.hotDiags = append(g.hotDiags, Diagnostic{
+				diags = append(diags, Diagnostic{
 					Pos:     f.Position,
 					Message: msg,
 				})
 			}
 		}
 	}
-	return g.hotDiags
+	return diags
 }
 
 // baseLine renders "file.go:line" from a token.Position (base name only,

@@ -75,20 +75,27 @@ func checkFixture(t *testing.T, fixtureFile string, diags []Diagnostic) {
 	}
 }
 
-// runFixture loads testdata/<name> posed as module directory poseDir and
-// runs the single named analyzer without directive processing.
-func runFixture(t *testing.T, name, poseDir, analyzer string) []Diagnostic {
+// runTypedFixture loads testdata/<name> posed as module directory poseDir,
+// type-checks it (it must type-check cleanly — a fixture with type errors
+// would silently test nothing, since the analyzers degrade to silence on
+// partial information) and runs the single named analyzer over it as a
+// one-package module, without directive processing.
+func runTypedFixture(t *testing.T, name, poseDir, analyzer string) []Diagnostic {
 	t.Helper()
 	pkg, err := LoadDir(filepath.Join("testdata", name), poseDir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	TypeCheck([]*Package{pkg})
+	for _, d := range pkg.TypeErrors {
+		t.Fatalf("fixture %s must type-check: %s", name, d)
+	}
+	m := &module{pkgs: []*Package{pkg}}
 	var diags []Diagnostic
 	for _, a := range Analyzers() {
-		if a.Name != analyzer {
-			continue
+		if a.Name == analyzer {
+			diags = append(diags, m.analyze(a)...)
 		}
-		a.Run(pkg, &Reporter{fset: pkg.Fset, analyzer: a.Name, out: &diags})
 	}
 	return diags
 }
@@ -98,7 +105,7 @@ func fixtureFile(name string) string {
 }
 
 func TestSimDeterminismFires(t *testing.T) {
-	diags := runFixture(t, "simdeterminism", "internal/sim", "simdeterminism")
+	diags := runTypedFixture(t, "simdeterminism", "internal/sim", "simdeterminism")
 	checkFixture(t, fixtureFile("simdeterminism"), diags)
 }
 
@@ -106,7 +113,7 @@ func TestSimDeterminismOutOfScope(t *testing.T) {
 	// The same violations in a non-simulation package are fine: real
 	// servers may read the wall clock.
 	for _, dir := range []string{"internal/telemetry", "examples/quickstart", "internal/meshcrypto"} {
-		if diags := runFixture(t, "simdeterminism", dir, "simdeterminism"); len(diags) != 0 {
+		if diags := runTypedFixture(t, "simdeterminism", dir, "simdeterminism"); len(diags) != 0 {
 			t.Errorf("dir %q: expected no diagnostics out of scope, got %v", dir, diags)
 		}
 	}
@@ -130,22 +137,22 @@ func TestSimDeterminismScope(t *testing.T) {
 }
 
 func TestMapOrder(t *testing.T) {
-	diags := runFixture(t, "maporder", "internal/anomaly", "maporder")
+	diags := runTypedFixture(t, "maporder", "internal/anomaly", "maporder")
 	checkFixture(t, fixtureFile("maporder"), diags)
 }
 
 func TestAtomicMix(t *testing.T) {
-	diags := runFixture(t, "atomicmix", "internal/telemetry", "atomicmix")
+	diags := runTypedFixture(t, "atomicmix", "internal/telemetry", "atomicmix")
 	checkFixture(t, fixtureFile("atomicmix"), diags)
 }
 
 func TestLockSafe(t *testing.T) {
-	diags := runFixture(t, "locksafe", "internal/overlay", "locksafe")
+	diags := runTypedFixture(t, "locksafe", "internal/overlay", "locksafe")
 	checkFixture(t, fixtureFile("locksafe"), diags)
 }
 
 func TestErrDrop(t *testing.T) {
-	diags := runFixture(t, "errdrop", "internal/keyserver", "errdrop")
+	diags := runTypedFixture(t, "errdrop", "internal/keyserver", "errdrop")
 	checkFixture(t, fixtureFile("errdrop"), diags)
 }
 
@@ -156,6 +163,7 @@ func TestErrDropSkipsTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	TypeCheck([]*Package{pkg})
 	for i := range pkg.Files {
 		pkg.Files[i].Test = true
 	}
@@ -166,30 +174,6 @@ func TestErrDropSkipsTests(t *testing.T) {
 	}
 }
 
-// runTypedFixture is runFixture for the type-aware analyzers: the fixture
-// is type-checked first (and must type-check cleanly — a fixture with type
-// errors would silently test nothing, since typed analyzers degrade to
-// silence on partial information).
-func runTypedFixture(t *testing.T, name, poseDir, analyzer string) []Diagnostic {
-	t.Helper()
-	pkg, err := LoadDir(filepath.Join("testdata", name), poseDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	TypeCheck([]*Package{pkg})
-	for _, d := range pkg.TypeErrors {
-		t.Fatalf("fixture %s must type-check: %s", name, d)
-	}
-	var diags []Diagnostic
-	for _, a := range Analyzers() {
-		if a.Name != analyzer {
-			continue
-		}
-		a.Run(pkg, &Reporter{fset: pkg.Fset, analyzer: a.Name, out: &diags})
-	}
-	return diags
-}
-
 func TestUnitSafe(t *testing.T) {
 	diags := runTypedFixture(t, "unitsafe", "internal/sim", "unitsafe")
 	checkFixture(t, fixtureFile("unitsafe"), diags)
@@ -198,11 +182,6 @@ func TestUnitSafe(t *testing.T) {
 func TestCtxFlow(t *testing.T) {
 	diags := runTypedFixture(t, "ctxflow", "internal/gateway", "ctxflow")
 	checkFixture(t, fixtureFile("ctxflow"), diags)
-}
-
-func TestDeprecated(t *testing.T) {
-	diags := runTypedFixture(t, "deprecated", "internal/keyserver", "deprecated")
-	checkFixture(t, fixtureFile("deprecated"), diags)
 }
 
 func TestChanLeak(t *testing.T) {
@@ -256,14 +235,14 @@ const selfHostBoundaries = 1
 
 // TestSelfHost runs the full suite over this repository: the codebase must
 // stay canalvet-clean, with every intentional violation carrying a justified
-// //canal:allow. This is the regression gate for the typed engine too — all
-// fifteen analyzers run with full type information over every package, any
+// //canal:allow. This is the regression gate for the engine too — all
+// fourteen analyzers run with full type information over every package, any
 // type-check failure surfaces here as a "typecheck" diagnostic, the
-// interprocedural three see the module-wide call graph, and the taint trio
-// sees the dataflow engine built on top of it.
+// call-graph four see the module-wide graph, and the taint trio sees the
+// dataflow engine built on top of it.
 func TestSelfHost(t *testing.T) {
-	if n := len(Analyzers()); n != 15 {
-		t.Fatalf("suite has %d analyzers, want 15 (5 syntactic + 4 type-aware + 3 interprocedural + 3 taint)", n)
+	if n := len(Analyzers()); n != 14 {
+		t.Fatalf("suite has %d analyzers, want 14 (7 per-package + 4 call-graph + 3 taint); the count is frozen", n)
 	}
 	root, err := FindModuleRoot(".")
 	if err != nil {

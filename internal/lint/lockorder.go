@@ -26,17 +26,9 @@ import (
 // the two.
 func LockOrder() *Analyzer {
 	return &Analyzer{
-		Name: "lockorder",
-		Doc:  "report lock-order cycles and self-reacquisition across the module-wide lock-acquisition graph",
-		Run:  runLockOrder,
-	}
-}
-
-func runLockOrder(p *Package, r *Reporter) {
-	for _, d := range graphFor(p).lockorderFindings() {
-		if ownsFile(p, d.Pos.Filename) {
-			r.report(d)
-		}
+		Name:      "lockorder",
+		Doc:       "report lock-order cycles and self-reacquisition across the module-wide lock-acquisition graph",
+		runModule: func(m *module) []Diagnostic { return m.callGraph().lockorderFindings() },
 	}
 }
 
@@ -52,12 +44,9 @@ type lockWitness struct {
 	second   token.Position // direct second acquisition site (callee == "")
 }
 
-// lockorderFindings computes the module-wide lockorder diagnostics once.
+// lockorderFindings computes the module-wide lockorder diagnostics.
 func (g *CallGraph) lockorderFindings() []Diagnostic {
-	if g.lockDone {
-		return g.lockDiags
-	}
-	g.lockDone = true
+	var diags []Diagnostic
 
 	reachMemo := map[string]map[string]walkStep{}
 	reachOf := func(key string) map[string]walkStep {
@@ -125,7 +114,7 @@ func (g *CallGraph) lockorderFindings() []Diagnostic {
 							baseLine(held.Position.Filename, held.Position.Line) +
 							") deadlocks once a writer queues between the two"
 					}
-					g.lockDiags = append(g.lockDiags, Diagnostic{Pos: next.Position, Message: what})
+					diags = append(diags, Diagnostic{Pos: next.Position, Message: what})
 					continue
 				}
 				if next.Class == held.Class {
@@ -158,7 +147,7 @@ func (g *CallGraph) lockorderFindings() []Diagnostic {
 				for _, c := range classes {
 					if c == held.Class {
 						chain, leaf := g.lockLeaf(e.Callee, c, reachOf)
-						g.lockDiags = append(g.lockDiags, Diagnostic{
+						diags = append(diags, Diagnostic{
 							Pos: e.Position,
 							Message: fmt.Sprintf("call into %s reacquires %s held since %s (chain %s, locked at %s): potential self-deadlock",
 								g.shortKey(e.Callee), g.shortKey(c),
@@ -218,7 +207,7 @@ func (g *CallGraph) lockorderFindings() []Diagnostic {
 				continue
 			}
 			w := adj[a][bc]
-			g.lockDiags = append(g.lockDiags, Diagnostic{
+			diags = append(diags, Diagnostic{
 				Pos: w.position,
 				Message: fmt.Sprintf("lock-order cycle between %s and %s: %s; reverse order: %s — the two orders can interleave into a deadlock",
 					g.shortKey(a), g.shortKey(bc),
@@ -227,7 +216,7 @@ func (g *CallGraph) lockorderFindings() []Diagnostic {
 			})
 		}
 	}
-	return g.lockDiags
+	return diags
 }
 
 // lockLeaf finds, below start, the function that directly acquires class,

@@ -5,30 +5,26 @@ import (
 	"go/token"
 )
 
-// LockSafe enforces two pieces of lock discipline:
+// LockSafe enforces one piece of lock discipline: in a function with
+// multiple return paths, a mutex taken with Lock() must be released by defer
+// Unlock() — or every return between Lock and Unlock is a leak that
+// deadlocks the next caller. The check is a source-order scan: a return
+// statement reached while a lock is held (no intervening Unlock, no deferred
+// Unlock registered) is flagged.
 //
-//  1. In a function with multiple return paths, a mutex taken with Lock()
-//     must be released by defer Unlock() — or every return between Lock and
-//     Unlock is a leak that deadlocks the next caller. The check is a
-//     source-order scan: a return statement reached while a lock is held
-//     (no intervening Unlock, no deferred Unlock registered) is flagged.
-//  2. Structs carrying a sync.Mutex/RWMutex (directly, embedded, or through
-//     another mutex-bearing struct of the same package) must not be passed
-//     or received by value: the copy's mutex state is meaningless and the
-//     original's protection silently vanishes.
+// Mutex-bearing structs passed or received by value are go vet's copylocks
+// check, which verify.sh runs before canalvet.
 func LockSafe() *Analyzer {
 	return &Analyzer{
 		Name: "locksafe",
-		Doc:  "Lock without defer Unlock across multiple return paths; mutex-bearing structs by value",
+		Doc:  "Lock without defer Unlock across multiple return paths",
 		Run:  runLockSafe,
 	}
 }
 
 func runLockSafe(p *Package, r *Reporter) {
-	bearers := mutexBearers(p)
 	for _, sf := range p.Files {
 		forEachFunc(sf.AST, func(fd *ast.FuncDecl, body *ast.BlockStmt) {
-			checkValueMutex(fd, bearers, r)
 			checkLockPaths(body, r)
 		})
 		// Function literals get the same Lock/return scan, each at its own
@@ -40,98 +36,6 @@ func runLockSafe(p *Package, r *Reporter) {
 			}
 			return true
 		})
-	}
-}
-
-// mutexBearers returns the names of package-local struct types that contain
-// a sync.Mutex or sync.RWMutex anywhere in their (package-local) field
-// closure.
-func mutexBearers(p *Package) map[string]bool {
-	type structInfo struct {
-		direct bool     // has a sync.(RW)Mutex field or embeds one
-		refs   []string // package-local named field types
-	}
-	infos := map[string]structInfo{}
-	for _, sf := range p.Files {
-		syncName, hasSync := importName(sf.AST, "sync")
-		ast.Inspect(sf.AST, func(n ast.Node) bool {
-			ts, ok := n.(*ast.TypeSpec)
-			if !ok {
-				return true
-			}
-			st, ok := ts.Type.(*ast.StructType)
-			if !ok {
-				return true
-			}
-			info := structInfo{}
-			for _, f := range st.Fields.List {
-				t := f.Type
-				if sel, ok := t.(*ast.SelectorExpr); ok && hasSync {
-					if id, ok := sel.X.(*ast.Ident); ok && id.Name == syncName &&
-						(sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex") {
-						info.direct = true
-					}
-					continue
-				}
-				if id, ok := t.(*ast.Ident); ok {
-					info.refs = append(info.refs, id.Name)
-				}
-			}
-			infos[ts.Name.Name] = info
-			return true
-		})
-	}
-	out := map[string]bool{}
-	var bears func(name string, seen map[string]bool) bool
-	bears = func(name string, seen map[string]bool) bool {
-		if out[name] {
-			return true
-		}
-		if seen[name] {
-			return false
-		}
-		seen[name] = true
-		info, ok := infos[name]
-		if !ok {
-			return false
-		}
-		if info.direct {
-			return true
-		}
-		for _, ref := range info.refs {
-			if bears(ref, seen) {
-				return true
-			}
-		}
-		return false
-	}
-	for name := range infos {
-		if bears(name, map[string]bool{}) {
-			out[name] = true
-		}
-	}
-	return out
-}
-
-// checkValueMutex flags value receivers and value parameters of
-// mutex-bearing types.
-func checkValueMutex(fd *ast.FuncDecl, bearers map[string]bool, r *Reporter) {
-	check := func(f *ast.Field, what string) {
-		id, ok := f.Type.(*ast.Ident)
-		if !ok || !bearers[id.Name] {
-			return
-		}
-		r.Reportf(f.Type.Pos(), "%s passes mutex-bearing struct %s by value; use *%s so the lock still guards shared state", what, id.Name, id.Name)
-	}
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			check(f, "receiver")
-		}
-	}
-	if fd.Type.Params != nil {
-		for _, f := range fd.Type.Params.List {
-			check(f, "parameter")
-		}
 	}
 }
 

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // MapOrder flags range-over-map loops whose iteration order leaks into
@@ -14,159 +15,17 @@ import (
 // The blessed idiom is Backend.Services (internal/gateway/gateway.go):
 // collect into a slice, then sort before returning.
 //
-// Map detection is syntactic: the range subject must resolve to a
-// declaration spelled with a map type — a var/param/field declared
-// map[...]..., or assigned make(map[...]) or a map composite literal —
-// visible in the same package. Ranging over expressions the analyzer cannot
-// resolve is not flagged (under-reporting is the acceptable direction for a
-// linter).
+// Whether the range subject is a map is read off its type, so maps reached
+// through fields, selectors, function results and named map types all
+// count, and a slice that merely shares a name with a map does not. In a
+// package that fails to type-check the analyzer stays silent on the
+// expressions the checker could not type.
 func MapOrder() *Analyzer {
 	return &Analyzer{
 		Name: "maporder",
 		Doc:  "flag map-range loops that leak iteration order into results",
 		Run:  runMapOrder,
 	}
-}
-
-// mapSymbols records, per package, which names are declared with literal map
-// types: plain identifiers (vars, params) and struct field names qualified
-// by their struct type, plus a bare field-name fallback used when the
-// receiver type of a selector cannot be resolved syntactically.
-type mapSymbols struct {
-	idents map[string]bool // package-level vars and, per-function, locals/params
-	fields map[string]bool // "Type.field" and bare "field"
-	// nonMapFields holds bare field names also declared with a non-map type
-	// somewhere in the package; such names are ambiguous through an
-	// unresolvable selector base and are skipped (under-report, never guess).
-	nonMapFields map[string]bool
-}
-
-func isMapType(e ast.Expr) bool {
-	switch v := e.(type) {
-	case *ast.MapType:
-		return true
-	case *ast.ParenExpr:
-		return isMapType(v.X)
-	}
-	return false
-}
-
-// mapValuedExpr reports whether e is an expression that is evidently a map:
-// make(map[...]), a map composite literal, or a map type conversion.
-func mapValuedExpr(e ast.Expr) bool {
-	switch v := e.(type) {
-	case *ast.CallExpr:
-		if id, ok := v.Fun.(*ast.Ident); ok && id.Name == "make" && len(v.Args) > 0 {
-			return isMapType(v.Args[0])
-		}
-		return isMapType(v.Fun)
-	case *ast.CompositeLit:
-		return isMapType(v.Type)
-	case *ast.UnaryExpr:
-		return false
-	}
-	return false
-}
-
-func collectMapSymbols(p *Package) *mapSymbols {
-	syms := &mapSymbols{idents: make(map[string]bool), fields: make(map[string]bool), nonMapFields: make(map[string]bool)}
-	addFieldList := func(typeName string, fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if isMapType(f.Type) {
-					syms.fields[name.Name] = true
-					if typeName != "" {
-						syms.fields[typeName+"."+name.Name] = true
-					}
-				} else {
-					syms.nonMapFields[name.Name] = true
-				}
-			}
-		}
-	}
-	for _, sf := range p.Files {
-		for _, decl := range sf.AST.Decls {
-			switch d := decl.(type) {
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if st, ok := s.Type.(*ast.StructType); ok {
-							addFieldList(s.Name.Name, st.Fields)
-						}
-					case *ast.ValueSpec:
-						if s.Type != nil && isMapType(s.Type) {
-							for _, n := range s.Names {
-								syms.idents[n.Name] = true
-							}
-						}
-						for i, v := range s.Values {
-							if mapValuedExpr(v) && i < len(s.Names) {
-								syms.idents[s.Names[i].Name] = true
-							}
-						}
-					}
-				}
-			case *ast.FuncDecl:
-				// Params and named results with map types count as idents;
-				// locals are collected below from the whole file walk.
-				if d.Type.Params != nil {
-					for _, f := range d.Type.Params.List {
-						if isMapType(f.Type) {
-							for _, n := range f.Names {
-								syms.idents[n.Name] = true
-							}
-						}
-					}
-				}
-			}
-		}
-		// Local declarations: var statements and := / = assignments of
-		// evident map values anywhere in the file.
-		ast.Inspect(sf.AST, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.AssignStmt:
-				for i, rhs := range v.Rhs {
-					if mapValuedExpr(rhs) && i < len(v.Lhs) {
-						switch lhs := v.Lhs[i].(type) {
-						case *ast.Ident:
-							syms.idents[lhs.Name] = true
-						case *ast.SelectorExpr:
-							syms.fields[lhs.Sel.Name] = true
-						}
-					}
-				}
-			case *ast.DeclStmt:
-				if gd, ok := v.Decl.(*ast.GenDecl); ok {
-					for _, spec := range gd.Specs {
-						if s, ok := spec.(*ast.ValueSpec); ok && s.Type != nil && isMapType(s.Type) {
-							for _, name := range s.Names {
-								syms.idents[name.Name] = true
-							}
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return syms
-}
-
-// rangesMap reports whether the range subject resolves to a known map.
-func (syms *mapSymbols) rangesMap(e ast.Expr) bool {
-	switch v := e.(type) {
-	case *ast.Ident:
-		return syms.idents[v.Name]
-	case *ast.SelectorExpr:
-		return syms.fields[v.Sel.Name] && !syms.nonMapFields[v.Sel.Name]
-	case *ast.ParenExpr:
-		return syms.rangesMap(v.X)
-	}
-	return false
 }
 
 // emitFuncs are printing/writing calls that make loop-body output
@@ -176,28 +35,30 @@ var emitFuncs = map[string]bool{
 	"Fprint": true, "Fprintf": true, "Fprintln": true,
 }
 
+// slicesSortFuncs are the functions of package slices that put a slice in a
+// deterministic order (everything in package sort does).
+var slicesSortFuncs = map[string]bool{"Sort": true, "SortFunc": true, "SortStableFunc": true}
+
 func runMapOrder(p *Package, r *Reporter) {
-	syms := collectMapSymbols(p)
 	for _, sf := range p.Files {
-		fmtName, hasFmt := importName(sf.AST, "fmt")
-		sortName, hasSort := importName(sf.AST, "sort")
-		if !hasSort {
-			sortName = "sort"
-		}
 		walkWithStack(sf.AST, func(n ast.Node, stack []ast.Node) bool {
 			rng, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true
 			}
-			if !syms.rangesMap(rng.X) {
+			t := p.typeOf(rng.X)
+			if t == nil {
 				return true
 			}
-			appended, emitted := loopLeaks(rng, fmtName, hasFmt)
+			if _, isMap := t.Underlying().(*types.Map); !isMap {
+				return true
+			}
+			appended, emitted := p.loopLeaks(rng)
 			for _, pos := range emitted {
 				r.Reportf(pos, "output emitted inside a map-range loop is iteration-order dependent; collect keys and sort first (see Backend.Services)")
 			}
 			for name, pos := range appended {
-				if sortedAfter(rng, stack, name, sortName) {
+				if p.sortedAfter(rng, stack, name) {
 					continue
 				}
 				r.Reportf(pos, "slice %q built from map-range iteration is never sorted; map order varies per run (sort it, or range over sorted keys)", name)
@@ -210,7 +71,7 @@ func runMapOrder(p *Package, r *Reporter) {
 // loopLeaks scans a map-range body for order leaks: appends to slices
 // declared outside the loop (returned keyed by slice name with the first
 // offending position) and direct emit calls.
-func loopLeaks(rng *ast.RangeStmt, fmtName string, hasFmt bool) (map[string]token.Pos, []token.Pos) {
+func (p *Package) loopLeaks(rng *ast.RangeStmt) (map[string]token.Pos, []token.Pos) {
 	// Names declared inside the loop body (and the range vars themselves)
 	// cannot outlive an iteration ordering-visibly unless appended onward,
 	// which a later pass would catch at that site; track them to skip.
@@ -258,10 +119,8 @@ func loopLeaks(rng *ast.RangeStmt, fmtName string, hasFmt bool) (map[string]toke
 				}
 			}
 		case *ast.CallExpr:
-			if hasFmt {
-				if fn, ok := selectorOn(v, fmtName); ok && emitFuncs[fn] {
-					emitted = append(emitted, v.Pos())
-				}
+			if fn := p.callee(v); funcPkgPath(fn) == "fmt" && emitFuncs[fn.Name()] {
+				emitted = append(emitted, v.Pos())
 			}
 		}
 		return true
@@ -269,63 +128,68 @@ func loopLeaks(rng *ast.RangeStmt, fmtName string, hasFmt bool) (map[string]toke
 	return appended, emitted
 }
 
-// sortedAfter reports whether, in the block enclosing the range statement, a
-// later statement calls sort.* mentioning the named slice (directly or
-// inside a closure argument, covering sort.Slice(out, func...)).
-func sortedAfter(rng *ast.RangeStmt, stack []ast.Node, name, sortName string) bool {
-	var block *ast.BlockStmt
+// sortedAfter reports whether a statement after the range loop sorts the
+// named slice (directly or inside a closure argument, covering
+// sort.Slice(out, func...)). "After" is judged in every enclosing block out
+// to the function body, so a loop inside a closure, a branch or another
+// loop is covered by a sort that follows the statement holding it.
+func (p *Package) sortedAfter(rng *ast.RangeStmt, stack []ast.Node, name string) bool {
+	inner := ast.Node(rng)
 	for i := len(stack) - 1; i >= 0; i-- {
-		if b, ok := stack[i].(*ast.BlockStmt); ok {
-			block = b
-			break
-		}
-	}
-	if block == nil {
-		return false
-	}
-	past := false
-	for _, stmt := range block.List {
-		if stmt == ast.Stmt(rng) {
-			past = true
+		switch b := stack[i].(type) {
+		case *ast.BlockStmt:
+			for j, stmt := range b.List {
+				if stmt == inner && p.sorts(b.List[j+1:], name) {
+					return true
+				}
+			}
+		case *ast.CaseClause, *ast.CommClause:
+			// The clauses after this one are alternatives, not successors:
+			// inner stays put so the switch body finds no match.
 			continue
 		}
-		if !past {
-			continue
+		if _, isStmt := stack[i].(ast.Stmt); isStmt {
+			inner = stack[i]
 		}
-		found := false
+	}
+	return false
+}
+
+// sorts reports whether any of the statements calls a sorting function
+// with an argument that mentions the named slice.
+func (p *Package) sorts(stmts []ast.Stmt, name string) bool {
+	found := false
+	for _, stmt := range stmts {
 		ast.Inspect(stmt, func(n ast.Node) bool {
+			if found {
+				return false
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
-			if fn, ok := selectorOn(call, sortName); !ok || fn == "" {
+			switch fn := p.callee(call); funcPkgPath(fn) {
+			case "sort":
+			case "slices":
+				if !slicesSortFuncs[fn.Name()] {
+					return true
+				}
+			default:
 				return true
 			}
 			for _, arg := range call.Args {
-				mentions := false
 				ast.Inspect(arg, func(m ast.Node) bool {
 					switch e := m.(type) {
 					case *ast.Ident:
-						if e.Name == name {
-							mentions = true
-						}
+						found = found || e.Name == name
 					case *ast.SelectorExpr:
-						if exprString(e) == name {
-							mentions = true
-						}
+						found = found || exprString(e) == name
 					}
-					return !mentions
+					return !found
 				})
-				if mentions {
-					found = true
-					return false
-				}
 			}
-			return true
+			return !found
 		})
-		if found {
-			return true
-		}
 	}
-	return false
+	return found
 }

@@ -14,16 +14,8 @@ package lint
 // call results) are skipped — there is no prior request in them.
 func PoolBleed() *Analyzer {
 	return &Analyzer{
-		Name: "poolbleed",
-		Doc:  "report sync.Pool values returned without a reset, leaking one request's bytes to the next",
-		Run:  runPoolBleed,
-	}
-}
-
-func runPoolBleed(p *Package, r *Reporter) {
-	for _, d := range taintFor(p).findingsFor("poolbleed") {
-		if ownsFile(p, d.Pos.Filename) {
-			r.report(d)
-		}
+		Name:      "poolbleed",
+		Doc:       "report sync.Pool values returned without a reset, leaking one request's bytes to the next",
+		runModule: func(m *module) []Diagnostic { return m.taintEngine().findingsFor("poolbleed") },
 	}
 }

@@ -14,16 +14,8 @@ package lint
 // analyzer proves the isolation discipline statically.
 func SharedMut() *Analyzer {
 	return &Analyzer{
-		Name: "sharedmut",
-		Doc:  "report unlocked, un-tenant-keyed writes to package-level state reachable from the request path",
-		Run:  runSharedMut,
-	}
-}
-
-func runSharedMut(p *Package, r *Reporter) {
-	for _, d := range taintFor(p).findingsFor("sharedmut") {
-		if ownsFile(p, d.Pos.Filename) {
-			r.report(d)
-		}
+		Name:      "sharedmut",
+		Doc:       "report unlocked, un-tenant-keyed writes to package-level state reachable from the request path",
+		runModule: func(m *module) []Diagnostic { return m.taintEngine().findingsFor("sharedmut") },
 	}
 }

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "strings"
 
 // simScopeDirs are the packages whose code runs under (or feeds) the
 // discrete-event simulator. Inside them, virtual time must come from the sim
@@ -41,71 +38,40 @@ func inSimScope(dir string) bool {
 	return false
 }
 
-// wallClockFuncs are the package time functions that read or wait on the
-// wall clock. Conversions and constructors (time.Duration, time.Unix,
-// time.Date) are pure and stay allowed.
-var wallClockFuncs = map[string]bool{
-	"Now":       true,
-	"Since":     true,
-	"Until":     true,
-	"Sleep":     true,
-	"After":     true,
-	"Tick":      true,
-	"NewTimer":  true,
-	"NewTicker": true,
-	"AfterFunc": true,
-}
-
-// randConstructors are the math/rand package-level functions that build
-// explicit sources rather than drawing from the shared global one.
-var randConstructors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-}
-
 // SimDeterminism forbids wall-clock access and global math/rand draws in
-// simulation-facing packages.
+// simulation-facing packages. The detector is the call-graph builder, which
+// records each such call as a FactWallClock or FactGlobalRand fact on the
+// function (or package init node) it sits in; this analyzer reports the
+// facts of sim-scope nodes, test files included, and transdeterminism
+// reports the same facts where sim scope reaches them through helpers.
 func SimDeterminism() *Analyzer {
 	return &Analyzer{
-		Name: "simdeterminism",
-		Doc:  "forbid wall-clock and global math/rand use in simulation packages",
-		Run:  runSimDeterminism,
+		Name:      "simdeterminism",
+		Doc:       "forbid wall-clock and global math/rand use in simulation packages",
+		runModule: simDeterminismFindings,
 	}
 }
 
-func runSimDeterminism(p *Package, r *Reporter) {
-	if !inSimScope(p.Dir) {
-		return
-	}
-	for _, sf := range p.Files {
-		timeName, hasTime := importName(sf.AST, "time")
-		randName, hasRand := importName(sf.AST, "math/rand")
-		randV2Name, hasRandV2 := importName(sf.AST, "math/rand/v2")
-		if !hasTime && !hasRand && !hasRandV2 {
+func simDeterminismFindings(m *module) []Diagnostic {
+	g := m.callGraph()
+	var out []Diagnostic
+	for _, key := range g.keys {
+		n := g.Nodes[key]
+		if !inSimScope(n.Dir) {
 			continue
 		}
-		ast.Inspect(sf.AST, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		for _, f := range n.Facts {
+			var msg string
+			switch f.Kind {
+			case FactWallClock:
+				msg = "time." + f.callee.Name() + " reads the wall clock in a simulation package; derive time from the sim clock (sim.Now/After)"
+			case FactGlobalRand:
+				msg = "rand." + f.callee.Name() + " draws from the global " + f.callee.Pkg().Path() + " source; use an explicitly seeded *rand.Rand"
+			default:
+				continue
 			}
-			if hasTime {
-				if fn, ok := selectorOn(call, timeName); ok && wallClockFuncs[fn] {
-					r.Reportf(call.Pos(), "time.%s reads the wall clock in a simulation package; derive time from the sim clock (sim.Now/After)", fn)
-				}
-			}
-			if hasRand {
-				if fn, ok := selectorOn(call, randName); ok && !randConstructors[fn] {
-					r.Reportf(call.Pos(), "rand.%s draws from the global math/rand source; use an explicitly seeded *rand.Rand", fn)
-				}
-			}
-			if hasRandV2 {
-				if fn, ok := selectorOn(call, randV2Name); ok && !randConstructors[fn] {
-					r.Reportf(call.Pos(), "rand.%s draws from the global math/rand/v2 source; use an explicitly seeded *rand.Rand", fn)
-				}
-			}
-			return true
-		})
+			out = append(out, Diagnostic{Pos: f.Position, Message: msg})
+		}
 	}
+	return out
 }

@@ -16,16 +16,8 @@ package lint
 // line with //canal:allow tenantflow <reason>.
 func TenantFlow() *Analyzer {
 	return &Analyzer{
-		Name: "tenantflow",
-		Doc:  "report tenant-tainted values reaching response/log/state sinks without the tenant key (interprocedural taint)",
-		Run:  runTenantFlow,
-	}
-}
-
-func runTenantFlow(p *Package, r *Reporter) {
-	for _, d := range taintFor(p).findingsFor("tenantflow") {
-		if ownsFile(p, d.Pos.Filename) {
-			r.report(d)
-		}
+		Name:      "tenantflow",
+		Doc:       "report tenant-tainted values reaching response/log/state sinks without the tenant key (interprocedural taint)",
+		runModule: func(m *module) []Diagnostic { return m.taintEngine().findingsFor("tenantflow") },
 	}
 }

@@ -8,3 +8,15 @@ func Bad() int {
 }
 
 func Good() int { return 4 }
+
+// Untyped ranges over and calls names the checker cannot resolve. The
+// analyzers have no type to read there and stay silent; the typecheck
+// diagnostics are what fails the gate.
+func Untyped() []string {
+	var out []string
+	for k := range undefinedMap {
+		out = append(out, k)
+	}
+	undefinedSave()
+	return out
+}

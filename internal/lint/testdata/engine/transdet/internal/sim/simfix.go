@@ -4,6 +4,10 @@ package sim
 
 import "canalmesh/internal/clockutil"
 
+// bootStamp reaches the wall clock from a package-level initialiser, which
+// runs in the package's init.
+var bootStamp = clockutil.Stamp() // want "internal/clockutil.Stamp reaches nondeterminism: time.Now reads or waits on the wall clock"
+
 // Step reaches the wall clock through two helper frames.
 func Step() int64 {
 	return clockutil.Stamp() // want "internal/clockutil.Stamp reaches nondeterminism: time.Now reads or waits on the wall clock"

@@ -1,7 +1,10 @@
 // Package fixture exercises errdrop.
 package fixture
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 type flusher struct {
 	n int
@@ -40,6 +43,25 @@ func drops(f *flusher) {
 func localLit() {
 	g := &flusher{n: 1}
 	g.Flush() // want "g.Flush returns an error that is silently discarded"
+}
+
+type closer interface{ Close() error }
+
+type owner struct {
+	f   *flusher
+	out closer
+}
+
+func newFlusher() *flusher { return &flusher{n: 1} }
+
+// indirect reaches the callee through a field, an interface value and a
+// call result; the callee's declared result type decides, not the shape of
+// the receiver expression.
+func indirect(o *owner, b *strings.Builder) {
+	o.f.Flush()          // want "o.f.Flush returns an error that is silently discarded"
+	o.out.Close()        // want "o.out.Close returns an error that is silently discarded"
+	newFlusher().Flush() // want "newFlusher().Flush returns an error that is silently discarded"
+	b.WriteString("x")   // standard-library callee: out of scope
 }
 
 // deferredDiscards pins the audited defer exemption: a deferred cleanup

@@ -8,14 +8,6 @@ type store struct {
 	vals map[string]int
 }
 
-type wrapper struct {
-	inner store // mutex-bearing through one level
-}
-
-type plain struct {
-	n int
-}
-
 // leakyGet returns while holding the lock on the error path.
 func (s *store) leakyGet(k string) (int, bool) {
 	s.mu.Lock() // want "s.mu is locked here but a return path may exit without unlocking"
@@ -55,18 +47,3 @@ func (s *store) manualPaths(k string) int {
 	s.mu.Unlock()
 	return 0
 }
-
-// byValue passes the mutex-bearing struct by value.
-func byValue(s store) int { // want "parameter passes mutex-bearing struct store by value"
-	return len(s.vals)
-}
-
-// valueRecv is a value receiver on a transitively mutex-bearing struct.
-func (w wrapper) valueRecv() int { // want "receiver passes mutex-bearing struct wrapper by value"
-	return len(w.inner.vals)
-}
-
-// pointerRecv is fine, as are values of mutex-free structs.
-func (w *wrapper) pointerRecv() int { return len(w.inner.vals) }
-
-func plainByValue(p plain) int { return p.n }

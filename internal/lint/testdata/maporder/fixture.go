@@ -3,6 +3,7 @@ package fixture
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -72,4 +73,72 @@ func innerUse(m map[string]int) int {
 		total += local[0]
 	}
 	return total
+}
+
+// namedLikeAMap must stay quiet: m is a map in every function above, a
+// slice here.
+func namedLikeAMap(m []string) []string {
+	var out []string
+	for _, v := range m {
+		out = append(out, v)
+	}
+	return out
+}
+
+type catalog struct{ entries map[string]int }
+
+type journal struct{ entries []string } // same field name, not a map
+
+func index() map[string]int { return nil }
+
+// byType is decided by the subject's type: a field whose name is a slice
+// elsewhere in the package, and a function's return value.
+func byType(c *catalog, j *journal) []string {
+	var out []string
+	for k := range c.entries {
+		out = append(out, k) // want "slice \"out\" built from map-range iteration is never sorted"
+	}
+	var keys []string
+	for k := range index() {
+		keys = append(keys, k) // want "slice \"keys\" built from map-range iteration is never sorted"
+	}
+	for _, e := range j.entries {
+		keys = append(keys, e)
+	}
+	return append(out, keys...)
+}
+
+// slicesSort covers the package slices spellings.
+func slicesSort(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// closureThenSort collects inside a closure and sorts in the enclosing
+// function, after the statement that holds the closure.
+func closureThenSort(a, b map[string]int) []string {
+	var out []string
+	add := func(m map[string]int) {
+		for k := range m {
+			out = append(out, k)
+		}
+	}
+	add(a)
+	add(b)
+	slices.SortFunc(out, func(x, y string) int { return len(x) - len(y) })
+	return out
+}
+
+// sortsAnother sorts a different slice; out still carries map order.
+func sortsAnother(m map[string]int, other []string) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k) // want "slice \"out\" built from map-range iteration is never sorted"
+	}
+	sort.Strings(other)
+	return out
 }

@@ -6,7 +6,11 @@ package fixture
 import (
 	"math/rand"
 	"time"
+	clock "time"
 )
+
+// epoch runs in the package's init, which is sim scope like any function.
+var epoch = time.Now() // want "time.Now reads the wall clock"
 
 func wallClock() {
 	_ = time.Now()                     // want "time.Now reads the wall clock"
@@ -28,3 +32,18 @@ func globalRand() {
 }
 
 func swap(i, j int) {}
+
+// renamedImport is still package time, whatever the file calls it.
+func renamedImport() {
+	_ = clock.Now() // want "time.Now reads the wall clock"
+}
+
+type simClock struct{}
+
+func (simClock) Now() int64 { return 0 }
+
+// shadowed calls a method on a local that merely shares the package's name.
+func shadowed() {
+	time := simClock{}
+	_ = time.Now()
+}

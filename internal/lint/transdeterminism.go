@@ -8,39 +8,27 @@ import (
 // TransDeterminism extends the simdeterminism rules through the call
 // graph: a simulation-facing package must not reach the wall clock or the
 // global math/rand source *transitively* through helper packages either.
-// The syntactic analyzer catches `time.Now()` written inside sim scope;
-// this one catches the sim-scope call into an out-of-scope helper whose
+// simdeterminism reports `time.Now()` written inside sim scope; this one
+// catches the sim-scope call into an out-of-scope helper whose
 // subgraph reads the clock three frames down — the escape hatch that
 // silently breaks seed-reproducibility of every regenerated table.
 //
 // Propagation runs only through out-of-scope, non-test nodes: once a path
 // re-enters sim scope, any nondeterminism there is simdeterminism's
 // jurisdiction (and its //canal:allow annotations), so nothing is reported
-// twice. Test functions are exempt as call sites, matching the syntactic
-// analyzer's tolerance for wall-clock use in test harness code.
+// twice. Test functions are exempt as call sites: a test harness may time
+// itself through any helper it likes.
 func TransDeterminism() *Analyzer {
 	return &Analyzer{
-		Name: "transdeterminism",
-		Doc:  "forbid sim-scope code from reaching the wall clock or global math/rand transitively through helper packages",
-		Run:  runTransDeterminism,
+		Name:      "transdeterminism",
+		Doc:       "forbid sim-scope code from reaching the wall clock or global math/rand transitively through helper packages",
+		runModule: func(m *module) []Diagnostic { return m.callGraph().transDetFindings() },
 	}
 }
 
-func runTransDeterminism(p *Package, r *Reporter) {
-	for _, d := range graphFor(p).transDetFindings() {
-		if ownsFile(p, d.Pos.Filename) {
-			r.report(d)
-		}
-	}
-}
-
-// transDetFindings computes the module-wide transdeterminism diagnostics
-// once.
+// transDetFindings computes the module-wide transdeterminism diagnostics.
 func (g *CallGraph) transDetFindings() []Diagnostic {
-	if g.tdDone {
-		return g.tdDiags
-	}
-	g.tdDone = true
+	var diags []Diagnostic
 	outScope := func(n *FuncNode) bool { return !inSimScope(n.Dir) }
 	reachMemo := map[string]map[string]walkStep{}
 	type site struct {
@@ -76,7 +64,7 @@ func (g *CallGraph) transDetFindings() []Diagnostic {
 			if taintKey != e.Callee {
 				via = " (via " + g.chain(seen, e.Callee, taintKey) + ")"
 			}
-			g.tdDiags = append(g.tdDiags, Diagnostic{
+			diags = append(diags, Diagnostic{
 				Pos: e.Position,
 				Message: fmt.Sprintf("%s reaches nondeterminism: %s at %s%s; sim-scope code must stay seed-deterministic even through helpers",
 					g.shortKey(e.Callee), fact.What,
@@ -84,7 +72,7 @@ func (g *CallGraph) transDetFindings() []Diagnostic {
 			})
 		}
 	}
-	return g.tdDiags
+	return diags
 }
 
 // firstNondet returns the first (by sorted key, then source order) reached

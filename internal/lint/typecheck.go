@@ -288,7 +288,44 @@ func (p *Package) typeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// constValue reports whether e type-checked as a compile-time constant.
+// callee resolves the function a call statically names — a package-level
+// function, a method, or an interface method, through any receiver
+// expression — or nil for builtins, conversions, and calls through
+// function-typed values.
+func (p *Package) callee(call *ast.CallExpr) *types.Func {
+	if p.TypesInfo == nil {
+		return nil
+	}
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.TypesInfo.Uses[id].(*types.Func)
+	return fn
+}
+
+// funcPkgPath returns the path of the package declaring fn, "" for a nil fn
+// or a universe-scope method (error.Error).
+func funcPkgPath(fn *types.Func) string {
+	if fn == nil || fn.Pkg() == nil {
+		return ""
+	}
+	return fn.Pkg().Path()
+}
+
+// inModule reports whether a package path belongs to the module under
+// analysis, external test packages included.
+func (p *Package) inModule(path string) bool {
+	path = strings.TrimSuffix(path, "_test")
+	return path == p.Module || strings.HasPrefix(path, p.Module+"/")
+}
+
+// isConst reports whether e type-checked as a compile-time constant.
 func (p *Package) isConst(e ast.Expr) bool {
 	if p.TypesInfo == nil {
 		return false
