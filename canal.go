@@ -66,7 +66,8 @@ var (
 	Exact = l7.Exact
 	// Prefix matches a leading substring.
 	Prefix = l7.Prefix
-	// Regex matches a regular expression (panics on invalid patterns).
+	// Regex matches a regular expression; an invalid pattern is the error
+	// of the ConfigureService call that installs it.
 	Regex = l7.Regex
 	// Present matches any non-empty value.
 	Present = l7.Present

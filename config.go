@@ -144,7 +144,7 @@ func LoadConfigFile(path string) (*FileConfig, error) {
 }
 
 // parseMatch turns a "kind:value" string into a StringMatch. An empty
-// string matches anything.
+// string matches anything; a regex that does not compile is an error.
 func parseMatch(s string) (StringMatch, error) {
 	if s == "" {
 		return Any(), nil
@@ -160,7 +160,8 @@ func parseMatch(s string) (StringMatch, error) {
 		case "prefix":
 			return Prefix(value), nil
 		case "regex":
-			return Regex(value), nil
+			m := Regex(value)
+			return m, m.Compile()
 		case "present":
 			return Present(), nil
 		case "any":
@@ -244,13 +245,13 @@ func (s ServiceFileEntry) Build() (ServiceConfig, map[string][]string, error) {
 		}
 		var err error
 		if rule.SourceService, err = parseMatch(ae.Source); err != nil {
-			return cfg, nil, err
+			return cfg, nil, fmt.Errorf("authz %s: %w", ae.Name, err)
 		}
 		if rule.Method, err = parseMatch(ae.Method); err != nil {
-			return cfg, nil, err
+			return cfg, nil, fmt.Errorf("authz %s: %w", ae.Name, err)
 		}
 		if rule.Path, err = parseMatch(ae.Path); err != nil {
-			return cfg, nil, err
+			return cfg, nil, fmt.Errorf("authz %s: %w", ae.Name, err)
 		}
 		cfg.Authz = append(cfg.Authz, rule)
 	}

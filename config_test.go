@@ -1,8 +1,11 @@
 package canal
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -33,6 +36,29 @@ const sampleConfig = `{
           ],
           "pools": {"v1": ["http://127.0.0.1:1"], "v2": ["http://127.0.0.1:2"]}
         }
+      ]
+    }
+  ]
+}`
+
+// admissionConfig is a minimal document with every admission knob set.
+const admissionConfig = `{
+  "admission": {
+    "enabled": true,
+    "target_ms": 5,
+    "interval_ms": 100,
+    "min_limit": 4,
+    "max_limit": 256,
+    "tolerance": 3,
+    "weights": {"acme": 2},
+    "retry_budget_ratio": 0.2,
+    "retry_after_ms": 100
+  },
+  "tenants": [
+    {
+      "name": "acme",
+      "services": [
+        {"name": "web", "default_subset": "v1", "pools": {"v1": ["http://127.0.0.1:1"]}}
       ]
     }
   ]
@@ -181,27 +207,6 @@ func TestLoadConfigFileMissing(t *testing.T) {
 }
 
 func TestLoadConfigAdmissionBlock(t *testing.T) {
-	const admissionConfig = `{
-  "admission": {
-    "enabled": true,
-    "target_ms": 5,
-    "interval_ms": 100,
-    "min_limit": 4,
-    "max_limit": 256,
-    "tolerance": 3,
-    "weights": {"acme": 2},
-    "retry_budget_ratio": 0.2,
-    "retry_after_ms": 100
-  },
-  "tenants": [
-    {
-      "name": "acme",
-      "services": [
-        {"name": "web", "default_subset": "v1", "pools": {"v1": ["http://127.0.0.1:1"]}}
-      ]
-    }
-  ]
-}`
 	cfg, err := LoadConfig(strings.NewReader(admissionConfig))
 	if err != nil {
 		t.Fatal(err)
@@ -240,4 +245,74 @@ func TestLoadConfigAdmissionBlock(t *testing.T) {
 	if gw2.AdmissionMetrics() != nil {
 		t.Error("admission enabled without a config block")
 	}
+}
+
+// badRegexConfig carries a route rule whose path pattern does not compile.
+const badRegexConfig = `{"tenants":[{"name":"acme","services":[{"name":"web","default_subset":"v1",
+  "rules":[{"name":"broken","path":"regex:("}],"pools":{"v1":["http://127.0.0.1:1"]}}]}]}`
+
+// TestLoadConfigBadRegexIsAnError: a pattern that does not compile in a
+// canalgw -config file is a load error naming where it is, not a panic, and
+// the gateway keeps what it had.
+func TestLoadConfigBadRegexIsAnError(t *testing.T) {
+	cfg, err := LoadConfig(strings.NewReader(badRegexConfig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cfg.Tenants[0].Services[0].Build(); err == nil {
+		t.Error("Build accepted the pattern")
+	}
+	upstream := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	defer upstream.Close()
+	_, agent, gw := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"},
+		map[string][]string{"v1": {upstream.URL}}, false)
+	cfg.Tenants[0].Name = "tenant1"
+	_, err = cfg.Apply(gw)
+	if err == nil || !strings.Contains(err.Error(), "tenant1/web") || !strings.Contains(err.Error(), "rule broken") {
+		t.Errorf("Apply = %v, want an error naming service tenant1/web and rule broken", err)
+	}
+	resp, err := agent.Get("web", "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("status after the failed Apply = %d, want the installed service still routing", resp.StatusCode)
+	}
+}
+
+// FuzzLoadConfig feeds the -config loader arbitrary bytes: whatever LoadConfig
+// accepts builds and applies to a fresh gateway without a panic (errors are
+// fine), and building twice gives the same rule lists in the same order —
+// what sortedKeys exists for.
+func FuzzLoadConfig(f *testing.F) {
+	sample, err := os.ReadFile("testdata/gateway.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sample)
+	for _, doc := range []string{
+		sampleConfig, admissionConfig, badRegexConfig,
+		`{"tenants":[{"name":"t","services":[{"name":"s","default_subset":"v1","rules":[{"name":"r","path":"glob:*"}],"pools":{"v1":["http://x"]}}]}]}`,
+		`{"tenants":[{"name":"t","services":[{"name":"","default_subset":"v1","pools":{"v1":["http://x"]}}]}]}`,
+		`{"tenants":[{"name":"t","services":[{"name":"s","default_subset":"v1","rules":[{"name":"r","rate_limit_rps":1,"headers":{"b":"1","a":"regex:^x"}},{"name":"r","splits":{"v2":1,"v1":3}}],"pools":{"v1":["http://x"],"v2":["::"]}}]}]}`,
+	} {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := LoadConfig(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, tn := range cfg.Tenants {
+			for _, s := range tn.Services {
+				first, _, err1 := s.Build()
+				second, _, err2 := s.Build()
+				if (err1 == nil) != (err2 == nil) || !reflect.DeepEqual(first, second) {
+					t.Fatalf("%s/%s: two builds differ: %+v (%v) vs %+v (%v)", tn.Name, s.Name, first, err1, second, err2)
+				}
+			}
+		}
+		_, _ = cfg.Apply(NewGatewayServer(1)) // an error is an answer; a panic fails the target
+	})
 }

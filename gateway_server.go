@@ -73,14 +73,16 @@ var traceparentKey = http.CanonicalHeaderKey(trace.TraceparentHeader)
 // serving many tenants, routing on the shared L7 engine and reverse-proxying
 // to registered upstream pools.
 type GatewayServer struct {
-	mu       sync.RWMutex
-	engine   *l7.Engine
-	cas      map[string]*CA                  // tenant -> trust domain
-	services map[serviceID]*serviceUpstreams // replaced whole by ConfigureService
-	start    time.Time
-	log      *telemetry.AccessLog
-	admit    *admission.HTTPController
-	tracer   *trace.Tracer
+	engine *l7.Engine
+	// config is everything configured that a request reads, published whole:
+	// ServeHTTP loads it once and decides against that. RegisterTenant,
+	// EnableAdmission and ConfigureService hold writeMu, copy what they
+	// change and store the copy; nothing published is written again.
+	config  atomic.Pointer[gatewayConfig]
+	writeMu sync.Mutex
+	start   time.Time
+	log     *telemetry.AccessLog
+	tracer  *trace.Tracer
 	// proxy forwards every request of every tenant. Its hooks find the
 	// request they are called for in the request context (stateOf).
 	proxy  httputil.ReverseProxy
@@ -93,14 +95,26 @@ type GatewayServer struct {
 	RequireAuth bool
 }
 
-// serviceID names a tenant's service as requests do, in two headers.
-type serviceID struct{ tenant, service string }
+// gatewayConfig is one published configuration of the gateway.
+type gatewayConfig struct {
+	admit   *admission.HTTPController // nil while admission is off
+	tenants map[string]tenantConfig
+}
 
-// serviceUpstreams is what the gateway resolves a serviceID to, once per
-// request: the name the shared engine knows the service by and its upstream
-// pools. It is immutable once published, but for the pools' cursors.
+// tenantConfig is what the gateway knows of one tenant. A name it has never
+// been given resolves to the zero value: no CA, no services.
+type tenantConfig struct {
+	ca       *CA // trust domain; nil until RegisterTenant
+	services map[string]*serviceUpstreams
+}
+
+// serviceUpstreams is what the gateway resolves a tenant's service to, once
+// per request: the name the shared engine knows the service by, the engine's
+// handle on its compiled configuration and its upstream pools. It is
+// immutable once published, but for the pools' cursors.
 type serviceUpstreams struct {
 	key   string // serviceKey(tenant, service), built once
+	route *l7.Service
 	pools map[string]upstreamPool
 }
 
@@ -149,8 +163,6 @@ func NewGatewayServer(seed int64) *GatewayServer {
 	log.SetCapacity(liveAccessLogCap)
 	g := &GatewayServer{
 		engine:       l7.NewEngine(seed),
-		cas:          make(map[string]*CA),
-		services:     make(map[serviceID]*serviceUpstreams),
 		start:        time.Now(), //canal:allow simdeterminism real HTTP server epoch; virtual time is offsets from this start
 		log:          log,
 		tracer:       trace.NewLive(),
@@ -165,6 +177,7 @@ func NewGatewayServer(seed int64) *GatewayServer {
 		ErrorHandler:   g.upstreamFailed,
 		BufferPool:     &copyBuffers{},
 	}
+	g.config.Store(&gatewayConfig{tenants: make(map[string]tenantConfig)})
 	g.states.New = func() any {
 		return &requestState{req: Request{Headers: make(map[string]string), Cookies: make(map[string]string)}}
 	}
@@ -188,27 +201,31 @@ func (g *GatewayServer) AccessLog() *telemetry.AccessLog { return g.log }
 // 429s with a Retry-After hint instead of queueing behind an overloaded
 // proxy.
 func (g *GatewayServer) EnableAdmission(cfg admission.Config) {
-	g.mu.Lock()
-	g.admit = admission.NewHTTPController(cfg)
-	g.mu.Unlock()
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
+	next := *g.config.Load()
+	next.admit = admission.NewHTTPController(cfg)
+	g.config.Store(&next)
 }
 
 // AdmissionMetrics returns the admission layer's metrics, or nil when
 // disabled.
 func (g *GatewayServer) AdmissionMetrics() *admission.Metrics {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if g.admit == nil {
+	admit := g.config.Load().admit
+	if admit == nil {
 		return nil
 	}
-	return g.admit.Metrics()
+	return admit.Metrics()
 }
 
 // RegisterTenant installs a tenant's trust domain.
 func (g *GatewayServer) RegisterTenant(tenant string, ca *CA) {
-	g.mu.Lock()
-	g.cas[tenant] = ca
-	g.mu.Unlock()
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
+	next := *g.config.Load()
+	next.tenants = maps.Clone(next.tenants)
+	next.tenants[tenant] = tenantConfig{ca: ca, services: next.tenants[tenant].services}
+	g.config.Store(&next)
 }
 
 // serviceKey namespaces a service name by tenant inside the shared engine,
@@ -219,14 +236,16 @@ func serviceKey(tenant, service string) string { return tenant + "/" + service }
 // upstream pools (subset name -> backend URLs). A call that fails changes
 // nothing.
 func (g *GatewayServer) ConfigureService(tenant string, cfg ServiceConfig, pools map[string][]string) error {
-	id := serviceID{tenant, cfg.Service}
+	// Held from the engine's Configure to the publication of its handle, so
+	// two calls for one service cannot publish them in the other order.
+	g.writeMu.Lock()
+	defer g.writeMu.Unlock()
+	service := cfg.Service
+	prev := g.config.Load().tenants[tenant].services[service]
 	// The addresses are parsed before the engine is touched: once
 	// engine.Configure has replaced the service's rules and intentions there
 	// is no undoing it for a bad address found afterwards.
-	up := &serviceUpstreams{key: serviceKey(tenant, cfg.Service), pools: make(map[string]upstreamPool, len(pools))}
-	g.mu.RLock()
-	prev := g.services[id]
-	g.mu.RUnlock()
+	up := &serviceUpstreams{key: serviceKey(tenant, service), pools: make(map[string]upstreamPool, len(pools))}
 	for _, subset := range slices.Sorted(maps.Keys(pools)) {
 		urls := make([]*url.URL, 0, len(pools[subset]))
 		for _, a := range pools[subset] {
@@ -260,9 +279,17 @@ func (g *GatewayServer) ConfigureService(tenant string, cfg ServiceConfig, pools
 	if err := g.engine.Configure(cfg); err != nil {
 		return err
 	}
-	g.mu.Lock()
-	g.services[id] = up
-	g.mu.Unlock()
+	up.route = g.engine.Service(up.key)
+	// Two maps are copied, the tenant index and this tenant's services, and
+	// no other tenant's: a call costs what its own tenant has configured.
+	next := *g.config.Load()
+	next.tenants = maps.Clone(next.tenants)
+	t := next.tenants[tenant]
+	services := make(map[string]*serviceUpstreams, len(t.services)+1)
+	maps.Copy(services, t.services)
+	services[service] = up
+	next.tenants[tenant] = tenantConfig{ca: t.ca, services: services}
+	g.config.Store(&next)
 	return nil
 }
 
@@ -284,11 +311,9 @@ func signingPayload(tenant, source, method, path, timestamp string) []byte {
 }
 
 // authenticate verifies the request's identity signature against the
-// tenant's CA and returns the verified source identity.
-func (g *GatewayServer) authenticate(r *http.Request, tenant string) (string, error) {
-	g.mu.RLock()
-	ca := g.cas[tenant]
-	g.mu.RUnlock()
+// tenant's CA (nil when the tenant was never registered) and returns the
+// verified source identity.
+func authenticate(r *http.Request, tenant string, ca *CA) (string, error) {
 	if ca == nil {
 		return "", fmt.Errorf("unknown tenant %q", tenant)
 	}
@@ -434,8 +459,12 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.SourceService = r.Header.Get(HeaderSource)
+	// The one load of the published configuration, and the one lookup of the
+	// tenant in it: everything below decides against these.
+	config := g.config.Load()
+	tenant := config.tenants[req.Tenant]
 	if g.RequireAuth {
-		id, err := g.authenticate(r, req.Tenant)
+		id, err := authenticate(r, req.Tenant, tenant.ca)
 		if err != nil {
 			g.fail(w, st, http.StatusForbidden, "canal: "+err.Error())
 			return
@@ -444,12 +473,8 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		req.SourceService = shortID(id)
 	}
 
-	g.mu.RLock()
-	admit := g.admit
-	up := g.services[serviceID{req.Tenant, st.service}]
-	g.mu.RUnlock()
-	if admit != nil {
-		release, rej := admit.Admit(req.Tenant, st.service, r.Header.Get(HeaderRetry) != "")
+	if config.admit != nil {
+		release, rej := config.admit.Admit(req.Tenant, st.service, r.Header.Get(HeaderRetry) != "")
 		if rej != nil {
 			w.Header().Set("Retry-After", strconv.FormatFloat(rej.RetryAfter.Seconds(), 'f', -1, 64))
 			g.fail(w, st, http.StatusTooManyRequests, "canal: "+rej.Error())
@@ -458,24 +483,24 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		st.admitted = release
 	}
 
-	if up == nil {
-		// Never configured: the engine refuses it by the name it would have.
-		up = &serviceUpstreams{key: serviceKey(req.Tenant, st.service)}
+	up := tenant.services[st.service]
+	var route *l7.Service
+	if up != nil {
+		req.Service, route = up.key, up.route
+	} else {
+		// Never configured: the nil handle refuses it, as the engine would,
+		// by the name it would have.
+		req.Service = serviceKey(req.Tenant, st.service)
 	}
-	req.Service = up.key
 	req.SourcePod = r.Header.Get(HeaderSourcePod)
 	flattenHeaders(req.Headers, r.Header)
 	flattenCookies(req.Cookies, r)
 	req.BodyBytes = int(r.ContentLength)
 	req.TLS = r.TLS != nil
 	var err error
-	st.decision, err = g.engine.Route(time.Since(g.start), req) //canal:allow simdeterminism live gateway clock feeds rate limiters with real elapsed time
+	st.decision, err = route.Route(time.Since(g.start), req) //canal:allow simdeterminism live gateway clock feeds rate limiters with real elapsed time
 	if err != nil {
-		code := http.StatusServiceUnavailable
-		if de, ok := err.(*l7.DecisionError); ok {
-			code = de.Status
-		}
-		g.fail(w, st, code, "canal: "+err.Error())
+		g.fail(w, st, l7.StatusOf(err), "canal: "+err.Error())
 		return
 	}
 

@@ -300,7 +300,7 @@ func TestGatewayAuthzBySourceIdentity(t *testing.T) {
 	}
 	resp.Body.Close()
 	// A different verified identity is denied.
-	ca2 := gw.cas["tenant1"]
+	ca2 := gw.config.Load().tenants["tenant1"].ca
 	intruder, err := ca2.IssueIdentity("spiffe://tenant1/ns/default/sa/intruder")
 	if err != nil {
 		t.Fatal(err)
@@ -565,6 +565,71 @@ func TestGatewayConcurrentLoad(t *testing.T) {
 	if okCount.Load() != 16*25 {
 		t.Errorf("ok = %d of %d under concurrent load+reconfig", okCount.Load(), 16*25)
 	}
+}
+
+// TestGatewayThrottleUnderConcurrentLoad uses the §6.2 intervention while it
+// is being changed: eight clients on a service with a service limit, a
+// rate-limited rule and a split, beside an operator that reconfigures the
+// service and sets and clears its throttle. Run under -race; every request is
+// answered 200 or 429.
+func TestGatewayThrottleUnderConcurrentLoad(t *testing.T) {
+	v1, v2 := echoServer("v1"), echoServer("v2")
+	defer v1.Close()
+	defer v2.Close()
+	cfg := ServiceConfig{
+		Service: "web", DefaultSubset: "v1",
+		ServiceRateLimit: &RateLimitSpec{RPS: 1e6, Burst: 50},
+		Rules: []Rule{{
+			Name:      "limited",
+			Match:     RouteMatch{Path: Prefix("/")},
+			RateLimit: &RateLimitSpec{RPS: 1e6, Burst: 50},
+			Splits:    []Split{{Subset: "v1", Weight: 50}, {Subset: "v2", Weight: 50}},
+		}},
+	}
+	pools := map[string][]string{"v1": {v1.URL}, "v2": {v2.URL}}
+	_, agent, gw := testMesh(t, cfg, pools, false)
+	stop := make(chan struct{})
+	var operator, clients sync.WaitGroup
+	operator.Add(1)
+	go func() {
+		defer operator.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := gw.ConfigureService("tenant1", cfg, pools); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := gw.SetServiceRate("tenant1", "web", 1e6, 50); err != nil {
+				t.Error(err)
+				return
+			}
+			gw.ClearServiceRate("tenant1", "web")
+		}
+	}()
+	for c := 0; c < 8; c++ {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for i := 0; i < 50; i++ {
+				resp, err := agent.Get("web", "/load")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusTooManyRequests {
+					t.Errorf("status = %d, want 200 or 429", resp.StatusCode)
+				}
+			}
+		}()
+	}
+	clients.Wait()
+	close(stop)
+	operator.Wait()
 }
 
 // TestGatewayEarlyReplyKeepsRequestBody pins full-duplex proxying: an

@@ -504,10 +504,9 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 		return
 	}
 	req.Service = serviceKeyName(id)
-	_, status := routeStatus(g.cfg.Engine, start, req)
-	if status != l7.StatusOK {
+	if _, err := g.cfg.Engine.Route(start, req); err != nil {
 		release(0, false)
-		fail(status)
+		fail(l7.StatusOf(err))
 		return
 	}
 	if req.NewConnection {
@@ -561,18 +560,6 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 func (g *Gateway) noteShed(tenant string, reason admission.Reason) {
 	g.adm.metrics.RecordShed(tenant, reason)
 	g.adm.shedWindow++
-}
-
-// routeStatus adapts engine errors into statuses.
-func routeStatus(e *l7.Engine, now time.Duration, req *l7.Request) (l7.Decision, int) {
-	d, err := e.Route(now, req)
-	if err != nil {
-		if de, ok := err.(*l7.DecisionError); ok {
-			return d, de.Status
-		}
-		return d, l7.StatusUnavailable
-	}
-	return d, l7.StatusOK
 }
 
 // EndSession releases a finished transport session from whichever replica

@@ -3,6 +3,7 @@ package l7
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -198,9 +199,16 @@ func TestCompiledEngineMatchesAuthorize(t *testing.T) {
 	corpora := make(map[string][]AuthzRule, len(services))
 	for _, svc := range services {
 		corpus := seededAuthzCorpus(rng, 60)
-		corpora[svc] = corpus
 		if err := e.Configure(ServiceConfig{Service: svc, DefaultSubset: "v1", Authz: corpus}); err != nil {
 			t.Fatal(err)
+		}
+		// The oracle matches with its own compiled copy: Configure compiles
+		// what it installs and leaves the caller's matchers as they were.
+		corpora[svc] = slices.Clone(corpus)
+		for i := range corpora[svc] {
+			if err := corpora[svc][i].SourceService.Compile(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for i := 0; i < 5000; i++ {

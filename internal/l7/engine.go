@@ -3,8 +3,10 @@ package l7
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"canalmesh/internal/policy"
@@ -68,9 +70,12 @@ func (c *ServiceConfig) NumRules() int { return len(c.Rules) + len(c.Authz) }
 // Engine routes requests for a set of services. It is safe for concurrent
 // use by the real gateway; the simulator calls it single-threaded.
 type Engine struct {
-	mu       sync.RWMutex
-	services map[string]*serviceState
-	rng      *rand.Rand
+	mu       sync.RWMutex // guards services, and serialises the writers
+	services map[string]*Service
+	// rngMu guards rng: fault and split draws happen on the request path of
+	// the concurrent live gateway, and nothing else is taken there.
+	rngMu sync.Mutex
+	rng   *rand.Rand
 	// policy is the compiled intention dispatch table authorization is
 	// evaluated against. Configure translates each service's AuthzRule list
 	// into intentions and installs them here incrementally; Route's
@@ -78,24 +83,39 @@ type Engine struct {
 	policy *policy.Compiler
 }
 
-type serviceState struct {
-	cfg          ServiceConfig
-	ruleLimiters map[string]*TokenBucket
-	svcLimiter   *TokenBucket
-	// rlReason and abortReason hold per-rule decision strings built at
-	// Configure time, so Route never concatenates on the hot path.
-	rlReason    map[string]string
-	abortReason map[string]string
+// Service is one service's installed configuration, compiled: what Configure
+// publishes and Route decides against. Nothing in it is written once it is
+// published, but the two kinds of leaf that synchronise themselves — the
+// token buckets, and the throttle slot SetServiceRate and ClearServiceRate
+// store into. A caller that keeps the handle routes without the engine's
+// registry lock, and keeps routing against this configuration until it
+// fetches the handle again after the next Configure.
+type Service struct {
+	engine *Engine
+	cfg    ServiceConfig
+	rules  []ruleState // parallel to cfg.Rules
+	// throttle is the service-level limiter: cfg.ServiceRateLimit's when the
+	// configuration has one, replaced at run time by §6.2's throttling.
+	throttle atomic.Pointer[TokenBucket]
 	// authzIDs are the policy-compiler intention IDs installed for this
 	// service's Authz rules, deleted on reconfigure or Remove.
 	authzIDs []string
+}
+
+// ruleState is what Configure works out for one rule ahead of the requests,
+// so Route neither concatenates nor sums on the hot path.
+type ruleState struct {
+	limiter     *TokenBucket // nil without a RateLimit
+	rlReason    string
+	abortReason string
+	splitTotal  int // sum of the split weights
 }
 
 // NewEngine returns an engine whose traffic splits draw from the given seed,
 // keeping simulated experiments deterministic.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		services: make(map[string]*serviceState),
+		services: make(map[string]*Service),
 		rng:      rand.New(rand.NewSource(seed)),
 		policy:   policy.NewCompiler(policy.Config{Seed: seed}),
 	}
@@ -105,22 +125,6 @@ func NewEngine(seed int64) *Engine {
 // layers install tenant intentions directly (beyond per-service AuthzRule
 // translation) and letting tests and benches inspect the compiled state.
 func (e *Engine) Policy() *policy.Compiler { return e.policy }
-
-// matchToPolicy translates a route-table StringMatch into a policy predicate.
-func matchToPolicy(m StringMatch) policy.Match {
-	switch m.Kind {
-	case MatchExact:
-		return policy.Exact(m.Value)
-	case MatchPrefix:
-		return policy.Prefix(m.Value)
-	case MatchRegex:
-		return policy.Regex(m.Value)
-	case MatchPresent:
-		return policy.Present()
-	default:
-		return policy.Any()
-	}
-}
 
 // authzIntentions translates a service's AuthzRule list into policy
 // intentions: wildcard source tenant (AuthzRule predates tenancy), exact
@@ -132,10 +136,10 @@ func authzIntentions(service string, rules []AuthzRule) []policy.Intention {
 		in := policy.Intention{
 			ID:     fmt.Sprintf("%s/authz/%d", service, i),
 			Name:   a.Name,
-			Src:    matchToPolicy(a.SourceService),
+			Src:    a.SourceService,
 			Dst:    policy.Exact(service),
-			Method: matchToPolicy(a.Method),
-			Path:   matchToPolicy(a.Path),
+			Method: a.Method,
+			Path:   a.Path,
 			Action: policy.ActionAllow,
 		}
 		if a.Action == AuthzDeny {
@@ -146,46 +150,43 @@ func authzIntentions(service string, rules []AuthzRule) []policy.Intention {
 	return out
 }
 
-// Configure installs (or replaces) a service's configuration.
+// Configure installs (or replaces) a service's configuration. Everything a
+// request will read is compiled here, before it is published; a configuration
+// that does not compile — a bad split, an invalid regex in a rule or an
+// AuthzRule — is an error and leaves what was installed in place.
 func (e *Engine) Configure(cfg ServiceConfig) error {
 	if cfg.Service == "" {
 		return fmt.Errorf("l7: service name required")
 	}
-	for _, r := range cfg.Rules {
-		total := 0
+	st := &Service{engine: e, cfg: cfg, rules: make([]ruleState, len(cfg.Rules))}
+	// The rules are compiled in a copy: the caller's slice is not written.
+	st.cfg.Rules = slices.Clone(cfg.Rules)
+	for i := range st.cfg.Rules {
+		r, rs := &st.cfg.Rules[i], &st.rules[i]
 		for _, s := range r.Splits {
 			if s.Weight < 0 {
 				return fmt.Errorf("l7: rule %s: negative weight", r.Name)
 			}
-			total += s.Weight
+			rs.splitTotal += s.Weight
 		}
-		if len(r.Splits) > 0 && total == 0 {
+		if len(r.Splits) > 0 && rs.splitTotal == 0 {
 			return fmt.Errorf("l7: rule %s: splits sum to zero", r.Name)
 		}
-	}
-	st := &serviceState{
-		cfg:          cfg,
-		ruleLimiters: make(map[string]*TokenBucket),
-		rlReason:     make(map[string]string),
-		abortReason:  make(map[string]string),
-	}
-	for i := range st.cfg.Rules {
-		r := &st.cfg.Rules[i]
+		if err := r.Match.compile(); err != nil {
+			return fmt.Errorf("l7: rule %s: %w", r.Name, err)
+		}
 		if r.RateLimit != nil {
-			st.ruleLimiters[r.Name] = NewTokenBucket(r.RateLimit.RPS, r.RateLimit.Burst)
-			st.rlReason[r.Name] = "rule rate limit: " + r.Name
+			rs.limiter = NewTokenBucket(r.RateLimit.RPS, r.RateLimit.Burst)
+			rs.rlReason = "rule rate limit: " + r.Name
 		}
 		if r.Fault != nil && r.Fault.AbortPercent > 0 {
-			st.abortReason[r.Name] = "fault injection: abort by rule " + r.Name
+			rs.abortReason = "fault injection: abort by rule " + r.Name
 		}
-		// Compile every regex matcher now: the lazy fallback in
-		// StringMatch.Matches would otherwise recompile per request.
-		r.Match.compile()
 	}
 	if cfg.ServiceRateLimit != nil {
-		st.svcLimiter = NewTokenBucket(cfg.ServiceRateLimit.RPS, cfg.ServiceRateLimit.Burst)
+		st.throttle.Store(NewTokenBucket(cfg.ServiceRateLimit.RPS, cfg.ServiceRateLimit.Burst))
 	}
-	intents := authzIntentions(cfg.Service, st.cfg.Authz)
+	intents := authzIntentions(cfg.Service, cfg.Authz)
 	st.authzIDs = make([]string, len(intents))
 	for i := range intents {
 		st.authzIDs[i] = intents[i].ID
@@ -199,7 +200,7 @@ func (e *Engine) Configure(cfg ServiceConfig) error {
 	// One atomic delta: the service's old intentions out, the new ones in.
 	// Only the touched dispatch buckets recompile.
 	if _, err := e.policy.Apply(prevIDs, intents); err != nil {
-		return err
+		return fmt.Errorf("l7: service %s: %w", cfg.Service, err)
 	}
 	e.services[cfg.Service] = st
 	return nil
@@ -228,31 +229,45 @@ func (e *Engine) Services() []string {
 	return out
 }
 
-// Config returns the installed configuration for a service.
+// Config returns the configuration a service was installed with.
 func (e *Engine) Config(service string) (ServiceConfig, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	st, ok := e.services[service]
-	if !ok {
+	st := e.Service(service)
+	if st == nil {
 		return ServiceConfig{}, false
 	}
 	return st.cfg, true
 }
 
-// Route routes one request at virtual time now. A nil error with
-// Decision.Allowed=false never happens: routing failures are expressed as
-// *DecisionError with the local status to return.
+// Service returns the handle of a service's installed configuration, or nil
+// for a name that has none. The next Configure of the name installs a new
+// handle and leaves this one as it was.
+func (e *Engine) Service(name string) *Service {
+	//canal:allow hotpath uncontended RLock guarding the registry map; a caller that keeps the handle skips it
+	e.mu.RLock()
+	st := e.services[name]
+	e.mu.RUnlock()
+	return st
+}
+
+// Route routes one request at virtual time now, against whatever is installed
+// under r.Service at this moment. A nil error with Decision.Allowed=false
+// never happens: routing failures are expressed as *DecisionError with the
+// local status to return.
+//
+//canal:hotpath
+func (e *Engine) Route(now time.Duration, r *Request) (Decision, error) {
+	return e.Service(r.Service).Route(now, r)
+}
+
+// Route is Engine.Route for the holder of a handle: the same decision with no
+// registry lookup. A nil handle refuses the request as unconfigured.
 //
 // The match loop and the allow path are allocation-free; the reject paths
 // allocate exactly one *DecisionError (their request is already failed).
 //
 //canal:hotpath
-func (e *Engine) Route(now time.Duration, r *Request) (Decision, error) {
-	//canal:allow hotpath uncontended RLock guarding the config map on the concurrent live gateway
-	e.mu.RLock()
-	st, ok := e.services[r.Service]
-	e.mu.RUnlock()
-	if !ok {
+func (st *Service) Route(now time.Duration, r *Request) (Decision, error) {
+	if st == nil {
 		//canal:allow hotpath reject path: one error allocation for a request that is already failed
 		return Decision{}, &DecisionError{Status: StatusUnavailable, Reason: "no route configuration for service " + r.Service}
 	}
@@ -260,7 +275,7 @@ func (e *Engine) Route(now time.Duration, r *Request) (Decision, error) {
 	// Authorization is a compiled-table lookup: O(candidate bucket), not
 	// O(installed rules). Semantics are those documented on AuthzRule
 	// (authzIntentions pins the translation).
-	if v := e.policy.Eval(policy.Query{
+	if v := st.engine.policy.Eval(policy.Query{
 		SrcTenant:  r.Tenant,
 		SrcService: r.SourceService,
 		DstService: r.Service,
@@ -272,21 +287,23 @@ func (e *Engine) Route(now time.Duration, r *Request) (Decision, error) {
 		return Decision{DenyReason: v.Reason}, &DecisionError{Status: StatusForbidden, Reason: v.Reason}
 	}
 
-	if st.svcLimiter != nil && !st.svcLimiter.Allow(now) {
+	// One load: a ClearServiceRate between a nil check and the draw cannot
+	// take the bucket away.
+	if lim := st.throttle.Load(); lim != nil && !lim.Allow(now) {
 		//canal:allow hotpath reject path: one error allocation for a request that is already failed
 		return Decision{RateLimited: true}, &DecisionError{Status: StatusTooManyRequests, Reason: "service rate limit"}
 	}
 
 	d := Decision{Allowed: true, Subset: st.cfg.DefaultSubset}
 	for i := range st.cfg.Rules {
-		rule := &st.cfg.Rules[i]
+		rule, rs := &st.cfg.Rules[i], &st.rules[i]
 		if !rule.Match.Matches(r) {
 			continue
 		}
-		if lim := st.ruleLimiters[rule.Name]; lim != nil && !lim.Allow(now) {
+		if rs.limiter != nil && !rs.limiter.Allow(now) {
 			return Decision{RateLimited: true, Rule: rule.Name},
 				//canal:allow hotpath reject path: one error allocation; the reason string is precomputed at Configure
-				&DecisionError{Status: StatusTooManyRequests, Reason: st.rlReason[rule.Name]}
+				&DecisionError{Status: StatusTooManyRequests, Reason: rs.rlReason}
 		}
 		d.Rule = rule.Name
 		d.PathRewrite = rule.PathRewrite
@@ -296,21 +313,21 @@ func (e *Engine) Route(now time.Duration, r *Request) (Decision, error) {
 		d.SetHeaders = rule.SetHeaders
 		d.RemoveHeaders = rule.RemoveHeaders
 		if f := rule.Fault; f != nil {
-			if f.AbortPercent > 0 && e.roll() < f.AbortPercent {
+			if f.AbortPercent > 0 && st.engine.roll() < f.AbortPercent {
 				status := f.AbortStatus
 				if status == 0 {
 					status = StatusUnavailable
 				}
 				return Decision{Rule: rule.Name},
 					//canal:allow hotpath reject path: one error allocation; the reason string is precomputed at Configure
-					&DecisionError{Status: status, Reason: st.abortReason[rule.Name]}
+					&DecisionError{Status: status, Reason: rs.abortReason}
 			}
-			if f.DelayPercent > 0 && e.roll() < f.DelayPercent {
+			if f.DelayPercent > 0 && st.engine.roll() < f.DelayPercent {
 				d.Delay = f.Delay
 			}
 		}
 		if len(rule.Splits) > 0 {
-			d.Subset = e.pickSplit(rule.Splits)
+			d.Subset = st.engine.pickSplit(rule.Splits, rs.splitTotal)
 		}
 		return d, nil
 	}
@@ -320,21 +337,18 @@ func (e *Engine) Route(now time.Duration, r *Request) (Decision, error) {
 // roll draws a percentage in [0, 100).
 func (e *Engine) roll() float64 {
 	//canal:allow hotpath rng draw must serialize for the concurrent live gateway; fault injection only
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.rngMu.Lock()
+	defer e.rngMu.Unlock()
 	return e.rng.Float64() * 100
 }
 
-// pickSplit draws a subset proportionally to the split weights.
-func (e *Engine) pickSplit(splits []Split) string {
-	total := 0
-	for _, s := range splits {
-		total += s.Weight
-	}
+// pickSplit draws a subset proportionally to the split weights, which sum to
+// total.
+func (e *Engine) pickSplit(splits []Split, total int) string {
 	//canal:allow hotpath rng draw must serialize for the concurrent live gateway; split rules only
-	e.mu.Lock()
+	e.rngMu.Lock()
 	n := e.rng.Intn(total)
-	e.mu.Unlock()
+	e.rngMu.Unlock()
 	for _, s := range splits {
 		if n < s.Weight {
 			return s.Subset
@@ -353,10 +367,10 @@ func (e *Engine) SetServiceRate(service string, rps, burst float64) error {
 	if !ok {
 		return fmt.Errorf("l7: unknown service %q", service)
 	}
-	if st.svcLimiter == nil {
-		st.svcLimiter = NewTokenBucket(rps, burst)
+	if lim := st.throttle.Load(); lim != nil {
+		lim.SetRate(rps)
 	} else {
-		st.svcLimiter.SetRate(rps)
+		st.throttle.Store(NewTokenBucket(rps, burst))
 	}
 	return nil
 }
@@ -366,7 +380,6 @@ func (e *Engine) ClearServiceRate(service string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if st, ok := e.services[service]; ok {
-		st.svcLimiter = nil
-		st.cfg.ServiceRateLimit = nil
+		st.throttle.Store(nil)
 	}
 }

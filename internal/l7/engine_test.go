@@ -3,6 +3,8 @@ package l7
 import (
 	"errors"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -353,20 +355,129 @@ func TestStringMatchKinds(t *testing.T) {
 		{Regex("^a+$"), "ab", false},
 		{Present(), "x", true},
 		{Present(), "", false},
-		{StringMatch{Kind: MatchKind(99)}, "x", false},
+		{StringMatch{Op: 99}, "x", false},
 	}
 	for i, tc := range tests {
+		if err := tc.m.Compile(); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
 		if got := tc.m.Matches(tc.v); got != tc.want {
 			t.Errorf("case %d: Matches(%q) = %v, want %v", i, tc.v, got, tc.want)
 		}
 	}
+	// Matches never compiles: until Compile has run, a regex matches nothing.
+	if m := Regex("^a+$"); m.Matches("aaa") {
+		t.Error("uncompiled regex matched")
+	}
 }
 
-func TestRegexMatchWithoutCompile(t *testing.T) {
-	// A StringMatch built as a literal (as config deserialization would)
-	// must still work.
-	m := StringMatch{Kind: MatchRegex, Value: "^x"}
-	if !m.Matches("xyz") {
-		t.Error("lazy regex compile failed")
+// TestRouteConcurrentRateLimits shares one service's limiters between
+// goroutines, as the live gateway does: a service limit, a rate-limited rule
+// and a split, routed from four goroutines while a fifth sets and clears the
+// §6.2 throttle. Run under -race; every request is admitted or answered 429.
+func TestRouteConcurrentRateLimits(t *testing.T) {
+	e := newTestEngine(t, ServiceConfig{
+		Service: "web", DefaultSubset: "v1",
+		ServiceRateLimit: &RateLimitSpec{RPS: 1e6, Burst: 100},
+		Rules: []Rule{{
+			Name:      "limited",
+			Match:     RouteMatch{Path: Prefix("/")},
+			RateLimit: &RateLimitSpec{RPS: 1e6, Burst: 100},
+			Splits:    []Split{{Subset: "v1", Weight: 50}, {Subset: "v2", Weight: 50}},
+		}},
+	})
+	stop := make(chan struct{})
+	var throttler, routers sync.WaitGroup
+	throttler.Add(1)
+	go func() {
+		defer throttler.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.SetServiceRate("web", 1e6, 100); err != nil {
+				t.Error(err)
+				return
+			}
+			e.ClearServiceRate("web")
+		}
+	}()
+	for g := 0; g < 4; g++ {
+		routers.Add(1)
+		go func() {
+			defer routers.Done()
+			for i := 0; i < 1000; i++ {
+				d, err := e.Route(time.Duration(i)*time.Microsecond, req("web", "GET", "/"))
+				var de *DecisionError
+				switch {
+				case err == nil:
+					if d.Subset != "v1" && d.Subset != "v2" {
+						t.Errorf("admitted to subset %q", d.Subset)
+					}
+				case !errors.As(err, &de) || de.Status != StatusTooManyRequests:
+					t.Errorf("Route: %v, want nil or a 429", err)
+				}
+			}
+		}()
+	}
+	routers.Wait()
+	close(stop)
+	throttler.Wait()
+}
+
+// TestConfigureBadRegexIsAnError: a pattern that does not compile, wherever
+// a configuration can carry one, is Configure's error — never a panic — and
+// what was installed before keeps routing.
+func TestConfigureBadRegexIsAnError(t *testing.T) {
+	e := newTestEngine(t, ServiceConfig{Service: "web", DefaultSubset: "stable"})
+	bad := Regex("(")
+	cases := []struct {
+		name, want string
+		cfg        ServiceConfig
+	}{
+		{"rule path", "rule r", ServiceConfig{Rules: []Rule{{Name: "r", Match: RouteMatch{Path: bad}}}}},
+		{"rule header", "rule r", ServiceConfig{Rules: []Rule{{Name: "r", Match: RouteMatch{Headers: []KVMatch{{Name: "h", Match: bad}}}}}}},
+		{"rule cookie", "rule r", ServiceConfig{Rules: []Rule{{Name: "r", Match: RouteMatch{Cookies: []KVMatch{{Name: "c", Match: bad}}}}}}},
+		{"authz rule", "service web", ServiceConfig{Authz: []AuthzRule{{Name: "a", Action: AuthzDeny, Path: bad}}}},
+	}
+	for _, tc := range cases {
+		tc.cfg.Service, tc.cfg.DefaultSubset = "web", "broken"
+		err := e.Configure(tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Configure = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		if d, err := e.Route(0, req("web", "GET", "/")); err != nil || d.Subset != "stable" {
+			t.Errorf("%s: after the failed Configure, Route = %+v, %v; want the installed configuration", tc.name, d, err)
+		}
+	}
+}
+
+// TestSameNamedRulesKeepTheirOwnLimits: per-rule state belongs to the rule,
+// not to its name. Two limited rules that share a name drain their own
+// buckets, and the unlimited one between them is never limited.
+func TestSameNamedRulesKeepTheirOwnLimits(t *testing.T) {
+	e := newTestEngine(t, ServiceConfig{
+		Service: "web", DefaultSubset: "v1",
+		Rules: []Rule{
+			{Name: "r", Match: RouteMatch{Path: Prefix("/a")}, RateLimit: &RateLimitSpec{Burst: 2}},
+			{Name: "r", Match: RouteMatch{Path: Prefix("/b")}},
+			{Name: "r", Match: RouteMatch{Path: Prefix("/c")}, RateLimit: &RateLimitSpec{Burst: 3}},
+		},
+	})
+	for _, tc := range []struct {
+		path string
+		want int
+	}{{"/a", 2}, {"/b", 10}, {"/c", 3}} {
+		admitted := 0
+		for i := 0; i < 10; i++ {
+			if _, err := e.Route(0, req("web", "GET", tc.path)); err == nil {
+				admitted++
+			}
+		}
+		if admitted != tc.want {
+			t.Errorf("%s: admitted %d of 10, want %d", tc.path, admitted, tc.want)
+		}
 	}
 }

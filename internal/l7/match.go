@@ -1,94 +1,34 @@
 package l7
 
 import (
-	"regexp"
-	"strings"
+	"slices"
+
+	"canalmesh/internal/policy"
 )
 
-// MatchKind selects how a StringMatch compares values.
-type MatchKind int
-
-const (
-	// MatchAny matches everything, including the empty string.
-	MatchAny MatchKind = iota
-	// MatchExact compares for equality.
-	MatchExact
-	// MatchPrefix tests for a leading substring.
-	MatchPrefix
-	// MatchRegex applies a compiled regular expression.
-	MatchRegex
-	// MatchPresent matches any non-empty value (for headers/cookies).
-	MatchPresent
-)
-
-// StringMatch matches a single string value.
-type StringMatch struct {
-	Kind  MatchKind
-	Value string
-	re    *regexp.Regexp
-}
-
-// Exact returns an equality matcher.
-func Exact(v string) StringMatch { return StringMatch{Kind: MatchExact, Value: v} }
-
-// Prefix returns a prefix matcher.
-func Prefix(v string) StringMatch { return StringMatch{Kind: MatchPrefix, Value: v} }
-
-// Regex returns a regular-expression matcher. It panics on an invalid
-// pattern, since route tables are authored by the operator, not derived from
-// traffic.
-func Regex(pattern string) StringMatch {
-	return StringMatch{Kind: MatchRegex, Value: pattern, re: regexp.MustCompile(pattern)}
-}
-
-// Present returns a matcher for any non-empty value.
-func Present() StringMatch { return StringMatch{Kind: MatchPresent} }
-
-// Any returns a matcher that always matches.
-func Any() StringMatch { return StringMatch{Kind: MatchAny} }
-
-// compile pre-builds the regular expression of a MatchRegex matcher so the
-// per-request path never compiles. Engine.Configure calls it on every
-// matcher it installs; matchers built by the Regex constructor are already
-// compiled.
-func (m *StringMatch) compile() {
-	if m.Kind == MatchRegex && m.re == nil {
-		m.re = regexp.MustCompile(m.Value)
-	}
-}
-
-// Matches reports whether the matcher accepts v.
-//
-//canal:hotpath
-func (m StringMatch) Matches(v string) bool {
-	switch m.Kind {
-	case MatchAny:
-		return true
-	case MatchExact:
-		return v == m.Value
-	case MatchPrefix:
-		return strings.HasPrefix(v, m.Value)
-	case MatchRegex:
-		if m.re == nil {
-			// Fallback for hand-built matchers only: every matcher installed
-			// through Engine.Configure is compiled ahead of time.
-			//canal:allow hotpath cold fallback; Configure precompiles all installed matchers
-			m.re = regexp.MustCompile(m.Value)
-		}
-		//canal:allow hotpath operator-authored pattern, precompiled at Configure; matching a bounded path/header
-		return m.re.MatchString(v)
-	case MatchPresent:
-		return v != ""
-	default:
-		return false
-	}
-}
+// StringMatch matches a single string value. It is the policy package's
+// predicate: route conditions and authorization rules share one matcher and
+// its one compile step (Match.Compile), which Engine.Configure runs on every
+// matcher it installs.
+type StringMatch = policy.Match
 
 // KVMatch matches a named header or cookie.
-type KVMatch struct {
-	Name  string
-	Match StringMatch
-}
+type KVMatch = policy.HeaderMatch
+
+// Matcher constructors. None of them panics: an invalid Regex pattern is the
+// error of the Configure call that installs it.
+var (
+	// Exact returns an equality matcher.
+	Exact = policy.Exact
+	// Prefix returns a prefix matcher.
+	Prefix = policy.Prefix
+	// Regex returns a regular-expression matcher.
+	Regex = policy.Regex
+	// Present returns a matcher for any non-empty value.
+	Present = policy.Present
+	// Any returns a matcher that always matches.
+	Any = policy.Any
+)
 
 // RouteMatch is the condition part of a route rule. Zero-value fields match
 // anything, so rules only state what they care about — the style of the
@@ -100,17 +40,25 @@ type RouteMatch struct {
 	Cookies []KVMatch
 }
 
-// compile pre-builds every regex matcher in the condition (see
-// StringMatch.compile).
-func (m *RouteMatch) compile() {
-	m.Method.compile()
-	m.Path.compile()
-	for i := range m.Headers {
-		m.Headers[i].Match.compile()
+// compile pre-builds every regex matcher in the condition, so the per-request
+// path never compiles. The header and cookie lists are copied first: the
+// engine writes into what it installs, never into the caller's slices.
+func (m *RouteMatch) compile() error {
+	if err := m.Method.Compile(); err != nil {
+		return err
 	}
-	for i := range m.Cookies {
-		m.Cookies[i].Match.compile()
+	if err := m.Path.Compile(); err != nil {
+		return err
 	}
+	m.Headers, m.Cookies = slices.Clone(m.Headers), slices.Clone(m.Cookies)
+	for _, kvs := range [][]KVMatch{m.Headers, m.Cookies} {
+		for i := range kvs {
+			if err := kvs[i].Match.Compile(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Matches reports whether the request satisfies every condition.

@@ -1,11 +1,16 @@
 package l7
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // TokenBucket is a virtual-time token-bucket rate limiter. It takes explicit
 // timestamps so the same limiter works under the simulator's clock and under
-// wall time in the real gateway.
+// wall time in the real gateway, where every request that meets the limit
+// shares it: the bucket is safe for concurrent use.
 type TokenBucket struct {
+	mu       sync.Mutex
 	rate     float64 // tokens per second
 	burst    float64
 	tokens   float64
@@ -29,6 +34,9 @@ func (b *TokenBucket) Allow(now time.Duration) bool {
 
 // AllowN consumes n tokens at virtual time now.
 func (b *TokenBucket) AllowN(now time.Duration, n float64) bool {
+	//canal:allow hotpath the bucket's own mutex: refill and draw are one step, and only requests that meet a rate limit take it
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if now > b.lastFill {
 		b.tokens += b.rate * (now - b.lastFill).Seconds()
 		if b.tokens > b.burst {
@@ -44,7 +52,15 @@ func (b *TokenBucket) AllowN(now time.Duration, n float64) bool {
 }
 
 // Rate returns the configured refill rate.
-func (b *TokenBucket) Rate() float64 { return b.rate }
+func (b *TokenBucket) Rate() float64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.rate
+}
 
 // SetRate changes the refill rate (used by the gateway's dynamic throttling).
-func (b *TokenBucket) SetRate(rate float64) { b.rate = rate }
+func (b *TokenBucket) SetRate(rate float64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.rate = rate
+}

@@ -90,3 +90,12 @@ type DecisionError struct {
 func (e *DecisionError) Error() string {
 	return fmt.Sprintf("l7: %d %s", e.Status, e.Reason)
 }
+
+// StatusOf returns the status a proxy answers a Route outcome with: 200 for a
+// nil error, the *DecisionError's otherwise. Route returns no other error.
+func StatusOf(err error) int {
+	if err == nil {
+		return StatusOK
+	}
+	return err.(*DecisionError).Status
+}

@@ -130,12 +130,12 @@ func prepare(in Intention) (*compiled, error) {
 		return nil, fmt.Errorf("policy: intention %q has no ID", in.Name)
 	}
 	for _, m := range []*Match{&in.Src, &in.Dst, &in.Method, &in.Path} {
-		if err := m.compile(); err != nil {
+		if err := m.Compile(); err != nil {
 			return nil, err
 		}
 	}
 	for i := range in.Headers {
-		if err := in.Headers[i].Match.compile(); err != nil {
+		if err := in.Headers[i].Match.Compile(); err != nil {
 			return nil, err
 		}
 	}

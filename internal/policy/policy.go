@@ -79,17 +79,19 @@ func Exact(v string) Match { return Match{Op: OpExact, Value: v} }
 // Prefix returns a prefix matcher.
 func Prefix(v string) Match { return Match{Op: OpPrefix, Value: v} }
 
-// Regex returns a regular-expression matcher. The pattern is compiled by
-// Compiler.Apply; an invalid pattern is an Apply error, never a per-request
-// cost.
+// Regex returns a regular-expression matcher. It never panics: the pattern
+// is compiled by whatever installs the matcher (Compiler.Apply, l7's
+// Engine.Configure), and an invalid one is that step's error, never a
+// per-request cost.
 func Regex(pattern string) Match { return Match{Op: OpRegex, Value: pattern} }
 
 // Present returns a matcher for any non-empty value.
 func Present() Match { return Match{Op: OpPresent} }
 
-// compile pre-builds the regular expression so the lookup path never
-// compiles. Returns an error for an invalid pattern.
-func (m *Match) compile() error {
+// Compile pre-builds the regular expression so the lookup path never
+// compiles. It is the one compile step of every predicate in the module, and
+// returns an error for an invalid pattern. Compiling twice is a no-op.
+func (m *Match) Compile() error {
 	if m.Op != OpRegex || m.re != nil {
 		return nil
 	}
@@ -101,7 +103,8 @@ func (m *Match) compile() error {
 	return nil
 }
 
-// Matches reports whether the predicate accepts v.
+// Matches reports whether the predicate accepts v. It never compiles: a
+// regex predicate that was not compiled matches nothing.
 //
 //canal:hotpath
 func (m *Match) Matches(v string) bool {
@@ -113,8 +116,8 @@ func (m *Match) Matches(v string) bool {
 	case OpPrefix:
 		return strings.HasPrefix(v, m.Value)
 	case OpRegex:
-		//canal:allow hotpath operator-authored pattern, precompiled at Apply; matching a bounded path/method value
-		return m.re.MatchString(v)
+		//canal:allow hotpath operator-authored pattern, precompiled by Compile; matching a bounded path/method/header value
+		return m.re != nil && m.re.MatchString(v)
 	case OpPresent:
 		return v != ""
 	default:

@@ -70,7 +70,7 @@ func (m *Istio) CloudProcs() []*sim.Processor { return nil }
 func (m *Istio) Send(req *l7.Request, done func(time.Duration, int)) {
 	c := m.Cfg
 	body := req.BodyBytes
-	_, status := c.route(req)
+	status := c.route(req)
 	asymCPU, asymLat := c.asymFor(req)
 	l7Cost := c.Costs.L7Cost(body)
 	sym := c.tlsCost(req, body)
@@ -132,7 +132,7 @@ func (m *Ambient) CloudProcs() []*sim.Processor { return nil }
 func (m *Ambient) Send(req *l7.Request, done func(time.Duration, int)) {
 	c := m.Cfg
 	body := req.BodyBytes
-	_, status := c.route(req)
+	status := c.route(req)
 	asymCPU, asymLat := c.asymFor(req)
 	l7Cost := c.Costs.L7Cost(body)
 	sym := c.tlsCost(req, body)
@@ -194,7 +194,7 @@ func (m *Canal) CloudProcs() []*sim.Processor { return []*sim.Processor{m.Gatewa
 func (m *Canal) Send(req *l7.Request, done func(time.Duration, int)) {
 	c := m.Cfg
 	body := req.BodyBytes
-	_, status := c.route(req)
+	status := c.route(req)
 	asymCPU, asymLat := c.asymFor(req)
 	l7Cost := c.Costs.GatewayL7Cost(body)
 	sym := c.tlsCost(req, body)

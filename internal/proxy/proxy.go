@@ -193,17 +193,12 @@ func (c Config) redirectCost(ebpf bool, bodyBytes int) time.Duration {
 	return 2*c.Costs.ContextSw + 2*c.Costs.StackPass + 2*c.Costs.CopyCost(bodyBytes)
 }
 
-// route consults the shared L7 engine; on a local response (403/429/503) it
-// completes the request immediately at the deciding hop.
-func (c Config) route(req *l7.Request) (l7.Decision, int) {
-	d, err := c.Engine.Route(c.Sim.Now(), req)
-	if err != nil {
-		if de, ok := err.(*l7.DecisionError); ok {
-			return d, de.Status
-		}
-		return d, l7.StatusUnavailable
-	}
-	return d, l7.StatusOK
+// route consults the shared L7 engine for the status to answer with; on a
+// local response (403/429/503) the request completes immediately at the
+// deciding hop.
+func (c Config) route(req *l7.Request) int {
+	_, err := c.Engine.Route(c.Sim.Now(), req)
+	return l7.StatusOf(err)
 }
 
 // tlsCost returns the per-hop symmetric crypto cost for a body, when mTLS is
