@@ -304,16 +304,18 @@ func (g *GatewayServer) ClearServiceRate(tenant, service string) {
 	g.engine.ClearServiceRate(serviceKey(tenant, service))
 }
 
-// signingPayload is the byte string a NodeAgent signs per request.
-func signingPayload(tenant, source, method, path, timestamp string) []byte {
-	h := sha256.Sum256([]byte(tenant + "\x00" + source + "\x00" + method + "\x00" + path + "\x00" + timestamp))
+// signingPayload is the byte string a NodeAgent signs per request: who sends
+// it to which service of which tenant, and the request target as sent (path
+// and query), so a captured signature is good for that one request line only.
+func signingPayload(tenant, service, source, method, target, timestamp string) []byte {
+	h := sha256.Sum256([]byte(tenant + "\x00" + service + "\x00" + source + "\x00" + method + "\x00" + target + "\x00" + timestamp))
 	return h[:]
 }
 
 // authenticate verifies the request's identity signature against the
 // tenant's CA (nil when the tenant was never registered) and returns the
 // verified source identity.
-func authenticate(r *http.Request, tenant string, ca *CA) (string, error) {
+func authenticate(r *http.Request, tenant, service string, ca *CA) (string, error) {
 	if ca == nil {
 		return "", fmt.Errorf("unknown tenant %q", tenant)
 	}
@@ -342,7 +344,7 @@ func authenticate(r *http.Request, tenant string, ca *CA) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	payload := signingPayload(tenant, id, r.Method, r.URL.Path, ts)
+	payload := signingPayload(tenant, service, id, r.Method, r.RequestURI, ts)
 	if !ecdsa.VerifyASN1(pub, payload, sig) {
 		return "", fmt.Errorf("signature verification failed")
 	}
@@ -464,7 +466,7 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	config := g.config.Load()
 	tenant := config.tenants[req.Tenant]
 	if g.RequireAuth {
-		id, err := authenticate(r, req.Tenant, tenant.ca)
+		id, err := authenticate(r, req.Tenant, st.service, tenant.ca)
 		if err != nil {
 			g.fail(w, st, http.StatusForbidden, "canal: "+err.Error())
 			return
@@ -772,7 +774,7 @@ func (a *NodeAgent) Do(method, service, path string, body io.Reader, headers map
 	ts := strconv.FormatInt(time.Now().Unix(), 10) //canal:allow simdeterminism signed auth timestamps must be real time for skew checks
 	req.Header.Set(HeaderTimestamp, ts)
 	req.Header.Set(HeaderCert, base64.StdEncoding.EncodeToString(a.Identity.CertDER))
-	payload := signingPayload(a.Tenant, a.Identity.ID, method, path, ts)
+	payload := signingPayload(a.Tenant, service, a.Identity.ID, method, req.URL.RequestURI(), ts)
 	sig, err := signASN1(a.Identity, payload)
 	if err != nil {
 		return nil, err

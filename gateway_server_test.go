@@ -264,7 +264,7 @@ func TestGatewayRejectsStaleTimestamp(t *testing.T) {
 	req.Header.Set(HeaderService, "web")
 	req.Header.Set(HeaderTimestamp, ts)
 	req.Header.Set(HeaderCert, base64.StdEncoding.EncodeToString(agent.Identity.CertDER))
-	payload := signingPayload("tenant1", agent.Identity.ID, "GET", "/x", ts)
+	payload := signingPayload("tenant1", "web", agent.Identity.ID, "GET", "/x", ts)
 	sig, err := signASN1(agent.Identity, payload)
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"canalmesh/internal/l7"
+	"canalmesh/internal/meshcrypto"
 	"canalmesh/internal/policy"
 	"canalmesh/internal/sim"
 	"canalmesh/internal/trace"
@@ -27,7 +28,8 @@ type hotPathBaseline struct {
 // measureHotPathAllocs measures allocations per operation on the
 // request-time operations the hotpath analyzer polices statically: L7
 // route matching, one sim event-loop step (push + pop + dispatch), trace
-// hop recording, the policy lookup and the trace-context codec. The static
+// hop recording, the policy lookup, the trace-context codec and a
+// verified-peer memo hit. The static
 // analyzer proves the code *shape* cannot allocate; this measures that the
 // compiler agrees at runtime.
 func measureHotPathAllocs(t *testing.T) map[string]float64 {
@@ -140,6 +142,27 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	})
 	if rendered != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("codec bench rendered trace ID %q", rendered)
+	}
+
+	// Verified-peer memo hit: what a signed request's certificate costs once
+	// its CA has verified it, before the request's own signature check.
+	ca, err := meshcrypto.NewCA("bench-ca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ca.IssueIdentity("spiffe://bench/sa/web")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ca.VerifyPeer(peer.CertDER); err != nil {
+		t.Fatal(err)
+	}
+	var verified string
+	got["verify_peer_hit"] = testing.AllocsPerRun(1000, func() {
+		verified, _, _ = ca.VerifyPeer(peer.CertDER)
+	})
+	if verified != peer.ID {
+		t.Fatalf("verify bench did not verify its peer: %q", verified)
 	}
 
 	return got

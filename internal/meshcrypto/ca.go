@@ -18,8 +18,14 @@ import (
 	"fmt"
 	"math/big"
 	"net/url"
+	"sync"
+	"sync/atomic"
 	"time"
 )
+
+// maxVerifiedPeers bounds a CA's memo of verified certificates. A full memo
+// is dropped whole and refills from the certificates still in use.
+const maxVerifiedPeers = 1024
 
 // CA is the mesh certificate authority. Each tenant gets its own CA so that
 // identities are scoped to the tenant's trust domain.
@@ -28,7 +34,23 @@ type CA struct {
 	key  *ecdsa.PrivateKey
 	cert *x509.Certificate
 	der  []byte
-	seq  int64
+	seq  atomic.Int64
+	// now is the clock certificate lifetimes are checked against: time.Now,
+	// but for tests.
+	now func() time.Time
+
+	// verified memoises VerifyPeer: the certificates that passed every check,
+	// keyed by their exact DER bytes. It is per CA, so one trust domain's
+	// identities never evict another's, and a new CA starts empty.
+	mu       sync.Mutex
+	verified map[string]verifiedPeer
+}
+
+// verifiedPeer is what VerifyPeer learnt from a certificate that passed.
+type verifiedPeer struct {
+	id                  string
+	pub                 *ecdsa.PublicKey
+	notBefore, notAfter time.Time
 }
 
 // NewCA creates a CA with a fresh P-256 key.
@@ -54,7 +76,7 @@ func NewCA(name string) (*CA, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CA{name: name, key: key, cert: cert, der: der}, nil
+	return &CA{name: name, key: key, cert: cert, der: der, now: time.Now, verified: make(map[string]verifiedPeer)}, nil
 }
 
 // Name returns the CA's common name.
@@ -81,9 +103,8 @@ func (ca *CA) IssueIdentity(spiffeID string) (*Identity, error) {
 	if err != nil {
 		return nil, fmt.Errorf("meshcrypto: bad identity %q: %w", spiffeID, err)
 	}
-	ca.seq++
 	tmpl := &x509.Certificate{
-		SerialNumber: big.NewInt(ca.seq + 1),
+		SerialNumber: big.NewInt(ca.seq.Add(1) + 1),
 		Subject:      pkix.Name{CommonName: spiffeID},
 		URIs:         []*url.URL{uri},
 		NotBefore:    time.Unix(0, 0),
@@ -98,22 +119,53 @@ func (ca *CA) IssueIdentity(spiffeID string) (*Identity, error) {
 	return &Identity{ID: spiffeID, Key: key, CertDER: der}, nil
 }
 
-// VerifyPeer checks that a peer certificate was issued by this CA and
-// returns the embedded identity.
+// VerifyPeer checks that a peer certificate was issued by this CA and is
+// within its validity window now, and returns the embedded identity. A
+// certificate is parsed and its CA signature checked the first time it is
+// seen; after that only its lifetime is checked again, and the key returned
+// is the one every caller presenting that certificate gets: read it only.
 func (ca *CA) VerifyPeer(certDER []byte) (string, *ecdsa.PublicKey, error) {
+	now := ca.now()
+	ca.mu.Lock()
+	p, hit := ca.verified[string(certDER)]
+	ca.mu.Unlock()
+	if !hit {
+		var err error
+		if p, err = ca.verify(certDER); err != nil {
+			return "", nil, err
+		}
+	}
+	if now.Before(p.notBefore) || now.After(p.notAfter) {
+		return "", nil, fmt.Errorf("meshcrypto: peer cert for %s is valid from %v to %v, not at %v",
+			p.id, p.notBefore, p.notAfter, now)
+	}
+	if !hit {
+		ca.mu.Lock()
+		if len(ca.verified) >= maxVerifiedPeers {
+			clear(ca.verified)
+		}
+		ca.verified[string(certDER)] = p
+		ca.mu.Unlock()
+	}
+	return p.id, p.pub, nil
+}
+
+// verify is VerifyPeer's full check of a certificate it has not seen, all
+// but the lifetime.
+func (ca *CA) verify(certDER []byte) (verifiedPeer, error) {
 	cert, err := x509.ParseCertificate(certDER)
 	if err != nil {
-		return "", nil, fmt.Errorf("meshcrypto: parsing peer cert: %w", err)
+		return verifiedPeer{}, fmt.Errorf("meshcrypto: parsing peer cert: %w", err)
 	}
 	if err := cert.CheckSignatureFrom(ca.cert); err != nil {
-		return "", nil, fmt.Errorf("meshcrypto: peer cert not issued by %s: %w", ca.name, err)
+		return verifiedPeer{}, fmt.Errorf("meshcrypto: peer cert not issued by %s: %w", ca.name, err)
 	}
 	pub, ok := cert.PublicKey.(*ecdsa.PublicKey)
 	if !ok {
-		return "", nil, errors.New("meshcrypto: peer cert key is not ECDSA")
+		return verifiedPeer{}, errors.New("meshcrypto: peer cert key is not ECDSA")
 	}
 	if len(cert.URIs) == 0 {
-		return "", nil, errors.New("meshcrypto: peer cert carries no identity URI")
+		return verifiedPeer{}, errors.New("meshcrypto: peer cert carries no identity URI")
 	}
-	return cert.URIs[0].String(), pub, nil
+	return verifiedPeer{id: cert.URIs[0].String(), pub: pub, notBefore: cert.NotBefore, notAfter: cert.NotAfter}, nil
 }

@@ -35,10 +35,12 @@ go test -race -shuffle=on ./...
 
 # The live gateway recycles per-request state between requests of different
 # tenants, round-robins its pools with atomics and shares each service's token
-# buckets and throttle slot between every request that meets them: the tests
-# that share that state between goroutines run ten times over, so an
-# interleaving one pass misses still has its chance to be seen.
-go test -race -count=10 -run 'TestPooledState|TestGatewayThrottleUnderConcurrentLoad|TestRouteConcurrentRateLimits' . ./internal/l7
+# buckets and throttle slot between every request that meets them, and each
+# tenant CA's verified-peer memo and serial counter between every request and
+# issue of that tenant: the tests that share that state between goroutines run
+# ten times over, so an interleaving one pass misses still has its chance to
+# be seen.
+go test -race -count=10 -run 'TestPooledState|TestGatewayThrottleUnderConcurrentLoad|TestRouteConcurrentRateLimits|TestVerifyPeerConcurrent|TestIssueIdentityConcurrent' . ./internal/l7 ./internal/meshcrypto
 
 # Fuzz smoke: the in-place traceparent parser against the split-and-decode
 # parser it replaced (kept as the oracle in w3c_test.go).
@@ -46,6 +48,10 @@ go test -run '^$' -fuzz FuzzParseTraceparent -fuzztime 5s ./internal/trace
 # And the -config loader: whatever LoadConfig accepts builds and applies
 # without a panic, and builds the same rule lists twice.
 go test -run '^$' -fuzz FuzzLoadConfig -fuzztime 5s .
+# And the signed-header path: whatever identity headers and request target
+# arrive, authenticate never panics and accepts only the seeded identity for
+# the service and target it signed.
+go test -run '^$' -fuzz FuzzAuthenticate -fuzztime 5s .
 
 # The benchmark harness that judges every PR is a module of its own
 # (benchmark/go.mod), so the root module's ./... does not reach it.
