@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -54,5 +57,34 @@ func TestNoisyNeighborDeterministic(t *testing.T) {
 	b := Fig16NoisyNeighbor().String()
 	if a != b {
 		t.Fatalf("fig16 noisy-neighbor output differs between identically-seeded runs (len %d vs %d)", len(a), len(b))
+	}
+}
+
+// suiteRenderedSHA is the SHA-256 of every experiment's rendered output,
+// concatenated in paper order: the byte contract the benchmark's sim-suite
+// workload checks each pass against. Changes to simulated code must leave it
+// unchanged; a deliberate change to a table moves it in the same commit.
+const suiteRenderedSHA = "82835bf07fb0a8df534162110b5480062b64b6121fd464280480bfd1911e120c"
+
+// TestSuiteRenderedSHA runs the whole suite through the parallel runner and
+// compares the digest of its rendered output with suiteRenderedSHA — which
+// also pins that the output does not depend on how experiments interleave.
+func TestSuiteRenderedSHA(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment; skipped with -short")
+	}
+	if raceEnabled {
+		t.Skip("the full suite under the race detector takes minutes; verify.sh runs this without -race")
+	}
+	rep := NewRunner(Options{}).Run(context.Background(), All())
+	h := sha256.New()
+	for _, r := range rep.Results {
+		if r.Err != nil {
+			t.Fatalf("experiment %s: %v", r.ID, r.Err)
+		}
+		h.Write([]byte(r.Rendered))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != suiteRenderedSHA {
+		t.Errorf("suite rendered sha256 %s, want %s", got, suiteRenderedSHA)
 	}
 }

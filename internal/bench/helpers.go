@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
+	"strconv"
 	"sync"
 
 	"canalmesh/internal/cloud"
@@ -100,10 +101,16 @@ func newGatewayScenario(seed int64, backends, replicasPerBE, coresPerReplica, se
 	return sc
 }
 
-// dispatchFlow builds a distinct flow key per call index.
+// dispatchFlow builds a distinct flow key per call index. Its source IP is
+// 10.9.<(i/250)%250>.<i%250>, formatted into a stack buffer.
 func dispatchFlow(i int) cloud.SessionKey {
+	var buf [16]byte
+	ip := append(buf[:0], "10.9."...)
+	ip = strconv.AppendInt(ip, int64((i/250)%250), 10)
+	ip = append(ip, '.')
+	ip = strconv.AppendInt(ip, int64(i%250), 10)
 	return cloud.SessionKey{
-		SrcIP: fmt.Sprintf("10.9.%d.%d", (i/250)%250, i%250), SrcPort: uint16(i%60000 + 1024),
+		SrcIP: string(ip), SrcPort: uint16(i%60000 + 1024),
 		DstIP: "10.1.0.1", DstPort: 80, Proto: 6,
 	}
 }

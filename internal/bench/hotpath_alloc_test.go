@@ -7,9 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"canalmesh/internal/cloud"
+	"canalmesh/internal/l4"
 	"canalmesh/internal/l7"
 	"canalmesh/internal/meshcrypto"
+	"canalmesh/internal/netmodel"
 	"canalmesh/internal/policy"
+	"canalmesh/internal/proxy"
 	"canalmesh/internal/sim"
 	"canalmesh/internal/trace"
 )
@@ -28,8 +32,10 @@ type hotPathBaseline struct {
 // measureHotPathAllocs measures allocations per operation on the
 // request-time operations the hotpath analyzer polices statically: L7
 // route matching, one sim event-loop step (push + pop + dispatch), trace
-// hop recording, the policy lookup, the trace-context codec and a
-// verified-peer memo hit. The static
+// hop recording, the policy lookup, the trace-context codec, a
+// verified-peer memo hit, the flow hash and a processor completion — and on
+// the two simulated request paths built over them, a gateway dispatch and a
+// mesh hop chain, whose per-request values are all they may allocate. The static
 // analyzer proves the code *shape* cannot allocate; this measures that the
 // compiler agrees at runtime.
 func measureHotPathAllocs(t *testing.T) map[string]float64 {
@@ -163,6 +169,67 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	})
 	if verified != peer.ID {
 		t.Fatalf("verify bench did not verify its peer: %q", verified)
+	}
+
+	// Flow hash: the 5-tuple hash every balancer, beamer and tunnel pick
+	// runs.
+	flow := cloud.SessionKey{SrcIP: "10.9.3.17", SrcPort: 4711, DstIP: "10.1.0.1", DstPort: 80, Proto: 6}
+	var fh uint64
+	got["hash_5tuple"] = testing.AllocsPerRun(1000, func() {
+		fh = l4.Hash5Tuple(flow)
+	})
+	if fh == 0 {
+		t.Fatal("hash bench computed no hash")
+	}
+
+	// Processor completion: Exec schedules its pre-bound completion as the
+	// event itself.
+	ps := sim.New(3)
+	proc := sim.NewProcessor(ps, "bench", 2)
+	served := 0
+	serve := func() { served++ }
+	got["processor_exec"] = testing.AllocsPerRun(1000, func() {
+		proc.Exec(time.Microsecond, serve)
+		ps.Run()
+	})
+	if served == 0 {
+		t.Fatal("processor bench completed no work")
+	}
+
+	// Gateway dispatch, admission off: one pre-built request on one flow
+	// through backend and replica picks, L7 routing and the replica's CPU.
+	gs := newGatewayScenario(4, 2, 2, 4, 1)
+	svc := gs.Services[0]
+	greq := gwRequest()
+	ok := 0
+	answered := func(_ time.Duration, status int) {
+		if status == l7.StatusOK {
+			ok++
+		}
+	}
+	got["gateway_dispatch"] = testing.AllocsPerRun(1000, func() {
+		gs.GW.Dispatch(svc.ID, "az1", flow, greq, 1, answered)
+		gs.Sim.Run()
+	})
+	if ok == 0 {
+		t.Fatal("gateway bench served no request")
+	}
+
+	// Mesh hop chain: one request over the no-mesh baseline's three hops.
+	ms := sim.New(5)
+	mesh, err := proxy.DefaultTestbedSpec(proxy.Config{Sim: ms, Costs: netmodel.Default(), Engine: l7.NewEngine(5)}).Build("none")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mreq := &l7.Request{Tenant: "t", Method: "GET", Path: "/", BodyBytes: 1024}
+	delivered := 0
+	arrived := func(time.Duration, int) { delivered++ }
+	got["run_chain"] = testing.AllocsPerRun(1000, func() {
+		mesh.Send(mreq, arrived)
+		ms.Run()
+	})
+	if delivered == 0 {
+		t.Fatal("chain bench delivered no request")
 	}
 
 	return got

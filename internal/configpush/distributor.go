@@ -3,7 +3,6 @@ package configpush
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"canalmesh/internal/cluster"
@@ -81,9 +80,11 @@ type Distributor struct {
 	linkFreeAt   time.Duration
 	buildReadyAt time.Duration
 
-	// payloadCache shares per-scope payload builds within one head version:
-	// key scopeKey+"@"+fromVersion. Reset on every flush.
-	payloadCache map[string]Payload
+	// payloadCache shares priced payloads within one head version: every
+	// subscriber of a scope at the same acked version gets one delta build,
+	// and every full sync of a scope one walk over the snapshot. Reset on
+	// every flush.
+	payloadCache map[payloadKey]Payload
 
 	records map[uint64]*versionRecord
 	order   []uint64 // record versions in publish order
@@ -138,7 +139,7 @@ func New(cfg Config) *Distributor {
 		store:        NewStore(cfg.Retain),
 		byID:         make(map[string]*Session),
 		routeRev:     make(map[string]int),
-		payloadCache: make(map[string]Payload),
+		payloadCache: make(map[payloadKey]Payload),
 		records:      make(map[uint64]*versionRecord),
 	}
 	if cfg.Cluster != nil {
@@ -390,7 +391,7 @@ func (d *Distributor) flush() {
 	prev := d.store.Head()
 	d.store.Append(snap)
 	delta := Diff(prev, snap)
-	d.payloadCache = make(map[string]Payload)
+	d.payloadCache = make(map[payloadKey]Payload)
 
 	// Build CPU: deltas serialize only what changed; the full-push baseline
 	// re-serializes the complete set every flush (rebuild-per-flush).
@@ -433,7 +434,7 @@ func (d *Distributor) dispatch(sess *Session, vr *versionRecord, snap *Snapshot,
 	if sess.acked == 0 && !sess.inflight {
 		// New subscriber: full bootstrap of the head version.
 		d.target(sess, vr)
-		d.send(sess, fullPayload(snap, sess.Scope, d.cfg.Sizing))
+		d.send(sess, d.fullSync(snap, sess.Scope))
 		return
 	}
 	scoped := d.scopedPayload(sess.Scope, delta)
@@ -453,14 +454,35 @@ func (d *Distributor) dispatch(sess *Session, vr *versionRecord, snap *Snapshot,
 	d.send(sess, d.payloadFrom(sess))
 }
 
-// scopedPayload prices this flush's delta for one scope, shared across all
-// subscribers of that scope via the per-head cache.
+// payloadKey names one priced payload: a scope's delta From→To, or with
+// full set its complete sync at version To.
+type payloadKey struct {
+	scope    Scope
+	from, to uint64
+	full     bool
+}
+
+// scopedPayload prices a delta for one scope, shared across all subscribers
+// of that scope via the per-head cache.
 func (d *Distributor) scopedPayload(sc Scope, delta *Delta) Payload {
-	key := sc.Key() + "@" + strconv.FormatUint(delta.From, 10)
+	key := payloadKey{scope: sc, from: delta.From, to: delta.To}
 	if p, ok := d.payloadCache[key]; ok {
 		return p
 	}
 	p := deltaPayload(delta, sc, d.cfg.Sizing)
+	d.payloadCache[key] = p
+	return p
+}
+
+// fullSync prices a complete sync of the scope at snap, once per (scope,
+// version): bootstraps, evicted resyncs and full-push sends at one head share
+// the walk over the snapshot.
+func (d *Distributor) fullSync(snap *Snapshot, sc Scope) Payload {
+	key := payloadKey{scope: sc, to: snap.Version, full: true}
+	if p, ok := d.payloadCache[key]; ok {
+		return p
+	}
+	p := fullPayload(snap, sc, d.cfg.Sizing)
 	d.payloadCache[key] = p
 	return p
 }
@@ -471,12 +493,12 @@ func (d *Distributor) scopedPayload(sc Scope, delta *Delta) Payload {
 func (d *Distributor) payloadFrom(sess *Session) Payload {
 	head := d.store.Head()
 	if d.cfg.FullPush || sess.acked == 0 {
-		return fullPayload(head, sess.Scope, d.cfg.Sizing)
+		return d.fullSync(head, sess.Scope)
 	}
 	dd := d.store.DiffToHead(sess.acked)
 	if dd == nil {
 		// Acked version evicted: too stale to diff, resync.
-		return fullPayload(head, sess.Scope, d.cfg.Sizing)
+		return d.fullSync(head, sess.Scope)
 	}
 	return d.scopedPayload(sess.Scope, dd)
 }

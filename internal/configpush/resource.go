@@ -108,7 +108,7 @@ type Scope struct {
 	Name string // service (ScopeService) or node (ScopeNodeIdentity)
 }
 
-// Key returns the scope's cache key. Subscribers sharing a key share delta
+// Key returns the scope's label. Subscribers with equal scopes share payload
 // builds — all Istio sidecars are one "mesh" scope, all Ambient node L4
 // proxies one "endpoints" scope.
 func (sc Scope) Key() string {

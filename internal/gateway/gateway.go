@@ -71,29 +71,21 @@ func (b *Backend) Alive() bool {
 	return false
 }
 
-// aliveReplicas returns the currently usable replicas.
-func (b *Backend) aliveReplicas() []*Replica {
-	var out []*Replica
-	for _, r := range b.Replicas {
-		if !r.VM.Failed() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // WaterLevel returns the backend's CPU utilization in the sampling bucket
 // containing t: the mean across alive replicas.
 func (b *Backend) WaterLevel(t time.Duration) float64 {
-	alive := b.aliveReplicas()
-	if len(alive) == 0 {
+	var sum float64
+	alive := 0
+	for _, r := range b.Replicas {
+		if !r.VM.Failed() {
+			sum += r.VM.Proc.Utilization(t)
+			alive++
+		}
+	}
+	if alive == 0 {
 		return 0
 	}
-	var sum float64
-	for _, r := range alive {
-		sum += r.VM.Proc.Utilization(t)
-	}
-	return sum / float64(len(alive))
+	return sum / float64(alive)
 }
 
 // ServiceState tracks one registered tenant service.
@@ -114,6 +106,9 @@ type ServiceState struct {
 	Errors  *telemetry.Counter
 	// Sessions counts live transport sessions attributed to the service.
 	Sessions int
+
+	// engineName is the service's name in the shared L7 engine.
+	engineName string
 }
 
 // Key returns the vSwitch key of the service.
@@ -147,7 +142,6 @@ type Gateway struct {
 	sandboxes []*Backend
 	services  map[uint64]*ServiceState
 	assigner  *sharding.Assigner
-	balancer  l4.HashBalancer
 	seq       int
 
 	sampling bool
@@ -328,13 +322,14 @@ func (g *Gateway) RegisterService(tenant, name string, vni uint32, addr netip.Ad
 	if s, ok := g.services[id]; ok {
 		return s, fmt.Errorf("gateway: service %s already registered as %d", s.FullName(), id)
 	}
-	l7cfg.Service = serviceKeyName(id)
+	l7cfg.Service = fmt.Sprintf("svc-%d", id)
 	if err := g.cfg.Engine.Configure(l7cfg); err != nil {
 		return nil, err
 	}
 	st := &ServiceState{
 		ID: id, Tenant: tenant, Name: name, VNI: vni, Addr: addr, Port: port, HTTPS: https,
 		Latency: &telemetry.Sample{}, Errors: &telemetry.Counter{},
+		engineName: l7cfg.Service,
 	}
 	k := g.cfg.ShardSize
 	if k > len(g.backends) {
@@ -349,9 +344,6 @@ func (g *Gateway) RegisterService(tenant, name string, vni uint32, addr netip.Ad
 	g.services[id] = st
 	return st, nil
 }
-
-// serviceKeyName is the engine-side name of a gateway service.
-func serviceKeyName(id uint64) string { return fmt.Sprintf("svc-%d", id) }
 
 // installOn places a service's configuration on a backend.
 func (g *Gateway) installOn(s *ServiceState, b *Backend) {
@@ -394,51 +386,78 @@ func (g *Gateway) ResolveBackend(id uint64, clientAZ string, flow cloud.SessionK
 	if !ok {
 		return nil, fmt.Errorf("gateway: unknown service %d", id)
 	}
-	var pool []*Backend
-	if s.Sandboxed {
-		for _, b := range g.sandboxes {
-			if b.Alive() && b.HostsService(id) {
-				pool = append(pool, b)
-			}
-		}
-	} else {
-		var local, remote []*Backend
-		for _, b := range s.Backends {
-			if !b.Alive() {
-				continue
-			}
-			if b.AZ == clientAZ {
-				local = append(local, b)
-			} else {
-				remote = append(remote, b)
-			}
-		}
-		pool = local
-		if len(pool) == 0 {
-			pool = remote
-		}
-	}
-	if len(pool) == 0 {
-		return nil, fmt.Errorf("gateway: service %s has no alive backend", s.FullName())
-	}
-	i, err := g.balancer.Pick(flow, len(pool))
-	if err != nil {
-		return nil, err
-	}
-	return pool[i], nil
+	return g.resolveBackend(s, clientAZ, l4.Hash5Tuple(flow))
 }
 
-// pickReplica chooses an alive replica of a backend by flow hash.
-func (g *Gateway) pickReplica(b *Backend, flow cloud.SessionKey) (*Replica, error) {
-	alive := b.aliveReplicas()
-	if len(alive) == 0 {
+// resolveBackend picks the backend for a flow hashing to h: candidate
+// number h mod n of the n in the pool, counted in place rather than
+// gathered, so the pick is the one an ECMP hash over the pool's list makes.
+func (g *Gateway) resolveBackend(s *ServiceState, clientAZ string, h uint64) (*Backend, error) {
+	if s.Sandboxed {
+		inPool := func(b *Backend) bool { return b.Alive() && b.HostsService(s.ID) }
+		if b := nthMatch(g.sandboxes, h, inPool); b != nil {
+			return b, nil
+		}
+	} else {
+		local := func(b *Backend) bool { return b.Alive() && b.AZ == clientAZ }
+		if b := nthMatch(s.Backends, h, local); b != nil {
+			return b, nil
+		}
+		remote := func(b *Backend) bool { return b.Alive() && b.AZ != clientAZ }
+		if b := nthMatch(s.Backends, h, remote); b != nil {
+			return b, nil
+		}
+	}
+	return nil, fmt.Errorf("gateway: service %s has no alive backend", s.FullName())
+}
+
+// nthMatch returns element h mod n of the n elements of list that match, or
+// nil when none does.
+func nthMatch[T any](list []*T, h uint64, match func(*T) bool) *T {
+	n := 0
+	for _, x := range list {
+		if match(x) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	i := int(h % uint64(n))
+	for _, x := range list {
+		if match(x) {
+			if i == 0 {
+				return x
+			}
+			i--
+		}
+	}
+	return nil
+}
+
+// pickReplica chooses an alive replica of a backend for a flow hashing to h.
+func pickReplica(b *Backend, h uint64) (*Replica, error) {
+	r := nthMatch(b.Replicas, h, func(r *Replica) bool { return !r.VM.Failed() })
+	if r == nil {
 		return nil, fmt.Errorf("gateway: backend %s has no alive replica", b.ID)
 	}
-	i, err := g.balancer.Pick(flow, len(alive))
-	if err != nil {
-		return nil, err
-	}
-	return alive[i], nil
+	return r, nil
+}
+
+// dispatch is one request's passage through the gateway: the state its
+// completion, shed and failure paths share. It embeds the sim.Work the
+// admission path submits, so a request allocates this one value and the
+// bound callbacks its processor event needs.
+type dispatch struct {
+	sim.Work
+	g        *Gateway
+	s        *ServiceState
+	req      *l7.Request
+	r        *Replica // the replica serving the request, once picked
+	lim      *admission.Limiter
+	released bool
+	start    time.Duration
+	done     func(lat time.Duration, status int)
 }
 
 // Dispatch processes one request for a service arriving from clientAZ,
@@ -451,71 +470,43 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 		done(0, l7.StatusUnavailable)
 		return
 	}
-	start := g.cfg.Sim.Now()
-	logEntry := func(status int, where string) {
-		if g.cfg.Log == nil {
-			return
-		}
-		g.cfg.Log.Log(telemetry.AccessEntry{
-			At: start, Layer: telemetry.AccessL7, Where: where,
-			Tenant: s.Tenant, Service: s.Name, SrcPod: req.SourcePod,
-			Method: req.Method, Path: req.Path, Status: status,
-			Latency: g.cfg.Sim.Now() - start, BodySize: req.BodyBytes,
-		})
-	}
-	fail := func(status int) {
-		s.Errors.Inc()
-		logEntry(status, "gateway")
-		done(g.cfg.Sim.Now()-start, status)
-	}
-	if s.Throttle != nil && !s.Throttle.Allow(start) {
-		fail(l7.StatusTooManyRequests)
+	d := &dispatch{g: g, s: s, req: req, start: g.cfg.Sim.Now(), done: done}
+	if s.Throttle != nil && !s.Throttle.Allow(d.start) {
+		d.fail(l7.StatusTooManyRequests)
 		return
 	}
 	// Admission stage 1: the per-service AIMD limiter sheds excess
 	// concurrency before any backend resources are touched.
-	var lim *admission.Limiter
 	if g.adm != nil {
-		lim = g.limiterFor(s)
-		if !lim.Acquire(start) {
+		d.lim = g.limiterFor(s)
+		if !d.lim.Acquire(d.start) {
 			g.noteShed(s.Tenant, admission.ReasonLimiter)
-			fail(l7.StatusTooManyRequests)
+			d.fail(l7.StatusTooManyRequests)
 			return
 		}
 	}
-	released := false
-	release := func(lat time.Duration, ok bool) {
-		if lim == nil || released {
-			return
-		}
-		released = true
-		lim.Release(g.cfg.Sim.Now(), lat, ok)
-	}
-	b, err := g.ResolveBackend(id, clientAZ, flow)
+	// One hash of the flow picks both the backend and its replica.
+	h := l4.Hash5Tuple(flow)
+	b, err := g.resolveBackend(s, clientAZ, h)
 	if err != nil {
-		release(0, false)
-		fail(l7.StatusUnavailable)
+		d.abort(l7.StatusUnavailable)
 		return
 	}
-	r, err := g.pickReplica(b, flow)
-	if err != nil {
-		release(0, false)
-		fail(l7.StatusUnavailable)
+	if d.r, err = pickReplica(b, h); err != nil {
+		d.abort(l7.StatusUnavailable)
 		return
 	}
-	req.Service = serviceKeyName(id)
-	if _, err := g.cfg.Engine.Route(start, req); err != nil {
-		release(0, false)
-		fail(l7.StatusOf(err))
+	req.Service = s.engineName
+	if _, err := g.cfg.Engine.Route(d.start, req); err != nil {
+		d.abort(l7.StatusOf(err))
 		return
 	}
 	if req.NewConnection {
 		// New transport sessions occupy the replica's SmartNIC-backed
 		// session table (§3.2 Issue #4); a full table rejects the
 		// connection — the pressure session aggregation relieves.
-		if err := r.VM.Sessions.Add(flow); err != nil {
-			release(0, false)
-			fail(l7.StatusUnavailable)
+		if err := d.r.VM.Sessions.Add(flow); err != nil {
+			d.abort(l7.StatusUnavailable)
 			return
 		}
 		s.Sessions++
@@ -525,34 +516,74 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 	if req.TLS {
 		cost += 2 * g.cfg.Costs.SymCryptoCost(req.BodyBytes)
 	}
-	complete := func() {
-		lat := g.cfg.Sim.Now() - start
-		release(lat, true)
-		s.Latency.ObserveDuration(lat)
-		logEntry(l7.StatusOK, r.VM.ID)
-		done(lat, l7.StatusOK)
-	}
 	if g.adm == nil {
-		r.VM.Proc.Exec(cost, complete)
+		d.r.VM.Proc.Exec(cost, d.complete)
 		return
 	}
 	// Admission stage 2: the replica's WDRR+CoDel discipline decides when
 	// (and whether) the work runs; shed requests fail fast with 429.
-	r.VM.Proc.Submit(&sim.Work{
-		Tenant: s.Tenant,
-		Cost:   cost,
-		Do: func() {
-			g.adm.metrics.Tenant(s.Tenant).Admitted.Inc()
-			complete()
-		},
-		Drop: func(sojourn time.Duration) {
-			release(0, false)
-			// The discipline already recorded the shed reason; count
-			// it toward the gateway-wide shed rate here.
-			g.adm.shedWindow++
-			fail(l7.StatusTooManyRequests)
-		},
+	d.Tenant, d.Cost, d.Do, d.Drop = s.Tenant, cost, d.admitted, d.shed
+	d.r.VM.Proc.Submit(&d.Work)
+}
+
+// logEntry writes the request's access-log entry, when the gateway logs.
+func (d *dispatch) logEntry(status int, where string) {
+	log := d.g.cfg.Log
+	if log == nil {
+		return
+	}
+	log.Log(telemetry.AccessEntry{
+		At: d.start, Layer: telemetry.AccessL7, Where: where,
+		Tenant: d.s.Tenant, Service: d.s.Name, SrcPod: d.req.SourcePod,
+		Method: d.req.Method, Path: d.req.Path, Status: status,
+		Latency: d.g.cfg.Sim.Now() - d.start, BodySize: d.req.BodyBytes,
 	})
+}
+
+// fail answers the request at the gateway with an error status.
+func (d *dispatch) fail(status int) {
+	d.s.Errors.Inc()
+	d.logEntry(status, "gateway")
+	d.done(d.g.cfg.Sim.Now()-d.start, status)
+}
+
+// abort fails a request that already holds a limiter slot.
+func (d *dispatch) abort(status int) {
+	d.release(0, false)
+	d.fail(status)
+}
+
+// release returns the request's limiter slot, once.
+func (d *dispatch) release(lat time.Duration, ok bool) {
+	if d.lim == nil || d.released {
+		return
+	}
+	d.released = true
+	d.lim.Release(d.g.cfg.Sim.Now(), lat, ok)
+}
+
+// complete finishes a request its replica served.
+func (d *dispatch) complete() {
+	lat := d.g.cfg.Sim.Now() - d.start
+	d.release(lat, true)
+	d.s.Latency.ObserveDuration(lat)
+	d.logEntry(l7.StatusOK, d.r.VM.ID)
+	d.done(lat, l7.StatusOK)
+}
+
+// admitted is the admission path's completion: the discipline ran the work.
+func (d *dispatch) admitted() {
+	d.g.adm.metrics.Tenant(d.s.Tenant).Admitted.Inc()
+	d.complete()
+}
+
+// shed is the admission path's drop: the discipline shed the work.
+func (d *dispatch) shed(time.Duration) {
+	d.release(0, false)
+	// The discipline already recorded the shed reason; count it toward the
+	// gateway-wide shed rate here.
+	d.g.adm.shedWindow++
+	d.fail(l7.StatusTooManyRequests)
 }
 
 // noteShed records a limiter-stage shed in the admission metrics and the

@@ -6,8 +6,8 @@ package l4
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"sync"
 
 	"canalmesh/internal/cloud"
@@ -55,10 +55,42 @@ func (b *RoundRobinBalancer) Pick(_ cloud.SessionKey, n int) (int, error) {
 // Hash5Tuple returns a stable non-cryptographic hash of the flow key. Both
 // the L4 balancer and the Beamer-style redirectors use it so their decisions
 // agree.
+//
+// The hash is FNV-1a-64 over "SrcIP|SrcPort|DstIP|DstPort|Proto" with the
+// integers in decimal — the bytes fmt's "%s|%d|%s|%d|%d" renders — computed
+// inline, so a flow hashes without a hasher or a formatted string.
+//
+//canal:hotpath
 func Hash5Tuple(k cloud.SessionKey) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%s|%d|%d", k.SrcIP, k.SrcPort, k.DstIP, k.DstPort, k.Proto)
-	return h.Sum64()
+	h := fnvString(fnvOffset64, k.SrcIP)
+	h = fnvUint(fnvByte(h, '|'), uint64(k.SrcPort))
+	h = fnvString(fnvByte(h, '|'), k.DstIP)
+	h = fnvUint(fnvByte(h, '|'), uint64(k.DstPort))
+	return fnvUint(fnvByte(h, '|'), uint64(k.Proto))
+}
+
+// FNV-1a-64 parameters (hash/fnv's offset basis and prime).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, c byte) uint64 { return (h ^ uint64(c)) * fnvPrime64 }
+
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
+	}
+	return h
+}
+
+// fnvUint hashes v's decimal digits, formatted into a stack buffer.
+func fnvUint(h uint64, v uint64) uint64 {
+	var buf [20]byte
+	for _, c := range strconv.AppendUint(buf[:0], v, 10) {
+		h = fnvByte(h, c)
+	}
+	return h
 }
 
 // AdmissionRule is a transport-level zero-trust rule: traffic from a source

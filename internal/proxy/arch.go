@@ -31,19 +31,16 @@ func (m *Direct) CloudProcs() []*sim.Processor { return nil }
 
 // Send implements Mesh.
 func (m *Direct) Send(req *l7.Request, done func(time.Duration, int)) {
-	c := m.Cfg
+	c := &m.Cfg
 	body := req.BodyBytes
 	net := c.Costs.OneWay(m.ClientApp.Place, m.ServerApp.Place)
-	steps := []step{
-		{at: m.ClientApp, cpu: c.Costs.StackPass + c.Costs.CopyCost(body)},
-		{at: m.ServerApp, lat: net, cpu: c.Costs.StackPass + c.Costs.AppService},
-		{at: m.ClientApp, lat: net, cpu: c.Costs.StackPass},
-	}
-	tr := c.startTrace(m.Name(), req)
-	runChain(c.Sim, tr, steps, func(total time.Duration) {
-		c.finishTrace(tr, l7.StatusOK)
-		done(total, l7.StatusOK)
-	})
+	ch := c.newChain(m.Name(), req, done)
+	ch.add(
+		step{at: m.ClientApp, cpu: c.Costs.StackPass + c.Costs.CopyCost(body)},
+		step{at: m.ServerApp, lat: net, cpu: c.Costs.StackPass + c.Costs.AppService},
+		step{at: m.ClientApp, lat: net, cpu: c.Costs.StackPass},
+	)
+	ch.run(l7.StatusOK)
 }
 
 // Istio is the per-pod sidecar architecture: every request traverses the
@@ -68,30 +65,27 @@ func (m *Istio) CloudProcs() []*sim.Processor { return nil }
 
 // Send implements Mesh.
 func (m *Istio) Send(req *l7.Request, done func(time.Duration, int)) {
-	c := m.Cfg
+	c := &m.Cfg
 	body := req.BodyBytes
 	status := c.route(req)
 	asymCPU, asymLat := c.asymFor(req)
 	l7Cost := c.Costs.L7Cost(body)
 	sym := c.tlsCost(req, body)
 	net := c.Costs.OneWay(m.ClientSidecar.Place, m.ServerSidecar.Place)
-	tr := c.startTrace(m.Name(), req)
+	ch := c.newChain(m.Name(), req, done)
 
 	// App emits; iptables redirect into the client sidecar; L7 routing (and
 	// the mTLS handshake on new connections) happens there.
-	steps := []step{
-		{at: m.ClientApp, cpu: c.Costs.StackPass + c.Costs.CopyCost(body)},
-		{at: m.ClientSidecar, cpu: c.redirectCost(false, body) + l7Cost + sym + asymCPU, lat: asymLat, crypto: sym + asymCPU},
-	}
+	ch.add(
+		step{at: m.ClientApp, cpu: c.Costs.StackPass + c.Costs.CopyCost(body)},
+		step{at: m.ClientSidecar, cpu: c.redirectCost(false, body) + l7Cost + sym + asymCPU, lat: asymLat, crypto: sym + asymCPU},
+	)
 	if status != l7.StatusOK {
 		// Local response from the client sidecar (denied / rate limited).
-		runChain(c.Sim, tr, steps, func(total time.Duration) {
-			c.finishTrace(tr, status)
-			done(total, status)
-		})
+		ch.run(status)
 		return
 	}
-	steps = append(steps,
+	ch.add(
 		// Server side: sidecar terminates mTLS (its own asym phase on new
 		// connections), processes L7 again, and hands off to the app.
 		step{at: m.ServerSidecar, lat: net + asymLat, cpu: c.redirectCost(false, body) + l7Cost + sym + asymCPU, crypto: sym + asymCPU},
@@ -101,10 +95,7 @@ func (m *Istio) Send(req *l7.Request, done func(time.Duration, int)) {
 		step{at: m.ClientSidecar, lat: net, cpu: half(l7Cost) + sym, crypto: sym},
 		step{at: m.ClientApp, cpu: c.Costs.StackPass},
 	)
-	runChain(c.Sim, tr, steps, func(total time.Duration) {
-		c.finishTrace(tr, status)
-		done(total, status)
-	})
+	ch.run(status)
 }
 
 // Ambient is the split architecture: per-node L4 proxies handle transport
@@ -130,31 +121,28 @@ func (m *Ambient) CloudProcs() []*sim.Processor { return nil }
 
 // Send implements Mesh.
 func (m *Ambient) Send(req *l7.Request, done func(time.Duration, int)) {
-	c := m.Cfg
+	c := &m.Cfg
 	body := req.BodyBytes
 	status := c.route(req)
 	asymCPU, asymLat := c.asymFor(req)
 	l7Cost := c.Costs.L7Cost(body)
 	sym := c.tlsCost(req, body)
 	l4 := c.Costs.L4Process
-	tr := c.startTrace(m.Name(), req)
+	ch := c.newChain(m.Name(), req, done)
 
 	toWaypoint := c.Costs.OneWay(m.ClientL4.Place, m.Waypoint.Place)
 	toServer := c.Costs.OneWay(m.Waypoint.Place, m.ServerL4.Place)
 
-	steps := []step{
-		{at: m.ClientApp, cpu: c.Costs.StackPass + c.Costs.CopyCost(body)},
-		{at: m.ClientL4, cpu: c.redirectCost(false, body) + l4 + sym + asymCPU, lat: asymLat, crypto: sym + asymCPU},
-		{at: m.Waypoint, lat: toWaypoint, cpu: l7Cost + sym, crypto: sym},
-	}
+	ch.add(
+		step{at: m.ClientApp, cpu: c.Costs.StackPass + c.Costs.CopyCost(body)},
+		step{at: m.ClientL4, cpu: c.redirectCost(false, body) + l4 + sym + asymCPU, lat: asymLat, crypto: sym + asymCPU},
+		step{at: m.Waypoint, lat: toWaypoint, cpu: l7Cost + sym, crypto: sym},
+	)
 	if status != l7.StatusOK {
-		runChain(c.Sim, tr, steps, func(total time.Duration) {
-			c.finishTrace(tr, status)
-			done(total, status)
-		})
+		ch.run(status)
 		return
 	}
-	steps = append(steps,
+	ch.add(
 		step{at: m.ServerL4, lat: toServer, cpu: l4 + sym, crypto: sym},
 		step{at: m.ServerApp, cpu: c.Costs.StackPass + c.Costs.AppService},
 		// Response: L4 -> waypoint (light L7) -> L4 -> app.
@@ -163,10 +151,7 @@ func (m *Ambient) Send(req *l7.Request, done func(time.Duration, int)) {
 		step{at: m.ClientL4, lat: toWaypoint, cpu: l4 + sym, crypto: sym},
 		step{at: m.ClientApp, cpu: c.Costs.StackPass},
 	)
-	runChain(c.Sim, tr, steps, func(total time.Duration) {
-		c.finishTrace(tr, status)
-		done(total, status)
-	})
+	ch.run(status)
 }
 
 // Canal is the paper's architecture: minimal on-node proxies for security
@@ -192,7 +177,7 @@ func (m *Canal) CloudProcs() []*sim.Processor { return []*sim.Processor{m.Gatewa
 
 // Send implements Mesh.
 func (m *Canal) Send(req *l7.Request, done func(time.Duration, int)) {
-	c := m.Cfg
+	c := &m.Cfg
 	body := req.BodyBytes
 	status := c.route(req)
 	asymCPU, asymLat := c.asymFor(req)
@@ -201,27 +186,24 @@ func (m *Canal) Send(req *l7.Request, done func(time.Duration, int)) {
 	// The shared on-node proxy additionally labels traffic per pod for
 	// fine-grained observability (Appendix A).
 	l4 := c.Costs.L4Process + c.Costs.L4Observe
-	tr := c.startTrace(m.Name(), req)
+	ch := c.newChain(m.Name(), req, done)
 
 	toGW := c.Costs.OneWay(m.ClientNode.Place, m.Gateway.Place)
 	fromGW := c.Costs.OneWay(m.Gateway.Place, m.ServerNode.Place)
 
-	steps := []step{
-		{at: m.ClientApp, cpu: c.Costs.StackPass + c.Costs.CopyCost(body)},
+	ch.add(
+		step{at: m.ClientApp, cpu: c.Costs.StackPass + c.Costs.CopyCost(body)},
 		// On-node proxy: eBPF redirect, L4 observability tagging, mTLS
 		// encryption; the asymmetric phase rides the key server.
-		{at: m.ClientNode, cpu: c.redirectCost(c.EBPFRedirect, body) + l4 + sym + asymCPU, lat: asymLat, crypto: sym + asymCPU},
+		step{at: m.ClientNode, cpu: c.redirectCost(c.EBPFRedirect, body) + l4 + sym + asymCPU, lat: asymLat, crypto: sym + asymCPU},
 		// Hairpin to the mesh gateway in the public cloud.
-		{at: m.Gateway, lat: toGW, cpu: l7Cost + 2*sym, crypto: 2 * sym},
-	}
+		step{at: m.Gateway, lat: toGW, cpu: l7Cost + 2*sym, crypto: 2 * sym},
+	)
 	if status != l7.StatusOK {
-		runChain(c.Sim, tr, steps, func(total time.Duration) {
-			c.finishTrace(tr, status)
-			done(total, status)
-		})
+		ch.run(status)
 		return
 	}
-	steps = append(steps,
+	ch.add(
 		step{at: m.ServerNode, lat: fromGW, cpu: l4 + sym, crypto: sym},
 		step{at: m.ServerApp, cpu: c.Costs.StackPass + c.Costs.AppService},
 		// Response hairpins back through the gateway.
@@ -230,8 +212,5 @@ func (m *Canal) Send(req *l7.Request, done func(time.Duration, int)) {
 		step{at: m.ClientNode, lat: toGW, cpu: l4 + sym, crypto: sym},
 		step{at: m.ClientApp, cpu: c.Costs.StackPass},
 	)
-	runChain(c.Sim, tr, steps, func(total time.Duration) {
-		c.finishTrace(tr, status)
-		done(total, status)
-	})
+	ch.run(status)
 }

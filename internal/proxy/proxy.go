@@ -97,9 +97,15 @@ type step struct {
 	crypto time.Duration
 }
 
-// runChain walks the steps, charging each hop's latency then CPU, recording
-// one span per hop into tr (when non-nil — the end-to-end observability of
-// §4.1.1), and calls done with the total elapsed time.
+// maxSteps is the hop count a chain holds without allocating: Canal's and
+// Ambient's full exchanges are the longest, at nine hops. A longer path
+// would still run, with its steps on the heap.
+const maxSteps = 9
+
+// chain is one request's walk over its hops: the steps, the trace, and the
+// position of the hop in progress. It and its wake callback, bound once, are
+// all a simulated request allocates: the steps live in its own array and
+// every event it schedules is wake.
 //
 // Each hop span splits its contribution into Net (wire travel plus handshake
 // waits charged before arrival), Queue (wait for a core at the hop's
@@ -107,46 +113,111 @@ type step struct {
 // time, with the crypto share attributed separately). The three segments are
 // exhaustive, so a trace's per-hop sums reconcile exactly with the measured
 // end-to-end latency.
-func runChain(s *sim.Sim, tr *trace.Trace, steps []step, done func(total time.Duration)) {
-	start := s.Now()
-	var next func(i int)
-	next = func(i int) {
-		if i >= len(steps) {
-			done(s.Now() - start)
-			return
-		}
-		st := steps[i]
-		run := func() {
-			arrive := s.Now()
-			if st.at == nil {
-				next(i + 1)
-				return
-			}
-			// The queue wait Exec is about to experience: its core picks the
-			// earliest-free core, so the wait equals QueueDelay at submit.
-			queued := st.at.Proc.QueueDelay()
-			st.at.Proc.Exec(st.cpu, func() {
-				if tr != nil {
-					tr.AddHop(trace.Hop{
-						Name:   st.at.Name,
-						Start:  arrive,
-						End:    s.Now(),
-						Net:    st.lat,
-						Queue:  queued,
-						CPU:    st.cpu,
-						Crypto: st.crypto,
-					})
-				}
-				next(i + 1)
-			})
-		}
-		if st.lat > 0 {
-			s.After(st.lat, run)
-		} else {
-			run()
-		}
+type chain struct {
+	sim    *sim.Sim
+	tracer *trace.Tracer
+	tr     *trace.Trace // nil when tracing is off
+	done   func(lat time.Duration, status int)
+	status int
+
+	buf   [maxSteps]step
+	steps []step
+
+	start time.Duration
+	i     int // hop in progress
+	// serving is set while hop i's CPU work runs: a request has at most one
+	// event pending, so this flag tells wake which of the two it is.
+	serving bool
+	arrive  time.Duration // when hop i's network leg ended
+	queued  time.Duration // hop i's wait for a core
+	wake    func()        // ch.resume, bound once
+}
+
+// newChain starts a request's walk: it opens the request's trace (tenant
+// keyed, as the shared collector is) and binds the chain's callback. Hops are
+// added with add, and run sets it going.
+func (c *Config) newChain(arch string, req *l7.Request, done func(time.Duration, int)) *chain {
+	ch := &chain{sim: c.Sim, tracer: c.Tracer, done: done}
+	ch.steps = ch.buf[:0]
+	ch.wake = ch.resume
+	if c.Tracer != nil {
+		ch.tr = c.Tracer.StartTenant(arch, req.Tenant, req.Method+" "+req.Path)
 	}
-	next(0)
+	return ch
+}
+
+// add appends hops to the request path.
+func (ch *chain) add(steps ...step) { ch.steps = append(ch.steps, steps...) }
+
+// run walks the hops, charging each hop's latency then CPU and recording one
+// span per hop into the trace (when on — the end-to-end observability of
+// §4.1.1), then finishes the trace with status and calls done with the total
+// elapsed time.
+func (ch *chain) run(status int) {
+	ch.status = status
+	ch.start = ch.sim.Now()
+	ch.next()
+}
+
+// next starts hop i's network leg, or finishes the request after the last hop.
+func (ch *chain) next() {
+	if ch.i >= len(ch.steps) {
+		if ch.tr != nil {
+			ch.tracer.Finish(ch.tr, ch.status)
+		}
+		ch.done(ch.sim.Now()-ch.start, ch.status)
+		return
+	}
+	if lat := ch.steps[ch.i].lat; lat > 0 {
+		ch.sim.After(lat, ch.wake)
+	} else {
+		ch.arrived()
+	}
+}
+
+// resume is the chain's one scheduled callback: the end of hop i's CPU work
+// while serving, the end of its network leg otherwise.
+func (ch *chain) resume() {
+	if ch.serving {
+		ch.served()
+	} else {
+		ch.arrived()
+	}
+}
+
+// arrived puts hop i's CPU work on its processor.
+func (ch *chain) arrived() {
+	st := &ch.steps[ch.i]
+	if st.at == nil {
+		ch.i++
+		ch.next()
+		return
+	}
+	ch.arrive = ch.sim.Now()
+	// The queue wait Exec is about to experience: its core picks the
+	// earliest-free core, so the wait equals QueueDelay at submit.
+	ch.queued = st.at.Proc.QueueDelay()
+	ch.serving = true
+	st.at.Proc.Exec(st.cpu, ch.wake)
+}
+
+// served records hop i's span and moves to the next hop.
+func (ch *chain) served() {
+	ch.serving = false
+	if ch.tr != nil {
+		st := &ch.steps[ch.i]
+		ch.tr.AddHop(trace.Hop{
+			Name:   st.at.Name,
+			Start:  ch.arrive,
+			End:    ch.sim.Now(),
+			Net:    st.lat,
+			Queue:  ch.queued,
+			CPU:    st.cpu,
+			Crypto: st.crypto,
+		})
+	}
+	ch.i++
+	ch.next()
 }
 
 // Config carries everything an assembly needs.
@@ -166,27 +237,10 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// startTrace begins the request's trace, or returns nil when tracing is off.
-// Traces are tenant-keyed: the simulated collector is shared across tenants
-// exactly like the live one.
-func (c Config) startTrace(arch string, req *l7.Request) *trace.Trace {
-	if c.Tracer == nil {
-		return nil
-	}
-	return c.Tracer.StartTenant(arch, req.Tenant, req.Method+" "+req.Path)
-}
-
-// finishTrace completes the request's trace with its final status.
-func (c Config) finishTrace(tr *trace.Trace, status int) {
-	if tr != nil {
-		c.Tracer.Finish(tr, status)
-	}
-}
-
 // redirectCost returns the CPU of redirecting one request body to the local
 // proxy. ebpf selects Canal's socket-to-socket redirection; Istio and
 // Ambient use the iptables path (Fig 21).
-func (c Config) redirectCost(ebpf bool, bodyBytes int) time.Duration {
+func (c *Config) redirectCost(ebpf bool, bodyBytes int) time.Duration {
 	if ebpf {
 		return c.Costs.RedirectEBPF + c.Costs.ContextSw + c.Costs.CopyCost(bodyBytes)
 	}
@@ -196,14 +250,14 @@ func (c Config) redirectCost(ebpf bool, bodyBytes int) time.Duration {
 // route consults the shared L7 engine for the status to answer with; on a
 // local response (403/429/503) the request completes immediately at the
 // deciding hop.
-func (c Config) route(req *l7.Request) int {
+func (c *Config) route(req *l7.Request) int {
 	_, err := c.Engine.Route(c.Sim.Now(), req)
 	return l7.StatusOf(err)
 }
 
 // tlsCost returns the per-hop symmetric crypto cost for a body, when mTLS is
 // active on the hop.
-func (c Config) tlsCost(req *l7.Request, bodyBytes int) time.Duration {
+func (c *Config) tlsCost(req *l7.Request, bodyBytes int) time.Duration {
 	if !req.TLS {
 		return 0
 	}
@@ -212,7 +266,7 @@ func (c Config) tlsCost(req *l7.Request, bodyBytes int) time.Duration {
 
 // asymFor returns the handshake terms for a request (zero unless it opens a
 // new connection over TLS).
-func (c Config) asymFor(req *l7.Request) (time.Duration, time.Duration) {
+func (c *Config) asymFor(req *l7.Request) (time.Duration, time.Duration) {
 	if !req.TLS || !req.NewConnection || c.Asym == nil {
 		return 0, 0
 	}

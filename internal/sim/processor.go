@@ -59,7 +59,6 @@ type Processor struct {
 	cores []time.Duration // next instant each core becomes free
 	busy  map[int64]time.Duration
 	total time.Duration // cumulative busy time across cores
-	done  uint64        // completed work items
 	disc  QueueDiscipline
 }
 
@@ -82,14 +81,15 @@ func (p *Processor) Name() string { return p.name }
 // Cores returns the processor's core count.
 func (p *Processor) Cores() int { return len(p.cores) }
 
-// Completed returns the number of finished work items.
-func (p *Processor) Completed() uint64 { return p.done }
-
 // BusyTotal returns cumulative busy core-time since creation.
 func (p *Processor) BusyTotal() time.Duration { return p.total }
 
 // Exec queues work costing cost CPU time and invokes fn (if non-nil) when it
 // completes. It returns the completion instant, so callers can chain hops.
+// The completion event holds fn itself; a nil fn schedules noop, so every
+// work item is still one event in the queue's order.
+//
+//canal:hotpath
 func (p *Processor) Exec(cost time.Duration, fn func()) time.Duration {
 	if cost < 0 {
 		//canal:allow hotpath panic path: only reached on an experiment bug, never at steady state
@@ -110,14 +110,15 @@ func (p *Processor) Exec(cost time.Duration, fn func()) time.Duration {
 	p.cores[core] = end
 	p.account(start, end)
 	p.total += cost
-	p.sim.At(end, func() {
-		p.done++
-		if fn != nil {
-			fn()
-		}
-	})
+	if fn == nil {
+		fn = noop
+	}
+	p.sim.At(end, fn)
 	return end
 }
+
+// noop completes work submitted without a completion callback.
+func noop() {}
 
 // SetDiscipline installs (or, with nil, removes) a queue discipline consulted
 // by Submit when every core is busy. Work already queued in a replaced
@@ -183,7 +184,6 @@ func (p *Processor) startWork(core int, now time.Duration, w *Work) {
 	p.account(now, end)
 	p.total += w.Cost
 	p.sim.At(end, func() {
-		p.done++
 		if w.Do != nil {
 			w.Do()
 		}

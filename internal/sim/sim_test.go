@@ -139,10 +139,11 @@ func TestProcessorSingleCoreQueueing(t *testing.T) {
 	s := New(1)
 	p := NewProcessor(s, "cpu", 1)
 	var ends []time.Duration
+	completed := 0
 	s.At(0, func() {
 		// Three jobs of 10ms submitted at once on one core: they serialize.
 		for i := 0; i < 3; i++ {
-			end := p.Exec(10*time.Millisecond, nil)
+			end := p.Exec(10*time.Millisecond, func() { completed++ })
 			ends = append(ends, end)
 		}
 	})
@@ -153,8 +154,8 @@ func TestProcessorSingleCoreQueueing(t *testing.T) {
 			t.Errorf("job %d end = %v, want %v", i, ends[i], want[i])
 		}
 	}
-	if p.Completed() != 3 {
-		t.Errorf("Completed = %d, want 3", p.Completed())
+	if completed != 3 {
+		t.Errorf("completed = %d, want 3", completed)
 	}
 }
 

@@ -210,8 +210,12 @@ func (s *Series) Last() Point {
 	return s.pts[len(s.pts)-1]
 }
 
-// Window returns the samples with T in [from, to).
+// Window returns the samples with T in [from, to); an empty or inverted
+// range has none.
 func (s *Series) Window(from, to time.Duration) []Point {
+	if to <= from {
+		return []Point{}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lo := sort.Search(len(s.pts), func(i int) bool { return s.pts[i].T >= from })

@@ -106,6 +106,21 @@ func TestSeriesWindowAndLast(t *testing.T) {
 	}
 }
 
+func TestSeriesWindowInvertedRange(t *testing.T) {
+	s := NewSeries("rps")
+	s.Append(time.Second, 1)
+	s.Append(2*time.Second, 2)
+	if w := s.Window(2*time.Second, time.Second); len(w) != 0 {
+		t.Errorf("Window(2s, 1s) = %v, want no samples", w)
+	}
+	if w := s.Window(time.Second, time.Second); len(w) != 0 {
+		t.Errorf("Window(1s, 1s) = %v, want no samples", w)
+	}
+	if v := s.Values(3*time.Second, 0); len(v) != 0 {
+		t.Errorf("Values(3s, 0) = %v, want no samples", v)
+	}
+}
+
 func TestSeriesBackwardsTimePanics(t *testing.T) {
 	s := NewSeries("x")
 	s.Append(time.Second, 1)

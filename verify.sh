@@ -52,6 +52,9 @@ go test -run '^$' -fuzz FuzzLoadConfig -fuzztime 5s .
 # arrive, authenticate never panics and accepts only the seeded identity for
 # the service and target it signed.
 go test -run '^$' -fuzz FuzzAuthenticate -fuzztime 5s .
+# And the flow hash: the inline FNV-1a over the 5-tuple against the fmt+fnv
+# form it replaced (kept as the oracle in l4_test.go).
+go test -run '^$' -fuzz FuzzHash5Tuple -fuzztime 5s ./internal/l4
 
 # The benchmark harness that judges every PR is a module of its own
 # (benchmark/go.mod), so the root module's ./... does not reach it.
@@ -59,8 +62,10 @@ go test -run '^$' -fuzz FuzzAuthenticate -fuzztime 5s .
 
 # The hot-path allocation gate skips itself under -race (instrumentation
 # changes allocation counts), so it gets a dedicated non-race invocation
-# against the checked-in BENCH_hotpath.json baseline.
-go test -run TestHotPathAllocs ./internal/bench
+# against the checked-in BENCH_hotpath.json baseline. The suite's rendered
+# SHA-256 (every experiment through the parallel runner) skips under -race
+# too, for time, and runs beside it.
+go test -run 'TestHotPathAllocs|TestSuiteRenderedSHA' ./internal/bench
 
 # Smoke the tracing pipeline end to end: the per-hop breakdown tables must
 # render and the JSON report must export.
