@@ -153,14 +153,22 @@ func authzIntentions(service string, rules []AuthzRule) []policy.Intention {
 // Configure installs (or replaces) a service's configuration. Everything a
 // request will read is compiled here, before it is published; a configuration
 // that does not compile — a bad split, an invalid regex in a rule or an
-// AuthzRule — is an error and leaves what was installed in place.
-func (e *Engine) Configure(cfg ServiceConfig) error {
+// AuthzRule — is an error and leaves what was installed in place. Route-rule
+// regexes are interned in the policy table's Patterns beside the authz
+// rules' and released when the configuration is replaced or removed.
+func (e *Engine) Configure(cfg ServiceConfig) (err error) {
 	if cfg.Service == "" {
 		return fmt.Errorf("l7: service name required")
 	}
 	st := &Service{engine: e, cfg: cfg, rules: make([]ruleState, len(cfg.Rules))}
 	// The rules are compiled in a copy: the caller's slice is not written.
 	st.cfg.Rules = slices.Clone(cfg.Rules)
+	interned := 0 // rules whose matchers hold pattern references
+	defer func() {
+		if err != nil {
+			st.releaseRoutes(interned)
+		}
+	}()
 	for i := range st.cfg.Rules {
 		r, rs := &st.cfg.Rules[i], &st.rules[i]
 		for _, s := range r.Splits {
@@ -172,9 +180,10 @@ func (e *Engine) Configure(cfg ServiceConfig) error {
 		if len(r.Splits) > 0 && rs.splitTotal == 0 {
 			return fmt.Errorf("l7: rule %s: splits sum to zero", r.Name)
 		}
-		if err := r.Match.compile(); err != nil {
+		if err := r.Match.compile(e.policy.Patterns()); err != nil {
 			return fmt.Errorf("l7: rule %s: %w", r.Name, err)
 		}
+		interned++
 		if r.RateLimit != nil {
 			rs.limiter = NewTokenBucket(r.RateLimit.RPS, r.RateLimit.Burst)
 			rs.rlReason = "rule rate limit: " + r.Name
@@ -193,8 +202,9 @@ func (e *Engine) Configure(cfg ServiceConfig) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	prev := e.services[cfg.Service]
 	var prevIDs []string
-	if prev, ok := e.services[cfg.Service]; ok {
+	if prev != nil {
 		prevIDs = prev.authzIDs
 	}
 	// One atomic delta: the service's old intentions out, the new ones in.
@@ -202,8 +212,19 @@ func (e *Engine) Configure(cfg ServiceConfig) error {
 	if _, err := e.policy.Apply(prevIDs, intents); err != nil {
 		return fmt.Errorf("l7: service %s: %w", cfg.Service, err)
 	}
+	if prev != nil {
+		prev.releaseRoutes(len(prev.cfg.Rules))
+	}
 	e.services[cfg.Service] = st
 	return nil
+}
+
+// releaseRoutes drops the pattern references of the first n route rules'
+// matchers.
+func (st *Service) releaseRoutes(n int) {
+	for i := range st.cfg.Rules[:n] {
+		st.engine.policy.Patterns().Release(st.cfg.Rules[i].Match.predicates()...)
+	}
 }
 
 // Remove deletes a service's configuration.
@@ -213,6 +234,7 @@ func (e *Engine) Remove(service string) {
 	if st, ok := e.services[service]; ok {
 		// Delete-only Apply cannot fail: nothing to compile.
 		_, _ = e.policy.Apply(st.authzIDs, nil)
+		st.releaseRoutes(len(st.cfg.Rules))
 		delete(e.services, service)
 	}
 }

@@ -2,6 +2,7 @@ package l7
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -479,5 +480,78 @@ func TestSameNamedRulesKeepTheirOwnLimits(t *testing.T) {
 		if admitted != tc.want {
 			t.Errorf("%s: admitted %d of 10, want %d", tc.path, admitted, tc.want)
 		}
+	}
+}
+
+// TestPatternsInternedAndReleased pins the intern table's lifetime through
+// the engine: route and authz regexes of every service share one compiled
+// expression per distinct pattern; reconfiguring with the same patterns
+// holds the count, a failed Configure leaves it as it was, a tenant cycling
+// unique patterns cannot grow it, and removing the services empties it.
+func TestPatternsInternedAndReleased(t *testing.T) {
+	e := NewEngine(1)
+	patterns := e.Policy().Patterns()
+	cfgFor := func(svc, unique string) ServiceConfig {
+		return ServiceConfig{Service: svc, DefaultSubset: "v1",
+			Rules: []Rule{
+				{Name: "r0", Match: RouteMatch{Path: Regex("^/v[0-9]+/r0/.*$")}},
+				{Name: "r1", Match: RouteMatch{Path: Regex(unique),
+					Headers: []KVMatch{{Name: "x-key", Match: Regex("^k[0-9]$")}}}},
+			},
+			Authz: []AuthzRule{
+				{Name: "a0", Action: AuthzDeny, Path: Regex("^/internal/secret/.*$")},
+				{Name: "a1", Action: AuthzAllow, SourceService: Exact("web"), Path: Regex("^/v[0-9]+/r0/.*$")},
+			},
+		}
+	}
+	const services = 20
+	for i := 0; i < services; i++ {
+		if err := e.Configure(cfgFor(fmt.Sprintf("svc-%d", i), fmt.Sprintf("^/u/%d$", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := 3 + services // three shared patterns, one unique per service
+	if got := patterns.Len(); got != want {
+		t.Fatalf("%d patterns interned, want %d", got, want)
+	}
+	for round := 0; round < 3; round++ {
+		if err := e.Configure(cfgFor("svc-0", "^/u/0$")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bad := cfgFor("svc-1", "^/u/1$")
+	bad.Rules = append(bad.Rules, Rule{Name: "broken", Match: RouteMatch{Cookies: []KVMatch{{Name: "c", Match: Regex("(")}}}})
+	if err := e.Configure(bad); err == nil {
+		t.Fatal("invalid cookie regex must fail Configure")
+	}
+	bad = cfgFor("svc-1", "^/u/1$")
+	bad.Authz = append(bad.Authz, AuthzRule{Name: "broken", Path: Regex("[")})
+	if err := e.Configure(bad); err == nil {
+		t.Fatal("invalid authz regex must fail Configure")
+	}
+	if got := patterns.Len(); got != want {
+		t.Fatalf("%d patterns after same-pattern reconfigures and failed ones, want %d", got, want)
+	}
+	for round := 0; round < 50; round++ {
+		if err := e.Configure(cfgFor("svc-0", fmt.Sprintf("^/cycled/%d$", round))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := patterns.Len(); got != want {
+		t.Fatalf("%d patterns after cycling unique patterns, want %d", got, want)
+	}
+	r := &Request{Service: "svc-0", SourceService: "web", Path: "/cycled/49", Headers: map[string]string{"x-key": "k1"}}
+	if d, err := e.Route(0, r); err == nil || d.DenyReason != "no allow rule matched" {
+		t.Fatalf("authz regex lost with the cycled route patterns: %+v %v", d, err)
+	}
+	r.Path = "/v2/r0/x"
+	if d, err := e.Route(0, r); err != nil || d.Rule != "r0" {
+		t.Fatalf("shared route regex must still match: %+v %v", d, err)
+	}
+	for i := 0; i < services; i++ {
+		e.Remove(fmt.Sprintf("svc-%d", i))
+	}
+	if got := patterns.Len(); got != 0 {
+		t.Fatalf("%d patterns left with no service installed, want 0", got)
 	}
 }

@@ -40,25 +40,26 @@ type RouteMatch struct {
 	Cookies []KVMatch
 }
 
-// compile pre-builds every regex matcher in the condition, so the per-request
-// path never compiles. The header and cookie lists are copied first: the
-// engine writes into what it installs, never into the caller's slices.
-func (m *RouteMatch) compile() error {
-	if err := m.Method.Compile(); err != nil {
-		return err
-	}
-	if err := m.Path.Compile(); err != nil {
-		return err
-	}
+// compile pre-builds every regex matcher in the condition, interned in p,
+// so the per-request path never compiles. The header and cookie lists are
+// copied first: the engine writes into what it installs, never into the
+// caller's slices. A nil error means the condition holds one reference per
+// regex matcher in p until they are released.
+func (m *RouteMatch) compile(p *policy.Patterns) error {
 	m.Headers, m.Cookies = slices.Clone(m.Headers), slices.Clone(m.Cookies)
+	return p.Intern(m.predicates()...)
+}
+
+// predicates lists the condition's string matchers.
+func (m *RouteMatch) predicates() []*StringMatch {
+	ps := make([]*StringMatch, 0, 2+len(m.Headers)+len(m.Cookies))
+	ps = append(ps, &m.Method, &m.Path)
 	for _, kvs := range [][]KVMatch{m.Headers, m.Cookies} {
 		for i := range kvs {
-			if err := kvs[i].Match.Compile(); err != nil {
-				return err
-			}
+			ps = append(ps, &kvs[i].Match)
 		}
 	}
-	return nil
+	return ps
 }
 
 // Matches reports whether the request satisfies every condition.

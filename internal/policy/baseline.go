@@ -7,8 +7,10 @@ package policy
 // dispatch table's flat lookup cost against.
 type Baseline struct {
 	rules       []*compiled
+	keys        []key3 // parallel to rules
 	allowByDst  map[string]int
 	allowAnyDst int
+	patterns    Patterns
 }
 
 // NewBaseline builds the reference engine from an intention list. Order in
@@ -16,34 +18,36 @@ type Baseline struct {
 func NewBaseline(intents []Intention) (*Baseline, error) {
 	b := &Baseline{allowByDst: make(map[string]int)}
 	for i, in := range intents {
-		cc, err := prepare(in)
+		cc, err := prepare(in, &b.patterns)
 		if err != nil {
 			return nil, err
 		}
 		cc.order = i
+		k := cc.key()
 		b.rules = append(b.rules, cc)
+		b.keys = append(b.keys, k)
 		if cc.in.Action == ActionAllow {
-			if cc.key.d == wild {
+			if k.d == wild {
 				b.allowAnyDst++
 			} else {
-				b.allowByDst[cc.key.d]++
+				b.allowByDst[k.d]++
 			}
 		}
 	}
 	return b, nil
 }
 
-// fullMatch evaluates a rule against a query with no bucket-key shortcuts:
-// the exact dimensions the dispatch table proves by key placement are
-// compared explicitly here.
-func fullMatch(cc *compiled, q *Query) bool {
-	if cc.key.t != wild && cc.key.t != q.SrcTenant {
+// fullMatch evaluates a rule, whose dispatch key is k, against a query with
+// no bucket-key shortcuts: the exact dimensions the dispatch table proves
+// by key placement are compared explicitly here.
+func fullMatch(cc *compiled, k key3, q *Query) bool {
+	if k.t != wild && k.t != q.SrcTenant {
 		return false
 	}
-	if !cc.srcPred && cc.key.s != wild && cc.key.s != q.SrcService {
+	if !cc.srcPred && k.s != wild && k.s != q.SrcService {
 		return false
 	}
-	if !cc.dstPred && cc.key.d != wild && cc.key.d != q.DstService {
+	if !cc.dstPred && k.d != wild && k.d != q.DstService {
 		return false
 	}
 	return cc.matches(q)
@@ -53,11 +57,11 @@ func fullMatch(cc *compiled, q *Query) bool {
 // zero-trust default as the compiled table.
 func (b *Baseline) Eval(q Query) Verdict {
 	var best *compiled
-	for _, cc := range b.rules {
+	for i, cc := range b.rules {
 		if best != nil && !cc.beats(best) {
 			continue
 		}
-		if fullMatch(cc, &q) {
+		if fullMatch(cc, b.keys[i], &q) {
 			best = cc
 		}
 	}

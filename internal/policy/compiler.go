@@ -3,7 +3,8 @@ package policy
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -31,6 +32,8 @@ type Compiler struct {
 	// intentions is the authoritative set by ID.
 	intentions map[string]*compiled
 	seq        int
+	// patterns interns the installed intentions' regular expressions.
+	patterns Patterns
 }
 
 // NewCompiler returns an empty compiler.
@@ -72,12 +75,17 @@ type ApplyStats struct {
 // touched buckets. Deleting an unknown ID is a no-op; upserting an existing
 // ID replaces it. The change set becomes visible to Eval all at once.
 func (c *Compiler) Apply(deletes []string, upserts []Intention) (ApplyStats, error) {
-	// Compile outside the lock: predicate validation and regex builds are
-	// per-change work, not per-reader stalls.
+	// Compile outside the lock: predicate validation and regex interning are
+	// per-change work, not per-reader stalls. The new predicates take their
+	// pattern references before the replaced ones drop theirs, so a pattern
+	// that stays in use is never compiled again.
 	prepared := make([]*compiled, 0, len(upserts))
 	for i := range upserts {
-		cc, err := prepare(upserts[i])
+		cc, err := prepare(upserts[i], &c.patterns)
 		if err != nil {
+			for _, p := range prepared {
+				c.patterns.Release(p.in.predicates()...)
+			}
 			return ApplyStats{}, err
 		}
 		prepared = append(prepared, cc)
@@ -89,20 +97,17 @@ func (c *Compiler) Apply(deletes []string, upserts []Intention) (ApplyStats, err
 	touched := make(map[key3]struct{})
 	for _, id := range deletes {
 		if old, ok := c.intentions[id]; ok {
-			c.unplace(old)
-			touched[old.key] = struct{}{}
+			touched[c.unplace(old)] = struct{}{}
 			delete(c.intentions, id)
 		}
 	}
 	for _, cc := range prepared {
 		if old, ok := c.intentions[cc.in.ID]; ok {
-			c.unplace(old)
-			touched[old.key] = struct{}{}
+			touched[c.unplace(old)] = struct{}{}
 		}
 		cc.order = c.seq
 		c.seq++
-		c.place(cc)
-		touched[cc.key] = struct{}{}
+		touched[c.place(cc)] = struct{}{}
 		c.intentions[cc.in.ID] = cc
 	}
 	for k := range touched {
@@ -123,52 +128,32 @@ func (c *Compiler) Delete(id string) ApplyStats {
 	return st
 }
 
-// prepare validates and compiles one intention: predicates pre-built, the
-// dispatch key computed, the deny reason pre-concatenated.
-func prepare(in Intention) (*compiled, error) {
+// Patterns is the intern table the compiler's intentions share their
+// regular expressions through. Whatever installs predicates beside the
+// compiler's (l7's route rules) interns them here too, so every distinct
+// pattern of the gateway is compiled once.
+func (c *Compiler) Patterns() *Patterns { return &c.patterns }
+
+// prepare validates and compiles one intention: predicates interned in p and
+// the deny reason pre-concatenated. The header list is copied first, so the
+// caller's slice is never written.
+func prepare(in Intention, p *Patterns) (*compiled, error) {
 	if in.ID == "" {
 		return nil, fmt.Errorf("policy: intention %q has no ID", in.Name)
 	}
-	for _, m := range []*Match{&in.Src, &in.Dst, &in.Method, &in.Path} {
-		if err := m.Compile(); err != nil {
-			return nil, err
-		}
+	in.Headers = slices.Clone(in.Headers)
+	if err := p.Intern(in.predicates()...); err != nil {
+		return nil, err
 	}
-	for i := range in.Headers {
-		if err := in.Headers[i].Match.Compile(); err != nil {
-			return nil, err
-		}
+	cc := &compiled{
+		in:      in,
+		srcPred: in.Src.Op != OpExact && in.Src.Op != OpAny,
+		dstPred: in.Dst.Op != OpExact && in.Dst.Op != OpAny,
 	}
-	cc := &compiled{in: in, denyReason: "denied by rule " + in.Name}
-	cc.key.t = in.tenantKey()
-	if in.Src.Op == OpExact {
-		cc.key.s = in.Src.Value
-	} else {
-		cc.key.s = wild
-		cc.srcPred = in.Src.Op != OpAny
+	if in.Action == ActionDeny {
+		cc.denyReason = "denied by rule " + in.Name
 	}
-	if in.Dst.Op == OpExact {
-		cc.key.d = in.Dst.Value
-	} else {
-		cc.key.d = wild
-		cc.dstPred = in.Dst.Op != OpAny
-	}
-	cc.canon = in.canon()
 	return cc, nil
-}
-
-// bucketMap returns the map holding the key's bucket, creating the tenant's
-// shard assignment on first use.
-func (c *Compiler) bucketMap(k key3) map[key3]*bucket {
-	if k.t == wild {
-		return c.table.global
-	}
-	idxs := c.table.assign[k.t]
-	if idxs == nil {
-		idxs = assignShards(k.t, c.cfg)
-		c.table.assign[k.t] = idxs
-	}
-	return c.table.shards[shardOf(idxs, k)]
 }
 
 // assignShards computes a tenant's shuffle-shard assignment: h distinct
@@ -182,81 +167,98 @@ func assignShards(tenant string, cfg Config) []int {
 	return idxs
 }
 
-// place inserts a compiled intention into its bucket's membership and
-// updates the allow-existence counters. The bucket's sorted view is rebuilt
-// separately (rebuild), once per touched bucket per Apply.
-func (c *Compiler) place(cc *compiled) {
-	m := c.bucketMap(cc.key)
-	b := m[cc.key]
-	if b == nil {
-		b = &bucket{members: make(map[string]*compiled)}
-		m[cc.key] = b
+// place appends a compiled intention to its bucket, creating the bucket (and
+// the tenant's shard assignment with its first bucket), and updates the
+// allow-existence counters. The bucket is sorted separately (rebuild), once
+// per touched bucket per Apply. Returns the bucket's key.
+func (c *Compiler) place(cc *compiled) key3 {
+	k := cc.key()
+	if k.t != wild && c.table.assign[k.t] == nil {
+		c.table.assign[k.t] = assignShards(k.t, c.cfg)
 	}
-	b.members[cc.in.ID] = cc
-	if cc.in.Action == ActionAllow {
-		if cc.key.d == wild {
-			c.table.allowAnyDst++
-		} else {
-			c.table.allowByDst[cc.key.d]++
+	m := c.table.home(k)
+	b := m[k]
+	if b == nil {
+		b = &bucket{}
+		m[k] = b
+		if k.t != wild {
+			c.table.buckets[k.t]++
 		}
 	}
+	b.rules = append(b.rules, cc)
+	if cc.in.Action == ActionAllow {
+		if k.d == wild {
+			c.table.allowAnyDst++
+		} else {
+			c.table.allowByDst[k.d]++
+		}
+	}
+	return k
 }
 
-// unplace removes a compiled intention from its bucket and counters.
-func (c *Compiler) unplace(cc *compiled) {
-	m := c.bucketMap(cc.key)
-	if b := m[cc.key]; b != nil {
-		delete(b.members, cc.in.ID)
-	}
+// unplace tombstones a compiled intention in its bucket, to be compacted by
+// the bucket's rebuild, updates the counters and releases its patterns.
+// Returns the bucket's key.
+func (c *Compiler) unplace(cc *compiled) key3 {
+	k := cc.key()
+	cc.removed = true
+	c.patterns.Release(cc.in.predicates()...)
 	if cc.in.Action == ActionAllow {
-		if cc.key.d == wild {
+		if k.d == wild {
 			c.table.allowAnyDst--
 		} else {
-			if c.table.allowByDst[cc.key.d]--; c.table.allowByDst[cc.key.d] == 0 {
-				delete(c.table.allowByDst, cc.key.d)
+			if c.table.allowByDst[k.d]--; c.table.allowByDst[k.d] == 0 {
+				delete(c.table.allowByDst, k.d)
 			}
 		}
 	}
+	return k
 }
 
-// rebuild recomputes one bucket's sorted rule view and content hash from
-// its membership, removing the bucket entirely when it emptied. Returns the
-// bucket's member count.
+// rebuild compacts one bucket's tombstones, re-sorts it and recomputes its
+// content hash, removing the bucket entirely when it emptied — and with a
+// tenant's last bucket, the tenant's shard assignment. Returns the bucket's
+// member count.
 func (c *Compiler) rebuild(k key3) int {
-	m := c.bucketMap(k)
+	m := c.table.home(k)
 	b := m[k]
 	if b == nil {
 		return 0
 	}
-	if len(b.members) == 0 {
+	b.rules = slices.DeleteFunc(b.rules, func(cc *compiled) bool { return cc.removed })
+	if len(b.rules) == 0 {
 		delete(m, k)
+		if k.t != wild {
+			if c.table.buckets[k.t]--; c.table.buckets[k.t] == 0 {
+				delete(c.table.buckets, k.t)
+				delete(c.table.assign, k.t)
+			}
+		}
 		return 0
 	}
-	b.rules = b.rules[:0]
-	for _, cc := range b.members {
-		b.rules = append(b.rules, cc)
-	}
 	// beats is a strict total order (unique installation sequence), so the
-	// sorted view is independent of map iteration order.
-	sort.Slice(b.rules, func(i, j int) bool { return b.rules[i].beats(b.rules[j]) })
-	h := uint64(14695981039346656037)
+	// sorted view is independent of placement order.
+	slices.SortFunc(b.rules, func(x, y *compiled) int {
+		switch {
+		case x.beats(y):
+			return -1
+		case y.beats(x):
+			return 1
+		}
+		return 0
+	})
+	h := uint64(fnvOffset)
 	for _, cc := range b.rules {
-		h = fnv64Fold(h, cc.canon)
+		h = cc.in.fold(h)
 	}
 	b.hash = h
 	return len(b.rules)
 }
 
-// fnv64Fold folds one string into a running FNV-1a hash.
+// fnv64Fold folds one string into a running FNV-1a hash, closing it with a
+// 0xff terminator.
 func fnv64Fold(h uint64, s string) uint64 {
-	const prime = 1099511628211
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	h ^= 0xff
-	h *= prime
-	return h
+	return fnvByte(fnvString(h, s), 0xff)
 }
 
 // Full rebuilds the entire table from the intention set — the baseline
@@ -268,8 +270,7 @@ func (c *Compiler) Full() int {
 	c.table = newTable(c.cfg.Shards)
 	touched := make(map[key3]struct{})
 	for _, cc := range c.intentions {
-		c.place(cc)
-		touched[cc.key] = struct{}{}
+		touched[c.place(cc)] = struct{}{}
 	}
 	for k := range touched {
 		c.rebuild(k)
@@ -317,11 +318,11 @@ func (c *Compiler) Stats() TableStats {
 	walk := func(m map[key3]*bucket, global bool) {
 		for _, b := range m {
 			st.Buckets++
-			if len(b.members) > st.MaxBucket {
-				st.MaxBucket = len(b.members)
+			if len(b.rules) > st.MaxBucket {
+				st.MaxBucket = len(b.rules)
 			}
 			if global {
-				st.GlobalRules += len(b.members)
+				st.GlobalRules += len(b.rules)
 			}
 		}
 	}
@@ -356,13 +357,15 @@ type BucketResource struct {
 func (c *Compiler) Resources() []BucketResource {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	return c.resources()
+}
+
+// resources is Resources under the caller's lock.
+func (c *Compiler) resources() []BucketResource {
 	var out []BucketResource
 	add := func(m map[key3]*bucket) {
 		for k, b := range m {
-			if len(b.members) == 0 {
-				continue
-			}
-			r := BucketResource{Key: k.canon(), Members: len(b.members), Hash: b.hash}
+			r := BucketResource{Key: k.canon(), Members: len(b.rules), Hash: b.hash}
 			if k.t != wild {
 				r.Tenant = k.t
 			}
@@ -376,33 +379,29 @@ func (c *Compiler) Resources() []BucketResource {
 		add(m)
 	}
 	add(c.table.global)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b BucketResource) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
-// Fingerprint digests the compiled table — bucket keys, sorted rule canon
-// strings, shard assignments — into one value. Equal fingerprints mean
-// byte-identical compiled state; tests assert it is stable across full and
-// incremental compilation and across runs.
+// Fingerprint digests the compiled table — bucket keys, member counts and
+// content hashes, shard assignments — into one value, read under one lock.
+// Equal fingerprints mean byte-identical compiled state; tests assert it is
+// stable across full and incremental compilation and across runs.
 func (c *Compiler) Fingerprint() uint64 {
-	resources := c.Resources()
 	c.mu.RLock()
+	defer c.mu.RUnlock()
+	h := uint64(fnvOffset)
+	for _, r := range c.resources() {
+		h = fnv64Fold(h, r.Key)
+		h = fnv64Fold(h, fmt.Sprintf("%d/%x", r.Members, r.Hash))
+	}
 	tenants := make([]string, 0, len(c.table.assign))
 	for t := range c.table.assign {
 		tenants = append(tenants, t)
 	}
-	c.mu.RUnlock()
-	sort.Strings(tenants)
-	h := uint64(14695981039346656037)
-	for _, r := range resources {
-		h = fnv64Fold(h, r.Key)
-		h = fnv64Fold(h, fmt.Sprintf("%d/%x", r.Members, r.Hash))
-	}
+	slices.Sort(tenants)
 	for _, t := range tenants {
-		c.mu.RLock()
-		idxs := c.table.assign[t]
-		c.mu.RUnlock()
-		h = fnv64Fold(h, fmt.Sprintf("%s=%v", t, idxs))
+		h = fnv64Fold(h, fmt.Sprintf("%s=%v", t, c.table.assign[t]))
 	}
 	return h
 }

@@ -26,6 +26,7 @@ package policy
 import (
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -81,8 +82,8 @@ func Prefix(v string) Match { return Match{Op: OpPrefix, Value: v} }
 
 // Regex returns a regular-expression matcher. It never panics: the pattern
 // is compiled by whatever installs the matcher (Compiler.Apply, l7's
-// Engine.Configure), and an invalid one is that step's error, never a
-// per-request cost.
+// Engine.Configure, both through Patterns), and an invalid one is that
+// step's error, never a per-request cost.
 func Regex(pattern string) Match { return Match{Op: OpRegex, Value: pattern} }
 
 // Present returns a matcher for any non-empty value.
@@ -90,7 +91,9 @@ func Present() Match { return Match{Op: OpPresent} }
 
 // Compile pre-builds the regular expression so the lookup path never
 // compiles. It is the one compile step of every predicate in the module, and
-// returns an error for an invalid pattern. Compiling twice is a no-op.
+// returns an error for an invalid pattern. Compiling twice is a no-op. What
+// installs predicates goes through Patterns.Intern, which compiles each
+// distinct pattern once, here, and shares the result.
 func (m *Match) Compile() error {
 	if m.Op != OpRegex || m.re != nil {
 		return nil
@@ -125,8 +128,11 @@ func (m *Match) Matches(v string) bool {
 	}
 }
 
-// canon renders the predicate's canonical form for content addressing.
-func (m Match) canon() string { return m.Op.String() + ":" + m.Value }
+// fold streams the predicate's canonical form, "<op>:<value>", into a
+// running FNV-1a hash.
+func (m *Match) fold(h uint64) uint64 {
+	return fnvString(fnvByte(fnvString(h, m.Op.String()), ':'), m.Value)
+}
 
 // HeaderMatch is a named header predicate.
 type HeaderMatch struct {
@@ -183,33 +189,41 @@ type Intention struct {
 	Precedence int
 }
 
-// canon renders the intention's canonical form: every semantic field in a
-// fixed order. Two intentions with equal canon strings are interchangeable,
-// which is what bucket content-addressing hashes.
-func (in *Intention) canon() string {
-	var b strings.Builder
-	b.WriteString(in.ID)
-	b.WriteByte(0)
-	b.WriteString(in.Name)
-	b.WriteByte(0)
-	b.WriteString(in.tenantKey())
-	b.WriteByte(0)
-	b.WriteString(in.Src.canon())
-	b.WriteByte(0)
-	b.WriteString(in.Dst.canon())
-	b.WriteByte(0)
-	b.WriteString(in.Method.canon())
-	b.WriteByte(0)
-	b.WriteString(in.Path.canon())
-	b.WriteByte(0)
-	for _, h := range in.Headers {
-		b.WriteString(h.Name)
-		b.WriteByte(1)
-		b.WriteString(h.Match.canon())
-		b.WriteByte(0)
+// fold streams the intention's canonical form into a running FNV-1a hash,
+// closed like one fnv64Fold string: every semantic field in a fixed order,
+// NUL-terminated — ID, name, tenant key, the src/dst/method/path predicates,
+// each header as name 0x01 predicate — then "<action>/<precedence>". Two
+// intentions with equal canonical forms are interchangeable, which is what
+// bucket content-addressing hashes; the form is never built as a string.
+func (in *Intention) fold(h uint64) uint64 {
+	h = fnvByte(fnvString(h, in.ID), 0)
+	h = fnvByte(fnvString(h, in.Name), 0)
+	h = fnvByte(fnvString(h, in.tenantKey()), 0)
+	for _, m := range [...]*Match{&in.Src, &in.Dst, &in.Method, &in.Path} {
+		h = fnvByte(m.fold(h), 0)
 	}
-	fmt.Fprintf(&b, "%s/%d", in.Action, in.Precedence)
-	return b.String()
+	for i := range in.Headers {
+		hm := &in.Headers[i]
+		h = fnvByte(fnvString(h, hm.Name), 1)
+		h = fnvByte(hm.Match.fold(h), 0)
+	}
+	h = fnvByte(fnvString(h, in.Action.String()), '/')
+	var digits [20]byte
+	for _, d := range strconv.AppendInt(digits[:0], int64(in.Precedence), 10) {
+		h = fnvByte(h, d)
+	}
+	return fnvByte(h, 0xff)
+}
+
+// predicates lists the intention's string predicates, headers last: what
+// Patterns interns when the intention is installed and releases when it goes.
+func (in *Intention) predicates() []*Match {
+	ps := make([]*Match, 0, 4+len(in.Headers))
+	ps = append(ps, &in.Src, &in.Dst, &in.Method, &in.Path)
+	for i := range in.Headers {
+		ps = append(ps, &in.Headers[i].Match)
+	}
+	return ps
 }
 
 // tenantKey normalizes the source-tenant dimension ("" → "*").

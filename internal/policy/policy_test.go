@@ -2,8 +2,10 @@ package policy
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -396,6 +398,175 @@ func TestFingerprintDeterminism(t *testing.T) {
 		if ra[i] != rb[i] {
 			t.Fatalf("resource %d differs: %+v vs %+v", i, ra[i], rb[i])
 		}
+	}
+}
+
+// canon is the canonical form a bucket's content hash covers, built as a
+// string the way the compiler once stored it per intention: the oracle
+// Intention.fold must stream byte for byte.
+func (in *Intention) canon() string {
+	var b strings.Builder
+	b.WriteString(in.ID)
+	b.WriteByte(0)
+	b.WriteString(in.Name)
+	b.WriteByte(0)
+	b.WriteString(in.tenantKey())
+	b.WriteByte(0)
+	b.WriteString(in.Src.canon())
+	b.WriteByte(0)
+	b.WriteString(in.Dst.canon())
+	b.WriteByte(0)
+	b.WriteString(in.Method.canon())
+	b.WriteByte(0)
+	b.WriteString(in.Path.canon())
+	b.WriteByte(0)
+	for _, h := range in.Headers {
+		b.WriteString(h.Name)
+		b.WriteByte(1)
+		b.WriteString(h.Match.canon())
+		b.WriteByte(0)
+	}
+	fmt.Fprintf(&b, "%s/%d", in.Action, in.Precedence)
+	return b.String()
+}
+
+// canon renders the predicate's canonical form.
+func (m Match) canon() string { return m.Op.String() + ":" + m.Value }
+
+// TestFoldMatchesCanon pins the streamed content hash to the string form:
+// folding an intention equals fnv64Fold over its canon string, from the
+// offset basis and from a running hash, for every op, headers, extreme
+// precedences and empty fields — so bucket hashes, Fingerprint and the
+// configpush resources they feed are bit-identical to the stored-string
+// form.
+func TestFoldMatchesCanon(t *testing.T) {
+	cases := []Intention{
+		{},
+		{ID: "i", Name: "n", SrcTenant: "t", Src: Exact("web"), Dst: Exact("api"), Action: ActionAllow},
+		{ID: "", Name: "", SrcTenant: WildcardTenant, Src: Any(), Dst: Any(), Action: ActionDeny},
+		{ID: "p", SrcTenant: "t", Src: Prefix("job-"), Dst: Present(), Method: Exact("GET"),
+			Path: Regex("^/v[0-9]+/.*$"), Precedence: -7},
+		{ID: "h", Name: "headers", Src: Regex("a|b"), Dst: Prefix(""), Headers: []HeaderMatch{
+			{Name: "x-role", Match: Exact("admin")},
+			{Name: "", Match: Present()},
+			{Name: "x-re", Match: Regex("^[a-z]+$")},
+			{Name: "x-any", Match: Any()},
+		}, Action: ActionDeny, Precedence: math.MaxInt},
+		{ID: "min", Name: "ünïcode\x00", SrcTenant: "t|x", Precedence: math.MinInt},
+		{ID: "op", Src: Match{Op: 99, Value: "v"}, Path: Match{Op: OpPresent, Value: "ignored"}, Precedence: 1},
+	}
+	running := uint64(fnvOffset)
+	for i := range cases {
+		in := &cases[i]
+		want := fnv64Fold(fnvOffset, in.canon())
+		if got := in.fold(fnvOffset); got != want {
+			t.Errorf("case %d: fold %x, fnv64Fold(canon) %x (canon %q)", i, got, want, in.canon())
+		}
+		want = fnv64Fold(running, in.canon())
+		if got := in.fold(running); got != want {
+			t.Errorf("case %d: running fold %x, want %x", i, got, want)
+		}
+		running = want
+	}
+
+	// Through the compiler: a bucket's hash folds its members best first.
+	c := NewCompiler(Config{Seed: 1})
+	members := []Intention{
+		{ID: "a", Name: "low", SrcTenant: "t", Src: Exact("s"), Dst: Exact("d"), Precedence: -1},
+		{ID: "b", Name: "deny", SrcTenant: "t", Src: Exact("s"), Dst: Exact("d"), Action: ActionDeny,
+			Path: Regex("^/x"), Headers: []HeaderMatch{{Name: "k", Match: Present()}}},
+		{ID: "c", Name: "high", SrcTenant: "t", Src: Exact("s"), Dst: Exact("d"), Precedence: 1 << 40},
+	}
+	mustApply(t, c, nil, members)
+	want := uint64(fnvOffset)
+	for _, i := range []int{2, 1, 0} { // high, then deny, then low
+		want = fnv64Fold(want, members[i].canon())
+	}
+	rs := c.Resources()
+	if len(rs) != 1 || rs[0].Members != 3 || rs[0].Hash != want {
+		t.Fatalf("bucket resources %+v, want one of 3 members with hash %x", rs, want)
+	}
+}
+
+// TestFingerprintAfterTenantLeaves: a tenant whose last intention is
+// deleted (or moved to another tenant) gives up its shard assignment, so
+// the incrementally maintained table fingerprints like a full recompile of
+// the same set.
+func TestFingerprintAfterTenantLeaves(t *testing.T) {
+	c := NewCompiler(Config{Seed: 1})
+	mustApply(t, c, nil, []Intention{
+		{ID: "a1", Name: "a1", SrcTenant: "t1", Src: Exact("web"), Dst: Exact("api")},
+		{ID: "a2", Name: "a2", SrcTenant: "t1", Src: Any(), Dst: Exact("db")},
+		{ID: "b1", Name: "b1", SrcTenant: "t2", Src: Exact("web"), Dst: Exact("api"), Action: ActionDeny},
+		{ID: "b2", Name: "b2", SrcTenant: "t2", Src: Prefix("job-"), Dst: Any()},
+		{ID: "c1", Name: "c1", SrcTenant: "t3", Src: Exact("web"), Dst: Exact("api")},
+	})
+	// t2 leaves by deletion, t3 by its only intention moving to t1.
+	mustApply(t, c, []string{"b1", "b2"}, []Intention{
+		{ID: "c1", Name: "c1", SrcTenant: "t1", Src: Exact("batch"), Dst: Exact("api")},
+	})
+	inc, st := c.Fingerprint(), c.Stats()
+	if st.Tenants != 1 {
+		t.Fatalf("%d tenants hold a shard assignment after t2 and t3 left, want 1", st.Tenants)
+	}
+	c.Full()
+	if full := c.Fingerprint(); inc != full {
+		t.Fatalf("incremental fingerprint %x, full recompile %x", inc, full)
+	}
+	if after := c.Stats(); after != st {
+		t.Fatalf("Full() changed the table shape: %+v -> %+v", st, after)
+	}
+	// The tenant can come back: a fresh assignment, the same deterministic
+	// shards.
+	mustApply(t, c, nil, []Intention{{ID: "b1", Name: "b1", SrcTenant: "t2", Src: Exact("web"), Dst: Exact("api"), Action: ActionDeny}})
+	if v := c.Eval(Query{SrcTenant: "t2", SrcService: "web", DstService: "api"}); v.Allowed || v.Rule != "b1" {
+		t.Fatalf("returning tenant's rule not applied: %+v", v)
+	}
+}
+
+// TestPatternsShareAndRelease pins the intern table's lifetime through the
+// compiler: one compiled expression per distinct pattern in use, shared by
+// every predicate naming it; replacing intentions with the same patterns
+// holds the count; a failed Apply leaves it as it was; deleting the last
+// intention naming a pattern drops the pattern.
+func TestPatternsShareAndRelease(t *testing.T) {
+	c := NewCompiler(Config{Seed: 1})
+	const n = 50
+	var intents []Intention
+	for i := 0; i < n; i++ {
+		intents = append(intents,
+			Intention{ID: fmt.Sprintf("u%d", i), Src: Any(), Dst: Exact("api"), Path: Regex(fmt.Sprintf("^/unique/%d$", i))},
+			Intention{ID: fmt.Sprintf("s%d", i), Src: Regex("^job-"), Dst: Exact(fmt.Sprintf("d%d", i)),
+				Headers: []HeaderMatch{{Name: "x", Match: Regex("^[0-9]+$")}}})
+	}
+	mustApply(t, c, nil, intents)
+	if got := c.Patterns().Len(); got != n+2 {
+		t.Fatalf("%d patterns interned, want %d", got, n+2)
+	}
+	if a, b := c.intentions["s0"].in.Src.re, c.intentions["s7"].in.Src.re; a == nil || a != b {
+		t.Fatal("predicates naming one pattern must share one compiled expression")
+	}
+	if _, err := c.Apply(nil, []Intention{
+		{ID: "x1", Src: Any(), Dst: Any(), Path: Regex("^/fresh$")},
+		{ID: "x2", Src: Any(), Dst: Any(), Path: Regex("(")},
+	}); err == nil {
+		t.Fatal("invalid regex must fail Apply")
+	}
+	mustApply(t, c, nil, intents) // re-upsert: same patterns
+	if got := c.Patterns().Len(); got != n+2 {
+		t.Fatalf("%d patterns after a failed Apply and a same-pattern re-upsert, want %d", got, n+2)
+	}
+	ids := make([]string, 0, len(intents))
+	for _, in := range intents {
+		ids = append(ids, in.ID)
+	}
+	mustApply(t, c, ids[:n], nil) // u0, s0 ... u24, s24
+	if got := c.Patterns().Len(); got != n/2+2 {
+		t.Fatalf("%d patterns after deleting half the intentions, want %d", got, n/2+2)
+	}
+	mustApply(t, c, ids, nil)
+	if got := c.Patterns().Len(); got != 0 {
+		t.Fatalf("%d patterns left with no intention installed, want 0", got)
 	}
 }
 

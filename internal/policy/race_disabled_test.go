@@ -1,0 +1,7 @@
+//go:build !race
+
+package policy
+
+// raceEnabled reports whether this test binary was built with the race
+// detector, whose instrumentation inflates heap sizes.
+const raceEnabled = false

@@ -19,18 +19,33 @@ const wild = "*"
 func (k key3) canon() string { return k.t + "|" + k.s + "|" + k.d }
 
 // compiled is one intention prepared for evaluation: predicates
-// pre-compiled, placement computed, the deny reason pre-concatenated, and a
+// pre-compiled (regexes interned), a deny's reason pre-concatenated, and a
 // global installation sequence breaking precedence ties deterministically.
+// Its bucket key is derived from the intention on demand (key), not stored.
 type compiled struct {
 	in    Intention
 	order int // installation sequence; lower wins same-precedence ties
-	key   key3
 	// srcPred/dstPred mark service dimensions that did not collapse into
 	// the key and must be evaluated per candidate.
-	srcPred    bool
-	dstPred    bool
-	denyReason string
-	canon      string
+	srcPred bool
+	dstPred bool
+	// removed tombstones an unplaced intention in its bucket's slice until
+	// the Apply that removed it rebuilds the bucket.
+	removed    bool
+	denyReason string // set for deny intentions only
+}
+
+// key derives the intention's dispatch key: exact dimensions as they are,
+// every other dimension collapsed to the wildcard.
+func (c *compiled) key() key3 {
+	k := key3{t: c.in.tenantKey(), s: wild, d: wild}
+	if c.in.Src.Op == OpExact {
+		k.s = c.in.Src.Value
+	}
+	if c.in.Dst.Op == OpExact {
+		k.d = c.in.Dst.Value
+	}
+	return k
 }
 
 // matches reports whether the request satisfies every remaining predicate.
@@ -80,12 +95,13 @@ func (c *compiled) beats(o *compiled) bool {
 	return c.order < o.order
 }
 
-// bucket is one dispatch-table cell: the intentions sharing a key, as both
-// the membership map (mutation) and the beats-sorted slice (evaluation).
+// bucket is one dispatch-table cell: the intentions sharing a key. The
+// beats-sorted slice is the membership: placing appends, unplacing
+// tombstones (compiled.removed), and the Apply's rebuild compacts and
+// re-sorts, so Eval only ever sees a sorted slice of live rules.
 type bucket struct {
-	members map[string]*compiled // by intention ID
-	rules   []*compiled          // sorted: best first
-	hash    uint64               // content address over member canon strings
+	rules []*compiled // sorted: best first
+	hash  uint64      // content address over the members' canonical forms
 }
 
 // Table is the compiled dispatch table. Exact-tenant buckets live in the
@@ -96,8 +112,11 @@ type Table struct {
 	shards []map[key3]*bucket
 	global map[key3]*bucket
 	// assign is each tenant's shuffle-shard assignment: h of the K shard
-	// indices, a deterministic function of (tenant, seed).
-	assign map[string][]int
+	// indices, a deterministic function of (tenant, seed). It is created
+	// with the tenant's first bucket and released with its last; buckets
+	// counts each assigned tenant's buckets.
+	assign  map[string][]int
+	buckets map[string]int
 
 	allowByDst  map[string]int
 	allowAnyDst int
@@ -109,6 +128,7 @@ func newTable(k int) *Table {
 		shards:     make([]map[key3]*bucket, k),
 		global:     make(map[key3]*bucket),
 		assign:     make(map[string][]int),
+		buckets:    make(map[string]int),
 		allowByDst: make(map[string]int),
 	}
 	for i := range t.shards {
@@ -116,6 +136,22 @@ func newTable(k int) *Table {
 	}
 	return t
 }
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvString folds a string's bytes into a running FNV-1a hash.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = fnvByte(h, s[i])
+	}
+	return h
+}
+
+// fnvByte folds one byte into a running FNV-1a hash.
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
 
 // fnv64 hashes a sequence of strings with FNV-1a, byte-by-byte so the
 // lookup path never converts strings to byte slices (no allocation).
@@ -146,20 +182,17 @@ func shardOf(idxs []int, k key3) int {
 	return idxs[fnv64(k.t, k.s, k.d)%uint64(len(idxs))]
 }
 
-// lookup returns the bucket stored under key, probing the owning tenant's
-// shards or the global map. Returns nil when the tenant has no assignment
-// or the bucket does not exist.
-//
-//canal:hotpath
-func (t *Table) lookup(k key3) *bucket {
+// home returns the map holding the key's bucket: the owning tenant's shard
+// or the global map. It is nil when the tenant has no assignment.
+func (t *Table) home(k key3) map[key3]*bucket {
 	if k.t == wild {
-		return t.global[k]
+		return t.global
 	}
 	idxs := t.assign[k.t]
 	if idxs == nil {
 		return nil
 	}
-	return t.shards[shardOf(idxs, k)][k]
+	return t.shards[shardOf(idxs, k)]
 }
 
 // scan walks one candidate bucket best-first, returning the winning match

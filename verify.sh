@@ -55,6 +55,10 @@ go test -run '^$' -fuzz FuzzAuthenticate -fuzztime 5s .
 # And the flow hash: the inline FNV-1a over the 5-tuple against the fmt+fnv
 # form it replaced (kept as the oracle in l4_test.go).
 go test -run '^$' -fuzz FuzzHash5Tuple -fuzztime 5s ./internal/l4
+# And the compiled policy table: random apply/delete sequences, checked
+# after every Apply against the linear Baseline oracle, a fresh compile's
+# fingerprint and the patterns in use.
+go test -run '^$' -fuzz FuzzCompilerEval -fuzztime 5s ./internal/policy
 
 # The benchmark harness that judges every PR is a module of its own
 # (benchmark/go.mod), so the root module's ./... does not reach it.
@@ -66,6 +70,9 @@ go test -run '^$' -fuzz FuzzHash5Tuple -fuzztime 5s ./internal/l4
 # SHA-256 (every experiment through the parallel runner) skips under -race
 # too, for time, and runs beside it.
 go test -run 'TestHotPathAllocs|TestSuiteRenderedSHA' ./internal/bench
+# The policy table's heap bytes per installed intention skips under -race
+# too (instrumentation inflates the heap).
+go test -run TestPolicyBytesPerRule ./internal/policy
 
 # Smoke the tracing pipeline end to end: the per-hop breakdown tables must
 # render and the JSON report must export.
