@@ -1,12 +1,10 @@
 // Command canalvet runs the repository's invariant linters (internal/lint)
 // over the module. The suite type-checks the whole module from source —
 // stdlib included — once, and every analyzer reads that one engine: the
-// per-package checks (map-iteration order, atomic/plain mixing, lock
-// discipline, dropped errors, unit-safe duration arithmetic, context
-// threading, goroutine/channel leak detection), the call-graph four
-// (simdeterminism, transdeterminism, hotpath, lockorder), and the taint
-// trio that proves tenant isolation on the request path (tenantflow,
-// sharedmut, poolbleed).
+// per-package checks (map-iteration order, unit-safe duration
+// arithmetic), the call-graph pair (simdeterminism, hotpath), and
+// tenantflow, which reads the taint engine to prove tenant isolation on
+// the request path.
 //
 // Usage:
 //
@@ -16,7 +14,6 @@
 //	canalvet -fix ./...       # apply suggested fixes (gofmt-clean, refuses overlaps)
 //	canalvet -json - ./...    # machine-readable diagnostics on stdout
 //	canalvet -json out.json -stale-as-error ./...
-//	canalvet -only tenantflow,sharedmut,poolbleed ./...   # run a named subset
 //	canalvet -runs 2 -json out.json ./...   # repeat the analysis, prove determinism
 //	canalvet -callgraph '(*Engine).Route'   # dump one function's call-graph node
 //	canalvet -taint 'startTrace'            # dump one function's taint summary
@@ -74,7 +71,6 @@ func main() {
 	fix := flag.Bool("fix", false, "apply suggested fixes to the source files")
 	jsonOut := flag.String("json", "", "write diagnostics as JSON to this file (\"-\" for stdout)")
 	staleAsError := flag.Bool("stale-as-error", false, "count stale //canal:allow directives toward the exit code")
-	only := flag.String("only", "", "comma-separated analyzer names to run instead of the full suite")
 	runs := flag.Int("runs", 1, "repeat the analysis N times and require identical diagnostics")
 	callgraph := flag.String("callgraph", "", "dump the call-graph node for a function (exact key or unique suffix) and exit")
 	taint := flag.String("taint", "", "dump the taint summary for a function (exact key or unique suffix) and exit")
@@ -102,11 +98,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "canalvet: -runs and -fix are mutually exclusive (the reruns analyze the sources as loaded)")
 		os.Exit(2)
 	}
-	suite, err := selectAnalyzers(*only)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "canalvet:", err)
-		os.Exit(2)
-	}
 
 	modRoot, err := lint.FindModuleRoot(*root)
 	if err != nil {
@@ -126,6 +117,7 @@ func main() {
 		os.Exit(dumpTaint(pkgs, *taint))
 	}
 
+	suite := lint.Analyzers()
 	diags := lint.Run(pkgs, suite)
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, diags); err != nil {
@@ -186,47 +178,6 @@ func main() {
 	}
 }
 
-// selectAnalyzers resolves -only against the registered suite, preserving
-// suite order. An empty spec selects everything; an unknown name is an
-// error listing what exists.
-func selectAnalyzers(spec string) ([]*lint.Analyzer, error) {
-	all := lint.Analyzers()
-	if spec == "" {
-		return all, nil
-	}
-	want := map[string]bool{}
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		want[name] = true
-	}
-	var out []*lint.Analyzer
-	for _, a := range all {
-		if want[a.Name] {
-			out = append(out, a)
-			delete(want, a.Name)
-		}
-	}
-	if len(want) > 0 {
-		var unknown, known []string
-		for name := range want {
-			unknown = append(unknown, name)
-		}
-		sort.Strings(unknown)
-		for _, a := range all {
-			known = append(known, a.Name)
-		}
-		return nil, fmt.Errorf("-only names unknown analyzer(s) %s (have: %s)",
-			strings.Join(unknown, ", "), strings.Join(known, ", "))
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-only selected no analyzers")
-	}
-	return out, nil
-}
-
 // renderDiags is the canonical text form the -runs determinism gate
 // compares: exactly what the terminal report prints.
 func renderDiags(diags []lint.Diagnostic) string {
@@ -238,8 +189,8 @@ func renderDiags(diags []lint.Diagnostic) string {
 }
 
 // dumpCallGraph type-checks the module, builds the interprocedural call
-// graph, and prints one node: its edges, behavior facts, lock sites, and
-// the full set of functions reachable from it. The output order is
+// graph, and prints one node: its edges, behavior facts, and the full set
+// of functions reachable from it. The output order is
 // deterministic (the graph guarantees sorted traversal), so dumps diff
 // cleanly between revisions.
 func dumpCallGraph(pkgs []*lint.Package, name string) int {
@@ -259,13 +210,6 @@ func dumpCallGraph(pkgs []*lint.Package, name string) int {
 	}
 	for _, f := range n.Facts {
 		fmt.Printf("  fact %-10s %s (%s:%d)\n", f.Kind, f.What, f.Position.Filename, f.Position.Line)
-	}
-	for _, ls := range n.Locks {
-		mode := "lock"
-		if ls.Read {
-			mode = "rlock"
-		}
-		fmt.Printf("  %-4s %s class=%s held to offset %d\n", mode, ls.Expr, ls.Class, ls.EndOff)
 	}
 	for _, e := range n.Calls {
 		kind := "call"
@@ -289,9 +233,8 @@ func dumpCallGraph(pkgs []*lint.Package, name string) int {
 
 // dumpTaint builds the dataflow engine and prints one function's taint
 // summary: boundary status, sources seen in its body, which parameter
-// slots flow to its results, the sinks it (transitively) feeds, and the
-// package-level state it writes. This is the -taint debugging view for
-// asking "why did tenantflow fire here?".
+// slots flow to its results, and the sinks it (transitively) feeds. This
+// is the -taint debugging view for asking "why did tenantflow fire here?".
 func dumpTaint(pkgs []*lint.Package, name string) int {
 	g := lint.BuildCallGraph(pkgs)
 	e := lint.BuildTaint(pkgs, g)

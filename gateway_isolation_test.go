@@ -30,11 +30,12 @@ func awaitHandlers(t *testing.T, gw *GatewayServer) (srv *httptest.Server, wait 
 }
 
 // TestPooledStateTenantIsolation is the runtime complement of canalvet's
-// poolbleed and tenantflow: per-request state is recycled between requests
-// of different tenants, so nothing of tenant A's request — the header and
-// cookie its rules route on, the decision they produce, its trace — may show
-// up in the tenant B request that reuses the state. Both tenants install the
-// same rule; only A's requests carry what it matches.
+// tenantflow and the guard on recycle's reset: per-request state is
+// recycled between requests of different tenants, so nothing of tenant A's
+// request — the header and cookie its rules route on, the decision they
+// produce, its trace — may show up in the tenant B request that reuses the
+// state. Both tenants install the same rule; only A's requests carry what
+// it matches.
 func TestPooledStateTenantIsolation(t *testing.T) {
 	// An upstream names itself and reports what the gateway forwarded; it
 	// fails every other request so X-Canal-Trace comes back too.

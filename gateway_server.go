@@ -654,7 +654,14 @@ func (g *GatewayServer) spawnMirror(r *http.Request, target *url.URL, decision l
 		}
 	}
 	headers := r.Header.Clone()
-	go g.mirror(r.Method, r.URL.Path, headers, body, target, decision)
+	// The mirror's URL is the primary's as directUpstream builds it: escaped
+	// path and query kept, only the upstream and any rewrite applied.
+	u := *r.URL
+	u.Scheme, u.Host = target.Scheme, target.Host
+	if decision.PathRewrite != "" {
+		u.Path = decision.PathRewrite
+	}
+	go g.mirror(r.Method, &u, headers, body, decision)
 }
 
 // errReader replays a body read error to the primary request after the
@@ -666,19 +673,17 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 // mirror sends a copy of the request to the shadow subset with the dedicated
 // mirror client (its own timeout), discarding the response body. Failures are
 // counted, never surfaced to the primary request.
-func (g *GatewayServer) mirror(method, path string, headers http.Header, body []byte, target *url.URL, decision l7.Decision) {
-	if decision.PathRewrite != "" {
-		path = decision.PathRewrite
-	}
+func (g *GatewayServer) mirror(method string, u *url.URL, headers http.Header, body []byte, decision l7.Decision) {
 	var rd io.Reader
 	if len(body) > 0 {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequest(method, target.Scheme+"://"+target.Host+path, rd)
+	req, err := http.NewRequest(method, "", rd)
 	if err != nil {
 		g.mirrorFail.Inc()
 		return
 	}
+	req.URL = u
 	for k, v := range headers {
 		req.Header[k] = v
 	}

@@ -216,14 +216,17 @@ func TestGatewayRecordsUpstreamStatus(t *testing.T) {
 	}
 }
 
+// TestGatewayMirrorForwardsBodyAndHeaders also pins the mirror's request
+// target: it must be the primary's, escaped path and query included, so the
+// shadow subset sees what the primary does.
 func TestGatewayMirrorForwardsBodyAndHeaders(t *testing.T) {
 	type seen struct {
-		method, path, subset, custom, body string
+		method, escapedPath, rawQuery, subset, custom, body string
 	}
 	ch := make(chan seen, 1)
 	shadow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		b, _ := io.ReadAll(r.Body)
-		ch <- seen{r.Method, r.URL.Path, r.Header.Get(HeaderSubset), r.Header.Get("X-Custom"), string(b)}
+		ch <- seen{r.Method, r.URL.EscapedPath(), r.URL.RawQuery, r.Header.Get(HeaderSubset), r.Header.Get("X-Custom"), string(b)}
 	}))
 	defer shadow.Close()
 	primary := echoServer("v1")
@@ -234,31 +237,40 @@ func TestGatewayMirrorForwardsBodyAndHeaders(t *testing.T) {
 	_, agent, gw := testMesh(t, cfg,
 		map[string][]string{"v1": {primary.URL}, "shadow": {shadow.URL}}, false)
 
-	resp, err := agent.Do("POST", "web", "/orders", bytes.NewReader([]byte("payload-123")),
-		map[string]string{"X-Custom": "abc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := readBody(t, resp); !strings.HasPrefix(got, "v1|/orders") {
-		t.Errorf("primary response = %q: body must reach the primary intact after mirror buffering", got)
-	}
+	for _, tc := range []struct {
+		target, path, escapedPath, rawQuery string
+	}{
+		{"/orders", "/orders", "/orders", ""},
+		{"/mirror/x?id=7", "/mirror/x", "/mirror/x", "id=7"},
+		{"/mirror/a%3Fb", "/mirror/a?b", "/mirror/a%3Fb", ""},
+	} {
+		resp, err := agent.Do("POST", "web", tc.target, bytes.NewReader([]byte("payload-123")),
+			map[string]string{"X-Custom": "abc"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := readBody(t, resp); !strings.HasPrefix(got, "v1|"+tc.path+"|") {
+			t.Errorf("%s: primary response = %q: body must reach the primary intact after mirror buffering", tc.target, got)
+		}
 
-	select {
-	case s := <-ch:
-		if s.method != "POST" || s.path != "/orders" {
-			t.Errorf("mirror got %s %s", s.method, s.path)
+		select {
+		case s := <-ch:
+			if s.method != "POST" || s.escapedPath != tc.escapedPath || s.rawQuery != tc.rawQuery {
+				t.Errorf("%s: mirror got %s path %q query %q, want POST path %q query %q",
+					tc.target, s.method, s.escapedPath, s.rawQuery, tc.escapedPath, tc.rawQuery)
+			}
+			if s.subset != "shadow" {
+				t.Errorf("%s: mirror subset header = %q, want shadow", tc.target, s.subset)
+			}
+			if s.custom != "abc" {
+				t.Errorf("%s: mirror custom header = %q: headers must be forwarded", tc.target, s.custom)
+			}
+			if s.body != "payload-123" {
+				t.Errorf("%s: mirror body = %q: body must be forwarded", tc.target, s.body)
+			}
+		case <-time.After(3 * time.Second): //canal:allow simdeterminism real-time wait for the async live mirror goroutine
+			t.Fatalf("%s: mirror request never arrived", tc.target)
 		}
-		if s.subset != "shadow" {
-			t.Errorf("mirror subset header = %q, want shadow", s.subset)
-		}
-		if s.custom != "abc" {
-			t.Errorf("mirror custom header = %q: headers must be forwarded", s.custom)
-		}
-		if s.body != "payload-123" {
-			t.Errorf("mirror body = %q: body must be forwarded", s.body)
-		}
-	case <-time.After(3 * time.Second): //canal:allow simdeterminism real-time wait for the async live mirror goroutine
-		t.Fatal("mirror request never arrived")
 	}
 	if n := gw.MirrorFailures(); n != 0 {
 		t.Errorf("mirror failures = %v, want 0", n)

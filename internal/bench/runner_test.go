@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -87,12 +88,29 @@ func TestRunnerWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestRunnerTimeout also pins the two obligations the runner has towards an
+// experiment it abandons: the experiment's context is cancelled (so a sweep
+// that honours ctx stops), and the goroutine running it exits once the
+// experiment returns (its result send must not park forever).
 func TestRunnerTimeout(t *testing.T) {
 	release := make(chan struct{})
-	defer close(release) // unblock the abandoned goroutine at test end
-	started := make(chan string, 1)
-	exps := []Experiment{gated("stuck", started, release)}
+	seen := make(chan context.Context, 1)
+	exps := []Experiment{{ID: "stuck", Name: "stuck", Run: func(ctx context.Context) Result {
+		seen <- ctx
+		<-release
+		return trivial("stuck").Run(ctx)
+	}}}
 	report := NewRunner(Options{Timeout: 5 * time.Millisecond}).Run(context.Background(), exps)
+	if ctx := <-seen; ctx.Err() == nil {
+		t.Error("the abandoned experiment's context was not cancelled")
+	}
+	close(release)
+	for i := 0; runOneGoroutines() > 0; i++ {
+		if i == 10000 {
+			t.Fatal("the abandoned experiment returned but its runner goroutine never exited")
+		}
+		runtime.Gosched()
+	}
 	res := report.Results[0]
 	if res.Err == nil {
 		t.Fatal("timed-out experiment should carry an error")
@@ -103,6 +121,13 @@ func TestRunnerTimeout(t *testing.T) {
 	if failed := report.Failed(); len(failed) != 1 || failed[0].ID != "stuck" {
 		t.Errorf("Failed() = %v, want the stuck experiment", failed)
 	}
+}
+
+// runOneGoroutines counts the live goroutines Runner.runOne started.
+func runOneGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return strings.Count(string(buf), "bench.(*Runner).runOne in goroutine")
 }
 
 func TestRunnerCancelledContext(t *testing.T) {

@@ -25,9 +25,8 @@ import (
 // While walking each body the builder also records the primitive facts the
 // interprocedural analyzers consume — heap allocations (escaping composite
 // literals, make/new, append growth, string concatenation and conversions,
-// interface boxing at call sites), mutex acquisitions with their
-// intraprocedural hold ranges, channel operations, calls into banned
-// packages, wall-clock reads, and global math/rand draws.
+// interface boxing at call sites), mutex acquisitions, channel operations,
+// calls into banned packages, wall-clock reads, and global math/rand draws.
 //
 // Nodes are keyed by (package path, receiver, name) strings, never by
 // types.Object identity: the augmented and external-test units re-check
@@ -98,22 +97,6 @@ type CallEdge struct {
 	Ref bool
 }
 
-// LockSite is one mutex acquisition with a resolvable lock class, plus the
-// intraprocedural range over which the lock is held (to the matching
-// Unlock, or to the end of the body for deferred/absent unlocks).
-type LockSite struct {
-	// Class identifies the lock across the module: "pkgpath.Type.field"
-	// for struct-held mutexes (embedded fields keep their path) or
-	// "pkgpath.var" for package-level ones.
-	Class    string
-	Expr     string // source rendering of the receiver, e.g. "e.mu"
-	Read     bool   // RLock rather than Lock
-	Pos      token.Pos
-	Position token.Position
-	// EndOff is the file offset where the hold ends.
-	EndOff int
-}
-
 // FuncNode is one named function or method of the module.
 type FuncNode struct {
 	Key      string
@@ -124,7 +107,6 @@ type FuncNode struct {
 	Position token.Position
 	Calls    []CallEdge
 	Facts    []Fact
-	Locks    []LockSite
 }
 
 // CallGraph is the module's interprocedural index.
@@ -174,17 +156,12 @@ func (g *CallGraph) hotRoots() []*FuncNode {
 	return roots
 }
 
-// walkStep is one BFS predecessor link, for chain reconstruction.
-type walkStep struct {
-	prev string
-	pos  token.Position
-}
-
-// reach runs a BFS from start over non-test nodes, honoring filter (nil
-// accepts every callee), and returns predecessor links for every visited
-// key. Ref edges participate: a referenced function is assumed callable.
-func (g *CallGraph) reach(start string, filter func(*FuncNode) bool) map[string]walkStep {
-	seen := map[string]walkStep{start: {}}
+// reach runs a BFS from start over non-test nodes and returns every
+// visited key mapped to its BFS predecessor (start maps to ""), for chain
+// reconstruction. Ref edges participate: a referenced function is assumed
+// callable.
+func (g *CallGraph) reach(start string) map[string]string {
+	seen := map[string]string{start: ""}
 	queue := []string{start}
 	for len(queue) > 0 {
 		key := queue[0]
@@ -198,13 +175,10 @@ func (g *CallGraph) reach(start string, filter func(*FuncNode) bool) map[string]
 			if cn == nil || cn.Test {
 				continue
 			}
-			if filter != nil && !filter(cn) {
-				continue
-			}
 			if _, ok := seen[e.Callee]; ok {
 				continue
 			}
-			seen[e.Callee] = walkStep{prev: key, pos: e.Position}
+			seen[e.Callee] = key
 			queue = append(queue, e.Callee)
 		}
 	}
@@ -214,7 +188,7 @@ func (g *CallGraph) reach(start string, filter func(*FuncNode) bool) map[string]
 // Reachable returns the sorted keys of every function reachable from
 // start (excluding start itself), for the -callgraph debug dump.
 func (g *CallGraph) Reachable(start string) []string {
-	seen := g.reach(start, nil)
+	seen := g.reach(start)
 	delete(seen, start)
 	keys := make([]string, 0, len(seen))
 	for k := range seen {
@@ -226,9 +200,9 @@ func (g *CallGraph) Reachable(start string) []string {
 
 // chain renders the call chain from start to key as "A -> B -> C" using
 // short names ("" when key is start itself).
-func (g *CallGraph) chain(seen map[string]walkStep, start, key string) string {
+func (g *CallGraph) chain(seen map[string]string, start, key string) string {
 	var parts []string
-	for k := key; k != start; k = seen[k].prev {
+	for k := key; k != start; k = seen[k] {
 		parts = append(parts, g.shortKey(k))
 	}
 	parts = append(parts, g.shortKey(start))
@@ -489,11 +463,6 @@ type funcBuilder struct {
 	b *gbuilder
 	p *Package
 	n *FuncNode
-	// releases are Unlock/RUnlock calls (expr rendering -> positions),
-	// deferred ones excluded, for hold-range matching.
-	releases map[string][]token.Pos
-	// pending are this body's lock sites awaiting hold-range resolution.
-	pending []*LockSite
 }
 
 func (fb *funcBuilder) fact(kind FactKind, pos token.Pos, what string) *Fact {
@@ -517,14 +486,12 @@ func (fb *funcBuilder) edge(callee string, pos token.Pos, iface, ref bool) {
 }
 
 // analyze walks a function body or initialiser expression, collecting
-// edges, facts, and lock sites, then resolves lock hold ranges against its
-// Unlock calls.
+// edges and facts.
 func (fb *funcBuilder) analyze(body ast.Node) {
-	fb.releases = map[string][]token.Pos{}
 	walkWithStack(body, func(n ast.Node, stack []ast.Node) bool {
 		switch v := n.(type) {
 		case *ast.CallExpr:
-			fb.call(v, stack)
+			fb.call(v)
 		case *ast.Ident:
 			fb.funcValueRef(v, stack)
 		case *ast.SendStmt:
@@ -556,27 +523,11 @@ func (fb *funcBuilder) analyze(body ast.Node) {
 		}
 		return true
 	})
-	// Resolve hold ranges: the earliest non-deferred release of the same
-	// expression after the acquisition ends the hold; otherwise (deferred
-	// or missing release) the lock is held to the end of the body.
-	bodyEnd := fb.p.Fset.Position(body.End()).Offset
-	for _, ls := range fb.pending {
-		end := bodyEnd
-		for _, rel := range fb.releases[ls.Expr] {
-			if rel > ls.Pos {
-				if off := fb.p.Fset.Position(rel).Offset; off < end {
-					end = off
-				}
-			}
-		}
-		ls.EndOff = end
-		fb.n.Locks = append(fb.n.Locks, *ls)
-	}
 }
 
 // call resolves one call expression: edges, banned/nondeterminism facts,
-// builtin allocations, conversions, boxing, and lock sites.
-func (fb *funcBuilder) call(call *ast.CallExpr, stack []ast.Node) {
+// builtin allocations, conversions, boxing, and lock acquisitions.
+func (fb *funcBuilder) call(call *ast.CallExpr) {
 	p := fb.p
 	fun := ast.Unparen(call.Fun)
 	// Conversions (including to interface types, which box).
@@ -614,7 +565,7 @@ func (fb *funcBuilder) call(call *ast.CallExpr, stack []ast.Node) {
 				fb.boxing(call, m)
 				return
 			}
-			fb.lockCall(call, f, sel, m, stack)
+			fb.lockCall(call, f, m)
 			fb.callee(m, call, false)
 			return
 		}
@@ -857,9 +808,9 @@ func (fb *funcBuilder) stringConcat(be *ast.BinaryExpr, stack []ast.Node) {
 	fb.fact(FactAlloc, be.OpPos, "string concatenation allocates")
 }
 
-// lockCall records lock facts and classed lock sites for sync.Mutex and
-// sync.RWMutex acquisitions, and release positions for hold matching.
-func (fb *funcBuilder) lockCall(call *ast.CallExpr, sel *ast.SelectorExpr, s *types.Selection, m *types.Func, stack []ast.Node) {
+// lockCall records a lock fact for a sync.Mutex or sync.RWMutex
+// acquisition.
+func (fb *funcBuilder) lockCall(call *ast.CallExpr, sel *ast.SelectorExpr, m *types.Func) {
 	if m.Pkg() == nil || m.Pkg().Path() != "sync" {
 		return
 	}
@@ -875,103 +826,15 @@ func (fb *funcBuilder) lockCall(call *ast.CallExpr, sel *ast.SelectorExpr, s *ty
 	if !ok || (named.Obj().Name() != "Mutex" && named.Obj().Name() != "RWMutex") {
 		return
 	}
-	expr := exprString(sel.X)
+	what := "acquires "
 	switch m.Name() {
-	case "Unlock", "RUnlock":
-		// A deferred release holds the lock to the end of the body, so it
-		// must not end the textual hold range.
-		deferred := false
-		if len(stack) > 0 {
-			if ds, ok := stack[len(stack)-1].(*ast.DeferStmt); ok && ds.Call == call {
-				deferred = true
-			}
-		}
-		if !deferred {
-			fb.releases[expr] = append(fb.releases[expr], call.Lparen)
-		}
-		return
-	case "Lock", "RLock", "TryLock", "TryRLock":
+	case "Lock", "TryLock":
+	case "RLock", "TryRLock":
+		what = "read-locks "
 	default:
 		return
 	}
-	read := m.Name() == "RLock" || m.Name() == "TryRLock"
-	what := "acquires " + expr
-	if read {
-		what = "read-locks " + expr
-	}
-	fb.fact(FactLock, call.Lparen, what+" (sync."+named.Obj().Name()+")")
-	class, ok := fb.lockClass(sel, s)
-	if !ok {
-		return
-	}
-	fb.pending = append(fb.pending, &LockSite{
-		Class:    class,
-		Expr:     expr,
-		Read:     read,
-		Pos:      call.Lparen,
-		Position: fb.p.Fset.Position(call.Lparen),
-	})
-}
-
-// lockClass resolves the module-wide identity of the locked mutex: the
-// named type and field path holding it, or the package-level variable.
-// Locks held in locals or unresolvable expressions return ok=false (they
-// still produce FactLock facts, just no ordering class).
-func (fb *funcBuilder) lockClass(sel *ast.SelectorExpr, s *types.Selection) (string, bool) {
-	idx := s.Index()
-	if len(idx) > 1 {
-		// The receiver embeds the mutex: walk the field path.
-		return classFromFieldPath(s.Recv(), idx[:len(idx)-1])
-	}
-	// sel.X is the mutex value itself.
-	switch x := ast.Unparen(sel.X).(type) {
-	case *ast.SelectorExpr:
-		if fs := fb.p.TypesInfo.Selections[x]; fs != nil && fs.Kind() == types.FieldVal {
-			return classFromFieldPath(fs.Recv(), fs.Index())
-		}
-		// Package-qualified variable: pkg.Mu.
-		if v, ok := fb.p.TypesInfo.Uses[x.Sel].(*types.Var); ok && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Path() + "." + v.Name(), true
-		}
-	case *ast.Ident:
-		if v, ok := fb.p.TypesInfo.Uses[x].(*types.Var); ok && !v.IsField() && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Path() + "." + v.Name(), true
-		}
-	}
-	return "", false
-}
-
-// classFromFieldPath renders "pkgpath.Type.field[.field...]" for a field
-// selection path starting at recv.
-func classFromFieldPath(recv types.Type, idx []int) (string, bool) {
-	t := recv
-	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := types.Unalias(t).(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return "", false
-	}
-	class := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-	cur := named.Underlying()
-	for _, i := range idx {
-		st, ok := cur.(*types.Struct)
-		if !ok {
-			if ptr, isPtr := cur.(*types.Pointer); isPtr {
-				st, ok = ptr.Elem().Underlying().(*types.Struct)
-			}
-			if !ok {
-				return "", false
-			}
-		}
-		if i >= st.NumFields() {
-			return "", false
-		}
-		f := st.Field(i)
-		class += "." + f.Name()
-		cur = f.Type().Underlying()
-	}
-	return class, true
+	fb.fact(FactLock, call.Lparen, what+exprString(sel.X)+" (sync."+named.Obj().Name()+")")
 }
 
 // recvOf returns a function's receiver variable, or nil.

@@ -146,13 +146,6 @@ func TestHotPathDirectives(t *testing.T) {
 	checkFixture(t, fixtureFile("hotpathallow"), diags)
 }
 
-// TestLockOrderFixture runs the lockorder analyzer over its single-package
-// want fixture.
-func TestLockOrderFixture(t *testing.T) {
-	diags := runTypedFixture(t, "lockorder", "internal/overlay", "lockorder")
-	checkFixture(t, fixtureFile("lockorder"), diags)
-}
-
 // checkModuleFixture checks want comments in every source file of a
 // mini-module against the diagnostics landing in that file.
 func checkModuleFixture(t *testing.T, pkgs []*Package, diags []Diagnostic) {
@@ -170,56 +163,10 @@ func checkModuleFixture(t *testing.T, pkgs []*Package, diags []Diagnostic) {
 	}
 }
 
-// TestLockCycleModule proves the cross-package inversion fixture: both
-// legs of the A/B cycle report with their chains, and the suppressed leg
-// of the C/D cycle stays quiet while the core-side leg reports.
-func TestLockCycleModule(t *testing.T) {
-	pkgs, _, err := LoadModule(filepath.Join("testdata", "engine", "lockcycle"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(pkgs, []*Analyzer{LockOrder()})
-	checkModuleFixture(t, pkgs, diags)
-	// Both acquisition chains must be spelled out, including the leg that
-	// reaches its second lock through a call into the other package.
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "takes core.A.Mu via core.TouchA") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no diagnostic spells out the call-mediated leg: %v", diags)
-	}
-}
-
-// TestTransDetModule proves transitive determinism over a canalmesh-named
-// mini-module: sim-scope call sites into helpers that reach the clock or
-// global rand report (with the helper chain), suppression and staleness
-// work, and propagation stops when a path re-enters sim scope.
-func TestTransDetModule(t *testing.T) {
-	pkgs, _, err := LoadModule(filepath.Join("testdata", "engine", "transdet"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(pkgs, []*Analyzer{TransDeterminism()})
-	checkModuleFixture(t, pkgs, diags)
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "(via internal/clockutil.Stamp -> internal/clockutil.nanos)") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no diagnostic carries the via chain through the helper package: %v", diags)
-	}
-}
-
-// TestInterprocDeterminism is the ISSUE 7 acceptance gate: the seeded
-// hot-path allocation fixture, the lockorder cycle module, and the
-// transdeterminism module each produce byte-identical diagnostics across
-// two independent loads and runs (fresh FileSets, fresh type-checkers,
-// fresh graphs).
+// TestInterprocDeterminism requires the call-graph analyzers' fixtures —
+// the seeded hot-path allocation fixture and the simdeterminism fixture —
+// to produce byte-identical diagnostics across two independent loads and
+// runs (fresh FileSets, fresh type-checkers, fresh graphs).
 func TestInterprocDeterminism(t *testing.T) {
 	render := func(diags []Diagnostic) string {
 		var b strings.Builder
@@ -228,23 +175,14 @@ func TestInterprocDeterminism(t *testing.T) {
 		}
 		return b.String()
 	}
-	one := func() [3]string {
-		var out [3]string
-		out[0] = render(runTypedFixture(t, "hotpath", "internal/l7", "hotpath"))
-		lc, _, err := LoadModule(filepath.Join("testdata", "engine", "lockcycle"))
-		if err != nil {
-			t.Fatal(err)
+	one := func() [2]string {
+		return [2]string{
+			render(runTypedFixture(t, "hotpath", "internal/l7", "hotpath")),
+			render(runTypedFixture(t, "simdeterminism", "internal/sim", "simdeterminism")),
 		}
-		out[1] = render(Run(lc, []*Analyzer{LockOrder()}))
-		td, _, err := LoadModule(filepath.Join("testdata", "engine", "transdet"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[2] = render(Run(td, []*Analyzer{TransDeterminism()}))
-		return out
 	}
 	first, second := one(), one()
-	for i, name := range []string{"hotpath fixture", "lockcycle module", "transdet module"} {
+	for i, name := range []string{"hotpath fixture", "simdeterminism fixture"} {
 		if first[i] == "" {
 			t.Errorf("%s produced no diagnostics; the determinism check is vacuous", name)
 		}

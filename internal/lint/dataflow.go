@@ -32,15 +32,9 @@ import (
 // own context (a response writer, the shared access log, package-level
 // state) is fine exactly when the tenant key travels with it — a log entry
 // carrying Tenant:, a cache indexed by the tenant — and a leak when the
-// payload travels alone. Three analyzers consume the engine:
-//
-//	tenantflow  payload-tainted values reaching a sink with no identity
-//	            taint alongside (reported with the propagation chain)
-//	sharedmut   package-level mutable state written on the request path
-//	            without a lock (from the v3 lock facts) or a tenant-keyed
-//	            index
-//	poolbleed   sync.Pool values Put back without a reset, handing one
-//	            request's bytes to the next
+// payload travels alone. The tenantflow analyzer reports exactly that:
+// payload-tainted values reaching a sink with no identity taint alongside,
+// with the propagation chain.
 //
 // Audited isolation points are declared on the function:
 //
@@ -169,9 +163,6 @@ const headerGetKey = "net/http.(Header).Get"
 // constant's value, not the constant, so it works in any package.
 const tenantHeaderValue = "X-Canal-Tenant"
 
-// poolPutKey is the sync.Pool return path poolbleed guards.
-const poolPutKey = "sync.(*Pool).Put"
-
 // boundaryMarker declares an audited isolation point on a function.
 const boundaryMarker = "//canal:boundary"
 
@@ -240,17 +231,6 @@ type taintFn struct {
 	walker   *taintWalker
 }
 
-// globalWrite is one recorded write to package-level state, for sharedmut
-// and the tenantflow cache rules.
-type globalWrite struct {
-	class    string // pkgpath.var rendering of the written variable
-	pos      token.Pos
-	position token.Position
-	locked   bool // a v3 LockSite hold range covers the write
-	keyed    bool // map store indexed by an identity-tainted key
-	value    mark // taint of the stored value
-}
-
 // TaintEngine is the module-wide dataflow index. Build it with BuildTaint;
 // analysis runs lazily on first use and is memoized.
 type TaintEngine struct {
@@ -258,8 +238,7 @@ type TaintEngine struct {
 	fns      map[string]*taintFn
 	keys     []string // sorted analyzable keys
 	sums     map[string]*taintSummary
-	writes   map[string][]globalWrite
-	findings map[string][]Diagnostic
+	findings []Diagnostic // tenantflow's
 	done     bool
 }
 
@@ -267,11 +246,9 @@ type TaintEngine struct {
 // over an existing call graph. The packages must already be type-checked.
 func BuildTaint(pkgs []*Package, g *CallGraph) *TaintEngine {
 	e := &TaintEngine{
-		g:        g,
-		fns:      map[string]*taintFn{},
-		sums:     map[string]*taintSummary{},
-		writes:   map[string][]globalWrite{},
-		findings: map[string][]Diagnostic{},
+		g:    g,
+		fns:  map[string]*taintFn{},
+		sums: map[string]*taintSummary{},
 	}
 	ordered := make([]*Package, len(pkgs))
 	copy(ordered, pkgs)
@@ -309,16 +286,14 @@ func BuildTaint(pkgs []*Package, g *CallGraph) *TaintEngine {
 	return e
 }
 
-// findingsFor returns the memoized module-wide findings of one analyzer
-// (tenantflow, sharedmut, or poolbleed).
-func (e *TaintEngine) findingsFor(analyzer string) []Diagnostic {
+// tenantFlowFindings returns the memoized module-wide tenantflow findings.
+func (e *TaintEngine) tenantFlowFindings() []Diagnostic {
 	e.analyze()
-	return e.findings[analyzer]
+	return e.findings
 }
 
 // analyze runs the whole pipeline once: summaries bottom-up over SCCs,
-// then a reporting pass per function, then the sharedmut reachability
-// pass.
+// then a reporting pass per function.
 func (e *TaintEngine) analyze() {
 	if e.done {
 		return
@@ -334,7 +309,6 @@ func (e *TaintEngine) analyze() {
 		}
 		fn.walker.pass(true)
 	}
-	e.sharedMutFindings()
 }
 
 // sccs computes the strongly connected components of the analyzable
@@ -538,7 +512,7 @@ func (w *taintWalker) objOf(id *ast.Ident) types.Object {
 
 // pass walks the body once, applying every transfer rule; it returns
 // whether any cell or summary fact changed. With report set it also emits
-// the tenantflow/poolbleed findings (summaries are final by then).
+// the tenantflow findings (summaries are final by then).
 func (w *taintWalker) pass(report bool) bool {
 	w.changed = false
 	w.report = report
@@ -556,8 +530,6 @@ func (w *taintWalker) pass(report bool) bool {
 			for _, r := range v.Results {
 				w.mergeResult(w.markExpr(r))
 			}
-		case *ast.IncDecStmt:
-			w.globalStore(v.X, v.Pos(), mark{})
 		case *ast.CallExpr:
 			w.checkCall(v)
 		}
@@ -584,7 +556,7 @@ func (w *taintWalker) mergeResult(m mark) {
 }
 
 // assign applies one assignment statement: cell transfer plus the
-// package-level-store rules.
+// package-level-store rule.
 func (w *taintWalker) assign(as *ast.AssignStmt) {
 	// Tuple assignment from one call: every LHS gets the call's mark.
 	var rhs []mark
@@ -696,7 +668,7 @@ func (w *taintWalker) markSelector(sel *ast.SelectorExpr) mark {
 	s := info.Selections[sel]
 	if s == nil || s.Kind() != types.FieldVal {
 		// Package-qualified name or method value: reads of package-level
-		// vars are clean by design (sharedmut guards the writes).
+		// vars are clean by design (globalStore guards the writes).
 		return mark{}
 	}
 	base := w.markExpr(sel.X)
@@ -881,8 +853,8 @@ func (w *taintWalker) callSlotMarks(call *ast.CallExpr, obj *types.Func) []mark 
 	return slots
 }
 
-// checkCall applies the call-site rules: sink checks, pool discipline,
-// and paramSink lifting through in-module summaries.
+// checkCall applies the call-site rules: sink checks and paramSink lifting
+// through in-module summaries.
 func (w *taintWalker) checkCall(call *ast.CallExpr) {
 	p := w.fn.p
 	if tv, ok := p.TypesInfo.Types[ast.Unparen(call.Fun)]; ok && tv.IsType() {
@@ -895,9 +867,6 @@ func (w *taintWalker) checkCall(call *ast.CallExpr) {
 	key := funcKey(obj)
 	if desc, ok := taintSinks[key]; ok {
 		w.sinkCall(call, obj, desc)
-	}
-	if key == poolPutKey && w.report {
-		w.poolPut(call)
 	}
 	sum, ok := w.e.sums[key]
 	if !ok || sum.boundary || len(sum.paramSinks) == 0 {
@@ -963,59 +932,35 @@ func (w *taintWalker) reportTenantFlow(pos token.Pos, m mark, sink, chain string
 	if chain != "" {
 		msg += " (via " + chain + ")"
 	}
-	w.e.findings["tenantflow"] = append(w.e.findings["tenantflow"], Diagnostic{
+	w.e.findings = append(w.e.findings, Diagnostic{
 		Pos:     w.fn.p.Fset.Position(pos),
 		Message: msg,
 	})
 }
 
-// globalStore checks an assignment target against the package-level-state
-// rules, recording a sharedmut candidate and emitting the tenantflow
-// cache rule (source-derived payload stored without a tenant key).
+// globalStore applies the package-level-store rule to an assignment
+// target: source-derived payload stored in module state is a leak unless
+// the tenant key travels with it, in the value or as the store's index.
 func (w *taintWalker) globalStore(lhs ast.Expr, pos token.Pos, value mark) {
 	gv, keyExpr := w.globalTarget(lhs)
 	if gv == nil {
 		return
 	}
-	keyed := false
-	if keyExpr != nil {
-		keyed = w.markExpr(keyExpr).kinds&taintIdentity != 0
-	}
-	if !w.report {
+	keyed := keyExpr != nil && w.markExpr(keyExpr).kinds&taintIdentity != 0
+	if !w.report || keyed || value.kinds&taintPayload == 0 || value.kinds&taintIdentity != 0 {
 		return
 	}
-	class := gv.Pkg().Path() + "." + gv.Name()
-	off := w.fn.p.Fset.Position(pos).Offset
-	locked := false
-	if n := w.e.g.Nodes[w.fn.key]; n != nil {
-		for _, ls := range n.Locks {
-			if ls.Pos < pos && off < ls.EndOff {
-				locked = true
-				break
-			}
-		}
+	src := value.src
+	if src == "" {
+		src = "request data"
+	} else if value.srcPos.IsValid() {
+		src += " (" + baseLine(value.srcPos.Filename, value.srcPos.Line) + ")"
 	}
-	w.e.writes[w.fn.key] = append(w.e.writes[w.fn.key], globalWrite{
-		class:    w.e.g.shortKey(class),
-		pos:      pos,
-		position: w.fn.p.Fset.Position(pos),
-		locked:   locked,
-		keyed:    keyed,
-		value:    value,
+	w.e.findings = append(w.e.findings, Diagnostic{
+		Pos: w.fn.p.Fset.Position(pos),
+		Message: fmt.Sprintf("tenant payload from %s stored in package-level %s without a tenant key",
+			src, w.e.g.shortKey(gv.Pkg().Path()+"."+gv.Name())),
 	})
-	if value.kinds&taintPayload != 0 && value.kinds&taintIdentity == 0 && !keyed {
-		src := value.src
-		if src == "" {
-			src = "request data"
-		} else if value.srcPos.IsValid() {
-			src += " (" + baseLine(value.srcPos.Filename, value.srcPos.Line) + ")"
-		}
-		w.e.findings["tenantflow"] = append(w.e.findings["tenantflow"], Diagnostic{
-			Pos: w.fn.p.Fset.Position(pos),
-			Message: fmt.Sprintf("tenant payload from %s stored in package-level %s without a tenant key",
-				src, w.e.g.shortKey(class)),
-		})
-	}
 }
 
 // globalTarget resolves an assignment LHS to the package-level variable it
@@ -1068,110 +1013,6 @@ func (w *taintWalker) moduleVar(v *types.Var) *types.Var {
 	return nil
 }
 
-// poolPut enforces the reset-before-Put discipline on sync.Pool: a buffer
-// returned dirty hands this request's bytes to whichever request Gets it
-// next — across tenants in a shared gateway process. The check is
-// intraprocedural and textual: some reset of the same expression must
-// appear before the Put. Arguments that are not idents or selectors
-// (fresh composites, call results) are skipped.
-func (w *taintWalker) poolPut(call *ast.CallExpr) {
-	if len(call.Args) != 1 {
-		return
-	}
-	arg := ast.Unparen(call.Args[0])
-	if ue, ok := arg.(*ast.UnaryExpr); ok && ue.Op == token.AND {
-		arg = ast.Unparen(ue.X)
-	}
-	switch arg.(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-	default:
-		return
-	}
-	name := exprString(arg)
-	if strings.Contains(name, "?") {
-		return
-	}
-	if w.resetBefore(name, call.Lparen) {
-		return
-	}
-	w.e.findings["poolbleed"] = append(w.e.findings["poolbleed"], Diagnostic{
-		Pos: w.fn.p.Fset.Position(call.Lparen),
-		Message: fmt.Sprintf("%s is returned to the pool without a reset; the next Get hands this request's bytes to another tenant",
-			name),
-	})
-}
-
-// resetBefore reports whether the body resets the named value before pos:
-// a Reset/Clear/Truncate method call, a reslice to length zero, a clear()
-// builtin, or zeroing with an empty composite literal. Matching is on the
-// rendered expression, field resets (buf.b = buf.b[:0]) included.
-func (w *taintWalker) resetBefore(name string, pos token.Pos) bool {
-	matches := func(e ast.Expr) bool {
-		s := exprString(ast.Unparen(e))
-		return s == name || strings.HasPrefix(s, name+".")
-	}
-	found := false
-	ast.Inspect(w.fn.fd.Body, func(n ast.Node) bool {
-		if found || n == nil || n.Pos() >= pos {
-			return !found
-		}
-		switch v := n.(type) {
-		case *ast.CallExpr:
-			if sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr); ok {
-				switch sel.Sel.Name {
-				case "Reset", "Clear", "Truncate":
-					if matches(sel.X) {
-						found = true
-					}
-				}
-			}
-			if id, ok := ast.Unparen(v.Fun).(*ast.Ident); ok && id.Name == "clear" && len(v.Args) == 1 {
-				if _, isBuiltin := w.fn.p.TypesInfo.Uses[id].(*types.Builtin); isBuiltin && matches(v.Args[0]) {
-					found = true
-				}
-			}
-		case *ast.AssignStmt:
-			for i, lhs := range v.Lhs {
-				if i >= len(v.Rhs) {
-					break
-				}
-				target := ast.Unparen(lhs)
-				if st, ok := target.(*ast.StarExpr); ok {
-					target = ast.Unparen(st.X)
-				}
-				if !matches(target) {
-					continue
-				}
-				switch rv := ast.Unparen(v.Rhs[i]).(type) {
-				case *ast.SliceExpr:
-					if matches(rv.X) && rv.Low == nil && rv.High != nil && constIntZero(w.fn.p, rv.High) {
-						found = true
-					}
-				case *ast.CompositeLit:
-					if len(rv.Elts) == 0 {
-						found = true
-					}
-				}
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// constIntZero reports whether e is the constant 0.
-func constIntZero(p *Package, e ast.Expr) bool {
-	if p.TypesInfo == nil {
-		return false
-	}
-	tv, ok := p.TypesInfo.Types[e]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	v, ok := constant.Int64Val(constant.ToInt(tv.Value))
-	return ok && v == 0
-}
-
 // constStringIs reports whether e is a string constant with the value s.
 func constStringIs(p *Package, e ast.Expr, s string) bool {
 	if p.TypesInfo == nil {
@@ -1182,76 +1023,6 @@ func constStringIs(p *Package, e ast.Expr, s string) bool {
 		return false
 	}
 	return constant.StringVal(tv.Value) == s
-}
-
-// sharedMutFindings runs the request-path reachability pass: package-level
-// writes recorded by the walkers are a finding when the writing function
-// is reachable from a request-path root (a //canal:hotpath function or one
-// that reads a taint source) and neither a lock hold nor a tenant-keyed
-// index guards the write.
-func (e *TaintEngine) sharedMutFindings() {
-	var roots []string
-	for _, k := range e.keys {
-		sum := e.sums[k]
-		n := e.g.Nodes[k]
-		if (sum != nil && sum.hasSource) || (n != nil && n.Hot) {
-			roots = append(roots, k)
-		}
-	}
-	type hit struct {
-		root  string
-		chain string
-	}
-	onPath := map[string]hit{}
-	for _, root := range roots {
-		seen := e.g.reach(root, nil)
-		keys := make([]string, 0, len(seen))
-		for k := range seen {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if _, claimed := onPath[k]; claimed {
-				continue // first (sorted) root wins: deterministic messages
-			}
-			chain := ""
-			if k != root {
-				chain = e.g.chain(seen, root, k)
-			}
-			onPath[k] = hit{root: root, chain: chain}
-		}
-	}
-	reported := map[string]bool{}
-	for _, k := range e.keys {
-		writes := e.writes[k]
-		if len(writes) == 0 {
-			continue
-		}
-		h, ok := onPath[k]
-		if !ok {
-			continue
-		}
-		for _, gw := range writes {
-			if gw.locked || gw.keyed {
-				continue
-			}
-			site := fmt.Sprintf("%s:%d:%s", gw.position.Filename, gw.position.Offset, gw.class)
-			if reported[site] {
-				continue
-			}
-			reported[site] = true
-			msg := fmt.Sprintf("package-level %s written without a lock or tenant key in request-path function %s",
-				gw.class, e.g.shortKey(h.root))
-			if h.chain != "" {
-				msg = fmt.Sprintf("package-level %s written without a lock or tenant key on the request path of %s (via %s)",
-					gw.class, e.g.shortKey(h.root), h.chain)
-			}
-			e.findings["sharedmut"] = append(e.findings["sharedmut"], Diagnostic{
-				Pos:     gw.position,
-				Message: msg,
-			})
-		}
-	}
 }
 
 // DumpSummary prints one function's taint summary (the -taint CLI debug
@@ -1290,10 +1061,6 @@ func (e *TaintEngine) DumpSummary(out io.Writer, name string) bool {
 			fmt.Fprintf(out, " (via %s)", ps.chain)
 		}
 		fmt.Fprintln(out)
-	}
-	for _, gw := range e.writes[n.Key] {
-		fmt.Fprintf(out, "  write   package-level %s locked=%v keyed=%v value=%s\n",
-			gw.class, gw.locked, gw.keyed, gw.value.kinds)
 	}
 	return true
 }

@@ -8,11 +8,6 @@ import (
 	"testing"
 )
 
-// taintAnalyzers is the trio under test, in suite order.
-func taintAnalyzers() []*Analyzer {
-	return []*Analyzer{TenantFlow(), SharedMut(), PoolBleed()}
-}
-
 // loadTaintModule loads the taint mini-module fresh (no shared state with
 // other tests, so determinism comparisons are non-vacuous).
 func loadTaintModule(t *testing.T) []*Package {
@@ -27,10 +22,10 @@ func loadTaintModule(t *testing.T) []*Package {
 // TestTaintModule proves every scenario in the mini-module: direct sinks,
 // keyed sinks, interprocedural chains, boundary stops, summary recursion,
 // the tenant-header special case, directive suppression and staleness,
-// lock/tenant-key escapes for sharedmut, and each poolbleed reset idiom.
+// and the keyed and unkeyed package-level stores.
 func TestTaintModule(t *testing.T) {
 	pkgs := loadTaintModule(t)
-	diags := Run(pkgs, taintAnalyzers())
+	diags := Run(pkgs, []*Analyzer{TenantFlow()})
 	checkModuleFixture(t, pkgs, diags)
 	// The two-hop leak must spell out its full propagation chain.
 	found := false
@@ -44,13 +39,13 @@ func TestTaintModule(t *testing.T) {
 	}
 }
 
-// TestTaintDeterminism renders the trio's diagnostics from two fresh loads
+// TestTaintDeterminism renders tenantflow's diagnostics from two fresh loads
 // of the mini-module and requires byte-identical output — the invariant
 // verify.sh and CI enforce on the real module with cmp.
 func TestTaintDeterminism(t *testing.T) {
 	render := func() string {
 		var b strings.Builder
-		for _, d := range Run(loadTaintModule(t), taintAnalyzers()) {
+		for _, d := range Run(loadTaintModule(t), []*Analyzer{TenantFlow()}) {
 			fmt.Fprintf(&b, "%s\n", d)
 		}
 		return b.String()
@@ -97,7 +92,7 @@ func TestTaintDump(t *testing.T) {
 // findings, so the caller passing payload into it stays quiet.
 func TestTaintBoundaryStopsPropagation(t *testing.T) {
 	pkgs := loadTaintModule(t)
-	diags := Run(pkgs, taintAnalyzers())
+	diags := Run(pkgs, []*Analyzer{TenantFlow()})
 	for _, d := range diags {
 		if strings.Contains(d.Pos.Filename, "gateway.go") &&
 			(strings.Contains(d.Message, "respond") || strings.Contains(d.Message, "Reject")) {
@@ -108,23 +103,15 @@ func TestTaintBoundaryStopsPropagation(t *testing.T) {
 
 // TestTaintSubsetDirectives proves a subset run does not mark the other
 // analyzers' directives stale: the fixture carries a justified tenantflow
-// suppression, and running only sharedmut must not report it.
+// suppression, and running only hotpath must not report it.
 func TestTaintSubsetDirectives(t *testing.T) {
-	diags := Run(loadTaintModule(t), []*Analyzer{SharedMut()})
+	diags := Run(loadTaintModule(t), []*Analyzer{HotPath()})
 	for _, d := range diags {
 		if strings.Contains(d.Message, "suppresses nothing") {
 			t.Errorf("subset run reported an inactive analyzer's directive as stale: %s", d)
 		}
-		if d.Analyzer == "tenantflow" || d.Analyzer == "poolbleed" {
+		if d.Analyzer == "tenantflow" {
 			t.Errorf("subset run produced a diagnostic from an inactive analyzer: %s", d)
 		}
 	}
-}
-
-// TestPoolBleedFallback runs the analyzer over the single-package fixture:
-// a one-package module builds its call graph and taint engine on demand
-// like any other.
-func TestPoolBleedFallback(t *testing.T) {
-	diags := runTypedFixture(t, "poolbleed", "internal/bufpool", "poolbleed")
-	checkFixture(t, fixtureFile("poolbleed"), diags)
 }

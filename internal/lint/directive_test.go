@@ -29,7 +29,7 @@ func TestParseDirectivesWellFormed(t *testing.T) {
 func f() {
 	//canal:allow simdeterminism the sim harness epoch is wall-clock anchored
 	g()
-	h() //canal:allow errdrop best-effort cleanup, failure is logged upstream
+	h() //canal:allow hotpath amortized growth against preallocated capacity
 }
 
 func g() {}
@@ -45,7 +45,7 @@ func h() {}
 	if dirs[0].Analyzer != "simdeterminism" || !strings.Contains(dirs[0].Reason, "wall-clock anchored") {
 		t.Errorf("directive 0 parsed as %+v", dirs[0])
 	}
-	if dirs[1].Analyzer != "errdrop" || !strings.Contains(dirs[1].Reason, "best-effort cleanup") {
+	if dirs[1].Analyzer != "hotpath" || !strings.Contains(dirs[1].Reason, "amortized growth") {
 		t.Errorf("directive 1 parsed as %+v", dirs[1])
 	}
 }
@@ -109,25 +109,25 @@ func diagAt(file string, line int, analyzer string) Diagnostic {
 func TestApplyDirectivesMatching(t *testing.T) {
 	dir := &Directive{
 		Pos:      token.Position{Filename: "src.go", Line: 10},
-		Analyzer: "errdrop",
+		Analyzer: "unitsafe",
 		Reason:   "r",
 	}
 	// Same line and next line suppress; farther lines, other files, and
 	// other analyzers do not.
 	out := ApplyDirectives([]Diagnostic{
-		diagAt("src.go", 10, "errdrop"),
-		diagAt("src.go", 11, "errdrop"),
+		diagAt("src.go", 10, "unitsafe"),
+		diagAt("src.go", 11, "unitsafe"),
 	}, []*Directive{dir})
 	if len(out) != 0 {
 		t.Errorf("same/next line should be suppressed, got %v", out)
 	}
 
 	for _, d := range []Diagnostic{
-		diagAt("src.go", 12, "errdrop"),
-		diagAt("other.go", 10, "errdrop"),
-		diagAt("src.go", 10, "locksafe"),
+		diagAt("src.go", 12, "unitsafe"),
+		diagAt("other.go", 10, "unitsafe"),
+		diagAt("src.go", 10, "maporder"),
 	} {
-		dir := &Directive{Pos: token.Position{Filename: "src.go", Line: 10}, Analyzer: "errdrop", Reason: "r"}
+		dir := &Directive{Pos: token.Position{Filename: "src.go", Line: 10}, Analyzer: "unitsafe", Reason: "r"}
 		out := ApplyDirectives([]Diagnostic{d}, []*Directive{dir})
 		// The mismatched diagnostic survives and the directive reports
 		// itself as stale.

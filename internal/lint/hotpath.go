@@ -43,7 +43,7 @@ func (g *CallGraph) hotpathFindings() []Diagnostic {
 	}
 	reported := map[site]bool{}
 	for _, root := range g.hotRoots() {
-		seen := g.reach(root.Key, nil)
+		seen := g.reach(root.Key)
 		keys := make([]string, 0, len(seen))
 		for k := range seen {
 			keys = append(keys, k)

@@ -4,53 +4,36 @@
 // zero-dependency).
 //
 // The repository's tables and figures are regenerated by a discrete-event
-// simulator that must be bit-for-bit deterministic under a seed (DESIGN §1).
-// That invariant — plus the lock-free telemetry metrics and the admission
-// layer's concurrency — is exactly the kind of property reviewers miss and
-// the race detector only probabilistically covers. canalvet encodes the
-// invariants as analyzers over one engine: the module is parsed (load.go),
-// type-checked once from source into one shared types.Info (typecheck.go),
-// and held in one module value that also builds, on first use, the
-// CHA-style call graph (callgraph.go) and the taint engine layered on it
-// (dataflow.go).
+// simulator that must be bit-for-bit deterministic under a seed (DESIGN §1),
+// and one shared gateway must keep its tenants' data apart. canalvet
+// encodes the invariants behind those two claims as analyzers over one
+// engine: the module is parsed (load.go), type-checked once from source
+// into one shared types.Info (typecheck.go), and held in one module value
+// that also builds, on first use, the CHA-style call graph (callgraph.go)
+// and the taint engine layered on it (dataflow.go).
 //
-// Seven analyzers check one package at a time, on its syntax and type
+// Two analyzers check one package at a time, on its syntax and type
 // information:
 //
 //	maporder    no order-dependent output from map iteration
-//	atomicmix   fields accessed atomically are never accessed plainly
-//	locksafe    Lock without defer Unlock across multiple return paths
-//	errdrop     silently discarded error returns in non-test code
 //	unitsafe    no unit-less mixing of durations and bare numbers; the
 //	            named sim constructors are the blessed conversions
-//	ctxflow     functions that receive a context thread it; no
-//	            context.Background/TODO in non-main, non-test code
-//	chanleak    no goroutines parked forever on unbuffered channels, no
-//	            ranged-over channels that are never closed
 //
-// Four read the call graph's per-function facts and edges over the whole
+// Two read the call graph's per-function facts and edges over the whole
 // module:
 //
-//	simdeterminism    no wall clock or global math/rand in simulation
-//	                  packages
-//	transdeterminism  the same facts reached transitively through
-//	                  out-of-scope helper packages
-//	hotpath           //canal:hotpath functions and everything reachable
-//	                  from them must not allocate, lock, block on
-//	                  channels, or call fmt/reflect/regexp
-//	lockorder         module-wide lock-acquisition graph; order cycles
-//	                  reported with both acquisition chains
+//	simdeterminism  no wall clock or global math/rand in simulation
+//	                packages
+//	hotpath         //canal:hotpath functions and everything reachable
+//	                from them must not allocate, lock, block on
+//	                channels, or call fmt/reflect/regexp
 //
-// The last three consume the taint engine, which layers bottom-up function
+// The last consumes the taint engine, which layers bottom-up function
 // summaries over the call graph to statically audit tenant isolation on the
 // request path:
 //
 //	tenantflow  tenant-tainted payloads reaching response/log/state
 //	            sinks without the tenant key traveling alongside
-//	sharedmut   package-level mutable state written on the request path
-//	            without a lock or a tenant-keyed index
-//	poolbleed   sync.Pool values Put back without a reset, leaking one
-//	            request's bytes to the next
 //
 // Analyzers may attach a suggested fix to a diagnostic (fix.go);
 // `canalvet -fix` applies the edits, gofmt-clean and refusing overlaps.
@@ -182,18 +165,9 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		SimDeterminism(),
 		MapOrder(),
-		AtomicMix(),
-		LockSafe(),
-		ErrDrop(),
 		UnitSafe(),
-		CtxFlow(),
-		ChanLeak(),
 		HotPath(),
-		LockOrder(),
-		TransDeterminism(),
 		TenantFlow(),
-		SharedMut(),
-		PoolBleed(),
 	}
 }
 
@@ -272,8 +246,8 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	}
 	raw := map[*Package][]Diagnostic{}
 	// Directive staleness is judged only against the analyzers actually
-	// running: a subset run (canalvet -only ...) must not report the other
-	// analyzers' directives as suppressing nothing.
+	// running: a subset run (a fixture test of one analyzer) must not report
+	// the other analyzers' directives as suppressing nothing.
 	active := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		active[a.Name] = true
@@ -345,37 +319,9 @@ func importName(f *ast.File, path string) (string, bool) {
 	return "", false
 }
 
-// isPkgCall reports whether call invokes pkgName.fnName where pkgName is a
-// plain identifier (a package qualifier, not a value whose methods happen to
-// share the name — callers must ensure pkgName is the file's import name and
-// is not shadowed; shadowing an import with a same-named value is not an
-// idiom this module uses).
-func isPkgCall(call *ast.CallExpr, pkgName, fnName string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	return ok && id.Name == pkgName && sel.Sel.Name == fnName
-}
-
-// selectorOn returns (Sel name, true) when call invokes <ident>.<sel>() with
-// X being exactly the named identifier.
-func selectorOn(call *ast.CallExpr, ident string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok || id.Name != ident {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
 // exprString renders a small expression (lock targets, range subjects) into
-// a stable key for matching Lock/Unlock pairs and sort mentions. It is not a
-// full printer: anything beyond idents, selectors, stars, parens, and index
+// a stable key for lock-fact messages and sort mentions. It is not a full
+// printer: anything beyond idents, selectors, stars, parens, and index
 // expressions renders as "?".
 func exprString(e ast.Expr) string {
 	switch v := e.(type) {

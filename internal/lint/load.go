@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/build/constraint"
 	"go/parser"
 	"go/token"
@@ -181,15 +180,4 @@ func defaultBuildTag(tag string) bool {
 		return runtime.GOOS == "linux" || runtime.GOOS == "darwin"
 	}
 	return strings.HasPrefix(tag, "go1.")
-}
-
-// forEachFunc visits every function or method body in the file, including
-// function literals, handing fn the enclosing declaration (nil for literals
-// outside any decl) and the body.
-func forEachFunc(f *ast.File, fn func(decl *ast.FuncDecl, body *ast.BlockStmt)) {
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-			fn(fd, fd.Body)
-		}
-	}
 }

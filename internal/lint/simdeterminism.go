@@ -42,8 +42,9 @@ func inSimScope(dir string) bool {
 // simulation-facing packages. The detector is the call-graph builder, which
 // records each such call as a FactWallClock or FactGlobalRand fact on the
 // function (or package init node) it sits in; this analyzer reports the
-// facts of sim-scope nodes, test files included, and transdeterminism
-// reports the same facts where sim scope reaches them through helpers.
+// facts of sim-scope nodes, test files included. A read laundered through
+// an out-of-scope helper is left to TestSuiteRenderedSHA and the run-twice
+// determinism tests, which fail once it reaches rendered output.
 func SimDeterminism() *Analyzer {
 	return &Analyzer{
 		Name:      "simdeterminism",

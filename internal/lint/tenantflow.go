@@ -18,6 +18,6 @@ func TenantFlow() *Analyzer {
 	return &Analyzer{
 		Name:      "tenantflow",
 		Doc:       "report tenant-tainted values reaching response/log/state sinks without the tenant key (interprocedural taint)",
-		runModule: func(m *module) []Diagnostic { return m.taintEngine().findingsFor("tenantflow") },
+		runModule: func(m *module) []Diagnostic { return m.taintEngine().tenantFlowFindings() },
 	}
 }

@@ -1,66 +1,20 @@
-// Package state is the sharedmut half of the taint fixture: package-level
-// writes from request-path functions, with the lock and tenant-key escape
-// hatches, plus the tenantflow unkeyed-store rule.
+// Package state is the package-level-store half of the taint fixture: the
+// tenantflow rule for payload stored in module state without a tenant key.
 package state
 
-import (
-	"sync"
-
-	"canalmesh/internal/l7"
-)
+import "canalmesh/internal/l7"
 
 var (
-	mu        sync.Mutex
-	hits      int
-	locked    int
 	last      string
-	perTenant = map[string]int{}
 	responses = map[string]string{}
 )
 
-// Handle reads a taint source, making it a request-path root; its own
-// write and the one through bump are both unguarded.
-func Handle(req *l7.Request) {
-	_ = req.Path
-	hits++ // want "package-level internal/state.hits written without a lock or tenant key in request-path function internal/state.Handle"
-	bump()
-}
-
-func bump() {
-	deep() // bump itself writes nothing, keeping the chain two hops long
-}
-
-func deep() {
-	last = "marker" // want "on the request path of internal/state.Handle (via internal/state.Handle -> internal/state.bump -> internal/state.deep)"
-}
-
-// Locked holds the mutex across the write: quiet.
-func Locked(req *l7.Request) {
-	_ = req.Path
-	mu.Lock()
-	locked++
-	mu.Unlock()
-}
-
-// Keyed indexes the shared map by the tenant identity: quiet.
-func Keyed(req *l7.Request) {
-	perTenant[req.Tenant]++
-}
-
-// Remember stores source-derived payload unkeyed: both the isolation rule
-// (sharedmut) and the taint rule (tenantflow) fire on the same write.
+// Remember stores source-derived payload unkeyed: the taint rule fires.
 func Remember(req *l7.Request) {
-	last = req.Path // want "stored in package-level internal/state.last" "package-level internal/state.last written without a lock or tenant key"
+	last = req.Path // want "stored in package-level internal/state.last"
 }
 
-// Cache stores the same payload keyed by the tenant: both rules quiet.
+// Cache stores the same payload keyed by the tenant: quiet.
 func Cache(req *l7.Request) {
 	responses[req.Tenant] = req.Path
-}
-
-// Offline writes the same state but is reachable from no request-path
-// root: sharedmut stays quiet (the race detector's territory, not the
-// isolation engine's).
-func Offline() {
-	hits = 0
 }

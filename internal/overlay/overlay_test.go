@@ -225,3 +225,66 @@ func TestParseVMPacketShort(t *testing.T) {
 		t.Errorf("expected ErrShortBuffer for truncated inner, got %v", err)
 	}
 }
+
+// FuzzOverlayDecode feeds arbitrary bytes to every decoder a gateway VM or
+// the vSwitch runs on packets it did not build. No decoder may panic, each
+// must consume exactly its header length, and every header it accepts must
+// re-marshal to a value that decodes to itself.
+func FuzzOverlayDecode(f *testing.F) {
+	vx, _ := VXLAN{VNI: 0xABCDEF}.Marshal(nil)
+	f.Add(append(vx, 1, 2, 3))
+	in, _ := sampleInner().Marshal(nil)
+	f.Add(append(in, 0xFF))
+	f.Add(Shim{ServiceID: 1<<63 | 7, Flags: ShimSandboxed | ShimThrottled}.Marshal(nil))
+	pkt, _ := Encapsulate(42, sampleInner(), []byte("GET / HTTP/1.1"), 0)
+	f.Add(pkt)
+	vm, _ := sampleInner().Marshal(Shim{ServiceID: 9}.Marshal(nil))
+	f.Add(append(vm, "hello"...))
+	f.Add(make([]byte, VXLANHeaderLen))
+	f.Add(make([]byte, ShimHeaderLen+3))
+	f.Add([]byte{1, 2, 3})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if v, rest, err := UnmarshalVXLAN(b); err == nil {
+			if len(rest) != len(b)-VXLANHeaderLen {
+				t.Fatalf("UnmarshalVXLAN left %d of %d bytes", len(rest), len(b))
+			}
+			wire, err := v.Marshal(nil)
+			if err != nil {
+				t.Fatalf("accepted VXLAN %+v does not marshal: %v", v, err)
+			}
+			if got, _, err := UnmarshalVXLAN(wire); err != nil || got != v {
+				t.Fatalf("VXLAN %+v re-decodes as %+v, %v", v, got, err)
+			}
+		}
+		if h, rest, err := UnmarshalInner(b); err == nil {
+			if len(rest) != len(b)-InnerHeaderLen {
+				t.Fatalf("UnmarshalInner left %d of %d bytes", len(rest), len(b))
+			}
+			wire, err := h.Marshal(nil)
+			if err != nil {
+				t.Fatalf("accepted inner header %+v does not marshal: %v", h, err)
+			}
+			if got, _, err := UnmarshalInner(wire); err != nil || got != h {
+				t.Fatalf("inner header %+v re-decodes as %+v, %v", h, got, err)
+			}
+		}
+		if s, rest, err := UnmarshalShim(b); err == nil {
+			if len(rest) != len(b)-ShimHeaderLen {
+				t.Fatalf("UnmarshalShim left %d of %d bytes", len(rest), len(b))
+			}
+			if got, _, err := UnmarshalShim(s.Marshal(nil)); err != nil || got != s {
+				t.Fatalf("shim %+v re-decodes as %+v, %v", s, got, err)
+			}
+		}
+		if s, h, payload, err := ParseVMPacket(b); err == nil {
+			wire, err := h.Marshal(s.Marshal(nil))
+			if err != nil {
+				t.Fatalf("accepted VM packet's inner header %+v does not marshal: %v", h, err)
+			}
+			gs, gh, gp, err := ParseVMPacket(append(wire, payload...))
+			if err != nil || gs != s || gh != h || !bytes.Equal(gp, payload) {
+				t.Fatalf("VM packet (%+v, %+v, %q) re-decodes as (%+v, %+v, %q), %v", s, h, payload, gs, gh, gp, err)
+			}
+		}
+	})
+}

@@ -1,12 +1,11 @@
 #!/bin/sh
 # Repo-wide verification: build, formatting, vet, the canalvet invariant
-# linters (map-order hygiene, atomic/lock discipline, error hygiene,
-# unit-safety, context-flow and channel-leak per package; sim determinism,
-# hotpath, lockorder and transdeterminism over the call graph; tenantflow,
-# sharedmut and poolbleed over the taint engine — see internal/lint), and
-# the full test suite under the race detector, in shuffled order. This is the one gate every PR
-# must pass: CI (.github/workflows/ci.yml) calls this script and otherwise
-# only publishes artifacts.
+# linters (map-order hygiene and unit-safety per package; sim determinism
+# and hotpath over the call graph; tenantflow over the taint engine — see
+# internal/lint), the full test suite under the race detector in shuffled
+# order, the shared-state tests ten times over, and the fuzz smokes. This is
+# the one gate every PR must pass: CI (.github/workflows/ci.yml) calls this
+# script and otherwise only publishes artifacts.
 set -eu
 cd "$(dirname "$0")"
 
@@ -19,8 +18,9 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-# vet's copylocks check is the guard against mutex-bearing structs passed
-# or received by value; canalvet's locksafe no longer repeats it.
+# vet's copylocks check is the guard against copying a mutex-bearing struct
+# or a typed sync/atomic value (every atomic in the module is one), whether
+# passed, received or assigned by value.
 go vet ./...
 
 # Diagnostic order is a byte-stable invariant: -runs 2 analyzes the
@@ -39,7 +39,8 @@ go test -race -shuffle=on ./...
 # tenant CA's verified-peer memo and serial counter between every request and
 # issue of that tenant: the tests that share that state between goroutines run
 # ten times over, so an interleaving one pass misses still has its chance to
-# be seen.
+# be seen. The race detector, not a static check, is what guards shared
+# mutable state written on the request path.
 go test -race -count=10 -run 'TestPooledState|TestGatewayThrottleUnderConcurrentLoad|TestRouteConcurrentRateLimits|TestVerifyPeerConcurrent|TestIssueIdentityConcurrent' . ./internal/l7 ./internal/meshcrypto
 
 # Fuzz smoke: the in-place traceparent parser against the split-and-decode
@@ -59,6 +60,10 @@ go test -run '^$' -fuzz FuzzHash5Tuple -fuzztime 5s ./internal/l4
 # after every Apply against the linear Baseline oracle, a fresh compile's
 # fingerprint and the patterns in use.
 go test -run '^$' -fuzz FuzzCompilerEval -fuzztime 5s ./internal/policy
+# And the overlay decoders: whatever bytes arrive, the VXLAN, inner, shim
+# and VM-packet decoders never panic, and every header they accept
+# re-marshals to a value that decodes to itself.
+go test -run '^$' -fuzz FuzzOverlayDecode -fuzztime 5s ./internal/overlay
 
 # The benchmark harness that judges every PR is a module of its own
 # (benchmark/go.mod), so the root module's ./... does not reach it.
