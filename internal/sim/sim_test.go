@@ -227,6 +227,30 @@ func TestProcessorUtilizationSpansBuckets(t *testing.T) {
 	}
 }
 
+func TestProcessorUtilizationRevisitsBuckets(t *testing.T) {
+	// Two cores: the first Exec leaves bucket 2 open, the second lands back
+	// in bucket 0, so the open bucket's busy time is folded and bucket 0
+	// reopened. Every bucket must still read its exact sum.
+	s := New(1)
+	p := NewProcessor(s, "cpu", 2)
+	s.At(0, func() {
+		p.Exec(2500*time.Millisecond, nil) // busy 0s..2.5s on one core
+		p.Exec(500*time.Millisecond, nil)  // busy 0s..0.5s on the other
+	})
+	s.Run()
+	for _, c := range []struct {
+		at   time.Duration
+		want float64
+	}{{0, 0.75}, {time.Second, 0.5}, {2 * time.Second, 0.25}, {3 * time.Second, 0}} {
+		if u := p.Utilization(c.at); u != c.want {
+			t.Errorf("Utilization(%v) = %v, want %v", c.at, u, c.want)
+		}
+	}
+	if u := p.UtilizationRange(0, 3*time.Second); u != 0.5 {
+		t.Errorf("UtilizationRange(0, 3s) = %v, want 0.5", u)
+	}
+}
+
 func TestProcessorSaturationProducesQueueGrowth(t *testing.T) {
 	// Offered load 2x capacity: completion latency of the Nth job grows
 	// linearly — the mechanism behind the paper's latency spikes (Fig 2).

@@ -64,6 +64,10 @@ go test -run '^$' -fuzz FuzzCompilerEval -fuzztime 5s ./internal/policy
 # and VM-packet decoders never panic, and every header they accept
 # re-marshals to a value that decodes to itself.
 go test -run '^$' -fuzz FuzzOverlayDecode -fuzztime 5s ./internal/overlay
+# And the simulator's event queue: random interleavings of At, After,
+# Every, RunUntil, Run and Halt, callbacks scheduling more, checked event by
+# event against a reference that sorts by (at, seq).
+go test -run '^$' -fuzz FuzzEventQueue -fuzztime 5s ./internal/sim
 
 # The benchmark harness that judges every PR is a module of its own
 # (benchmark/go.mod), so the root module's ./... does not reach it.
