@@ -475,6 +475,19 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		req.SourceService = shortID(id)
 	}
 
+	up := tenant.services[st.service]
+	if up == nil {
+		// Never configured: the nil handle refuses it, as the engine would,
+		// by the name it would have. The refusal comes before admission, so
+		// an unknown name leaves no admission state behind and gets its 503
+		// whatever the load.
+		req.Service = serviceKey(req.Tenant, st.service)
+		_, err := (*l7.Service)(nil).Route(0, req)
+		g.fail(w, st, l7.StatusOf(err), "canal: "+err.Error())
+		return
+	}
+	req.Service = up.key
+
 	if config.admit != nil {
 		release, rej := config.admit.Admit(req.Tenant, st.service, r.Header.Get(HeaderRetry) != "")
 		if rej != nil {
@@ -485,22 +498,13 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		st.admitted = release
 	}
 
-	up := tenant.services[st.service]
-	var route *l7.Service
-	if up != nil {
-		req.Service, route = up.key, up.route
-	} else {
-		// Never configured: the nil handle refuses it, as the engine would,
-		// by the name it would have.
-		req.Service = serviceKey(req.Tenant, st.service)
-	}
 	req.SourcePod = r.Header.Get(HeaderSourcePod)
 	flattenHeaders(req.Headers, r.Header)
 	flattenCookies(req.Cookies, r)
 	req.BodyBytes = int(r.ContentLength)
 	req.TLS = r.TLS != nil
 	var err error
-	st.decision, err = route.Route(time.Since(g.start), req) //canal:allow simdeterminism live gateway clock feeds rate limiters with real elapsed time
+	st.decision, err = up.route.Route(time.Since(g.start), req) //canal:allow simdeterminism live gateway clock feeds rate limiters with real elapsed time
 	if err != nil {
 		g.fail(w, st, l7.StatusOf(err), "canal: "+err.Error())
 		return

@@ -3,6 +3,7 @@ package canal
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -112,5 +113,69 @@ func TestGatewayAdmissionRetryBudget(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fresh request status = %d after retry budget exhausted", resp.StatusCode)
+	}
+}
+
+// TestGatewayUnconfiguredRefusedBeforeAdmission pins the limit at one slot,
+// parks a configured request on a blocking upstream, and sends requests for
+// two tenants the gateway has never heard of. Each must get the 503 an
+// unconfigured service gets when the gateway is idle, not a 429: the refusal
+// comes before admission, so unknown names neither take a slot nor leave
+// admission state or shed counts behind.
+func TestGatewayUnconfiguredRefusedBeforeAdmission(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	unblock := make(chan struct{})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrived <- struct{}{}
+		<-unblock
+	}))
+	defer slow.Close()
+
+	gwSrv, agent, gw := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"},
+		map[string][]string{"v1": {slow.URL}}, false)
+	gw.EnableAdmission(admission.Config{
+		Limiter: admission.LimiterConfig{InitialLimit: 1, MinLimit: 1, MaxLimit: 1},
+	})
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		resp, err := agent.Get("web", "/")
+		if err != nil {
+			t.Errorf("parked request: %v", err)
+			return
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("parked request status = %d", resp.StatusCode)
+		}
+	}()
+	<-arrived
+
+	for _, tenant := range []string{"ghost-a", "ghost-b"} {
+		req, err := http.NewRequest("GET", gwSrv.URL+"/", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(HeaderTenant, tenant)
+		req.Header.Set(HeaderService, "web")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readBody(t, resp)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("tenant %s: status = %d (%q), want 503", tenant, resp.StatusCode, body)
+		}
+		if want := "no route configuration for service " + tenant + "/web"; !strings.Contains(body, want) {
+			t.Errorf("tenant %s: body = %q, want it to name %q", tenant, body, want)
+		}
+	}
+	close(unblock)
+	wg.Wait()
+
+	if got := gw.AdmissionMetrics().ShedTotal(); got != 0 {
+		t.Errorf("shed total = %v, want 0: unconfigured requests never reach admission", got)
 	}
 }

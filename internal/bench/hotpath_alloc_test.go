@@ -92,8 +92,9 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 		t.Fatalf("sim bench did not dispatch its events: ticks=%d pending=%d", ticks, s.Pending())
 	}
 
-	// Trace hop recording: AddHop into the preallocated span slice, reset
-	// between runs so the measurement never crosses the 8-hop growth edge.
+	// Trace hop recording: AddHop into the span slice the trace started
+	// with, reset between runs so the measurement never crosses its growth
+	// edge.
 	clk := sim.New(2)
 	tr := trace.New(trace.Config{Seed: 7, Clock: clk.Now})
 	tc := tr.Start("canal", "req")
@@ -104,6 +105,35 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	})
 	if len(tc.Hops()) != 1 {
 		t.Fatalf("trace bench did not record hops: %d", len(tc.Hops()))
+	}
+
+	// Live trace cycle: what the live gateway's tracer costs a request —
+	// a trace joined to the inbound context, one upstream hop, and Finish.
+	// Once the tracer has finished a one-hop trace, a new one allocates the
+	// Trace and its two-span slice and nothing else.
+	lt := trace.NewLive()
+	var ltc *trace.Trace
+	got["live_trace_cycle"] = testing.AllocsPerRun(1000, func() {
+		ltc = lt.StartRemoteTenant(trace.TraceID{0x4b}, trace.SpanID{0xf0}, true, "gateway", "acme", "GET /api/cart")
+		ltc.AddHop(trace.Hop{Name: "gateway/upstream"})
+		lt.Finish(ltc, 200)
+	})
+	if len(ltc.Spans) != 2 || lt.Started() == 0 {
+		t.Fatalf("live trace bench did not record its hop: %d spans", len(ltc.Spans))
+	}
+
+	// Live admission: one HTTPController Admit and its release, for a
+	// tenant the controller has seen before.
+	hc := admission.NewHTTPController(admission.Config{})
+	got["http_admit_release"] = testing.AllocsPerRun(1000, func() {
+		release, rej := hc.Admit("acme", "checkout", false)
+		if rej != nil {
+			panic(rej)
+		}
+		release(true)
+	})
+	if hc.Metrics().Tenant("acme").Admitted.Value() == 0 {
+		t.Fatal("admission bench admitted no request")
 	}
 
 	// Policy lookup: a compiled dispatch-table Eval through a populated

@@ -62,22 +62,25 @@ func (m *RouteMatch) predicates() []*StringMatch {
 	return ps
 }
 
-// Matches reports whether the request satisfies every condition.
+// Matches reports whether the request satisfies every condition. It reads
+// the condition in place: the route loop calls it for every rule it scans.
 //
 //canal:hotpath
-func (m RouteMatch) Matches(r *Request) bool {
+func (m *RouteMatch) Matches(r *Request) bool {
 	if !m.Method.Matches(r.Method) {
 		return false
 	}
 	if !m.Path.Matches(r.Path) {
 		return false
 	}
-	for _, h := range m.Headers {
+	for i := range m.Headers {
+		h := &m.Headers[i]
 		if !h.Match.Matches(r.Header(h.Name)) {
 			return false
 		}
 	}
-	for _, c := range m.Cookies {
+	for i := range m.Cookies {
+		c := &m.Cookies[i]
 		if !c.Match.Matches(r.Cookie(c.Name)) {
 			return false
 		}

@@ -151,7 +151,7 @@ func (t *Trace) Total() time.Duration { return t.Spans[0].End - t.Spans[0].Start
 //canal:hotpath
 func (t *Trace) AddHop(h Hop) SpanID {
 	id := t.tracer.NewSpanID()
-	//canal:allow hotpath amortized: Spans is preallocated for 8 hops at start; only deeper paths grow it
+	//canal:allow hotpath amortized: Spans is sized at start to the deepest trace the tracer has finished; only a deeper path grows it
 	t.Spans = append(t.Spans, Span{
 		ID:     id,
 		Parent: t.Spans[0].ID,
@@ -211,7 +211,16 @@ type Tracer struct {
 	keptRing *ring
 	tail     ring
 	started  uint64
+	// depth is the span count of the deepest trace finished so far, at
+	// least minSpans: the capacity new traces start with, so a tracer's
+	// traces stop growing their span slices once it has seen its deepest
+	// path.
+	depth int
 }
+
+// minSpans is the smallest span capacity a trace starts with: the root and
+// one hop, the shape of a live gateway trace.
+const minSpans = 2
 
 // New returns a tracer drawing IDs from a rand.Rand seeded with cfg.Seed and
 // timestamps from cfg.Clock.
@@ -238,6 +247,7 @@ func New(cfg Config) *Tracer {
 		slow:     cfg.SlowThreshold,
 		keptRing: keptRing,
 		tail:     ring{buf: make([]*Trace, cap)},
+		depth:    minSpans,
 	}
 }
 
@@ -294,8 +304,9 @@ func (tr *Tracer) StartTenant(arch, tenant, name string) *Trace {
 	root := tr.newSpanIDLocked()
 	sampled := tr.head >= 1 || tr.rng.Float64() < tr.head
 	tr.started++
+	depth := tr.depth
 	tr.mu.Unlock()
-	return tr.start(id, SpanID{}, root, arch, tenant, name, sampled)
+	return tr.start(id, SpanID{}, root, depth, arch, tenant, name, sampled)
 }
 
 // StartRemote begins a trace joined to a propagated context (an extracted
@@ -311,14 +322,14 @@ func (tr *Tracer) StartRemoteTenant(id TraceID, parent SpanID, sampled bool, arc
 	tr.mu.Lock()
 	root := tr.newSpanIDLocked()
 	tr.started++
+	depth := tr.depth
 	tr.mu.Unlock()
-	return tr.start(id, parent, root, arch, tenant, name, sampled)
+	return tr.start(id, parent, root, depth, arch, tenant, name, sampled)
 }
 
-func (tr *Tracer) start(id TraceID, parent, root SpanID, arch, tenant, name string, sampled bool) *Trace {
-	// Room for the root plus seven hops before AddHop's append ever grows
-	// the slice — deeper than any proxy architecture modeled here.
-	spans := make([]Span, 1, 8)
+// start builds a trace whose span slice has room for depth spans.
+func (tr *Tracer) start(id TraceID, parent, root SpanID, depth int, arch, tenant, name string, sampled bool) *Trace {
+	spans := make([]Span, 1, depth)
 	spans[0] = Span{ID: root, Parent: parent, Name: name, Start: tr.now()}
 	return &Trace{
 		ID:      id,
@@ -342,6 +353,7 @@ func (tr *Tracer) Finish(t *Trace, status int) {
 	defer tr.mu.Unlock()
 	t.Spans[0].End = end
 	t.Status = status
+	tr.depth = max(tr.depth, len(t.Spans))
 	if t.Sampled {
 		if tr.keptRing != nil {
 			tr.keptRing.push(t)

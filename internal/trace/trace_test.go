@@ -119,6 +119,35 @@ func TestLiveTracerBoundsKept(t *testing.T) {
 	}
 }
 
+// TestSpanCapacityFollowsDeepestFinished checks that a new trace's span
+// slice is sized to the deepest trace its tracer has finished: a live
+// gateway trace (root plus one hop) starts the next one with room for
+// exactly two spans, and once a five-span trace has finished, the next
+// starts with room for five — however shallow the traces finished since.
+func TestSpanCapacityFollowsDeepestFinished(t *testing.T) {
+	tr := NewLive()
+	id, parent, sampled, err := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := tr.StartRemoteTenant(id, parent, sampled, "gateway", "acme", "GET /")
+	live.AddHop(Hop{Name: "gateway/upstream"})
+	tr.Finish(live, 200)
+	if got := cap(tr.StartRemoteTenant(id, parent, sampled, "gateway", "acme", "GET /").Spans); got != 2 {
+		t.Errorf("after a one-hop trace: next trace's span capacity %d, want 2", got)
+	}
+
+	deep := tr.StartTenant("gateway", "acme", "GET /deep")
+	for i := 0; i < 4; i++ {
+		deep.AddHop(Hop{Name: fmt.Sprintf("hop-%d", i)})
+	}
+	tr.Finish(deep, 200)
+	tr.Finish(tr.Start("gateway", "GET /"), 200)
+	if got := cap(tr.StartTenant("gateway", "acme", "GET /").Spans); got != 5 {
+		t.Errorf("after a 5-span trace: next trace's span capacity %d, want 5", got)
+	}
+}
+
 func TestTailKeepsSlowAndErrored(t *testing.T) {
 	clock, advance := testClock()
 	tr := New(Config{Seed: 5, Clock: clock, HeadRate: 0.0001, SlowThreshold: 10 * time.Millisecond, TailCap: 8})
