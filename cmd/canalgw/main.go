@@ -28,6 +28,14 @@ func main() {
 	admit := flag.Bool("admission", false, "enable adaptive admission control (AIMD concurrency limit, per-tenant fair shares, retry budgets); a config file's admission block overrides this")
 	flag.Parse()
 
+	// Bind first: the demo request dials the listener's real address (an
+	// ephemeral :0 port included), and a connection made before Serve runs
+	// waits in the accept queue instead of being refused.
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Fatalf("canalgw: %v", err)
+	}
+
 	gw := canal.NewGatewayServer(1)
 	gw.RequireAuth = true
 	if *admit {
@@ -47,12 +55,12 @@ func main() {
 			log.Printf("canalgw: tenant %s provisioned (fresh CA; issue identities via the canal API)", tenant)
 		}
 	} else if *demo {
-		if err := setupDemo(gw, *listen); err != nil {
+		if err := setupDemo(gw, ln.Addr().String()); err != nil {
 			log.Fatalf("canalgw: demo setup: %v", err)
 		}
 	}
-	log.Printf("canalgw: mesh gateway listening on %s", *listen)
-	log.Fatal(http.ListenAndServe(*listen, gw))
+	log.Printf("canalgw: mesh gateway listening on %s", ln.Addr())
+	log.Fatal(http.Serve(ln, gw))
 }
 
 // setupDemo provisions tenant "demo" with service "web" (90/10 canary) and

@@ -239,7 +239,7 @@ func traceCmd(args []string) {
 func build(seed int64, backends, services int) (*sim.Sim, *cloud.Region, *gateway.Gateway, []*gateway.ServiceState) {
 	s := sim.New(seed)
 	region := cloud.NewRegion(s, "r1", "az1", "az2")
-	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(seed), ShardSize: 3, Seed: seed})
+	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), ShardSize: 3, Seed: seed})
 	for i := 0; i < backends; i++ {
 		az := region.AZ("az1")
 		if i%2 == 1 {
@@ -313,7 +313,7 @@ func attack() {
 		SessionUtilization: 0.82,
 		UserClusterUtil:    -1,
 	}
-	c := anomaly.Classify(sig, anomaly.DefaultThresholds())
+	c := anomaly.Classify(sig)
 	fmt.Printf("t=%v sessions=%d -> classification: %s (%s)\n", s.Now(), victim.Sessions, c.Action, c.Reason)
 	if c.Action == anomaly.ActionLossyMigrate {
 		done := false

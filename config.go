@@ -26,9 +26,6 @@ type FileConfig struct {
 // optional; zeros take the package defaults.
 type AdmissionFileConfig struct {
 	Enabled bool `json:"enabled"`
-	// TargetMS / IntervalMS tune CoDel-style queue management.
-	TargetMS   float64 `json:"target_ms,omitempty"`
-	IntervalMS float64 `json:"interval_ms,omitempty"`
 	// Weights biases per-tenant fair shares (default weight 1).
 	Weights map[string]float64 `json:"weights,omitempty"`
 	// Limiter bounds for the adaptive AIMD concurrency limit.
@@ -45,9 +42,7 @@ type AdmissionFileConfig struct {
 // Build converts the file entry into an admission.Config.
 func (a *AdmissionFileConfig) Build() admission.Config {
 	return admission.Config{
-		Target:   sim.Scale(time.Millisecond, a.TargetMS),
-		Interval: sim.Scale(time.Millisecond, a.IntervalMS),
-		Weights:  a.Weights,
+		Weights: a.Weights,
 		Limiter: admission.LimiterConfig{
 			InitialLimit: a.InitialLimit,
 			MinLimit:     a.MinLimit,
@@ -275,11 +270,11 @@ func (c *FileConfig) Apply(gw *GatewayServer) (map[string]*CA, error) {
 		cas[t.Name] = ca
 		for _, s := range t.Services {
 			cfg, pools, err := s.Build()
+			if err == nil {
+				err = gw.ConfigureService(t.Name, cfg, pools)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("canal: service %s/%s: %w", t.Name, s.Name, err)
-			}
-			if err := gw.ConfigureService(t.Name, cfg, pools); err != nil {
-				return nil, err
 			}
 		}
 	}

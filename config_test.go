@@ -2,12 +2,17 @@ package canal
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"canalmesh/internal/l7"
 )
 
 const sampleConfig = `{
@@ -45,8 +50,6 @@ const sampleConfig = `{
 const admissionConfig = `{
   "admission": {
     "enabled": true,
-    "target_ms": 5,
-    "interval_ms": 100,
     "min_limit": 4,
     "max_limit": 256,
     "tolerance": 3,
@@ -215,9 +218,6 @@ func TestLoadConfigAdmissionBlock(t *testing.T) {
 		t.Fatalf("admission block = %+v", cfg.Admission)
 	}
 	built := cfg.Admission.Build()
-	if built.Target.Milliseconds() != 5 || built.Interval.Milliseconds() != 100 {
-		t.Errorf("codel knobs = %v/%v", built.Target, built.Interval)
-	}
 	if built.Limiter.MinLimit != 4 || built.Limiter.MaxLimit != 256 || built.Limiter.Tolerance != 3 {
 		t.Errorf("limiter knobs = %+v", built.Limiter)
 	}
@@ -244,6 +244,85 @@ func TestLoadConfigAdmissionBlock(t *testing.T) {
 	}
 	if gw2.AdmissionMetrics() != nil {
 		t.Error("admission enabled without a config block")
+	}
+}
+
+// codelConfig sets the CoDel knobs the live gateway's admission layer never
+// had: it keeps no queue, so a target or interval in a -config file would
+// change nothing.
+const codelConfig = `{"admission":{"enabled":true,"target_ms":5,"interval_ms":100},
+  "tenants":[{"name":"acme","services":[{"name":"web","default_subset":"v1","pools":{"v1":["http://127.0.0.1:1"]}}]}]}`
+
+// TestLoadConfigRefusesCoDelKnobs: a -config file that sets target_ms or
+// interval_ms is refused with an error naming the field, not loaded and
+// silently ignored.
+func TestLoadConfigRefusesCoDelKnobs(t *testing.T) {
+	for _, field := range []string{"target_ms", "interval_ms"} {
+		doc := `{"admission":{"enabled":true,"` + field + `":5},
+		  "tenants":[{"name":"acme","services":[{"name":"web","default_subset":"v1","pools":{"v1":["http://127.0.0.1:1"]}}]}]}`
+		_, err := LoadConfig(strings.NewReader(doc))
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("LoadConfig with %s = %v, want an error naming the field", field, err)
+		}
+	}
+	if _, err := LoadConfig(strings.NewReader(codelConfig)); err == nil {
+		t.Error("LoadConfig accepted codelConfig")
+	}
+}
+
+// Two rule documents the gateway could load but not serve: an abort status
+// http.Error panics on, and split weights whose sum wraps int negative, which
+// rand.Intn panics on.
+const (
+	abortStatusConfig = `{"tenants":[{"name":"tenant1","services":[{"name":"web","default_subset":"v1",
+  "rules":[{"name":"chaos","abort_percent":100,"abort_status":42}],"pools":{"v1":["http://127.0.0.1:1"]}}]}]}`
+	splitOverflowConfig = `{"tenants":[{"name":"tenant1","services":[{"name":"web","default_subset":"v1",
+  "rules":[{"name":"huge","splits":{"v1":5000000000000000000,"v2":5000000000000000000}}],
+  "pools":{"v1":["http://127.0.0.1:1"],"v2":["http://127.0.0.1:2"]}}]}]}`
+)
+
+// TestUnservableRulesRefused: an abort status outside 400-599 and split
+// weights whose sum overflows int are configuration errors, through
+// ConfigureService and through LoadConfig+Apply alike, and the service
+// already installed keeps routing.
+func TestUnservableRulesRefused(t *testing.T) {
+	upstream := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	defer upstream.Close()
+	_, agent, gw := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"},
+		map[string][]string{"v1": {upstream.URL}}, false)
+	pools := map[string][]string{"v1": {upstream.URL}, "v2": {upstream.URL}}
+	for _, tc := range []struct {
+		name, rule, doc string
+		cfg             ServiceConfig
+	}{
+		{"abort status", "chaos", abortStatusConfig, ServiceConfig{Service: "web", DefaultSubset: "v1", Rules: []Rule{{
+			Name: "chaos", Fault: &FaultSpec{AbortPercent: 100, AbortStatus: 42},
+		}}}},
+		{"split overflow", "huge", splitOverflowConfig, ServiceConfig{Service: "web", DefaultSubset: "v1", Rules: []Rule{{
+			Name: "huge", Splits: []Split{{Subset: "v1", Weight: 5e18}, {Subset: "v2", Weight: 5e18}},
+		}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := gw.ConfigureService("tenant1", tc.cfg, pools); err == nil || !strings.Contains(err.Error(), "rule "+tc.rule) {
+				t.Errorf("ConfigureService = %v, want an error naming rule %s", err, tc.rule)
+			}
+			cfg, err := LoadConfig(strings.NewReader(tc.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = cfg.Apply(gw)
+			if err == nil || !strings.Contains(err.Error(), "tenant1/web") || !strings.Contains(err.Error(), "rule "+tc.rule) {
+				t.Errorf("Apply = %v, want an error naming service tenant1/web and rule %s", err, tc.rule)
+			}
+			resp, err := agent.Get("web", "/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("status after the refused configuration = %d, want the installed service still routing", resp.StatusCode)
+			}
+		})
 	}
 }
 
@@ -284,7 +363,10 @@ func TestLoadConfigBadRegexIsAnError(t *testing.T) {
 // FuzzLoadConfig feeds the -config loader arbitrary bytes: whatever LoadConfig
 // accepts builds and applies to a fresh gateway without a panic (errors are
 // fine), and building twice gives the same rule lists in the same order —
-// what sortedKeys exists for.
+// what sortedKeys exists for. Then every rule is made reachable (see
+// everyRuleReachable) and one request is routed per configured service
+// through its l7.Service handle: routing never panics, and every refusal
+// carries a status http.Error can write.
 func FuzzLoadConfig(f *testing.F) {
 	sample, err := os.ReadFile("testdata/gateway.json")
 	if err != nil {
@@ -292,10 +374,11 @@ func FuzzLoadConfig(f *testing.F) {
 	}
 	f.Add(sample)
 	for _, doc := range []string{
-		sampleConfig, admissionConfig, badRegexConfig,
+		sampleConfig, admissionConfig, codelConfig, badRegexConfig, abortStatusConfig, splitOverflowConfig,
 		`{"tenants":[{"name":"t","services":[{"name":"s","default_subset":"v1","rules":[{"name":"r","path":"glob:*"}],"pools":{"v1":["http://x"]}}]}]}`,
 		`{"tenants":[{"name":"t","services":[{"name":"","default_subset":"v1","pools":{"v1":["http://x"]}}]}]}`,
 		`{"tenants":[{"name":"t","services":[{"name":"s","default_subset":"v1","rules":[{"name":"r","rate_limit_rps":1,"headers":{"b":"1","a":"regex:^x"}},{"name":"r","splits":{"v2":1,"v1":3}}],"pools":{"v1":["http://x"],"v2":["::"]}}]}]}`,
+		`{"tenants":[{"name":"t","services":[{"name":"s","default_subset":"v1","rules":[{"name":"r","path":"exact:/x","abort_percent":0.5,"abort_status":451,"splits":{"v1":1,"v2":2}}],"pools":{"v1":["http://x"],"v2":["http://y"]}}]}]}`,
 	} {
 		f.Add([]byte(doc))
 	}
@@ -314,5 +397,46 @@ func FuzzLoadConfig(f *testing.F) {
 			}
 		}
 		_, _ = cfg.Apply(NewGatewayServer(1)) // an error is an answer; a panic fails the target
+
+		gw := NewGatewayServer(1)
+		_, _ = everyRuleReachable(cfg).Apply(gw) // what applied before an error is routed below
+		config := gw.config.Load()
+		for _, tenant := range slices.Sorted(maps.Keys(config.tenants)) {
+			services := config.tenants[tenant].services
+			for _, name := range slices.Sorted(maps.Keys(services)) {
+				up := services[name]
+				_, err := up.route.Route(0, &l7.Request{Tenant: tenant, Service: up.key, Method: http.MethodGet, Path: "/"})
+				if status := l7.StatusOf(err); err != nil && (status < 400 || status > 599) {
+					t.Fatalf("%s/%s: refused with status %d (%v), not an HTTP error status", tenant, name, status, err)
+				}
+			}
+		}
 	})
+}
+
+// everyRuleReachable rewrites a loaded configuration so that one request per
+// service reaches every rule's fault and split: each rule becomes two
+// services of its own, its matchers cleared so any request matches it — one
+// with its fault made certain, one with the fault removed so the split is
+// drawn.
+func everyRuleReachable(cfg *FileConfig) *FileConfig {
+	out := &FileConfig{}
+	for _, tn := range cfg.Tenants {
+		probe := TenantConfig{Name: tn.Name}
+		for _, s := range tn.Services {
+			for i, rule := range s.Rules {
+				rule.PathMatch, rule.MethodMatch, rule.HeaderMatch, rule.CookieMatch = "", "", nil, nil
+				faulted, split := s, s
+				if rule.AbortPercent > 0 {
+					rule.AbortPercent = 100
+				}
+				faulted.Name, faulted.Rules = fmt.Sprintf("%s#%d-fault", s.Name, i), []RuleFileEntry{rule}
+				rule.AbortPercent = 0
+				split.Name, split.Rules = fmt.Sprintf("%s#%d-split", s.Name, i), []RuleFileEntry{rule}
+				probe.Services = append(probe.Services, faulted, split)
+			}
+		}
+		out.Tenants = append(out.Tenants, probe)
+	}
+	return out
 }

@@ -22,7 +22,7 @@ func main() {
 	s := sim.New(1)
 	region := cloud.NewRegion(s, "cn-hangzhou", "az1", "az2")
 	gw := gateway.New(gateway.Config{
-		Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(1), ShardSize: 2, Seed: 1,
+		Sim: s, Costs: netmodel.Default(), ShardSize: 2, Seed: 1,
 	})
 	for i := 0; i < 4; i++ {
 		az := region.AZ("az1")

@@ -70,7 +70,9 @@ func (r *Rejection) Error() string {
 }
 
 // Config tunes a gateway's admission layer. The zero value is usable: every
-// field falls back to the package default.
+// field falls back to the package default. Quantum, PerTenantCap, Target and
+// Interval shape the simulated gateway's per-replica WDRR+CoDel queues; the
+// live HTTPController keeps no queue and reads none of them.
 type Config struct {
 	// Quantum is the WDRR deficit replenished per round, in CPU-cost units.
 	// Default: 500µs (~2 typical gateway L7 requests).

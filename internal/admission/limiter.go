@@ -16,18 +16,22 @@ type LimiterConfig struct {
 	// Tolerance: latency above Tolerance*baseline triggers multiplicative
 	// decrease. Default 2.0.
 	Tolerance float64
-	// Backoff is the multiplicative-decrease factor. Default 0.9.
-	Backoff float64
-	// BaselineWindow is how often the window-minimum latency is folded
-	// into the EWMA baseline. Default 1s.
-	BaselineWindow time.Duration
-	// BaselineAlpha is the EWMA weight of each window fold. Default 0.2.
-	BaselineAlpha float64
-	// DecreaseCooldown is the minimum spacing between multiplicative
-	// decreases, so one burst of queued samples does not collapse the
-	// limit. Default 50ms.
-	DecreaseCooldown time.Duration
 }
+
+// The AIMD control loop's tuning, the same for every limiter.
+const (
+	// backoff is the multiplicative-decrease factor.
+	backoff = 0.9
+	// baselineWindow is how often the window-minimum latency is folded
+	// into the EWMA baseline.
+	baselineWindow = time.Second
+	// baselineAlpha is the EWMA weight of each window fold.
+	baselineAlpha = 0.2
+	// decreaseCooldown is the minimum spacing between multiplicative
+	// decreases, so one burst of queued samples does not collapse the
+	// limit.
+	decreaseCooldown = 50 * time.Millisecond
+)
 
 func (c LimiterConfig) withDefaults() LimiterConfig {
 	if c.InitialLimit <= 0 {
@@ -41,18 +45,6 @@ func (c LimiterConfig) withDefaults() LimiterConfig {
 	}
 	if c.Tolerance <= 1 {
 		c.Tolerance = 2.0
-	}
-	if c.Backoff <= 0 || c.Backoff >= 1 {
-		c.Backoff = 0.9
-	}
-	if c.BaselineWindow <= 0 {
-		c.BaselineWindow = time.Second
-	}
-	if c.BaselineAlpha <= 0 || c.BaselineAlpha > 1 {
-		c.BaselineAlpha = 0.2
-	}
-	if c.DecreaseCooldown <= 0 {
-		c.DecreaseCooldown = 50 * time.Millisecond
 	}
 	return c
 }
@@ -149,9 +141,9 @@ func (l *Limiter) Release(now, latency time.Duration, ok bool) {
 		l.windowMin = sample
 		l.windowSeen = true
 	}
-	if now-l.windowStart >= l.cfg.BaselineWindow {
+	if now-l.windowStart >= baselineWindow {
 		if l.windowSeen {
-			a := l.cfg.BaselineAlpha
+			a := baselineAlpha
 			l.baseline = (1-a)*l.baseline + a*l.windowMin
 		}
 		l.windowStart = now
@@ -160,8 +152,8 @@ func (l *Limiter) Release(now, latency time.Duration, ok bool) {
 
 	switch {
 	case sample > l.cfg.Tolerance*l.baseline:
-		if now-l.lastDecr >= l.cfg.DecreaseCooldown || l.lastDecr == 0 {
-			l.limit *= l.cfg.Backoff
+		if now-l.lastDecr >= decreaseCooldown || l.lastDecr == 0 {
+			l.limit *= backoff
 			if l.limit < float64(l.cfg.MinLimit) {
 				l.limit = float64(l.cfg.MinLimit)
 			}

@@ -8,6 +8,8 @@ package anomaly
 
 import (
 	"fmt"
+
+	"canalmesh/internal/scaling"
 )
 
 // Action is the intervention a classification recommends.
@@ -65,27 +67,22 @@ type Signals struct {
 	UserClusterUtil float64
 }
 
-// Thresholds tunes classification.
-type Thresholds struct {
-	WaterLevelAlert   float64 // backend alert level (e.g. 0.70)
-	SessionAttack     float64 // session growth w/o matching RPS = attack
-	RPSMatchingGrowth float64 // RPS growth considered "matching" sessions
-	SessionUtilAlert  float64 // session-capacity alarm (80% in Case #1)
-	FrequentScaling   int     // scaling ops considered "unusually frequent"
-	ClusterOverload   float64 // tenant cluster utilization alert
-}
-
-// DefaultThresholds returns production-calibrated thresholds.
-func DefaultThresholds() Thresholds {
-	return Thresholds{
-		WaterLevelAlert:   0.70,
-		SessionAttack:     3.0,
-		RPSMatchingGrowth: 1.5,
-		SessionUtilAlert:  0.80,
-		FrequentScaling:   5,
-		ClusterOverload:   0.95,
-	}
-}
+// The production-calibrated classification thresholds; the backend water
+// level alarm is scaling.AlertLevel.
+const (
+	// sessionAttack is the session growth that, without matching RPS,
+	// signals an attack.
+	sessionAttack = 3.0
+	// rpsMatchingGrowth is the RPS growth considered to match the sessions.
+	rpsMatchingGrowth = 1.5
+	// sessionUtilAlert is the session-capacity alarm (80% in Case #1).
+	sessionUtilAlert = 0.80
+	// frequentScaling is the count of recent scaling operations considered
+	// unusually frequent.
+	frequentScaling = 5
+	// clusterOverload is the tenant cluster utilization alert.
+	clusterOverload = 0.95
+)
 
 // Classification is the outcome of analyzing an alert.
 type Classification struct {
@@ -104,27 +101,27 @@ type Classification struct {
 //   - an ordinary water-level breach with traffic growth is normal load:
 //     scale capacity;
 //   - anything else needs no intervention.
-func Classify(s Signals, t Thresholds) Classification {
-	sessionAlarm := s.SessionUtilization >= t.SessionUtilAlert || s.WaterLevel >= t.WaterLevelAlert
-	if sessionAlarm && s.SessionGrowth >= t.SessionAttack && s.RPSGrowth < t.RPSMatchingGrowth {
+func Classify(s Signals) Classification {
+	sessionAlarm := s.SessionUtilization >= sessionUtilAlert || s.WaterLevel >= scaling.AlertLevel
+	if sessionAlarm && s.SessionGrowth >= sessionAttack && s.RPSGrowth < rpsMatchingGrowth {
 		return Classification{
 			Action: ActionLossyMigrate,
 			Reason: fmt.Sprintf("#TCP sessions surged %.1fx without a matching RPS increase (%.1fx)", s.SessionGrowth, s.RPSGrowth),
 		}
 	}
-	if s.ScalingOpsRecent >= t.FrequentScaling && s.WaterLevel < t.WaterLevelAlert {
+	if s.ScalingOpsRecent >= frequentScaling && s.WaterLevel < scaling.AlertLevel {
 		return Classification{
 			Action: ActionLosslessMigrate,
 			Reason: fmt.Sprintf("unusually frequent scaling (%d ops) while backends remain stable", s.ScalingOpsRecent),
 		}
 	}
-	if s.UserClusterUtil >= t.ClusterOverload {
+	if s.UserClusterUtil >= clusterOverload {
 		return Classification{
 			Action: ActionThrottle,
 			Reason: fmt.Sprintf("tenant cluster at %.0f%% utilization; throttling inbound at the gateway", s.UserClusterUtil*100),
 		}
 	}
-	if s.WaterLevel >= t.WaterLevelAlert {
+	if s.WaterLevel >= scaling.AlertLevel {
 		return Classification{
 			Action: ActionScale,
 			Reason: fmt.Sprintf("backend water level %.0f%% from normal traffic growth", s.WaterLevel*100),

@@ -23,7 +23,7 @@ func TestClassifyAttackSignature(t *testing.T) {
 		SessionGrowth:      8.0,
 		SessionUtilization: 0.85,
 		UserClusterUtil:    -1,
-	}, DefaultThresholds())
+	})
 	if c.Action != ActionLossyMigrate {
 		t.Errorf("action = %v (%s), want lossy migrate", c.Action, c.Reason)
 	}
@@ -38,7 +38,7 @@ func TestClassifyFrequentScaling(t *testing.T) {
 		SessionGrowth:    1.2,
 		ScalingOpsRecent: 7,
 		UserClusterUtil:  -1,
-	}, DefaultThresholds())
+	})
 	if c.Action != ActionLosslessMigrate {
 		t.Errorf("action = %v (%s), want lossless migrate", c.Action, c.Reason)
 	}
@@ -52,7 +52,7 @@ func TestClassifyTenantOverload(t *testing.T) {
 		RPSGrowth:       4.0,
 		SessionGrowth:   4.0,
 		UserClusterUtil: 0.99,
-	}, DefaultThresholds())
+	})
 	if c.Action != ActionThrottle {
 		t.Errorf("action = %v (%s), want throttle", c.Action, c.Reason)
 	}
@@ -64,14 +64,14 @@ func TestClassifyNormalGrowthScales(t *testing.T) {
 		RPSGrowth:       2.5,
 		SessionGrowth:   2.4,
 		UserClusterUtil: -1,
-	}, DefaultThresholds())
+	})
 	if c.Action != ActionScale {
 		t.Errorf("action = %v (%s), want scale", c.Action, c.Reason)
 	}
 }
 
 func TestClassifyNominal(t *testing.T) {
-	c := Classify(Signals{WaterLevel: 0.3, RPSGrowth: 1.0, SessionGrowth: 1.0, UserClusterUtil: -1}, DefaultThresholds())
+	c := Classify(Signals{WaterLevel: 0.3, RPSGrowth: 1.0, SessionGrowth: 1.0, UserClusterUtil: -1})
 	if c.Action != ActionNone {
 		t.Errorf("action = %v, want none", c.Action)
 	}
@@ -86,7 +86,7 @@ func TestClassifyAttackBeatsScale(t *testing.T) {
 		SessionGrowth:      10,
 		SessionUtilization: 0.9,
 		UserClusterUtil:    -1,
-	}, DefaultThresholds())
+	})
 	if c.Action != ActionLossyMigrate {
 		t.Errorf("action = %v, want lossy migrate to win over scale", c.Action)
 	}
@@ -128,7 +128,7 @@ func phaseGateway(t *testing.T) (*sim.Sim, *gateway.Gateway, *gateway.Backend, [
 	t.Helper()
 	s := sim.New(3)
 	region := cloud.NewRegion(s, "r1", "az1")
-	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(3), ShardSize: 1, Seed: 3})
+	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), ShardSize: 1, Seed: 3})
 	// Enough backends in one AZ that stage-1 selection (keep the 5 lowest)
 	// can actually exclude busy candidates.
 	for i := 0; i < 8; i++ {

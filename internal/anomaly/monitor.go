@@ -16,19 +16,25 @@ type ActionRecord struct {
 	Classification
 }
 
+// The monitor's fixed lookbacks.
+const (
+	// growthWindow is the lookback for growth computations.
+	growthWindow = 20 * time.Second
+	// scalingOpsWindow is how far back scaling operations count toward the
+	// frequent-scaling indicator.
+	scalingOpsWindow = time.Hour
+)
+
 // Monitor drives the full §4.2 loop: every second it samples each backend's
 // water level and its top service's traffic/session indicators, classifies
 // the situation, and executes the recommended intervention — precise
 // scaling for normal growth, sandbox migration for attack signatures,
 // gateway throttling when the tenant's own cluster is drowning.
 type Monitor struct {
-	sim        *sim.Sim
-	g          *gateway.Gateway
-	planner    *scaling.Planner
-	thresholds Thresholds
+	sim     *sim.Sim
+	g       *gateway.Gateway
+	planner *scaling.Planner
 
-	// Window is the lookback for growth computations.
-	Window time.Duration
 	// Cooldown suppresses repeated interventions on the same service.
 	Cooldown time.Duration
 	// SessionCapacity is the per-backend session budget used for the
@@ -37,9 +43,6 @@ type Monitor struct {
 	// UserClusterUtil, when non-nil, reports a tenant's own cluster
 	// utilization (the tenant-level indicator); nil means unknown (-1).
 	UserClusterUtil func(tenant string) float64
-	// ScalingOpsWindow counts recent scaling operations per service for
-	// the frequent-scaling indicator.
-	ScalingOpsWindow time.Duration
 
 	baseline map[uint64]float64 // EWMA of session counts per service
 	lastAct  map[uint64]time.Duration
@@ -48,15 +51,13 @@ type Monitor struct {
 }
 
 // NewMonitor builds a monitor over a gateway and its scaling planner.
-func NewMonitor(s *sim.Sim, g *gateway.Gateway, planner *scaling.Planner, th Thresholds) *Monitor {
+func NewMonitor(s *sim.Sim, g *gateway.Gateway, planner *scaling.Planner) *Monitor {
 	return &Monitor{
-		sim: s, g: g, planner: planner, thresholds: th,
-		Window:           20 * time.Second,
-		Cooldown:         25 * time.Second,
-		SessionCapacity:  100_000,
-		ScalingOpsWindow: time.Hour,
-		baseline:         make(map[uint64]float64),
-		lastAct:          make(map[uint64]time.Duration),
+		sim: s, g: g, planner: planner,
+		Cooldown:        25 * time.Second,
+		SessionCapacity: 100_000,
+		baseline:        make(map[uint64]float64),
+		lastAct:         make(map[uint64]time.Duration),
 	}
 }
 
@@ -113,7 +114,7 @@ func (m *Monitor) tick() {
 		if m.UserClusterUtil != nil {
 			sig.UserClusterUtil = m.UserClusterUtil(svc.Tenant)
 		}
-		c := Classify(sig, m.thresholds)
+		c := Classify(sig)
 		if c.Action == ActionNone {
 			// Learn the baseline only while session counts look ordinary;
 			// chasing a surge with the EWMA would blind the attack
@@ -162,7 +163,7 @@ func (m *Monitor) topService(b *gateway.Backend, now time.Duration) (uint64, boo
 	bestSum := -1.0
 	for id, series := range b.RPSSeries {
 		var sum float64
-		for _, v := range series.Values(now-m.Window, now+time.Nanosecond) {
+		for _, v := range series.Values(now-growthWindow, now+time.Nanosecond) {
 			sum += v
 		}
 		if sum > bestSum {
@@ -178,7 +179,7 @@ func (m *Monitor) rpsGrowth(b *gateway.Backend, svcID uint64, now time.Duration)
 	if series == nil {
 		return 1
 	}
-	return GrowthRatio(series.Values(now-m.Window, now+time.Nanosecond))
+	return GrowthRatio(series.Values(now-growthWindow, now+time.Nanosecond))
 }
 
 // currentRPS returns the latest 1-second sample.
@@ -198,7 +199,7 @@ func (m *Monitor) recentScalingOps(svcID uint64, now time.Duration) int {
 	}
 	n := 0
 	for _, e := range m.planner.Events() {
-		if e.Service == svcID && now-e.ExecuteAt <= m.ScalingOpsWindow {
+		if e.Service == svcID && now-e.ExecuteAt <= scalingOpsWindow {
 			n++
 		}
 	}

@@ -20,7 +20,7 @@ func monitorRig(t *testing.T) (*sim.Sim, *cloud.Region, *gateway.Gateway, *scali
 	t.Helper()
 	s := sim.New(21)
 	region := cloud.NewRegion(s, "r1", "az1", "az2")
-	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(21), ShardSize: 1, Seed: 21})
+	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), ShardSize: 1, Seed: 21})
 	for i := 0; i < 6; i++ {
 		az := region.AZ("az1")
 		if i >= 4 {
@@ -38,8 +38,8 @@ func monitorRig(t *testing.T) (*sim.Sim, *cloud.Region, *gateway.Gateway, *scali
 	if err != nil {
 		t.Fatal(err)
 	}
-	planner := scaling.NewPlanner(s, g, region, scaling.DefaultOptions())
-	m := NewMonitor(s, g, planner, DefaultThresholds())
+	planner := scaling.NewPlanner(s, g, region)
+	m := NewMonitor(s, g, planner)
 	m.SessionCapacity = 10_000
 	return s, region, g, planner, m, svc
 }

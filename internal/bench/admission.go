@@ -53,7 +53,7 @@ func runAdmissionFlashCrowd(enable bool) admissionRun {
 	s := sim.New(admSeed)
 	region := cloud.NewRegion(s, "r1", "az1", "az2")
 	g := gateway.New(gateway.Config{
-		Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(admSeed),
+		Sim: s, Costs: netmodel.Default(),
 		ShardSize: 2, Seed: admSeed,
 	})
 	// Two single-core replicas in the clients' AZ: a deliberately small

@@ -64,7 +64,7 @@ func Fig16NoisyNeighbor() *Series {
 
 	// Backend-level alert loop: on threshold breach, run precise scaling
 	// (Reuse for responsiveness), with a cooldown between operations.
-	planner := scaling.NewPlanner(s, g, sc.Region, scaling.DefaultOptions())
+	planner := scaling.NewPlanner(s, g, sc.Region)
 	var alertAt time.Duration = -1
 	var lastOp time.Duration = -time.Hour
 	s.Every(time.Second, func() bool {
@@ -73,7 +73,7 @@ func Fig16NoisyNeighbor() *Series {
 			return false
 		}
 		level := hot.WaterLevel(now - time.Second)
-		trigger := level >= 0.7
+		trigger := level >= scaling.AlertLevel
 		if alertAt >= 0 {
 			// After the first alert, keep scaling until the level is
 			// comfortably below the safety threshold (the paper brings
@@ -335,7 +335,7 @@ func Fig20DailyOps() *Series {
 			}
 		}
 	})
-	planner := scaling.NewPlanner(s, g, sc.Region, scaling.DefaultOptions())
+	planner := scaling.NewPlanner(s, g, sc.Region)
 	s.At(14*hourLen, func() { // Reuse during the daily peak
 		st := sc.Services[0]
 		_, _ = planner.ScaleService(st.ID, st.Backends[0], s.Now(), nil)

@@ -181,7 +181,7 @@ func buildFed(spec FederationSpec, regions int, peer bool) (*fedHarness, error) 
 		name := fmt.Sprintf("region-%d", i+1)
 		cr := cloud.NewRegion(s, name, "az1", "az2")
 		gw := gateway.New(gateway.Config{
-			Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(spec.Seed),
+			Sim: s, Costs: netmodel.Default(),
 			ShardSize: spec.BackendsPerRegion, Seed: spec.Seed,
 		})
 		for j := 0; j < spec.BackendsPerRegion; j++ {

@@ -73,7 +73,7 @@ func newGatewayScenario(seed int64, backends, replicasPerBE, coresPerReplica, se
 	s := sim.New(seed)
 	region := cloud.NewRegion(s, "r1", "az1", "az2")
 	g := gateway.New(gateway.Config{
-		Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(seed),
+		Sim: s, Costs: netmodel.Default(),
 		ShardSize: 3, Seed: seed,
 	})
 	for i := 0; i < backends; i++ {

@@ -46,11 +46,14 @@ type Config struct {
 	// FullPush disables deltas: every push sends the subscriber's complete
 	// scope, the §2.1 baseline the delta path is measured against.
 	FullPush bool
-	// BackoffBase/BackoffMax bound the nack retry backoff (defaults
-	// 200ms / 10s, doubling per consecutive nack).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 }
+
+// The nack retry backoff starts at backoffBase and doubles per consecutive
+// nack up to backoffMax.
+const (
+	backoffBase = 200 * time.Millisecond
+	backoffMax  = 10 * time.Second
+)
 
 // Distributor owns the snapshot store, the watch sessions, and the modeled
 // southbound link. It coalesces cluster events into versioned snapshot
@@ -127,12 +130,6 @@ func New(cfg Config) *Distributor {
 	}
 	if cfg.MaxCoalesce <= 0 {
 		cfg.MaxCoalesce = 5 * cfg.Debounce
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 200 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 10 * time.Second
 	}
 	d := &Distributor{
 		cfg:          cfg,
@@ -544,9 +541,9 @@ func (d *Distributor) deliver(sess *Session, p Payload, epoch int) {
 		if shift > 16 {
 			shift = 16
 		}
-		backoff := d.cfg.BackoffBase << uint(shift)
-		if backoff > d.cfg.BackoffMax {
-			backoff = d.cfg.BackoffMax
+		backoff := backoffBase << uint(shift)
+		if backoff > backoffMax {
+			backoff = backoffMax
 		}
 		d.cfg.Sim.After(backoff, func() {
 			if sess.closed || sess.epoch != epoch || !sess.connected {

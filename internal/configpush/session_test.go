@@ -69,7 +69,7 @@ func TestReconnectPastRetentionForcesFullResync(t *testing.T) {
 }
 
 // TestNackRetriesWithExponentialBackoff: a nacked delivery is retried after
-// BackoffBase, then 2x, 4x... until acked, and the retry carries the
+// backoffBase, then 2x, 4x... until acked, and the retry carries the
 // freshest payload.
 func TestNackRetriesWithExponentialBackoff(t *testing.T) {
 	s, c, d := rig(t, controlplane.CanalModel, time.Second, false)

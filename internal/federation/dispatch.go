@@ -136,7 +136,7 @@ func (r *Region) spill(p *Peering, svc *Service, clientAZ string, flow cloud.Ses
 	s := r.mesh.cfg.Sim
 	peer := p.other(r)
 	arrive := s.Now()
-	oneWay := r.mesh.cfg.WAN.OneWay(r.name, peer.name)
+	oneWay := r.mesh.wan.RTT / 2
 
 	// Propagate the trace context across the region boundary the same way
 	// the live path does: a W3C traceparent request header.

@@ -33,13 +33,6 @@ import (
 // Config parameterizes a Mesh. Zero values take the documented defaults.
 type Config struct {
 	Sim *sim.Sim
-	// Costs is the intra-region cost model (zero value: netmodel.Default()).
-	Costs netmodel.Costs
-	// WAN prices the inter-region links (nil: calibrated defaults).
-	WAN *netmodel.WAN
-	// Sizing prices the peering stream's resources and framing
-	// (zero SouthboundBps: controlplane.DefaultSizing()).
-	Sizing controlplane.Sizing
 	// Heartbeat is the peering keepalive and export-refresh interval
 	// (default 1s).
 	Heartbeat time.Duration
@@ -61,7 +54,12 @@ type Config struct {
 
 // Mesh is a set of peered region gateways sharing a service registry.
 type Mesh struct {
-	cfg      Config
+	cfg Config
+	// wan prices every inter-region link: the calibrated cross-region RTT
+	// at DefaultWANBps.
+	wan netmodel.WANLink
+	// sizing prices the peering streams' resources and framing.
+	sizing   controlplane.Sizing
 	regions  []*Region // name-sorted
 	byName   map[string]*Region
 	peerings []*Peering // sorted by (A, B) name pair
@@ -77,15 +75,6 @@ func New(cfg Config) *Mesh {
 	if cfg.Sim == nil {
 		panic("federation: Config.Sim is required")
 	}
-	if cfg.Costs == (netmodel.Costs{}) {
-		cfg.Costs = netmodel.Default()
-	}
-	if cfg.WAN == nil {
-		cfg.WAN = netmodel.NewWAN(netmodel.WANLink{})
-	}
-	if cfg.Sizing.SouthboundBps == 0 {
-		cfg.Sizing = controlplane.DefaultSizing()
-	}
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = time.Second
 	}
@@ -98,7 +87,13 @@ func New(cfg Config) *Mesh {
 	if cfg.SpillGate <= 0 || cfg.SpillGate > 1 {
 		cfg.SpillGate = 0.5
 	}
-	return &Mesh{cfg: cfg, byName: make(map[string]*Region), svcByKey: make(map[string]*Service)}
+	return &Mesh{
+		cfg:      cfg,
+		wan:      netmodel.WANLink{RTT: netmodel.Default().CrossRegion, Bps: netmodel.DefaultWANBps},
+		sizing:   controlplane.DefaultSizing(),
+		byName:   make(map[string]*Region),
+		svcByKey: make(map[string]*Service),
+	}
 }
 
 // Region is one member of the federation: a cloud region and its mesh

@@ -32,7 +32,7 @@ func newTestMesh(t *testing.T, cfg Config, regions int) *testMesh {
 		name := fmt.Sprintf("region-%d", i+1)
 		cr := cloud.NewRegion(s, name, "az1", "az2")
 		gw := gateway.New(gateway.Config{
-			Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(7),
+			Sim: s, Costs: netmodel.Default(),
 			ShardSize: 4, Seed: 7,
 		})
 		for j := 0; j < 4; j++ {
@@ -205,7 +205,7 @@ func TestSpilloverTraceAttributesWAN(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("region-%d", i+1)
 		cr := cloud.NewRegion(s, name, "az1", "az2")
-		gw := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(7), ShardSize: 4, Seed: 7})
+		gw := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), ShardSize: 4, Seed: 7})
 		for j := 0; j < 4; j++ {
 			az := cr.AZ([]string{"az1", "az2"}[j%2])
 			if _, err := gw.AddBackend(az, 2, 2, false); err != nil {

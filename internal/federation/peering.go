@@ -217,11 +217,10 @@ type stream struct {
 // newStream builds the directed export pipe exporter->importer.
 func newStream(m *Mesh, exporter, importer *Region) *stream {
 	st := &stream{exporter: exporter, importer: importer}
-	link := m.cfg.WAN.Between(exporter.name, importer.name)
-	sizing := m.cfg.Sizing
-	sizing.SouthboundBps = link.Bps
+	sizing := m.sizing
+	sizing.SouthboundBps = m.wan.Bps
 	// A payload is acknowledged one WAN round trip after its bytes land.
-	sizing.PerTargetOverhead = link.RTT
+	sizing.PerTargetOverhead = m.wan.RTT
 	st.sizing = sizing
 	st.dist = configpush.New(configpush.Config{
 		Sim:       m.cfg.Sim,
@@ -289,7 +288,7 @@ func (st *stream) importedEndpoints(fullName string) int {
 // service (its hash moves with TouchPolicy). Failed backends simply drop
 // out of the set — the diff turns them into tombstones on the wire.
 func (r *Region) exportResources(d *configpush.Distributor) []configpush.Resource {
-	sz := r.mesh.cfg.Sizing
+	sz := r.mesh.sizing
 	var out []configpush.Resource
 	for _, svc := range r.mesh.services {
 		full := svc.FullName()

@@ -18,7 +18,7 @@ func admissionGateway(t *testing.T) (*sim.Sim, *Gateway) {
 	t.Helper()
 	s := sim.New(11)
 	region := cloud.NewRegion(s, "r1", "az1")
-	g := New(Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(11), ShardSize: 1, Seed: 11})
+	g := New(Config{Sim: s, Costs: netmodel.Default(), ShardSize: 1, Seed: 11})
 	if _, err := g.AddBackend(region.AZ("az1"), 1, 1, false); err != nil {
 		t.Fatal(err)
 	}

@@ -123,11 +123,9 @@ func (s *ServiceState) FullName() string { return s.Tenant + "/" + s.Name }
 type Config struct {
 	Sim   *sim.Sim
 	Costs netmodel.Costs
-	// Engine routes L7 for all tenants.
-	Engine *l7.Engine
 	// ShardSize is the number of backends per service (shuffle sharding k).
 	ShardSize int
-	// Seed drives shard assignment.
+	// Seed drives shard assignment and seeds the gateway's L7 engine.
 	Seed int64
 	// Log, when non-nil, receives an L7 access entry per dispatch — the
 	// rich gateway-side observability of §4.1.1.
@@ -137,6 +135,7 @@ type Config struct {
 // Gateway is the centralized multi-tenant mesh gateway.
 type Gateway struct {
 	cfg       Config
+	engine    *l7.Engine // routes L7 for all tenants
 	vswitch   *overlay.VSwitch
 	backends  []*Backend
 	sandboxes []*Backend
@@ -172,6 +171,7 @@ func New(cfg Config) *Gateway {
 	}
 	return &Gateway{
 		cfg:      cfg,
+		engine:   l7.NewEngine(cfg.Seed),
 		vswitch:  overlay.NewVSwitch(),
 		services: make(map[uint64]*ServiceState),
 	}
@@ -181,7 +181,7 @@ func New(cfg Config) *Gateway {
 func (g *Gateway) VSwitch() *overlay.VSwitch { return g.vswitch }
 
 // Engine exposes the shared L7 engine.
-func (g *Gateway) Engine() *l7.Engine { return g.cfg.Engine }
+func (g *Gateway) Engine() *l7.Engine { return g.engine }
 
 // AddBackend creates a backend of `replicas` VMs with `cores` each in the
 // zone. Sandbox backends are kept out of normal shard assignment.
@@ -327,7 +327,7 @@ func (g *Gateway) RegisterService(tenant, name string, vni uint32, addr netip.Ad
 		return s, fmt.Errorf("gateway: service %s already registered as %d", s.FullName(), id)
 	}
 	l7cfg.Service = fmt.Sprintf("svc-%d", id)
-	if err := g.cfg.Engine.Configure(l7cfg); err != nil {
+	if err := g.engine.Configure(l7cfg); err != nil {
 		return nil, err
 	}
 	st := &ServiceState{
@@ -532,7 +532,7 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 		return
 	}
 	req.Service = s.engineName
-	if _, err := g.cfg.Engine.Route(d.start, req); err != nil {
+	if _, err := g.engine.Route(d.start, req); err != nil {
 		d.abort(l7.StatusOf(err))
 		return
 	}

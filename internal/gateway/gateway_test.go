@@ -19,7 +19,7 @@ func testGateway(t *testing.T) (*sim.Sim, *cloud.Region, *Gateway) {
 	t.Helper()
 	s := sim.New(7)
 	region := cloud.NewRegion(s, "r1", "az1", "az2")
-	g := New(Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(7), ShardSize: 3, Seed: 7})
+	g := New(Config{Sim: s, Costs: netmodel.Default(), ShardSize: 3, Seed: 7})
 	for i := 0; i < 4; i++ {
 		az := region.AZ("az1")
 		if i >= 2 {
@@ -400,7 +400,7 @@ func TestDispatchUnknownService(t *testing.T) {
 
 func TestRegisterWithoutBackends(t *testing.T) {
 	s := sim.New(1)
-	g := New(Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(1)})
+	g := New(Config{Sim: s, Costs: netmodel.Default()})
 	if _, err := g.RegisterService("t1", "web", 1, netip.MustParseAddr("10.0.0.1"), 80, false, l7.ServiceConfig{}); err == nil {
 		t.Error("registration without backends should fail")
 	}
@@ -426,7 +426,7 @@ func TestDispatchAccessLogging(t *testing.T) {
 	s := sim.New(9)
 	region := cloud.NewRegion(s, "r1", "az1")
 	log := &telemetry.AccessLog{}
-	g := New(Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(9), ShardSize: 1, Seed: 9, Log: log})
+	g := New(Config{Sim: s, Costs: netmodel.Default(), ShardSize: 1, Seed: 9, Log: log})
 	if _, err := g.AddBackend(region.AZ("az1"), 1, 2, false); err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestDispatchAccessLogging(t *testing.T) {
 func TestDispatchSessionAccounting(t *testing.T) {
 	s := sim.New(12)
 	region := cloud.NewRegion(s, "r1", "az1")
-	g := New(Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(12), ShardSize: 1, Seed: 12})
+	g := New(Config{Sim: s, Costs: netmodel.Default(), ShardSize: 1, Seed: 12})
 	// Tiny SmartNIC session table to hit the ceiling quickly.
 	az := region.AZ("az1")
 	b := &Backend{}

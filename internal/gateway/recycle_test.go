@@ -90,7 +90,7 @@ func TestDispatchRecycleEveryTerminalPath(t *testing.T) {
 				s := sim.New(21)
 				region := cloud.NewRegion(s, "r1", "az1")
 				log := &telemetry.AccessLog{}
-				g := New(Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(21), ShardSize: 1, Seed: 21, Log: log})
+				g := New(Config{Sim: s, Costs: netmodel.Default(), ShardSize: 1, Seed: 21, Log: log})
 				if _, err := g.AddBackend(region.AZ("az1"), 1, 1, false); err != nil {
 					t.Fatal(err)
 				}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"canalmesh/internal/cloud"
-	"canalmesh/internal/l7"
 	"canalmesh/internal/netmodel"
 	"canalmesh/internal/sim"
 	"canalmesh/internal/workload"
@@ -53,7 +52,7 @@ func TestRollingUpgradeKeepsServing(t *testing.T) {
 func TestRollingUpgradeRefusesSingleReplicaBackends(t *testing.T) {
 	s := sim.New(1)
 	region := cloud.NewRegion(s, "r1", "az1")
-	g := New(Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(1), ShardSize: 1, Seed: 1})
+	g := New(Config{Sim: s, Costs: netmodel.Default(), ShardSize: 1, Seed: 1})
 	if _, err := g.AddBackend(region.AZ("az1"), 1, 2, false); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestRollingUpgradeRejectsImpossibleSchedule(t *testing.T) {
 
 func TestRollingUpgradeNothingToUpgrade(t *testing.T) {
 	s := sim.New(1)
-	g := New(Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(1)})
+	g := New(Config{Sim: s, Costs: netmodel.Default()})
 	if err := g.RollingUpgrade(time.Minute, time.Second, nil); err == nil {
 		t.Error("empty gateway should error")
 	}

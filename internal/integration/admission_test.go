@@ -31,7 +31,7 @@ func TestFlashCrowdAdmissionEndToEnd(t *testing.T) {
 	)
 	s := sim.New(99)
 	region := cloud.NewRegion(s, "r1", "az1")
-	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(99), ShardSize: 2, Seed: 99})
+	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), ShardSize: 2, Seed: 99})
 	for i := 0; i < 2; i++ {
 		if _, err := g.AddBackend(region.AZ("az1"), 1, 1, false); err != nil {
 			t.Fatal(err)

@@ -211,7 +211,7 @@ func TestPacketPathEndToEnd(t *testing.T) {
 func TestCloudLifecycleEndToEnd(t *testing.T) {
 	s := sim.New(77)
 	region := cloud.NewRegion(s, "r1", "az1", "az2")
-	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(77), ShardSize: 3, Seed: 77})
+	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), ShardSize: 3, Seed: 77})
 	for i := 0; i < 8; i++ {
 		az := region.AZ("az1")
 		if i%2 == 1 {
@@ -232,7 +232,7 @@ func TestCloudLifecycleEndToEnd(t *testing.T) {
 	}
 	end := 120 * time.Second
 	g.StartSampling(func() bool { return s.Now() > end+5*time.Second })
-	planner := scaling.NewPlanner(s, g, region, scaling.DefaultOptions())
+	planner := scaling.NewPlanner(s, g, region)
 
 	statuses := map[int]int{}
 	drive := func(svc *gateway.ServiceState, rate workload.RateFunc) {
@@ -318,7 +318,7 @@ func TestCloudLifecycleEndToEnd(t *testing.T) {
 func TestMultiTenantIsolationEndToEnd(t *testing.T) {
 	s := sim.New(5)
 	region := cloud.NewRegion(s, "r1", "az1")
-	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(5), ShardSize: 2, Seed: 5})
+	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), ShardSize: 2, Seed: 5})
 	for i := 0; i < 4; i++ {
 		if _, err := g.AddBackend(region.AZ("az1"), 1, 2, false); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package l7
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -29,7 +30,7 @@ type RateLimitSpec struct {
 // matching requests is aborted with a fixed status, and/or delayed.
 type FaultSpec struct {
 	AbortPercent float64 // 0-100
-	AbortStatus  int     // status returned on aborted requests
+	AbortStatus  int     // status returned on aborted requests: 400-599, 0 means 503
 	DelayPercent float64 // 0-100
 	Delay        time.Duration
 }
@@ -175,10 +176,16 @@ func (e *Engine) Configure(cfg ServiceConfig) (err error) {
 			if s.Weight < 0 {
 				return fmt.Errorf("l7: rule %s: negative weight", r.Name)
 			}
+			if s.Weight > math.MaxInt-rs.splitTotal {
+				return fmt.Errorf("l7: rule %s: split weights overflow", r.Name)
+			}
 			rs.splitTotal += s.Weight
 		}
 		if len(r.Splits) > 0 && rs.splitTotal == 0 {
 			return fmt.Errorf("l7: rule %s: splits sum to zero", r.Name)
+		}
+		if f := r.Fault; f != nil && f.AbortStatus != 0 && (f.AbortStatus < 400 || f.AbortStatus > 599) {
+			return fmt.Errorf("l7: rule %s: abort status %d is not an HTTP error status (400-599)", r.Name, f.AbortStatus)
 		}
 		if err := r.Match.compile(e.policy.Patterns()); err != nil {
 			return fmt.Errorf("l7: rule %s: %w", r.Name, err)

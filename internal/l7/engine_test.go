@@ -279,6 +279,28 @@ func TestConfigureValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("negative weight should fail")
 	}
+	if err := e.Configure(ServiceConfig{
+		Service: "x",
+		Rules:   []Rule{{Name: "bad", Splits: []Split{{Subset: "a", Weight: math.MaxInt}, {Subset: "b", Weight: 1}}}},
+	}); err == nil {
+		t.Error("split weights overflowing int should fail")
+	}
+	for _, status := range []int{42, 200, 399, 600} {
+		if err := e.Configure(ServiceConfig{
+			Service: "x",
+			Rules:   []Rule{{Name: "bad", Fault: &FaultSpec{AbortPercent: 100, AbortStatus: status}}},
+		}); err == nil {
+			t.Errorf("abort status %d should fail", status)
+		}
+	}
+	for _, status := range []int{0, 400, 599} {
+		if err := e.Configure(ServiceConfig{
+			Service: "x",
+			Rules:   []Rule{{Name: "ok", Fault: &FaultSpec{AbortPercent: 100, AbortStatus: status}}},
+		}); err != nil {
+			t.Errorf("abort status %d: %v", status, err)
+		}
+	}
 }
 
 func TestRemoveAndServices(t *testing.T) {

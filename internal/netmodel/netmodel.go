@@ -155,54 +155,7 @@ type WANLink struct {
 	Bps int64
 }
 
-// DefaultWANBps is the usable bandwidth of an un-profiled inter-region
-// peering pipe: 1 Gbit/s of the dedicated line reserved for mesh control
-// and spillover traffic.
+// DefaultWANBps is the usable bandwidth of an inter-region peering pipe:
+// 1 Gbit/s of the dedicated line reserved for mesh control and spillover
+// traffic.
 const DefaultWANBps = 125_000_000
-
-// WAN is the inter-region network model: a default link plus per-pair
-// overrides for region pairs with measured (or degraded) paths. Pairs are
-// unordered — Between(a, b) == Between(b, a).
-type WAN struct {
-	Default WANLink
-	links   map[string]WANLink
-}
-
-// NewWAN returns a WAN whose un-profiled pairs use def. A zero-valued def
-// falls back to the calibrated CrossRegion RTT and DefaultWANBps.
-func NewWAN(def WANLink) *WAN {
-	if def.RTT <= 0 {
-		def.RTT = Default().CrossRegion
-	}
-	if def.Bps <= 0 {
-		def.Bps = DefaultWANBps
-	}
-	return &WAN{Default: def}
-}
-
-// pairKey orders the two region names so lookups are direction-free.
-func pairKey(a, b string) string {
-	if a > b {
-		a, b = b, a
-	}
-	return a + "|" + b
-}
-
-// SetLink overrides the link between two regions (either argument order).
-func (w *WAN) SetLink(a, b string, l WANLink) {
-	if w.links == nil {
-		w.links = make(map[string]WANLink)
-	}
-	w.links[pairKey(a, b)] = l
-}
-
-// Between returns the link between two regions, falling back to Default.
-func (w *WAN) Between(a, b string) WANLink {
-	if l, ok := w.links[pairKey(a, b)]; ok {
-		return l
-	}
-	return w.Default
-}
-
-// OneWay returns the one-way latency of the pair's link.
-func (w *WAN) OneWay(a, b string) time.Duration { return w.Between(a, b).RTT / 2 }

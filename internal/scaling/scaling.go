@@ -136,40 +136,31 @@ type Event struct {
 	Target    string        // backend the service extended to
 }
 
-// Options tunes the planner.
-type Options struct {
-	// AlertThreshold is the backend water level that triggers scaling.
-	AlertThreshold float64
-	// ReuseMaxLevel is the highest water level a backend may have to be a
-	// Reuse target (§4.3: "low water levels (e.g., < 20%)").
-	ReuseMaxLevel float64
-	// MinCorrelation for root-cause acceptance.
-	MinCorrelation float64
-	// Window is the lookback for RCA.
-	Window time.Duration
-	// NewBackendReplicas/Cores size newly provisioned backends.
-	NewBackendReplicas int
-	NewBackendCores    int
-}
+// AlertLevel is the backend water level at which the operations loop
+// alerts: anomaly.Classify's water-level alarm, and the alert that starts
+// precise scaling.
+const AlertLevel = 0.70
 
-// DefaultOptions returns the production-calibrated options.
-func DefaultOptions() Options {
-	return Options{
-		AlertThreshold:     0.70,
-		ReuseMaxLevel:      0.20,
-		MinCorrelation:     0.6,
-		Window:             30 * time.Second,
-		NewBackendReplicas: 2,
-		NewBackendCores:    2,
-	}
-}
+// The planner's production-calibrated settings.
+const (
+	// reuseMaxLevel is the highest water level a backend may have to be a
+	// Reuse target (§4.3: "low water levels (e.g., < 20%)").
+	reuseMaxLevel = 0.20
+	// minCorrelation is the root-cause acceptance threshold.
+	minCorrelation = 0.6
+	// rcaWindow is the lookback for root-cause analysis.
+	rcaWindow = 30 * time.Second
+	// newBackendReplicas and newBackendCores size newly provisioned
+	// backends.
+	newBackendReplicas = 2
+	newBackendCores    = 2
+)
 
 // Planner reacts to backend alerts with precise scaling.
 type Planner struct {
 	sim    *sim.Sim
 	g      *gateway.Gateway
 	region *cloud.Region
-	opts   Options
 	events []Event
 	// pending marks (backend, service) extends that are executing, so a
 	// follow-up alert does not target the same backend twice.
@@ -177,8 +168,8 @@ type Planner struct {
 }
 
 // NewPlanner builds a planner over a gateway in a region.
-func NewPlanner(s *sim.Sim, g *gateway.Gateway, region *cloud.Region, opts Options) *Planner {
-	return &Planner{sim: s, g: g, region: region, opts: opts, pending: make(map[string]map[uint64]bool)}
+func NewPlanner(s *sim.Sim, g *gateway.Gateway, region *cloud.Region) *Planner {
+	return &Planner{sim: s, g: g, region: region, pending: make(map[string]map[uint64]bool)}
 }
 
 // markPending records an in-flight extend; done unmarks it.
@@ -201,7 +192,7 @@ var ErrNoRootCause = errors.New("scaling: no root-cause service identified")
 // crossed. The returned event's FinishAt is when new capacity serves.
 func (p *Planner) HandleAlert(b *gateway.Backend, alertAt time.Duration, done func(Event)) (*Event, error) {
 	now := p.sim.Now()
-	svcID, _, ok := RootCause(b, now-p.opts.Window, now+time.Nanosecond, p.opts.MinCorrelation)
+	svcID, _, ok := RootCause(b, now-rcaWindow, now+time.Nanosecond, minCorrelation)
 	if !ok {
 		return nil, ErrNoRootCause
 	}
@@ -260,7 +251,7 @@ func (p *Planner) ScaleService(svcID uint64, overloaded *gateway.Backend, alertA
 	}
 	total := p.newDuration()
 	p.sim.After(total, func() {
-		nb, err := p.g.AddBackend(az, p.opts.NewBackendReplicas, p.opts.NewBackendCores, false)
+		nb, err := p.g.AddBackend(az, newBackendReplicas, newBackendCores, false)
 		if err != nil {
 			return
 		}
@@ -282,7 +273,7 @@ func (p *Planner) ScaleService(svcID uint64, overloaded *gateway.Backend, alertA
 // does not already host the service.
 func (p *Planner) reuseTarget(svc *gateway.ServiceState, az string, now time.Duration) *gateway.Backend {
 	var best *gateway.Backend
-	bestLevel := p.opts.ReuseMaxLevel
+	bestLevel := reuseMaxLevel
 	for _, b := range p.g.Backends() {
 		if b.AZ != az || !b.Alive() || b.HostsService(svc.ID) || p.pending[b.ID][svc.ID] {
 			continue

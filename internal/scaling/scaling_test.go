@@ -18,7 +18,7 @@ func setup(t *testing.T) (*sim.Sim, *cloud.Region, *gateway.Gateway) {
 	t.Helper()
 	s := sim.New(11)
 	region := cloud.NewRegion(s, "r1", "az1", "az2")
-	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(11), ShardSize: 2, Seed: 11})
+	g := gateway.New(gateway.Config{Sim: s, Costs: netmodel.Default(), ShardSize: 2, Seed: 11})
 	for i := 0; i < 6; i++ {
 		az := region.AZ("az1")
 		if i >= 4 {
@@ -127,7 +127,7 @@ func TestIntersect(t *testing.T) {
 func TestReuseExtendsWithinSeconds(t *testing.T) {
 	s, region, g := setup(t)
 	a := addService(t, g, "hot", "192.168.0.1")
-	p := NewPlanner(s, g, region, DefaultOptions())
+	p := NewPlanner(s, g, region)
 	overloaded := a.Backends[0]
 	before := len(a.Backends)
 	var got Event
@@ -164,7 +164,7 @@ func TestNewWhenNoReuseTarget(t *testing.T) {
 			}
 		}
 	}
-	p := NewPlanner(s, g, region, DefaultOptions())
+	p := NewPlanner(s, g, region)
 	nBackends := len(g.Backends())
 	var got Event
 	s.At(0, func() {
@@ -187,7 +187,7 @@ func TestNewWhenNoReuseTarget(t *testing.T) {
 func TestReuseFasterThanNew(t *testing.T) {
 	// Fig 17's separation: Reuse P50 ~tens of seconds, New P50 ~17 min.
 	s, region, g := setup(t)
-	p := NewPlanner(s, g, region, DefaultOptions())
+	p := NewPlanner(s, g, region)
 	var reuse, newer telemetry.Sample
 	for i := 0; i < 200; i++ {
 		reuse.ObserveDuration(p.reuseDuration())
@@ -221,7 +221,7 @@ func TestHandleAlertEndToEnd(t *testing.T) {
 			&l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, func(time.Duration, int) {})
 	})
 
-	p := NewPlanner(s, g, region, DefaultOptions())
+	p := NewPlanner(s, g, region)
 	var ev *Event
 	s.At(35*time.Second, func() {
 		e, err := p.HandleAlert(overloaded, 30*time.Second, nil)
@@ -246,7 +246,7 @@ func TestHandleMultiAlertIntersection(t *testing.T) {
 	if len(hot.Backends) < 2 {
 		t.Fatal("need multi-backend service")
 	}
-	p := NewPlanner(s, g, region, DefaultOptions())
+	p := NewPlanner(s, g, region)
 	var ev *Event
 	s.At(0, func() {
 		// Both of the hot service's backends alert together; hot is the
@@ -268,7 +268,7 @@ func TestHandleMultiAlertIntersection(t *testing.T) {
 func TestScaleUnknownService(t *testing.T) {
 	s, region, g := setup(t)
 	a := addService(t, g, "a", "192.168.0.1")
-	p := NewPlanner(s, g, region, DefaultOptions())
+	p := NewPlanner(s, g, region)
 	if _, err := p.ScaleService(9999, a.Backends[0], 0, nil); err == nil {
 		t.Error("unknown service should error")
 	}

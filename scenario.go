@@ -10,7 +10,6 @@ import (
 	"canalmesh/internal/cloud"
 	"canalmesh/internal/federation"
 	"canalmesh/internal/gateway"
-	"canalmesh/internal/l7"
 	"canalmesh/internal/netmodel"
 	"canalmesh/internal/scaling"
 	"canalmesh/internal/sim"
@@ -135,7 +134,7 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		}
 		region := cloud.NewRegion(s, rc.Name, azs...)
 		g := gateway.New(gateway.Config{
-			Sim: s, Costs: netmodel.Default(), Engine: l7.NewEngine(cfg.Seed),
+			Sim: s, Costs: netmodel.Default(),
 			ShardSize: cfg.ShardSize, Seed: cfg.Seed,
 		})
 		for i := 0; i < backends; i++ {
@@ -150,8 +149,8 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 			}
 		}
 		r := &Region{sc: sc, name: rc.Name, cloud: region, gw: g, firstAZ: azs[0]}
-		r.planner = scaling.NewPlanner(s, g, region, scaling.DefaultOptions())
-		r.monitor = anomaly.NewMonitor(s, g, r.planner, anomaly.DefaultThresholds())
+		r.planner = scaling.NewPlanner(s, g, region)
+		r.monitor = anomaly.NewMonitor(s, g, r.planner)
 		if sc.fed != nil {
 			r.fr = sc.fed.AddRegion(region, g)
 		}

@@ -49,7 +49,9 @@ go test -race -count=10 -run 'TestPooledState|TestGatewayThrottleUnderConcurrent
 # parser it replaced (kept as the oracle in w3c_test.go).
 go test -run '^$' -fuzz FuzzParseTraceparent -fuzztime 5s ./internal/trace
 # And the -config loader: whatever LoadConfig accepts builds and applies
-# without a panic, and builds the same rule lists twice.
+# without a panic, builds the same rule lists twice, and routes one request
+# per service, with every rule's fault and split reachable, to a verdict
+# whose status http.Error can write.
 go test -run '^$' -fuzz FuzzLoadConfig -fuzztime 5s .
 # And the signed-header path: whatever identity headers and request target
 # arrive, authenticate never panics and accepts only the seeded identity for
@@ -120,3 +122,10 @@ go build -o /tmp/canalbench ./cmd/canalbench
 /tmp/canalbench -parallel 8 -ablations -json /tmp/canalbench-timings.json fig2 fig15 table5 abl-shard >/tmp/canalbench-parallel.txt 2>/dev/null
 cmp /tmp/canalbench-serial.txt /tmp/canalbench-parallel.txt
 test -s /tmp/canalbench-timings.json
+
+# Smoke the real gateway: on an ephemeral port, the demo tenant's signed
+# request must come back 200 through the mesh. canalgw serves until killed,
+# so timeout's exit status 124 is the expected one.
+go build -o /tmp/canalgw ./cmd/canalgw
+timeout 3 /tmp/canalgw -listen 127.0.0.1:0 >/tmp/canalgw.log 2>&1 || test $? -eq 124
+grep -q 'demo request through the mesh -> 200' /tmp/canalgw.log
