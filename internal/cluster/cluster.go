@@ -220,6 +220,9 @@ func (c *Cluster) UpdateRoutes(service string, l7Rules int) error {
 	return nil
 }
 
+// Pod returns the named pod, or nil.
+func (c *Cluster) Pod(name string) *Pod { return c.pods[name] }
+
 // PodsOf returns the pods of a service sorted by name.
 func (c *Cluster) PodsOf(service string) []*Pod {
 	var out []*Pod

@@ -69,14 +69,14 @@ func TestSnapshotDiffMinimal(t *testing.T) {
 	c := buildCluster(t, 2, 2, 2)
 	sz := controlplane.DefaultSizing()
 	rev := map[string]int{}
-	a := newSnapshot(1, 0, buildResources(c, sz, rev))
+	a := snapshotOf(nil, 1, buildResources(c, sz, rev))
 	// One pod added, one route change: the diff must carry exactly the new
 	// endpoint+identity and the changed ruleset, nothing else.
 	if _, err := c.AddPod("svc00", c.Nodes()[0], cluster.Resources{MilliCPU: 1, MemMB: 1}); err != nil {
 		t.Fatal(err)
 	}
 	rev["svc01"]++
-	b := newSnapshot(2, 0, buildResources(c, sz, rev))
+	b := snapshotOf(a, 2, buildResources(c, sz, rev))
 	d := Diff(a, b)
 	if len(d.Removed) != 0 {
 		t.Errorf("removed = %v, want none", d.Removed)
@@ -96,12 +96,12 @@ func TestSnapshotDiffMinimal(t *testing.T) {
 func TestSnapshotDiffRemovals(t *testing.T) {
 	c := buildCluster(t, 2, 1, 3)
 	sz := controlplane.DefaultSizing()
-	a := newSnapshot(1, 0, buildResources(c, sz, nil))
+	a := snapshotOf(nil, 1, buildResources(c, sz, nil))
 	victim := c.Pods()[0]
 	if err := c.RemovePod(victim.Name); err != nil {
 		t.Fatal(err)
 	}
-	b := newSnapshot(2, 0, buildResources(c, sz, nil))
+	b := snapshotOf(a, 2, buildResources(c, sz, nil))
 	d := Diff(a, b)
 	if len(d.Changed) != 0 {
 		t.Errorf("changed = %+v, want none", d.Changed)
@@ -124,7 +124,7 @@ func TestStoreRetentionAndEviction(t *testing.T) {
 	c := buildCluster(t, 2, 1, 2)
 	sz := controlplane.DefaultSizing()
 	for v := uint64(1); v <= 5; v++ {
-		st.Append(newSnapshot(v, 0, buildResources(c, sz, nil)))
+		st.Append(snapshotOf(st.Head(), v, buildResources(c, sz, nil)))
 	}
 	if st.Head().Version != 5 {
 		t.Fatalf("head = %d", st.Head().Version)

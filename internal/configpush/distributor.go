@@ -15,12 +15,14 @@ import (
 type Config struct {
 	Sim     *sim.Sim
 	Cluster *cluster.Cluster
-	// Resources, when set, replaces the cluster-derived resource build: each
-	// snapshot materializes exactly what the callback returns (the policy
-	// compiler's buckets are still appended). This is how non-cluster
-	// publishers — the federation layer exporting a region's services over a
-	// peering stream — reuse the delta/session machinery; with Resources set,
-	// Cluster may be nil and the publisher drives flushes via Notify.
+	// Resources, when set, replaces the cluster as the source of resources:
+	// each flush merges the list the callback returns against head — what it
+	// lists is stored, what it listed last time and no longer does is removed
+	// (the policy compiler's buckets are still added). This is how
+	// non-cluster publishers — the federation layer exporting a region's
+	// services over a peering stream — reuse the delta/session machinery;
+	// with Resources set, Cluster may be nil and the publisher drives flushes
+	// via Notify.
 	Resources func() []Resource
 	// Sizing prices resource, framing, and resync bytes and the build CPU /
 	// southbound bandwidth the pushes consume.
@@ -40,8 +42,10 @@ type Config struct {
 	// default 8). A subscriber acked before the window full-resyncs.
 	Retain int
 	// Policy, when set, contributes the compiled intention dispatch buckets
-	// (one content-addressed resource per bucket) to every snapshot. Call
-	// PolicyChanged after mutating the compiler so the change is pushed.
+	// (one content-addressed resource per bucket) to every snapshot. New
+	// turns on the compiler's change feed, so a flush ships the buckets
+	// Apply touched without listing the table. Call PolicyChanged after
+	// mutating the compiler so the change is pushed.
 	Policy *policy.Compiler
 	// FullPush disables deltas: every push sends the subscriber's complete
 	// scope, the §2.1 baseline the delta path is measured against.
@@ -70,6 +74,13 @@ type Distributor struct {
 
 	version  uint64
 	routeRev map[string]int
+
+	// The change sources a flush reads instead of rebuilding the resource
+	// set: the pods and services cluster events named since the last
+	// publish, and the keys the Resources callback listed at it.
+	dirtyPods     []string
+	dirtyServices []string
+	listed        []string
 
 	// Coalescing state of the debounce window.
 	haveWork      bool
@@ -142,6 +153,9 @@ func New(cfg Config) *Distributor {
 	if cfg.Cluster != nil {
 		cfg.Cluster.Watch(d.onEvent)
 	}
+	if cfg.Policy != nil {
+		cfg.Policy.TrackChanges()
+	}
 	return d
 }
 
@@ -158,13 +172,22 @@ func (d *Distributor) Events() int { return d.events }
 func (d *Distributor) Builds() int { return len(d.order) }
 
 // onEvent is the cluster watch callback: track the earliest un-flushed
-// event for convergence accounting, keep the session set in step with pod
-// churn, and arm the debounce window.
+// event for convergence accounting, record the pod or service it names for
+// the next flush to re-derive, keep the session set in step with pod churn,
+// and arm the debounce window.
 func (d *Distributor) onEvent(e cluster.Event) {
 	d.events++
 	if !d.haveWork {
 		d.haveWork = true
 		d.earliestEvent = d.cfg.Sim.Now()
+	}
+	switch {
+	case d.cfg.Resources != nil:
+		// The callback, not the cluster, is the source of resources.
+	case e.Kind == cluster.EventPodAdded || e.Kind == cluster.EventPodRemoved:
+		d.dirtyPods = append(d.dirtyPods, e.Pod.Name)
+	case e.Kind == cluster.EventServiceAdded || e.Kind == cluster.EventRouteUpdated:
+		d.dirtyServices = append(d.dirtyServices, e.Service.Name)
 	}
 	switch d.cfg.Model {
 	case controlplane.IstioModel:
@@ -186,9 +209,9 @@ func (d *Distributor) onEvent(e cluster.Event) {
 }
 
 // Notify tells the distributor its source of truth moved without a cluster
-// event: the next snapshotResources call will observe the change. It behaves
-// like any other API event — the change coalesces into the debounce window
-// and ships in the next flush as a delta. Publishers using Config.Resources
+// event: the next flush will read the change. It behaves like any other API
+// event — the change coalesces into the debounce window and ships in the
+// next flush as a delta. Publishers using Config.Resources
 // (the federation export streams) drive every flush through it.
 func (d *Distributor) Notify() {
 	d.events++
@@ -204,27 +227,113 @@ func (d *Distributor) Notify() {
 // dispatch buckets.
 func (d *Distributor) PolicyChanged() { d.Notify() }
 
-// snapshotResources materializes the full resource set for one snapshot:
-// the cluster's endpoints/identities/rule sets (or the Resources callback's
-// set when one is installed) plus, when a policy compiler is attached, one
-// content-addressed resource per compiled dispatch bucket.
-func (d *Distributor) snapshotResources() []Resource {
-	var out []Resource
+// publish appends the next version to the store: head with the change set
+// the sources report applied (the first version applies everything they
+// hold to the empty snapshot). It returns the previous head and the new one.
+func (d *Distributor) publish(at time.Duration) (prev, snap *Snapshot) {
+	prev = d.store.Head()
+	all := prev == nil
+	var changes []op[Resource]
 	if d.cfg.Resources != nil {
-		out = d.cfg.Resources()
+		changes = d.listedChanges()
 	} else {
-		out = buildResources(d.cfg.Cluster, d.cfg.Sizing, d.routeRev)
+		changes = d.clusterChanges(all)
 	}
 	if d.cfg.Policy != nil {
-		for _, br := range d.cfg.Policy.Resources() {
-			out = append(out, Resource{
-				Kind:    KindPolicy,
-				Name:    br.Key,
-				Service: br.Service,
-				Bytes:   br.Members * d.cfg.Sizing.PerRuleBytes,
-				Hash:    br.Hash,
-			})
+		changes = d.policyChanges(changes, all)
+	}
+	d.version++
+	snap = prev.next(d.version, at, changes)
+	d.store.Append(snap)
+	return prev, snap
+}
+
+// clusterChanges re-derives the resources of the pods and services events
+// named since the last publish (of every pod and service with all): a pod
+// or service the cluster no longer holds is a removal.
+func (d *Distributor) clusterChanges(all bool) []op[Resource] {
+	c, sz := d.cfg.Cluster, d.cfg.Sizing
+	var out []op[Resource]
+	addPod := func(p *cluster.Pod) {
+		ep, id := podResources(p, sz)
+		out = append(out, op[Resource]{key: ep.Key(), val: ep}, op[Resource]{key: id.Key(), val: id})
+	}
+	addService := func(svc *cluster.Service) {
+		r := ruleSetResource(svc, sz, d.routeRev[svc.Name])
+		out = append(out, op[Resource]{key: r.Key(), val: r})
+	}
+	if all {
+		for _, p := range c.Pods() {
+			addPod(p)
 		}
+		for _, svc := range c.Services() {
+			addService(svc)
+		}
+	} else {
+		for _, name := range d.dirtyPods {
+			if p := c.Pod(name); p != nil {
+				addPod(p)
+			} else {
+				out = append(out, removal(KindEndpoint, name), removal(KindIdentity, name))
+			}
+		}
+		for _, name := range d.dirtyServices {
+			if svc := c.Service(name); svc != nil {
+				addService(svc)
+			} else {
+				out = append(out, removal(KindRuleSet, name))
+			}
+		}
+	}
+	d.dirtyPods, d.dirtyServices = d.dirtyPods[:0], d.dirtyServices[:0]
+	return out
+}
+
+// removal is the change that deletes a resource.
+func removal(k Kind, name string) op[Resource] {
+	return op[Resource]{key: Resource{Kind: k, Name: name}.Key(), del: true}
+}
+
+// listedChanges merges the Resources callback's list against the previous
+// one: everything listed is stored (what did not change drops out against
+// head), and a key listed last time but not now is removed.
+func (d *Distributor) listedChanges() []op[Resource] {
+	list := d.cfg.Resources()
+	out := make([]op[Resource], 0, len(list))
+	listed := make([]string, 0, len(list))
+	now := make(map[string]bool, len(list))
+	for _, r := range list {
+		k := r.Key()
+		out = append(out, op[Resource]{key: k, val: r})
+		listed = append(listed, k)
+		now[k] = true
+	}
+	for _, k := range d.listed {
+		if !now[k] {
+			out = append(out, op[Resource]{key: k, del: true})
+		}
+	}
+	d.listed = listed
+	return out
+}
+
+// policyChanges appends the policy compiler's drained change feed (every
+// bucket with all): one resource per bucket, a removal for a bucket that
+// emptied.
+func (d *Distributor) policyChanges(out []op[Resource], all bool) []op[Resource] {
+	buckets := d.cfg.Policy.Changes()
+	if all {
+		buckets = d.cfg.Policy.Resources()
+	}
+	for _, br := range buckets {
+		r := Resource{
+			Kind:    KindPolicy,
+			Name:    br.Key,
+			Service: br.Service,
+			Bytes:   br.Members * d.cfg.Sizing.PerRuleBytes,
+			Hash:    br.Hash,
+		}
+		out = append(out, op[Resource]{key: r.Key(), val: r, del: br.Members == 0})
 	}
 	return out
 }
@@ -292,9 +401,7 @@ func (d *Distributor) Sessions() []*Session {
 // state before a measured churn window, where configuration was distributed
 // long ago. Pending un-flushed events are absorbed into the baseline.
 func (d *Distributor) SyncAll() {
-	d.version++
-	snap := newSnapshot(d.version, d.cfg.Sim.Now(), d.snapshotResources())
-	d.store.Append(snap)
+	d.publish(d.cfg.Sim.Now())
 	for _, s := range d.sessions {
 		if !s.closed {
 			s.acked = d.version
@@ -371,10 +478,11 @@ func (d *Distributor) schedule() {
 	d.cfg.Sim.At(d.flushAt, wait)
 }
 
-// flush builds one snapshot from the coalesced window and fans it out.
-// This is the build-once-fan-out-many point: one resource build, one
-// structural diff, one priced payload per scope — shared by every
-// subscriber at the previous version.
+// flush publishes one snapshot from the coalesced window and fans it out.
+// This is the build-once-fan-out-many point: one change set applied to
+// head, one structural diff, one priced payload per scope — shared by every
+// subscriber at the previous version. Its cost follows what changed and
+// who subscribes, not the size of the configuration.
 func (d *Distributor) flush() {
 	if !d.haveWork {
 		return
@@ -383,10 +491,7 @@ func (d *Distributor) flush() {
 	now := d.cfg.Sim.Now()
 	eventAt := d.earliestEvent
 
-	d.version++
-	snap := newSnapshot(d.version, now, d.snapshotResources())
-	prev := d.store.Head()
-	d.store.Append(snap)
+	prev, snap := d.publish(now)
 	delta := Diff(prev, snap)
 	d.payloadCache = make(map[payloadKey]Payload)
 

@@ -169,3 +169,51 @@ func TestScopeServicePolicyFiltering(t *testing.T) {
 		}
 	}
 }
+
+// TestPolicyFlushAllocsFlat is the gate against a flush sliding back to a
+// rebuild of the whole configuration: a flush after a one-bucket Apply —
+// publish, diff and fan-out, with the deliveries it schedules — allocates
+// the same at 10^3 and at 10^5 installed intentions (one bucket each), up to
+// the few nodes a taller snapshot tree copies on the changed path.
+func TestPolicyFlushAllocsFlat(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("allocation counts need a full, uninstrumented run")
+	}
+	allocs := func(n int) float64 {
+		pc := policy.NewCompiler(policy.Config{Seed: 1})
+		ints := make([]policy.Intention, n)
+		for i := range ints {
+			ints[i] = policy.Intention{
+				ID: fmt.Sprintf("i%06d", i), Name: "r", SrcTenant: fmt.Sprintf("t%02d", i%16),
+				Src: policy.Exact(fmt.Sprintf("src%06d", i)), Dst: policy.Exact(fmt.Sprintf("svc%02d", i%3)),
+				Action: policy.ActionAllow,
+			}
+		}
+		if _, err := pc.Apply(nil, ints); err != nil {
+			t.Fatal(err)
+		}
+		s := sim.New(1)
+		d := New(Config{
+			Sim: s, Cluster: buildCluster(t, 4, 3, 4), Sizing: controlplane.DefaultSizing(),
+			Model: controlplane.CanalModel, Policy: pc,
+		})
+		d.SubscribeModel()
+		d.SyncAll()
+		flip, names := ints[n/2], []string{"a", "b"}
+		runs := 0
+		return testing.AllocsPerRun(50, func() {
+			runs++
+			flip.Name = names[runs%2] // moves the bucket's hash
+			if _, err := pc.Upsert(flip); err != nil {
+				t.Fatal(err)
+			}
+			d.PolicyChanged() // no debounce: flushes here
+			s.Run()
+		})
+	}
+	small, large := allocs(1_000), allocs(100_000)
+	t.Logf("allocs per one-bucket change and flush: %.0f at 10^3 intentions, %.0f at 10^5", small, large)
+	if large > small+8 {
+		t.Fatalf("a one-bucket flush allocates %.0f at 10^5 intentions against %.0f at 10^3: its cost follows the table size", large, small)
+	}
+}

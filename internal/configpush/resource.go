@@ -38,6 +38,8 @@ const (
 	// the unit of incremental intention recompilation, content-addressed so an
 	// unchanged bucket never crosses the southbound link.
 	KindPolicy
+
+	numKinds = iota
 )
 
 // String returns the kind's key prefix.

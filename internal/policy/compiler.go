@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -34,6 +35,10 @@ type Compiler struct {
 	seq        int
 	// patterns interns the installed intentions' regular expressions.
 	patterns Patterns
+	// changed collects the buckets Apply touched since the last Changes
+	// call; nil until TrackChanges, so an untracked compiler records
+	// nothing.
+	changed map[key3]struct{}
 }
 
 // NewCompiler returns an empty compiler.
@@ -114,7 +119,18 @@ func (c *Compiler) Apply(deletes []string, upserts []Intention) (ApplyStats, err
 		st.TouchedBuckets++
 		st.RebuiltRules += c.rebuild(k)
 	}
+	c.record(touched)
 	return st, nil
+}
+
+// record adds the touched buckets to the change feed when one is tracked.
+func (c *Compiler) record(touched map[key3]struct{}) {
+	if c.changed == nil {
+		return
+	}
+	for k := range touched {
+		c.changed[k] = struct{}{}
+	}
 }
 
 // Upsert installs or replaces a single intention.
@@ -275,6 +291,7 @@ func (c *Compiler) Full() int {
 	for k := range touched {
 		c.rebuild(k)
 	}
+	c.record(touched)
 	return len(touched)
 }
 
@@ -365,14 +382,7 @@ func (c *Compiler) resources() []BucketResource {
 	var out []BucketResource
 	add := func(m map[key3]*bucket) {
 		for k, b := range m {
-			r := BucketResource{Key: k.canon(), Members: len(b.rules), Hash: b.hash}
-			if k.t != wild {
-				r.Tenant = k.t
-			}
-			if k.d != wild {
-				r.Service = k.d
-			}
-			out = append(out, r)
+			out = append(out, bucketResource(k, b))
 		}
 	}
 	for _, m := range c.table.shards {
@@ -383,17 +393,70 @@ func (c *Compiler) resources() []BucketResource {
 	return out
 }
 
+// bucketResource names one bucket as a resource; a nil bucket (one that
+// emptied) has no members.
+func bucketResource(k key3, b *bucket) BucketResource {
+	r := BucketResource{Key: k.canon()}
+	if k.t != wild {
+		r.Tenant = k.t
+	}
+	if k.d != wild {
+		r.Service = k.d
+	}
+	if b != nil {
+		r.Members, r.Hash = len(b.rules), b.hash
+	}
+	return r
+}
+
+// TrackChanges starts the compiler's change feed: from now on every Apply
+// (and Full) records the buckets it touches until Changes drains them. It is
+// how a configpush distributor learns what a flush must ship without listing
+// the table; a compiler no distributor tracks records nothing.
+func (c *Compiler) TrackChanges() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.changed == nil {
+		c.changed = make(map[key3]struct{})
+	}
+}
+
+// Changes drains the change feed: every bucket touched since TrackChanges
+// or the previous Changes, as its current resource — Members 0 when the
+// bucket emptied and is gone — sorted by key.
+func (c *Compiler) Changes() []BucketResource {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]BucketResource, 0, len(c.changed))
+	for k := range c.changed {
+		var b *bucket
+		if m := c.table.home(k); m != nil {
+			b = m[k]
+		}
+		out = append(out, bucketResource(k, b))
+	}
+	clear(c.changed)
+	slices.SortFunc(out, func(a, b BucketResource) int { return strings.Compare(a.Key, b.Key) })
+	return out
+}
+
 // Fingerprint digests the compiled table — bucket keys, member counts and
 // content hashes, shard assignments — into one value, read under one lock.
 // Equal fingerprints mean byte-identical compiled state; tests assert it is
-// stable across full and incremental compilation and across runs.
+// stable across full and incremental compilation and across runs. Each
+// folded field is the text "members/hex-hash" or "tenant=[i j …]", built in
+// one stack buffer.
 func (c *Compiler) Fingerprint() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	h := uint64(fnvOffset)
+	var buf [64]byte
 	for _, r := range c.resources() {
 		h = fnv64Fold(h, r.Key)
-		h = fnv64Fold(h, fmt.Sprintf("%d/%x", r.Members, r.Hash))
+		b := strconv.AppendInt(buf[:0], int64(r.Members), 10)
+		b = append(b, '/')
+		b = strconv.AppendUint(b, r.Hash, 16)
+		h = fnvByte(fnvBytes(h, b), 0xff)
 	}
 	tenants := make([]string, 0, len(c.table.assign))
 	for t := range c.table.assign {
@@ -401,7 +464,16 @@ func (c *Compiler) Fingerprint() uint64 {
 	}
 	slices.Sort(tenants)
 	for _, t := range tenants {
-		h = fnv64Fold(h, fmt.Sprintf("%s=%v", t, c.table.assign[t]))
+		h = fnvString(h, t)
+		b := append(buf[:0], "=["...)
+		for i, idx := range c.table.assign[t] {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(idx), 10)
+		}
+		b = append(b, ']')
+		h = fnvByte(fnvBytes(h, b), 0xff)
 	}
 	return h
 }

@@ -85,8 +85,9 @@ func fuzzQueries() []Query {
 // Apply, verdicts (rule attribution and reasons included) equal Baseline's
 // over the installed set in installation order, the fingerprint equals a
 // fresh compile's, the intern table holds exactly the distinct patterns in
-// use, and a failed Apply changes nothing. At the end the incremental
-// fingerprint must equal Full()'s.
+// use, a failed Apply changes nothing, and the change feed, drained into a
+// copy of the bucket list, keeps that copy equal to Resources(). At the end
+// the incremental fingerprint must equal Full()'s.
 func FuzzCompilerEval(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte("\x02\x00\x01\x02\x03\x04\x05\x05\x05\x05\x05\x05\x05\x05\x03\x02\x01"))
@@ -94,7 +95,9 @@ func FuzzCompilerEval(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		c := NewCompiler(Config{Seed: 3, Shards: 8, TenantShards: 2})
-		var live []Intention // installation order
+		c.TrackChanges()
+		fed := map[string]BucketResource{} // the bucket list rebuilt from the feed
+		var live []Intention               // installation order
 		qs := fuzzQueries()
 		for step := 0; step < 24 && len(r.data) > 0; step++ {
 			var deletes []string
@@ -119,7 +122,7 @@ func FuzzCompilerEval(f *testing.F) {
 			}
 			fp, patterns := c.Fingerprint(), c.Patterns().Len()
 			if _, err := c.Apply(deletes, upserts); err != nil {
-				if c.Fingerprint() != fp || c.Patterns().Len() != patterns || c.Len() != len(live) {
+				if c.Fingerprint() != fp || c.Patterns().Len() != patterns || c.Len() != len(live) || len(c.Changes()) != 0 {
 					t.Fatalf("step %d: failed Apply changed the compiler", step)
 				}
 				continue
@@ -134,12 +137,14 @@ func FuzzCompilerEval(f *testing.F) {
 				live = append(live, u)
 			}
 			checkAgainstOracle(t, step, c, live, qs)
+			checkFeed(t, step, c, fed)
 		}
 		inc := c.Fingerprint()
 		c.Full()
 		if full := c.Fingerprint(); inc != full {
 			t.Fatalf("incremental fingerprint %x, Full() %x", inc, full)
 		}
+		checkFeed(t, -1, c, fed)
 		checkAgainstOracle(t, -1, c, live, qs)
 	})
 }
@@ -175,5 +180,28 @@ func checkAgainstOracle(t *testing.T, step int, c *Compiler, live []Intention, q
 	}
 	if got := c.Patterns().Len(); got != len(distinct) {
 		t.Fatalf("step %d: %d patterns interned, %d in use", step, got, len(distinct))
+	}
+}
+
+// checkFeed drains c's change feed into fed — a changed bucket replaces its
+// entry, an emptied one removes it — and checks fed lists exactly
+// Resources().
+func checkFeed(t *testing.T, step int, c *Compiler, fed map[string]BucketResource) {
+	t.Helper()
+	for _, br := range c.Changes() {
+		if br.Members == 0 {
+			delete(fed, br.Key)
+		} else {
+			fed[br.Key] = br
+		}
+	}
+	all := c.Resources()
+	if len(all) != len(fed) {
+		t.Fatalf("step %d: the feed rebuilt %d buckets, the table holds %d", step, len(fed), len(all))
+	}
+	for _, br := range all {
+		if fed[br.Key] != br {
+			t.Fatalf("step %d: the feed holds %+v for bucket %q, the table %+v", step, fed[br.Key], br.Key, br)
+		}
 	}
 }

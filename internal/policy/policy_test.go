@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -339,6 +340,28 @@ func TestApplyTouchesOnlyAffectedBuckets(t *testing.T) {
 	}
 	if changed > 2 {
 		t.Fatalf("%d bucket hashes moved after a single-intention change, want <= 2", changed)
+	}
+}
+
+// TestBucketKeysInjective pins the bucket resource key's escaping: tenant
+// "a|b" with source "c" and tenant "a" with source "b|c" are two buckets,
+// so they must be two resources under two keys, while a key of plain names
+// renders as the names joined by "|".
+func TestBucketKeysInjective(t *testing.T) {
+	c := NewCompiler(Config{Seed: 1})
+	mustApply(t, c, nil, []Intention{
+		{ID: "x", Name: "x", SrcTenant: "a|b", Src: Exact("c"), Dst: Any()},
+		{ID: "y", Name: "y", SrcTenant: "a", Src: Exact(`b|c`), Dst: Any()},
+		{ID: "z", Name: "z", SrcTenant: `a\`, Src: Exact(`|c`), Dst: Any()},
+		{ID: "p", Name: "p", SrcTenant: "t1", Src: Exact("web"), Dst: Exact("api")},
+	})
+	var keys []string
+	for _, r := range c.Resources() {
+		keys = append(keys, r.Key)
+	}
+	want := []string{`a\\|\|c|*`, `a\|b|c|*`, `a|b\|c|*`, "t1|web|api"}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("bucket keys = %q, want %q", keys, want)
 	}
 }
 

@@ -1,5 +1,7 @@
 package policy
 
+import "strings"
+
 // This file is the compiled dispatch table: the read-side data structure a
 // gateway evaluates per request. The Compiler (compiler.go) owns mutation;
 // the table itself is plain maps and sorted slices so the lookup path is
@@ -15,8 +17,29 @@ type key3 struct {
 // wild is the collapsed wildcard dimension.
 const wild = "*"
 
-// canon renders the key for resource naming and fingerprints.
-func (k key3) canon() string { return k.t + "|" + k.s + "|" + k.d }
+// canon renders the key for resource naming and fingerprints: the three
+// dimensions joined by "|", each with every `\` and "|" escaped by a
+// backslash, so distinct keys never render alike (tenant "a|b" with source
+// "c" against tenant "a" with source "b|c"). Names holding neither byte
+// render as they are.
+func (k key3) canon() string {
+	return escapeDim(k.t) + "|" + escapeDim(k.s) + "|" + escapeDim(k.d)
+}
+
+// escapeDim backslash-escapes every `\` and "|" in one key dimension.
+func escapeDim(s string) string {
+	if !strings.ContainsAny(s, `\|`) {
+		return s
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' || s[i] == '|' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
+}
 
 // compiled is one intention prepared for evaluation: predicates
 // pre-compiled (regexes interned), a deny's reason pre-concatenated, and a
@@ -146,6 +169,14 @@ const (
 func fnvString(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = fnvByte(h, s[i])
+	}
+	return h
+}
+
+// fnvBytes folds a byte slice into a running FNV-1a hash.
+func fnvBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = fnvByte(h, c)
 	}
 	return h
 }

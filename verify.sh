@@ -72,6 +72,11 @@ go test -run '^$' -fuzz FuzzOverlayDecode -fuzztime 5s ./internal/overlay
 # Every, RunUntil, Run and Halt, callbacks scheduling more, checked event by
 # event against a reference that sorts by (at, seq).
 go test -run '^$' -fuzz FuzzEventQueue -fuzztime 5s ./internal/sim
+# And the persistent config snapshots: random change sets across every
+# resource kind (bulk runs, removals, reverts to an earlier value), checked
+# at every retained version against the rebuild-everything oracle for the
+# listed resources, full-sync bytes per scope and deltas to head.
+go test -run '^$' -fuzz FuzzConfigSnapshots -fuzztime 5s ./internal/configpush
 
 # The benchmark harness that judges every PR is a module of its own
 # (benchmark/go.mod), so the root module's ./... does not reach it.
@@ -84,8 +89,10 @@ go test -run '^$' -fuzz FuzzEventQueue -fuzztime 5s ./internal/sim
 # too, for time, and runs beside it.
 go test -run 'TestHotPathAllocs|TestSuiteRenderedSHA' ./internal/bench
 # The policy table's heap bytes per installed intention skips under -race
-# too (instrumentation inflates the heap).
+# too (instrumentation inflates the heap), and so does the gate that a
+# config-push flush allocates the same at 10^3 and 10^5 intentions.
 go test -run TestPolicyBytesPerRule ./internal/policy
+go test -run TestPolicyFlushAllocsFlat ./internal/configpush
 
 # Smoke the tracing pipeline end to end: the per-hop breakdown tables must
 # render and the JSON report must export.
