@@ -64,7 +64,7 @@ func TestNoisyNeighborDeterministic(t *testing.T) {
 // concatenated in paper order: the byte contract the benchmark's sim-suite
 // workload checks each pass against. Changes to simulated code must leave it
 // unchanged; a deliberate change to a table moves it in the same commit.
-const suiteRenderedSHA = "82835bf07fb0a8df534162110b5480062b64b6121fd464280480bfd1911e120c"
+const suiteRenderedSHA = "6490a1b1deaf74a31f8aa0d8af129fbc74aa68a6892269c1775556def76d2a35"
 
 // TestSuiteRenderedSHA runs the whole suite through the parallel runner and
 // compares the digest of its rendered output with suiteRenderedSHA — which

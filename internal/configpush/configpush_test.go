@@ -238,6 +238,26 @@ func TestCoalescingBuildsOncePerWindow(t *testing.T) {
 	}
 }
 
+// TestSameCountRouteUpdateIsPushed: a route update that keeps the service's
+// rule count still moves its rule set's hash (the per-service revision), so
+// it ships as a delta instead of publishing an empty one.
+func TestSameCountRouteUpdateIsPushed(t *testing.T) {
+	s, c, d := rig(t, controlplane.CanalModel, time.Second, false)
+	s.At(0, func() {
+		if err := c.UpdateRoutes("svc01", c.Service("svc01").L7Rules); err != nil {
+			t.Errorf("UpdateRoutes: %v", err)
+		}
+	})
+	s.Run()
+	delta := d.Store().DiffToHead(d.Version() - 1)
+	if len(delta.Changed) != 1 || delta.Changed[0].Key() != "rules/svc01" || len(delta.Removed) != 0 {
+		t.Fatalf("same-count route update published %+v, want the svc01 rule set alone", delta)
+	}
+	if gw := d.Session("gateway"); gw.Deltas != 1 {
+		t.Fatalf("gateway got %d deltas, want 1", gw.Deltas)
+	}
+}
+
 // TestMaxCoalesceBoundsWindowUnderSustainedChurn: events arriving faster
 // than the debounce window would re-arm it forever; MaxCoalesce must force
 // periodic flushes so subscribers keep converging during sustained churn.

@@ -187,6 +187,11 @@ func (d *Distributor) onEvent(e cluster.Event) {
 	case e.Kind == cluster.EventPodAdded || e.Kind == cluster.EventPodRemoved:
 		d.dirtyPods = append(d.dirtyPods, e.Pod.Name)
 	case e.Kind == cluster.EventServiceAdded || e.Kind == cluster.EventRouteUpdated:
+		if e.Kind == cluster.EventRouteUpdated {
+			// A new revision moves the rule set's hash even when the
+			// update keeps the rule count.
+			d.routeRev[e.Service.Name]++
+		}
 		d.dirtyServices = append(d.dirtyServices, e.Service.Name)
 	}
 	switch d.cfg.Model {
