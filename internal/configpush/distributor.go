@@ -254,40 +254,33 @@ func (d *Distributor) publish(at time.Duration) (prev, snap *Snapshot) {
 }
 
 // clusterChanges re-derives the resources of the pods and services events
-// named since the last publish (of every pod and service with all): a pod
+// named since the last publish (with all, of every pod and service): a pod
 // or service the cluster no longer holds is a removal.
 func (d *Distributor) clusterChanges(all bool) []op[Resource] {
 	c, sz := d.cfg.Cluster, d.cfg.Sizing
-	var out []op[Resource]
-	addPod := func(p *cluster.Pod) {
-		ep, id := podResources(p, sz)
-		out = append(out, op[Resource]{key: ep.Key(), val: ep}, op[Resource]{key: id.Key(), val: id})
-	}
-	addService := func(svc *cluster.Service) {
-		r := ruleSetResource(svc, sz, d.routeRev[svc.Name])
-		out = append(out, op[Resource]{key: r.Key(), val: r})
-	}
 	if all {
 		for _, p := range c.Pods() {
-			addPod(p)
+			d.dirtyPods = append(d.dirtyPods, p.Name)
 		}
 		for _, svc := range c.Services() {
-			addService(svc)
+			d.dirtyServices = append(d.dirtyServices, svc.Name)
 		}
-	} else {
-		for _, name := range d.dirtyPods {
-			if p := c.Pod(name); p != nil {
-				addPod(p)
-			} else {
-				out = append(out, removal(KindEndpoint, name), removal(KindIdentity, name))
-			}
+	}
+	out := make([]op[Resource], 0, 2*len(d.dirtyPods)+len(d.dirtyServices))
+	for _, name := range d.dirtyPods {
+		if p := c.Pod(name); p != nil {
+			ep, id := podResources(p, sz)
+			out = append(out, op[Resource]{key: ep.Key(), val: ep}, op[Resource]{key: id.Key(), val: id})
+		} else {
+			out = append(out, removal(KindEndpoint, name), removal(KindIdentity, name))
 		}
-		for _, name := range d.dirtyServices {
-			if svc := c.Service(name); svc != nil {
-				addService(svc)
-			} else {
-				out = append(out, removal(KindRuleSet, name))
-			}
+	}
+	for _, name := range d.dirtyServices {
+		if svc := c.Service(name); svc != nil {
+			r := ruleSetResource(svc, sz, d.routeRev[name])
+			out = append(out, op[Resource]{key: r.Key(), val: r})
+		} else {
+			out = append(out, removal(KindRuleSet, name))
 		}
 	}
 	d.dirtyPods, d.dirtyServices = d.dirtyPods[:0], d.dirtyServices[:0]
