@@ -379,16 +379,12 @@ func (c *Compiler) Resources() []BucketResource {
 
 // resources is Resources under the caller's lock.
 func (c *Compiler) resources() []BucketResource {
-	var out []BucketResource
-	add := func(m map[key3]*bucket) {
+	out := make([]BucketResource, 0, c.table.size())
+	for _, m := range c.table.maps() {
 		for k, b := range m {
 			out = append(out, bucketResource(k, b))
 		}
 	}
-	for _, m := range c.table.shards {
-		add(m)
-	}
-	add(c.table.global)
 	slices.SortFunc(out, func(a, b BucketResource) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
@@ -449,13 +445,24 @@ func (c *Compiler) Changes() []BucketResource {
 func (c *Compiler) Fingerprint() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	type keyed struct {
+		key string
+		b   *bucket
+	}
+	all := make([]keyed, 0, c.table.size())
+	for _, m := range c.table.maps() {
+		for k, b := range m {
+			all = append(all, keyed{k.canon(), b})
+		}
+	}
+	slices.SortFunc(all, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
 	h := uint64(fnvOffset)
 	var buf [64]byte
-	for _, r := range c.resources() {
-		h = fnv64Fold(h, r.Key)
-		b := strconv.AppendInt(buf[:0], int64(r.Members), 10)
+	for _, e := range all {
+		h = fnv64Fold(h, e.key)
+		b := strconv.AppendInt(buf[:0], int64(len(e.b.rules)), 10)
 		b = append(b, '/')
-		b = strconv.AppendUint(b, r.Hash, 16)
+		b = strconv.AppendUint(b, e.b.hash, 16)
 		h = fnvByte(fnvBytes(h, b), 0xff)
 	}
 	tenants := make([]string, 0, len(c.table.assign))

@@ -28,7 +28,7 @@ func (k key3) canon() string {
 
 // escapeDim backslash-escapes every `\` and "|" in one key dimension.
 func escapeDim(s string) string {
-	if !strings.ContainsAny(s, `\|`) {
+	if strings.IndexByte(s, '|') < 0 && strings.IndexByte(s, '\\') < 0 {
 		return s
 	}
 	var b strings.Builder
@@ -143,6 +143,20 @@ type Table struct {
 
 	allowByDst  map[string]int
 	allowAnyDst int
+}
+
+// maps returns every bucket map: the shards, then the global map.
+func (t *Table) maps() []map[key3]*bucket {
+	return append(t.shards[:len(t.shards):len(t.shards)], t.global)
+}
+
+// size returns the number of buckets.
+func (t *Table) size() int {
+	n := 0
+	for _, m := range t.maps() {
+		n += len(m)
+	}
+	return n
 }
 
 // newTable returns an empty table with k shards.
