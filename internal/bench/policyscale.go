@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"canalmesh/internal/configpush"
@@ -168,26 +170,31 @@ func policyScaleShape(rules int) (tenants, services int) {
 // policyScaleCorpus generates the deterministic intention set for one scale:
 // mostly exact-key tenant rules, a slice of per-tenant wildcard/prefix
 // sources, and a small capped set of mesh-wide (wildcard tenant) rules.
+// Tenant, service and prefix names are drawn from tables formatted once,
+// not formatted per rule.
 func policyScaleCorpus(rng *rand.Rand, n int) []policy.Intention {
 	tenants, services := policyScaleShape(n)
 	globals := 32
 	if globals > n/10 {
 		globals = n / 10
 	}
+	tenantNames, serviceNames := numbered("t%05d", tenants), numbered("svc%05d", services)
+	srcPrefixes, pathPrefixes := numbered("svc%d", 10), numbered("/api/v%d", 4)
 	out := make([]policy.Intention, 0, n)
 	for i := 0; i < n-globals; i++ {
+		num := strconv.Itoa(i)
 		in := policy.Intention{
-			ID:        fmt.Sprintf("r%07d", i),
-			Name:      fmt.Sprintf("rule-%d", i),
-			SrcTenant: fmt.Sprintf("t%05d", rng.Intn(tenants)),
-			Dst:       policy.Exact(fmt.Sprintf("svc%05d", rng.Intn(services))),
+			ID:        "r" + strings.Repeat("0", max(0, 7-len(num))) + num, // "r%07d"
+			Name:      "rule-" + num,
+			SrcTenant: tenantNames[rng.Intn(tenants)],
+			Dst:       policy.Exact(serviceNames[rng.Intn(services)]),
 			Action:    policy.ActionAllow,
 		}
 		switch {
 		case rng.Intn(100) < 90:
-			in.Src = policy.Exact(fmt.Sprintf("svc%05d", rng.Intn(services)))
+			in.Src = policy.Exact(serviceNames[rng.Intn(services)])
 		case rng.Intn(2) == 0:
-			in.Src = policy.Prefix(fmt.Sprintf("svc%d", rng.Intn(10)))
+			in.Src = policy.Prefix(srcPrefixes[rng.Intn(10)])
 		default:
 			in.Src = policy.Any()
 		}
@@ -195,7 +202,7 @@ func policyScaleCorpus(rng *rand.Rand, n int) []policy.Intention {
 			in.Action = policy.ActionDeny
 		}
 		if rng.Intn(100) < 30 {
-			in.Path = policy.Prefix(fmt.Sprintf("/api/v%d", rng.Intn(4)))
+			in.Path = policy.Prefix(pathPrefixes[rng.Intn(4)])
 		}
 		in.Precedence = rng.Intn(3)
 		out = append(out, in)
@@ -210,6 +217,15 @@ func policyScaleCorpus(rng *rand.Rand, n int) []policy.Intention {
 			Action:     policy.ActionDeny,
 			Precedence: 5,
 		})
+	}
+	return out
+}
+
+// numbered formats the names 0..n-1 render to under format.
+func numbered(format string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf(format, i)
 	}
 	return out
 }

@@ -9,6 +9,7 @@ package cluster
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"canalmesh/internal/cloud"
@@ -65,6 +66,7 @@ type Service struct {
 	// L7Rules counts the number of routing/security rules configured for
 	// this service; it drives configuration sizes in the control planes.
 	L7Rules int
+	pods    []*Pod
 }
 
 // EventKind enumerates API-server events.
@@ -186,6 +188,7 @@ func (c *Cluster) AddPod(service string, node *Node, app Resources) (*Pod, error
 		App:     app,
 	}
 	node.pods = append(node.pods, p)
+	svc.pods = append(svc.pods, p)
 	c.pods[p.Name] = p
 	c.notify(Event{Kind: EventPodAdded, Pod: p, Service: svc})
 	return p, nil
@@ -204,7 +207,9 @@ func (c *Cluster) RemovePod(name string) error {
 			break
 		}
 	}
-	c.notify(Event{Kind: EventPodRemoved, Pod: p, Service: c.services[p.Service]})
+	svc := c.services[p.Service]
+	svc.pods = slices.DeleteFunc(svc.pods, func(sp *Pod) bool { return sp == p })
+	c.notify(Event{Kind: EventPodRemoved, Pod: p, Service: svc})
 	return nil
 }
 
@@ -225,12 +230,11 @@ func (c *Cluster) Pod(name string) *Pod { return c.pods[name] }
 
 // PodsOf returns the pods of a service sorted by name.
 func (c *Cluster) PodsOf(service string) []*Pod {
-	var out []*Pod
-	for _, p := range c.pods {
-		if p.Service == service {
-			out = append(out, p)
-		}
+	svc := c.services[service]
+	if svc == nil {
+		return nil
 	}
+	out := slices.Clone(svc.pods)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
