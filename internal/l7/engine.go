@@ -2,6 +2,7 @@ package l7
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -93,8 +94,11 @@ type Engine struct {
 // fetches the handle again after the next Configure.
 type Service struct {
 	engine *Engine
-	cfg    ServiceConfig
-	rules  []ruleState // parallel to cfg.Rules
+	// cfg is the configuration Configure was given, its route rules deep
+	// copied (cloneConfig): no caller holds memory the decision reads.
+	cfg   ServiceConfig
+	prog  program     // cfg.Rules' conditions, what Route scans
+	rules []ruleState // parallel to cfg.Rules
 	// throttle is the service-level limiter: cfg.ServiceRateLimit's when the
 	// configuration has one, replaced at run time by §6.2's throttling.
 	throttle atomic.Pointer[TokenBucket]
@@ -152,19 +156,20 @@ func authzIntentions(service string, rules []AuthzRule) []policy.Intention {
 }
 
 // Configure installs (or replaces) a service's configuration. Everything a
-// request will read is compiled here, before it is published; a configuration
-// that does not compile — a bad split, an invalid regex in a rule or an
-// AuthzRule — is an error and leaves what was installed in place. Route-rule
-// regexes are interned in the policy table's Patterns beside the authz
-// rules' and released when the configuration is replaced or removed.
+// request will read is compiled here, before it is published, from a deep
+// copy: the caller may go on writing cfg and what its rules point to. A
+// configuration that does not compile — a bad split, an invalid regex in a
+// rule or an AuthzRule — is an error and leaves what was installed in
+// place. Route-rule regexes are interned in the policy table's Patterns
+// beside the authz rules' and released when the configuration is replaced or
+// removed.
 func (e *Engine) Configure(cfg ServiceConfig) (err error) {
 	if cfg.Service == "" {
 		return fmt.Errorf("l7: service name required")
 	}
-	st := &Service{engine: e, cfg: cfg, rules: make([]ruleState, len(cfg.Rules))}
-	// The rules are compiled in a copy: the caller's slice is not written.
-	st.cfg.Rules = slices.Clone(cfg.Rules)
-	interned := 0 // rules whose matchers hold pattern references
+	st := &Service{engine: e, cfg: cloneConfig(cfg), rules: make([]ruleState, len(cfg.Rules))}
+	st.prog = compileProgram(st.cfg.Rules)
+	interned := 0 // conditions holding pattern references: the rules' so far
 	defer func() {
 		if err != nil {
 			st.releaseRoutes(interned)
@@ -187,10 +192,11 @@ func (e *Engine) Configure(cfg ServiceConfig) (err error) {
 		if f := r.Fault; f != nil && f.AbortStatus != 0 && (f.AbortStatus < 400 || f.AbortStatus > 599) {
 			return fmt.Errorf("l7: rule %s: abort status %d is not an HTTP error status (400-599)", r.Name, f.AbortStatus)
 		}
-		if err := r.Match.compile(e.policy.Patterns()); err != nil {
+		end := int(st.prog.ends[i])
+		if err := e.policy.Patterns().Intern(st.prog.matchers(interned, end)...); err != nil {
 			return fmt.Errorf("l7: rule %s: %w", r.Name, err)
 		}
-		interned++
+		interned = end
 		if r.RateLimit != nil {
 			rs.limiter = NewTokenBucket(r.RateLimit.RPS, r.RateLimit.Burst)
 			rs.rlReason = "rule rate limit: " + r.Name
@@ -220,18 +226,48 @@ func (e *Engine) Configure(cfg ServiceConfig) (err error) {
 		return fmt.Errorf("l7: service %s: %w", cfg.Service, err)
 	}
 	if prev != nil {
-		prev.releaseRoutes(len(prev.cfg.Rules))
+		prev.releaseRoutes(len(prev.prog.conds))
 	}
 	e.services[cfg.Service] = st
 	return nil
 }
 
-// releaseRoutes drops the pattern references of the first n route rules'
-// matchers.
+// releaseRoutes drops the pattern references of the route program's first n
+// conditions.
 func (st *Service) releaseRoutes(n int) {
-	for i := range st.cfg.Rules[:n] {
-		st.engine.policy.Patterns().Release(st.cfg.Rules[i].Match.predicates()...)
+	st.engine.policy.Patterns().Release(st.prog.matchers(0, n)...)
+}
+
+// cloneConfig returns a deep copy of cfg's route rules and rate limits:
+// every slice, map and pointer they hold is copied, so the copy and cfg
+// share no memory that either side's writes could reach. Nil stays nil. The
+// Authz list is left shared: no decision reads it — requests are authorized
+// against the intentions Configure compiles from it — and at tens of
+// authorization rules per service a copy would be the larger part of an
+// installed configuration's memory.
+func cloneConfig(cfg ServiceConfig) ServiceConfig {
+	cfg.Rules = slices.Clone(cfg.Rules)
+	for i := range cfg.Rules {
+		r := &cfg.Rules[i]
+		r.Match.Headers = slices.Clone(r.Match.Headers)
+		r.Match.Cookies = slices.Clone(r.Match.Cookies)
+		r.Splits = slices.Clone(r.Splits)
+		r.SetHeaders = maps.Clone(r.SetHeaders)
+		r.RemoveHeaders = slices.Clone(r.RemoveHeaders)
+		r.RateLimit = clonePtr(r.RateLimit)
+		r.Fault = clonePtr(r.Fault)
 	}
+	cfg.ServiceRateLimit = clonePtr(cfg.ServiceRateLimit)
+	return cfg
+}
+
+// clonePtr returns a pointer to a copy of *p, or nil for nil.
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
 }
 
 // Remove deletes a service's configuration.
@@ -241,7 +277,7 @@ func (e *Engine) Remove(service string) {
 	if st, ok := e.services[service]; ok {
 		// Delete-only Apply cannot fail: nothing to compile.
 		_, _ = e.policy.Apply(st.authzIDs, nil)
-		st.releaseRoutes(len(st.cfg.Rules))
+		st.releaseRoutes(len(st.prog.conds))
 		delete(e.services, service)
 	}
 }
@@ -258,13 +294,16 @@ func (e *Engine) Services() []string {
 	return out
 }
 
-// Config returns the configuration a service was installed with.
+// Config returns a deep copy of the configuration a service was installed
+// with: writing it changes nothing until it is passed to Configure.
 func (e *Engine) Config(service string) (ServiceConfig, bool) {
 	st := e.Service(service)
 	if st == nil {
 		return ServiceConfig{}, false
 	}
-	return st.cfg, true
+	cfg := cloneConfig(st.cfg)
+	cfg.Authz = slices.Clone(cfg.Authz)
+	return cfg, true
 }
 
 // Service returns the handle of a service's installed configuration, or nil
@@ -324,41 +363,39 @@ func (st *Service) Route(now time.Duration, r *Request) (Decision, error) {
 	}
 
 	d := Decision{Allowed: true, Subset: st.cfg.DefaultSubset}
-	for i := range st.cfg.Rules {
-		rule, rs := &st.cfg.Rules[i], &st.rules[i]
-		if !rule.Match.Matches(r) {
-			continue
-		}
-		if rs.limiter != nil && !rs.limiter.Allow(now) {
-			return Decision{RateLimited: true, Rule: rule.Name},
-				//canal:allow hotpath reject path: one error allocation; the reason string is precomputed at Configure
-				&DecisionError{Status: StatusTooManyRequests, Reason: rs.rlReason}
-		}
-		d.Rule = rule.Name
-		d.PathRewrite = rule.PathRewrite
-		d.Retry = rule.Retry
-		d.MirrorTo = rule.MirrorTo
-		d.Timeout = rule.Timeout
-		d.SetHeaders = rule.SetHeaders
-		d.RemoveHeaders = rule.RemoveHeaders
-		if f := rule.Fault; f != nil {
-			if f.AbortPercent > 0 && st.engine.roll() < f.AbortPercent {
-				status := f.AbortStatus
-				if status == 0 {
-					status = StatusUnavailable
-				}
-				return Decision{Rule: rule.Name},
-					//canal:allow hotpath reject path: one error allocation; the reason string is precomputed at Configure
-					&DecisionError{Status: status, Reason: rs.abortReason}
-			}
-			if f.DelayPercent > 0 && st.engine.roll() < f.DelayPercent {
-				d.Delay = f.Delay
-			}
-		}
-		if len(rule.Splits) > 0 {
-			d.Subset = st.engine.pickSplit(rule.Splits, rs.splitTotal)
-		}
+	i := st.prog.match(r)
+	if i < 0 {
 		return d, nil
+	}
+	rule, rs := &st.cfg.Rules[i], &st.rules[i]
+	if rs.limiter != nil && !rs.limiter.Allow(now) {
+		return Decision{RateLimited: true, Rule: rule.Name},
+			//canal:allow hotpath reject path: one error allocation; the reason string is precomputed at Configure
+			&DecisionError{Status: StatusTooManyRequests, Reason: rs.rlReason}
+	}
+	d.Rule = rule.Name
+	d.PathRewrite = rule.PathRewrite
+	d.Retry = rule.Retry
+	d.MirrorTo = rule.MirrorTo
+	d.Timeout = rule.Timeout
+	d.SetHeaders = rule.SetHeaders
+	d.RemoveHeaders = rule.RemoveHeaders
+	if f := rule.Fault; f != nil {
+		if f.AbortPercent > 0 && st.engine.roll() < f.AbortPercent {
+			status := f.AbortStatus
+			if status == 0 {
+				status = StatusUnavailable
+			}
+			return Decision{Rule: rule.Name},
+				//canal:allow hotpath reject path: one error allocation; the reason string is precomputed at Configure
+				&DecisionError{Status: status, Reason: rs.abortReason}
+		}
+		if f.DelayPercent > 0 && st.engine.roll() < f.DelayPercent {
+			d.Delay = f.Delay
+		}
+	}
+	if len(rule.Splits) > 0 {
+		d.Subset = st.engine.pickSplit(rule.Splits, rs.splitTotal)
 	}
 	return d, nil
 }

@@ -1,7 +1,7 @@
 package l7
 
 import (
-	"slices"
+	"strings"
 
 	"canalmesh/internal/policy"
 )
@@ -40,50 +40,120 @@ type RouteMatch struct {
 	Cookies []KVMatch
 }
 
-// compile pre-builds every regex matcher in the condition, interned in p,
-// so the per-request path never compiles. The header and cookie lists are
-// copied first: the engine writes into what it installs, never into the
-// caller's slices. A nil error means the condition holds one reference per
-// regex matcher in p until they are released.
-func (m *RouteMatch) compile(p *policy.Patterns) error {
-	m.Headers, m.Cookies = slices.Clone(m.Headers), slices.Clone(m.Cookies)
-	return p.Intern(m.predicates()...)
+// field names the part of a request a route condition reads.
+type field uint8
+
+const (
+	fieldMethod field = iota
+	fieldPath
+	fieldHeader
+	fieldCookie
+)
+
+// cond is one condition of a route program: the request field it reads —
+// for a header or cookie, under which name — and the predicate over it.
+type cond struct {
+	field field
+	name  string
+	match policy.Match
 }
 
-// predicates lists the condition's string matchers.
-func (m *RouteMatch) predicates() []*StringMatch {
-	ps := make([]*StringMatch, 0, 2+len(m.Headers)+len(m.Cookies))
-	ps = append(ps, &m.Method, &m.Path)
-	for _, kvs := range [][]KVMatch{m.Headers, m.Cookies} {
-		for i := range kvs {
-			ps = append(ps, &kvs[i].Match)
-		}
-	}
-	return ps
-}
-
-// Matches reports whether the request satisfies every condition. It reads
-// the condition in place: the route loop calls it for every rule it scans.
+// matches reports whether the request's field satisfies the condition.
 //
 //canal:hotpath
-func (m *RouteMatch) Matches(r *Request) bool {
-	if !m.Method.Matches(r.Method) {
-		return false
+func (c *cond) matches(r *Request) bool {
+	switch c.field {
+	case fieldMethod:
+		return c.match.Matches(r.Method)
+	case fieldPath:
+		return c.match.Matches(r.Path)
+	case fieldHeader:
+		return c.match.Matches(r.Header(c.name))
+	default:
+		return c.match.Matches(r.Cookie(c.name))
 	}
-	if !m.Path.Matches(r.Path) {
-		return false
-	}
-	for i := range m.Headers {
-		h := &m.Headers[i]
-		if !h.Match.Matches(r.Header(h.Name)) {
-			return false
+}
+
+// program is a service's route rules' conditions compiled for the scan
+// Route makes over them per request: every condition of every rule in one
+// contiguous slice, in rule order, with the conditions that match anything
+// left out, so rule i is the conditions conds[ends[i-1]:ends[i]] and a rule
+// with none matches every request. Every header or cookie name and every
+// match value is a slice of one string, so the scan reads a few adjacent
+// cache lines rather than a string allocation per condition.
+type program struct {
+	conds []cond
+	ends  []int32
+}
+
+// compileProgram lays out the conditions of rules as a program. Its regex
+// conditions match nothing until Configure interns them.
+func compileProgram(rules []Rule) program {
+	var p program
+	size := 0
+	add := func(f field, name string, m policy.Match) {
+		if m.Op == policy.OpAny {
+			return
 		}
+		p.conds = append(p.conds, cond{field: f, name: name, match: policy.Match{Op: m.Op, Value: m.Value}})
+		size += len(name) + len(m.Value)
 	}
-	for i := range m.Cookies {
-		c := &m.Cookies[i]
-		if !c.Match.Matches(r.Cookie(c.Name)) {
-			return false
+	p.ends = make([]int32, len(rules))
+	for i := range rules {
+		m := &rules[i].Match
+		add(fieldMethod, "", m.Method)
+		add(fieldPath, "", m.Path)
+		for _, h := range m.Headers {
+			add(fieldHeader, h.Name, h.Match)
 		}
+		for _, c := range m.Cookies {
+			add(fieldCookie, c.Name, c.Match)
+		}
+		p.ends[i] = int32(len(p.conds))
 	}
-	return true
+	var b strings.Builder
+	b.Grow(size)
+	for i := range p.conds {
+		b.WriteString(p.conds[i].name)
+		b.WriteString(p.conds[i].match.Value)
+	}
+	arena, off := b.String(), 0
+	cut := func(n int) string {
+		s := arena[off : off+n]
+		off += n
+		return s
+	}
+	for i := range p.conds {
+		c := &p.conds[i]
+		c.name = cut(len(c.name))
+		c.match.Value = cut(len(c.match.Value))
+	}
+	return p
+}
+
+// matchers lists the conditions' predicates from conds[start:end].
+func (p *program) matchers(start, end int) []*policy.Match {
+	ms := make([]*policy.Match, 0, end-start)
+	for i := start; i < end; i++ {
+		ms = append(ms, &p.conds[i].match)
+	}
+	return ms
+}
+
+// match runs the program against a request: the index of the first rule
+// whose every condition holds, or -1 when none does.
+//
+//canal:hotpath
+func (p *program) match(r *Request) int {
+	c := 0
+	for i, end := range p.ends {
+		for c < int(end) && p.conds[c].matches(r) {
+			c++
+		}
+		if c == int(end) {
+			return i
+		}
+		c = int(end)
+	}
+	return -1
 }

@@ -59,7 +59,8 @@ type Decision struct {
 	Delay       time.Duration // injected latency (fault injection)
 	Timeout     time.Duration // upstream deadline; zero = unbounded
 	// SetHeaders / RemoveHeaders are header mutations the data plane
-	// applies toward the upstream.
+	// applies toward the upstream. They are the installed rule's own:
+	// read them, never write them.
 	SetHeaders    map[string]string
 	RemoveHeaders []string
 }

@@ -192,11 +192,10 @@ func (c *Compiler) place(cc *compiled) key3 {
 	if k.t != wild && c.table.assign[k.t] == nil {
 		c.table.assign[k.t] = assignShards(k.t, c.cfg)
 	}
-	m := c.table.home(k)
-	b := m[k]
+	b := c.table.lookup(k)
 	if b == nil {
 		b = &bucket{}
-		m[k] = b
+		c.table.store(k, b)
 		if k.t != wild {
 			c.table.buckets[k.t]++
 		}
@@ -236,14 +235,13 @@ func (c *Compiler) unplace(cc *compiled) key3 {
 // tenant's last bucket, the tenant's shard assignment. Returns the bucket's
 // member count.
 func (c *Compiler) rebuild(k key3) int {
-	m := c.table.home(k)
-	b := m[k]
+	b := c.table.lookup(k)
 	if b == nil {
 		return 0
 	}
 	b.rules = slices.DeleteFunc(b.rules, func(cc *compiled) bool { return cc.removed })
 	if len(b.rules) == 0 {
-		delete(m, k)
+		c.table.remove(k)
 		if k.t != wild {
 			if c.table.buckets[k.t]--; c.table.buckets[k.t] == 0 {
 				delete(c.table.buckets, k.t)
@@ -332,21 +330,13 @@ func (c *Compiler) Stats() TableStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	st := TableStats{Intentions: len(c.intentions), Tenants: len(c.table.assign)}
-	walk := func(m map[key3]*bucket, global bool) {
-		for _, b := range m {
-			st.Buckets++
-			if len(b.rules) > st.MaxBucket {
-				st.MaxBucket = len(b.rules)
-			}
-			if global {
-				st.GlobalRules += len(b.rules)
-			}
+	c.table.each(func(k key3, b *bucket) {
+		st.Buckets++
+		st.MaxBucket = max(st.MaxBucket, len(b.rules))
+		if k.t == wild {
+			st.GlobalRules += len(b.rules)
 		}
-	}
-	for _, m := range c.table.shards {
-		walk(m, false)
-	}
-	walk(c.table.global, true)
+	})
 	return st
 }
 
@@ -380,11 +370,7 @@ func (c *Compiler) Resources() []BucketResource {
 // resources is Resources under the caller's lock.
 func (c *Compiler) resources() []BucketResource {
 	out := make([]BucketResource, 0, c.table.size())
-	for _, m := range c.table.maps() {
-		for k, b := range m {
-			out = append(out, bucketResource(k, b))
-		}
-	}
+	c.table.each(func(k key3, b *bucket) { out = append(out, bucketResource(k, b)) })
 	slices.SortFunc(out, func(a, b BucketResource) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
@@ -425,11 +411,7 @@ func (c *Compiler) Changes() []BucketResource {
 	defer c.mu.Unlock()
 	out := make([]BucketResource, 0, len(c.changed))
 	for k := range c.changed {
-		var b *bucket
-		if m := c.table.home(k); m != nil {
-			b = m[k]
-		}
-		out = append(out, bucketResource(k, b))
+		out = append(out, bucketResource(k, c.table.lookup(k)))
 	}
 	clear(c.changed)
 	slices.SortFunc(out, func(a, b BucketResource) int { return strings.Compare(a.Key, b.Key) })
@@ -450,11 +432,7 @@ func (c *Compiler) Fingerprint() uint64 {
 		b   *bucket
 	}
 	all := make([]keyed, 0, c.table.size())
-	for _, m := range c.table.maps() {
-		for k, b := range m {
-			all = append(all, keyed{k.canon(), b})
-		}
-	}
+	c.table.each(func(k key3, b *bucket) { all = append(all, keyed{k.canon(), b}) })
 	slices.SortFunc(all, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
 	h := uint64(fnvOffset)
 	var buf [64]byte

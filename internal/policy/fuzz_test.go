@@ -24,7 +24,8 @@ func (r *fuzzReader) next() int {
 func pick[T any](r *fuzzReader, opts ...T) T { return opts[r.next()%len(opts)] }
 
 // fuzzMatch draws a predicate over a small value space: shared regex
-// patterns most intentions name, and unique ones only one does.
+// patterns most intentions name — anchored ones with a literal prefix and
+// ones whose ^ gives none — and unique ones only one does.
 func fuzzMatch(r *fuzzReader, values ...string) Match {
 	switch r.next() % 6 {
 	case 0, 1:
@@ -34,10 +35,21 @@ func fuzzMatch(r *fuzzReader, values ...string) Match {
 	case 3:
 		return Prefix(pick(r, values...)[:1])
 	case 4:
-		return Regex(pick(r, "^s[01]$", "^/a/[0-9]+$", "d", "^/b"))
+		return Regex(pick(r, "^s[01]$", "^/a/[0-9]+$", "d", "^/b", "^/a/1", "(?i)^/a/1$", "^/a|^/b", "(?m)^/b$"))
 	default:
 		return Regex(fmt.Sprintf("^/u%d$", r.next()))
 	}
+}
+
+// fuzzDst draws a destination predicate: an exact destination half the
+// time, so wildcard-tenant intentions land in both the per-destination
+// buckets and the wildcard-destination ones eval probes only when some
+// exist.
+func fuzzDst(r *fuzzReader) Match {
+	if r.next()%2 == 0 {
+		return Exact(pick(r, "d0", "d1"))
+	}
+	return fuzzMatch(r, "d0", "d1")
 }
 
 // fuzzIntention draws one intention; IDs come from a pool of eight so
@@ -48,7 +60,7 @@ func fuzzIntention(r *fuzzReader) Intention {
 		Name:       fmt.Sprintf("n%d", r.next()%4),
 		SrcTenant:  pick(r, "", WildcardTenant, "t0", "t1", "t2"),
 		Src:        fuzzMatch(r, "s0", "s1"),
-		Dst:        fuzzMatch(r, "d0", "d1"),
+		Dst:        fuzzDst(r),
 		Method:     pick(r, Any(), Exact("GET")),
 		Path:       fuzzMatch(r, "/a/1", "/b"),
 		Action:     pick(r, ActionAllow, ActionDeny),
@@ -66,7 +78,7 @@ func fuzzQueries() []Query {
 	for _, tenant := range []string{"t0", "t1", "t9"} {
 		for _, src := range []string{"s0", "s1"} {
 			for _, dst := range []string{"d0", "d1"} {
-				for i, path := range []string{"/a/1", "/b", "/u3"} {
+				for i, path := range []string{"/a/1", "/b", "/u3", "/A/1", "/a/12", "x/b"} {
 					q := Query{SrcTenant: tenant, SrcService: src, DstService: dst, Method: "GET", Path: path}
 					if i == 1 {
 						q.Method = "POST"

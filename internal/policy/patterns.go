@@ -2,7 +2,10 @@ package policy
 
 import (
 	"regexp"
+	"regexp/syntax"
+	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Patterns is a reference-counted intern table of compiled regular
@@ -21,10 +24,39 @@ type Patterns struct {
 	m  map[string]*pattern
 }
 
-// pattern is one interned expression and the count of predicates holding it.
+// pattern is one compiled expression, the literal every match of it begins
+// with, and — while it is interned — the count of predicates holding it.
+// Only refs changes after compilation, under the table's lock; re and prefix
+// are what Match.Matches reads.
 type pattern struct {
-	re   *regexp.Regexp
-	refs int
+	re     *regexp.Regexp
+	prefix string
+	refs   int
+}
+
+// anchoredPrefix returns the literal text every match of expr starts with
+// when expr is anchored at the start of the text, and "" when it is not or
+// the literal cannot be compared byte for byte. It reads the parse tree
+// regexp.Compile builds: a concatenation that opens with ^ as OpBeginText
+// (not under (?m), where ^ is OpBeginLine and matches after any newline),
+// followed by a case-sensitive literal. A literal holding U+FFFD is left
+// out: the matcher decodes an invalid byte as that rune, so "\xff" matches
+// ^\x{FFFD} without having its UTF-8 form as a prefix.
+func anchoredPrefix(expr string) string {
+	re, err := syntax.Parse(expr, syntax.Perl)
+	if err != nil || re.Op != syntax.OpConcat || len(re.Sub) < 2 || re.Sub[0].Op != syntax.OpBeginText {
+		return ""
+	}
+	lit := re.Sub[1]
+	if lit.Op != syntax.OpLiteral || lit.Flags&syntax.FoldCase != 0 {
+		return ""
+	}
+	for _, r := range lit.Rune {
+		if r == utf8.RuneError || !utf8.ValidRune(r) {
+			return ""
+		}
+	}
+	return string(lit.Rune)
 }
 
 // Intern points every regex predicate in ms at the table's compiled
@@ -46,14 +78,17 @@ func (p *Patterns) Intern(ms ...*Match) error {
 				p.release(ms[:i])
 				return err
 			}
+			e = fresh.re
 			if p.m == nil {
 				p.m = make(map[string]*pattern)
 			}
-			e = &pattern{re: fresh.re}
-			p.m[m.Value] = e
+			// The key is copied: m.Value may be a slice of a larger string
+			// (l7's route programs cut theirs from one per-service arena)
+			// that the table must not keep alive.
+			p.m[strings.Clone(m.Value)] = e
 		}
 		e.refs++
-		m.re = e.re
+		m.re = e
 	}
 	return nil
 }

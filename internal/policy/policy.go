@@ -64,11 +64,12 @@ func (o Op) String() string {
 	}
 }
 
-// Match is one string predicate of an intention.
+// Match is one string predicate of an intention. A regex predicate points
+// at its compiled pattern: the expression and its anchored prefix.
 type Match struct {
 	Op    Op
 	Value string
-	re    *regexp.Regexp
+	re    *pattern
 }
 
 // Any returns a matcher that always matches.
@@ -102,12 +103,14 @@ func (m *Match) Compile() error {
 	if err != nil {
 		return fmt.Errorf("policy: bad regex %q: %w", m.Value, err)
 	}
-	m.re = re
+	m.re = &pattern{re: re, prefix: anchoredPrefix(m.Value)}
 	return nil
 }
 
 // Matches reports whether the predicate accepts v. It never compiles: a
-// regex predicate that was not compiled matches nothing.
+// regex predicate that was not compiled matches nothing. A regex whose
+// every match starts with a literal (anchoredPrefix) runs only on values
+// that start with it.
 //
 //canal:hotpath
 func (m *Match) Matches(v string) bool {
@@ -120,7 +123,7 @@ func (m *Match) Matches(v string) bool {
 		return strings.HasPrefix(v, m.Value)
 	case OpRegex:
 		//canal:allow hotpath operator-authored pattern, precompiled by Compile; matching a bounded path/method/header value
-		return m.re != nil && m.re.MatchString(v)
+		return m.re != nil && strings.HasPrefix(v, m.re.prefix) && m.re.re.MatchString(v)
 	case OpPresent:
 		return v != ""
 	default:

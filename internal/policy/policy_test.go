@@ -606,3 +606,36 @@ func BenchmarkCompiledEval(b *testing.B) {
 		_ = c.Eval(qs[i%len(qs)])
 	}
 }
+
+// TestWildcardDestinationProbes pins the probes eval skips while no
+// wildcard-tenant bucket has a wildcard destination: a {*,*,*} and then a
+// {*,s,*} intention, each installed after traffic was evaluated without
+// it, decide the next lookup, and once removed leave the lookup to the
+// destination's buckets again.
+func TestWildcardDestinationProbes(t *testing.T) {
+	c := NewCompiler(Config{Seed: 1})
+	mustApply(t, c, nil, []Intention{{ID: "a", Name: "allow-web", Src: Exact("web"), Dst: Exact("api")}})
+	q := Query{SrcTenant: "t", SrcService: "web", DstService: "api", Path: "/x"}
+	if v := c.Eval(q); !v.Allowed || v.Rule != "allow-web" {
+		t.Fatalf("before: %+v", v)
+	}
+	for _, in := range []Intention{
+		{ID: "g", Name: "deny-all", Src: Any(), Dst: Any(), Action: ActionDeny},
+		{ID: "g", Name: "deny-web", Src: Exact("web"), Dst: Prefix("a"), Action: ActionDeny},
+	} {
+		mustApply(t, c, nil, []Intention{in})
+		if v := c.Eval(q); v.Allowed || v.Rule != in.Name {
+			t.Fatalf("%s installed after traffic: %+v", in.Name, v)
+		}
+		if got := c.CandidateRules(q); got != 2 {
+			t.Fatalf("%s installed: %d candidate rules, want 2", in.Name, got)
+		}
+		mustApply(t, c, []string{"g"}, nil)
+		if v := c.Eval(q); !v.Allowed || v.Rule != "allow-web" {
+			t.Fatalf("%s removed: %+v", in.Name, v)
+		}
+		if n := len(c.table.anyDst); n != 0 {
+			t.Fatalf("%s removed: %d wildcard-destination buckets left", in.Name, n)
+		}
+	}
+}

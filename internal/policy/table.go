@@ -128,12 +128,18 @@ type bucket struct {
 }
 
 // Table is the compiled dispatch table. Exact-tenant buckets live in the
-// shuffle-sharded shard array; wildcard-tenant buckets live in the global
-// map. allowByDst/allowAnyDst track allow-intention existence per
-// destination, which decides the zero-trust default for unmatched traffic.
+// shuffle-sharded shard array. Wildcard-tenant buckets are grouped by
+// destination: those with an exact destination — every AuthzRule an l7
+// engine translates — in one small map per destination keyed by the source
+// dimension, so a lookup touches only its destination's map; those with a
+// wildcard destination in anyDst, keyed the same way, which is empty in
+// most deployments and then costs a lookup nothing. allowByDst/allowAnyDst
+// track allow-intention existence per destination, which decides the
+// zero-trust default for unmatched traffic.
 type Table struct {
 	shards []map[key3]*bucket
-	global map[key3]*bucket
+	byDst  map[string]map[string]*bucket // {*, s, d}: d → s → bucket
+	anyDst map[string]*bucket            // {*, s, *}: s → bucket
 	// assign is each tenant's shuffle-shard assignment: h of the K shard
 	// indices, a deterministic function of (tenant, seed). It is created
 	// with the tenant's first bucket and released with its last; buckets
@@ -145,15 +151,30 @@ type Table struct {
 	allowAnyDst int
 }
 
-// maps returns every bucket map: the shards, then the global map.
-func (t *Table) maps() []map[key3]*bucket {
-	return append(t.shards[:len(t.shards):len(t.shards)], t.global)
+// each calls f with every bucket and its key, in no particular order.
+func (t *Table) each(f func(key3, *bucket)) {
+	for _, m := range t.shards {
+		for k, b := range m {
+			f(k, b)
+		}
+	}
+	for d, m := range t.byDst {
+		for s, b := range m {
+			f(key3{wild, s, d}, b)
+		}
+	}
+	for s, b := range t.anyDst {
+		f(key3{wild, s, wild}, b)
+	}
 }
 
 // size returns the number of buckets.
 func (t *Table) size() int {
-	n := 0
-	for _, m := range t.maps() {
+	n := len(t.anyDst)
+	for _, m := range t.shards {
+		n += len(m)
+	}
+	for _, m := range t.byDst {
 		n += len(m)
 	}
 	return n
@@ -163,7 +184,8 @@ func (t *Table) size() int {
 func newTable(k int) *Table {
 	t := &Table{
 		shards:     make([]map[key3]*bucket, k),
-		global:     make(map[key3]*bucket),
+		byDst:      make(map[string]map[string]*bucket),
+		anyDst:     make(map[string]*bucket),
 		assign:     make(map[string][]int),
 		buckets:    make(map[string]int),
 		allowByDst: make(map[string]int),
@@ -227,17 +249,55 @@ func shardOf(idxs []int, k key3) int {
 	return idxs[fnv64(k.t, k.s, k.d)%uint64(len(idxs))]
 }
 
-// home returns the map holding the key's bucket: the owning tenant's shard
-// or the global map. It is nil when the tenant has no assignment.
-func (t *Table) home(k key3) map[key3]*bucket {
-	if k.t == wild {
-		return t.global
+// lookup returns the key's bucket, or nil when it has none.
+func (t *Table) lookup(k key3) *bucket {
+	switch {
+	case k.t != wild:
+		idxs := t.assign[k.t]
+		if idxs == nil {
+			return nil
+		}
+		return t.shards[shardOf(idxs, k)][k]
+	case k.d != wild:
+		return t.byDst[k.d][k.s]
+	default:
+		return t.anyDst[k.s]
 	}
-	idxs := t.assign[k.t]
-	if idxs == nil {
-		return nil
+}
+
+// store files a new bucket under its key. An exact-tenant key's tenant must
+// hold its shard assignment.
+func (t *Table) store(k key3, b *bucket) {
+	switch {
+	case k.t != wild:
+		t.shards[shardOf(t.assign[k.t], k)][k] = b
+	case k.d != wild:
+		m := t.byDst[k.d]
+		if m == nil {
+			m = make(map[string]*bucket)
+			t.byDst[k.d] = m
+		}
+		m[k.s] = b
+	default:
+		t.anyDst[k.s] = b
 	}
-	return t.shards[shardOf(idxs, k)]
+}
+
+// remove drops the key's bucket, and with a destination's last bucket its
+// map.
+func (t *Table) remove(k key3) {
+	switch {
+	case k.t != wild:
+		delete(t.shards[shardOf(t.assign[k.t], k)], k)
+	case k.d != wild:
+		if m := t.byDst[k.d]; m != nil {
+			if delete(m, k.s); len(m) == 0 {
+				delete(t.byDst, k.d)
+			}
+		}
+	default:
+		delete(t.anyDst, k.s)
+	}
 }
 
 // scan walks one candidate bucket best-first, returning the winning match
@@ -261,9 +321,12 @@ func (t *Table) scan(b *bucket, q *Query, best *compiled) *compiled {
 	return best
 }
 
-// eval resolves one query against the table: probe the eight key
-// combinations (four in the source tenant's shards, four wildcard-tenant),
-// pick the winning match, and fall back to the zero-trust default.
+// eval resolves one query against the table: probe the source tenant's
+// four key combinations in its shards, the destination's map for the exact
+// and wildcard source, and — only when a wildcard-destination bucket exists
+// — the two wildcard-destination keys; pick the winning match, and fall
+// back to the zero-trust default. The winner is the beats-best matching
+// candidate whatever order the buckets are probed in.
 //
 //canal:hotpath
 func (t *Table) eval(q *Query) Verdict {
@@ -274,10 +337,14 @@ func (t *Table) eval(q *Query) Verdict {
 		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, wild, q.DstService})][key3{q.SrcTenant, wild, q.DstService}], q, best)
 		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, wild, wild})][key3{q.SrcTenant, wild, wild}], q, best)
 	}
-	best = t.scan(t.global[key3{wild, q.SrcService, q.DstService}], q, best)
-	best = t.scan(t.global[key3{wild, q.SrcService, wild}], q, best)
-	best = t.scan(t.global[key3{wild, wild, q.DstService}], q, best)
-	best = t.scan(t.global[key3{wild, wild, wild}], q, best)
+	if m := t.byDst[q.DstService]; m != nil {
+		best = t.scan(m[q.SrcService], q, best)
+		best = t.scan(m[wild], q, best)
+	}
+	if len(t.anyDst) > 0 {
+		best = t.scan(t.anyDst[q.SrcService], q, best)
+		best = t.scan(t.anyDst[wild], q, best)
+	}
 
 	if best != nil {
 		if best.in.Action == ActionDeny {
@@ -319,7 +386,7 @@ func (t *Table) candidateRules(q *Query) int {
 		{wild, wild, q.DstService},
 		{wild, wild, wild},
 	} {
-		count(t.global[k])
+		count(t.lookup(k))
 	}
 	return n
 }

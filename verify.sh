@@ -60,6 +60,11 @@ go test -run '^$' -fuzz FuzzAuthenticate -fuzztime 5s .
 # And the flow hash: the inline FNV-1a over the 5-tuple against the fmt+fnv
 # form it replaced (kept as the oracle in l4_test.go).
 go test -run '^$' -fuzz FuzzHash5Tuple -fuzztime 5s ./internal/l4
+# And the route program: random rule lists compiled into one condition
+# program per service, each request's rule, subset, rewrite and deny checked
+# against the linear scan of the rules' conditions (kept as the oracle in
+# route_test.go).
+go test -run '^$' -fuzz FuzzRouteProgram -fuzztime 5s ./internal/l7
 # And the compiled policy table: random apply/delete sequences, checked
 # after every Apply against the linear Baseline oracle, a fresh compile's
 # fingerprint and the patterns in use.
