@@ -106,17 +106,30 @@ func LoadConfig(r io.Reader) (*FileConfig, error) {
 	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("canal: parsing config: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("canal: parsing config: data after the config object")
+	}
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("canal: config declares no tenants")
 	}
+	tenants := make(map[string]bool, len(cfg.Tenants))
 	for _, t := range cfg.Tenants {
 		if t.Name == "" {
 			return nil, fmt.Errorf("canal: tenant with empty name")
 		}
+		if tenants[t.Name] {
+			return nil, fmt.Errorf("canal: tenant %s declared twice", t.Name)
+		}
+		tenants[t.Name] = true
+		services := make(map[string]bool, len(t.Services))
 		for _, s := range t.Services {
 			if s.Name == "" {
 				return nil, fmt.Errorf("canal: tenant %s: service with empty name", t.Name)
 			}
+			if services[s.Name] {
+				return nil, fmt.Errorf("canal: service %s/%s declared twice", t.Name, s.Name)
+			}
+			services[s.Name] = true
 			if s.DefaultSubset == "" {
 				return nil, fmt.Errorf("canal: service %s/%s: default_subset required", t.Name, s.Name)
 			}

@@ -103,6 +103,10 @@ func TestLoadConfigValidation(t *testing.T) {
 		{"no pools", `{"tenants":[{"name":"t","services":[{"name":"s","default_subset":"v1"}]}]}`},
 		{"unknown field", `{"tenants":[],"bogus":1}`},
 		{"garbage", `{`},
+		{"second object", `{"tenants":[{"name":"t"}]} {"tenants":[{"name":"u"}]}`},
+		{"trailing garbage", `{"tenants":[{"name":"t"}]} xyz`},
+		{"duplicate tenant", `{"tenants":[{"name":"t","services":[{"name":"s","default_subset":"v1","pools":{"v1":["http://x"]}}]},{"name":"t"}]}`},
+		{"duplicate service", `{"tenants":[{"name":"t","services":[{"name":"s","default_subset":"v1","pools":{"v1":["http://x"]}},{"name":"s","default_subset":"v2","pools":{"v2":["http://y"]}}]}]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,12 +10,10 @@
 package beamer
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 
-	"canalmesh/internal/bpf"
 	"canalmesh/internal/cloud"
 	"canalmesh/internal/l4"
 )
@@ -67,12 +65,6 @@ type Beamer struct {
 	chainLimit int
 	replicas   map[string]*Replica
 	order      []string // insertion order for deterministic iteration
-	// bucketProg, when set, computes the bucket in the in-kernel BPF path
-	// instead of the userspace hash ("we use eBPF to accelerate the
-	// redirector", §4.4). It must be installed before any flow arrives:
-	// the bucket mapping anchors session consistency.
-	bucketProg bpf.Program
-	processed  uint64
 }
 
 // New creates a Beamer for a service with the given replica IDs, spreading
@@ -130,45 +122,9 @@ func (b *Beamer) AliveReplicas() []string {
 	return out
 }
 
-// AttachBucketProgram installs a verified BPF program that selects the
-// bucket from the serialized 5-tuple — the eBPF acceleration of §4.4. It
-// refuses once flows have been processed, because changing the bucket
-// mapping mid-life would break session consistency.
-func (b *Beamer) AttachBucketProgram(p bpf.Program) error {
-	if b.processed > 0 {
-		return fmt.Errorf("beamer: cannot change bucket mapping after %d processed packets", b.processed)
-	}
-	if err := bpf.Verify(p); err != nil {
-		return err
-	}
-	b.bucketProg = p
-	return nil
-}
-
-// serializeKey lays the 5-tuple out the way the kernel program reads it:
-// src IP string bytes are not available in-kernel, so the ports and proto
-// fields anchor the packet view alongside a hash of the addresses.
-func serializeKey(k cloud.SessionKey) []byte {
-	buf := make([]byte, 13)
-	h := l4.Hash5Tuple(cloud.SessionKey{SrcIP: k.SrcIP, DstIP: k.DstIP})
-	binary.BigEndian.PutUint64(buf[0:8], h)
-	binary.BigEndian.PutUint16(buf[8:10], k.SrcPort)
-	binary.BigEndian.PutUint16(buf[10:12], k.DstPort)
-	buf[12] = k.Proto
-	return buf
-}
-
 // bucketOf hashes a flow to its bucket; the bucket count is fixed, so the
 // mapping never changes.
 func (b *Beamer) bucketOf(k cloud.SessionKey) int {
-	if b.bucketProg != nil {
-		if v, err := bpf.Run(b.bucketProg, serializeKey(k)); err == nil {
-			return int(v % uint64(len(b.buckets)))
-		}
-		// A failing program falls back to the userspace hash — but since
-		// the program was installed before any traffic, the mapping stays
-		// consistent per flow (Run is deterministic).
-	}
 	return int(l4.Hash5Tuple(k) % uint64(len(b.buckets)))
 }
 
@@ -177,7 +133,6 @@ func (b *Beamer) bucketOf(k cloud.SessionKey) int {
 // the landing replica's redirector then consults the bucket chain and
 // forwards as needed. The returned Result counts those extra redirections.
 func (b *Beamer) Process(k cloud.SessionKey, isSYN bool) (Result, error) {
-	b.processed++
 	alive := b.AliveReplicas()
 	if len(alive) == 0 {
 		return Result{}, ErrNoReplicas
@@ -385,36 +340,4 @@ func (b *Beamer) MaxChainLen() int {
 		}
 	}
 	return max
-}
-
-// Manager keeps one Beamer per service, indexed by service ID — the
-// per-service bucket tables of §4.4 modification (ii).
-type Manager struct {
-	tables map[string]*Beamer
-}
-
-// NewManager returns an empty manager.
-func NewManager() *Manager { return &Manager{tables: make(map[string]*Beamer)} }
-
-// Install creates the per-service table.
-func (m *Manager) Install(service string, replicaIDs []string, numBuckets, chainLimit int) (*Beamer, error) {
-	b, err := New(service, replicaIDs, numBuckets, chainLimit)
-	if err != nil {
-		return nil, err
-	}
-	m.tables[service] = b
-	return b, nil
-}
-
-// Get returns a service's table, or nil.
-func (m *Manager) Get(service string) *Beamer { return m.tables[service] }
-
-// Services returns installed service IDs, sorted.
-func (m *Manager) Services() []string {
-	out := make([]string, 0, len(m.tables))
-	for s := range m.tables {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

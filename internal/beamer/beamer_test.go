@@ -1,10 +1,8 @@
 package beamer
 
 import (
-	"fmt"
 	"testing"
 
-	"canalmesh/internal/bpf"
 	"canalmesh/internal/cloud"
 )
 
@@ -301,24 +299,6 @@ func TestChainOfAndAccessors(t *testing.T) {
 	}
 }
 
-func TestManagerPerServiceTables(t *testing.T) {
-	m := NewManager()
-	for i := 0; i < 3; i++ {
-		if _, err := m.Install(fmt.Sprintf("svc-%d", i), []string{"a", "b"}, 16, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := m.Services(); len(got) != 3 || got[0] != "svc-0" {
-		t.Errorf("Services = %v", got)
-	}
-	if m.Get("svc-1") == nil {
-		t.Error("Get should find installed table")
-	}
-	if m.Get("ghost") != nil {
-		t.Error("Get for unknown service should be nil")
-	}
-}
-
 func TestRedirectsBounded(t *testing.T) {
 	b := newBeamer(t, "ip1", "ip2", "ip3", "ip4")
 	for p := uint16(1); p <= 100; p++ {
@@ -337,60 +317,5 @@ func TestRedirectsBounded(t *testing.T) {
 		if res.Redirects > b.MaxChainLen() {
 			t.Errorf("redirects %d exceed chain length %d", res.Redirects, b.MaxChainLen())
 		}
-	}
-}
-
-func TestBPFBucketProgramConsistency(t *testing.T) {
-	prog, err := bpf.BucketProgram(13, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := newBeamer(t, "ip1", "ip2", "ip3")
-	if err := b.AttachBucketProgram(prog); err != nil {
-		t.Fatal(err)
-	}
-	// Flows stay consistent through a drain, exactly as with the userspace
-	// hash.
-	owner := map[uint16]string{}
-	for p := uint16(1); p <= 200; p++ {
-		res, err := b.Process(flow(p), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		owner[p] = res.ServedBy
-	}
-	if err := b.Drain("ip2"); err != nil {
-		t.Fatal(err)
-	}
-	for p := uint16(1); p <= 200; p++ {
-		res, err := b.Process(flow(p), false)
-		if err != nil {
-			t.Fatalf("flow %d reset: %v", p, err)
-		}
-		if res.ServedBy != owner[p] {
-			t.Fatalf("flow %d moved from %s to %s", p, owner[p], res.ServedBy)
-		}
-	}
-}
-
-func TestBPFBucketProgramLockedAfterTraffic(t *testing.T) {
-	prog, err := bpf.BucketProgram(13, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := newBeamer(t, "ip1")
-	if _, err := b.Process(flow(1), true); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AttachBucketProgram(prog); err == nil {
-		t.Error("attaching after traffic must be refused (bucket mapping anchors sessions)")
-	}
-}
-
-func TestBPFBucketProgramRejectsUnverified(t *testing.T) {
-	b := newBeamer(t, "ip1")
-	bad := bpf.Program{{Op: bpf.OpJmp, Off: 0}, {Op: bpf.OpExit}}
-	if err := b.AttachBucketProgram(bad); err == nil {
-		t.Error("unverifiable program must be rejected")
 	}
 }

@@ -4,8 +4,26 @@ import (
 	"fmt"
 
 	"canalmesh/internal/healthcheck"
-	"canalmesh/internal/tunnel"
 )
+
+// vmsForSessions returns how many VMs a deployment needs to hold sessions
+// concurrent sessions given the per-VM session capacity and a CPU-driven
+// floor (VMs needed for compute regardless of sessions). This is the
+// arithmetic behind Table 5's observation that session savings do not
+// translate 1:1 into VM savings.
+func vmsForSessions(sessions, perVMCapacity, cpuFloor int) int {
+	if perVMCapacity <= 0 {
+		panic("bench: per-VM session capacity must be positive")
+	}
+	vms := (sessions + perVMCapacity - 1) / perVMCapacity
+	if vms < cpuFloor {
+		vms = cpuFloor
+	}
+	if vms < 1 {
+		vms = 1
+	}
+	return vms
+}
 
 // regionProfile parameterizes one cloud region's gateway deployment for the
 // cost model of Table 5.
@@ -35,11 +53,11 @@ func Tab05CostReduction() *Table {
 	}
 	for _, r := range regions {
 		// Session-sized replica fleet (sessions dominate sizing, §3.2 #4).
-		replicasSession := r.Services * tunnel.VMsForSessions(r.SessionsPerSvc, perVMSessions, r.CPUFloorPerSvc)
+		replicasSession := r.Services * vmsForSessions(r.SessionsPerSvc, perVMSessions, r.CPUFloorPerSvc)
 		// After tunneling, sessions collapse to a few tunnels per replica;
 		// the CPU floor takes over ("this does not mean a proportional
 		// reduction in the number of required VMs", §5.6).
-		replicasCPU := r.Services * tunnel.VMsForSessions(r.TunnelsPerSvc, perVMSessions, r.CPUFloorPerSvc)
+		replicasCPU := r.Services * vmsForSessions(r.TunnelsPerSvc, perVMSessions, r.CPUFloorPerSvc)
 		// Dedicated LB fleet; LBs hold sessions too, so tunneling shrinks
 		// them to one per service per AZ.
 		lbs := r.Services * r.LBsPerSvcPerAZ * r.AZs
@@ -65,8 +83,8 @@ func Tab05CostReduction() *Table {
 // for tests and ablations).
 func CostSavings(r regionProfile) (redirector, tunneling, both float64) {
 	const perVMSessions = 100_000
-	replicasSession := r.Services * tunnel.VMsForSessions(r.SessionsPerSvc, perVMSessions, r.CPUFloorPerSvc)
-	replicasCPU := r.Services * tunnel.VMsForSessions(r.TunnelsPerSvc, perVMSessions, r.CPUFloorPerSvc)
+	replicasSession := r.Services * vmsForSessions(r.SessionsPerSvc, perVMSessions, r.CPUFloorPerSvc)
+	replicasCPU := r.Services * vmsForSessions(r.TunnelsPerSvc, perVMSessions, r.CPUFloorPerSvc)
 	lbs := r.Services * r.LBsPerSvcPerAZ * r.AZs
 	lbsTunneled := r.Services * r.AZs
 	baseline := float64(lbs + replicasSession)

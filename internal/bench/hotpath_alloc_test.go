@@ -203,7 +203,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 		t.Fatalf("verify bench did not verify its peer: %q", verified)
 	}
 
-	// Flow hash: the 5-tuple hash every balancer, beamer and tunnel pick
+	// Flow hash: the 5-tuple hash every gateway backend and beamer pick
 	// runs.
 	flow := cloud.SessionKey{SrcIP: "10.9.3.17", SrcPort: 4711, DstIP: "10.1.0.1", DstPort: 80, Proto: 6}
 	var fh uint64

@@ -2,7 +2,7 @@
 // redundant health checks — every core of every replica of every backend
 // hosting a service probes the service's apps, and overlapping app sets
 // across services multiply the traffic (up to 515x the app traffic, Table
-// 6). The multi-level aggregation implemented here (service-level overlap
+// 6). The multi-level aggregation priced here (service-level overlap
 // merging, core-level election, and a per-backend health-check proxy at the
 // replica level) reduces probes by >99.6% (Table 7).
 package healthcheck
@@ -10,9 +10,6 @@ package healthcheck
 import (
 	"fmt"
 	"sort"
-	"time"
-
-	"canalmesh/internal/sim"
 )
 
 // ServiceSpec describes one service's probing footprint on the gateway.
@@ -188,50 +185,3 @@ func mergeOverlapping(services []ServiceSpec) [][]int {
 	}
 	return out
 }
-
-// Prober is the functional health-check path: a per-backend health-check
-// proxy probes apps periodically; replicas query the proxy's cached results
-// instead of probing themselves.
-type Prober struct {
-	sim      *sim.Sim
-	interval time.Duration
-	check    func(app int) bool
-
-	apps    []int
-	status  map[int]bool
-	probes  uint64
-	queries uint64
-}
-
-// NewProber creates a health-check proxy probing the given apps with check.
-func NewProber(s *sim.Sim, apps []int, interval time.Duration, check func(app int) bool) *Prober {
-	return &Prober{sim: s, interval: interval, check: check, apps: apps, status: make(map[int]bool)}
-}
-
-// Start schedules probing until stop returns true.
-func (p *Prober) Start(stop func() bool) {
-	p.sim.Every(p.interval, func() bool {
-		if stop != nil && stop() {
-			return false
-		}
-		for _, app := range p.apps {
-			p.probes++
-			p.status[app] = p.check(app)
-		}
-		return true
-	})
-}
-
-// Healthy answers a replica's query from the cache; it never generates a
-// probe toward the app.
-func (p *Prober) Healthy(app int) (bool, bool) {
-	p.queries++
-	h, ok := p.status[app]
-	return h, ok
-}
-
-// Probes returns how many probe packets reached apps.
-func (p *Prober) Probes() uint64 { return p.probes }
-
-// Queries returns how many replica queries were served from cache.
-func (p *Prober) Queries() uint64 { return p.queries }

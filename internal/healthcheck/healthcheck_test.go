@@ -1,11 +1,6 @@
 package healthcheck
 
-import (
-	"testing"
-	"time"
-
-	"canalmesh/internal/sim"
-)
+import "testing"
 
 // paperCase approximates Table 6/7's Case 2 scale: many services on several
 // backends, replicas and cores multiplying probes.
@@ -117,37 +112,6 @@ func TestLevelString(t *testing.T) {
 	}
 	if Level(9).String() == "" {
 		t.Error("unknown level should stringify")
-	}
-}
-
-func TestProberProbesAndCaches(t *testing.T) {
-	s := sim.New(1)
-	down := map[int]bool{2: true}
-	p := NewProber(s, []int{1, 2, 3}, time.Second, func(app int) bool { return !down[app] })
-	rounds := 0
-	p.Start(func() bool { rounds++; return rounds > 5 })
-	s.Run()
-	if p.Probes() != 15 { // 5 rounds x 3 apps
-		t.Errorf("probes = %d, want 15", p.Probes())
-	}
-	// Replica queries hit the cache, not the apps.
-	before := p.Probes()
-	for i := 0; i < 100; i++ {
-		if h, ok := p.Healthy(2); !ok || h {
-			t.Fatal("app 2 should be cached unhealthy")
-		}
-	}
-	if h, ok := p.Healthy(1); !ok || !h {
-		t.Fatal("app 1 should be cached healthy")
-	}
-	if p.Probes() != before {
-		t.Error("queries must not generate probes")
-	}
-	if p.Queries() != 101 {
-		t.Errorf("queries = %d", p.Queries())
-	}
-	if _, ok := p.Healthy(99); ok {
-		t.Error("unknown app should miss the cache")
 	}
 }
 

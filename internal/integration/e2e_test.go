@@ -1,7 +1,7 @@
 // Package integration drives full cross-package scenarios: the byte-level
 // data path (mTLS handshake via key server -> AES-GCM record -> VXLAN
-// session-aggregating tunnel -> vSwitch service-ID mapping -> Beamer replica
-// selection -> L7 routing), and cloud-scale lifecycles combining the
+// encapsulation -> vSwitch service-ID mapping -> Beamer replica selection ->
+// L7 routing), and cloud-scale lifecycles combining the
 // gateway, monitor, planner, and failure injection.
 package integration
 
@@ -23,7 +23,6 @@ import (
 	"canalmesh/internal/overlay"
 	"canalmesh/internal/scaling"
 	"canalmesh/internal/sim"
-	"canalmesh/internal/tunnel"
 	"canalmesh/internal/workload"
 )
 
@@ -86,56 +85,26 @@ func TestPacketPathEndToEnd(t *testing.T) {
 		t.Fatal("record must not leak plaintext")
 	}
 
-	// --- Step 3: VXLAN encapsulation + session-aggregating tunnel. ---
-	routerIP := netip.MustParseAddr("100.64.0.1")
-	replicaIP := netip.MustParseAddr("100.64.1.7")
-	agg, err := tunnel.NewAggregator(routerIP, 100, 40, 9000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// --- Step 3: VXLAN encapsulation toward the gateway and back. ---
 	inner := overlay.Inner{
 		Src:     netip.MustParseAddr("192.168.0.5"),
 		Dst:     netip.MustParseAddr("192.168.0.10"),
 		SrcPort: 40001, DstPort: 80, Proto: 6,
 	}
-	wire, err := agg.Encapsulate(inner, record)
+	wire, err := overlay.Encapsulate(100, inner, record, 9000)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The underlying server tracks only the tunnel's outer 5-tuple.
+	hdr, decIn, payload, err := overlay.Decapsulate(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hdr.VNI != 100 || decIn != inner || !bytes.Equal(payload, record) {
+		t.Fatal("VXLAN round trip mangled the packet")
+	}
 	flowKey := cloud.SessionKey{SrcIP: inner.Src.String(), SrcPort: inner.SrcPort, DstIP: inner.Dst.String(), DstPort: inner.DstPort, Proto: 6}
-	outer := agg.OuterKey(flowKey, replicaIP)
-	serverSessions := cloud.NewSessionTable(100)
-	if err := serverSessions.Add(outer); err != nil {
-		t.Fatal(err)
-	}
-	// 10k inner sessions still fit the 100-entry table via aggregation.
-	for p := uint16(1); p <= 10000 && p != 0; p++ {
-		k := flowKey
-		k.SrcPort = p
-		if err := serverSessions.Add(agg.OuterKey(k, replicaIP)); err != nil {
-			t.Fatalf("aggregated sessions overflowed: %v", err)
-		}
-	}
-	if serverSessions.Len() > 40 {
-		t.Errorf("outer sessions = %d, want <= tunnel count", serverSessions.Len())
-	}
 
-	// --- Step 4: disaggregation at the replica, per-core spreading. ---
-	disagg, err := tunnel.NewDisaggregator(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, payload, core, err := disagg.Receive(wire, agg.TunnelPort(flowKey))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if core < 0 || core >= 8 {
-		t.Fatalf("core = %d", core)
-	}
-
-	// --- Step 5: vSwitch maps VNI+destination to the global service ID. ---
+	// --- Step 4: vSwitch maps VNI+destination to the global service ID. ---
 	vsw := overlay.NewVSwitch()
 	svcID := vsw.Register(overlay.ServiceKey{VNI: 100, DstIP: inner.Dst, DstPort: 80})
 	vmPkt, err := vsw.Ingress(wire)
@@ -150,7 +119,7 @@ func TestPacketPathEndToEnd(t *testing.T) {
 		t.Fatal("vSwitch mangled the packet")
 	}
 
-	// --- Step 6: the redirector (Beamer) picks the serving replica. ---
+	// --- Step 5: the redirector (Beamer) picks the serving replica. ---
 	bm, err := beamer.New(fmt.Sprint(svcID), []string{"replica-1", "replica-2", "replica-3"}, 64, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +132,7 @@ func TestPacketPathEndToEnd(t *testing.T) {
 		t.Fatal("no serving replica")
 	}
 
-	// --- Step 7: the replica decrypts and routes at L7. ---
+	// --- Step 6: the replica decrypts and routes at L7. ---
 	plain, err := gwSess.Open(gotPayload)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +162,7 @@ func TestPacketPathEndToEnd(t *testing.T) {
 		t.Fatalf("decision = %+v", d)
 	}
 
-	// --- Step 8: the response survives the reverse crypto path. ---
+	// --- Step 7: the response survives the reverse crypto path. ---
 	resp := gwSess.Seal([]byte("HTTP/1.1 200 OK\r\n\r\n{\"order\":7}"))
 	back, err := nodeSess.Open(resp)
 	if err != nil {

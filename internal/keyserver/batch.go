@@ -1,102 +1,22 @@
 package keyserver
 
-import (
-	"time"
+import "time"
 
-	"canalmesh/internal/sim"
-)
+// AVXBatchSize is the number of asymmetric operations one AVX-512 batch
+// holds (Appendix C, Fig. 25): the 512-bit buffer fits 8. A partially filled
+// batch waits for a timeout (the hardware's minimum threshold is 1 ms)
+// before it is flushed.
+const AVXBatchSize = 8
 
-// Batch processing parameters of the AVX-512 acceleration model (Appendix C,
-// Fig. 25): the 512-bit buffer fits 8 asymmetric operations, and a partially
-// filled batch waits up to the configured timeout (minimum threshold 1 ms)
-// before being flushed.
-const (
-	// AVXBatchSize is the number of crypto operations per AVX-512 batch.
-	AVXBatchSize = 8
-	// AVXMinTimeout is the minimum configurable batch-fill timeout.
-	AVXMinTimeout = time.Millisecond
-)
-
-// BatchEngine models batched asymmetric-crypto acceleration under the
-// simulator's virtual clock. Submitted operations wait until the batch
-// fills (immediate flush) or until the timeout from the first queued
-// operation elapses, then the whole batch completes after the batch cost.
-//
-// This is the mechanism behind two results in the paper:
+// CompletionModel answers, in closed form, the expected completion time for
+// one asymmetric operation given the number of concurrently arriving new
+// sessions. A full batch flushes at once; a partial one stalls for Timeout
+// first. This is the mechanism behind two results in the paper, and the
+// analytical benches (Figs. 23/25) render it:
 //   - local offloading degrades below AVXBatchSize concurrent new sessions
 //     because batches flush on timeout (Fig. 25);
 //   - the shared key server stays fast because aggregate arrival from many
 //     tenants keeps batches full (§4.1.3).
-type BatchEngine struct {
-	sim       *sim.Sim
-	batchSize int
-	timeout   time.Duration
-	batchCost time.Duration
-
-	pending []func() // completion callbacks of queued ops
-	flushAt time.Duration
-	armed   bool
-	batches uint64
-	opsDone uint64
-}
-
-// NewBatchEngine returns a batch engine. timeout below AVXMinTimeout is
-// clamped up, matching the hardware's minimum threshold.
-func NewBatchEngine(s *sim.Sim, batchSize int, timeout, batchCost time.Duration) *BatchEngine {
-	if batchSize <= 0 {
-		batchSize = AVXBatchSize
-	}
-	if timeout < AVXMinTimeout {
-		timeout = AVXMinTimeout
-	}
-	return &BatchEngine{sim: s, batchSize: batchSize, timeout: timeout, batchCost: batchCost}
-}
-
-// Submit queues one asymmetric operation; done runs at its completion time.
-func (e *BatchEngine) Submit(done func()) {
-	e.pending = append(e.pending, done)
-	if len(e.pending) >= e.batchSize {
-		e.flush()
-		return
-	}
-	if !e.armed {
-		e.armed = true
-		e.flushAt = e.sim.Now() + e.timeout
-		deadline := e.flushAt
-		e.sim.At(deadline, func() {
-			// Only flush if this timer is still the active one: a
-			// fill-triggered flush or a later re-arm supersedes it.
-			if e.armed && e.flushAt == deadline && len(e.pending) > 0 {
-				e.flush()
-			}
-		})
-	}
-}
-
-// flush completes every queued operation after the batch cost.
-func (e *BatchEngine) flush() {
-	batch := e.pending
-	e.pending = nil
-	e.armed = false
-	e.batches++
-	e.opsDone += uint64(len(batch))
-	e.sim.After(e.batchCost, func() {
-		for _, done := range batch {
-			done()
-		}
-	})
-}
-
-// Batches returns the number of flushed batches.
-func (e *BatchEngine) Batches() uint64 { return e.batches }
-
-// Operations returns the number of completed operations.
-func (e *BatchEngine) Operations() uint64 { return e.opsDone }
-
-// CompletionModel answers, in closed form, the expected completion time for
-// one asymmetric operation given the number of concurrently arriving new
-// sessions. It mirrors BatchEngine's behaviour and is used by the analytical
-// benches (Figs. 23/25).
 type CompletionModel struct {
 	BatchSize int
 	Timeout   time.Duration

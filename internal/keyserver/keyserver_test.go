@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"canalmesh/internal/meshcrypto"
-	"canalmesh/internal/sim"
 )
 
 func testSetup(t *testing.T) (*meshcrypto.CA, *meshcrypto.Identity, *meshcrypto.Identity, *Server) {
@@ -203,81 +202,6 @@ func TestFallbackKeyOps(t *testing.T) {
 	}
 	if fb.Fallbacks() != 2 {
 		t.Errorf("fallbacks = %d, want 2", fb.Fallbacks())
-	}
-}
-
-func TestBatchEngineFullBatchFlushesImmediately(t *testing.T) {
-	s := sim.New(1)
-	e := NewBatchEngine(s, 8, time.Millisecond, 125*time.Microsecond)
-	var done []time.Duration
-	s.At(0, func() {
-		for i := 0; i < 8; i++ {
-			e.Submit(func() { done = append(done, s.Now()) })
-		}
-	})
-	s.Run()
-	if len(done) != 8 {
-		t.Fatalf("completed = %d", len(done))
-	}
-	for _, d := range done {
-		if d != 125*time.Microsecond {
-			t.Errorf("completion at %v, want 125µs (no timeout wait)", d)
-		}
-	}
-	if e.Batches() != 1 || e.Operations() != 8 {
-		t.Errorf("batches=%d ops=%d", e.Batches(), e.Operations())
-	}
-}
-
-func TestBatchEnginePartialBatchWaitsForTimeout(t *testing.T) {
-	s := sim.New(1)
-	e := NewBatchEngine(s, 8, time.Millisecond, 125*time.Microsecond)
-	var done []time.Duration
-	s.At(0, func() {
-		for i := 0; i < 3; i++ {
-			e.Submit(func() { done = append(done, s.Now()) })
-		}
-	})
-	s.Run()
-	want := time.Millisecond + 125*time.Microsecond
-	for _, d := range done {
-		if d != want {
-			t.Errorf("completion at %v, want %v (timeout + batch cost)", d, want)
-		}
-	}
-}
-
-func TestBatchEngineTimeoutClamped(t *testing.T) {
-	s := sim.New(1)
-	e := NewBatchEngine(s, 8, 0, 0)
-	if e.timeout != AVXMinTimeout {
-		t.Errorf("timeout = %v, want clamped to %v", e.timeout, AVXMinTimeout)
-	}
-}
-
-func TestBatchEngineSecondBatchAfterFill(t *testing.T) {
-	s := sim.New(1)
-	e := NewBatchEngine(s, 2, time.Millisecond, 100*time.Microsecond)
-	var done []time.Duration
-	s.At(0, func() {
-		for i := 0; i < 3; i++ {
-			e.Submit(func() { done = append(done, s.Now()) })
-		}
-	})
-	s.Run()
-	if len(done) != 3 {
-		t.Fatalf("completed = %d", len(done))
-	}
-	// First two fill a batch at t=0 and finish at 100µs; the third waits
-	// for its timeout then finishes at 1ms+100µs.
-	if done[0] != 100*time.Microsecond || done[1] != 100*time.Microsecond {
-		t.Errorf("first batch at %v, %v", done[0], done[1])
-	}
-	if done[2] != time.Millisecond+100*time.Microsecond {
-		t.Errorf("straggler at %v", done[2])
-	}
-	if e.Batches() != 2 {
-		t.Errorf("batches = %d", e.Batches())
 	}
 }
 

@@ -127,6 +127,7 @@ func TestSimDeterminismScope(t *testing.T) {
 		"internal/sim/sub":    true,
 		"internal/bench":      true,
 		"internal/keyserver":  true,
+		"internal/proxy":      true,
 		"internal/telemetry":  false,
 		"cmd/canalvet":        false,
 		"examples/quickstart": false,

@@ -26,6 +26,14 @@ var simScopeDirs = []string{
 	"internal/configpush",
 	"internal/policy",
 	"internal/federation",
+	"internal/proxy",
+	"internal/anomaly",
+	"internal/cloud",
+	"internal/cluster",
+	"internal/controlplane",
+	"internal/healthcheck",
+	"internal/redirect",
+	"internal/beamer",
 }
 
 // inSimScope reports whether the package directory is simulation-facing.

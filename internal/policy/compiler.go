@@ -9,14 +9,15 @@ import (
 	"sync"
 )
 
+// The shuffle-shard geometry: exact-tenant buckets spread over shardCount
+// shards, and each tenant is assigned tenantShardCount of them.
+const (
+	shardCount       = 32
+	tenantShardCount = 4
+)
+
 // Config parameterizes a Compiler.
 type Config struct {
-	// Shards is the size K of the shuffle-shard array for exact-tenant
-	// buckets (default 32).
-	Shards int
-	// TenantShards is how many of the K shards each tenant is assigned
-	// (default 4, clamped to Shards).
-	TenantShards int
 	// Seed drives the deterministic shuffle that assigns tenants to
 	// shards.
 	Seed int64
@@ -27,9 +28,12 @@ type Config struct {
 // and Eval is safe for concurrent use against a mutating compiler (one
 // writer, many readers).
 type Compiler struct {
-	mu    sync.RWMutex
-	cfg   Config
-	table *Table
+	mu  sync.RWMutex
+	cfg Config
+	// shards and tenantShards are the shuffle-shard geometry (K shards,
+	// each tenant assigned tenantShards of them).
+	shards, tenantShards int
+	table                *Table
 	// intentions is the authoritative set by ID.
 	intentions map[string]*compiled
 	seq        int
@@ -43,19 +47,18 @@ type Compiler struct {
 
 // NewCompiler returns an empty compiler.
 func NewCompiler(cfg Config) *Compiler {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 32
-	}
-	if cfg.TenantShards <= 0 {
-		cfg.TenantShards = 4
-	}
-	if cfg.TenantShards > cfg.Shards {
-		cfg.TenantShards = cfg.Shards
-	}
+	return newCompiler(cfg, shardCount, tenantShardCount)
+}
+
+// newCompiler takes the shuffle-shard geometry explicitly, so in-package
+// tests can crowd tenants onto fewer shards than the fixed one.
+func newCompiler(cfg Config, shards, tenantShards int) *Compiler {
 	return &Compiler{
-		cfg:        cfg,
-		table:      newTable(cfg.Shards),
-		intentions: make(map[string]*compiled),
+		cfg:          cfg,
+		shards:       shards,
+		tenantShards: tenantShards,
+		table:        newTable(shards),
+		intentions:   make(map[string]*compiled),
 	}
 }
 
@@ -175,10 +178,10 @@ func prepare(in Intention, p *Patterns) (*compiled, error) {
 // assignShards computes a tenant's shuffle-shard assignment: h distinct
 // indices of the K-shard array, drawn from a generator seeded by the tenant
 // name — deterministic across processes, uncorrelated across tenants.
-func assignShards(tenant string, cfg Config) []int {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(fnv64(tenant))))
-	perm := rng.Perm(cfg.Shards)
-	idxs := make([]int, cfg.TenantShards)
+func (c *Compiler) assignShards(tenant string) []int {
+	rng := rand.New(rand.NewSource(c.cfg.Seed ^ int64(fnv64(tenant))))
+	perm := rng.Perm(c.shards)
+	idxs := make([]int, c.tenantShards)
 	copy(idxs, perm)
 	return idxs
 }
@@ -190,7 +193,7 @@ func assignShards(tenant string, cfg Config) []int {
 func (c *Compiler) place(cc *compiled) key3 {
 	k := cc.key()
 	if k.t != wild && c.table.assign[k.t] == nil {
-		c.table.assign[k.t] = assignShards(k.t, c.cfg)
+		c.table.assign[k.t] = c.assignShards(k.t)
 	}
 	b := c.table.lookup(k)
 	if b == nil {
@@ -281,7 +284,7 @@ func fnv64Fold(h uint64, s string) uint64 {
 func (c *Compiler) Full() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.table = newTable(c.cfg.Shards)
+	c.table = newTable(c.shards)
 	touched := make(map[key3]struct{})
 	for _, cc := range c.intentions {
 		touched[c.place(cc)] = struct{}{}

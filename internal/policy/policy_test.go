@@ -369,7 +369,7 @@ func TestBucketKeysInjective(t *testing.T) {
 // flooding the table with wildcard rules must not widen any other tenant's
 // probe path.
 func TestShuffleShardIsolation(t *testing.T) {
-	c := NewCompiler(Config{Seed: 5, Shards: 32, TenantShards: 4})
+	c := NewCompiler(Config{Seed: 5})
 	mustApply(t, c, nil, []Intention{
 		{ID: "b1", Name: "b-allow", SrcTenant: "tenant-b", Src: Exact("web"), Dst: Exact("api"), Action: ActionAllow},
 		{ID: "b2", Name: "b-wild", SrcTenant: "tenant-b", Src: Prefix("job-"), Dst: Exact("api"), Action: ActionAllow},

@@ -4,15 +4,14 @@
 // mesh gateway through DNS redirection of the tenant's service names, and
 // workload authentication moves to the virtual network interfaces (ENIs)
 // attached to containers, whose embedded anti-spoofing the cloud provider
-// controls. Zero-trust and observability become partially usable, which the
-// package models explicitly so deployments can see what they give up.
+// controls. The package models what a deployment gives up (FeatureMatrix)
+// and what one interface per container costs a node (ENIManager).
 package proxyless
 
 import (
 	"errors"
 	"fmt"
 	"net/netip"
-	"sort"
 )
 
 // Feature is one mesh capability whose availability changes under proxyless
@@ -94,79 +93,6 @@ func FeatureMatrix() map[Feature]Support {
 	}
 }
 
-// DNSRedirector models the provider-configured DNS that resolves the
-// tenant's service names to the mesh gateway's virtual IP instead of the
-// service's cluster IP — the proxyless traffic-redirection mechanism.
-type DNSRedirector struct {
-	gatewayVIP netip.Addr
-	// consented records the user's permission, without which the provider
-	// must not touch the tenant's DNS (Appendix B: "with the user's
-	// permission").
-	consented bool
-	records   map[string]netip.Addr // service name -> original cluster IP
-	redirects map[string]bool
-}
-
-// NewDNSRedirector returns a redirector toward the gateway VIP.
-func NewDNSRedirector(gatewayVIP netip.Addr) *DNSRedirector {
-	return &DNSRedirector{
-		gatewayVIP: gatewayVIP,
-		records:    make(map[string]netip.Addr),
-		redirects:  make(map[string]bool),
-	}
-}
-
-// Consent records the tenant's permission to rewrite DNS.
-func (d *DNSRedirector) Consent() { d.consented = true }
-
-// AddRecord installs a service's original DNS record.
-func (d *DNSRedirector) AddRecord(service string, clusterIP netip.Addr) {
-	d.records[service] = clusterIP
-}
-
-// ErrNoConsent is returned when redirection is attempted without tenant
-// permission.
-var ErrNoConsent = errors.New("proxyless: tenant has not consented to DNS redirection")
-
-// Redirect switches a service's resolution to the gateway VIP.
-func (d *DNSRedirector) Redirect(service string) error {
-	if !d.consented {
-		return ErrNoConsent
-	}
-	if _, ok := d.records[service]; !ok {
-		return fmt.Errorf("proxyless: unknown service %q", service)
-	}
-	d.redirects[service] = true
-	return nil
-}
-
-// Restore reverts a service to direct resolution.
-func (d *DNSRedirector) Restore(service string) {
-	delete(d.redirects, service)
-}
-
-// Resolve answers a DNS query for a service name.
-func (d *DNSRedirector) Resolve(service string) (netip.Addr, error) {
-	ip, ok := d.records[service]
-	if !ok {
-		return netip.Addr{}, fmt.Errorf("proxyless: NXDOMAIN %q", service)
-	}
-	if d.redirects[service] {
-		return d.gatewayVIP, nil
-	}
-	return ip, nil
-}
-
-// Redirected lists redirected services, sorted.
-func (d *DNSRedirector) Redirected() []string {
-	out := make([]string, 0, len(d.redirects))
-	for s := range d.redirects {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ENI is a virtual network interface attached to one container. Cloud
 // virtual interfaces embed authentication: traffic through them cannot be
 // forged or tampered with, which is what proxyless authentication leans on.
@@ -245,41 +171,3 @@ func (m *ENIManager) Detach(container string) {
 
 // Count returns attached interfaces.
 func (m *ENIManager) Count() int { return len(m.enis) }
-
-// Verifier authenticates traffic by source interface: a packet claiming to
-// come from a container is accepted only when its source IP matches the
-// container's attached ENI — the anti-spoofing property of provider
-// interfaces. The protection gap the appendix notes (other containers on
-// the node reaching an interface they don't own) is modeled by Guard.
-type Verifier struct {
-	m *ENIManager
-	// Guard enables the per-container access protection that popular CNIs
-	// (Flannel, Calico) do not provide out of the box.
-	Guard bool
-}
-
-// NewVerifier returns a verifier over the manager's interfaces.
-func NewVerifier(m *ENIManager) *Verifier { return &Verifier{m: m} }
-
-// Verify authenticates a packet from claimed container with the given
-// source IP. sender is the container actually emitting the packet (known to
-// the host); without Guard, a co-located container can emit through another
-// container's interface and impersonate it.
-func (v *Verifier) Verify(claimed, sender string, src netip.Addr) (bool, string) {
-	eni, ok := v.m.enis[claimed]
-	if !ok {
-		return false, "no interface attached to claimed container"
-	}
-	if eni.IP != src {
-		return false, "source address does not match the container's interface"
-	}
-	if v.Guard && sender != claimed {
-		return false, "interface access blocked: sender is not the attached container"
-	}
-	if !v.Guard && sender != claimed {
-		// The documented gap: authentication passes although the sender is
-		// not the interface owner.
-		return true, "WARNING: impersonation possible without interface guard"
-	}
-	return true, ""
-}

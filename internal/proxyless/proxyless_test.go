@@ -36,54 +36,6 @@ func TestFeatureMatrix(t *testing.T) {
 	}
 }
 
-func TestDNSRedirectionRequiresConsent(t *testing.T) {
-	d := NewDNSRedirector(addr("100.64.0.1"))
-	d.AddRecord("web.acme.svc", addr("10.96.0.10"))
-	if err := d.Redirect("web.acme.svc"); !errors.Is(err, ErrNoConsent) {
-		t.Fatalf("err = %v, want ErrNoConsent", err)
-	}
-	d.Consent()
-	if err := d.Redirect("web.acme.svc"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDNSResolutionSwitchesAndRestores(t *testing.T) {
-	gw := addr("100.64.0.1")
-	cluster := addr("10.96.0.10")
-	d := NewDNSRedirector(gw)
-	d.Consent()
-	d.AddRecord("web.acme.svc", cluster)
-
-	if ip, err := d.Resolve("web.acme.svc"); err != nil || ip != cluster {
-		t.Fatalf("before redirect: %v %v", ip, err)
-	}
-	if err := d.Redirect("web.acme.svc"); err != nil {
-		t.Fatal(err)
-	}
-	if ip, _ := d.Resolve("web.acme.svc"); ip != gw {
-		t.Fatalf("after redirect: %v, want gateway VIP", ip)
-	}
-	if got := d.Redirected(); len(got) != 1 || got[0] != "web.acme.svc" {
-		t.Errorf("Redirected = %v", got)
-	}
-	d.Restore("web.acme.svc")
-	if ip, _ := d.Resolve("web.acme.svc"); ip != cluster {
-		t.Fatalf("after restore: %v, want cluster IP", ip)
-	}
-}
-
-func TestDNSUnknownService(t *testing.T) {
-	d := NewDNSRedirector(addr("100.64.0.1"))
-	d.Consent()
-	if err := d.Redirect("ghost"); err == nil {
-		t.Error("redirecting unknown service should fail")
-	}
-	if _, err := d.Resolve("ghost"); err == nil {
-		t.Error("resolving unknown service should fail")
-	}
-}
-
 func pool(n int) []netip.Addr {
 	var out []netip.Addr
 	for i := 0; i < n; i++ {
@@ -153,47 +105,5 @@ func TestENIDistinctIPs(t *testing.T) {
 			t.Fatal("duplicate interface IP")
 		}
 		seen[e.IP] = true
-	}
-}
-
-func TestVerifierAntiSpoofing(t *testing.T) {
-	m := NewENIManager(10, 1<<20, pool(10))
-	a, _ := m.Attach("app-a")
-	b, _ := m.Attach("app-b")
-	v := NewVerifier(m)
-	v.Guard = true
-
-	if ok, _ := v.Verify("app-a", "app-a", a.IP); !ok {
-		t.Error("legitimate traffic should verify")
-	}
-	// Forged source address fails regardless of guard.
-	if ok, why := v.Verify("app-a", "app-a", b.IP); ok {
-		t.Errorf("spoofed source should fail: %s", why)
-	}
-	// Unattached claimed container fails.
-	if ok, _ := v.Verify("ghost", "ghost", a.IP); ok {
-		t.Error("unknown container should fail")
-	}
-}
-
-func TestVerifierGuardGap(t *testing.T) {
-	// The Appendix B caveat: without per-container interface protection
-	// (the feature Flannel/Calico lack), a co-located container can
-	// impersonate the interface owner.
-	m := NewENIManager(10, 1<<20, pool(10))
-	a, _ := m.Attach("app-a")
-	m.Attach("app-b")
-	v := NewVerifier(m) // Guard off
-
-	ok, why := v.Verify("app-a", "app-b", a.IP)
-	if !ok {
-		t.Fatal("without a guard the impersonation sadly passes")
-	}
-	if why == "" {
-		t.Error("the gap must be flagged in the verdict")
-	}
-	v.Guard = true
-	if ok, _ := v.Verify("app-a", "app-b", a.IP); ok {
-		t.Error("with the guard, impersonation must fail")
 	}
 }

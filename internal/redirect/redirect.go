@@ -9,7 +9,6 @@ package redirect
 import (
 	"time"
 
-	"canalmesh/internal/bpf"
 	"canalmesh/internal/netmodel"
 	"canalmesh/internal/sim"
 )
@@ -133,11 +132,10 @@ func (n *Nagle) Buffered() int { return n.buffered }
 // are (optionally) aggregated and then charged the per-delivery redirection
 // cost before reaching the proxy.
 type Redirector struct {
-	mode       Mode
-	costs      netmodel.Costs
-	nagle      *Nagle
-	classifier bpf.Program
-	stats      Stats
+	mode  Mode
+	costs netmodel.Costs
+	nagle *Nagle
+	stats Stats
 	// Deliver receives each aggregate handed to the proxy.
 	Deliver func(size int)
 }
@@ -159,47 +157,14 @@ func NewRedirector(s *sim.Sim, mode Mode, useNagle bool, costs netmodel.Costs) *
 	return r
 }
 
-// AttachClassifier installs a verified BPF program that decides, per
-// packet, whether to aggregate (bpf.VerdictAggregate) or forward
-// immediately — the in-kernel half of Canal's eBPF Nagle (§4.1.2). The
-// program sees only the packet length (R1); it must verify.
-func (r *Redirector) AttachClassifier(p bpf.Program) error {
-	if err := bpf.Verify(p); err != nil {
-		return err
-	}
-	r.classifier = p
-	return nil
-}
-
 // Send redirects one app write of the given size.
 func (r *Redirector) Send(size int) {
 	r.stats.Packets++
-	if r.classifier != nil && r.nagle != nil {
-		// The attached program decides on a length-only packet view; a
-		// program error fails open (forward immediately), never drops.
-		verdict, err := bpf.Run(r.classifier, zeroView(size))
-		if err == nil && verdict == bpf.VerdictAggregate {
-			r.nagle.Write(size)
-			return
-		}
-		r.deliverOne(size)
-		return
-	}
 	if r.nagle != nil {
 		r.nagle.Write(size)
 		return
 	}
 	r.deliverOne(size)
-}
-
-// zeroView returns a length-n view without allocating per call for small n.
-var zeroBuf [1 << 16]byte
-
-func zeroView(n int) []byte {
-	if n <= len(zeroBuf) {
-		return zeroBuf[:n]
-	}
-	return make([]byte, n)
 }
 
 // FlushPending forces any aggregated bytes out (end of a message).

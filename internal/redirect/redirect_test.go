@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"canalmesh/internal/bpf"
 	"canalmesh/internal/netmodel"
 	"canalmesh/internal/sim"
 )
@@ -190,70 +189,5 @@ func TestRedirectorDeliverCallback(t *testing.T) {
 	s.Run()
 	if len(got) != 2 || got[0] != 100 || got[1] != 200 {
 		t.Errorf("delivered = %v", got)
-	}
-}
-
-func TestBPFClassifierDrivesAggregation(t *testing.T) {
-	prog, err := bpf.SmallPacketProgram(MSS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := sim.New(2)
-	r := NewRedirector(s, EBPF, true, costs)
-	if err := r.AttachClassifier(prog); err != nil {
-		t.Fatal(err)
-	}
-	var delivered []int
-	r.Deliver = func(size int) { delivered = append(delivered, size) }
-	s.At(0, func() {
-		r.Send(16)   // small: aggregated
-		r.Send(16)   // small: aggregated
-		r.Send(4000) // full-size: forwarded immediately, bypassing Nagle
-	})
-	s.Run()
-	r.FlushPending()
-	// Expect the 4000B packet first (immediate) then the 32B aggregate.
-	if len(delivered) != 2 || delivered[0] != 4000 || delivered[1] != 32 {
-		t.Errorf("delivered = %v, want [4000 32]", delivered)
-	}
-}
-
-func TestAttachClassifierRejectsUnverified(t *testing.T) {
-	s := sim.New(1)
-	r := NewRedirector(s, EBPF, true, costs)
-	bad := bpf.Program{{Op: bpf.OpJmp, Off: 0}, {Op: bpf.OpExit}} // self-jump
-	if err := r.AttachClassifier(bad); err == nil {
-		t.Error("unverifiable program must be rejected")
-	}
-}
-
-func TestBPFClassifierMatchesPlainNagle(t *testing.T) {
-	// With the classifier mirroring the MSS threshold, small-packet streams
-	// behave exactly like the built-in Nagle path.
-	run := func(withProg bool) Stats {
-		s := sim.New(3)
-		r := NewRedirector(s, EBPF, true, costs)
-		if withProg {
-			prog, err := bpf.SmallPacketProgram(MSS)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := r.AttachClassifier(prog); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sent := 0
-		s.Every(time.Second/4000, func() bool {
-			r.Send(16)
-			sent++
-			return sent < 2000
-		})
-		s.Run()
-		r.FlushPending()
-		return r.Stats()
-	}
-	plain, prog := run(false), run(true)
-	if plain.Deliveries != prog.Deliveries || plain.ContextSwitches != prog.ContextSwitches {
-		t.Errorf("classifier diverged from Nagle: %+v vs %+v", plain, prog)
 	}
 }

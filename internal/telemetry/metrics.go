@@ -1,8 +1,7 @@
 // Package telemetry provides the observability substrate of the mesh:
 // counters, gauges, exact-percentile latency samples, sampled
-// time series, structured access logs (joinable to distributed traces from
-// internal/trace via AccessEntry.TraceID), and the full-mesh prober the
-// paper uses to "prove absence of failure" (§6.4).
+// time series and structured access logs (joinable to distributed traces
+// from internal/trace via AccessEntry.TraceID).
 package telemetry
 
 import (

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"canalmesh/internal/sim"
 )
 
 func TestCounter(t *testing.T) {
@@ -232,52 +230,5 @@ func TestAccessLogTraceJoin(t *testing.T) {
 	}
 	if s := got[0].String(); !strings.Contains(s, "trace=aabb") {
 		t.Errorf("String lacks trace id: %s", s)
-	}
-}
-
-func TestFullMeshProber(t *testing.T) {
-	instances := []ProbeInstance{
-		{ID: "a", AZ: "az1", Proto: ProtoHTTP},
-		{ID: "b", AZ: "az1", Proto: ProtoHTTPS},
-		{ID: "c", AZ: "az2", Proto: ProtoGRPC},
-	}
-	failDst := ""
-	p := NewFullMeshProber(instances, func(src, dst ProbeInstance) (time.Duration, bool) {
-		return time.Millisecond, dst.ID != failDst
-	})
-	p.RunOnce(0)
-	if got := len(p.Results()); got != 6 { // 3*2 ordered pairs
-		t.Fatalf("results = %d, want 6", got)
-	}
-	if !p.InnocenceProven() {
-		t.Error("all probes OK: innocence should be proven")
-	}
-	failDst = "c"
-	p.RunOnce(time.Second)
-	if p.InnocenceProven() {
-		t.Error("failed probes: innocence must not be proven")
-	}
-	if got := len(p.Failures()); got != 2 { // a->c and b->c
-		t.Errorf("failures = %d, want 2", got)
-	}
-}
-
-func TestFullMeshProberScheduled(t *testing.T) {
-	s := sim.New(1)
-	p := NewFullMeshProber([]ProbeInstance{{ID: "a"}, {ID: "b"}}, func(src, dst ProbeInstance) (time.Duration, bool) {
-		return time.Millisecond, true
-	})
-	rounds := 0
-	p.Start(s, time.Minute, func() bool { rounds++; return rounds > 3 })
-	s.Run()
-	if got := len(p.Results()); got != 6 { // 3 rounds * 2 pairs
-		t.Errorf("results = %d, want 6", got)
-	}
-}
-
-func TestFullMeshProberEmptyNotProven(t *testing.T) {
-	p := NewFullMeshProber(nil, nil)
-	if p.InnocenceProven() {
-		t.Error("no probes should mean no proof")
 	}
 }
