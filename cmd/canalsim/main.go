@@ -48,7 +48,7 @@ func main() {
 	case "noisy-neighbor":
 		fmt.Println(bench.Fig16NoisyNeighbor().String())
 	case "flash-crowd":
-		fmt.Println(bench.AdmissionFlashCrowd().String())
+		fmt.Println(bench.AdmissionFlashCrowd(context.Background()).String())
 	case "failover":
 		failover()
 	case "attack":

@@ -74,11 +74,11 @@ func main() {
 	s.At(time.Second, func() {
 		for i := 0; i < 500; i++ {
 			flow := cloud.SessionKey{SrcIP: "10.0.0.1", SrcPort: uint16(i + 1), DstIP: "192.168.0.10", DstPort: 80, Proto: 6}
-			req := &l7.Request{Method: "GET", Path: "/", BodyBytes: 512}
+			req := l7.Request{Method: "GET", Path: "/", BodyBytes: 512}
 			gw.Dispatch(alpha.ID, "az1", flow, req, 1, func(_ time.Duration, status int) {
 				results["alpha"][status]++
 			})
-			req2 := &l7.Request{Method: "GET", Path: "/", BodyBytes: 512}
+			req2 := l7.Request{Method: "GET", Path: "/", BodyBytes: 512}
 			gw.Dispatch(beta.ID, "az1", flow, req2, 1, func(_ time.Duration, status int) {
 				results["beta"][status]++
 			})

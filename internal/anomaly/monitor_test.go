@@ -51,7 +51,7 @@ func drive(s *sim.Sim, g *gateway.Gateway, svc *gateway.ServiceState, rate workl
 	workload.OpenLoop(s, rate, 10*time.Millisecond, end, func() {
 		i++
 		flow := cloud.SessionKey{SrcIP: "10.0.0.9", SrcPort: uint16(i%60000 + 1), DstIP: "10.1.0.1", DstPort: 80, Proto: 6}
-		g.Dispatch(svc.ID, az, flow, &l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, func(time.Duration, int) {})
+		g.Dispatch(svc.ID, az, flow, l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, func(time.Duration, int) {})
 	})
 }
 

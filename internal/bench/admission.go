@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"time"
@@ -102,7 +103,7 @@ func runAdmissionFlashCrowd(enable bool) admissionRun {
 		workload.OpenLoop(s, rate, time.Millisecond, admRunEnd, func() {
 			flow++
 			at := s.Now()
-			req := &l7.Request{Tenant: tenant, SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
+			req := l7.Request{Tenant: tenant, SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
 			g.Dispatch(st.ID, "az1", dispatchFlow(flow), req, 1, func(lat time.Duration, status int) {
 				if status != 200 {
 					return
@@ -152,9 +153,11 @@ func runAdmissionFlashCrowd(enable bool) admissionRun {
 // latency; on, per-tenant WDRR+CoDel queues and the AIMD limiter shed the
 // aggressor's excess while the victims keep their baseline service. This is
 // the pre-migration window complement to fig16's sandbox-migration story.
-func AdmissionFlashCrowd() *Table {
-	off := runAdmissionFlashCrowd(false)
-	on := runAdmissionFlashCrowd(true)
+// The two runs are independent simulations, run in parallel.
+func AdmissionFlashCrowd(ctx context.Context) *Table {
+	var runs [2]admissionRun // off, on
+	ForEachPoint(ctx, len(runs), func(i int) { runs[i] = runAdmissionFlashCrowd(i == 1) })
+	off, on := runs[0], runs[1]
 
 	t := &Table{
 		ID:    "admission",

@@ -1,6 +1,9 @@
 package bench
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestAdmissionFlashCrowdAcceptance pins the headline shapes of the
 // admission experiment: with admission on, the victims' flash-crowd p99 stays
@@ -71,7 +74,7 @@ func TestAdmissionFlashCrowdDeterministic(t *testing.T) {
 
 // TestAdmissionTableRuns exercises the table constructor end to end.
 func TestAdmissionTableRuns(t *testing.T) {
-	tab := AdmissionFlashCrowd()
+	tab := AdmissionFlashCrowd(context.Background())
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2 (off, on)", len(tab.Rows))
 	}

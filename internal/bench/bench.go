@@ -170,10 +170,10 @@ func bare(fn func() Result) func(context.Context) Result {
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig2", "Sidecar CPU usage vs end-to-end latency", bare(func() Result { return Fig02SidecarCPULatency() })},
+		{"fig2", "Sidecar CPU usage vs end-to-end latency", func(ctx context.Context) Result { return Fig02SidecarCPULatency(ctx) }},
 		{"fig3", "#Sidecars growth for a major customer", bare(func() Result { return Fig03SidecarGrowth() })},
 		{"fig4", "Controller CPU usage and pod update time", bare(func() Result { return Fig04ControllerCPU() })},
-		{"fig5", "CPU usage of Istio and Ambient", bare(func() Result { return Fig05IstioAmbientCPU() })},
+		{"fig5", "CPU usage of Istio and Ambient", func(ctx context.Context) Result { return Fig05IstioAmbientCPU(ctx) }},
 		{"table1", "Resource usage of Istio in production", bare(func() Result { return Tab01SidecarResources() })},
 		{"table2", "Configuration update frequency by cluster", bare(func() Result { return Tab02UpdateFrequency() })},
 		{"table3", "Proportion of users enabling L7 features", bare(func() Result { return Tab03L7Adoption() })},
@@ -188,7 +188,7 @@ func All() []Experiment {
 		{"fed-evac", "Region evacuation: WAN spillover vs no federation", func(ctx context.Context) Result { return FedEvac(ctx) }},
 		{"fed-split", "Partitioned region: split-brain window and resync", func(ctx context.Context) Result { return FedSplit(ctx) }},
 		{"fig16", "Noisy neighbor isolation", bare(func() Result { return Fig16NoisyNeighbor() })},
-		{"admission", "Flash crowd with admission control off vs on", bare(func() Result { return AdmissionFlashCrowd() })},
+		{"admission", "Flash crowd with admission control off vs on", func(ctx context.Context) Result { return AdmissionFlashCrowd(ctx) }},
 		{"fig17", "CDF of completion time of Reuse and New", func(ctx context.Context) Result { return Fig17ScalingCDF(ctx) }},
 		{"table4", "Reuse and New event timelines", bare(func() Result { return Tab04ScalingTimeline() })},
 		{"fig18", "Occurrences of Reuse and New over a month", bare(func() Result { return Fig18ScalingOccurrences() })},

@@ -24,7 +24,7 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 func TestFig2LatencyRisesWithUtilization(t *testing.T) {
-	s := Fig02SidecarCPULatency()
+	s := Fig02SidecarCPULatency(context.Background())
 	l := s.Get("istio-sidecar")
 	if l == nil || len(l.Y) < 4 {
 		t.Fatal("missing data")

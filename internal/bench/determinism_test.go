@@ -4,6 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -17,8 +19,8 @@ import (
 // when each individual value looks plausible.
 
 func TestFlashCrowdDeterministic(t *testing.T) {
-	a := AdmissionFlashCrowd().String()
-	b := AdmissionFlashCrowd().String()
+	a := AdmissionFlashCrowd(context.Background()).String()
+	b := AdmissionFlashCrowd(context.Background()).String()
 	if a != b {
 		t.Fatalf("canalsim flash-crowd output differs between identically-seeded runs:\nrun 1:\n%s\nrun 2:\n%s", a, b)
 	}
@@ -57,6 +59,35 @@ func TestNoisyNeighborDeterministic(t *testing.T) {
 	b := Fig16NoisyNeighbor().String()
 	if a != b {
 		t.Fatalf("fig16 noisy-neighbor output differs between identically-seeded runs (len %d vs %d)", len(a), len(b))
+	}
+}
+
+// TestArmsMatchAtAnyWorkerCount renders the experiments whose independent
+// arms run in parallel on ForEachPoint with one worker and with two, and
+// requires identical bytes: assembly is by index, never by finishing order.
+func TestArmsMatchAtAnyWorkerCount(t *testing.T) {
+	var exps []Experiment
+	for _, e := range All() {
+		if slices.Contains([]string{"admission", "fig5", "fig2"}, e.ID) {
+			exps = append(exps, e)
+		}
+	}
+	if len(exps) != 3 {
+		t.Fatalf("found %d of the 3 experiments", len(exps))
+	}
+	render := func(procs int) []string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out := make([]string, len(exps))
+		for i, e := range exps {
+			out[i] = e.Run(context.Background()).String()
+		}
+		return out
+	}
+	one, two := render(1), render(2)
+	for i, e := range exps {
+		if one[i] != two[i] {
+			t.Errorf("%s renders differently with one worker and with two:\n1:\n%s\n2:\n%s", e.ID, one[i], two[i])
+		}
 	}
 }
 

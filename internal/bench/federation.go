@@ -227,7 +227,7 @@ func (h *fedHarness) offerLoad(spec FederationSpec, region string, traced bool, 
 				SrcIP: "10.9.0.1", SrcPort: uint16(sq%60000 + 1),
 				DstIP: "10.0.0.10", DstPort: 80, Proto: 6,
 			}
-			req := &l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}
+			req := l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}
 			h.mesh.Dispatch(region, h.svc, "az1", flow, req, 1, tr, func(lat time.Duration, status int) {
 				tally.total++
 				if status == l7.StatusOK {
@@ -403,7 +403,7 @@ func runFedSplit(spec FederationSpec) (*FedSplitReport, error) {
 		h.s.At(at, func() {
 			flow := cloud.SessionKey{SrcIP: "10.9.0.2", SrcPort: uint16(int(at/time.Millisecond)%60000 + 1),
 				DstIP: "10.0.0.10", DstPort: 80, Proto: 6}
-			h.mesh.Dispatch("region-1", h.svc, "az1", flow, &l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, nil,
+			h.mesh.Dispatch("region-1", h.svc, "az1", flow, l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, nil,
 				func(lat time.Duration, status int) {
 					postHeal.total++
 					if status == l7.StatusOK {

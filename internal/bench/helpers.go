@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"sync"
 
@@ -23,6 +24,11 @@ import (
 // order renders byte-identically to a serial loop. Once ctx is cancelled,
 // not-yet-started points are skipped (fn never observes a cancelled start);
 // the caller's partial result is discarded by the Runner in that case.
+//
+// A point that panics does not take the process down from its worker: once
+// every point has finished, the lowest-indexed point's panic is raised again
+// on the caller's goroutine as a *panicError carrying the point's own stack,
+// where the Runner reports it as the experiment's error.
 func ForEachPoint(ctx context.Context, n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -30,6 +36,15 @@ func ForEachPoint(ctx context.Context, n int, fn func(i int)) {
 	}
 	if workers < 1 {
 		workers = 1
+	}
+	panics := make([]*panicError, n) // index-keyed, like the points' own output
+	run := func(i int) {
+		defer func() {
+			if p := recover(); p != nil {
+				panics[i] = recovered(p)
+			}
+		}()
+		fn(i)
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -41,7 +56,7 @@ func ForEachPoint(ctx context.Context, n int, fn func(i int)) {
 				if ctx.Err() != nil {
 					continue // drain remaining points without running them
 				}
-				fn(i)
+				run(i)
 			}
 		}()
 	}
@@ -50,6 +65,29 @@ func ForEachPoint(ctx context.Context, n int, fn func(i int)) {
 	}
 	close(idx)
 	wg.Wait()
+	for _, pe := range panics {
+		if pe != nil {
+			panic(pe)
+		}
+	}
+}
+
+// panicError is a recovered panic together with the stack it was raised
+// on, so a panic moved to another goroutine still says where it began.
+type panicError struct {
+	value any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v\n\n%s", e.value, e.stack) }
+
+// recovered wraps a value recover returned, keeping a *panicError that a
+// nested ForEachPoint already built, with its original stack.
+func recovered(p any) *panicError {
+	if pe, ok := p.(*panicError); ok {
+		return pe
+	}
+	return &panicError{value: p, stack: debug.Stack()}
 }
 
 // newTenant returns a fresh benchmark tenant with a /8 VPC.
@@ -116,6 +154,6 @@ func dispatchFlow(i int) cloud.SessionKey {
 }
 
 // gwRequest returns a routable request for gateway dispatch.
-func gwRequest() *l7.Request {
-	return &l7.Request{Tenant: "tenant1", SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
+func gwRequest() l7.Request {
+	return l7.Request{Tenant: "tenant1", SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
 }

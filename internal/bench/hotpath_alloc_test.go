@@ -37,7 +37,8 @@ type hotPathBaseline struct {
 // verified-peer memo hit, the flow hash and a processor completion — and on
 // the simulated request paths built over them, a gateway dispatch with
 // admission off and on and a mesh hop chain, whose recycled per-request
-// values leave them nothing to allocate at steady state. The static
+// values leave them nothing to allocate at steady state, even with a fresh
+// request built for every call. The static
 // analyzer proves the code *shape* cannot allocate; this measures that the
 // compiler agrees at runtime.
 func measureHotPathAllocs(t *testing.T) map[string]float64 {
@@ -247,6 +248,14 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 		t.Fatal("gateway bench served no request")
 	}
 
+	// The same dispatch with the request built inside the call, as the
+	// experiments build one per simulated arrival: taken by value, it stays
+	// on the caller's stack.
+	got["gateway_dispatch_fresh_request"] = testing.AllocsPerRun(1000, func() {
+		gs.GW.Dispatch(svc.ID, "az1", flow, gwRequest(), 1, answered)
+		gs.Sim.Run()
+	})
+
 	// Gateway dispatch, admission on: the same request through the
 	// service's AIMD limiter and the replica's WDRR+CoDel discipline, which
 	// starts it on an idle core through the Work's pre-bound completion.
@@ -267,11 +276,16 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mreq := &l7.Request{Tenant: "t", Method: "GET", Path: "/", BodyBytes: 1024}
+	mreq := l7.Request{Tenant: "t", Method: "GET", Path: "/", BodyBytes: 1024}
 	delivered := 0
 	arrived := func(time.Duration, int) { delivered++ }
 	got["run_chain"] = testing.AllocsPerRun(1000, func() {
 		mesh.Send(mreq, arrived)
+		ms.Run()
+	})
+	// The same hop chain with the request built inside the call.
+	got["run_chain_fresh_request"] = testing.AllocsPerRun(1000, func() {
+		mesh.Send(webRequest(), arrived)
 		ms.Run()
 	})
 	if delivered == 0 {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -22,18 +23,23 @@ func newComparisonCfg(s *sim.Sim) proxy.Config {
 	return proxy.Config{Sim: s, Costs: netmodel.Default(), Engine: engine, EBPFRedirect: true}
 }
 
-func webRequest() *l7.Request {
-	return &l7.Request{Tenant: "t1", Service: "web", SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
+func webRequest() l7.Request {
+	return l7.Request{Tenant: "t1", Service: "web", SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
 }
 
 // Fig02SidecarCPULatency sweeps offered load on an Istio sidecar pair and
 // reports sidecar CPU utilization against mean end-to-end latency: flat at
 // low utilization, doubling around the 45% mark, and spiking as the sidecar
-// saturates (Fig 2).
-func Fig02SidecarCPULatency() *Series {
+// saturates (Fig 2). Each load point is its own simulation; the points run
+// in parallel and are added in load order.
+func Fig02SidecarCPULatency(ctx context.Context) *Series {
 	out := &Series{ID: "fig2", Title: "Sidecar CPU usage vs end-to-end latency",
 		XLabel: "sidecar CPU utilization (%)", YLabel: "mean latency (ms)"}
-	for _, loadFrac := range []float64{0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.85, 0.95} {
+	loads := []float64{0.1, 0.2, 0.3, 0.45, 0.6, 0.75, 0.85, 0.95}
+	utils := make([]float64, len(loads))
+	means := make([]float64, len(loads))
+	ForEachPoint(ctx, len(loads), func(k int) {
+		loadFrac := loads[k]
 		s := sim.New(1)
 		cfg := newComparisonCfg(s)
 		spec := proxy.DefaultTestbedSpec(cfg)
@@ -52,8 +58,11 @@ func Fig02SidecarCPULatency() *Series {
 		})
 		s.RunUntil(10 * time.Second)
 		istio := mesh.(*proxy.Istio)
-		util := istio.ClientSidecar.Proc.UtilizationRange(0, 10*time.Second)
-		out.Add("istio-sidecar", util*100, lat.Mean()*1000)
+		utils[k] = istio.ClientSidecar.Proc.UtilizationRange(0, 10*time.Second)
+		means[k] = lat.Mean()
+	})
+	for k := range loads {
+		out.Add("istio-sidecar", utils[k]*100, means[k]*1000)
 	}
 	out.Notes = append(out.Notes, "latency rises past ~45% utilization and spikes as the sidecar saturates, matching Fig 2's shape")
 	return out
@@ -140,13 +149,17 @@ func Fig04ControllerCPU() *Series {
 // Ambient and reports user-side proxy CPU over the (compressed) day:
 // Ambient's sharing helps, but because pods of one service peak together,
 // the waypoint sees synchronized peaks and the saving is bounded (Fig 5).
-func Fig05IstioAmbientCPU() *Series {
+// The two architectures run as parallel simulations.
+func Fig05IstioAmbientCPU(ctx context.Context) *Series {
 	out := &Series{ID: "fig5", Title: "CPU usage of Istio and Ambient",
 		XLabel: "hour of day", YLabel: "proxy CPU (core-seconds per hour)"}
 	// A compressed day: 24 hours of 10 simulated seconds each.
 	const hourLen = 10 * time.Second
 	day := 24 * hourLen
-	for _, arch := range []string{"istio", "ambient"} {
+	archs := []string{"istio", "ambient"}
+	busy := make([][24]float64, len(archs))
+	ForEachPoint(ctx, len(archs), func(k int) {
+		arch := archs[k]
 		s := sim.New(5)
 		cfg := newComparisonCfg(s)
 		mesh, err := proxy.DefaultTestbedSpec(cfg).Build(arch)
@@ -158,13 +171,16 @@ func Fig05IstioAmbientCPU() *Series {
 			mesh.Send(webRequest(), func(time.Duration, int) {})
 		})
 		s.RunUntil(day)
-		for h := 0; h < 24; h++ {
+		for h := range busy[k] {
 			from, to := time.Duration(h)*hourLen, time.Duration(h+1)*hourLen
-			var busy float64
 			for _, p := range mesh.UserProcs() {
-				busy += p.UtilizationRange(from, to) * float64(p.Cores()) * hourLen.Seconds()
+				busy[k][h] += p.UtilizationRange(from, to) * float64(p.Cores()) * hourLen.Seconds()
 			}
-			out.Add(arch, float64(h), busy)
+		}
+	})
+	for k, arch := range archs {
+		for h, b := range busy[k] {
+			out.Add(arch, float64(h), b)
 		}
 	}
 	istioPeak, ambientPeak := maxY(out.Get("istio")), maxY(out.Get("ambient"))

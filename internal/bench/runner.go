@@ -46,7 +46,8 @@ type ExperimentResult struct {
 	Rendered string
 	// Wall is the experiment's own wall-clock run time.
 	Wall time.Duration
-	// Err is non-nil when the experiment was cancelled or timed out.
+	// Err is non-nil when the experiment was cancelled, timed out or
+	// panicked.
 	Err error
 }
 
@@ -78,7 +79,8 @@ func (r *Report) Speedup() float64 {
 	return float64(r.SerialWall()) / float64(r.Wall)
 }
 
-// Failed returns the results whose experiments errored (cancel/timeout).
+// Failed returns the results whose experiments errored (cancel, timeout
+// or panic).
 func (r *Report) Failed() []ExperimentResult {
 	var out []ExperimentResult
 	for _, res := range r.Results {
@@ -217,10 +219,18 @@ func (r *Runner) runOne(ctx context.Context, e Experiment) ExperimentResult {
 	type outcome struct {
 		result   Result
 		rendered string
+		panicked *panicError
 	}
 	done := make(chan outcome, 1)
 	start := time.Now() //canal:allow simdeterminism diagnostic per-experiment timing only; never enters rendered results
 	go func() {
+		// A panicking experiment fails alone: its panic becomes its Err and
+		// the rest of the pass is still reported.
+		defer func() {
+			if p := recover(); p != nil {
+				done <- outcome{panicked: recovered(p)}
+			}
+		}()
 		out := e.Run(tctx)
 		o := outcome{result: out}
 		if out != nil {
@@ -231,7 +241,9 @@ func (r *Runner) runOne(ctx context.Context, e Experiment) ExperimentResult {
 	select {
 	case o := <-done:
 		res.Result, res.Rendered = o.result, o.rendered
-		if err := tctx.Err(); err != nil {
+		if o.panicked != nil {
+			res.Err = fmt.Errorf("experiment %s: %w", e.ID, o.panicked)
+		} else if err := tctx.Err(); err != nil {
 			// The experiment returned, but only because cancellation made it
 			// cut its sweep short: its result is partial, not reportable.
 			res.Err = err

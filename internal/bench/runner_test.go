@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -201,6 +202,81 @@ func TestForEachPointSkipsAfterCancel(t *testing.T) {
 	ForEachPoint(ctx, 10, func(i int) { ran = true })
 	if ran {
 		t.Error("points should not start once ctx is cancelled")
+	}
+}
+
+// TestForEachPointReraisesPanic: a panicking point does not kill the
+// process from its worker. Every point still runs, and the lowest-indexed
+// point's panic is raised again on the caller's goroutine.
+func TestForEachPointReraisesPanic(t *testing.T) {
+	ran := make([]bool, 8)
+	defer func() {
+		pe, ok := recover().(*panicError)
+		if !ok {
+			t.Fatalf("recovered %T, want *panicError", pe)
+		}
+		if pe.value != "point 3" {
+			t.Errorf("re-raised %v, want the lowest-indexed point's panic", pe.value)
+		}
+		for i, r := range ran {
+			if !r {
+				t.Errorf("point %d never ran", i)
+			}
+		}
+	}()
+	ForEachPoint(context.Background(), len(ran), func(i int) {
+		ran[i] = true
+		if i == 3 || i == 6 {
+			panic(fmt.Sprint("point ", i))
+		}
+	})
+	t.Fatal("ForEachPoint returned normally after a point panicked")
+}
+
+// sweepPointFails is the panicking point of TestRunnerRecordsPanics: a named
+// frame the recorded error must still show.
+func sweepPointFails() { panic("sweep point failed") }
+
+// TestRunnerRecordsPanics: an experiment that panics, on its own goroutine
+// or inside one of its ForEachPoint points, fails alone. The panic, with the
+// stack it began on, is that experiment's Err, and the experiments around
+// it are still reported, at any parallelism.
+func TestRunnerRecordsPanics(t *testing.T) {
+	exps := []Experiment{
+		trivial("before"),
+		{ID: "direct", Name: "direct", Run: func(context.Context) Result { panic("experiment failed") }},
+		{ID: "point", Name: "point", Run: func(ctx context.Context) Result {
+			ForEachPoint(ctx, 4, func(i int) {
+				if i == 2 {
+					sweepPointFails()
+				}
+			})
+			return trivial("point").Run(ctx)
+		}},
+		trivial("after"),
+	}
+	for _, parallel := range []int{1, 4} {
+		report := NewRunner(Options{Parallel: parallel}).Run(context.Background(), exps)
+		for _, res := range report.Results {
+			switch res.ID {
+			case "before", "after":
+				if res.Err != nil || res.Rendered == "" {
+					t.Errorf("parallel %d: %s was not reported beside the panics: err %v", parallel, res.ID, res.Err)
+				}
+			case "direct":
+				if res.Err == nil || !strings.Contains(res.Err.Error(), "panic: experiment failed") {
+					t.Errorf("parallel %d: direct panic recorded as %v", parallel, res.Err)
+				}
+			case "point":
+				if res.Err == nil || !strings.Contains(res.Err.Error(), "panic: sweep point failed") ||
+					!strings.Contains(res.Err.Error(), "sweepPointFails") {
+					t.Errorf("parallel %d: point panic recorded without its message or stack: %v", parallel, res.Err)
+				}
+			}
+		}
+		if failed := report.Failed(); len(failed) != 2 {
+			t.Errorf("parallel %d: %d failed experiments, want the two that panicked", parallel, len(failed))
+		}
 	}
 }
 

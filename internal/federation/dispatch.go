@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"maps"
 	"time"
 
 	"canalmesh/internal/cloud"
@@ -20,7 +21,7 @@ import (
 // WAN-segment hops — and the request carries a W3C traceparent across the
 // peering boundary, which the receiving region validates before joining its
 // hops to the trace.
-func (m *Mesh) Dispatch(from string, svc *Service, clientAZ string, flow cloud.SessionKey, req *l7.Request, costMult float64, tr *trace.Trace, done func(lat time.Duration, status int)) {
+func (m *Mesh) Dispatch(from string, svc *Service, clientAZ string, flow cloud.SessionKey, req l7.Request, costMult float64, tr *trace.Trace, done func(lat time.Duration, status int)) {
 	r := m.byName[from]
 	if r == nil || svc == nil {
 		done(0, l7.StatusUnavailable)
@@ -111,7 +112,7 @@ func (r *Region) bestPeer(svc *Service) *Peering {
 // serveLocal dispatches on the region's own gateway and records one
 // gateway hop (the gateway's measured processing latency, attributed as
 // CPU: queueing and service are both on-gateway time).
-func (r *Region) serveLocal(id uint64, clientAZ string, flow cloud.SessionKey, req *l7.Request, costMult float64, tr *trace.Trace, done func(time.Duration, int)) {
+func (r *Region) serveLocal(id uint64, clientAZ string, flow cloud.SessionKey, req l7.Request, costMult float64, tr *trace.Trace, done func(time.Duration, int)) {
 	s := r.mesh.cfg.Sim
 	arrive := s.Now()
 	r.stats.Local++
@@ -132,19 +133,20 @@ func (r *Region) serveLocal(id uint64, clientAZ string, flow cloud.SessionKey, r
 // it against the carried trace before joining its hops. A physically
 // partitioned link blackholes the request: it fails after the full WAN
 // round trip (the caller's timeout), the split-brain window's signature.
-func (r *Region) spill(p *Peering, svc *Service, clientAZ string, flow cloud.SessionKey, req *l7.Request, costMult float64, tr *trace.Trace, done func(time.Duration, int)) {
+func (r *Region) spill(p *Peering, svc *Service, clientAZ string, flow cloud.SessionKey, req l7.Request, costMult float64, tr *trace.Trace, done func(time.Duration, int)) {
 	s := r.mesh.cfg.Sim
 	peer := p.other(r)
 	arrive := s.Now()
 	oneWay := r.mesh.wan.RTT / 2
 
 	// Propagate the trace context across the region boundary the same way
-	// the live path does: a W3C traceparent request header.
+	// the live path does: a W3C traceparent request header, set on a copy of
+	// the header map so the caller's request is left as it was.
 	if tr != nil {
-		if req.Headers == nil {
-			req.Headers = make(map[string]string, 1)
-		}
-		req.Headers[trace.TraceparentHeader] = trace.Traceparent(tr.ID, tr.Root().ID, tr.Sampled)
+		hdr := make(map[string]string, len(req.Headers)+1)
+		maps.Copy(hdr, req.Headers)
+		hdr[trace.TraceparentHeader] = trace.Traceparent(tr.ID, tr.Root().ID, tr.Sampled)
+		req.Headers = hdr
 	}
 
 	if p.partitioned {

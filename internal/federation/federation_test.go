@@ -65,7 +65,7 @@ func (tm *testMesh) dispatchAt(from string, at time.Duration, seq int, tr *trace
 			SrcIP: "10.9.0.1", SrcPort: uint16(seq%60000 + 1),
 			DstIP: "10.0.0.10", DstPort: 80, Proto: 6,
 		}
-		req := &l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}
+		req := l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}
 		tm.mesh.Dispatch(from, tm.svc, "az1", flow, req, 1, tr, func(lat time.Duration, status int) {
 			counts[status]++
 			if lats != nil {
@@ -226,21 +226,21 @@ func TestSpilloverTraceAttributesWAN(t *testing.T) {
 	var spilled, local *trace.Trace
 	s.At(8*time.Second, func() {
 		spilled = tracer.Start("canal", "GET /")
-		req := &l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}
+		req := l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}
 		m.Dispatch("region-1", svc, "az1", cloud.SessionKey{SrcIP: "10.9.0.1", SrcPort: 1, DstIP: "10.0.0.10", DstPort: 80, Proto: 6},
 			req, 1, spilled, func(lat time.Duration, status int) {
 				tracer.Finish(spilled, status)
 			})
-		// The propagated context must round-trip the peering hop intact.
-		id, parent, sampled, perr := trace.ParseTraceparent(req.Headers[trace.TraceparentHeader])
-		if perr != nil || id != spilled.ID || parent != spilled.Root().ID || !sampled {
-			t.Errorf("traceparent did not round-trip: %v %v %v %v", id, parent, sampled, perr)
+		// The traceparent rides the dispatch's copy: the caller's request
+		// is left as it was.
+		if req.Headers != nil {
+			t.Errorf("spill wrote headers onto the caller's request: %v", req.Headers)
 		}
 	})
 	s.At(8*time.Second, func() {
 		local = tracer.Start("canal", "GET /")
 		m.Dispatch("region-2", svc, "az1", cloud.SessionKey{SrcIP: "10.9.0.2", SrcPort: 2, DstIP: "10.0.0.10", DstPort: 80, Proto: 6},
-			&l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, local, func(lat time.Duration, status int) {
+			l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, local, func(lat time.Duration, status int) {
 				tracer.Finish(local, status)
 			})
 	})
@@ -260,6 +260,16 @@ func TestSpilloverTraceAttributesWAN(t *testing.T) {
 	}
 	if hopSum != spilled.Total() {
 		t.Fatalf("hop sum %v != end-to-end %v", hopSum, spilled.Total())
+	}
+	// The propagated context round-tripped the peering hop intact: the peer
+	// joins its hops to the trace only when the traceparent it received
+	// names this trace, its root span and the sampled flag.
+	joined := false
+	for _, h := range spilled.Hops() {
+		joined = joined || h.Name == "gateway@region-2"
+	}
+	if !joined {
+		t.Fatalf("peer did not join the spilled trace; hops %v", spilled.Hops())
 	}
 	// A local serve attributes zero WAN.
 	for _, h := range local.Hops() {
@@ -323,7 +333,7 @@ func TestSplitBrainWindowAndDetection(t *testing.T) {
 func TestDispatchUnknownRegion(t *testing.T) {
 	tm := newTestMesh(t, Config{Heartbeat: time.Second}, 2)
 	called := 0
-	tm.mesh.Dispatch("nope", tm.svc, "az1", cloud.SessionKey{}, &l7.Request{Method: "GET", Path: "/"}, 1, nil,
+	tm.mesh.Dispatch("nope", tm.svc, "az1", cloud.SessionKey{}, l7.Request{Method: "GET", Path: "/"}, 1, nil,
 		func(_ time.Duration, status int) {
 			called++
 			if status != l7.StatusUnavailable {

@@ -45,7 +45,7 @@ func TestAdmissionIsolatesVictimFromAggressor(t *testing.T) {
 	fl := uint16(0)
 	dispatch := func(st *ServiceState, tenant string) {
 		fl++
-		req := &l7.Request{Tenant: tenant, SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
+		req := l7.Request{Tenant: tenant, SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
 		g.Dispatch(st.ID, "az1", flow(fl), req, 1, func(lat time.Duration, code int) {
 			status[tenant][code]++
 			if tenant == "victim" && code == l7.StatusOK {

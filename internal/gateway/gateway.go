@@ -459,8 +459,8 @@ type dispatch struct {
 	sim.Work
 	g        *Gateway
 	s        *ServiceState
-	req      *l7.Request
-	r        *Replica // the replica serving the request, once picked
+	req      l7.Request // the dispatch's own copy, routed under the engine's name
+	r        *Replica   // the replica serving the request, once picked
 	lim      *admission.Limiter
 	released bool
 	start    time.Duration
@@ -497,8 +497,11 @@ func (d *dispatch) finish(lat time.Duration, status int) {
 // Dispatch processes one request for a service arriving from clientAZ,
 // charging L7 CPU on the chosen replica and invoking done with the gateway
 // processing latency and status. The caller (on-node proxy model or bench)
-// wraps network latency around it.
-func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, req *l7.Request, costMult float64, done func(lat time.Duration, status int)) {
+// wraps network latency around it. The request is taken by value: the
+// dispatch routes and logs its own copy, so the caller's value is never
+// retained or changed, and a request built for the call stays on the
+// caller's stack.
+func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, req l7.Request, costMult float64, done func(lat time.Duration, status int)) {
 	s, ok := g.services[id]
 	if !ok {
 		done(0, l7.StatusUnavailable)
@@ -531,12 +534,12 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 		d.abort(l7.StatusUnavailable)
 		return
 	}
-	req.Service = s.engineName
-	if _, err := g.engine.Route(d.start, req); err != nil {
+	d.req.Service = s.engineName
+	if _, err := g.engine.Route(d.start, &d.req); err != nil {
 		d.abort(l7.StatusOf(err))
 		return
 	}
-	if req.NewConnection {
+	if d.req.NewConnection {
 		// New transport sessions occupy the replica's SmartNIC-backed
 		// session table (§3.2 Issue #4); a full table rejects the
 		// connection — the pressure session aggregation relieves.
@@ -547,9 +550,9 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 		s.Sessions++
 	}
 	b.window[id]++
-	cost := sim.Scale(g.cfg.Costs.GatewayL7Cost(req.BodyBytes), costMult)
-	if req.TLS {
-		cost += 2 * g.cfg.Costs.SymCryptoCost(req.BodyBytes)
+	cost := sim.Scale(g.cfg.Costs.GatewayL7Cost(d.req.BodyBytes), costMult)
+	if d.req.TLS {
+		cost += 2 * g.cfg.Costs.SymCryptoCost(d.req.BodyBytes)
 	}
 	if g.adm == nil {
 		d.r.VM.Proc.Exec(cost, d.served)

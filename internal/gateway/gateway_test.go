@@ -49,8 +49,8 @@ func flow(p uint16) cloud.SessionKey {
 	return cloud.SessionKey{SrcIP: "10.0.0.1", SrcPort: p, DstIP: "10.1.0.1", DstPort: 80, Proto: 6}
 }
 
-func gwReq() *l7.Request {
-	return &l7.Request{Tenant: "t1", SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
+func gwReq() l7.Request {
+	return l7.Request{Tenant: "t1", SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
 }
 
 func TestRegisterServiceAssignsShardAcrossBackends(t *testing.T) {

@@ -3,6 +3,7 @@ package gateway
 import (
 	"fmt"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -21,7 +22,7 @@ func checkRecycled(t *testing.T, g *Gateway, d *dispatch) {
 	if d.g != g || d.Do == nil || d.Drop == nil || d.served == nil {
 		t.Fatalf("recycled dispatch lost its gateway or bound callbacks: %+v", d)
 	}
-	if d.s != nil || d.req != nil || d.r != nil || d.lim != nil || d.released || d.start != 0 || d.done != nil {
+	if d.s != nil || !reflect.ValueOf(d.req).IsZero() || d.r != nil || d.lim != nil || d.released || d.start != 0 || d.done != nil {
 		t.Fatalf("recycled dispatch keeps request state: service %v, request %v, replica %v, limiter %v, released %v, start %v",
 			d.s, d.req, d.r, d.lim, d.released, d.start)
 	}
@@ -111,7 +112,7 @@ func TestDispatchRecycleEveryTerminalPath(t *testing.T) {
 				calls := make([]int, 2*tc.n)
 				statuses := map[int]int{}
 				send := func(st *ServiceState, i int) {
-					req := &l7.Request{Tenant: st.Tenant, SourcePod: st.Tenant + "-pod", Method: "GET", Path: "/" + st.Tenant, BodyBytes: 1024, NewConnection: tc.newConn}
+					req := l7.Request{Tenant: st.Tenant, SourcePod: st.Tenant + "-pod", Method: "GET", Path: "/" + st.Tenant, BodyBytes: 1024, NewConnection: tc.newConn}
 					g.Dispatch(st.ID, "az1", flow(uint16(i+1)), req, 1, func(_ time.Duration, status int) {
 						calls[i]++
 						if st == first {

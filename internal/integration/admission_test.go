@@ -69,7 +69,7 @@ func TestFlashCrowdAdmissionEndToEnd(t *testing.T) {
 			flow++
 			at := s.Now()
 			key := cloud.SessionKey{SrcIP: "10.9.0.1", SrcPort: uint16(flow%60000 + 1), DstIP: fmt.Sprint(idx), DstPort: 80, Proto: 6}
-			req := &l7.Request{Tenant: tenant, SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
+			req := l7.Request{Tenant: tenant, SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
 			g.Dispatch(svcs[idx].ID, "az1", key, req, 1, func(lat time.Duration, status int) {
 				statuses[tenant][status]++
 				if idx > 0 && status == l7.StatusOK {

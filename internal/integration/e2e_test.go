@@ -209,7 +209,7 @@ func TestCloudLifecycleEndToEnd(t *testing.T) {
 		workload.OpenLoop(s, rate, 10*time.Millisecond, end, func() {
 			i++
 			flow := cloud.SessionKey{SrcIP: "10.0.0.3", SrcPort: uint16(i%60000 + 1), DstIP: "10.1.0.1", DstPort: 80, Proto: 6}
-			g.Dispatch(svc.ID, "az1", flow, &l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, func(_ time.Duration, status int) {
+			g.Dispatch(svc.ID, "az1", flow, l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, func(_ time.Duration, status int) {
 				statuses[status]++
 			})
 		})
@@ -312,12 +312,12 @@ func TestMultiTenantIsolationEndToEnd(t *testing.T) {
 	s.At(time.Second, func() {
 		for i := 0; i < 50; i++ {
 			flow := cloud.SessionKey{SrcIP: "9.9.9.9", SrcPort: uint16(i + 1), DstIP: shared.String(), DstPort: 80, Proto: 6}
-			g.Dispatch(good.ID, "az1", flow, &l7.Request{Method: "GET", Path: "/"}, 1, func(_ time.Duration, st int) {
+			g.Dispatch(good.ID, "az1", flow, l7.Request{Method: "GET", Path: "/"}, 1, func(_ time.Duration, st int) {
 				if st == 200 {
 					okGood++
 				}
 			})
-			g.Dispatch(evil.ID, "az1", flow, &l7.Request{Method: "GET", Path: "/"}, 1, func(_ time.Duration, st int) {
+			g.Dispatch(evil.ID, "az1", flow, l7.Request{Method: "GET", Path: "/"}, 1, func(_ time.Duration, st int) {
 				if st == 200 {
 					okEvil++
 				}

@@ -30,11 +30,11 @@ func (m *Direct) UserProcs() []*sim.Processor { return nil }
 func (m *Direct) CloudProcs() []*sim.Processor { return nil }
 
 // Send implements Mesh.
-func (m *Direct) Send(req *l7.Request, done func(time.Duration, int)) {
+func (m *Direct) Send(req l7.Request, done func(time.Duration, int)) {
 	c := &m.Cfg
 	body := req.BodyBytes
 	net := c.Costs.OneWay(m.ClientApp.Place, m.ServerApp.Place)
-	ch := c.newChain(m.Name(), req, done)
+	ch := c.newChain(m.Name(), &req, done)
 	ch.add(
 		step{at: m.ClientApp, cpu: c.Costs.StackPass + c.Costs.CopyCost(body)},
 		step{at: m.ServerApp, lat: net, cpu: c.Costs.StackPass + c.Costs.AppService},
@@ -64,15 +64,15 @@ func (m *Istio) UserProcs() []*sim.Processor {
 func (m *Istio) CloudProcs() []*sim.Processor { return nil }
 
 // Send implements Mesh.
-func (m *Istio) Send(req *l7.Request, done func(time.Duration, int)) {
+func (m *Istio) Send(req l7.Request, done func(time.Duration, int)) {
 	c := &m.Cfg
 	body := req.BodyBytes
-	status := c.route(req)
-	asymCPU, asymLat := c.asymFor(req)
+	status := c.route(&req)
+	asymCPU, asymLat := c.asymFor(&req)
 	l7Cost := c.Costs.L7Cost(body)
-	sym := c.tlsCost(req, body)
+	sym := c.tlsCost(&req, body)
 	net := c.Costs.OneWay(m.ClientSidecar.Place, m.ServerSidecar.Place)
-	ch := c.newChain(m.Name(), req, done)
+	ch := c.newChain(m.Name(), &req, done)
 
 	// App emits; iptables redirect into the client sidecar; L7 routing (and
 	// the mTLS handshake on new connections) happens there.
@@ -120,15 +120,15 @@ func (m *Ambient) UserProcs() []*sim.Processor {
 func (m *Ambient) CloudProcs() []*sim.Processor { return nil }
 
 // Send implements Mesh.
-func (m *Ambient) Send(req *l7.Request, done func(time.Duration, int)) {
+func (m *Ambient) Send(req l7.Request, done func(time.Duration, int)) {
 	c := &m.Cfg
 	body := req.BodyBytes
-	status := c.route(req)
-	asymCPU, asymLat := c.asymFor(req)
+	status := c.route(&req)
+	asymCPU, asymLat := c.asymFor(&req)
 	l7Cost := c.Costs.L7Cost(body)
-	sym := c.tlsCost(req, body)
+	sym := c.tlsCost(&req, body)
 	l4 := c.Costs.L4Process
-	ch := c.newChain(m.Name(), req, done)
+	ch := c.newChain(m.Name(), &req, done)
 
 	toWaypoint := c.Costs.OneWay(m.ClientL4.Place, m.Waypoint.Place)
 	toServer := c.Costs.OneWay(m.Waypoint.Place, m.ServerL4.Place)
@@ -176,17 +176,17 @@ func (m *Canal) UserProcs() []*sim.Processor {
 func (m *Canal) CloudProcs() []*sim.Processor { return []*sim.Processor{m.Gateway.Proc} }
 
 // Send implements Mesh.
-func (m *Canal) Send(req *l7.Request, done func(time.Duration, int)) {
+func (m *Canal) Send(req l7.Request, done func(time.Duration, int)) {
 	c := &m.Cfg
 	body := req.BodyBytes
-	status := c.route(req)
-	asymCPU, asymLat := c.asymFor(req)
+	status := c.route(&req)
+	asymCPU, asymLat := c.asymFor(&req)
 	l7Cost := c.Costs.GatewayL7Cost(body)
-	sym := c.tlsCost(req, body)
+	sym := c.tlsCost(&req, body)
 	// The shared on-node proxy additionally labels traffic per pod for
 	// fine-grained observability (Appendix A).
 	l4 := c.Costs.L4Process + c.Costs.L4Observe
-	ch := c.newChain(m.Name(), req, done)
+	ch := c.newChain(m.Name(), &req, done)
 
 	toGW := c.Costs.OneWay(m.ClientNode.Place, m.Gateway.Place)
 	fromGW := c.Costs.OneWay(m.Gateway.Place, m.ServerNode.Place)

@@ -26,8 +26,10 @@ type Mesh interface {
 	// Name identifies the architecture.
 	Name() string
 	// Send simulates one request; done fires at the virtual completion
-	// time with the end-to-end latency and the HTTP status.
-	Send(req *l7.Request, done func(lat time.Duration, status int))
+	// time with the end-to-end latency and the HTTP status. The request is
+	// taken by value and read only while Send runs, so a caller's
+	// per-request value stays on its stack.
+	Send(req l7.Request, done func(lat time.Duration, status int))
 	// UserProcs returns the processors that consume user-purchased
 	// resources (sidecars, node proxies, waypoints — NOT the cloud-side
 	// gateway).

@@ -23,8 +23,8 @@ func newCfg(t *testing.T, s *sim.Sim) Config {
 	return Config{Sim: s, Costs: netmodel.Default(), Engine: engine, EBPFRedirect: true}
 }
 
-func webReq(body int) *l7.Request {
-	return &l7.Request{Tenant: "t1", Service: "web", SourceService: "client", Method: "GET", Path: "/", BodyBytes: body}
+func webReq(body int) l7.Request {
+	return l7.Request{Tenant: "t1", Service: "web", SourceService: "client", Method: "GET", Path: "/", BodyBytes: body}
 }
 
 // lightLatency measures mean latency at 1 RPS (no queueing) for an arch.

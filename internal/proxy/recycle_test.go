@@ -70,7 +70,7 @@ func TestChainRecycle(t *testing.T) {
 			send := func(tenant, service string) {
 				i := len(calls)
 				calls = append(calls, 0)
-				req := &l7.Request{Tenant: tenant, Service: service, SourceService: "client", Method: "GET", Path: "/" + tenant, BodyBytes: 1024}
+				req := l7.Request{Tenant: tenant, Service: service, SourceService: "client", Method: "GET", Path: "/" + tenant, BodyBytes: 1024}
 				mesh.Send(req, func(_ time.Duration, status int) {
 					calls[i]++
 					finished++

@@ -218,7 +218,7 @@ func TestHandleAlertEndToEnd(t *testing.T) {
 	// Ramp the hot service onto its first backend via dispatch.
 	workload.OpenLoop(s, workload.Ramp(100, 3000, 5*time.Second, 20*time.Second), 50*time.Millisecond, 40*time.Second, func() {
 		g.Dispatch(hot.ID, overloaded.AZ, cloud.SessionKey{SrcIP: "c", SrcPort: uint16(s.Now() / time.Millisecond), DstIP: "d", DstPort: 80, Proto: 6},
-			&l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, func(time.Duration, int) {})
+			l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, func(time.Duration, int) {})
 	})
 
 	p := NewPlanner(s, g, region)

@@ -418,7 +418,7 @@ func (svc *Service) Drive(p TrafficPattern) *TrafficStats {
 			SrcIP: "10.0.0.2", SrcPort: uint16(i%60000 + 1),
 			DstIP: st.Addr.String(), DstPort: 80, Proto: 6,
 		}
-		req := &Request{Method: "GET", Path: "/", BodyBytes: 1024}
+		req := Request{Method: "GET", Path: "/", BodyBytes: 1024}
 		if svc.fed != nil {
 			sc.fed.Dispatch(from.name, svc.fed, fromAZ, flow, req, 1, nil, record)
 			return

@@ -93,6 +93,10 @@ go test -run '^$' -fuzz FuzzConfigSnapshots -fuzztime 5s ./internal/configpush
 # SHA-256 (every experiment through the parallel runner) skips under -race
 # too, for time, and runs beside it.
 go test -run 'TestHotPathAllocs|TestSuiteRenderedSHA' ./internal/bench
+# The digest once more at GOMAXPROCS=1 (-cpu 1): the runner and every
+# ForEachPoint sweep inside an experiment then run serially, so the same
+# bytes are checked from a serial pass as well as from the parallel one.
+go test -cpu 1 -run TestSuiteRenderedSHA ./internal/bench
 # The policy table's heap bytes per installed intention skips under -race
 # too (instrumentation inflates the heap), and so does the gate that a
 # config-push flush allocates the same at 10^3 and 10^5 intentions.
