@@ -13,10 +13,12 @@ import (
 var docPathToken = regexp.MustCompile(`\b(?:[A-Za-z0-9][A-Za-z0-9_./-]*\.go|(?:internal|cmd|examples)(?:/[A-Za-z0-9_-]+)+)\b`)
 
 // TestDocsNameExistingPaths keeps the current-state documents honest: every
-// package directory and Go file PAPER.md, DESIGN.md, README.md and
-// EXPERIMENTS.md name must exist. A path with a slash is resolved from the
-// module root; a bare file name must exist somewhere in the module. ROADMAP
-// and CHANGES are history and may name what is gone.
+// package directory and Go file PAPER.md, DESIGN.md, README.md,
+// EXPERIMENTS.md and the verify run-book (.claude/skills/verify/SKILL.md,
+// whose commands are copied as written) name must exist. A path with a
+// slash is resolved from the module root; a bare file name must exist
+// somewhere in the module. ROADMAP and CHANGES are history and may name
+// what is gone.
 func TestDocsNameExistingPaths(t *testing.T) {
 	goFiles := map[string]bool{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -34,7 +36,7 @@ func TestDocsNameExistingPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, doc := range []string{"PAPER.md", "DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+	for _, doc := range []string{"PAPER.md", "DESIGN.md", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

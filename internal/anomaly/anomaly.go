@@ -1,9 +1,7 @@
 // Package anomaly implements the multi-indicator monitoring and rapid
 // intervention machinery of §4.2 and §6.2: backend-, service- and
 // tenant-level alert classification (scale vs lossy/lossless sandbox
-// migration vs throttling), plus the traffic-pattern monitoring of §6.3
-// that detects phase-synchronized services sharing a backend and plans
-// their scattering onto complementary backends using HWHM sampling.
+// migration vs throttling).
 package anomaly
 
 import (

@@ -46,7 +46,9 @@ func TestConfigChurnByteDeterminism(t *testing.T) {
 // TestConfigChurnDeltaReductionAtRegionScale is the acceptance check: at
 // 1000+ nodes under rolling-deploy churn, delta pushes must cut southbound
 // bytes by at least 5x versus the full-push baseline for every
-// architecture, with convergence fully settled after drain.
+// architecture, with convergence fully settled after drain. It also pins
+// the report byte for byte against the checked-in BENCH_configpush.json,
+// and regenerates it under CANAL_UPDATE_BENCH=1.
 func TestConfigChurnDeltaReductionAtRegionScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("region-scale run skipped in -short mode")
@@ -81,4 +83,9 @@ func TestConfigChurnDeltaReductionAtRegionScale(t *testing.T) {
 			t.Errorf("%s/delta: resync bytes = %d, want 0 (static subscriber set)", row.Arch, row.ResyncBytes)
 		}
 	}
+	js, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinReport(t, "BENCH_configpush.json", js)
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -8,6 +9,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"canalmesh/internal/proxy"
 )
 
 // Every table and figure the repo regenerates must be bit-for-bit
@@ -22,13 +25,17 @@ func TestFlashCrowdDeterministic(t *testing.T) {
 	a := AdmissionFlashCrowd(context.Background()).String()
 	b := AdmissionFlashCrowd(context.Background()).String()
 	if a != b {
-		t.Fatalf("canalsim flash-crowd output differs between identically-seeded runs:\nrun 1:\n%s\nrun 2:\n%s", a, b)
+		t.Fatalf("admission flash-crowd output differs between identically-seeded runs:\nrun 1:\n%s\nrun 2:\n%s", a, b)
 	}
 }
 
+// TestTraceExperimentDeterministic runs the per-hop breakdown of every
+// architecture twice and pins its JSON report byte for byte against the
+// checked-in BENCH_trace.json, which it regenerates under
+// CANAL_UPDATE_BENCH=1.
 func TestTraceExperimentDeterministic(t *testing.T) {
-	run := func() (string, string) {
-		rep, err := TraceExperiment([]string{"canal", "istio"}, 120, 7)
+	run := func() (string, []byte) {
+		rep, err := TraceExperiment(proxy.Architectures(), 200, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,19 +43,20 @@ func TestTraceExperimentDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.String(), string(js)
+		return rep.String(), js
 	}
 	s1, j1 := run()
 	s2, j2 := run()
 	if s1 != s2 {
 		t.Fatalf("trace breakdown tables differ between identically-seeded runs:\nrun 1:\n%s\nrun 2:\n%s", s1, s2)
 	}
-	if j1 != j2 {
+	if !bytes.Equal(j1, j2) {
 		t.Fatal("trace JSON reports differ between identically-seeded runs: span IDs or timestamps are not seed-deterministic")
 	}
-	if !strings.Contains(j1, `"hops"`) || !strings.Contains(s1, "TOTAL") {
+	if !bytes.Contains(j1, []byte(`"hops"`)) || !strings.Contains(s1, "TOTAL") {
 		t.Error("report looks empty")
 	}
+	pinReport(t, "BENCH_trace.json", j1)
 }
 
 func TestNoisyNeighborDeterministic(t *testing.T) {

@@ -33,10 +33,6 @@ type FederationSpec struct {
 	BackendsPerRegion  int
 	ReplicasPerBackend int
 
-	Heartbeat time.Duration // peering keepalive / export refresh
-	FailAfter int           // missed heartbeats before a peering is Down
-	SpillGate float64       // local-health spillover threshold
-
 	LoadInterval       time.Duration // per-region request spacing
 	LoadStart, LoadEnd time.Duration // offered-load window
 
@@ -57,9 +53,6 @@ func DefaultFederationSpec() FederationSpec {
 		Regions:            3,
 		BackendsPerRegion:  4,
 		ReplicasPerBackend: 2,
-		Heartbeat:          time.Second,
-		FailAfter:          3,
-		SpillGate:          0.5,
 		LoadInterval:       50 * time.Millisecond,
 		LoadStart:          2 * time.Second,
 		LoadEnd:            32 * time.Second,
@@ -170,13 +163,7 @@ type fedHarness struct {
 func buildFed(spec FederationSpec, regions int, peer bool) (*fedHarness, error) {
 	s := sim.New(spec.Seed)
 	tracer := trace.New(trace.Config{Seed: spec.Seed, Clock: s.Now})
-	m := federation.New(federation.Config{
-		Sim:       s,
-		Heartbeat: spec.Heartbeat,
-		FailAfter: spec.FailAfter,
-		SpillGate: spec.SpillGate,
-		Tracer:    tracer,
-	})
+	m := federation.New(federation.Config{Sim: s, Tracer: tracer})
 	for i := 0; i < regions; i++ {
 		name := fmt.Sprintf("region-%d", i+1)
 		cr := cloud.NewRegion(s, name, "az1", "az2")
@@ -417,8 +404,8 @@ func runFedSplit(spec FederationSpec) (*FedSplitReport, error) {
 	st := h.mesh.Region("region-1").Stats()
 	d := p.DistributorTo("region-2")
 	rep := &FedSplitReport{
-		HeartbeatSec:      spec.Heartbeat.Seconds(),
-		FailAfter:         spec.FailAfter,
+		HeartbeatSec:      federation.Heartbeat.Seconds(),
+		FailAfter:         federation.FailAfter,
 		Seed:              spec.Seed,
 		PartitionSec:      spec.PartitionAt.Seconds(),
 		DetectedSec:       detectedAt.Seconds(),
@@ -446,7 +433,7 @@ func runFedSplit(spec FederationSpec) (*FedSplitReport, error) {
 func FedSplitResult(ctx context.Context, spec FederationSpec) (*Table, *FedSplitReport) {
 	t := &Table{
 		ID:      "fed-split",
-		Title:   fmt.Sprintf("Partitioned region: split-brain window and resync (heartbeat %v, fail-after %d)", spec.Heartbeat, spec.FailAfter),
+		Title:   fmt.Sprintf("Partitioned region: split-brain window and resync (heartbeat %v, fail-after %d)", federation.Heartbeat, federation.FailAfter),
 		Headers: []string{"Phase", "Window (s)", "Requests", "Outcome"},
 	}
 	if ctx.Err() != nil {
@@ -469,7 +456,7 @@ func FedSplitResult(ctx context.Context, spec FederationSpec) (*Table, *FedSplit
 }
 
 // FederationResult runs both federation experiments and bundles the reports
-// (the payload behind BENCH_federation.json and `canalsim federation`).
+// (the payload behind BENCH_federation.json).
 func FederationResult(ctx context.Context, spec FederationSpec) (*Table, *Table, *FederationReport) {
 	evacT, evacR := FedEvacResult(ctx, spec)
 	splitT, splitR := FedSplitResult(ctx, spec)

@@ -3,18 +3,11 @@ package bench
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
-)
 
-// federationBaselineFile is the checked-in federation report; regenerate with
-//
-//	CANAL_UPDATE_BENCH=1 go test -run TestFederationBaseline ./internal/bench
-//
-// (or `go run ./cmd/canalsim federation -json BENCH_federation.json`).
-const federationBaselineFile = "BENCH_federation.json"
+	"canalmesh/internal/federation"
+)
 
 // TestFederationByteDeterminism runs both federation experiments twice and
 // demands byte-identical rendered tables and JSON: the whole timeline is
@@ -38,32 +31,16 @@ func TestFederationByteDeterminism(t *testing.T) {
 	}
 }
 
-// TestFederationBaseline pins the full report byte-for-byte against the
-// checked-in BENCH_federation.json. Every field is derived from virtual time
-// and seeded draws, so any drift is a behavior change that must be reviewed
-// (then regenerated with CANAL_UPDATE_BENCH=1).
+// TestFederationBaseline pins the full report byte for byte against the
+// checked-in BENCH_federation.json, and regenerates it under
+// CANAL_UPDATE_BENCH=1.
 func TestFederationBaseline(t *testing.T) {
 	_, _, rep := FederationResult(context.Background(), DefaultFederationSpec())
 	js, err := rep.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("..", "..", federationBaselineFile)
-	if os.Getenv("CANAL_UPDATE_BENCH") != "" {
-		if err := os.WriteFile(path, js, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", federationBaselineFile)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing %s (regenerate with CANAL_UPDATE_BENCH=1): %v", federationBaselineFile, err)
-	}
-	if !bytes.Equal(want, js) {
-		t.Errorf("federation report drifted from %s; regenerate with CANAL_UPDATE_BENCH=1 and review:\n%s",
-			federationBaselineFile, js)
-	}
+	pinReport(t, "BENCH_federation.json", js)
 }
 
 // TestFedEvacSpilloverRecovers is the evacuation acceptance check: WAN
@@ -126,9 +103,9 @@ func TestFedSplitTimeline(t *testing.T) {
 	if rep == nil {
 		t.Fatal("nil split report")
 	}
-	window := time.Duration(spec.FailAfter) * spec.Heartbeat
-	if got := rep.DetectedSec - rep.PartitionSec; got <= 0 || got > window.Seconds()+spec.Heartbeat.Seconds() {
-		t.Errorf("detection %.1fs after the cut, want within (%v, %v]", got, 0*time.Second, window+spec.Heartbeat)
+	window := federation.FailAfter * federation.Heartbeat
+	if got := rep.DetectedSec - rep.PartitionSec; got <= 0 || got > window.Seconds()+federation.Heartbeat.Seconds() {
+		t.Errorf("detection %.1fs after the cut, want within (%v, %v]", got, 0*time.Second, window+federation.Heartbeat)
 	}
 	if rep.SpillLost == 0 {
 		t.Error("no blackholed requests in the split-brain window")

@@ -306,7 +306,7 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	got := measureHotPathAllocs(t)
 	path := filepath.Join("..", "..", hotPathBaselineFile)
-	if os.Getenv("CANAL_UPDATE_BENCH") != "" {
+	if updateReports() {
 		out, err := json.MarshalIndent(hotPathBaseline{
 			Note:        "allocs/op baseline for //canal:hotpath operations; regenerate with CANAL_UPDATE_BENCH=1 go test -run TestHotPathAllocs ./internal/bench",
 			AllocsPerOp: got,

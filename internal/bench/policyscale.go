@@ -42,8 +42,9 @@ type PolicyScaleSpec struct {
 	// count the O(N) baseline is extrapolated, not run.
 	BaselineCap int
 	// Timing enables the wall-clock measurements. The registered experiment
-	// runs with Timing off so its output stays byte-deterministic; the
-	// canalsim policy-scale CLI turns it on for the JSON report.
+	// runs with Timing off so its output stays byte-deterministic;
+	// BENCH_policy.json is regenerated with it on, by
+	// `CANAL_UPDATE_BENCH=1 go test -run '^TestPolicyScaleDeterministic$' ./internal/bench`.
 	Timing bool
 	// ChurnMutations and Debounce shape the policy-push convergence section
 	// (simulated, virtual-time, deterministic).

@@ -4,25 +4,19 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"canalmesh/internal/policy"
 )
 
-// policyBaselineFile is the checked-in policy-scale report; regenerate with
-//
-//	go run ./cmd/canalsim policy-scale -json BENCH_policy.json
+// policyBaselineFile is the checked-in policy-scale report; it regenerates
+// through TestPolicyScaleDeterministic.
 const policyBaselineFile = "BENCH_policy.json"
 
 func loadPolicyBaseline(t *testing.T) *PolicyScaleReport {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("..", "..", policyBaselineFile))
-	if err != nil {
-		t.Fatalf("missing %s (regenerate with canalsim policy-scale -json): %v", policyBaselineFile, err)
-	}
+	data := readReport(t, policyBaselineFile)
 	var rep PolicyScaleReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("corrupt %s: %v", policyBaselineFile, err)
@@ -36,9 +30,16 @@ func loadPolicyBaseline(t *testing.T) *PolicyScaleReport {
 // on any machine must produce byte-identical dispatch tables (fingerprints,
 // bucket shapes, candidate distributions) and an identical virtual-time
 // convergence outcome.
+//
+// Under CANAL_UPDATE_BENCH=1 it instead runs the full timed sweep, 10^3 to
+// 10^6 rules, and rewrites BENCH_policy.json, wall-clock columns included.
 func TestPolicyScaleDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("recompiles up to 10^4 rules")
+	}
+	if updateReports() {
+		regeneratePolicyBaseline(t)
+		return
 	}
 	base := loadPolicyBaseline(t)
 	spec := DefaultPolicyScaleSpec()
@@ -79,6 +80,25 @@ func TestPolicyScaleDeterministic(t *testing.T) {
 				got.Mode, policyBaselineFile, got, base.Churn[j])
 		}
 	}
+}
+
+// regeneratePolicyBaseline runs the full timed sweep and rewrites
+// BENCH_policy.json. TestPolicyScaleFlat reads its wall-clock columns, so
+// the sweep refuses to run under the race detector's instrumentation.
+func regeneratePolicyBaseline(t *testing.T) {
+	if raceEnabled {
+		t.Fatalf("regenerate %s without -race: instrumentation distorts its timings", policyBaselineFile)
+	}
+	spec := DefaultPolicyScaleSpec()
+	tab, rep := PolicyScaleResult(context.Background(), spec)
+	if len(rep.Rows) != len(spec.Scales) || len(rep.Churn) != 2 {
+		t.Fatalf("sweep incomplete, %s not written:\n%s", policyBaselineFile, tab)
+	}
+	js, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeReport(t, policyBaselineFile, js)
 }
 
 // TestPolicyScaleFlat pins the headline scaling claims on the checked-in

@@ -30,15 +30,17 @@ import (
 	"canalmesh/internal/trace"
 )
 
+const (
+	// Heartbeat is the peering keepalive and export-refresh interval.
+	Heartbeat = time.Second
+	// FailAfter is how many consecutive missed heartbeats disconnect a
+	// peering.
+	FailAfter = 3
+)
+
 // Config parameterizes a Mesh. Zero values take the documented defaults.
 type Config struct {
 	Sim *sim.Sim
-	// Heartbeat is the peering keepalive and export-refresh interval
-	// (default 1s).
-	Heartbeat time.Duration
-	// FailAfter is how many consecutive missed heartbeats disconnect a
-	// peering (default 3).
-	FailAfter int
 	// Retain is the export stream's snapshot retention window: a peer
 	// reconnecting within it gets one combined catch-up delta, beyond it a
 	// full resync (default 8).
@@ -74,12 +76,6 @@ type Mesh struct {
 func New(cfg Config) *Mesh {
 	if cfg.Sim == nil {
 		panic("federation: Config.Sim is required")
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = time.Second
-	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 3
 	}
 	if cfg.Retain <= 0 {
 		cfg.Retain = 8
@@ -284,7 +280,7 @@ func (m *Mesh) Start(stop func() bool) {
 		return
 	}
 	m.ticking = true
-	m.cfg.Sim.Every(m.cfg.Heartbeat, func() bool {
+	m.cfg.Sim.Every(Heartbeat, func() bool {
 		if stop() {
 			m.ticking = false
 			return false

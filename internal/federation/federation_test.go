@@ -76,7 +76,7 @@ func (tm *testMesh) dispatchAt(from string, at time.Duration, seq int, tr *trace
 }
 
 func TestPeeringEstablishes(t *testing.T) {
-	tm := newTestMesh(t, Config{Heartbeat: time.Second}, 2)
+	tm := newTestMesh(t, Config{}, 2)
 	tm.start(5 * time.Second)
 	tm.s.RunUntil(5 * time.Second)
 	tm.s.Run()
@@ -107,7 +107,7 @@ func TestPeeringEstablishes(t *testing.T) {
 }
 
 func TestSteadyStateCostsNoBytes(t *testing.T) {
-	tm := newTestMesh(t, Config{Heartbeat: time.Second}, 2)
+	tm := newTestMesh(t, Config{}, 2)
 	tm.start(30 * time.Second)
 	tm.s.RunUntil(30 * time.Second)
 	tm.s.Run()
@@ -122,7 +122,7 @@ func TestSteadyStateCostsNoBytes(t *testing.T) {
 }
 
 func TestLocalityPreferred(t *testing.T) {
-	tm := newTestMesh(t, Config{Heartbeat: time.Second}, 2)
+	tm := newTestMesh(t, Config{}, 2)
 	tm.start(10 * time.Second)
 	counts := map[int]int{}
 	for i := 0; i < 50; i++ {
@@ -141,7 +141,7 @@ func TestLocalityPreferred(t *testing.T) {
 }
 
 func TestSpilloverOnRegionEvacuation(t *testing.T) {
-	tm := newTestMesh(t, Config{Heartbeat: time.Second}, 2)
+	tm := newTestMesh(t, Config{}, 2)
 	tm.start(20 * time.Second)
 	tm.s.At(5*time.Second, func() { tm.mesh.Region("region-1").Cloud().FailRegion() })
 	counts := map[int]int{}
@@ -175,7 +175,7 @@ func TestSpilloverOnRegionEvacuation(t *testing.T) {
 }
 
 func TestPartialFailureSpillsFraction(t *testing.T) {
-	tm := newTestMesh(t, Config{Heartbeat: time.Second, SpillGate: 0.75}, 2)
+	tm := newTestMesh(t, Config{SpillGate: 0.75}, 2)
 	tm.start(20 * time.Second)
 	// Kill az1 (half the replicas): health 0.5 < gate 0.75, so the excess
 	// share 1 - 0.5/0.75 = 1/3 of requests should spill.
@@ -200,7 +200,7 @@ func TestSpilloverTraceAttributesWAN(t *testing.T) {
 	s := sim.New(7)
 	tracer := trace.New(trace.Config{Seed: 7, Clock: s.Now})
 	tm := &testMesh{s: s}
-	cfg := Config{Sim: s, Heartbeat: time.Second, Tracer: tracer}
+	cfg := Config{Sim: s, Tracer: tracer}
 	m := New(cfg)
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("region-%d", i+1)
@@ -288,7 +288,7 @@ func TestSpilloverTraceAttributesWAN(t *testing.T) {
 }
 
 func TestSplitBrainWindowAndDetection(t *testing.T) {
-	tm := newTestMesh(t, Config{Heartbeat: time.Second, FailAfter: 3}, 2)
+	tm := newTestMesh(t, Config{}, 2)
 	tm.start(30 * time.Second)
 	// Evacuate region-1 so its traffic wants to spill, then cut the link.
 	tm.s.At(3*time.Second, func() { tm.mesh.Region("region-1").Cloud().FailRegion() })
@@ -331,7 +331,7 @@ func TestSplitBrainWindowAndDetection(t *testing.T) {
 }
 
 func TestDispatchUnknownRegion(t *testing.T) {
-	tm := newTestMesh(t, Config{Heartbeat: time.Second}, 2)
+	tm := newTestMesh(t, Config{}, 2)
 	called := 0
 	tm.mesh.Dispatch("nope", tm.svc, "az1", cloud.SessionKey{}, l7.Request{Method: "GET", Path: "/"}, 1, nil,
 		func(_ time.Duration, status int) {

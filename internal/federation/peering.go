@@ -121,7 +121,7 @@ func (p *Peering) tick() {
 	p.ab.refresh()
 	p.ba.refresh()
 	if p.partitioned {
-		timeout := time.Duration(p.mesh.cfg.FailAfter) * p.mesh.cfg.Heartbeat
+		timeout := FailAfter * Heartbeat
 		if p.state != StateDown && now-p.lastContact >= timeout {
 			p.down()
 		}

@@ -15,7 +15,7 @@ import (
 // both directions acked) and returns it with the heartbeat horizon set.
 func runEstablished(t *testing.T, retain int, horizon time.Duration) *testMesh {
 	t.Helper()
-	tm := newTestMesh(t, Config{Heartbeat: time.Second, FailAfter: 3, Retain: retain}, 2)
+	tm := newTestMesh(t, Config{Retain: retain}, 2)
 	tm.start(horizon)
 	tm.s.RunUntil(5 * time.Second)
 	p := tm.mesh.Peering("region-1", "region-2")

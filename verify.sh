@@ -103,31 +103,6 @@ go test -cpu 1 -run TestSuiteRenderedSHA ./internal/bench
 go test -run TestPolicyBytesPerRule ./internal/policy
 go test -run TestPolicyFlushAllocsFlat ./internal/configpush
 
-# Smoke the tracing pipeline end to end: the per-hop breakdown tables must
-# render and the JSON report must export.
-go run ./cmd/canalsim trace -arch canal -arch istio -requests 50 -json /tmp/canal-trace-breakdown.json >/dev/null
-test -s /tmp/canal-trace-breakdown.json
-
-# Smoke the config-churn scenario end to end at a reduced scale: the
-# delta-vs-full comparison table must render and the JSON report must
-# export with all six (architecture, mode) rows.
-go run ./cmd/canalsim config-churn -nodes 60 -services 10 -pods 6 -rolling 3 -window 30s \
-    -json /tmp/canal-configpush.json >/dev/null
-test -s /tmp/canal-configpush.json
-
-# Smoke the policy-scale sweep end to end at a reduced scale: the dispatch
-# table must render with stable fingerprints and the JSON report must
-# export with the churn section.
-go run ./cmd/canalsim policy-scale -max-rules 10000 -json /tmp/canal-policy.json >/dev/null
-test -s /tmp/canal-policy.json
-
-# Smoke the multi-region federation experiments end to end at a reduced
-# scale: the evacuation and split-brain tables must render and the JSON
-# report must export with both sections.
-go run ./cmd/canalsim federation -regions 2 -backends 3 \
-    -json /tmp/canal-federation.json >/dev/null
-test -s /tmp/canal-federation.json
-
 # Parallel-vs-serial equivalence smoke: the benchmark runner must emit
 # byte-identical stdout regardless of the parallelism level (timing and
 # diagnostics go to stderr), and the timing report must export. A fast
