@@ -69,14 +69,6 @@ func NewQueue(cfg Config, metrics *Metrics) *Queue {
 // Len implements sim.QueueDiscipline.
 func (q *Queue) Len() int { return q.size }
 
-// TenantDepth returns the named tenant's current queue depth.
-func (q *Queue) TenantDepth(tenant string) int {
-	if tq, ok := q.byName[q.key(tenant)]; ok {
-		return tq.len()
-	}
-	return 0
-}
-
 func (q *Queue) key(tenant string) string {
 	if tenant == "" {
 		return "default"

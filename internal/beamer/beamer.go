@@ -39,9 +39,6 @@ type Replica struct {
 	flows    map[cloud.SessionKey]bool
 }
 
-// Draining reports whether the replica is being taken out of service.
-func (r *Replica) Draining() bool { return r.draining }
-
 // Flows returns the number of flow records the replica holds.
 func (r *Replica) Flows() int { return len(r.flows) }
 

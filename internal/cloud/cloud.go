@@ -103,9 +103,6 @@ func (az *AZ) NewVM(spec VMSpec) (*VM, error) {
 	return vm, nil
 }
 
-// AZOf returns the zone the VM runs in.
-func (vm *VM) AZOf() *AZ { return vm.az }
-
 // Fail marks the VM as failed (power loss, crash). Failed VMs drop all
 // sessions.
 func (vm *VM) Fail() {
@@ -150,25 +147,6 @@ func (r *Region) RecoverRegion() {
 	for _, az := range r.AZs {
 		az.RecoverAZ()
 	}
-}
-
-// AliveFraction returns the fraction of the region's VMs currently alive
-// (1 for an empty region, so a region with no provisioned capacity does not
-// read as failed).
-func (r *Region) AliveFraction() float64 {
-	total, alive := 0, 0
-	for _, az := range r.AZs {
-		for _, vm := range az.vms {
-			total++
-			if !vm.Failed() {
-				alive++
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(alive) / float64(total)
 }
 
 // Tenant is a cloud customer owning one VPC. VPC address spaces are private

@@ -181,9 +181,6 @@ func Diff(from, to *Snapshot) *Delta {
 	return d
 }
 
-// Empty reports whether the delta carries no changes at all.
-func (d *Delta) Empty() bool { return len(d.Changed) == 0 && len(d.Removed) == 0 }
-
 // Store retains the most recent snapshots so deltas can be served from any
 // still-retained version. Subscribers acked before the retention window
 // must full-resync — exactly the fallback real delta protocols take when a

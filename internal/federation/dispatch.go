@@ -211,16 +211,6 @@ func (r *Region) spill(p *Peering, svc *Service, clientAZ string, flow cloud.Ses
 	})
 }
 
-// ServiceHealth exposes the local health signal for the named region and
-// service — what the spill gate reads.
-func (m *Mesh) ServiceHealth(region string, svc *Service) float64 {
-	r := m.byName[region]
-	if r == nil || svc == nil {
-		return 0
-	}
-	return r.serviceHealth(svc.ids[region])
-}
-
 // ImportedEndpoints returns how many endpoints of the service the named
 // region's import view currently advertises from the named peer.
 func (m *Mesh) ImportedEndpoints(region, peer string, svc *Service) int {

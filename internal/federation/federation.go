@@ -261,9 +261,6 @@ func (m *Mesh) Peering(a, b string) *Peering {
 	return nil
 }
 
-// Peerings returns every peering, sorted by region-name pair.
-func (m *Mesh) Peerings() []*Peering { return m.peerings }
-
 // Start establishes every peering (the initial full sync of each export
 // stream goes on the WAN now) and runs the heartbeat loop until stop
 // returns true. Call after regions, services, and peerings are set up.

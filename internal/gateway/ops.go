@@ -143,8 +143,8 @@ func (g *Gateway) RollingUpgrade(total, perReplica time.Duration, done func()) e
 }
 
 // MoveService transparently migrates a service's configuration from one
-// regular backend to another — the scatter operation used when in-phase
-// services share a backend (§6.3). New traffic resolves to the target
+// regular backend to another (the service-migration event of the cloud
+// infrastructure experiment). New traffic resolves to the target
 // immediately.
 func (g *Gateway) MoveService(id uint64, from, to *Backend) error {
 	s, ok := g.services[id]
@@ -166,12 +166,5 @@ func (g *Gateway) MoveService(id uint64, from, to *Backend) error {
 func (g *Gateway) FailBackend(b *Backend) {
 	for _, r := range b.Replicas {
 		r.VM.Fail()
-	}
-}
-
-// RecoverBackend recovers every replica VM of a backend.
-func (g *Gateway) RecoverBackend(b *Backend) {
-	for _, r := range b.Replicas {
-		r.VM.Recover()
 	}
 }

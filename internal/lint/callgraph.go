@@ -33,7 +33,7 @@ import (
 // declarations under fresh objects (see typecheck.go), and string keys
 // unify them. All node and edge orderings are deterministic (sorted keys,
 // source-order edges), so every traversal — and therefore every diagnostic
-// and every -callgraph dump — is byte-stable across runs.
+// — is byte-stable across runs.
 
 // FactKind classifies a primitive behavior observed in a function body.
 type FactKind int
@@ -54,29 +54,9 @@ const (
 	FactGlobalRand
 )
 
-// String names the kind for dumps.
-func (k FactKind) String() string {
-	switch k {
-	case FactAlloc:
-		return "alloc"
-	case FactLock:
-		return "lock"
-	case FactChan:
-		return "chan"
-	case FactBanned:
-		return "banned"
-	case FactWallClock:
-		return "wallclock"
-	case FactGlobalRand:
-		return "globalrand"
-	}
-	return "?"
-}
-
 // Fact is one primitive behavior at one position.
 type Fact struct {
 	Kind     FactKind
-	Pos      token.Pos
 	Position token.Position
 	// What is the human-readable description ("append may grow its backing
 	// array", "calls fmt.Sprintf", "time.Now reads the wall clock", ...).
@@ -88,9 +68,7 @@ type Fact struct {
 
 // CallEdge is one resolved call or function-value reference.
 type CallEdge struct {
-	Callee   string // key of the callee node (may be absent from the graph)
-	Pos      token.Pos
-	Position token.Position
+	Callee string // key of the callee node (may be absent from the graph)
 	// Iface marks an edge resolved by CHA over an interface method call.
 	Iface bool
 	// Ref marks a function/method value referenced outside call position.
@@ -99,14 +77,12 @@ type CallEdge struct {
 
 // FuncNode is one named function or method of the module.
 type FuncNode struct {
-	Key      string
-	Dir      string // module-relative package directory
-	Test     bool   // declared in a _test.go file
-	Hot      bool   // annotated //canal:hotpath
-	Pos      token.Pos
-	Position token.Position
-	Calls    []CallEdge
-	Facts    []Fact
+	Key   string
+	Dir   string // module-relative package directory
+	Test  bool   // declared in a _test.go file
+	Hot   bool   // annotated //canal:hotpath
+	Calls []CallEdge
+	Facts []Fact
 }
 
 // CallGraph is the module's interprocedural index.
@@ -118,24 +94,6 @@ type CallGraph struct {
 
 // Keys returns the node keys in sorted order.
 func (g *CallGraph) Keys() []string { return g.keys }
-
-// Lookup finds a node by exact key, or by unique suffix match (so the CLI
-// accepts "(*Engine).Route" or just "Route").
-func (g *CallGraph) Lookup(name string) *FuncNode {
-	if n, ok := g.Nodes[name]; ok {
-		return n
-	}
-	var found *FuncNode
-	for _, k := range g.keys {
-		if strings.HasSuffix(k, "."+name) || strings.HasSuffix(k, ")."+strings.TrimPrefix(name, "(")) {
-			if found != nil {
-				return nil // ambiguous
-			}
-			found = g.Nodes[k]
-		}
-	}
-	return found
-}
 
 // shortKey strips the module prefix off a node key for messages.
 func (g *CallGraph) shortKey(key string) string {
@@ -186,7 +144,7 @@ func (g *CallGraph) reach(start string) map[string]string {
 }
 
 // Reachable returns the sorted keys of every function reachable from
-// start (excluding start itself), for the -callgraph debug dump.
+// start (excluding start itself): the set hotpath walks from a root.
 func (g *CallGraph) Reachable(start string) []string {
 	seen := g.reach(start)
 	delete(seen, start)
@@ -413,7 +371,7 @@ func (b *gbuilder) addFunc(p *Package, sf SourceFile, fd *ast.FuncDecl) {
 		// Degraded type information: fall back to a syntactic key.
 		key = p.ImportPath() + "." + fd.Name.Name
 	}
-	n := b.node(p, sf, key, fd.Pos())
+	n := b.node(p, sf, key)
 	if isHotpathDoc(fd.Doc) {
 		n.Hot = true
 	}
@@ -431,25 +389,19 @@ func (b *gbuilder) addVarInits(p *Package, sf SourceFile, gd *ast.GenDecl) {
 	}
 	for _, spec := range gd.Specs {
 		for _, v := range spec.(*ast.ValueSpec).Values {
-			(&funcBuilder{b: b, p: p, n: b.node(p, sf, path+".init", v.Pos())}).analyze(v)
+			(&funcBuilder{b: b, p: p, n: b.node(p, sf, path+".init")}).analyze(v)
 		}
 	}
 }
 
-// node returns the graph node for key, creating it at pos on first sight.
+// node returns the graph node for key, creating it on first sight.
 // Several declarations can share a key (every func init of a package, and
 // its var initialisers); the node is a test node only while every one of
 // them sits in a _test.go file.
-func (b *gbuilder) node(p *Package, sf SourceFile, key string, pos token.Pos) *FuncNode {
+func (b *gbuilder) node(p *Package, sf SourceFile, key string) *FuncNode {
 	n := b.g.Nodes[key]
 	if n == nil {
-		n = &FuncNode{
-			Key:      key,
-			Dir:      p.Dir,
-			Test:     sf.Test,
-			Pos:      pos,
-			Position: p.Fset.Position(pos),
-		}
+		n = &FuncNode{Key: key, Dir: p.Dir, Test: sf.Test}
 		b.g.Nodes[key] = n
 	}
 	if !sf.Test {
@@ -468,21 +420,14 @@ type funcBuilder struct {
 func (fb *funcBuilder) fact(kind FactKind, pos token.Pos, what string) *Fact {
 	fb.n.Facts = append(fb.n.Facts, Fact{
 		Kind:     kind,
-		Pos:      pos,
 		Position: fb.p.Fset.Position(pos),
 		What:     what,
 	})
 	return &fb.n.Facts[len(fb.n.Facts)-1]
 }
 
-func (fb *funcBuilder) edge(callee string, pos token.Pos, iface, ref bool) {
-	fb.n.Calls = append(fb.n.Calls, CallEdge{
-		Callee:   callee,
-		Pos:      pos,
-		Position: fb.p.Fset.Position(pos),
-		Iface:    iface,
-		Ref:      ref,
-	})
+func (fb *funcBuilder) edge(callee string, iface, ref bool) {
+	fb.n.Calls = append(fb.n.Calls, CallEdge{Callee: callee, Iface: iface, Ref: ref})
 }
 
 // analyze walks a function body or initialiser expression, collecting
@@ -561,7 +506,7 @@ func (fb *funcBuilder) call(call *ast.CallExpr) {
 				return
 			}
 			if recv := sel.Recv(); recv != nil && types.IsInterface(recv) {
-				fb.ifaceCall(recv, m, call.Lparen, false)
+				fb.ifaceCall(recv, m, false)
 				fb.boxing(call, m)
 				return
 			}
@@ -589,7 +534,7 @@ func (fb *funcBuilder) callee(obj *types.Func, call *ast.CallExpr, ref bool) {
 		fb.fact(FactGlobalRand, call.Pos(), "rand."+obj.Name()+" draws from the global math/rand source").callee = obj
 	}
 	if fb.p.inModule(path) {
-		fb.edge(funcKey(obj), pos, false, ref)
+		fb.edge(funcKey(obj), false, ref)
 	}
 	if !ref {
 		fb.boxing(call, obj)
@@ -598,7 +543,7 @@ func (fb *funcBuilder) callee(obj *types.Func, call *ast.CallExpr, ref bool) {
 
 // ifaceCall fans an interface method call out to every in-module concrete
 // implementation (class-hierarchy analysis).
-func (fb *funcBuilder) ifaceCall(recv types.Type, m *types.Func, pos token.Pos, ref bool) {
+func (fb *funcBuilder) ifaceCall(recv types.Type, m *types.Func, ref bool) {
 	iface, ok := fb.canonicalIface(recv)
 	if !ok {
 		return
@@ -619,7 +564,7 @@ func (fb *funcBuilder) ifaceCall(recv types.Type, m *types.Func, pos token.Pos, 
 		fb.b.ifaceMemo[q] = targets
 	}
 	for _, t := range targets {
-		fb.edge(t, pos, true, ref)
+		fb.edge(t, true, ref)
 	}
 }
 
@@ -670,7 +615,7 @@ func (fb *funcBuilder) funcValueRef(id *ast.Ident, stack []ast.Node) {
 			// Method value: resolve like a call, including CHA fan-out.
 			if s := p.TypesInfo.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
 				if recv := s.Recv(); recv != nil && types.IsInterface(recv) {
-					fb.ifaceCall(recv, obj, id.Pos(), true)
+					fb.ifaceCall(recv, obj, true)
 					return
 				}
 			}
@@ -690,7 +635,7 @@ func (fb *funcBuilder) refEdge(obj *types.Func, pos token.Pos) {
 		fb.fact(FactBanned, pos, "references "+displayFunc(obj))
 	}
 	if fb.p.inModule(path) {
-		fb.edge(funcKey(obj), pos, false, true)
+		fb.edge(funcKey(obj), false, true)
 	}
 }
 

@@ -110,24 +110,6 @@ func TestCallGraphTestUnitEdges(t *testing.T) {
 	}
 }
 
-// TestCallGraphLookup exercises the CLI resolution rules: exact key,
-// unique suffix, and ambiguity.
-func TestCallGraphLookup(t *testing.T) {
-	g := graphOver(t, "callgraph")
-	if n := g.Lookup("cgfix/a.Chime"); n == nil || n.Key != "cgfix/a.Chime" {
-		t.Errorf("exact lookup failed: %+v", n)
-	}
-	if n := g.Lookup("Chime"); n == nil || n.Key != "cgfix/a.Chime" {
-		t.Errorf("suffix lookup failed: %+v", n)
-	}
-	if n := g.Lookup("(Bell).Ring"); n == nil || n.Key != "cgfix/a.(Bell).Ring" {
-		t.Errorf("receiver suffix lookup failed: %+v", n)
-	}
-	if n := g.Lookup("Ring"); n != nil {
-		t.Errorf("ambiguous lookup resolved to %s, want nil", n.Key)
-	}
-}
-
 // TestHotPathFixture runs the hotpath analyzer over its want fixture (a
 // one-package module).
 func TestHotPathFixture(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"io"
 	"sort"
 	"strings"
 )
@@ -67,35 +66,10 @@ const (
 	taintPayload
 )
 
-func (k taintKind) String() string {
-	switch {
-	case k&taintIdentity != 0 && k&taintPayload != 0:
-		return "identity|payload"
-	case k&taintIdentity != 0:
-		return "identity"
-	case k&taintPayload != 0:
-		return "payload"
-	}
-	return "none"
-}
-
 // paramSet is a bitmask over a function's parameter slots: slot 0 is the
 // receiver when there is one, then the declared parameters in order. Slots
 // past 63 are not tracked (no function in this module comes close).
 type paramSet uint64
-
-func (s paramSet) String() string {
-	if s == 0 {
-		return "{}"
-	}
-	var parts []string
-	for i := 0; i < 64; i++ {
-		if s&(1<<i) != 0 {
-			parts = append(parts, fmt.Sprintf("%d", i))
-		}
-	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
 
 // mark is the taint lattice value of one cell: which kinds have reached it,
 // which of the enclosing function's parameters it derives from, and the
@@ -195,9 +169,8 @@ type paramSink struct {
 
 // taintSummary is the memoized interprocedural behavior of one function.
 type taintSummary struct {
-	key       string
-	boundary  bool
-	hasSource bool
+	key      string
+	boundary bool
 	// resultKinds/resultSrc: taint originating inside (sources read by the
 	// function or its callees) that flows to any result.
 	resultKinds  taintKind
@@ -436,7 +409,6 @@ func newTaintWalker(e *TaintEngine, fn *taintFn, sum *taintSummary) *taintWalker
 						m.kinds = k
 						m.src = src
 						m.srcPos = fn.p.Fset.Position(name.Pos())
-						sum.hasSource = true
 					}
 					w.cells[cellKey{obj, ""}] = m
 				}
@@ -678,10 +650,6 @@ func (w *taintWalker) markSelector(sel *ast.SelectorExpr) mark {
 			if !listed {
 				kind = fields[""]
 			}
-			if w.sum != nil && !w.sum.hasSource {
-				w.sum.hasSource = true
-				w.changed = true
-			}
 			// The field's kind replaces the aggregate's; only the
 			// param-dependence carries over.
 			return mark{
@@ -771,10 +739,6 @@ func (w *taintWalker) markCall(call *ast.CallExpr) mark {
 	if key == headerGetKey {
 		pos := w.fn.p.Fset.Position(call.Pos())
 		if len(call.Args) == 1 && constStringIs(p, call.Args[0], tenantHeaderValue) {
-			if w.sum != nil && !w.sum.hasSource {
-				w.sum.hasSource = true
-				w.changed = true
-			}
 			return mark{kinds: taintIdentity, src: "the " + tenantHeaderValue + " header", srcPos: pos}
 		}
 		m := w.argUnion(call)
@@ -1023,44 +987,4 @@ func constStringIs(p *Package, e ast.Expr, s string) bool {
 		return false
 	}
 	return constant.StringVal(tv.Value) == s
-}
-
-// DumpSummary prints one function's taint summary (the -taint CLI debug
-// view): boundary status, sources, result flow, and every sink reachable
-// with caller-supplied taint. Returns false when the name resolves to no
-// unique analyzable function.
-func (e *TaintEngine) DumpSummary(out io.Writer, name string) bool {
-	e.analyze()
-	n := e.g.Lookup(name)
-	if n == nil {
-		return false
-	}
-	fn, ok := e.fns[n.Key]
-	if !ok {
-		return false
-	}
-	sum := e.sums[n.Key]
-	fmt.Fprintf(out, "%s\n", n.Key)
-	fmt.Fprintf(out, "  at      %s\n", n.Position)
-	if fn.boundary != "" {
-		fmt.Fprintf(out, "  boundary %s\n", fn.boundary)
-		return true
-	}
-	if sum == nil {
-		return true
-	}
-	fmt.Fprintf(out, "  source  %v\n", sum.hasSource)
-	fmt.Fprintf(out, "  results kinds=%s params=%s", sum.resultKinds, sum.resultParams)
-	if sum.resultSrc != "" {
-		fmt.Fprintf(out, " src=%q", sum.resultSrc)
-	}
-	fmt.Fprintln(out)
-	for _, ps := range sum.paramSinks {
-		fmt.Fprintf(out, "  sink    %s when params %s carry payload", ps.sink, ps.params)
-		if ps.chain != "" {
-			fmt.Fprintf(out, " (via %s)", ps.chain)
-		}
-		fmt.Fprintln(out)
-	}
-	return true
 }

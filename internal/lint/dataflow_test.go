@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"bytes"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -56,34 +55,6 @@ func TestTaintDeterminism(t *testing.T) {
 	}
 	if a == "" {
 		t.Fatal("determinism check is vacuous: the fixture produced no diagnostics")
-	}
-}
-
-// TestTaintDump exercises the -taint debug view: boundary status, summary
-// facts, and lifted sinks render for a named function.
-func TestTaintDump(t *testing.T) {
-	pkgs := loadTaintModule(t)
-	TypeCheck(pkgs)
-	e := BuildTaint(pkgs, BuildCallGraph(pkgs))
-	var out bytes.Buffer
-	if !e.DumpSummary(&out, "write") {
-		t.Fatal("DumpSummary failed to resolve internal/gateway.write")
-	}
-	s := out.String()
-	for _, want := range []string{"canalmesh/internal/gateway.write", "http.Error response write", "when params"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("dump of write lacks %q:\n%s", want, s)
-		}
-	}
-	out.Reset()
-	if !e.DumpSummary(&out, "respond") {
-		t.Fatal("DumpSummary failed to resolve internal/gateway.respond")
-	}
-	if !strings.Contains(out.String(), "boundary") {
-		t.Errorf("dump of the boundary function lacks its status:\n%s", out.String())
-	}
-	if e.DumpSummary(&out, "no.such.function") {
-		t.Error("DumpSummary resolved a nonexistent function")
 	}
 }
 

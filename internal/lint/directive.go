@@ -16,7 +16,6 @@ const directiveMarker = "//canal:allow"
 // Directive is one parsed, well-formed suppression.
 type Directive struct {
 	Pos      token.Position
-	End      token.Position // one past the comment, for -fix deletion edits
 	Analyzer string
 	Reason   string
 	used     bool
@@ -73,7 +72,6 @@ func ParseDirectives(p *Package) ([]*Directive, []Diagnostic) {
 				}
 				dirs = append(dirs, &Directive{
 					Pos:      p.Fset.Position(c.Pos()),
-					End:      p.Fset.Position(c.End()),
 					Analyzer: fields[0],
 					Reason:   strings.TrimSpace(rest[strings.Index(rest, fields[0])+len(fields[0]):]),
 				})
@@ -129,22 +127,12 @@ func ApplyDirectives(diags []Diagnostic, dirs []*Directive) []Diagnostic {
 	for _, dir := range dirs {
 		if !dir.used {
 			// Stale directives carry their reason text, so the report shows
-			// what justification is rotting, and a deletion fix: -fix
-			// removes the comment (gofmt reclaims any whitespace left).
+			// what justification is rotting.
 			out = append(out, Diagnostic{
 				Pos:      dir.Pos,
 				Analyzer: "directive",
 				Message: fmt.Sprintf("canal:allow %s suppresses nothing (stale reason: %q; remove the directive)",
 					dir.Analyzer, dir.Reason),
-				Stale: true,
-				Fix: &SuggestedFix{
-					Message: "delete the stale //canal:allow directive",
-					Edits: []TextEdit{{
-						File:  dir.Pos.Filename,
-						Start: dir.Pos.Offset,
-						End:   dir.End.Offset,
-					}},
-				},
 			})
 		}
 	}

@@ -35,9 +35,6 @@
 //	tenantflow  tenant-tainted payloads reaching response/log/state
 //	            sinks without the tenant key traveling alongside
 //
-// Analyzers may attach a suggested fix to a diagnostic (fix.go);
-// `canalvet -fix` applies the edits, gofmt-clean and refusing overlaps.
-//
 // Intentional violations are suppressed line-by-line with a justified
 // directive:
 //
@@ -55,7 +52,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strconv"
 )
 
 // DefaultModule is the module path assumed when a loader has no go.mod to
@@ -98,11 +94,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Fix, when non-nil, is a textual remediation canalvet -fix can apply.
-	Fix *SuggestedFix
-	// Stale marks the diagnostic as a stale //canal:allow report, which
-	// the CLI only counts as an error under -stale-as-error.
-	Stale bool
 }
 
 func (d Diagnostic) String() string {
@@ -123,28 +114,6 @@ func (r *Reporter) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: r.analyzer,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ReportFix records a diagnostic carrying a suggested fix. Edits are
-// resolved to file offsets immediately, while the FileSet is at hand.
-func (r *Reporter) ReportFix(pos token.Pos, fix Fix, format string, args ...any) {
-	d := Diagnostic{
-		Pos:      r.fset.Position(pos),
-		Analyzer: r.analyzer,
-		Message:  fmt.Sprintf(format, args...),
-	}
-	sf := &SuggestedFix{Message: fix.Message}
-	for _, e := range fix.Edits {
-		start, end := r.fset.Position(e.Pos), r.fset.Position(e.End)
-		sf.Edits = append(sf.Edits, TextEdit{
-			File:    start.Filename,
-			Start:   start.Offset,
-			End:     end.Offset,
-			NewText: e.NewText,
-		})
-	}
-	d.Fix = sf
-	*r.out = append(*r.out, d)
 }
 
 // Analyzer is one invariant checker. A per-package analyzer sets Run; an
@@ -289,34 +258,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		return out[i].Message < out[j].Message
 	})
 	return out
-}
-
-// importName returns the local name under which f imports path, and whether
-// it imports it at all. A blank or dot import returns ok=false: blank
-// imports cannot be referenced, and dot imports are not used in this module.
-func importName(f *ast.File, path string) (string, bool) {
-	for _, imp := range f.Imports {
-		p, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || p != path {
-			continue
-		}
-		if imp.Name == nil {
-			// Default name: last path element.
-			name := p
-			for i := len(p) - 1; i >= 0; i-- {
-				if p[i] == '/' {
-					name = p[i+1:]
-					break
-				}
-			}
-			return name, true
-		}
-		if imp.Name.Name == "_" || imp.Name.Name == "." {
-			return "", false
-		}
-		return imp.Name.Name, true
-	}
-	return "", false
 }
 
 // exprString renders a small expression (lock targets, range subjects) into

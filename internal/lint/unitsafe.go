@@ -87,11 +87,6 @@ func runUnitSafe(p *Package, r *Reporter) {
 		return
 	}
 	for _, sf := range p.Files {
-		timeName, hasTime := importName(sf.AST, "time")
-		simName, isSim := "", p.Dir == "internal/sim"
-		if !isSim {
-			simName, _ = importName(sf.AST, simTimePath(p))
-		}
 		walkWithStack(sf.AST, func(n ast.Node, stack []ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.BasicLit:
@@ -99,10 +94,7 @@ func runUnitSafe(p *Package, r *Reporter) {
 			case *ast.BinaryExpr:
 				checkDurMul(p, r, v)
 			case *ast.CallExpr:
-				checkDurConv(p, r, v, stack, convNames{
-					timeName: timeName, hasTime: hasTime,
-					simName: simName, inSim: isSim,
-				})
+				checkDurConv(p, r, v, stack)
 			}
 			return true
 		})
@@ -182,10 +174,7 @@ func checkBareLit(p *Package, r *Reporter, lit *ast.BasicLit, stack []ast.Node) 
 		return
 	}
 	if k == 1 {
-		r.ReportFix(lit.Pos(), Fix{
-			Message: "spell the nanosecond unit the bare literal implies",
-			Edits:   []Edit{{Pos: lit.Pos(), End: lit.End(), NewText: lit.Value + "*time.Nanosecond"}},
-		}, "bare numeric literal %s used as %s reads as nanoseconds; spell the unit (e.g. %s*time.Millisecond)",
+		r.Reportf(lit.Pos(), "bare numeric literal %s used as %s reads as nanoseconds; spell the unit (e.g. %s*time.Millisecond)",
 			lit.Value, durKindName(k), lit.Value)
 		return
 	}
@@ -231,27 +220,8 @@ func checkDurMul(p *Package, r *Reporter, b *ast.BinaryExpr) {
 	r.Reportf(b.OpPos, "multiplying two durations yields nanoseconds-squared; make one side a dimensionless count, or use sim.Scale for float factors")
 }
 
-type convNames struct {
-	timeName string
-	hasTime  bool
-	simName  string // import name of canalmesh/internal/sim, "" if not imported
-	inSim    bool   // the file IS the sim package
-}
-
-// simQualified renders a reference to a sim package function, or "" when
-// the file cannot reach it (fix is withheld; the message still explains).
-func (c convNames) simQualified(fn string) string {
-	if c.inSim {
-		return fn
-	}
-	if c.simName != "" {
-		return c.simName + "." + fn
-	}
-	return ""
-}
-
 // checkDurConv polices conversions whose target is a duration type.
-func checkDurConv(p *Package, r *Reporter, call *ast.CallExpr, stack []ast.Node, names convNames) {
+func checkDurConv(p *Package, r *Reporter, call *ast.CallExpr, stack []ast.Node) {
 	tv, ok := p.TypesInfo.Types[call.Fun]
 	if !ok || !tv.IsType() || len(call.Args) != 1 {
 		return
@@ -271,18 +241,8 @@ func checkDurConv(p *Package, r *Reporter, call *ast.CallExpr, stack []ast.Node,
 		if scalesDuration(p, call.Pos(), stack) {
 			return // time.Duration(2) * unit — a count, not a conversion bug
 		}
-		// The whole-call rewrite is only sign-safe when the argument is
-		// the literal itself (no unary minus or parens to preserve).
-		if dst == 1 && names.hasTime && names.timeName == "time" && arg == ast.Expr(lit) {
-			r.ReportFix(call.Pos(), Fix{
-				Message: "spell the nanosecond unit the conversion implies",
-				Edits:   []Edit{{Pos: call.Pos(), End: call.End(), NewText: lit.Value + "*time.Nanosecond"}},
-			}, "conversion of bare literal %s to %s hides the nanosecond unit; spell it (%s*time.Nanosecond) or use a sim constructor",
-				lit.Value, durKindName(dst), lit.Value)
-		} else {
-			r.Reportf(call.Pos(), "conversion of bare literal %s to %s hides the nanosecond unit; spell a unit or use a sim constructor",
-				lit.Value, durKindName(dst))
-		}
+		r.Reportf(call.Pos(), "conversion of bare literal %s to %s hides the nanosecond unit; spell a unit or use a sim constructor",
+			lit.Value, durKindName(dst))
 		return
 	}
 	src := durKind(p, p.typeOf(arg))
@@ -292,21 +252,8 @@ func checkDurConv(p *Package, r *Reporter, call *ast.CallExpr, stack []ast.Node,
 	if src != 0 {
 		// sim.Time <-> time.Duration must cross through the named helpers,
 		// so unit-boundary crossings stay greppable.
-		var repl string
-		if dst == 2 {
-			repl = names.simQualified("FromDuration")
-		} else {
-			repl = names.simQualified("ToDuration")
-		}
-		msg := "direct %s(...) conversion between sim.Time and time.Duration; cross through sim.FromDuration / sim.ToDuration / Time.Duration"
-		if repl != "" {
-			r.ReportFix(call.Fun.Pos(), Fix{
-				Message: "use the named instant/duration crossing helper",
-				Edits:   []Edit{{Pos: call.Fun.Pos(), End: call.Fun.End(), NewText: repl}},
-			}, msg, durKindName(dst))
-		} else {
-			r.Reportf(call.Fun.Pos(), msg, durKindName(dst))
-		}
+		r.Reportf(call.Fun.Pos(), "direct %s(...) conversion between sim.Time and time.Duration; cross through sim.FromDuration / sim.ToDuration / Time.Duration",
+			durKindName(dst))
 		return
 	}
 	if !numericArg(p.typeOf(arg)) {
@@ -319,14 +266,6 @@ func checkDurConv(p *Package, r *Reporter, call *ast.CallExpr, stack []ast.Node,
 	// nanoseconds (or, for float scaling expressions, that the maths kept
 	// its units straight). Name the unit instead.
 	if isConstZero(p, arg) {
-		return
-	}
-	if fix := names.simQualified("Nanos"); fix != "" && dst == 1 && isIntegerExpr(p, arg) {
-		r.ReportFix(call.Fun.Pos(), Fix{
-			Message: "name the nanosecond unit with the sim constructor",
-			Edits:   []Edit{{Pos: call.Fun.Pos(), End: call.Fun.End(), NewText: fix}},
-		}, "unit-less conversion to %s; name the unit with sim.Nanos/Micros/Millis, sim.Seconds for float seconds, or sim.Scale/sim.Div for factor scaling",
-			durKindName(dst))
 		return
 	}
 	r.Reportf(call.Fun.Pos(), "unit-less conversion to %s; name the unit with sim.Nanos/Micros/Millis, sim.Seconds for float seconds, or sim.Scale/sim.Div for factor scaling",
@@ -366,15 +305,4 @@ func constantOf(p *Package, e ast.Expr) constant.Value {
 func isConstZero(p *Package, e ast.Expr) bool {
 	tv, ok := p.TypesInfo.Types[e]
 	return ok && tv.Value != nil && constant.Sign(tv.Value) == 0
-}
-
-// isIntegerExpr reports whether e's checked type is integer-kinded (so
-// sim.Nanos, whose constraint is the integer kinds, can take it).
-func isIntegerExpr(p *Package, e ast.Expr) bool {
-	t := p.typeOf(e)
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
 }

@@ -23,11 +23,11 @@ fi
 # passed, received or assigned by value.
 go vet ./...
 
-# Diagnostic order is a byte-stable invariant: -runs 2 analyzes the
-# type-checked module twice, rebuilding the call graph and taint engine each
-# time, and exits 2 if the runs differ. The same invocation is the
-# -stale-as-error findings gate.
-go run ./cmd/canalvet -stale-as-error -runs 2 -json /tmp/canalvet-run1.json ./...
+# The findings gate: canalvet exits 1 on any surviving diagnostic, stale
+# //canal:allow directives included. Diagnostic order is a byte-stable
+# invariant too: -runs 2 analyzes the type-checked module twice, rebuilding
+# the call graph and taint engine each time, and exits 2 if the runs differ.
+go run ./cmd/canalvet -runs 2 ./...
 
 # Shuffled execution order catches tests that depend on package-level state
 # left behind by earlier tests.
