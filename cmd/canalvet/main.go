@@ -23,7 +23,9 @@
 //
 // canalvet prints every surviving diagnostic and exits 1 when there is
 // any — malformed directives and stale ones (a //canal:allow that
-// suppresses nothing) included — so it can gate verify.sh.
+// suppresses nothing) included — so it can gate verify.sh. Like go vet, it
+// names each file relative to the working directory when that is shorter,
+// so a finding reads the same from any checkout of the module.
 //
 // -runs N repeats the analysis N times over the one parsed, type-checked
 // module. The call graph, the taint engine and every finding are rebuilt
@@ -36,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"canalmesh/internal/lint"
@@ -92,11 +95,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	lint.TypeCheck(pkgs)
 
+	// Without a working directory, Rel fails and the paths stay absolute.
+	cwd, _ := os.Getwd()
 	suite := lint.Analyzers()
 	diags := lint.Run(pkgs, suite)
-	first := renderDiags(diags)
+	first := renderDiags(diags, cwd)
 	for run := 2; run <= *runs; run++ {
-		if render := renderDiags(lint.Run(pkgs, suite)); render != first {
+		if render := renderDiags(lint.Run(pkgs, suite), cwd); render != first {
 			fmt.Fprintf(stderr, "canalvet: nondeterministic diagnostics: run %d differs from run 1\n--- run 1\n%s--- run %d\n%s", run, first, run, render)
 			return 2
 		}
@@ -111,10 +116,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // renderDiags is the canonical text form the -runs determinism gate
-// compares: exactly what the report prints.
-func renderDiags(diags []lint.Diagnostic) string {
+// compares: exactly what the report prints. Each file is named relative to
+// cwd where that is shorter than its absolute path.
+func renderDiags(diags []lint.Diagnostic, cwd string) string {
 	var b strings.Builder
 	for _, d := range diags {
+		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && len(rel) < len(d.Pos.Filename) {
+			d.Pos.Filename = rel
+		}
 		fmt.Fprintf(&b, "%s\n", d)
 	}
 	return b.String()

@@ -54,3 +54,36 @@ func TestRunStaleDirectiveExitsOne(t *testing.T) {
 		t.Errorf("stdout has %d lines, want 1:\n%s", n, out)
 	}
 }
+
+// TestRunPrintsPathsRelativeToCwd lints the same module from two checkouts
+// of it, each time from the checkout's root: the output must be identical,
+// with no trace of either checkout's path, as go vet prints it.
+func TestRunPrintsPathsRelativeToCwd(t *testing.T) {
+	src := "package vetcase\n\n//canal:allow maporder nothing here ranges over a map\nfunc Add(a, b int) int { return a + b }\n"
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	var outs []string
+	for _, dir := range []string{writeModule(t, src), writeModule(t, src)} {
+		if err := os.Chdir(dir); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"./..."}, &stdout, &stderr); code != 1 {
+			t.Fatalf("in %s: exit %d, want 1\nstderr:\n%s", dir, code, stderr.String())
+		}
+		if strings.Contains(stdout.String(), dir) {
+			t.Errorf("output names the checkout %s:\n%s", dir, stdout.String())
+		}
+		outs = append(outs, stdout.String())
+	}
+	if outs[0] != outs[1] || !strings.HasPrefix(outs[0], "a.go:3:1: [directive] ") {
+		t.Errorf("outputs from the two checkouts:\n%q\n%q\nwant the same line, naming a.go", outs[0], outs[1])
+	}
+}

@@ -124,15 +124,20 @@ type serviceUpstreams struct {
 type upstreamPool struct {
 	urls []*url.URL
 	next *atomic.Uint32
+	// subset is the X-Canal-Subset header value sent to these backends,
+	// built once so that no request allocates it. Requests share it, and
+	// nothing writes to it.
+	subset []string
 }
 
-// pick round-robins within a subset's pool without taking a lock.
-func (s *serviceUpstreams) pick(subset string) (*url.URL, error) {
+// pick round-robins within a subset's pool without taking a lock. It
+// returns the backend and the pool's X-Canal-Subset value.
+func (s *serviceUpstreams) pick(subset string) (*url.URL, []string, error) {
 	pool := s.pools[subset]
 	if len(pool.urls) == 0 {
-		return nil, fmt.Errorf("no upstreams for %s subset %q", s.key, subset)
+		return nil, nil, fmt.Errorf("no upstreams for %s subset %q", s.key, subset)
 	}
-	return pool.urls[(pool.next.Add(1)-1)%uint32(len(pool.urls))], nil
+	return pool.urls[(pool.next.Add(1)-1)%uint32(len(pool.urls))], pool.subset, nil
 }
 
 // copyBufferSize is the size of the buffer httputil.ReverseProxy copies a
@@ -262,7 +267,7 @@ func (g *GatewayServer) ConfigureService(tenant string, cfg ServiceConfig, pools
 		if next == nil {
 			next = new(atomic.Uint32)
 		}
-		up.pools[subset] = upstreamPool{urls: urls, next: next}
+		up.pools[subset] = upstreamPool{urls: urls, next: next, subset: []string{subset}}
 	}
 	cfg.Service = up.key
 	// Header matches are keyed the way flattenHeaders keys a request's
@@ -367,6 +372,9 @@ type requestState struct {
 	admitted func(ok bool)
 	decision l7.Decision
 	target   *url.URL
+	subset   []string // the target pool's X-Canal-Subset value
+	// traceID is tr's ID as traceIDString renders it, once per request.
+	traceID string
 	// upstreamStart is the start of the gateway/upstream hop on the tracer's
 	// clock.
 	upstreamStart time.Duration
@@ -431,6 +439,16 @@ func (g *GatewayServer) startTrace(r *http.Request) *trace.Trace {
 	return g.tracer.StartTenant("gateway", tenant, name)
 }
 
+// traceIDString renders the request's trace ID the first time it is asked for,
+// and returns that rendering after: an error response's header and its
+// access-log line share one string. It is "" when the request has no trace.
+func (st *requestState) traceIDString() string {
+	if st.traceID == "" && st.tr != nil {
+		st.traceID = st.tr.ID.String()
+	}
+	return st.traceID
+}
+
 // fail writes a local error response, stamping the trace ID header on it so
 // the caller can join the rejection to its trace, and logs the request.
 //
@@ -438,7 +456,7 @@ func (g *GatewayServer) startTrace(r *http.Request) *trace.Trace {
 func (g *GatewayServer) fail(w http.ResponseWriter, st *requestState, status int, msg string) {
 	st.status = status
 	if st.tr != nil {
-		w.Header().Set(HeaderTrace, st.tr.ID.String())
+		w.Header().Set(HeaderTrace, st.traceIDString())
 	}
 	g.logReq(st)
 	http.Error(w, msg, status)
@@ -521,13 +539,13 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	st.target, err = up.pick(st.decision.Subset)
+	st.target, st.subset, err = up.pick(st.decision.Subset)
 	if err != nil {
 		g.fail(w, st, http.StatusServiceUnavailable, "canal: "+err.Error())
 		return
 	}
 	if st.decision.MirrorTo != "" {
-		if mirror, err := up.pick(st.decision.MirrorTo); err == nil {
+		if mirror, _, err := up.pick(st.decision.MirrorTo); err == nil {
 			g.spawnMirror(r, mirror, st.decision)
 		}
 	}
@@ -567,7 +585,7 @@ func (g *GatewayServer) directUpstream(out *http.Request) {
 	for _, k := range decision.RemoveHeaders {
 		out.Header.Del(k)
 	}
-	out.Header.Set(HeaderSubset, decision.Subset)
+	out.Header[HeaderSubset] = st.subset
 	if st.tr != nil {
 		// Propagate the trace context upstream: the gateway's root
 		// span becomes the upstream's parent.
@@ -583,7 +601,7 @@ func (g *GatewayServer) recordUpstreamStatus(resp *http.Response) error {
 	st := stateOf(resp.Request)
 	st.status = resp.StatusCode
 	if resp.StatusCode >= 400 && st.tr != nil {
-		resp.Header.Set(HeaderTrace, st.tr.ID.String())
+		resp.Header.Set(HeaderTrace, st.traceIDString())
 	}
 	return nil
 }
@@ -702,10 +720,6 @@ func (g *GatewayServer) mirror(method string, u *url.URL, headers http.Header, b
 }
 
 func (g *GatewayServer) logReq(st *requestState) {
-	traceID := ""
-	if st.tr != nil {
-		traceID = st.tr.ID.String()
-	}
 	g.log.Log(telemetry.AccessEntry{
 		At:      time.Since(g.start), //canal:allow simdeterminism access-log timestamps on the live path are wall-clock offsets
 		Layer:   telemetry.AccessL7,
@@ -717,7 +731,7 @@ func (g *GatewayServer) logReq(st *requestState) {
 		Path:    st.req.Path,
 		Status:  st.status,
 		Latency: time.Since(st.started), //canal:allow simdeterminism real request latency on the live path
-		TraceID: traceID,
+		TraceID: st.traceIDString(),
 	})
 }
 

@@ -17,8 +17,8 @@ import (
 //
 // The cost of a decision does not depend on how many tenants share the
 // gateway: each tenant's state lives in one slot, looked up once per Admit
-// and captured by the release function, and the weight of the active
-// tenants is kept as a running sum rather than recounted per request.
+// and held by the request's ticket, and the weight of the active tenants is
+// kept as a running sum rather than recounted per request.
 //
 // HTTPController is safe for concurrent use.
 type HTTPController struct {
@@ -36,6 +36,19 @@ type HTTPController struct {
 	// periods.
 	active       int
 	activeWeight float64
+	// free holds the tickets of released requests, for Admit to re-issue.
+	free []*ticket
+}
+
+// ticket is one admitted request's hold on the gateway: its tenant's slot
+// and the instant it was admitted. Tickets are recycled, and issue counts
+// the ticket's uses, so a release function handed out with an earlier use
+// is told apart from the current one. Its fields are guarded by the
+// controller's mu.
+type ticket struct {
+	slot     *tenantSlot
+	admitted time.Duration
+	issue    uint64
 }
 
 // tenantSlot is one tenant's admission state. Its fields other than
@@ -73,9 +86,10 @@ func (c *HTTPController) Metrics() *Metrics { return c.metrics }
 func (c *HTTPController) Limiter() *Limiter { return c.limiter }
 
 // Admit decides whether a request may enter the gateway. On admission it
-// returns a release function the caller MUST invoke exactly once with the
-// request's outcome; on rejection it returns a *Rejection describing the
-// typed 429. Sheds are checked in order: retry budget, fair share, limiter.
+// returns a release function the caller MUST invoke with the request's
+// outcome; calls after the first do nothing. On rejection it returns a
+// *Rejection describing the typed 429. Sheds are checked in order: retry
+// budget, fair share, limiter.
 func (c *HTTPController) Admit(tenant, service string, isRetry bool) (release func(ok bool), rej *Rejection) {
 	now := c.clock()
 	c.mu.Lock()
@@ -89,31 +103,65 @@ func (c *HTTPController) Admit(tenant, service string, isRetry bool) (release fu
 		return nil, c.reject(s, tenant, service, ReasonFairShare)
 	}
 	c.enterLocked(s)
+	t := c.issueLocked(s, now)
+	issue := t.issue
 	c.mu.Unlock()
 
 	if !c.limiter.Acquire(now) {
 		c.mu.Lock()
-		c.leaveLocked(s)
+		c.retireLocked(t)
 		c.mu.Unlock()
 		return nil, c.reject(s, tenant, service, ReasonLimiter)
 	}
+	// The one allocation of an admitted request: t and issue are copied
+	// into the closure, so it stays a no-op once t has moved on.
+	return func(ok bool) { c.release(t, issue, ok) }, nil
+}
 
-	released := false
-	return func(ok bool) {
-		if released {
-			return
-		}
-		released = true
-		end := c.clock()
-		c.limiter.Release(end, end-now, ok)
-		c.mu.Lock()
-		c.leaveLocked(s)
+// issueLocked hands out a ticket on the slot's tenant, recycled when one is
+// free. Requires c.mu held.
+func (c *HTTPController) issueLocked(s *tenantSlot, now time.Duration) *ticket {
+	var t *ticket
+	if n := len(c.free); n > 0 {
+		t = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		t = new(ticket)
+	}
+	t.slot, t.admitted = s, now
+	t.issue++
+	return t
+}
+
+// retireLocked takes t's request out of flight and frees t, moving its
+// issue on so no release function issued with it matches again. Requires
+// c.mu held.
+func (c *HTTPController) retireLocked(t *ticket) {
+	c.leaveLocked(t.slot)
+	t.slot = nil
+	t.issue++
+	c.free = append(c.free, t)
+}
+
+// release is the body of every release function: the first call for an
+// issue of t frees its slot and feeds the limiter the request's latency and
+// outcome; any later call finds the issue moved on and returns.
+func (c *HTTPController) release(t *ticket, issue uint64, ok bool) {
+	c.mu.Lock()
+	if t.issue != issue {
 		c.mu.Unlock()
-		if ok {
-			s.budget.OnSuccess()
-			s.metrics.Admitted.Inc()
-		}
-	}, nil
+		return
+	}
+	s, admitted := t.slot, t.admitted
+	c.retireLocked(t)
+	c.mu.Unlock()
+	end := c.clock()
+	c.limiter.Release(end, end-admitted, ok)
+	if ok {
+		s.budget.OnSuccess()
+		s.metrics.Admitted.Inc()
+	}
 }
 
 // reject counts a shed and builds its typed 429.

@@ -252,6 +252,50 @@ func TestHTTPControllerConcurrent(t *testing.T) {
 	}
 }
 
+// TestHTTPControllerStaleRelease calls a release function a second time
+// after its ticket has been re-issued to the next request. The stale call
+// must do nothing: the re-issued request stays in flight and counted until
+// its own release.
+func TestHTTPControllerStaleRelease(t *testing.T) {
+	var now time.Duration
+	c := newHTTPController(Config{}, func() time.Duration { return now })
+	first, rej := c.Admit("acme", "web", false)
+	if rej != nil {
+		t.Fatal(rej)
+	}
+	first(true)
+	second, rej := c.Admit("acme", "web", false)
+	if rej != nil {
+		t.Fatal(rej)
+	}
+	c.mu.Lock()
+	reissued := len(c.free) == 0
+	c.mu.Unlock()
+	if !reissued {
+		t.Fatal("the second Admit did not re-issue the first request's ticket")
+	}
+
+	first(true)
+	first(false)
+	admitted := c.Metrics().Tenant("acme").Admitted
+	c.mu.Lock()
+	inflight := c.slots["acme"].inflight
+	c.mu.Unlock()
+	if inflight != 1 || c.limiter.Inflight() != 1 || admitted.Value() != 1 {
+		t.Fatalf("after stale releases: %d in flight for acme, %d in the limiter, %v admitted; want 1, 1, 1",
+			inflight, c.limiter.Inflight(), admitted.Value())
+	}
+
+	second(true)
+	second(true)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.slots["acme"].inflight != 0 || c.active != 0 || c.limiter.Inflight() != 0 || admitted.Value() != 2 {
+		t.Fatalf("after the second release: %d in flight for acme, %d active, %d in the limiter, %v admitted; want 0, 0, 0, 2",
+			c.slots["acme"].inflight, c.active, c.limiter.Inflight(), admitted.Value())
+	}
+}
+
 // admitReleased keeps the benchmarked release reachable.
 var admitReleased func(bool)
 

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 )
@@ -132,7 +133,10 @@ type Trace struct {
 	Tenant  string `json:"tenant,omitempty"`
 	Status  int    `json:"status"`
 	Sampled bool   `json:"sampled"`
-	Spans   []Span `json:"spans"`
+	// finished is set by the first Finish, under the tracer's lock. It
+	// shares Sampled's word, so a Trace is no bigger for it.
+	finished bool
+	Spans    []Span `json:"spans"`
 
 	tracer *Tracer
 }
@@ -209,8 +213,12 @@ type Tracer struct {
 	// is non-nil it is used instead and retention is bounded (live path).
 	kept     []*Trace
 	keptRing *ring
-	tail     ring
-	started  uint64
+	// free holds the traces keptRing has evicted, for Start to refill: a
+	// bounded tracer allocates a trace only while fewer than its ring's
+	// capacity plus the traces in flight exist.
+	free    []*Trace
+	tail    ring
+	started uint64
 	// depth is the span count of the deepest trace finished so far, at
 	// least minSpans: the capacity new traces start with, so a tracer's
 	// traces stop growing their span slices once it has seen its deepest
@@ -304,9 +312,9 @@ func (tr *Tracer) StartTenant(arch, tenant, name string) *Trace {
 	root := tr.newSpanIDLocked()
 	sampled := tr.head >= 1 || tr.rng.Float64() < tr.head
 	tr.started++
-	depth := tr.depth
+	t, depth := tr.reuseLocked(), tr.depth
 	tr.mu.Unlock()
-	return tr.start(id, SpanID{}, root, depth, arch, tenant, name, sampled)
+	return tr.start(t, id, SpanID{}, root, depth, arch, tenant, name, sampled)
 }
 
 // StartRemote begins a trace joined to a propagated context (an extracted
@@ -322,16 +330,40 @@ func (tr *Tracer) StartRemoteTenant(id TraceID, parent SpanID, sampled bool, arc
 	tr.mu.Lock()
 	root := tr.newSpanIDLocked()
 	tr.started++
-	depth := tr.depth
+	t, depth := tr.reuseLocked(), tr.depth
 	tr.mu.Unlock()
-	return tr.start(id, parent, root, depth, arch, tenant, name, sampled)
+	return tr.start(t, id, parent, root, depth, arch, tenant, name, sampled)
 }
 
-// start builds a trace whose span slice has room for depth spans.
-func (tr *Tracer) start(id TraceID, parent, root SpanID, depth int, arch, tenant, name string, sampled bool) *Trace {
-	spans := make([]Span, 1, depth)
+// reuseLocked takes a trace off the free list, or returns nil when it is
+// empty. Requires tr.mu held.
+func (tr *Tracer) reuseLocked() *Trace {
+	n := len(tr.free)
+	if n == 0 {
+		return nil
+	}
+	t := tr.free[n-1]
+	tr.free[n-1] = nil
+	tr.free = tr.free[:n-1]
+	return t
+}
+
+// start fills t, or a new trace when t is nil, with a root span and room for
+// depth spans. A recycled trace keeps its span slice when that is big
+// enough; the spans of its previous use are cleared first.
+func (tr *Tracer) start(t *Trace, id TraceID, parent, root SpanID, depth int, arch, tenant, name string, sampled bool) *Trace {
+	if t == nil {
+		t = new(Trace)
+	}
+	spans := t.Spans
+	if cap(spans) < depth {
+		spans = make([]Span, 1, depth)
+	} else {
+		clear(spans)
+		spans = spans[:1]
+	}
 	spans[0] = Span{ID: root, Parent: parent, Name: name, Start: tr.now()}
-	return &Trace{
+	*t = Trace{
 		ID:      id,
 		Arch:    arch,
 		Name:    name,
@@ -340,23 +372,35 @@ func (tr *Tracer) start(id TraceID, parent, root SpanID, depth int, arch, tenant
 		Spans:   spans,
 		tracer:  tr,
 	}
+	return t
 }
 
 // Finish stamps the root span's end, records the status, and applies
 // retention: head-sampled traces are kept (bounded to the newest KeptCap
 // when configured); unsampled traces that are errored (HTTP >= 400) or
 // slower than SlowThreshold enter the bounded tail ring, evicting the
-// oldest tail entry when full.
+// oldest tail entry when full. A second Finish of the same trace does
+// nothing.
+//
+// The caller must not touch t once Finish has been called: a tracer with a
+// bounded kept ring refills the traces the ring evicts for later Start
+// calls. Kept and Tail return copies a caller may hold.
 func (tr *Tracer) Finish(t *Trace, status int) {
 	end := tr.now()
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
+	if t.finished {
+		return
+	}
+	t.finished = true
 	t.Spans[0].End = end
 	t.Status = status
 	tr.depth = max(tr.depth, len(t.Spans))
 	if t.Sampled {
 		if tr.keptRing != nil {
-			tr.keptRing.push(t)
+			if old := tr.keptRing.push(t); old != nil {
+				tr.free = append(tr.free, old)
+			}
 		} else {
 			tr.kept = append(tr.kept, t)
 		}
@@ -368,23 +412,25 @@ func (tr *Tracer) Finish(t *Trace, status int) {
 }
 
 // Kept returns the head-sampled finished traces in completion order (the
-// newest KeptCap of them when retention is bounded).
+// newest KeptCap of them when retention is bounded). When retention is
+// bounded the traces are copies, since the tracer recycles the originals.
 func (tr *Tracer) Kept() []*Trace {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	if tr.keptRing != nil {
-		return tr.keptRing.items()
+		return tr.keptRing.items(true)
 	}
 	out := make([]*Trace, len(tr.kept))
 	copy(out, tr.kept)
 	return out
 }
 
-// Tail returns the tail-kept (slow/errored, unsampled) traces, oldest first.
+// Tail returns the tail-kept (slow/errored, unsampled) traces, oldest first:
+// copies, like Kept's, when the tracer's kept retention is bounded.
 func (tr *Tracer) Tail() []*Trace {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.tail.items()
+	return tr.tail.items(tr.keptRing != nil)
 }
 
 // Started returns how many traces have been started.
@@ -401,23 +447,34 @@ type ring struct {
 	n    int
 }
 
-func (r *ring) push(t *Trace) {
+// push stores t and returns the trace it evicts, nil while the ring is
+// filling.
+func (r *ring) push(t *Trace) (evicted *Trace) {
+	evicted = r.buf[r.next]
 	r.buf[r.next] = t
 	r.next = (r.next + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
 	}
+	return evicted
 }
 
-// items returns the retained traces oldest-first.
-func (r *ring) items() []*Trace {
+// items returns the retained traces oldest-first, each deep-copied when
+// copies is set.
+func (r *ring) items(copies bool) []*Trace {
 	out := make([]*Trace, 0, r.n)
 	start := r.next - r.n
 	if start < 0 {
 		start += len(r.buf)
 	}
 	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
+		t := r.buf[(start+i)%len(r.buf)]
+		if copies {
+			c := *t
+			c.Spans = slices.Clone(t.Spans)
+			t = &c
+		}
+		out = append(out, t)
 	}
 	return out
 }

@@ -234,6 +234,13 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // reserved version
 		"zz-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+		// W3C Trace Context fields are lower-case hex, and a receiver must
+		// ignore any other form.
+		"0A-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e473A-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0F",
 	}
 	for _, s := range bad {
 		if _, _, _, err := ParseTraceparent(s); err == nil {

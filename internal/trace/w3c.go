@@ -33,9 +33,10 @@ func Traceparent(id TraceID, span SpanID, sampled bool) string {
 
 // ParseTraceparent parses a traceparent header value, returning the trace
 // ID, the parent span ID, and the sampled flag. Per the W3C spec it rejects
-// the all-zero IDs, non-hex fields, and the reserved version ff; unknown
-// future versions are accepted as long as the version-00 prefix fields
-// parse. It decodes in place and allocates only the error of a rejection.
+// the all-zero IDs, fields that are not lower-case hex (the spec's
+// HEXDIGLC), and the reserved version ff; unknown future versions are
+// accepted as long as the version-00 prefix fields parse. It decodes in
+// place and allocates only the error of a rejection.
 //
 //canal:hotpath
 func ParseTraceparent(s string) (TraceID, SpanID, bool, error) {
@@ -73,8 +74,9 @@ func ParseTraceparent(s string) (TraceID, SpanID, bool, error) {
 	return id, span, flags[0]&flagSampled != 0, nil
 }
 
-// unhex decodes the 2*len(dst) hex digits of s, either case, as hex.Decode
-// does.
+// unhex decodes the 2*len(dst) lower-case hex digits of s. Unlike
+// hex.Decode it refuses upper case, which W3C Trace Context requires a
+// receiver to ignore.
 func unhex(dst []byte, s string) bool {
 	for i := range dst {
 		hi, lo := fromHex(s[2*i]), fromHex(s[2*i+1])
@@ -92,8 +94,6 @@ func fromHex(c byte) byte {
 		return c - '0'
 	case 'a' <= c && c <= 'f':
 		return c - 'a' + 10
-	case 'A' <= c && c <= 'F':
-		return c - 'A' + 10
 	}
 	return 0xff
 }

@@ -9,7 +9,9 @@ import (
 
 // oracleParseTraceparent is ParseTraceparent as it was before the in-place
 // decoder: split on dashes, decode each field with encoding/hex. It stays
-// here, unchanged, as the reference FuzzParseTraceparent compares against.
+// here as the reference FuzzParseTraceparent compares against, changed only
+// to decode with decodeLowerHex: the W3C fields are lower-case hex, where
+// encoding/hex accepts either case.
 func oracleParseTraceparent(s string) (TraceID, SpanID, bool, error) {
 	var id TraceID
 	var span SpanID
@@ -20,22 +22,22 @@ func oracleParseTraceparent(s string) (TraceID, SpanID, bool, error) {
 	if len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) != 2 {
 		return id, span, false, fmt.Errorf("trace: traceparent %q: bad field lengths", s)
 	}
-	version, err := hex.DecodeString(parts[0])
+	version, err := decodeLowerHex(parts[0])
 	if err != nil || version[0] == 0xff {
 		return id, span, false, fmt.Errorf("trace: traceparent %q: bad version", s)
 	}
 	if version[0] == 0 && len(parts) != 4 {
 		return id, span, false, fmt.Errorf("trace: traceparent %q: version 00 allows exactly 4 fields", s)
 	}
-	rawID, err := hex.DecodeString(parts[1])
+	rawID, err := decodeLowerHex(parts[1])
 	if err != nil {
 		return id, span, false, fmt.Errorf("trace: traceparent %q: bad trace id", s)
 	}
-	rawSpan, err := hex.DecodeString(parts[2])
+	rawSpan, err := decodeLowerHex(parts[2])
 	if err != nil {
 		return id, span, false, fmt.Errorf("trace: traceparent %q: bad span id", s)
 	}
-	flags, err := hex.DecodeString(parts[3])
+	flags, err := decodeLowerHex(parts[3])
 	if err != nil {
 		return id, span, false, fmt.Errorf("trace: traceparent %q: bad flags", s)
 	}
@@ -47,6 +49,14 @@ func oracleParseTraceparent(s string) (TraceID, SpanID, bool, error) {
 	return id, span, flags[0]&flagSampled != 0, nil
 }
 
+// decodeLowerHex is hex.DecodeString refusing upper-case digits.
+func decodeLowerHex(s string) ([]byte, error) {
+	if strings.ToLower(s) != s {
+		return nil, fmt.Errorf("upper-case hex in %q", s)
+	}
+	return hex.DecodeString(s)
+}
+
 // FuzzParseTraceparent checks that the parser and the oracle agree on every
 // input: the same IDs and flag, and the same error, text included.
 func FuzzParseTraceparent(f *testing.F) {
@@ -55,6 +65,8 @@ func FuzzParseTraceparent(f *testing.F) {
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
 		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-0F", // upper-case hex
+		"0A-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902B7-01",
 		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // reserved version
 		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-what",
 		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
@@ -90,7 +102,7 @@ func FuzzParseTraceparent(f *testing.F) {
 func TestParseTraceparentAcceptsWithoutAllocating(t *testing.T) {
 	for _, s := range []string{
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
-		"01-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-00-what",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00-what",
 	} {
 		var err error
 		if n := testing.AllocsPerRun(100, func() { _, _, _, err = ParseTraceparent(s) }); n != 0 || err != nil {

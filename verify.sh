@@ -37,16 +37,19 @@ go test -race -shuffle=on ./...
 # tenants, round-robins its pools with atomics and shares each service's token
 # buckets and throttle slot between every request that meets them, and each
 # tenant CA's verified-peer memo and serial counter between every request and
-# issue of that tenant, and the admission controller's tenant slots and
-# running active weight between every admit and release: the tests that
-# share that state between goroutines run ten times over, so an interleaving
-# one pass misses still has its chance to be seen. The race detector, not a
+# issue of that tenant, the admission controller's tenant slots, running
+# active weight and recycled tickets between every admit and release, and
+# a bounded tracer's recycled traces between every Finish and the Start
+# that refills them: the tests that share that state between goroutines
+# run ten times over, so an interleaving one pass misses still has its
+# chance to be seen. The race detector, not a
 # static check, is what guards shared mutable state written on the request
 # path.
-go test -race -count=10 -run 'TestPooledState|TestGatewayThrottleUnderConcurrentLoad|TestRouteConcurrentRateLimits|TestVerifyPeerConcurrent|TestIssueIdentityConcurrent|TestHTTPControllerConcurrent' . ./internal/l7 ./internal/meshcrypto ./internal/admission
+go test -race -count=10 -run 'TestPooledState|TestGatewayThrottleUnderConcurrentLoad|TestRouteConcurrentRateLimits|TestVerifyPeerConcurrent|TestIssueIdentityConcurrent|TestHTTPControllerConcurrent|TestHTTPControllerStaleRelease|TestTracerRecycle' . ./internal/l7 ./internal/meshcrypto ./internal/admission ./internal/trace
 
 # Fuzz smoke: the in-place traceparent parser against the split-and-decode
-# parser it replaced (kept as the oracle in w3c_test.go).
+# parser it replaced (kept as the oracle in w3c_test.go, which refuses
+# upper-case hex as the parser does).
 go test -run '^$' -fuzz FuzzParseTraceparent -fuzztime 5s ./internal/trace
 # And the -config loader: whatever LoadConfig accepts builds and applies
 # without a panic, builds the same rule lists twice, and routes one request
