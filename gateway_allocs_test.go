@@ -1,6 +1,8 @@
 package canal
 
 import (
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -10,26 +12,46 @@ import (
 
 // serveHTTPAllocs pins what one request costs ServeHTTP in heap
 // allocations, per way through it, at steady state (the tracer's kept ring
-// full and recycling). TestServeHTTPAllocs fails when any row rises; a fall
-// is logged, to be pinned here.
+// full and recycling), and what two of its layers cost on their own. The
+// mirrored row counts the mirror goroutine's work too. TestServeHTTPAllocs
+// fails when any row rises; a fall is logged, to be pinned here.
 var serveHTTPAllocs = map[string]float64{
-	"routed":        24,
-	"policy_denied": 13,
+	"routed":        22,
+	"policy_denied": 11,
 	"shed":          17,
-	"signed":        40,
+	"signed":        36,
+	"mirrored":      62,
+	"authenticate":  11,
+	"log_req":       1,
 }
 
 // stubUpstream answers every request with an empty 200 and sends nothing,
 // so the proxy's work is measured without a socket. Its own allocations —
 // the response, its header map and the outbound request's clone that
-// round-trips through it — count in every proxied row.
-type stubUpstream struct{}
+// round-trips through it — count in every proxied row. A request for the
+// shadow.invalid host, a mirror, gets a body that signals mirrored when
+// closed, the mirror goroutine's last step.
+type stubUpstream struct{ mirrored chan struct{} }
 
-func (stubUpstream) RoundTrip(r *http.Request) (*http.Response, error) {
+func (s stubUpstream) RoundTrip(r *http.Request) (*http.Response, error) {
+	var body io.ReadCloser = http.NoBody
+	if r.URL.Host == "shadow.invalid" {
+		body = mirrorDone(s.mirrored)
+	}
 	return &http.Response{
 		StatusCode: http.StatusOK, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: make(http.Header), Body: http.NoBody, Request: r,
+		Header: make(http.Header), Body: body, Request: r,
 	}, nil
+}
+
+// mirrorDone is an empty body that signals on its channel when closed.
+type mirrorDone chan struct{}
+
+func (mirrorDone) Read([]byte) (int, error) { return 0, io.EOF }
+
+func (d mirrorDone) Close() error {
+	d <- struct{}{}
+	return nil
 }
 
 // discardWriter is a ResponseWriter that keeps nothing but its header map,
@@ -43,26 +65,30 @@ func (w *discardWriter) Header() http.Header         { return w.header }
 func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *discardWriter) WriteHeader(status int)      { w.status = status }
 
-// TestServeHTTPAllocs measures allocs/op on four ways through ServeHTTP:
+// TestServeHTTPAllocs measures allocs/op on five ways through ServeHTTP:
 // a routed request carrying a cookie, one refused by an authz rule, one
-// shed by admission, and a signed request whose certificate the tenant CA
-// has verified before. Each gateway first serves more requests than its
-// tracer keeps, so recycled traces are what the measured requests get.
+// shed by admission, a signed request whose certificate the tenant CA has
+// verified before, and a routed request mirrored to a shadow subset, each
+// run waiting for its mirror to finish. Each gateway first serves more
+// requests than its tracer keeps, so recycled traces are what the measured
+// requests get. Two layers are measured alone: authenticate on a memo hit,
+// and logReq of a request whose trace ID is rendered for its log line.
 func TestServeHTTPAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
 	}
 	// warmup is more requests than a live tracer keeps (4096).
 	const warmup = 4200
+	mirrored := make(chan struct{})
 	newGateway := func(cfg ServiceConfig) *GatewayServer {
-		gw := NewGatewayServer(1)
-		gw.proxy.Transport = stubUpstream{}
+		gw := newGatewayServer(1, stubUpstream{mirrored})
 		ca, err := NewCA("tenant1-ca")
 		if err != nil {
 			t.Fatal(err)
 		}
 		gw.RegisterTenant("tenant1", ca)
-		if err := gw.ConfigureService("tenant1", cfg, map[string][]string{"v1": {"http://upstream.invalid"}}); err != nil {
+		pools := map[string][]string{"v1": {"http://upstream.invalid"}, "shadow": {"http://shadow.invalid"}}
+		if err := gw.ConfigureService("tenant1", cfg, pools); err != nil {
 			t.Fatal(err)
 		}
 		return gw
@@ -96,7 +122,8 @@ func TestServeHTTPAllocs(t *testing.T) {
 
 	signed := newGateway(web)
 	signed.RequireAuth = true
-	id, err := signed.config.Load().tenants["tenant1"].ca.IssueIdentity("spiffe://tenant1/ns/default/sa/client")
+	ca := signed.config.Load().tenants["tenant1"].ca
+	id, err := ca.IssueIdentity("spiffe://tenant1/ns/default/sa/client")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,33 +132,70 @@ func TestServeHTTPAllocs(t *testing.T) {
 		signedReq.Header[k] = v
 	}
 
-	rows := []struct {
-		name string
-		gw   *GatewayServer
-		r    *http.Request
-		want int
-	}{
-		{"routed", routed, newRequest("web"), http.StatusOK},
-		{"policy_denied", denied, newRequest("intruder"), http.StatusForbidden},
-		{"shed", shed, newRequest("web"), http.StatusTooManyRequests},
-		{"signed", signed, signedReq, http.StatusOK},
+	shadowed := newGateway(ServiceConfig{Service: "web", DefaultSubset: "v1",
+		Rules: []Rule{{Name: "shadow-all", MirrorTo: "shadow"}}})
+
+	logged := newGateway(web)
+	st := &requestState{
+		req:     Request{Tenant: "tenant1", Method: http.MethodGet, Path: "/api/cart", SourceService: "web"},
+		service: "web", status: http.StatusOK,
+		tr: logged.tracer.StartTenant("gateway", "tenant1", "GET /api/cart"),
 	}
-	for _, row := range rows {
+
+	// serve returns one request through gw, checked for its status.
+	serve := func(gw *GatewayServer, r *http.Request, want int) func() error {
 		w := &discardWriter{header: make(http.Header)}
-		serve := func() {
+		return func() error {
 			clear(w.header)
 			w.status = http.StatusOK
-			row.gw.ServeHTTP(w, row.r)
+			gw.ServeHTTP(w, r)
+			if w.status != want {
+				return fmt.Errorf("status %d, want %d", w.status, want)
+			}
+			return nil
 		}
-		for i := 0; i < warmup; i++ {
-			serve()
+	}
+	serveMirrored := serve(shadowed, newRequest("web"), http.StatusOK)
+	rows := []struct {
+		name string
+		run  func() error
+	}{
+		{"routed", serve(routed, newRequest("web"), http.StatusOK)},
+		{"policy_denied", serve(denied, newRequest("intruder"), http.StatusForbidden)},
+		{"shed", serve(shed, newRequest("web"), http.StatusTooManyRequests)},
+		{"signed", serve(signed, signedReq, http.StatusOK)},
+		{"mirrored", func() error {
+			err := serveMirrored()
+			if err == nil {
+				<-mirrored
+			}
+			return err
+		}},
+		{"authenticate", func() error {
+			_, err := authenticate(signedReq, "tenant1", "web", ca)
+			return err
+		}},
+		{"log_req", func() error {
+			st.traceID = ""
+			logged.logReq(st)
+			return nil
+		}},
+	}
+	for _, row := range rows {
+		var err error
+		for i := 0; i < warmup && err == nil; i++ {
+			err = row.run()
 		}
-		if w.status != row.want {
-			t.Fatalf("%s: status %d, want %d", row.name, w.status, row.want)
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
 		}
-		got := testing.AllocsPerRun(1000, serve)
-		if w.status != row.want {
-			t.Fatalf("%s: status %d, want %d", row.name, w.status, row.want)
+		got := testing.AllocsPerRun(1000, func() {
+			if e := row.run(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
 		}
 		want := serveHTTPAllocs[row.name]
 		switch {

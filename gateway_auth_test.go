@@ -87,6 +87,41 @@ func TestSignedRequestWithQuery(t *testing.T) {
 	}
 }
 
+// TestGatewayForwardsVerifiedSource sends a signed request whose client
+// claims X-Canal-Source: admin. The signature covers the certificate's
+// identity, not that header, so the upstream and the mirror must both be
+// told the verified source, client.
+func TestGatewayForwardsVerifiedSource(t *testing.T) {
+	primary, shadow := make(chan string, 1), make(chan string, 1)
+	v1, v2 := recordingUpstream(primary), recordingUpstream(shadow)
+	defer v1.Close()
+	defer v2.Close()
+	gwSrv, agent, _ := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1",
+		Rules: []Rule{{Name: "mirror", MirrorTo: "shadow"}}},
+		map[string][]string{"v1": {v1.URL}, "shadow": {v2.URL}}, true)
+	req, err := http.NewRequest(http.MethodGet, gwSrv.URL+"/hello", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header = signedHeaders(t, agent.Identity, "web", "/hello")
+	req.Header.Set(HeaderSource, "admin")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	for _, to := range []struct {
+		name string
+		got  <-chan string
+	}{{"upstream", primary}, {"mirror", shadow}} {
+		if got := <-to.got; !strings.Contains(got, "\nX-Canal-Source: client\n") {
+			t.Errorf("%s received:\n%s\nwant X-Canal-Source: client, the verified source", to.name, got)
+		}
+	}
+}
+
 // TestGatewayAuthRotatedCARefusesOldIdentity replaces a tenant's CA after
 // one of its identities was verified (and memoised): the old identity is
 // refused from then on, and one the new CA issued is accepted.

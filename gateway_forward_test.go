@@ -1,8 +1,11 @@
 package canal
 
 import (
+	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -32,11 +35,21 @@ func recordingUpstream(got chan<- string) *httptest.Server {
 	}))
 }
 
+// rawClient sends a request's headers as they were set, and hands back a
+// reply's body and headers as they arrived: unlike the default client, it
+// neither asks for gzip nor decompresses.
+func rawClient(t *testing.T) *http.Client {
+	tr := &http.Transport{DisableCompression: true}
+	t.Cleanup(tr.CloseIdleConnections)
+	return &http.Client{Transport: tr}
+}
+
 // TestGatewayForwardedBytesGolden pins what an upstream receives from the
 // gateway, byte for byte: method, path and query, and the complete header
 // set, for a plain request, a request behind an earlier proxy, a rule that
-// rewrites the path and sets and strips headers, and a mirrored POST. The
-// only normalised part is the span ID the gateway mints for traceparent
+// rewrites the path and sets and strips headers, a mirrored POST, and a
+// client that asks for gzip. The gateway adds no Accept-Encoding of its own.
+// The only normalised part is the span ID the gateway mints for traceparent
 // (and the whole trace context when the client sent none).
 func TestGatewayForwardedBytesGolden(t *testing.T) {
 	const clientTrace = "0af7651916cd43dd8448eb211c80319c"
@@ -83,7 +96,6 @@ func TestGatewayForwardedBytesGolden(t *testing.T) {
 			name: "plain", method: "GET", path: "/hello?x=1&y=2", from: primary,
 			headers: [][2]string{{"Traceparent", clientTP}, {"X-Custom", "abc"}, {"Cookie", "session=s"}},
 			want: `GET /hello?x=1&y=2
-Accept-Encoding: gzip
 Cookie: session=s
 Traceparent: 00-0af7651916cd43dd8448eb211c80319c-<gateway-span>-01
 User-Agent: Go-http-client/1.1
@@ -100,7 +112,6 @@ X-Forwarded-For: 127.0.0.1
 			name: "no client trace, earlier proxy, hop-by-hop header", method: "GET", path: "/hello", from: primary,
 			headers: [][2]string{{"X-Forwarded-For", "10.0.0.7"}, {"Connection", "X-Hop"}, {"X-Hop", "1"}},
 			want: `GET /hello
-Accept-Encoding: gzip
 Traceparent: 00-<gateway-trace>-<gateway-span>-01
 User-Agent: Go-http-client/1.1
 X-Canal-Service: web
@@ -116,7 +127,6 @@ X-Forwarded-For: 10.0.0.7, 127.0.0.1
 			headers: [][2]string{{"Traceparent", clientTP}, {"X-User-Group", "beta"}, {"Cookie", "lane=b; session=s"},
 				{"X-Client-Secret", "leak-me"}},
 			want: `GET /v2/home?q=1
-Accept-Encoding: gzip
 Cookie: lane=b; session=s
 Traceparent: 00-0af7651916cd43dd8448eb211c80319c-<gateway-span>-01
 User-Agent: Go-http-client/1.1
@@ -134,7 +144,6 @@ X-User-Group: beta
 			name: "mirrored POST", method: "POST", path: "/orders/7", body: "payload-123", from: primary,
 			headers: [][2]string{{"Traceparent", clientTP}, {"Content-Type", "text/plain"}},
 			want: `POST /orders/7
-Accept-Encoding: gzip
 Content-Length: 11
 Content-Type: text/plain
 Traceparent: 00-0af7651916cd43dd8448eb211c80319c-<gateway-span>-01
@@ -147,7 +156,6 @@ X-Forwarded-For: 127.0.0.1
 
 payload-123`,
 			wantMirror: `POST /orders/7
-Accept-Encoding: gzip
 Content-Length: 11
 Content-Type: text/plain
 Traceparent: 00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01
@@ -159,7 +167,23 @@ X-Canal-Tenant: tenant1
 
 payload-123`,
 		},
+		{
+			name: "client asks for gzip", method: "GET", path: "/hello", from: primary,
+			headers: [][2]string{{"Traceparent", clientTP}, {"Accept-Encoding", "gzip"}},
+			want: `GET /hello
+Accept-Encoding: gzip
+Traceparent: 00-0af7651916cd43dd8448eb211c80319c-<gateway-span>-01
+User-Agent: Go-http-client/1.1
+X-Canal-Service: web
+X-Canal-Source: client
+X-Canal-Subset: v1
+X-Canal-Tenant: tenant1
+X-Forwarded-For: 127.0.0.1
+
+`,
+		},
 	}
+	client := rawClient(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var body io.Reader
@@ -176,7 +200,7 @@ payload-123`,
 			for _, kv := range tc.headers {
 				req.Header.Set(kv[0], kv[1])
 			}
-			resp, err := http.DefaultClient.Do(req)
+			resp, err := client.Do(req)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,4 +247,79 @@ func normaliseTraceparent(t *testing.T, received, clientTrace, clientSpan string
 		shown = clientTrace
 	}
 	return received[:start] + "00-" + shown + "-<gateway-span>-01" + received[end:]
+}
+
+// TestGatewayPassesCompressedRepliesThrough sends a request that asks for no
+// encoding to an upstream that gzips every reply regardless. The gateway
+// must hand the reply over as the upstream sent it — the gzip bytes and
+// their Content-Encoding — and never inflate it on its own CPU.
+func TestGatewayPassesCompressedRepliesThrough(t *testing.T) {
+	var gz bytes.Buffer
+	zw := gzip.NewWriter(&gz)
+	if _, err := zw.Write([]byte(strings.Repeat("compressible ", 64))); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	up := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Encoding", "gzip")
+		w.Header().Set("Content-Type", "text/plain")
+		w.Write(gz.Bytes())
+	}))
+	defer up.Close()
+	gwSrv, _, _ := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"}, map[string][]string{"v1": {up.URL}}, false)
+
+	req, err := http.NewRequest(http.MethodGet, gwSrv.URL+"/hello", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(HeaderTenant, "tenant1")
+	req.Header.Set(HeaderService, "web")
+	resp, err := rawClient(t).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readBody(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get("Content-Encoding"); got != "gzip" {
+		t.Errorf("Content-Encoding = %q, want the upstream's gzip", got)
+	}
+	if body != gz.String() {
+		t.Errorf("client received %d bytes %q, want the upstream's %d gzip bytes", len(body), body, gz.Len())
+	}
+}
+
+// FuzzFlattenCookies holds flattenCookies to net/http's own parse: for any
+// set of Cookie header lines (the input split on newlines), the flattened
+// map is what Request.Cookies returns, folded by name with the last value
+// winning.
+func FuzzFlattenCookies(f *testing.F) {
+	for _, seed := range []string{
+		"lane=b",
+		"lane=b; session=s",
+		`a="quoted"; b=""; c="; d="x"y"; e="`,
+		"=v; a b=1; a@b=2; ok=3",
+		"a=\x7f; b=caf\xc3\xa9; n\xc3\xa9=1; c=\x1f; d=back\\slash",
+		";;a=1;;b=2;",
+		"\ta=1\t;\tb = 2 ;c= 3\t",
+		"a=1\nb=2\na=3",
+		"a=1; a=2\n\nb=x; a=4",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		h := http.Header{"Cookie": strings.Split(in, "\n")}
+		want := map[string]string{}
+		for _, c := range (&http.Request{Header: h}).Cookies() {
+			want[c.Name] = c.Value
+		}
+		got := map[string]string{}
+		flattenCookies(got, h)
+		if !maps.Equal(got, want) {
+			t.Fatalf("Cookie lines %q: flattened to %q, Request.Cookies gives %q", h["Cookie"], got, want)
+		}
+	})
 }

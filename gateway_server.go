@@ -12,9 +12,11 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httputil"
+	"net/textproto"
 	"net/url"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -162,8 +164,20 @@ func (b *copyBuffers) Get() []byte {
 // buf[:n] straight after a Read that filled exactly those n bytes.
 func (b *copyBuffers) Put(buf []byte) { b.pool.Put((*[copyBufferSize]byte)(buf)) }
 
-// NewGatewayServer returns an empty gateway.
+// NewGatewayServer returns an empty gateway. Its upstream hop, proxied and
+// mirrored alike, rides a transport of its own: the default transport's
+// settings but for compression, which it leaves to the client and the
+// upstream. The default would ask every upstream for a gzip the client never
+// asked for, and inflate the reply on the shared gateway's CPU.
 func NewGatewayServer(seed int64) *GatewayServer {
+	transport := http.DefaultTransport.(*http.Transport).Clone()
+	transport.DisableCompression = true
+	return newGatewayServer(seed, transport)
+}
+
+// newGatewayServer returns an empty gateway that sends its upstream
+// requests, proxied and mirrored, through rt.
+func newGatewayServer(seed int64, rt http.RoundTripper) *GatewayServer {
 	log := &telemetry.AccessLog{}
 	log.SetCapacity(liveAccessLogCap)
 	g := &GatewayServer{
@@ -171,12 +185,13 @@ func NewGatewayServer(seed int64) *GatewayServer {
 		start:        time.Now(), //canal:allow simdeterminism real HTTP server epoch; virtual time is offsets from this start
 		log:          log,
 		tracer:       trace.NewLive(),
-		mirrorClient: &http.Client{Timeout: mirrorTimeout},
+		mirrorClient: &http.Client{Transport: rt, Timeout: mirrorTimeout},
 	}
 	// Director, not Rewrite: Rewrite strips the client's X-Forwarded-* and
 	// leaves adding them to the hook, which would change what upstreams
 	// receive behind an earlier proxy.
 	g.proxy = httputil.ReverseProxy{
+		Transport:      rt,
 		Director:       g.directUpstream,
 		ModifyResponse: g.recordUpstreamStatus,
 		ErrorHandler:   g.upstreamFailed,
@@ -309,12 +324,31 @@ func (g *GatewayServer) ClearServiceRate(tenant, service string) {
 	g.engine.ClearServiceRate(serviceKey(tenant, service))
 }
 
-// signingPayload is the byte string a NodeAgent signs per request: who sends
-// it to which service of which tenant, and the request target as sent (path
-// and query), so a captured signature is good for that one request line only.
-func signingPayload(tenant, service, source, method, target, timestamp string) []byte {
-	h := sha256.Sum256([]byte(tenant + "\x00" + service + "\x00" + source + "\x00" + method + "\x00" + target + "\x00" + timestamp))
-	return h[:]
+// signingPayload is the digest a NodeAgent signs per request: who sends it to
+// which service of which tenant, and the request target as sent (path and
+// query), so a captured signature is good for that one request line only.
+func signingPayload(tenant, service, source, method, target, timestamp string) [sha256.Size]byte {
+	var buf [256]byte // holds a usual request's fields; a longer one grows onto the heap
+	b := append(buf[:0], tenant...)
+	for _, field := range [...]string{service, source, method, target, timestamp} {
+		b = append(b, 0)
+		b = append(b, field...)
+	}
+	return sha256.Sum256(b)
+}
+
+// maxCertLen is room for a mesh identity's DER certificate, 400 to 600 bytes
+// as IssueIdentity makes them; a larger one is decoded onto the heap.
+const maxCertLen = 1024
+
+// decodeBase64 decodes s into buf when it fits there, and onto the heap when
+// it does not.
+func decodeBase64(buf []byte, s string) ([]byte, error) {
+	if base64.StdEncoding.DecodedLen(len(s)) > len(buf) {
+		return base64.StdEncoding.DecodeString(s)
+	}
+	n, err := base64.StdEncoding.Decode(buf, []byte(s))
+	return buf[:n], err
 }
 
 // authenticate verifies the request's identity signature against the
@@ -330,7 +364,10 @@ func authenticate(r *http.Request, tenant, service string, ca *CA) (string, erro
 	if certB64 == "" || sigB64 == "" || ts == "" {
 		return "", fmt.Errorf("missing identity headers")
 	}
-	certDER, err := base64.StdEncoding.DecodeString(certB64)
+	// The certificate is decoded onto the stack, as VerifyPeer keeps no
+	// reference to it. The signature is not: VerifyASN1's parse leaks it.
+	var certBuf [maxCertLen]byte
+	certDER, err := decodeBase64(certBuf[:], certB64)
 	if err != nil {
 		return "", fmt.Errorf("bad cert encoding: %w", err)
 	}
@@ -350,7 +387,7 @@ func authenticate(r *http.Request, tenant, service string, ca *CA) (string, erro
 		return "", err
 	}
 	payload := signingPayload(tenant, service, id, r.Method, r.RequestURI, ts)
-	if !ecdsa.VerifyASN1(pub, payload, sig) {
+	if !ecdsa.VerifyASN1(pub, payload[:], sig) {
 		return "", fmt.Errorf("signature verification failed")
 	}
 	return id, nil
@@ -384,6 +421,9 @@ type requestState struct {
 	// proxied is the outcome the admission layer hears: the upstream
 	// answered, whatever its status.
 	proxied bool
+	// verified is set when req.SourceService is the authenticated identity's
+	// and not the client's claim.
+	verified bool
 }
 
 // stateKey is the context key a request's state travels under, from
@@ -489,8 +529,9 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			g.fail(w, st, http.StatusForbidden, "canal: "+err.Error())
 			return
 		}
-		// The verified identity overrides whatever the client claimed.
-		req.SourceService = shortID(id)
+		// The verified identity overrides whatever the client claimed, here
+		// and in what goes upstream.
+		req.SourceService, st.verified = shortID(id), true
 	}
 
 	up := tenant.services[st.service]
@@ -518,7 +559,7 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	req.SourcePod = r.Header.Get(HeaderSourcePod)
 	flattenHeaders(req.Headers, r.Header)
-	flattenCookies(req.Cookies, r)
+	flattenCookies(req.Cookies, r.Header)
 	req.BodyBytes = int(r.ContentLength)
 	req.TLS = r.TLS != nil
 	var err error
@@ -546,7 +587,7 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if st.decision.MirrorTo != "" {
 		if mirror, _, err := up.pick(st.decision.MirrorTo); err == nil {
-			g.spawnMirror(r, mirror, st.decision)
+			g.spawnMirror(r, mirror, st)
 		}
 	}
 
@@ -586,11 +627,34 @@ func (g *GatewayServer) directUpstream(out *http.Request) {
 		out.Header.Del(k)
 	}
 	out.Header[HeaderSubset] = st.subset
+	st.forwardSource(out.Header)
 	if st.tr != nil {
 		// Propagate the trace context upstream: the gateway's root
 		// span becomes the upstream's parent.
-		out.Header[traceparentKey] = []string{trace.Traceparent(st.tr.ID, st.tr.Root().ID, st.tr.Sampled)}
+		setOwned(out.Header, traceparentKey, trace.Traceparent(st.tr.ID, st.tr.Root().ID, st.tr.Sampled))
 	}
+}
+
+// forwardSource writes the verified source identity into h, a header set
+// going upstream, over whatever source the client claimed: the signature
+// covers the certificate's identity, not the client's X-Canal-Source. An
+// unauthenticated request's h is left as the client sent it.
+func (st *requestState) forwardSource(h http.Header) {
+	if st.verified {
+		setOwned(h, HeaderSource, st.req.SourceService)
+	}
+}
+
+// setOwned makes v the one value of h's key. h must be a clone the gateway
+// owns (Header.Clone gives every key a backing array of its own): a key that
+// already holds exactly one value has it overwritten in place, with no
+// allocation.
+func setOwned(h http.Header, key, v string) {
+	if vs := h[key]; len(vs) == 1 {
+		vs[0] = v
+		return
+	}
+	h[key] = []string{v}
 }
 
 // recordUpstreamStatus is the shared proxy's ModifyResponse: it records the
@@ -655,8 +719,9 @@ func (g *GatewayServer) finish(st *requestState) {
 // the mirror carries the same payload as the primary; oversized bodies are
 // mirrored without a body rather than stalling the primary path. The primary
 // request's body is restored before this returns, so the reverse proxy still
-// streams it intact.
-func (g *GatewayServer) spawnMirror(r *http.Request, target *url.URL, decision l7.Decision) {
+// streams it intact. Nothing of st goes to the goroutine.
+func (g *GatewayServer) spawnMirror(r *http.Request, target *url.URL, st *requestState) {
+	decision := st.decision
 	var body []byte
 	if r.Body != nil && r.Body != http.NoBody {
 		buffered, err := io.ReadAll(io.LimitReader(r.Body, mirrorBodyLimit+1))
@@ -676,6 +741,7 @@ func (g *GatewayServer) spawnMirror(r *http.Request, target *url.URL, decision l
 		}
 	}
 	headers := r.Header.Clone()
+	st.forwardSource(headers)
 	// The mirror's URL is the primary's as directUpstream builds it: escaped
 	// path and query kept, only the upstream and any rewrite applied.
 	u := *r.URL
@@ -745,10 +811,46 @@ func flattenHeaders(out map[string]string, h http.Header) {
 	}
 }
 
-func flattenCookies(out map[string]string, r *http.Request) {
-	for _, c := range r.Cookies() {
-		out[c.Name] = c.Value
+// flattenCookies keys each cookie of h's Cookie lines by its name, the last
+// value winning. It parses the lines in place by net/http's own rules for
+// Request.Cookies, which would allocate a slice and a Cookie per pair: pairs
+// split on ';' and trimmed of ASCII space, a name of token characters only,
+// and a value stripped of one pair of enclosing quotes whose bytes must then
+// all be printable ASCII but '"', ';' and '\'. FuzzFlattenCookies holds the
+// two to the same map.
+func flattenCookies(out map[string]string, h http.Header) {
+	for _, line := range h["Cookie"] {
+		for line != "" {
+			var pair string
+			pair, line, _ = strings.Cut(line, ";")
+			name, value, _ := strings.Cut(textproto.TrimString(pair), "=")
+			name = textproto.TrimString(name)
+			if name == "" || strings.IndexFunc(name, notCookieNameRune) >= 0 {
+				continue
+			}
+			if len(value) > 1 && value[0] == '"' && value[len(value)-1] == '"' {
+				value = value[1 : len(value)-1]
+			}
+			if strings.IndexFunc(value, notCookieValueRune) < 0 {
+				out[name] = value
+			}
+		}
 	}
+}
+
+// notCookieNameRune reports whether r may not appear in a cookie name, which
+// is an RFC 7230 token.
+func notCookieNameRune(r rune) bool {
+	switch {
+	case 'a' <= r && r <= 'z', 'A' <= r && r <= 'Z', '0' <= r && r <= '9':
+		return false
+	}
+	return !strings.ContainsRune("!#$%&'*+-.^_`|~", r)
+}
+
+// notCookieValueRune reports whether r may not appear in a cookie value.
+func notCookieValueRune(r rune) bool {
+	return r < 0x20 || r >= 0x7f || r == '"' || r == ';' || r == '\\'
 }
 
 // NodeAgent is the real-mode on-node proxy: it forwards workload requests to
@@ -824,6 +926,6 @@ func (a *NodeAgent) Get(service, path string) (*http.Response, error) {
 	return a.Do(http.MethodGet, service, path, nil, nil)
 }
 
-func signASN1(id *Identity, digest []byte) ([]byte, error) {
-	return ecdsa.SignASN1(rand.Reader, id.Key, digest)
+func signASN1(id *Identity, digest [sha256.Size]byte) ([]byte, error) {
+	return ecdsa.SignASN1(rand.Reader, id.Key, digest[:])
 }

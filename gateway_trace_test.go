@@ -288,7 +288,6 @@ func TestGatewayMirrorFailureCountedNotSurfaced(t *testing.T) {
 		Rules: []Rule{{Name: "mirror", MirrorTo: "shadow"}}}
 	_, agent, gw := testMesh(t, cfg,
 		map[string][]string{"v1": {primary.URL}, "shadow": {deadURL}}, false)
-	gw.mirrorClient = &http.Client{Timeout: 500 * time.Millisecond}
 
 	resp, err := agent.Get("web", "/")
 	if err != nil {

@@ -9,6 +9,7 @@
 package meshcrypto
 
 import (
+	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
 	"crypto/rand"
@@ -131,7 +132,9 @@ func (ca *CA) VerifyPeer(certDER []byte) (string, *ecdsa.PublicKey, error) {
 	ca.mu.Unlock()
 	if !hit {
 		var err error
-		if p, err = ca.verify(certDER); err != nil {
+		// verify's parse keeps slices of what it parses, so it gets a copy:
+		// certDER stays the caller's, and may live on the caller's stack.
+		if p, err = ca.verify(bytes.Clone(certDER)); err != nil {
 			return "", nil, err
 		}
 	}

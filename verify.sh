@@ -60,6 +60,9 @@ go test -run '^$' -fuzz FuzzLoadConfig -fuzztime 5s .
 # arrive, authenticate never panics and accepts only the seeded identity for
 # the service and target it signed.
 go test -run '^$' -fuzz FuzzAuthenticate -fuzztime 5s .
+# And the in-place cookie parser: any set of Cookie lines flattens to the map
+# Request.Cookies gives, folded last-wins (net/http is the oracle).
+go test -run '^$' -fuzz FuzzFlattenCookies -fuzztime 5s .
 # And the flow hash: the inline FNV-1a over the 5-tuple against the fmt+fnv
 # form it replaced (kept as the oracle in l4_test.go).
 go test -run '^$' -fuzz FuzzHash5Tuple -fuzztime 5s ./internal/l4
