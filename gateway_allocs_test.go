@@ -19,8 +19,8 @@ var serveHTTPAllocs = map[string]float64{
 	"routed":        22,
 	"policy_denied": 11,
 	"shed":          17,
-	"signed":        36,
-	"mirrored":      62,
+	"signed":        33,
+	"mirrored":      34,
 	"authenticate":  11,
 	"log_req":       1,
 }
@@ -29,8 +29,9 @@ var serveHTTPAllocs = map[string]float64{
 // so the proxy's work is measured without a socket. Its own allocations —
 // the response, its header map and the outbound request's clone that
 // round-trips through it — count in every proxied row. A request for the
-// shadow.invalid host, a mirror, gets a body that signals mirrored when
-// closed, the mirror goroutine's last step.
+// shadow.invalid host, a mirror's one round trip on the gateway's
+// transport, gets a body that signals mirrored when closed, the mirror
+// goroutine's last step.
 type stubUpstream struct{ mirrored chan struct{} }
 
 func (s stubUpstream) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -38,13 +39,37 @@ func (s stubUpstream) RoundTrip(r *http.Request) (*http.Response, error) {
 	if r.URL.Host == "shadow.invalid" {
 		body = mirrorDone(s.mirrored)
 	}
-	return &http.Response{
-		StatusCode: http.StatusOK, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
-		Header: make(http.Header), Body: body, Request: r,
-	}, nil
+	return stubResponse(r, http.StatusOK, body), nil
 }
 
-// mirrorDone is an empty body that signals on its channel when closed.
+// stubResponse is a reply to r with the given status and body.
+func stubResponse(r *http.Request, status int, body io.ReadCloser) *http.Response {
+	return &http.Response{
+		StatusCode: status, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: make(http.Header), Body: body, Request: r,
+	}
+}
+
+// stubGateway returns a gateway whose upstream hop is rt, with tenant1's
+// service configured as cfg over two pools: v1 at upstream.invalid and
+// shadow at shadow.invalid.
+func stubGateway(t *testing.T, rt http.RoundTripper, cfg ServiceConfig) *GatewayServer {
+	t.Helper()
+	gw := newGatewayServer(1, rt)
+	ca, err := NewCA("tenant1-ca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw.RegisterTenant("tenant1", ca)
+	pools := map[string][]string{"v1": {"http://upstream.invalid"}, "shadow": {"http://shadow.invalid"}}
+	if err := gw.ConfigureService("tenant1", cfg, pools); err != nil {
+		t.Fatal(err)
+	}
+	return gw
+}
+
+// mirrorDone is an empty body that signals on its channel when closed: the
+// mirror goroutine closes its reply once it has read it to the end.
 type mirrorDone chan struct{}
 
 func (mirrorDone) Read([]byte) (int, error) { return 0, io.EOF }
@@ -81,17 +106,7 @@ func TestServeHTTPAllocs(t *testing.T) {
 	const warmup = 4200
 	mirrored := make(chan struct{})
 	newGateway := func(cfg ServiceConfig) *GatewayServer {
-		gw := newGatewayServer(1, stubUpstream{mirrored})
-		ca, err := NewCA("tenant1-ca")
-		if err != nil {
-			t.Fatal(err)
-		}
-		gw.RegisterTenant("tenant1", ca)
-		pools := map[string][]string{"v1": {"http://upstream.invalid"}, "shadow": {"http://shadow.invalid"}}
-		if err := gw.ConfigureService("tenant1", cfg, pools); err != nil {
-			t.Fatal(err)
-		}
-		return gw
+		return stubGateway(t, stubUpstream{mirrored}, cfg)
 	}
 	newRequest := func(source string) *http.Request {
 		r := httptest.NewRequest(http.MethodGet, "/api/cart", nil)

@@ -90,7 +90,9 @@ func TestSignedRequestWithQuery(t *testing.T) {
 // TestGatewayForwardsVerifiedSource sends a signed request whose client
 // claims X-Canal-Source: admin. The signature covers the certificate's
 // identity, not that header, so the upstream and the mirror must both be
-// told the verified source, client.
+// told the verified source, client. Neither is sent the credential: the
+// certificate, signature and timestamp are the gateway's to verify, and
+// stop there.
 func TestGatewayForwardsVerifiedSource(t *testing.T) {
 	primary, shadow := make(chan string, 1), make(chan string, 1)
 	v1, v2 := recordingUpstream(primary), recordingUpstream(shadow)
@@ -116,8 +118,14 @@ func TestGatewayForwardsVerifiedSource(t *testing.T) {
 		name string
 		got  <-chan string
 	}{{"upstream", primary}, {"mirror", shadow}} {
-		if got := <-to.got; !strings.Contains(got, "\nX-Canal-Source: client\n") {
+		got := <-to.got
+		if !strings.Contains(got, "\nX-Canal-Source: client\n") {
 			t.Errorf("%s received:\n%s\nwant X-Canal-Source: client, the verified source", to.name, got)
+		}
+		for _, credential := range []string{HeaderCert, HeaderSignature, HeaderTimestamp} {
+			if strings.Contains(got, "\n"+credential+": ") {
+				t.Errorf("%s received %s: the credential must stop at the gateway", to.name, credential)
+			}
 		}
 	}
 }

@@ -54,7 +54,8 @@ const (
 // process must not grow without limit under load.
 const liveAccessLogCap = 65536
 
-// mirrorTimeout bounds each mirrored shadow request.
+// mirrorTimeout bounds each mirrored shadow request, so a slow mirror subset
+// can never pile up goroutines indefinitely.
 const mirrorTimeout = 5 * time.Second
 
 // mirrorBodyLimit is the largest request body the gateway buffers for
@@ -87,12 +88,9 @@ type GatewayServer struct {
 	tracer  *trace.Tracer
 	// proxy forwards every request of every tenant. Its hooks find the
 	// request they are called for in the request context (stateOf).
-	proxy  httputil.ReverseProxy
-	states sync.Pool // *requestState
-	// mirrorClient sends shadow traffic with its own bounded deadline, so a
-	// slow mirror subset can never pile up goroutines indefinitely.
-	mirrorClient *http.Client
-	mirrorFail   telemetry.Counter
+	proxy      httputil.ReverseProxy
+	states     sync.Pool // *requestState
+	mirrorFail telemetry.Counter
 	// RequireAuth demands a valid identity signature on every request.
 	RequireAuth bool
 }
@@ -181,11 +179,10 @@ func newGatewayServer(seed int64, rt http.RoundTripper) *GatewayServer {
 	log := &telemetry.AccessLog{}
 	log.SetCapacity(liveAccessLogCap)
 	g := &GatewayServer{
-		engine:       l7.NewEngine(seed),
-		start:        time.Now(), //canal:allow simdeterminism real HTTP server epoch; virtual time is offsets from this start
-		log:          log,
-		tracer:       trace.NewLive(),
-		mirrorClient: &http.Client{Transport: rt, Timeout: mirrorTimeout},
+		engine: l7.NewEngine(seed),
+		start:  time.Now(), //canal:allow simdeterminism real HTTP server epoch; virtual time is offsets from this start
+		log:    log,
+		tracer: trace.NewLive(),
 	}
 	// Director, not Rewrite: Rewrite strips the client's X-Forwarded-* and
 	// leaves adding them to the hook, which would change what upstreams
@@ -208,8 +205,8 @@ func newGatewayServer(seed int64, rt http.RoundTripper) *GatewayServer {
 // traces of the real data path).
 func (g *GatewayServer) Tracer() *trace.Tracer { return g.tracer }
 
-// MirrorFailures returns how many mirrored shadow requests failed (build,
-// transport, or timeout errors).
+// MirrorFailures returns how many mirrored shadow requests failed (a body
+// that could not be buffered, transport or timeout errors).
 func (g *GatewayServer) MirrorFailures() float64 { return g.mirrorFail.Value() }
 
 // AccessLog exposes the gateway's L7 access log.
@@ -586,8 +583,8 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if st.decision.MirrorTo != "" {
-		if mirror, _, err := up.pick(st.decision.MirrorTo); err == nil {
-			g.spawnMirror(r, mirror, st)
+		if mirror, subset, err := up.pick(st.decision.MirrorTo); err == nil {
+			g.spawnMirror(r, mirror, subset, st)
 		}
 	}
 
@@ -615,6 +612,7 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (g *GatewayServer) directUpstream(out *http.Request) {
 	st := stateOf(out)
 	decision := &st.decision
+	dropCredentials(out.Header)
 	out.URL.Scheme = st.target.Scheme
 	out.URL.Host = st.target.Host
 	if decision.PathRewrite != "" {
@@ -633,6 +631,17 @@ func (g *GatewayServer) directUpstream(out *http.Request) {
 		// span becomes the upstream's parent.
 		setOwned(out.Header, traceparentKey, trace.Traceparent(st.tr.ID, st.tr.Root().ID, st.tr.Sampled))
 	}
+}
+
+// dropCredentials deletes the identity headers from h, a header set going
+// upstream. They are addressed to the gateway, which has verified them, as
+// Proxy-Authorization is addressed to a proxy; an upstream is told the
+// verified source instead (forwardSource). Deleted before anything is added,
+// they also leave room in h for what the gateway adds.
+func dropCredentials(h http.Header) {
+	delete(h, HeaderCert)
+	delete(h, HeaderSignature)
+	delete(h, HeaderTimestamp)
 }
 
 // forwardSource writes the verified source identity into h, a header set
@@ -719,9 +728,9 @@ func (g *GatewayServer) finish(st *requestState) {
 // the mirror carries the same payload as the primary; oversized bodies are
 // mirrored without a body rather than stalling the primary path. The primary
 // request's body is restored before this returns, so the reverse proxy still
-// streams it intact. Nothing of st goes to the goroutine.
-func (g *GatewayServer) spawnMirror(r *http.Request, target *url.URL, st *requestState) {
-	decision := st.decision
+// streams it intact. subset is the shadow pool's X-Canal-Subset value.
+// Nothing of st goes to the goroutine.
+func (g *GatewayServer) spawnMirror(r *http.Request, target *url.URL, subset []string, st *requestState) {
 	var body []byte
 	if r.Body != nil && r.Body != http.NoBody {
 		buffered, err := io.ReadAll(io.LimitReader(r.Body, mirrorBodyLimit+1))
@@ -741,15 +750,17 @@ func (g *GatewayServer) spawnMirror(r *http.Request, target *url.URL, st *reques
 		}
 	}
 	headers := r.Header.Clone()
+	dropCredentials(headers)
+	headers[HeaderSubset] = subset
 	st.forwardSource(headers)
 	// The mirror's URL is the primary's as directUpstream builds it: escaped
 	// path and query kept, only the upstream and any rewrite applied.
 	u := *r.URL
 	u.Scheme, u.Host = target.Scheme, target.Host
-	if decision.PathRewrite != "" {
-		u.Path = decision.PathRewrite
+	if st.decision.PathRewrite != "" {
+		u.Path = st.decision.PathRewrite
 	}
-	go g.mirror(r.Method, &u, headers, body, decision)
+	go g.mirror(r.Method, &u, headers, body)
 }
 
 // errReader replays a body read error to the primary request after the
@@ -758,25 +769,23 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// mirror sends a copy of the request to the shadow subset with the dedicated
-// mirror client (its own timeout), discarding the response body. Failures are
-// counted, never surfaced to the primary request.
-func (g *GatewayServer) mirror(method string, u *url.URL, headers http.Header, body []byte, decision l7.Decision) {
-	var rd io.Reader
+// mirror sends a copy of the request to the shadow subset as one round trip
+// on the gateway's transport, under a deadline of mirrorTimeout, and discards
+// the response body. The request is built on headers, spawnMirror's clone, as
+// it stands. A redirect is the shadow's answer, not an address to follow.
+// Failures are counted, never surfaced to the primary request.
+func (g *GatewayServer) mirror(method string, u *url.URL, headers http.Header, body []byte) {
+	ctx, cancel := context.WithTimeout(context.Background(), mirrorTimeout)
+	defer cancel()
+	req := &http.Request{Method: method, URL: u, Header: headers}
 	if len(body) > 0 {
-		rd = bytes.NewReader(body)
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		req.ContentLength = int64(len(body))
+		// As http.NewRequest sets it: the transport resends a body it can
+		// rewind on a reused connection that failed before it was written.
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
 	}
-	req, err := http.NewRequest(method, "", rd)
-	if err != nil {
-		g.mirrorFail.Inc()
-		return
-	}
-	req.URL = u
-	for k, v := range headers {
-		req.Header[k] = v
-	}
-	req.Header.Set(HeaderSubset, decision.MirrorTo)
-	resp, err := g.mirrorClient.Do(req)
+	resp, err := g.proxy.Transport.RoundTrip(req.WithContext(ctx))
 	if err != nil {
 		g.mirrorFail.Inc()
 		return

@@ -2,6 +2,7 @@ package canal
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -303,5 +304,110 @@ func TestGatewayMirrorFailureCountedNotSurfaced(t *testing.T) {
 	}
 	if n := gw.MirrorFailures(); n != 1 {
 		t.Errorf("mirror failures = %v, want 1", n)
+	}
+}
+
+// roundTripFunc is a RoundTripper made of one function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// drainSignal is a reply body that signals on done when it is closed after
+// being read to EOF, and not when it is closed before.
+type drainSignal struct {
+	r    io.Reader
+	eof  bool
+	done chan<- struct{}
+}
+
+func (b *drainSignal) Read(p []byte) (int, error) {
+	n, err := b.r.Read(p)
+	b.eof = b.eof || err == io.EOF
+	return n, err
+}
+
+func (b *drainSignal) Close() error {
+	if b.eof {
+		b.done <- struct{}{}
+	}
+	return nil
+}
+
+// TestGatewayMirrorNeverFollowsRedirect has the shadow answer the mirror with
+// a 307 to another host. The redirect is the shadow's reply, read to its end
+// and dropped: the mirror sends nothing to the host it names. The reply's
+// body is larger than an http.Client reads of a redirect before it closes
+// one, so a client that follows closes it unread.
+func TestGatewayMirrorNeverFollowsRedirect(t *testing.T) {
+	drained, followed := make(chan struct{}, 1), make(chan struct{}, 1)
+	gw := stubGateway(t, roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		switch r.URL.Host {
+		case "shadow.invalid":
+			resp := stubResponse(r, http.StatusTemporaryRedirect,
+				&drainSignal{r: strings.NewReader(strings.Repeat("x", 3000)), done: drained})
+			resp.ContentLength = 3000
+			resp.Header.Set("Location", "http://elsewhere.invalid/moved")
+			return resp, nil
+		case "elsewhere.invalid":
+			return stubResponse(r, http.StatusOK, mirrorDone(followed)), nil
+		}
+		return stubResponse(r, http.StatusOK, http.NoBody), nil
+	}), ServiceConfig{Service: "web", DefaultSubset: "v1", Rules: []Rule{{Name: "mirror", MirrorTo: "shadow"}}})
+
+	req := httptest.NewRequest(http.MethodGet, "/orders", nil)
+	req.Header.Set(HeaderTenant, "tenant1")
+	req.Header.Set(HeaderService, "web")
+	w := httptest.NewRecorder()
+	gw.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("primary status = %d", w.Code)
+	}
+	select {
+	case <-drained:
+	case <-followed:
+		t.Fatal("the mirror followed the shadow's redirect to elsewhere.invalid")
+	}
+	if n := gw.MirrorFailures(); n != 0 {
+		t.Errorf("mirror failures = %v, want 0: a redirect is an answer", n)
+	}
+}
+
+// TestGatewayMirrorKeepsDeadline checks that the mirror's round trip runs
+// under a deadline of mirrorTimeout from its send. It brackets the deadline
+// the transport sees between those of two contexts given the same timeout,
+// one made before the request is served and one after the round trip began.
+func TestGatewayMirrorKeepsDeadline(t *testing.T) {
+	type seen struct {
+		deadline time.Time
+		ok       bool
+	}
+	sent := make(chan seen, 1)
+	gw := stubGateway(t, roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Host == "shadow.invalid" {
+			d, ok := r.Context().Deadline()
+			sent <- seen{d, ok}
+		}
+		return stubResponse(r, http.StatusOK, http.NoBody), nil
+	}), ServiceConfig{Service: "web", DefaultSubset: "v1", Rules: []Rule{{Name: "mirror", MirrorTo: "shadow"}}})
+
+	deadlineFromNow := func() time.Time {
+		ctx, cancel := context.WithTimeout(context.Background(), mirrorTimeout)
+		defer cancel()
+		d, _ := ctx.Deadline()
+		return d
+	}
+	req := httptest.NewRequest(http.MethodGet, "/orders", nil)
+	req.Header.Set(HeaderTenant, "tenant1")
+	req.Header.Set(HeaderService, "web")
+	earliest := deadlineFromNow()
+	gw.ServeHTTP(httptest.NewRecorder(), req)
+	got := <-sent
+	latest := deadlineFromNow()
+	if !got.ok {
+		t.Fatal("the mirror's round trip has no deadline")
+	}
+	if got.deadline.Before(earliest) || got.deadline.After(latest) {
+		t.Errorf("mirror deadline %v, want within [%v, %v]: mirrorTimeout (%v) from its send",
+			got.deadline, earliest, latest, mirrorTimeout)
 	}
 }

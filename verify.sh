@@ -38,14 +38,17 @@ go test -race -shuffle=on ./...
 # buckets and throttle slot between every request that meets them, and each
 # tenant CA's verified-peer memo and serial counter between every request and
 # issue of that tenant, the admission controller's tenant slots, running
-# active weight and recycled tickets between every admit and release, and
+# active weight and recycled tickets between every admit and release,
 # a bounded tracer's recycled traces between every Finish and the Start
-# that refills them: the tests that share that state between goroutines
+# that refills them, and each mirror pool's X-Canal-Subset slice, shared
+# read-only between the requests that mirror to it and the mirror
+# goroutines whose round trips on the gateway's transport write it out:
+# the tests that share that state between goroutines
 # run ten times over, so an interleaving one pass misses still has its
 # chance to be seen. The race detector, not a
 # static check, is what guards shared mutable state written on the request
 # path.
-go test -race -count=10 -run 'TestPooledState|TestGatewayThrottleUnderConcurrentLoad|TestRouteConcurrentRateLimits|TestVerifyPeerConcurrent|TestIssueIdentityConcurrent|TestHTTPControllerConcurrent|TestHTTPControllerStaleRelease|TestTracerRecycle' . ./internal/l7 ./internal/meshcrypto ./internal/admission ./internal/trace
+go test -race -count=10 -run 'TestPooledState|TestGatewayThrottleUnderConcurrentLoad|TestRouteConcurrentRateLimits|TestVerifyPeerConcurrent|TestIssueIdentityConcurrent|TestHTTPControllerConcurrent|TestHTTPControllerStaleRelease|TestTracerRecycle|TestGatewayMirror' . ./internal/l7 ./internal/meshcrypto ./internal/admission ./internal/trace
 
 # Fuzz smoke: the in-place traceparent parser against the split-and-decode
 # parser it replaced (kept as the oracle in w3c_test.go, which refuses
