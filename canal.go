@@ -1,19 +1,17 @@
-// Package canal is the public API of the Canal Mesh reproduction: a
+// Package canal is the live gateway of the Canal Mesh reproduction: a
 // cloud-scale, sidecar-free, multi-tenant service mesh (Song et al.,
 // SIGCOMM 2024).
 //
-// The package offers two ways in:
+// GatewayServer and NodeAgent (gateway_server.go) run the mesh's L7 engine
+// as a real multi-tenant HTTP gateway over TCP, with per-request zero-trust
+// authentication backed by the mesh CA; LoadConfig (config.go) reads the
+// JSON deployment file cmd/canalgw serves. The configuration types below
+// (Request, ServiceConfig, Rule, traffic splits, authorization rules) are
+// the L7 engine's own, re-exported.
 //
-//   - GatewayServer and NodeAgent (gateway_server.go) run the mesh's L7
-//     engine as a real multi-tenant HTTP gateway over TCP, with per-request
-//     zero-trust authentication backed by the mesh CA — the "real mode"
-//     used by the runnable examples.
-//
-//   - The re-exported configuration types below (Request, ServiceConfig,
-//     Rule, traffic splits, authorization rules) are shared with the
-//     discrete-event simulation packages under internal/, which regenerate
-//     every table and figure of the paper (see DESIGN.md and
-//     cmd/canalbench).
+// The package links no part of the discrete-event simulator. The
+// simulations that regenerate every table and figure of the paper live
+// under internal/ and run through cmd/canalbench (see DESIGN.md).
 package canal
 
 import (

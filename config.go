@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"canalmesh/internal/admission"
-	"canalmesh/internal/sim"
+	"canalmesh/internal/units"
 )
 
 // FileConfig is the JSON deployment configuration cmd/canalgw loads: the
@@ -50,7 +50,7 @@ func (a *AdmissionFileConfig) Build() admission.Config {
 			Tolerance:    a.Tolerance,
 		},
 		RetryBudgetRatio: a.RetryBudgetRatio,
-		RetryAfter:       sim.Scale(time.Millisecond, a.RetryAfterMS),
+		RetryAfter:       units.Scale(time.Millisecond, a.RetryAfterMS),
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"time"
 
 	canal "canalmesh"
 )
@@ -51,29 +50,4 @@ func Example() {
 	defer resp.Body.Close()
 	fmt.Println("status:", resp.StatusCode)
 	// Output: status: 200
-}
-
-// ExampleNewScenario drives the simulated cloud: a region with gateway
-// backends across two AZs, a tenant service, an AZ outage, and hierarchical
-// failover keeping the service up.
-func ExampleNewScenario() {
-	sc, err := canal.NewScenario(canal.ScenarioConfig{Seed: 42})
-	if err != nil {
-		log.Fatal(err)
-	}
-	svc, err := sc.RegisterService("acme", "web", 100, "192.168.0.10",
-		canal.ServiceConfig{DefaultSubset: "v1"})
-	if err != nil {
-		log.Fatal(err)
-	}
-	stats := svc.Drive(canal.Constant(100).From("az1").For(20 * time.Second))
-	if err := sc.Inject(canal.AZDown("az1"), 5*time.Second); err != nil {
-		log.Fatal(err)
-	}
-	if err := sc.Inject(canal.AZRecover("az1"), 15*time.Second); err != nil {
-		log.Fatal(err)
-	}
-	sc.RunFor(22 * time.Second)
-	fmt.Println("unavailable responses during the AZ outage:", stats.Count(503))
-	// Output: unavailable responses during the AZ outage: 0
 }

@@ -180,7 +180,7 @@ func newGatewayServer(seed int64, rt http.RoundTripper) *GatewayServer {
 	log.SetCapacity(liveAccessLogCap)
 	g := &GatewayServer{
 		engine: l7.NewEngine(seed),
-		start:  time.Now(), //canal:allow simdeterminism real HTTP server epoch; virtual time is offsets from this start
+		start:  time.Now(),
 		log:    log,
 		tracer: trace.NewLive(),
 	}
@@ -206,7 +206,8 @@ func newGatewayServer(seed int64, rt http.RoundTripper) *GatewayServer {
 func (g *GatewayServer) Tracer() *trace.Tracer { return g.tracer }
 
 // MirrorFailures returns how many mirrored shadow requests failed (a body
-// that could not be buffered, transport or timeout errors).
+// that could not be buffered, transport or timeout errors, a reply whose
+// body broke off while it was read).
 func (g *GatewayServer) MirrorFailures() float64 { return g.mirrorFail.Value() }
 
 // AccessLog exposes the gateway's L7 access log.
@@ -376,7 +377,7 @@ func authenticate(r *http.Request, tenant, service string, ca *CA) (string, erro
 	if err != nil {
 		return "", fmt.Errorf("bad timestamp: %w", err)
 	}
-	if d := time.Since(time.Unix(tsn, 0)); d > authSkew || d < -authSkew { //canal:allow simdeterminism auth skew check needs the real clock
+	if d := time.Since(time.Unix(tsn, 0)); d > authSkew || d < -authSkew {
 		return "", fmt.Errorf("request timestamp outside accepted skew")
 	}
 	id, pub, err := ca.VerifyPeer(certDER)
@@ -504,7 +505,7 @@ func (g *GatewayServer) fail(w http.ResponseWriter, st *requestState, status int
 // and reverse-proxy, propagating the trace context upstream.
 func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	st := g.states.Get().(*requestState)
-	st.started = time.Now() //canal:allow simdeterminism real request latency measurement on the live HTTP path
+	st.started = time.Now()
 	st.tr = g.startTrace(r)
 	st.status = http.StatusOK
 	defer g.finish(st)
@@ -560,7 +561,7 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	req.BodyBytes = int(r.ContentLength)
 	req.TLS = r.TLS != nil
 	var err error
-	st.decision, err = up.route.Route(time.Since(g.start), req) //canal:allow simdeterminism live gateway clock feeds rate limiters with real elapsed time
+	st.decision, err = up.route.Route(time.Since(g.start), req)
 	if err != nil {
 		g.fail(w, st, l7.StatusOf(err), "canal: "+err.Error())
 		return
@@ -568,7 +569,7 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	if st.decision.Delay > 0 {
 		// Fault injection: hold the request before proxying.
-		time.Sleep(st.decision.Delay) //canal:allow simdeterminism fault injection must really delay live requests
+		time.Sleep(st.decision.Delay)
 	}
 	ctx := r.Context()
 	if st.decision.Timeout > 0 {
@@ -773,7 +774,8 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 // on the gateway's transport, under a deadline of mirrorTimeout, and discards
 // the response body. The request is built on headers, spawnMirror's clone, as
 // it stands. A redirect is the shadow's answer, not an address to follow.
-// Failures are counted, never surfaced to the primary request.
+// Failures, a reply whose body breaks off while it is read included, are
+// counted, never surfaced to the primary request.
 func (g *GatewayServer) mirror(method string, u *url.URL, headers http.Header, body []byte) {
 	ctx, cancel := context.WithTimeout(context.Background(), mirrorTimeout)
 	defer cancel()
@@ -790,13 +792,15 @@ func (g *GatewayServer) mirror(method string, u *url.URL, headers http.Header, b
 		g.mirrorFail.Inc()
 		return
 	}
-	io.Copy(io.Discard, resp.Body)
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		g.mirrorFail.Inc()
+	}
 	resp.Body.Close()
 }
 
 func (g *GatewayServer) logReq(st *requestState) {
 	g.log.Log(telemetry.AccessEntry{
-		At:      time.Since(g.start), //canal:allow simdeterminism access-log timestamps on the live path are wall-clock offsets
+		At:      time.Since(g.start),
 		Layer:   telemetry.AccessL7,
 		Where:   "gateway",
 		Tenant:  st.req.Tenant,
@@ -805,7 +809,7 @@ func (g *GatewayServer) logReq(st *requestState) {
 		Method:  st.req.Method,
 		Path:    st.req.Path,
 		Status:  st.status,
-		Latency: time.Since(st.started), //canal:allow simdeterminism real request latency on the live path
+		Latency: time.Since(st.started),
 		TraceID: st.traceIDString(),
 	})
 }
@@ -905,7 +909,7 @@ func (a *NodeAgent) Do(method, service, path string, body io.Reader, headers map
 	req.Header.Set(HeaderTenant, a.Tenant)
 	req.Header.Set(HeaderService, service)
 	req.Header.Set(HeaderSource, shortID(a.Identity.ID))
-	ts := strconv.FormatInt(time.Now().Unix(), 10) //canal:allow simdeterminism signed auth timestamps must be real time for skew checks
+	ts := strconv.FormatInt(time.Now().Unix(), 10)
 	req.Header.Set(HeaderTimestamp, ts)
 	req.Header.Set(HeaderCert, base64.StdEncoding.EncodeToString(a.Identity.CertDER))
 	payload := signingPayload(a.Tenant, service, a.Identity.ID, method, req.URL.RequestURI(), ts)

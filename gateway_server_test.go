@@ -258,7 +258,7 @@ func TestGatewayRejectsStaleTimestamp(t *testing.T) {
 	gwSrv, agent, _ := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"},
 		map[string][]string{"v1": {v1.URL}}, true)
 	// Hand-craft a request with an expired timestamp but valid signature.
-	ts := strconv.FormatInt(time.Now().Add(-time.Hour).Unix(), 10) //canal:allow simdeterminism deliberately stale real-clock timestamp exercises the skew rejection
+	ts := strconv.FormatInt(time.Now().Add(-time.Hour).Unix(), 10)
 	req, _ := http.NewRequest(http.MethodGet, gwSrv.URL+"/x", nil)
 	req.Header.Set(HeaderTenant, "tenant1")
 	req.Header.Set(HeaderService, "web")

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -113,7 +114,7 @@ func TestNodeAgentOriginatesTraceparent(t *testing.T) {
 
 func TestGatewayShedAndUpstreamErrorsCarryTraceHeader(t *testing.T) {
 	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(150 * time.Millisecond) //canal:allow simdeterminism real upstream delay creates the live concurrency the limiter sheds
+		time.Sleep(150 * time.Millisecond)
 	}))
 	defer slow.Close()
 	_, agent, gw := testMesh(t, ServiceConfig{Service: "web", DefaultSubset: "v1"},
@@ -269,7 +270,7 @@ func TestGatewayMirrorForwardsBodyAndHeaders(t *testing.T) {
 			if s.body != "payload-123" {
 				t.Errorf("%s: mirror body = %q: body must be forwarded", tc.target, s.body)
 			}
-		case <-time.After(3 * time.Second): //canal:allow simdeterminism real-time wait for the async live mirror goroutine
+		case <-time.After(3 * time.Second):
 			t.Fatalf("%s: mirror request never arrived", tc.target)
 		}
 	}
@@ -298,12 +299,62 @@ func TestGatewayMirrorFailureCountedNotSurfaced(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("primary status = %d: mirror failure must not surface", resp.StatusCode)
 	}
-	deadline := time.Now().Add(3 * time.Second)                   //canal:allow simdeterminism real-time deadline polling the async live mirror failure counter
-	for gw.MirrorFailures() == 0 && time.Now().Before(deadline) { //canal:allow simdeterminism real-time deadline polling the async live mirror failure counter
-		time.Sleep(10 * time.Millisecond) //canal:allow simdeterminism real-time deadline polling the async live mirror failure counter
+	deadline := time.Now().Add(3 * time.Second)
+	for gw.MirrorFailures() == 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
 	}
 	if n := gw.MirrorFailures(); n != 1 {
 		t.Errorf("mirror failures = %v, want 1", n)
+	}
+}
+
+// brokenBody is a reply body that returns part of a reply and then err, as
+// a connection reset or a deadline passing mid-body does, and signals on
+// closed when it is closed.
+type brokenBody struct {
+	sent   bool
+	err    error
+	closed chan<- struct{}
+}
+
+func (b *brokenBody) Read(p []byte) (int, error) {
+	if !b.sent {
+		b.sent = true
+		return copy(p, "partial"), nil
+	}
+	return 0, b.err
+}
+
+func (b *brokenBody) Close() error {
+	b.closed <- struct{}{}
+	return nil
+}
+
+// TestGatewayMirrorBodyErrorCounted has the shadow's reply break off while
+// the mirror reads it: the round trip succeeded, but the exchange did not,
+// so it counts as a mirror failure, and the primary still gets its 200.
+func TestGatewayMirrorBodyErrorCounted(t *testing.T) {
+	for _, cause := range []error{syscall.ECONNRESET, context.DeadlineExceeded} {
+		closed := make(chan struct{}, 1)
+		gw := stubGateway(t, roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			if r.URL.Host == "shadow.invalid" {
+				return stubResponse(r, http.StatusOK, &brokenBody{err: cause, closed: closed}), nil
+			}
+			return stubResponse(r, http.StatusOK, http.NoBody), nil
+		}), ServiceConfig{Service: "web", DefaultSubset: "v1", Rules: []Rule{{Name: "mirror", MirrorTo: "shadow"}}})
+
+		req := httptest.NewRequest(http.MethodGet, "/orders", nil)
+		req.Header.Set(HeaderTenant, "tenant1")
+		req.Header.Set(HeaderService, "web")
+		w := httptest.NewRecorder()
+		gw.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%v: primary status = %d: a mirror failure must not surface", cause, w.Code)
+		}
+		<-closed // the mirror counts a failed read before it closes the reply
+		if n := gw.MirrorFailures(); n != 1 {
+			t.Errorf("%v: mirror failures = %v, want 1", cause, n)
+		}
 	}
 }
 

@@ -1,28 +1,26 @@
 // Package admission is the gateway's proactive overload-control layer: the
-// piece that keeps a multi-tenant shard alive in the window between "a noisy
-// neighbor appeared" and "anomaly detection migrated it to a sandbox" (§6.2
-// handles the latter; migration takes tens of seconds, and this package
-// covers the former).
+// piece that keeps a multi-tenant shard alive while a noisy neighbor is
+// still being found (§6.2's anomaly handling is the slower, later step).
 //
-// It composes three classic mechanisms:
+// It holds what the live gateway runs and the simulated one shares:
 //
-//   - Queue: a weighted deficit-round-robin (WDRR) scheduler with one FIFO
-//     per tenant at each gateway replica, so one tenant's burst occupies its
-//     own queue instead of starving everyone (fq_codel-style: DRR across
-//     tenant queues, CoDel within each).
-//   - CoDel: per-tenant controlled-delay queue management — when a queue's
-//     sojourn time stays above target for an interval, requests are shed at
-//     dequeue with an interval/sqrt(count) cadence, keeping standing queues
-//     short without harming bursts.
+//   - HTTPController: per-service adaptive concurrency limits and per-tenant
+//     fair shares of the gateway's concurrency, for the real HTTP gateway.
 //   - Limiter: an AIMD adaptive concurrency limit per service that tracks
 //     observed latency against a self-learned baseline and sheds excess load
 //     before queues build at all.
+//   - RetryBudget, Config, Metrics and the typed *Rejection.
+//
+// The simulated gateway's per-replica queues, weighted deficit round robin
+// across tenants with CoDel within each (fq_codel applied to requests),
+// live in internal/gateway, their one user, so this package links none of
+// the discrete-event simulator.
 //
 // Shed requests fail fast with a typed *Rejection (HTTP 429 semantics plus a
 // Retry-After hint) instead of timing out, and RetryBudget keeps retries from
-// amplifying overload. Everything takes explicit virtual-time "now"
-// arguments, so one implementation serves both the discrete-event simulator
-// and the real HTTP gateway (which feeds wall-clock offsets).
+// amplifying overload. Everything takes explicit "now" arguments, so one
+// implementation serves both the discrete-event simulator and the real HTTP
+// gateway (which feeds wall-clock offsets).
 package admission
 
 import (
@@ -71,8 +69,9 @@ func (r *Rejection) Error() string {
 
 // Config tunes a gateway's admission layer. The zero value is usable: every
 // field falls back to the package default. Quantum, PerTenantCap, Target and
-// Interval shape the simulated gateway's per-replica WDRR+CoDel queues; the
-// live HTTPController keeps no queue and reads none of them.
+// Interval shape the simulated gateway's per-replica WDRR+CoDel queues
+// (internal/gateway); the live HTTPController keeps no queue and reads none
+// of them.
 type Config struct {
 	// Quantum is the WDRR deficit replenished per round, in CPU-cost units.
 	// Default: 500µs (~2 typical gateway L7 requests).

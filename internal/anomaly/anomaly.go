@@ -1,7 +1,9 @@
-// Package anomaly implements the multi-indicator monitoring and rapid
-// intervention machinery of §4.2 and §6.2: backend-, service- and
-// tenant-level alert classification (scale vs lossy/lossless sandbox
-// migration vs throttling).
+// Package anomaly implements the multi-indicator alert classification of
+// §4.2 and §6.2: from backend-, service- and tenant-level signals, decide
+// between scaling, lossy or lossless sandbox migration and throttling.
+// Classify is a pure function of its Signals; no loop samples the gateway
+// and acts on its verdict yet, and nothing outside this package's tests
+// calls it.
 package anomaly
 
 import (

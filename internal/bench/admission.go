@@ -13,6 +13,7 @@ import (
 	"canalmesh/internal/netmodel"
 	"canalmesh/internal/sim"
 	"canalmesh/internal/telemetry"
+	"canalmesh/internal/units"
 	"canalmesh/internal/workload"
 )
 
@@ -134,8 +135,8 @@ func runAdmissionFlashCrowd(enable bool) admissionRun {
 	s.Run()
 
 	out := admissionRun{
-		victimBaseP99:  victimBase.PercentileDuration(99),
-		victimFlashP99: victimFlash.PercentileDuration(99),
+		victimBaseP99:  units.Seconds(victimBase.Percentile(99)),
+		victimFlashP99: units.Seconds(victimFlash.Percentile(99)),
 		victimGoodput:  float64(victimFlashOK) / crowdHold.Seconds(),
 		totalGoodput:   float64(totalFlashOK) / crowdHold.Seconds(),
 		fairness:       1,

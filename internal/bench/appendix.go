@@ -15,6 +15,7 @@ import (
 	"canalmesh/internal/redirect"
 	"canalmesh/internal/sim"
 	"canalmesh/internal/telemetry"
+	"canalmesh/internal/units"
 	"canalmesh/internal/workload"
 )
 
@@ -117,9 +118,9 @@ func Fig24LatencyDistribution() *Table {
 	for i := 0; i < requests; i++ {
 		var app time.Duration
 		if rng.Float64() < 0.55 {
-			app = 40*time.Millisecond + sim.Nanos(rng.Int63n(int64(10*time.Millisecond)))
+			app = 40*time.Millisecond + units.Nanos(rng.Int63n(int64(10*time.Millisecond)))
 		} else {
-			app = 100*time.Millisecond + sim.Nanos(rng.Int63n(int64(100*time.Millisecond)))
+			app = 100*time.Millisecond + units.Nanos(rng.Int63n(int64(100*time.Millisecond)))
 		}
 		counts[sort.SearchFloat64s(bounds, (app+meshOverhead).Seconds())]++
 	}

@@ -10,8 +10,8 @@ import (
 	"canalmesh/internal/gateway"
 	"canalmesh/internal/scaling"
 	"canalmesh/internal/sharding"
-	"canalmesh/internal/sim"
 	"canalmesh/internal/telemetry"
+	"canalmesh/internal/units"
 	"canalmesh/internal/workload"
 )
 
@@ -166,7 +166,7 @@ func Tab04ScalingTimeline() *Table {
 	build := func(detect time.Duration, exec func(*rand.Rand) time.Duration) timeline {
 		var tl timeline
 		tl.increase = 0
-		tl.exceed = tl.increase + 2*time.Minute + sim.Nanos(rng.Int63n(int64(8*time.Minute)))
+		tl.exceed = tl.increase + 2*time.Minute + units.Nanos(rng.Int63n(int64(8*time.Minute)))
 		tl.execute = tl.exceed + detect
 		tl.finish = tl.execute + exec(rng)
 		tl.below = tl.finish + scaling.SampleSettle(rng)
@@ -316,7 +316,7 @@ func Fig20DailyOps() *Series {
 			// Stagger upgrades with the sim's seeded RNG so each backend
 			// draws a distinct (but reproducible) slot. Seeding from
 			// len(b.ID) gave every backend the same delay.
-			s.After(sim.Nanos(s.Rand().Int63n(int64(4*hourLen))), func() {
+			s.After(units.Nanos(s.Rand().Int63n(int64(4*hourLen))), func() {
 				// Rolling upgrade: one replica at a time, traffic stays up.
 				if len(b.Replicas) > 1 {
 					b.Replicas[0].VM.Fail()

@@ -10,6 +10,7 @@ import (
 	"canalmesh/internal/sim"
 	"canalmesh/internal/telemetry"
 	"canalmesh/internal/trace"
+	"canalmesh/internal/units"
 )
 
 // ArchTraceBreakdown couples one architecture's trace-derived per-hop latency
@@ -71,8 +72,8 @@ func TraceExperiment(archs []string, requests int, seed int64) (*TraceBreakdownR
 		rep.Archs = append(rep.Archs, &ArchTraceBreakdown{
 			Arch:         arch,
 			Breakdown:    trace.Analyze(cfg.Tracer.Kept()),
-			MeasuredMean: sim.Seconds(lat.Mean()),
-			MeasuredP99:  lat.PercentileDuration(99),
+			MeasuredMean: units.Seconds(lat.Mean()),
+			MeasuredP99:  units.Seconds(lat.Percentile(99)),
 		})
 	}
 	return rep, nil

@@ -9,6 +9,7 @@ import (
 	"canalmesh/internal/controlplane"
 	"canalmesh/internal/policy"
 	"canalmesh/internal/sim"
+	"canalmesh/internal/units"
 )
 
 // Config parameterizes a Distributor.
@@ -609,7 +610,7 @@ func (d *Distributor) payloadFrom(sess *Session) Payload {
 func (d *Distributor) send(sess *Session, p Payload) {
 	now := d.cfg.Sim.Now()
 	start := max(now, d.linkFreeAt, d.buildReadyAt)
-	transfer := sim.Seconds(float64(p.Bytes) / float64(d.cfg.Sizing.SouthboundBps))
+	transfer := units.Seconds(float64(p.Bytes) / float64(d.cfg.Sizing.SouthboundBps))
 	d.linkFreeAt = start + transfer
 	done := start + transfer + d.cfg.Sizing.PerTargetOverhead
 

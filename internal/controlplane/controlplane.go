@@ -16,7 +16,7 @@ import (
 	"time"
 
 	"canalmesh/internal/cluster"
-	"canalmesh/internal/sim"
+	"canalmesh/internal/units"
 )
 
 // Model selects the architecture being configured.
@@ -253,7 +253,7 @@ func (ctl *Controller) PushIncremental(changedEndpoints, changedRules int) PushS
 // right: larger clusters take longer to complete, not more CPU).
 func (ctl *Controller) finish(targets int, bytes int64) PushStats {
 	build := time.Duration(bytes/1024) * ctl.Sizing.BuildCPUPerKB
-	transfer := sim.Seconds(float64(bytes) / float64(ctl.Sizing.SouthboundBps))
+	transfer := units.Seconds(float64(bytes) / float64(ctl.Sizing.SouthboundBps))
 	completion := build + transfer + time.Duration(targets)*ctl.Sizing.PerTargetOverhead
 	return PushStats{
 		Model:      ctl.Model,

@@ -210,9 +210,6 @@ func (m *Mesh) Service(tenant, name string) *Service { return m.svcByKey[tenant+
 // FullName returns tenant/name.
 func (s *Service) FullName() string { return s.Tenant + "/" + s.Name }
 
-// State returns the service's gateway registration in the named region.
-func (s *Service) State(region string) *gateway.ServiceState { return s.states[region] }
-
 // TouchPolicy bumps the service's exported policy revision: the next export
 // refresh on every peering ships the changed policy resource as a delta.
 func (s *Service) TouchPolicy() { s.policyRev++ }

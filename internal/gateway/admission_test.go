@@ -10,6 +10,7 @@ import (
 	"canalmesh/internal/netmodel"
 	"canalmesh/internal/sim"
 	"canalmesh/internal/telemetry"
+	"canalmesh/internal/units"
 )
 
 // admissionGateway builds a deliberately small gateway — one backend, one
@@ -78,7 +79,7 @@ func TestAdmissionIsolatesVictimFromAggressor(t *testing.T) {
 		t.Fatalf("victim completed %d of ~1000 offered; admission should protect it (statuses %v)",
 			status["victim"][l7.StatusOK], status["victim"])
 	}
-	if p99 := victimLat.PercentileDuration(99); p99 > 5*time.Millisecond {
+	if p99 := units.Seconds(victimLat.Percentile(99)); p99 > 5*time.Millisecond {
 		t.Fatalf("victim p99 = %v under aggressor flood, want near-baseline (<=5ms)", p99)
 	}
 	if status["aggressor"][l7.StatusTooManyRequests] == 0 {

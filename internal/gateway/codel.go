@@ -1,13 +1,14 @@
-package admission
+package gateway
 
 import (
 	"math"
 	"time"
 
-	"canalmesh/internal/sim"
+	"canalmesh/internal/admission"
+	"canalmesh/internal/units"
 )
 
-// CoDel implements the controlled-delay AQM state machine (Nichols &
+// coDel implements the controlled-delay AQM state machine (Nichols &
 // Jacobson, ACM Queue 2012) over request sojourn times. The caller consults
 // Admit once per dequeued request; CoDel tracks how long sojourn has stayed
 // above Target and, once it has for a full Interval, enters a dropping state
@@ -19,7 +20,7 @@ import (
 // implementation runs under the simulator and the wall clock. CoDel is not
 // safe for concurrent use; its owner (one tenant queue on one replica)
 // serializes access.
-type CoDel struct {
+type coDel struct {
 	// Target is the acceptable standing sojourn time.
 	Target time.Duration
 	// Interval is the window sojourn must exceed Target before dropping
@@ -32,25 +33,25 @@ type CoDel struct {
 	firstAbove time.Duration // when sojourn first stayed above Target (0 = not above)
 }
 
-// NewCoDel returns a CoDel with the given parameters (package defaults for
-// non-positive values).
-func NewCoDel(target, interval time.Duration) *CoDel {
+// newCoDel returns a coDel with the given parameters (the admission
+// package defaults for non-positive values).
+func newCoDel(target, interval time.Duration) *coDel {
 	if target <= 0 {
-		target = DefaultTarget
+		target = admission.DefaultTarget
 	}
 	if interval <= 0 {
-		interval = DefaultInterval
+		interval = admission.DefaultInterval
 	}
 	//canal:allow hotpath allocates once per tenant queue at first sight, not per request
-	return &CoDel{Target: target, Interval: interval}
+	return &coDel{Target: target, Interval: interval}
 }
 
 // Dropping reports whether CoDel is currently in its dropping state.
-func (c *CoDel) Dropping() bool { return c.dropping }
+func (c *coDel) Dropping() bool { return c.dropping }
 
 // Admit decides the fate of a request dequeued at now after waiting sojourn:
 // true delivers it, false sheds it.
-func (c *CoDel) Admit(now, sojourn time.Duration) bool {
+func (c *coDel) Admit(now, sojourn time.Duration) bool {
 	okToDrop := c.shouldDrop(now, sojourn)
 	if c.dropping {
 		if !okToDrop {
@@ -83,7 +84,7 @@ func (c *CoDel) Admit(now, sojourn time.Duration) bool {
 
 // shouldDrop tracks whether sojourn has continuously exceeded Target for a
 // full Interval.
-func (c *CoDel) shouldDrop(now, sojourn time.Duration) bool {
+func (c *coDel) shouldDrop(now, sojourn time.Duration) bool {
 	if sojourn < c.Target {
 		c.firstAbove = 0
 		return false
@@ -97,6 +98,6 @@ func (c *CoDel) shouldDrop(now, sojourn time.Duration) bool {
 
 // controlLaw schedules the next drop: the inter-drop gap shrinks with the
 // square root of the drop count, CoDel's signature sqrt control law.
-func (c *CoDel) controlLaw(t time.Duration) time.Duration {
-	return t + sim.Div(c.Interval, math.Sqrt(float64(c.count)))
+func (c *coDel) controlLaw(t time.Duration) time.Duration {
+	return t + units.Div(c.Interval, math.Sqrt(float64(c.count)))
 }

@@ -1,4 +1,4 @@
-package admission
+package gateway
 
 import (
 	"testing"
@@ -11,7 +11,7 @@ import (
 // while congestion persists, and recover the moment sojourn drops below
 // target.
 func TestCoDelDropRecoverCycle(t *testing.T) {
-	c := NewCoDel(2*time.Millisecond, 20*time.Millisecond)
+	c := newCoDel(2*time.Millisecond, 20*time.Millisecond)
 
 	// Phase 1: a short burst above target (shorter than one interval)
 	// passes untouched.
@@ -64,7 +64,7 @@ func TestCoDelDropRecoverCycle(t *testing.T) {
 // TestCoDelDropCadenceTightens verifies the interval/sqrt(count) control
 // law: under sustained congestion the gap between consecutive drops shrinks.
 func TestCoDelDropCadenceTightens(t *testing.T) {
-	c := NewCoDel(2*time.Millisecond, 20*time.Millisecond)
+	c := newCoDel(2*time.Millisecond, 20*time.Millisecond)
 	now := time.Duration(0)
 	var dropTimes []time.Duration
 	for i := 0; i < 2000; i++ {

@@ -23,6 +23,7 @@ import (
 	"canalmesh/internal/sharding"
 	"canalmesh/internal/sim"
 	"canalmesh/internal/telemetry"
+	"canalmesh/internal/units"
 )
 
 // Replica is one VM of a backend.
@@ -31,8 +32,8 @@ type Replica struct {
 }
 
 // Backend is a group of replica VMs sharing the same set of service
-// configurations (Fig 8). Sandbox backends receive migrated anomalous
-// services.
+// configurations (Fig 8). Sandbox backends are the §6.2 isolation pool:
+// kept out of shard assignment, they host no service.
 type Backend struct {
 	ID       string
 	AZ       string
@@ -90,15 +91,14 @@ func (b *Backend) WaterLevel(t time.Duration) float64 {
 
 // ServiceState tracks one registered tenant service.
 type ServiceState struct {
-	ID        uint64
-	Tenant    string
-	Name      string
-	VNI       uint32
-	Addr      netip.Addr
-	Port      uint16
-	HTTPS     bool // HTTPS sessions weigh ~3x in migration decisions (§6.3)
-	Backends  []*Backend
-	Sandboxed bool
+	ID       uint64
+	Tenant   string
+	Name     string
+	VNI      uint32
+	Addr     netip.Addr
+	Port     uint16
+	HTTPS    bool // HTTPS sessions weigh ~3x in migration decisions (§6.3)
+	Backends []*Backend
 	// Throttle, when non-nil, rate-limits the service at dispatch.
 	Throttle *l7.TokenBucket
 
@@ -258,7 +258,7 @@ func (g *Gateway) ShedSeries() *telemetry.Series {
 // installAdmission puts a fresh per-tenant fair queue on each replica of b.
 func (g *Gateway) installAdmission(b *Backend) {
 	for _, r := range b.Replicas {
-		r.VM.Proc.SetDiscipline(admission.NewQueue(g.adm.cfg, g.adm.metrics))
+		r.VM.Proc.SetDiscipline(newWDRRQueue(g.adm.cfg, g.adm.metrics))
 	}
 }
 
@@ -287,9 +287,6 @@ func (g *Gateway) ServiceLimiter(id uint64) *admission.Limiter {
 
 // Backends returns the non-sandbox backends.
 func (g *Gateway) Backends() []*Backend { return g.backends }
-
-// Sandboxes returns the sandbox backends.
-func (g *Gateway) Sandboxes() []*Backend { return g.sandboxes }
 
 // Service returns a registered service by ID.
 func (g *Gateway) Service(id uint64) *ServiceState { return g.services[id] }
@@ -383,8 +380,7 @@ func (g *Gateway) ExtendService(id uint64, b *Backend) error {
 
 // ResolveBackend performs the customized DNS resolution of §4.2: requests
 // resolve to an alive backend hosting the service in the client's AZ when
-// possible; only if the whole local AZ is down do they cross AZs. Sandboxed
-// services resolve only to sandboxes.
+// possible; only if the whole local AZ is down do they cross AZs.
 func (g *Gateway) ResolveBackend(id uint64, clientAZ string, flow cloud.SessionKey) (*Backend, error) {
 	s, ok := g.services[id]
 	if !ok {
@@ -397,20 +393,13 @@ func (g *Gateway) ResolveBackend(id uint64, clientAZ string, flow cloud.SessionK
 // number h mod n of the n in the pool, counted in place rather than
 // gathered, so the pick is the one an ECMP hash over the pool's list makes.
 func (g *Gateway) resolveBackend(s *ServiceState, clientAZ string, h uint64) (*Backend, error) {
-	if s.Sandboxed {
-		inPool := func(b *Backend) bool { return b.Alive() && b.HostsService(s.ID) }
-		if b := nthMatch(g.sandboxes, h, inPool); b != nil {
-			return b, nil
-		}
-	} else {
-		local := func(b *Backend) bool { return b.Alive() && b.AZ == clientAZ }
-		if b := nthMatch(s.Backends, h, local); b != nil {
-			return b, nil
-		}
-		remote := func(b *Backend) bool { return b.Alive() && b.AZ != clientAZ }
-		if b := nthMatch(s.Backends, h, remote); b != nil {
-			return b, nil
-		}
+	local := func(b *Backend) bool { return b.Alive() && b.AZ == clientAZ }
+	if b := nthMatch(s.Backends, h, local); b != nil {
+		return b, nil
+	}
+	remote := func(b *Backend) bool { return b.Alive() && b.AZ != clientAZ }
+	if b := nthMatch(s.Backends, h, remote); b != nil {
+		return b, nil
 	}
 	return nil, fmt.Errorf("gateway: service %s has no alive backend", s.FullName())
 }
@@ -550,7 +539,7 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 		s.Sessions++
 	}
 	b.window[id]++
-	cost := sim.Scale(g.cfg.Costs.GatewayL7Cost(d.req.BodyBytes), costMult)
+	cost := units.Scale(g.cfg.Costs.GatewayL7Cost(d.req.BodyBytes), costMult)
 	if d.req.TLS {
 		cost += 2 * g.cfg.Costs.SymCryptoCost(d.req.BodyBytes)
 	}

@@ -183,6 +183,27 @@ func TestHierarchicalFailover(t *testing.T) {
 	if _, err := g.ResolveBackend(st.ID, "az1", flow(5)); err != nil {
 		t.Errorf("recovery failed: %v", err)
 	}
+
+	// Under load: 100 requests/s enter az1 for 20 s while az1 is down from
+	// 5 s to 15 s. Cross-AZ failover serves every one of them.
+	region.AZ("az2").RecoverAZ()
+	start := s.Now()
+	s.At(start+5*time.Second, func() { region.AZ("az1").FailAZ() })
+	s.At(start+15*time.Second, func() { region.AZ("az1").RecoverAZ() })
+	byStatus := map[int]int{}
+	port := uint16(100)
+	s.Every(10*time.Millisecond, func() bool {
+		if s.Now()-start >= 20*time.Second {
+			return false
+		}
+		port++
+		g.Dispatch(st.ID, "az1", flow(port), gwReq(), 1, func(_ time.Duration, status int) { byStatus[status]++ })
+		return true
+	})
+	s.Run()
+	if byStatus[l7.StatusOK] < 1990 || len(byStatus) != 1 {
+		t.Errorf("statuses through an AZ outage under load = %v, want ~2000 x 200 and nothing else", byStatus)
+	}
 }
 
 func TestShuffleShardingIsolation(t *testing.T) {
@@ -204,83 +225,6 @@ func TestShuffleShardingIsolation(t *testing.T) {
 		if _, err := g.ResolveBackend(other.ID, "az1", flow(1)); err != nil {
 			t.Errorf("service %s fully down with the victim: %v", other.FullName(), err)
 		}
-	}
-}
-
-func TestSandboxMigrationLossy(t *testing.T) {
-	s, _, g := testGateway(t)
-	st := register(t, g, "t1", "web", 100, "192.168.0.10")
-	st.Sessions = 5000
-	completed := false
-	if err := g.MigrateToSandbox(st.ID, Lossy, func() { completed = true }); err != nil {
-		t.Fatal(err)
-	}
-	if st.Sessions != 0 {
-		t.Error("lossy migration must reset sessions")
-	}
-	if !st.Sandboxed {
-		t.Error("service should be sandboxed immediately")
-	}
-	// Traffic now resolves only to sandboxes.
-	b, err := g.ResolveBackend(st.ID, "az1", flow(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Sandbox {
-		t.Error("sandboxed service must resolve to a sandbox backend")
-	}
-	s.RunUntil(LossyMigrationTime + time.Second)
-	if !completed {
-		t.Error("lossy migration should complete within seconds")
-	}
-	// Release restores normal resolution.
-	if err := g.ReleaseFromSandbox(st.ID); err != nil {
-		t.Fatal(err)
-	}
-	b2, err := g.ResolveBackend(st.ID, "az1", flow(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b2.Sandbox {
-		t.Error("released service must resolve to regular backends")
-	}
-}
-
-func TestSandboxMigrationLosslessKeepsSessions(t *testing.T) {
-	s, _, g := testGateway(t)
-	st := register(t, g, "t1", "web", 100, "192.168.0.10")
-	st.Sessions = 5000
-	done := false
-	if err := g.MigrateToSandbox(st.ID, Lossless, func() { done = true }); err != nil {
-		t.Fatal(err)
-	}
-	if st.Sessions != 5000 {
-		t.Error("lossless migration must preserve existing sessions")
-	}
-	s.RunUntil(LossyMigrationTime + time.Second)
-	if done {
-		t.Error("lossless migration takes ~20min, not seconds")
-	}
-	s.RunUntil(LosslessMigrationTime + time.Second)
-	if !done {
-		t.Error("lossless migration should complete after drain time")
-	}
-}
-
-func TestMigrationErrors(t *testing.T) {
-	_, _, g := testGateway(t)
-	st := register(t, g, "t1", "web", 100, "192.168.0.10")
-	if err := g.MigrateToSandbox(999, Lossy, nil); err == nil {
-		t.Error("unknown service")
-	}
-	if err := g.ReleaseFromSandbox(st.ID); err == nil {
-		t.Error("releasing non-sandboxed service should error")
-	}
-	if err := g.MigrateToSandbox(st.ID, Lossy, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.MigrateToSandbox(st.ID, Lossy, nil); err == nil {
-		t.Error("double migration should error")
 	}
 }
 

@@ -5,88 +5,7 @@ import (
 	"time"
 
 	"canalmesh/internal/l7"
-	"canalmesh/internal/telemetry"
 )
-
-// MigrationMode selects how a service moves to a sandbox (§6.2).
-type MigrationMode int
-
-const (
-	// Lossy resets all sessions and reconstructs them in the sandbox
-	// within seconds.
-	Lossy MigrationMode = iota
-	// Lossless moves only new sessions to the sandbox; existing sessions
-	// drain naturally (median ~20 min).
-	Lossless
-)
-
-// String names the mode.
-func (m MigrationMode) String() string {
-	if m == Lossy {
-		return "lossy"
-	}
-	return "lossless"
-}
-
-// Durations of the two migration modes, matching §6.2: lossy completes in
-// seconds; lossless waits for existing flows to age out (median ~20min).
-const (
-	LossyMigrationTime    = 3 * time.Second
-	LosslessMigrationTime = 20 * time.Minute
-)
-
-// MigrateToSandbox moves a service into a sandbox backend. done (optional)
-// fires when the migration completes. Lossy migration resets the service's
-// sessions immediately; lossless leaves them to drain.
-func (g *Gateway) MigrateToSandbox(id uint64, mode MigrationMode, done func()) error {
-	s, ok := g.services[id]
-	if !ok {
-		return fmt.Errorf("gateway: unknown service %d", id)
-	}
-	if len(g.sandboxes) == 0 {
-		return fmt.Errorf("gateway: no sandbox backends provisioned")
-	}
-	if s.Sandboxed {
-		return fmt.Errorf("gateway: service %s already sandboxed", s.FullName())
-	}
-	sb := g.sandboxes[int(id)%len(g.sandboxes)]
-	sb.services[s.ID] = true
-	if sb.RPSSeries[s.ID] == nil {
-		sb.RPSSeries[s.ID] = telemetry.NewSeries(fmt.Sprintf("%s@%s", s.FullName(), sb.ID))
-	}
-	var wait time.Duration
-	switch mode {
-	case Lossy:
-		s.Sessions = 0 // sessions reset and reconstruct in the sandbox
-		wait = LossyMigrationTime
-	case Lossless:
-		wait = LosslessMigrationTime
-	}
-	// New traffic resolves to the sandbox from now on.
-	s.Sandboxed = true
-	g.cfg.Sim.After(wait, func() {
-		if done != nil {
-			done()
-		}
-	})
-	return nil
-}
-
-// ReleaseFromSandbox returns a service to its normal backends.
-func (g *Gateway) ReleaseFromSandbox(id uint64) error {
-	s, ok := g.services[id]
-	if !ok {
-		return fmt.Errorf("gateway: unknown service %d", id)
-	}
-	if !s.Sandboxed {
-		return fmt.Errorf("gateway: service %s not sandboxed", s.FullName())
-	}
-	s.Sandboxed = false
-	for _, sb := range g.sandboxes {
-		delete(sb.services, id)
-	}
-	return nil
-}
 
 // Throttle rate-limits a service at the gateway — early dropping before any
 // L7 work, protecting the user cluster (§6.2 "throttling"). rps<=0 removes
@@ -155,7 +74,7 @@ func (g *Gateway) MoveService(id uint64, from, to *Backend) error {
 		return fmt.Errorf("gateway: %s does not host service %d", from.ID, id)
 	}
 	if to.Sandbox {
-		return fmt.Errorf("gateway: MoveService cannot target a sandbox; use MigrateToSandbox")
+		return fmt.Errorf("gateway: MoveService cannot target a sandbox")
 	}
 	g.installOn(s, to)
 	g.removeFrom(s, from)

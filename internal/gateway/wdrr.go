@@ -1,9 +1,11 @@
-package admission
+package gateway
 
 import (
 	"time"
 
+	"canalmesh/internal/admission"
 	"canalmesh/internal/sim"
+	"canalmesh/internal/units"
 )
 
 // tenantQueue is one tenant's FIFO at one replica, with its WDRR deficit and
@@ -15,7 +17,7 @@ type tenantQueue struct {
 	head    int
 	deficit time.Duration
 	weight  float64
-	codel   *CoDel
+	codel   *coDel
 	active  bool
 }
 
@@ -37,18 +39,18 @@ func (q *tenantQueue) pop() *sim.Work {
 	return w
 }
 
-// Queue is a weighted deficit-round-robin scheduler over per-tenant FIFOs
+// wdrrQueue is a weighted deficit-round-robin scheduler over per-tenant FIFOs
 // with per-tenant CoDel — fq_codel applied to gateway requests. It implements
 // sim.QueueDiscipline, so a gateway replica's Processor consults it whenever
 // all cores are busy: one tenant's flash crowd piles up in that tenant's own
 // queue (and gets CoDel-shed once its sojourn stands above target) while
 // other tenants' requests keep flowing at their weighted share of the CPU.
 //
-// Queue is not safe for concurrent use; in the simulator a single event loop
+// wdrrQueue is not safe for concurrent use; in the simulator a single event loop
 // owns it, and each instance belongs to exactly one replica.
-type Queue struct {
-	cfg     Config
-	metrics *Metrics
+type wdrrQueue struct {
+	cfg     admission.Config
+	metrics *admission.Metrics
 	byName  map[string]*tenantQueue
 	ring    []*tenantQueue // active tenant queues, round-robin order
 	cur     int            // ring index currently being served
@@ -56,10 +58,10 @@ type Queue struct {
 	size    int
 }
 
-// NewQueue returns a WDRR+CoDel queue with the given config. metrics may be
+// newWDRRQueue returns a WDRR+CoDel queue with the given config. metrics may be
 // nil.
-func NewQueue(cfg Config, metrics *Metrics) *Queue {
-	return &Queue{
+func newWDRRQueue(cfg admission.Config, metrics *admission.Metrics) *wdrrQueue {
+	return &wdrrQueue{
 		cfg:     cfg.WithDefaults(),
 		metrics: metrics,
 		byName:  make(map[string]*tenantQueue),
@@ -67,9 +69,9 @@ func NewQueue(cfg Config, metrics *Metrics) *Queue {
 }
 
 // Len implements sim.QueueDiscipline.
-func (q *Queue) Len() int { return q.size }
+func (q *wdrrQueue) Len() int { return q.size }
 
-func (q *Queue) key(tenant string) string {
+func (q *wdrrQueue) key(tenant string) string {
 	if tenant == "" {
 		return "default"
 	}
@@ -79,7 +81,7 @@ func (q *Queue) key(tenant string) string {
 // Enqueue implements sim.QueueDiscipline: the work joins its tenant's FIFO
 // unless that FIFO is at its cap, in which case the work is rejected and the
 // caller sheds it immediately (fast typed rejection, no sojourn wasted).
-func (q *Queue) Enqueue(now time.Duration, w *sim.Work) bool {
+func (q *wdrrQueue) Enqueue(now time.Duration, w *sim.Work) bool {
 	name := q.key(w.Tenant)
 	tq, ok := q.byName[name]
 	if !ok {
@@ -87,13 +89,13 @@ func (q *Queue) Enqueue(now time.Duration, w *sim.Work) bool {
 		tq = &tenantQueue{
 			tenant: name,
 			weight: q.cfg.Weight(name),
-			codel:  NewCoDel(q.cfg.Target, q.cfg.Interval),
+			codel:  newCoDel(q.cfg.Target, q.cfg.Interval),
 		}
 		q.byName[name] = tq
 	}
 	if tq.len() >= q.cfg.PerTenantCap {
 		if q.metrics != nil {
-			q.metrics.RecordShed(name, ReasonQueueFull)
+			q.metrics.RecordShed(name, admission.ReasonQueueFull)
 		}
 		return false
 	}
@@ -119,7 +121,7 @@ func (q *Queue) Enqueue(now time.Duration, w *sim.Work) bool {
 // with each popped item passed through its tenant's CoDel. CoDel casualties
 // invoke their Drop callback here and the scan continues, so a freed core
 // never idles while runnable work exists.
-func (q *Queue) Dequeue(now time.Duration) *sim.Work {
+func (q *wdrrQueue) Dequeue(now time.Duration) *sim.Work {
 	for q.size > 0 {
 		if q.cur >= len(q.ring) {
 			q.cur = 0
@@ -127,7 +129,7 @@ func (q *Queue) Dequeue(now time.Duration) *sim.Work {
 		}
 		tq := q.ring[q.cur]
 		if q.fresh {
-			tq.deficit += sim.Scale(q.cfg.Quantum, tq.weight)
+			tq.deficit += units.Scale(q.cfg.Quantum, tq.weight)
 			q.fresh = false
 		}
 		head := tq.peek()
@@ -146,7 +148,7 @@ func (q *Queue) Dequeue(now time.Duration) *sim.Work {
 		sojourn := now - w.EnqueuedAt
 		if !tq.codel.Admit(now, sojourn) {
 			if q.metrics != nil {
-				q.metrics.RecordShed(tq.tenant, ReasonCoDel)
+				q.metrics.RecordShed(tq.tenant, admission.ReasonCoDel)
 			}
 			if w.Drop != nil {
 				w.Drop(sojourn)
@@ -165,7 +167,7 @@ func (q *Queue) Dequeue(now time.Duration) *sim.Work {
 // deactivate removes the ring entry at index i (its tenant queue emptied).
 // An empty queue forfeits its remaining deficit — the standard DRR rule that
 // keeps idle tenants from banking credit.
-func (q *Queue) deactivate(i int) {
+func (q *wdrrQueue) deactivate(i int) {
 	tq := q.ring[i]
 	tq.active = false
 	tq.deficit = 0

@@ -1,9 +1,10 @@
-package admission
+package gateway
 
 import (
 	"testing"
 	"time"
 
+	"canalmesh/internal/admission"
 	"canalmesh/internal/sim"
 )
 
@@ -15,8 +16,8 @@ const reqCost = 200 * time.Microsecond
 func TestWDRRFairnessUnderSkew(t *testing.T) {
 	s := sim.New(1)
 	p := sim.NewProcessor(s, "be", 1)
-	metrics := NewMetrics()
-	p.SetDiscipline(NewQueue(Config{PerTenantCap: 10_000}, metrics))
+	metrics := admission.NewMetrics()
+	p.SetDiscipline(newWDRRQueue(admission.Config{PerTenantCap: 10_000}, metrics))
 
 	done := map[string]int{}
 	submit := func(tenant string, n int) {
@@ -60,7 +61,7 @@ func TestWDRRFairnessUnderSkew(t *testing.T) {
 func TestWDRRWeights(t *testing.T) {
 	s := sim.New(1)
 	p := sim.NewProcessor(s, "be", 1)
-	q := NewQueue(Config{
+	q := newWDRRQueue(admission.Config{
 		PerTenantCap: 100_000,
 		Weights:      map[string]float64{"gold": 3, "bronze": 1},
 		// A huge CoDel target so queue management stays out of the way.
@@ -88,8 +89,8 @@ func TestWDRRWeights(t *testing.T) {
 func TestQueueCapRejection(t *testing.T) {
 	s := sim.New(1)
 	p := sim.NewProcessor(s, "be", 1)
-	metrics := NewMetrics()
-	p.SetDiscipline(NewQueue(Config{PerTenantCap: 8}, metrics))
+	metrics := admission.NewMetrics()
+	p.SetDiscipline(newWDRRQueue(admission.Config{PerTenantCap: 8}, metrics))
 
 	var dropped int
 	for i := 0; i < 20; i++ {
@@ -108,7 +109,7 @@ func TestQueueCapRejection(t *testing.T) {
 	if dropped != 11 {
 		t.Fatalf("dropped %d, want 11", dropped)
 	}
-	if got := metrics.ShedCounter(ReasonQueueFull).Value(); got != 11 {
+	if got := metrics.ShedCounter(admission.ReasonQueueFull).Value(); got != 11 {
 		t.Fatalf("queue-full shed counter = %v, want 11", got)
 	}
 	s.Run()

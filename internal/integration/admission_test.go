@@ -13,6 +13,7 @@ import (
 	"canalmesh/internal/netmodel"
 	"canalmesh/internal/sim"
 	"canalmesh/internal/telemetry"
+	"canalmesh/internal/units"
 	"canalmesh/internal/workload"
 )
 
@@ -88,7 +89,7 @@ func TestFlashCrowdAdmissionEndToEnd(t *testing.T) {
 	drive(2, workload.Constant(800))
 	s.Run()
 
-	baseP99, flashP99 := base.PercentileDuration(99), flash.PercentileDuration(99)
+	baseP99, flashP99 := units.Seconds(base.Percentile(99)), units.Seconds(flash.Percentile(99))
 	if baseP99 <= 0 || flash.Count() == 0 {
 		t.Fatalf("missing victim samples: base %v (%d), flash %d", baseP99, base.Count(), flash.Count())
 	}

@@ -2,7 +2,7 @@
 // data path (mTLS handshake via key server -> AES-GCM record -> VXLAN
 // encapsulation -> vSwitch service-ID mapping -> Beamer replica selection ->
 // L7 routing), and cloud-scale lifecycles combining the
-// gateway, monitor, planner, and failure injection.
+// gateway, scaling planner, and failure injection.
 package integration
 
 import (
@@ -282,8 +282,9 @@ func TestCloudLifecycleEndToEnd(t *testing.T) {
 	}
 }
 
-// TestMultiTenantIsolationEndToEnd verifies that a tenant's sandboxing and
-// throttling leave another tenant's identically-addressed service untouched.
+// TestMultiTenantIsolationEndToEnd verifies that throttling one tenant
+// leaves another tenant's identically-addressed service untouched, and that
+// the sandbox pool stays out of both services' shards.
 func TestMultiTenantIsolationEndToEnd(t *testing.T) {
 	s := sim.New(5)
 	region := cloud.NewRegion(s, "r1", "az1")
@@ -305,10 +306,10 @@ func TestMultiTenantIsolationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.MigrateToSandbox(evil.ID, gateway.Lossy, nil); err != nil {
+	if err := g.Throttle(evil.ID, 5, 5); err != nil {
 		t.Fatal(err)
 	}
-	okGood, okEvil := 0, 0
+	okGood, okEvil, throttledEvil := 0, 0, 0
 	s.At(time.Second, func() {
 		for i := 0; i < 50; i++ {
 			flow := cloud.SessionKey{SrcIP: "9.9.9.9", SrcPort: uint16(i + 1), DstIP: shared.String(), DstPort: 80, Proto: 6}
@@ -318,8 +319,11 @@ func TestMultiTenantIsolationEndToEnd(t *testing.T) {
 				}
 			})
 			g.Dispatch(evil.ID, "az1", flow, l7.Request{Method: "GET", Path: "/"}, 1, func(_ time.Duration, st int) {
-				if st == 200 {
+				switch st {
+				case 200:
 					okEvil++
+				case 429:
+					throttledEvil++
 				}
 			})
 		}
@@ -328,22 +332,17 @@ func TestMultiTenantIsolationEndToEnd(t *testing.T) {
 	if okGood != 50 {
 		t.Errorf("good tenant served %d/50", okGood)
 	}
-	if okEvil != 50 {
-		t.Errorf("sandboxed tenant still serves (from the sandbox): %d/50", okEvil)
+	if okEvil != 5 || throttledEvil != 45 {
+		t.Errorf("throttled tenant: %d served, %d throttled; want its burst of 5 served and 45 throttled", okEvil, throttledEvil)
 	}
-	// And the sandboxed tenant's traffic really lands on sandbox backends.
-	b, err := g.ResolveBackend(evil.ID, "az1", cloud.SessionKey{SrcIP: "a", SrcPort: 1, DstIP: "b", DstPort: 80, Proto: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Sandbox {
-		t.Error("evil tenant must resolve to a sandbox")
-	}
-	gb, err := g.ResolveBackend(good.ID, "az1", cloud.SessionKey{SrcIP: "a", SrcPort: 1, DstIP: "b", DstPort: 80, Proto: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gb.Sandbox {
-		t.Error("good tenant must stay on regular backends")
+	// Neither tenant's traffic lands on the sandbox pool.
+	for _, svc := range []*gateway.ServiceState{good, evil} {
+		b, err := g.ResolveBackend(svc.ID, "az1", cloud.SessionKey{SrcIP: "a", SrcPort: 1, DstIP: "b", DstPort: 80, Proto: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Sandbox {
+			t.Errorf("tenant %s resolved to a sandbox backend", svc.Tenant)
+		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 //   - unit-less conversions time.Duration(x) / sim.Time(x) of numeric
 //     expressions, unless the result immediately scales a duration
 //     (`time.Duration(i) * gap` is count-scaling, not a conversion bug);
-//     named constructors (sim.Nanos/Micros/Millis/Seconds) and factor
-//     helpers (sim.Scale, sim.Div) are the blessed conversions;
+//     named constructors (units.Nanos/Micros/Millis/Seconds) and factor
+//     helpers (units.Scale, units.Div) are the blessed conversions;
 //   - direct conversions between sim.Time and time.Duration — instants
 //     and durations cross only through sim.FromDuration / Time.Duration /
 //     sim.ToDuration, so the crossings stay greppable;
@@ -69,7 +69,7 @@ func durKindName(k int) string {
 }
 
 // numericArg reports whether t is a numeric type a duration conversion
-// could take: a basic integer/float, or a type parameter (the sim
+// could take: a basic integer/float, or a type parameter (the units
 // constructors convert their own constrained parameter).
 func numericArg(t types.Type) bool {
 	if t == nil {
@@ -217,7 +217,7 @@ func checkDurMul(p *Package, r *Reporter, b *ast.BinaryExpr) {
 	if isDurConversionExpr(p, b.X) || isDurConversionExpr(p, b.Y) {
 		return
 	}
-	r.Reportf(b.OpPos, "multiplying two durations yields nanoseconds-squared; make one side a dimensionless count, or use sim.Scale for float factors")
+	r.Reportf(b.OpPos, "multiplying two durations yields nanoseconds-squared; make one side a dimensionless count, or use units.Scale for float factors")
 }
 
 // checkDurConv polices conversions whose target is a duration type.
@@ -268,7 +268,7 @@ func checkDurConv(p *Package, r *Reporter, call *ast.CallExpr, stack []ast.Node)
 	if isConstZero(p, arg) {
 		return
 	}
-	r.Reportf(call.Fun.Pos(), "unit-less conversion to %s; name the unit with sim.Nanos/Micros/Millis, sim.Seconds for float seconds, or sim.Scale/sim.Div for factor scaling",
+	r.Reportf(call.Fun.Pos(), "unit-less conversion to %s; name the unit with units.Nanos/Micros/Millis, units.Seconds for float seconds, or units.Scale/units.Div for factor scaling",
 		durKindName(dst))
 }
 

@@ -12,7 +12,7 @@ package netmodel
 import (
 	"time"
 
-	"canalmesh/internal/sim"
+	"canalmesh/internal/units"
 )
 
 // Place identifies where a component runs. Empty fields compare as wildcards
@@ -122,7 +122,7 @@ func (c Costs) GatewayL7Cost(bodyBytes int) time.Duration {
 	if f <= 0 {
 		f = 1
 	}
-	return sim.Scale(c.L7Cost(bodyBytes), f)
+	return units.Scale(c.L7Cost(bodyBytes), f)
 }
 
 // SymCryptoCost returns the CPU cost of symmetric-encrypting (or decrypting)

@@ -5,13 +5,14 @@ import (
 
 	"canalmesh/internal/l7"
 	"canalmesh/internal/sim"
+	"canalmesh/internal/units"
 )
 
 // respL7Factor scales L7 processing cost on the response path (header-only
 // handling, no route matching).
 const respL7Factor = 0.5
 
-func half(d time.Duration) time.Duration { return sim.Scale(d, respL7Factor) }
+func half(d time.Duration) time.Duration { return units.Scale(d, respL7Factor) }
 
 // Direct is the no-service-mesh baseline: client talks straight to the
 // server over the kernel stack.

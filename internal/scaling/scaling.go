@@ -19,6 +19,7 @@ import (
 	"canalmesh/internal/gateway"
 	"canalmesh/internal/sim"
 	"canalmesh/internal/telemetry"
+	"canalmesh/internal/units"
 )
 
 // Strategy selects how capacity is added.
@@ -301,7 +302,7 @@ func (p *Planner) newDuration() time.Duration {
 // (configuration extend, ~23 s median, Table 4).
 func SampleReuseExec(rng *rand.Rand) time.Duration {
 	jitter := rng.NormFloat64() * 0.35
-	d := sim.Scale(ReuseMedian, math.Exp(jitter))
+	d := units.Scale(ReuseMedian, math.Exp(jitter))
 	if d < 5*time.Second {
 		d = 5 * time.Second
 	}
@@ -313,7 +314,7 @@ func SampleReuseExec(rng *rand.Rand) time.Duration {
 func SampleNewExec(rng *rand.Rand) time.Duration {
 	base := NewVMCreate + NewImageLoad + NewNetworkSetup + NewRegistration
 	jitter := rng.NormFloat64() * 0.2
-	d := sim.Scale(base, math.Exp(jitter))
+	d := units.Scale(base, math.Exp(jitter))
 	if d < 5*time.Minute {
 		d = 5 * time.Minute
 	}
@@ -324,5 +325,5 @@ func SampleNewExec(rng *rand.Rand) time.Duration {
 // dropping below threshold (load redistribution across the enlarged
 // backend set).
 func SampleSettle(rng *rand.Rand) time.Duration {
-	return 20*time.Second + sim.Nanos(rng.Int63n(int64(40*time.Second)))
+	return 20*time.Second + units.Nanos(rng.Int63n(int64(40*time.Second)))
 }

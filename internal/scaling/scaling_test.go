@@ -11,6 +11,7 @@ import (
 	"canalmesh/internal/netmodel"
 	"canalmesh/internal/sim"
 	"canalmesh/internal/telemetry"
+	"canalmesh/internal/units"
 	"canalmesh/internal/workload"
 )
 
@@ -193,8 +194,8 @@ func TestReuseFasterThanNew(t *testing.T) {
 		reuse.ObserveDuration(p.reuseDuration())
 		newer.ObserveDuration(p.newDuration())
 	}
-	r50 := reuse.PercentileDuration(50)
-	n50 := newer.PercentileDuration(50)
+	r50 := units.Seconds(reuse.Percentile(50))
+	n50 := units.Seconds(newer.Percentile(50))
 	if r50 > 2*time.Minute {
 		t.Errorf("reuse P50 = %v", r50)
 	}

@@ -7,7 +7,6 @@ package telemetry
 import (
 	"fmt"
 
-	"canalmesh/internal/sim"
 	"math"
 	"sort"
 	"sync"
@@ -134,11 +133,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	}
 	rank := int(math.Ceil(p / 100 * float64(len(s.vals))))
 	return s.vals[rank-1]
-}
-
-// PercentileDuration returns the p-th percentile as a duration.
-func (s *Sample) PercentileDuration(p float64) time.Duration {
-	return sim.Seconds(s.Percentile(p))
 }
 
 // Max returns the maximum observation, or 0 with no observations.

@@ -79,8 +79,8 @@ func TestSampleEmptyAndReset(t *testing.T) {
 func TestSampleDurations(t *testing.T) {
 	var s Sample
 	s.ObserveDuration(100 * time.Millisecond)
-	if got := s.PercentileDuration(50); got != 100*time.Millisecond {
-		t.Errorf("P50 = %v", got)
+	if got, want := s.Percentile(50), (100 * time.Millisecond).Seconds(); got != want {
+		t.Errorf("P50 = %v s, want %v s", got, want)
 	}
 }
 

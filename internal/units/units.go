@@ -1,35 +1,17 @@
-package sim
+// Package units is the one blessed home for unit-carrying duration
+// conversions, shared by the simulator and the live gateway. Everywhere
+// else, canalvet's unitsafe analyzer rejects arithmetic that mixes
+// time.Duration (or sim.Time) with bare numeric literals and unit-less
+// time.Duration(...) conversions: a number with no unit attached is exactly
+// how per-hop cost accounting drifts (a float of seconds silently read as
+// nanoseconds, a count added to a latency). Code that needs to turn a
+// number into a duration names the unit with one of the constructors
+// below, or multiplies by an explicit time unit constant. The package
+// imports nothing but time, so the live gateway links none of the
+// simulator by using it.
+package units
 
 import "time"
-
-// This file is the one blessed home for unit-carrying time conversions.
-// Everywhere else in the simulation-facing packages, canalvet's unitsafe
-// analyzer rejects arithmetic that mixes time.Duration (or sim.Time) with
-// bare numeric literals and unit-less time.Duration(...) conversions: a
-// number with no unit attached is exactly how per-hop cost accounting
-// drifts (a float of seconds silently read as nanoseconds, a count added
-// to a latency). Code that needs to turn a number into a duration names
-// the unit with one of the constructors below, or multiplies by an
-// explicit time unit constant.
-
-// Time is a virtual-time instant: a duration since the start of the
-// simulation, as returned by Sim.Now. It is declared as its own type so
-// that code opting in can keep instants and durations apart — adding two
-// instants is as meaningless as multiplying two durations — and so the
-// unitsafe analyzer can police conversions between the two: direct
-// sim.Time(d)/time.Duration(t) conversions are flagged; FromDuration and
-// Time.Duration are the named, greppable crossing points.
-type Time time.Duration
-
-// FromDuration converts a duration-since-start into a virtual-time instant.
-func FromDuration(d time.Duration) Time { return Time(d) } //canal:allow unitsafe FromDuration is the blessed Duration->Time crossing point
-
-// Duration converts the instant back into a duration since simulation start.
-func (t Time) Duration() time.Duration { return time.Duration(t) } //canal:allow unitsafe Time.Duration is the blessed Time->Duration crossing point
-
-// ToDuration is the free-function form of Time.Duration, for call sites
-// that hold the instant in an expression rather than a variable.
-func ToDuration(t Time) time.Duration { return time.Duration(t) } //canal:allow unitsafe ToDuration is the blessed Time->Duration crossing point
 
 // Integer is the constraint for the integer-count constructors.
 type Integer interface {

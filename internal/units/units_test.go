@@ -1,4 +1,4 @@
-package sim
+package units
 
 import (
 	"math"
@@ -39,12 +39,5 @@ func TestUnitConstructors(t *testing.T) {
 	f := math.Sqrt(3)
 	if Div(d, f) != time.Duration(float64(d)/f) { //canal:allow unitsafe pins Div to true division, not reciprocal scaling
 		t.Error("Div must divide, not scale by reciprocal")
-	}
-}
-
-func TestTimeDurationRoundTrip(t *testing.T) {
-	d := 98765 * time.Microsecond
-	if got := FromDuration(d).Duration(); got != d {
-		t.Errorf("round trip = %v, want %v", got, d)
 	}
 }

@@ -166,22 +166,6 @@ func ClosedLoop(s *sim.Sim, conns int, think, end time.Duration, issue Target) *
 	return stats
 }
 
-// SessionFlood models the attack signature of §6.2 Case #1: a surge in new
-// TCP sessions without a matching RPS increase. Every emitted event opens a
-// fresh session (open is called newSessionsPerTick times per tick) while the
-// request rate stays at baselineRPS.
-func SessionFlood(s *sim.Sim, newSessionsPerTick int, tick, end time.Duration, open func()) {
-	s.Every(tick, func() bool {
-		if s.Now() > end {
-			return false
-		}
-		for i := 0; i < newSessionsPerTick; i++ {
-			open()
-		}
-		return true
-	})
-}
-
 // QueryOfDeath wraps a base cost multiplier for poisoned requests: queries
 // whose processing cost is mult times normal, the "query of death" that can
 // crash a service's backends one after another (§4.2, [18]).

@@ -165,17 +165,6 @@ func TestClosedLoopFailuresCounted(t *testing.T) {
 	}
 }
 
-func TestSessionFlood(t *testing.T) {
-	s := sim.New(1)
-	opened := 0
-	SessionFlood(s, 50, 100*time.Millisecond, time.Second, func() { opened++ })
-	s.Run()
-	// 10 ticks x 50 sessions.
-	if opened != 500 {
-		t.Errorf("opened = %d, want 500", opened)
-	}
-}
-
 func TestQueryOfDeath(t *testing.T) {
 	q := &QueryOfDeath{Mult: 100, Every: 10}
 	poisoned := 0

@@ -23,6 +23,16 @@ fi
 # passed, received or assigned by value.
 go vet ./...
 
+# The live gateway links none of the simulator. cmd/canalgw's dependency
+# list is the live request path in full: every package a per-layer overhead
+# account has to name. A discrete-event simulator package in it is code the
+# live path links, and a reader audits, but never runs; the root package
+# and the packages it imports stay free of it.
+if go list -deps ./cmd/canalgw | grep -qx 'canalmesh/internal/sim'; then
+    echo "cmd/canalgw links canalmesh/internal/sim; the live path must not import the simulator" >&2
+    exit 1
+fi
+
 # The findings gate: canalvet exits 1 on any surviving diagnostic, stale
 # //canal:allow directives included. Diagnostic order is a byte-stable
 # invariant too: -runs 2 analyzes the type-checked module twice, rebuilding
