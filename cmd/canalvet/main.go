@@ -2,9 +2,9 @@
 // over the module. The suite type-checks the whole module from source —
 // stdlib included — once, and every analyzer reads that one engine: the
 // per-package checks (map-iteration order, unit-safe duration
-// arithmetic), the call-graph pair (simdeterminism, hotpath), and
-// tenantflow, which reads the taint engine to prove tenant isolation on
-// the request path.
+// arithmetic) and the call-graph pair (simdeterminism, hotpath). Tenant
+// isolation on the request path is a run-time check, not one of these:
+// TestPooledStateTenantIsolation in the root package.
 //
 // Usage:
 //
@@ -17,10 +17,6 @@
 //
 //	//canal:allow <analyzer> <reason...>
 //
-// and audited isolation points are declared with
-//
-//	//canal:boundary <reason...>
-//
 // canalvet prints every surviving diagnostic and exits 1 when there is
 // any — malformed directives and stale ones (a //canal:allow that
 // suppresses nothing) included — so it can gate verify.sh. Like go vet, it
@@ -28,9 +24,9 @@
 // so a finding reads the same from any checkout of the module.
 //
 // -runs N repeats the analysis N times over the one parsed, type-checked
-// module. The call graph, the taint engine and every finding are rebuilt
-// each run, so the comparison is non-vacuous: each run's diagnostics are
-// compared against the first and any divergence exits 2.
+// module. The call graph and every finding are rebuilt each run, so the
+// comparison is non-vacuous: each run's diagnostics are compared against
+// the first and any divergence exits 2.
 package main
 
 import (

@@ -8,7 +8,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,19 +20,18 @@ import (
 func recordingUpstream(got chan<- string) *httptest.Server {
 	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
-		names := make([]string, 0, len(r.Header))
-		for name := range r.Header {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		var b strings.Builder
-		fmt.Fprintf(&b, "%s %s\n", r.Method, r.URL.RequestURI())
-		for _, name := range names {
-			fmt.Fprintf(&b, "%s: %s\n", name, strings.Join(r.Header[name], " | "))
-		}
-		fmt.Fprintf(&b, "\n%s", body)
-		got <- b.String()
+		got <- fmt.Sprintf("%s %s\n%s\n%s", r.Method, r.URL.RequestURI(), headerLines(r.Header), body)
 	}))
+}
+
+// headerLines renders h one line per header, sorted by name, several values
+// joined by " | ".
+func headerLines(h http.Header) string {
+	var b strings.Builder
+	for _, name := range slices.Sorted(maps.Keys(h)) {
+		fmt.Fprintf(&b, "%s: %s\n", name, strings.Join(h[name], " | "))
+	}
+	return b.String()
 }
 
 // rawClient sends a request's headers as they were set, and hands back a

@@ -3,12 +3,15 @@ package canal
 import (
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"canalmesh/internal/admission"
 )
@@ -29,117 +32,315 @@ func awaitHandlers(t *testing.T, gw *GatewayServer) (srv *httptest.Server, wait 
 	return srv, inflight.Wait
 }
 
-// TestPooledStateTenantIsolation is the runtime complement of canalvet's
-// tenantflow and the guard on recycle's reset: per-request state is
-// recycled between requests of different tenants, so nothing of tenant A's
-// request — the header and cookie its rules route on, the decision they
-// produce, its trace — may show up in the tenant B request that reuses the
-// state. Both tenants install the same rule; only A's requests carry what
-// it matches.
+// TestPooledStateTenantIsolation is the runtime check of the property the
+// shared gateway rests on: nothing one tenant sends reaches another tenant.
+// Three tenants share the gateway, one service name ("web") and the pooled
+// per-request state, and each marks everything it sends with a marker string
+// of its own: path, query, headers, cookies, body and X-Canal-Source. Eight
+// goroutines interleave them over every way through ServeHTTP — routed
+// (on the default subset and, by a header and a cookie, on another),
+// mirrored, an upstream 5xx, a missing header, an unknown service, a policy
+// denial, an admission shed and an authentication refusal — in three passes:
+// admission and authentication off; admission on, with every request marked
+// as a retry so the retry budget sheds; and authentication on as well, signed
+// requests beside unsigned ones.
+//
+// Every artifact the gateway produces is then attributed to a tenant: a
+// response to the tenant that sent the request, a forwarded or mirrored
+// request to the tenant whose upstream received it, an access-log entry or a
+// kept trace to the tenant it names. No artifact may carry another tenant's
+// marker, every log entry and kept trace must name a tenant, and none may
+// carry a trace ID another tenant sent (half the requests join a trace their
+// tenant started, the rest start one at the gateway). Each request's status,
+// the upstream and subset that answered and the X-Canal-Trace header are
+// checked as well, so residue that reroutes a request without carrying a
+// marker is caught too: every tenant installs the same header rule, and only
+// some requests carry what it matches. A refusal's body is checked whole, so
+// one served from residue is caught even when the residue predates the test
+// (an earlier test filled a cache the test's tenants then read) and carries
+// no marker it knows.
 func TestPooledStateTenantIsolation(t *testing.T) {
-	// An upstream names itself and reports what the gateway forwarded; it
-	// fails every other request so X-Canal-Trace comes back too.
-	echo := func(name string) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if strings.HasSuffix(r.URL.Path, "/fail") {
-				w.WriteHeader(http.StatusInternalServerError)
-			}
-			fmt.Fprintf(w, "%s|%s|%s", name, r.Header.Get(HeaderSubset), r.Header.Get("X-Injected"))
-		}))
+	type tenant struct {
+		name, marker string
+		traceHi      string               // the first 16 hex digits of every trace ID it sends
+		ids          map[string]*Identity // by source service: client-<marker>, intruder-<marker>
 	}
+	tenants := []*tenant{{name: "ta", marker: "zulumark"}, {name: "tb", marker: "yankmark"}, {name: "tc", marker: "xraymark"}}
+	byName := map[string]*tenant{}
+
+	// An artifact is one thing the gateway produced, attributed to the tenant
+	// it belongs to.
+	type artifact struct{ owner, what, text string }
+	var (
+		mu        sync.Mutex
+		artifacts []artifact
+		mirrored  atomic.Int64
+	)
+	record := func(owner, what, text string) {
+		mu.Lock()
+		artifacts = append(artifacts, artifact{owner, what, text})
+		mu.Unlock()
+	}
+
 	gw := NewGatewayServer(1)
-	gwSrv := httptest.NewServer(gw)
-	defer gwSrv.Close()
-	for _, tenant := range []string{"a", "b"} {
-		v1, beta := echo(tenant+"-v1"), echo(tenant+"-beta")
-		defer v1.Close()
-		defer beta.Close()
+	for i, tn := range tenants {
+		byName[tn.name] = tn
+		tn.traceHi = fmt.Sprintf("%016x", i+1)
+		ca, err := NewCA(tn.name + "-ca")
+		if err != nil {
+			t.Fatal(err)
+		}
+		gw.RegisterTenant(tn.name, ca)
+		tn.ids = map[string]*Identity{}
+		for _, source := range []string{"client-" + tn.marker, "intruder-" + tn.marker} {
+			if tn.ids[source], err = ca.IssueIdentity("spiffe://" + tn.name + "/ns/default/sa/" + source); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// An upstream records what the gateway sent it as an artifact of its
+		// tenant, fails paths ending in /fail, and names itself, the subset it
+		// was sent as and the header the tenant's rule injects.
+		upstream := func(subset string) string {
+			name := tn.name + "-" + subset
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				body, _ := io.ReadAll(r.Body)
+				mirror := subset == "shadow"
+				what := "request forwarded to " + name
+				if mirror {
+					what = "request mirrored to " + name
+				}
+				record(tn.name, what, r.Method+" "+r.RequestURI+"\n"+headerLines(r.Header)+"\n"+string(body))
+				if mirror {
+					mirrored.Add(1)
+				}
+				if strings.HasSuffix(r.URL.Path, "/fail") {
+					w.WriteHeader(http.StatusInternalServerError)
+				}
+				fmt.Fprintf(w, "%s|%s|%s", name, r.Header.Get(HeaderSubset), r.Header.Get("X-Injected"))
+			}))
+			t.Cleanup(srv.Close)
+			return srv.URL
+		}
 		cfg := ServiceConfig{
 			Service: "web", DefaultSubset: "v1",
-			Rules: []Rule{{
-				Name: "beta-users",
-				Match: RouteMatch{
-					Headers: []KVMatch{{Name: "X-User-Group", Match: Exact("beta")}},
-					Cookies: []KVMatch{{Name: "lane", Match: Exact("b")}},
+			Rules: []Rule{
+				{
+					Name: "beta-users",
+					Match: RouteMatch{
+						Headers: []KVMatch{{Name: "X-User-Group", Match: Exact("beta")}},
+						Cookies: []KVMatch{{Name: "lane", Match: Exact("b")}},
+					},
+					Splits:     []Split{{Subset: "beta", Weight: 1}},
+					SetHeaders: map[string]string{"X-Injected": "for-" + tn.marker},
 				},
-				Splits:     []Split{{Subset: "beta", Weight: 1}},
-				SetHeaders: map[string]string{"X-Injected": "for-" + tenant + "-beta"},
-			}},
+				{Name: "shadow", Match: RouteMatch{Path: Prefix("/mirror/")}, MirrorTo: "shadow"},
+			},
+			Authz: []AuthzRule{{Name: "no-intruders", Action: AuthzDeny, SourceService: Prefix("intruder-")}},
 		}
-		if err := gw.ConfigureService(tenant, cfg, map[string][]string{"v1": {v1.URL}, "beta": {beta.URL}}); err != nil {
+		pools := map[string][]string{"v1": {upstream("v1")}, "beta": {upstream("beta")}, "shadow": {upstream("shadow")}}
+		if err := gw.ConfigureService(tn.name, cfg, pools); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	const workers, perWorker = 8, 40
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				tenant, want := "a", "a-beta|beta|for-a-beta"
-				if (g+i)%2 == 1 {
-					tenant, want = "b", "b-v1|v1|"
-				}
-				path, wantStatus := "/ok", http.StatusOK
-				if i%4 >= 2 {
-					path, wantStatus = "/fail", http.StatusInternalServerError
-				}
-				traceID := fmt.Sprintf("%016x%08x%08x", uint64(tenant[0]), g+1, i+1)
-				req, err := http.NewRequest(http.MethodGet, gwSrv.URL+path, nil)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				req.Header.Set(HeaderTenant, tenant)
-				req.Header.Set(HeaderService, "web")
-				req.Header.Set("Traceparent", "00-"+traceID+"-00f067aa0ba902b7-01")
-				if tenant == "a" {
-					req.Header.Set("X-User-Group", "beta")
-					req.Header.Set("Cookie", "lane=b")
-				}
-				resp, err := http.DefaultClient.Do(req)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if resp.StatusCode != wantStatus || string(body) != want {
-					t.Errorf("tenant %s %s: status %d body %q, want %d %q", tenant, path, resp.StatusCode, body, wantStatus, want)
-				}
-				wantTrace := ""
-				if wantStatus >= 400 {
-					wantTrace = traceID
-				}
-				if got := resp.Header.Get(HeaderTrace); got != wantTrace {
-					t.Errorf("tenant %s %s: %s = %q, want %q", tenant, path, HeaderTrace, got, wantTrace)
-				}
+	ways := []string{"routed", "lane", "mirrored", "upstream-5xx", "missing-headers", "unknown-service", "policy-denied", "unsigned"}
+	passes := []struct {
+		name            string
+		admission, auth bool
+	}{{"open", false, false}, {"admission", true, false}, {"auth", true, true}}
+	const workers, perWorker = 8, 24 // each pass sends every (tenant, way) pair 8 times
+	var sent, shed, mirrors atomic.Int64
+	for p, pass := range passes {
+		if pass.admission && !passes[p-1].admission {
+			// The zero config's retry budget holds 10 tokens and earns 0.1 per
+			// success: a pass of retries sheds most of them.
+			gw.EnableAdmission(admission.Config{})
+		}
+		// Written between two servers' lifetimes: Close has waited for every
+		// handler of the last pass.
+		gw.RequireAuth = pass.auth
+		gwSrv := httptest.NewServer(gw)
+		agents := map[string]*NodeAgent{}
+		for _, tn := range tenants {
+			for source, id := range tn.ids {
+				agents[source] = NewNodeAgent(tn.name, id, gwSrv.URL)
 			}
-		}()
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perWorker; i++ {
+					// Neighbouring requests in time are another tenant's.
+					n := i*workers + g
+					tn, way := tenants[n%len(tenants)], ways[n/len(tenants)%len(ways)]
+					m := tn.marker
+					traceID := fmt.Sprintf("%s%04x%04x%08x", tn.traceHi, p+1, g+1, i+1)
+					target, service, source := "/"+m+"/ok?q="+m, "web", "client-"+m
+					headers := map[string]string{"X-Data": m, "Cookie": "c=" + m}
+					if i%2 == 0 {
+						// Half join a trace the tenant started; the rest
+						// start a fresh one at the gateway.
+						headers["Traceparent"] = "00-" + traceID + "-00f067aa0ba902b7-01"
+					}
+					if pass.admission && !pass.auth {
+						headers[HeaderRetry] = "1"
+					}
+					wantStatus, wantBody := http.StatusOK, tn.name+"-v1|v1|"
+					signed, sheddable := pass.auth, pass.admission
+					switch way {
+					case "lane":
+						target = "/" + m + "/lane"
+						headers["X-User-Group"] = "beta"
+						headers["Cookie"] += "; lane=b"
+						wantBody = tn.name + "-beta|beta|for-" + m
+					case "mirrored":
+						target = "/mirror/" + m + "?q=" + m
+					case "upstream-5xx":
+						target = "/" + m + "/fail"
+						wantStatus = http.StatusInternalServerError
+					case "missing-headers":
+						service, signed, sheddable = "", false, false
+						wantStatus, wantBody = http.StatusBadRequest, "canal: missing tenant/service headers\n"
+					case "unknown-service":
+						service, sheddable = "svc-"+m, false
+						wantStatus = http.StatusServiceUnavailable
+						wantBody = "canal: l7: 503 no route configuration for service " + tn.name + "/" + service + "\n"
+					case "policy-denied":
+						source = "intruder-" + m
+						wantStatus, wantBody = http.StatusForbidden, "canal: l7: 403 denied by rule no-intruders\n"
+					case "unsigned":
+						if pass.auth {
+							signed, sheddable = false, false
+							wantStatus, wantBody = http.StatusForbidden, "canal: missing identity headers\n"
+						}
+					}
+					body := strings.NewReader("body-" + m)
+					var resp *http.Response
+					var err error
+					if signed {
+						resp, err = agents[source].Do(http.MethodPost, service, target, body, headers)
+					} else {
+						var req *http.Request
+						if req, err = http.NewRequest(http.MethodPost, gwSrv.URL+target, body); err != nil {
+							t.Error(err)
+							return
+						}
+						for k, v := range headers {
+							req.Header.Set(k, v)
+						}
+						req.Header.Set(HeaderTenant, tn.name)
+						if service != "" {
+							req.Header.Set(HeaderService, service)
+						}
+						req.Header.Set(HeaderSource, source)
+						resp, err = http.DefaultClient.Do(req)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					sent.Add(1)
+					got, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					record(tn.name, fmt.Sprintf("%s-pass response to %s %s", pass.name, way, target),
+						resp.Status+"\n"+headerLines(resp.Header)+"\n"+string(got))
+					switch {
+					case sheddable && resp.StatusCode == http.StatusTooManyRequests:
+						shed.Add(1)
+						if want := "canal: admission: " + tn.name + "/web shed ("; !strings.HasPrefix(string(got), want) {
+							t.Errorf("%s pass, tenant %s %s %s: shed with %q, want %q...", pass.name, tn.name, way, target, got, want)
+						}
+					case resp.StatusCode != wantStatus:
+						t.Errorf("%s pass, tenant %s %s %s: status %d, want %d", pass.name, tn.name, way, target, resp.StatusCode, wantStatus)
+					case string(got) != wantBody:
+						t.Errorf("%s pass, tenant %s %s %s: body %q, want %q", pass.name, tn.name, way, target, got, wantBody)
+					case way == "mirrored":
+						mirrors.Add(1)
+					}
+					switch got := resp.Header.Get(HeaderTrace); {
+					case resp.StatusCode < 400 && got != "":
+						t.Errorf("%s pass, tenant %s %s: %s = %q on a %d", pass.name, tn.name, way, HeaderTrace, got, resp.StatusCode)
+					case resp.StatusCode >= 400 && headers["Traceparent"] != "" && got != traceID:
+						t.Errorf("%s pass, tenant %s %s: %s = %q, want the trace it joined, %q", pass.name, tn.name, way, HeaderTrace, got, traceID)
+					case resp.StatusCode >= 400 && got == "":
+						t.Errorf("%s pass, tenant %s %s: no %s on a %d", pass.name, tn.name, way, HeaderTrace, resp.StatusCode)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		gwSrv.Close()
 	}
-	wg.Wait()
+	if shed.Load() == 0 {
+		t.Error("no request was shed: the admission pass drove no shed")
+	}
+	// Mirrors run behind the replies; wait for every one the gateway sent.
+	for deadline := time.Now().Add(5 * time.Second); mirrored.Load() < mirrors.Load() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got, want := mirrored.Load(), mirrors.Load(); got != want {
+		t.Errorf("%d of %d mirrored requests arrived", got, want)
+	}
 
-	// Every log line and kept trace is keyed to the tenant whose trace ID
-	// (its first byte pair is the tenant's letter) it carries.
-	for _, e := range gw.AccessLog().Entries() {
-		if want := fmt.Sprintf("%016x", uint64(e.Tenant[0])); !strings.HasPrefix(e.TraceID, want) {
-			t.Errorf("access-log entry of tenant %s carries trace %s", e.Tenant, e.TraceID)
+	// Each kind of violation is shown for its first few artifacts and then
+	// counted, so a leak on a path every request takes prints no line per
+	// request.
+	const shown = 10
+	violations := map[string]int{}
+	violation := func(kind, format string, args ...any) {
+		if violations[kind]++; violations[kind] <= shown {
+			t.Errorf(format, args...)
 		}
 	}
-	for _, tr := range gw.Tracer().Kept() {
-		if want := fmt.Sprintf("%016x", uint64(tr.Tenant[0])); !strings.HasPrefix(tr.ID.String(), want) {
-			t.Errorf("kept trace of tenant %s has ID %s", tr.Tenant, tr.ID)
+
+	// Log entries and kept traces belong to the tenant they name, which must
+	// be one of the three, and carry no trace ID another tenant sent.
+	attribute := func(what, owner, traceID, text string) {
+		if owner == "" {
+			violation("artifacts with no tenant", "%s carries no tenant: %s", what, text)
+			return
+		}
+		if byName[owner] == nil {
+			violation("artifacts of an unknown tenant", "%s names tenant %q, not one of the gateway's: %s", what, owner, text)
+			return
+		}
+		for _, other := range tenants {
+			if other.name != owner && strings.HasPrefix(traceID, other.traceHi) {
+				violation("artifacts with another tenant's trace", "%s of tenant %s carries trace %s, which tenant %s sent", what, owner, traceID, other.name)
+			}
+		}
+		record(owner, what, text)
+	}
+	entries := gw.AccessLog().Entries()
+	for _, e := range entries {
+		attribute("access-log entry", e.Tenant, e.TraceID, fmt.Sprintf("%+v", e))
+	}
+	if n := int64(len(entries)); n != sent.Load() {
+		t.Errorf("access log has %d entries, want one per request, %d", n, sent.Load())
+	}
+	for _, tr := range append(gw.Tracer().Kept(), gw.Tracer().Tail()...) {
+		attribute("kept trace", tr.Tenant, tr.ID.String(), fmt.Sprintf("%s %s %+v", tr.Arch, tr.Name, tr.Spans))
+	}
+
+	for _, a := range artifacts {
+		for _, other := range tenants {
+			if other.name != a.owner && strings.Contains(a.text, other.marker) {
+				violation("artifacts with another tenant's marker", "%s of tenant %s carries tenant %s's marker %q:\n%s", a.what, a.owner, other.name, other.marker, a.text)
+			}
 		}
 	}
-	if n := gw.AccessLog().Len(); n != workers*perWorker {
-		t.Errorf("access log has %d entries, want %d", n, workers*perWorker)
+	for _, kind := range slices.Sorted(maps.Keys(violations)) {
+		if n := violations[kind]; n > shown {
+			t.Errorf("%d more %s", n-shown, kind)
+		}
 	}
+	t.Logf("%d requests, %d shed, %d mirrored; %d artifacts checked", sent.Load(), shed.Load(), mirrors.Load(), len(artifacts))
 }
 
 // TestPooledStateRoundRobinConcurrent draws from one three-member pool on

@@ -489,8 +489,6 @@ func (st *requestState) traceIDString() string {
 
 // fail writes a local error response, stamping the trace ID header on it so
 // the caller can join the rejection to its trace, and logs the request.
-//
-//canal:boundary w is the requesting tenant's own ResponseWriter and the access log entry is keyed by the tenant in st
 func (g *GatewayServer) fail(w http.ResponseWriter, st *requestState, status int, msg string) {
 	st.status = status
 	if st.tr != nil {

@@ -36,19 +36,6 @@ func ParseDirectives(p *Package) ([]*Directive, []Diagnostic) {
 		for _, cg := range sf.AST.Comments {
 			for _, c := range cg.List {
 				text := c.Text
-				// //canal:boundary is the dataflow engine's audited-isolation
-				// declaration (dataflow.go). It has no staleness lifecycle —
-				// it documents a design point, not a suppressed line — but it
-				// must carry a reason like any other directive.
-				if rest, ok := strings.CutPrefix(text, boundaryMarker); ok {
-					if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-						continue
-					}
-					if strings.TrimSpace(rest) == "" {
-						report(c.Pos(), "canal:boundary needs a reason declaring what makes this an audited isolation point")
-					}
-					continue
-				}
 				if !strings.HasPrefix(text, directiveMarker) {
 					continue
 				}
@@ -79,27 +66,6 @@ func ParseDirectives(p *Package) ([]*Directive, []Diagnostic) {
 		}
 	}
 	return dirs, bad
-}
-
-// CountBoundaries returns the number of well-formed //canal:boundary
-// declarations in the package — the audited-isolation census TestSelfHost
-// pins alongside the //canal:allow count.
-func CountBoundaries(p *Package) int {
-	n := 0
-	for _, sf := range p.Files {
-		for _, cg := range sf.AST.Comments {
-			for _, c := range cg.List {
-				rest, ok := strings.CutPrefix(c.Text, boundaryMarker)
-				if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-					continue
-				}
-				if strings.TrimSpace(rest) != "" {
-					n++
-				}
-			}
-		}
-	}
-	return n
 }
 
 // ApplyDirectives filters diags through the suppressions: a directive

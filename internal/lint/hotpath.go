@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 )
 
@@ -75,10 +74,4 @@ func (g *CallGraph) hotpathFindings() []Diagnostic {
 		}
 	}
 	return diags
-}
-
-// baseLine renders "file.go:line" from a token.Position (base name only,
-// so messages stay stable across checkouts).
-func baseLine(filename string, line int) string {
-	return fmt.Sprintf("%s:%d", filepath.Base(filename), line)
 }

@@ -5,12 +5,12 @@
 //
 // The repository's tables and figures are regenerated by a discrete-event
 // simulator that must be bit-for-bit deterministic under a seed (DESIGN §1),
-// and one shared gateway must keep its tenants' data apart. canalvet
-// encodes the invariants behind those two claims as analyzers over one
-// engine: the module is parsed (load.go), type-checked once from source
-// into one shared types.Info (typecheck.go), and held in one module value
-// that also builds, on first use, the CHA-style call graph (callgraph.go)
-// and the taint engine layered on it (dataflow.go).
+// and the request paths, simulated and live, must not allocate where they
+// say they do not. canalvet encodes the invariants behind those claims as
+// analyzers over one engine: the module is parsed (load.go), type-checked
+// once from source into one shared types.Info (typecheck.go), and held in
+// one module value that also builds, on first use, the CHA-style call graph
+// (callgraph.go).
 //
 // Two analyzers check one package at a time, on its syntax and type
 // information:
@@ -28,12 +28,10 @@
 //	                from them must not allocate, lock, block on
 //	                channels, or call fmt/reflect/regexp
 //
-// The last consumes the taint engine, which layers bottom-up function
-// summaries over the call graph to statically audit tenant isolation on the
-// request path:
-//
-//	tenantflow  tenant-tainted payloads reaching response/log/state
-//	            sinks without the tenant key traveling alongside
+// Tenant isolation on the live gateway is checked at run time, not here:
+// TestPooledStateTenantIsolation (gateway_isolation_test.go) drives three
+// marked tenants over every way through ServeHTTP and fails on any artifact
+// that carries another tenant's marker.
 //
 // Intentional violations are suppressed line-by-line with a justified
 // directive:
@@ -42,8 +40,7 @@
 //
 // A directive must name a real analyzer and carry a reason; directives that
 // suppress nothing are themselves reported, so stale annotations cannot
-// accumulate. Audited isolation points on whole functions are declared with
-// //canal:boundary <reason> instead (see dataflow.go).
+// accumulate.
 package lint
 
 import (
@@ -117,7 +114,7 @@ func (r *Reporter) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Analyzer is one invariant checker. A per-package analyzer sets Run; an
-// analyzer whose findings need the whole module at once (call graph, taint)
+// analyzer whose findings need the whole module at once (the call graph)
 // sets runModule instead.
 type Analyzer struct {
 	Name string
@@ -136,7 +133,6 @@ func Analyzers() []*Analyzer {
 		MapOrder(),
 		UnitSafe(),
 		HotPath(),
-		TenantFlow(),
 	}
 }
 
@@ -157,7 +153,6 @@ func AnalyzerNames() map[string]bool {
 type module struct {
 	pkgs  []*Package
 	graph *CallGraph
-	taint *TaintEngine
 }
 
 // callGraph returns the module's call graph, building it on first use.
@@ -166,15 +161,6 @@ func (m *module) callGraph() *CallGraph {
 		m.graph = BuildCallGraph(m.pkgs)
 	}
 	return m.graph
-}
-
-// taintEngine returns the dataflow engine over the call graph, building it
-// on first use.
-func (m *module) taintEngine() *TaintEngine {
-	if m.taint == nil {
-		m.taint = BuildTaint(m.pkgs, m.callGraph())
-	}
-	return m.taint
 }
 
 // analyze runs one analyzer over every package of the module.

@@ -296,8 +296,9 @@ func (tr *Tracer) newSpanIDLocked() SpanID {
 // reading. The head-sampling decision is drawn here, so propagated contexts
 // carry a consistent sampled flag end to end. Request-path traces must use
 // StartTenant instead: the collector is shared across tenants, and an
-// unkeyed trace carrying request data is exactly the leak canalvet's
-// tenantflow analyzer reports.
+// unkeyed trace carrying request data belongs to no tenant. The live
+// gateway's isolation test (TestPooledStateTenantIsolation in the root
+// package) fails on any kept trace that names no tenant.
 func (tr *Tracer) Start(arch, name string) *Trace {
 	return tr.StartTenant(arch, "", name)
 }

@@ -1,9 +1,9 @@
 #!/bin/sh
 # Repo-wide verification: build, formatting, vet, the canalvet invariant
 # linters (map-order hygiene and unit-safety per package; sim determinism
-# and hotpath over the call graph; tenantflow over the taint engine — see
-# internal/lint), the full test suite under the race detector in shuffled
-# order, the shared-state tests ten times over, and the fuzz smokes. This is
+# and hotpath over the call graph — see internal/lint), the full test suite
+# under the race detector in shuffled order, the shared-state tests and the
+# tenant-isolation check ten times over, and the fuzz smokes. This is
 # the one gate every PR must pass: CI (.github/workflows/ci.yml) calls this
 # script and otherwise only publishes artifacts.
 set -eu
@@ -36,7 +36,7 @@ fi
 # The findings gate: canalvet exits 1 on any surviving diagnostic, stale
 # //canal:allow directives included. Diagnostic order is a byte-stable
 # invariant too: -runs 2 analyzes the type-checked module twice, rebuilding
-# the call graph and taint engine each time, and exits 2 if the runs differ.
+# the call graph each time, and exits 2 if the runs differ.
 go run ./cmd/canalvet -runs 2 ./...
 
 # Shuffled execution order catches tests that depend on package-level state
@@ -57,7 +57,10 @@ go test -race -shuffle=on ./...
 # run ten times over, so an interleaving one pass misses still has its
 # chance to be seen. The race detector, not a
 # static check, is what guards shared mutable state written on the request
-# path.
+# path, and TestPooledStateTenantIsolation, also not a static check, what
+# guards tenant isolation: three marked tenants over every way through
+# ServeHTTP, and no response, forwarded or mirrored request, log entry or
+# kept trace of one may carry another's marker.
 go test -race -count=10 -run 'TestPooledState|TestGatewayThrottleUnderConcurrentLoad|TestRouteConcurrentRateLimits|TestVerifyPeerConcurrent|TestIssueIdentityConcurrent|TestHTTPControllerConcurrent|TestHTTPControllerStaleRelease|TestTracerRecycle|TestGatewayMirror' . ./internal/l7 ./internal/meshcrypto ./internal/admission ./internal/trace
 
 # Fuzz smoke: the in-place traceparent parser against the split-and-decode
