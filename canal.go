@@ -43,9 +43,6 @@ type Split = l7.Split
 // RateLimitSpec configures token-bucket rate limiting.
 type RateLimitSpec = l7.RateLimitSpec
 
-// RetryPolicy configures upstream retries.
-type RetryPolicy = l7.RetryPolicy
-
 // FaultSpec injects aborts/delays for testing-in-production.
 type FaultSpec = l7.FaultSpec
 

@@ -1,10 +1,12 @@
 // Command canalvet runs the repository's invariant linters (internal/lint)
 // over the module. The suite type-checks the whole module from source —
-// stdlib included — once, and every analyzer reads that one engine: the
-// per-package checks (map-iteration order, unit-safe duration
-// arithmetic) and the call-graph pair (simdeterminism, hotpath). Tenant
-// isolation on the request path is a run-time check, not one of these:
-// TestPooledStateTenantIsolation in the root package.
+// stdlib included — once, and every analyzer checks one package at a time
+// on that one engine: no wall clock or global math/rand in simulation
+// packages (simdeterminism), no map-iteration order in results (maporder)
+// and unit-safe duration arithmetic (unitsafe). Tenant isolation and the
+// request paths' allocation contract are run-time checks, not among these:
+// TestPooledStateTenantIsolation and TestServeHTTPAllocs in the root
+// package, TestHotPathAllocs in internal/bench.
 //
 // Usage:
 //
@@ -24,9 +26,9 @@
 // so a finding reads the same from any checkout of the module.
 //
 // -runs N repeats the analysis N times over the one parsed, type-checked
-// module. The call graph and every finding are rebuilt each run, so the
-// comparison is non-vacuous: each run's diagnostics are compared against
-// the first and any divergence exits 2.
+// module. Every finding is recomputed each run, so the comparison is
+// non-vacuous: each run's diagnostics are compared against the first and
+// any divergence exits 2.
 package main
 
 import (

@@ -247,13 +247,29 @@ func (g *GatewayServer) RegisterTenant(tenant string, ca *CA) {
 }
 
 // serviceKey namespaces a service name by tenant inside the shared engine,
-// the real-mode analogue of the vSwitch's globally unique service IDs.
+// the real-mode analogue of the vSwitch's globally unique service IDs. It is
+// injective because checkTenant keeps "/" out of every tenant name that
+// configures a service: a key splits at its first "/" into one (tenant,
+// service) pair, whatever the service name holds.
 func serviceKey(tenant, service string) string { return tenant + "/" + service }
+
+// checkTenant refuses a tenant name holding serviceKey's separator: tenant
+// "a/b"'s service "c" would otherwise share its engine entry with tenant
+// "a"'s service "b/c".
+func checkTenant(tenant string) error {
+	if strings.Contains(tenant, "/") {
+		return fmt.Errorf("canal: tenant %q: a tenant name may not contain \"/\"", tenant)
+	}
+	return nil
+}
 
 // ConfigureService installs a tenant service's routing configuration and its
 // upstream pools (subset name -> backend URLs). A call that fails changes
 // nothing.
 func (g *GatewayServer) ConfigureService(tenant string, cfg ServiceConfig, pools map[string][]string) error {
+	if err := checkTenant(tenant); err != nil {
+		return err
+	}
 	// Held from the engine's Configure to the publication of its handle, so
 	// two calls for one service cannot publish them in the other order.
 	g.writeMu.Lock()
@@ -314,12 +330,18 @@ func (g *GatewayServer) ConfigureService(tenant string, cfg ServiceConfig, pools
 // SetServiceRate applies (or updates) an emergency throttle on a tenant
 // service — the gateway-side rapid intervention of §6.2.
 func (g *GatewayServer) SetServiceRate(tenant, service string, rps, burst float64) error {
+	if err := checkTenant(tenant); err != nil {
+		return err
+	}
 	return g.engine.SetServiceRate(serviceKey(tenant, service), rps, burst)
 }
 
-// ClearServiceRate removes a throttle.
+// ClearServiceRate removes a throttle. A tenant name that checkTenant
+// refuses has no service to clear, and its key would name another tenant's.
 func (g *GatewayServer) ClearServiceRate(tenant, service string) {
-	g.engine.ClearServiceRate(serviceKey(tenant, service))
+	if checkTenant(tenant) == nil {
+		g.engine.ClearServiceRate(serviceKey(tenant, service))
+	}
 }
 
 // signingPayload is the digest a NodeAgent signs per request: who sends it to
@@ -565,11 +587,19 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if st.decision.Delay > 0 {
-		// Fault injection: hold the request before proxying.
-		time.Sleep(st.decision.Delay)
-	}
 	ctx := r.Context()
+	if st.decision.Delay > 0 {
+		// Fault injection: hold the request before proxying, but not past
+		// the client's leaving, which frees the admission slot at once.
+		delay := time.NewTimer(st.decision.Delay)
+		select {
+		case <-delay.C:
+		case <-ctx.Done():
+			delay.Stop()
+			g.fail(w, st, http.StatusBadGateway, "canal: fault delay: "+ctx.Err().Error())
+			return
+		}
+	}
 	if st.decision.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, st.decision.Timeout)

@@ -1,11 +1,13 @@
 package canal
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"canalmesh/internal/admission"
 )
@@ -178,4 +180,69 @@ func TestGatewayUnconfiguredRefusedBeforeAdmission(t *testing.T) {
 	if got := gw.AdmissionMetrics().ShedTotal(); got != 0 {
 		t.Errorf("shed total = %v, want 0: unconfigured requests never reach admission", got)
 	}
+}
+
+// TestGatewayFaultDelayEndsWhenClientLeaves: a request held by a fault delay
+// whose client leaves must give back its handler and its admission slot at
+// once, not when the delay ends. With one slot in all, a second request
+// proves the slot is free.
+func TestGatewayFaultDelayEndsWhenClientLeaves(t *testing.T) {
+	up := echoServer("v1")
+	defer up.Close()
+	gw := NewGatewayServer(1)
+	gw.EnableAdmission(admission.Config{
+		Limiter: admission.LimiterConfig{InitialLimit: 1, MinLimit: 1, MaxLimit: 1},
+	})
+	if err := gw.ConfigureService("tenant1", ServiceConfig{Service: "web", DefaultSubset: "v1",
+		Rules: []Rule{{Name: "slow", Match: RouteMatch{Headers: []KVMatch{{Name: "x-slow", Match: Exact("1")}}},
+			Fault: &FaultSpec{DelayPercent: 100, Delay: 5 * time.Second}}}},
+		map[string][]string{"v1": {up.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	entered, returned := make(chan struct{}, 1), make(chan struct{}, 1)
+	gwSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		gw.ServeHTTP(w, r)
+		returned <- struct{}{}
+	}))
+	defer gwSrv.Close()
+	get := func(ctx context.Context, slow bool) (*http.Response, error) {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, gwSrv.URL+"/", nil)
+		req.Header.Set(HeaderTenant, "tenant1")
+		req.Header.Set(HeaderService, "web")
+		if slow {
+			req.Header.Set("X-Slow", "1")
+		}
+		return http.DefaultClient.Do(req)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	answered := make(chan error, 1)
+	go func() {
+		resp, err := get(ctx, true)
+		if err == nil {
+			resp.Body.Close()
+		}
+		answered <- err
+	}()
+	<-entered
+	time.Sleep(50 * time.Millisecond) // the request is inside its delay
+	cancel()
+	if err := <-answered; err == nil {
+		t.Fatal("delayed request answered before its client left")
+	}
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("handler still held 1 s after its client left mid-delay")
+	}
+	resp, err := get(context.Background(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Errorf("request after the abandoned delay got %d %q, want 200: the admission slot was not given back", resp.StatusCode, body)
+	}
+	<-entered
+	<-returned
 }

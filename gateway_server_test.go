@@ -388,6 +388,42 @@ func TestGatewayTenantIsolation(t *testing.T) {
 	}
 }
 
+// TestGatewayTenantNameKeepsKeysApart: tenant "a/b"'s service "c" and
+// tenant "a"'s service "b/c" would share one key in the shared engine, so a
+// deny-all rule of the first would refuse the second's requests. A tenant
+// name holding the separator is refused instead, and "a"'s service keeps
+// its own verdict.
+func TestGatewayTenantNameKeepsKeysApart(t *testing.T) {
+	up := echoServer("a-backend")
+	defer up.Close()
+	gw := NewGatewayServer(1)
+	gwSrv := httptest.NewServer(gw)
+	defer gwSrv.Close()
+	if err := gw.ConfigureService("a", ServiceConfig{Service: "b/c", DefaultSubset: "v1"},
+		map[string][]string{"v1": {up.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	denyAll := ServiceConfig{Service: "c", DefaultSubset: "v1",
+		Authz: []AuthzRule{{Name: "deny-all", Action: AuthzDeny}}}
+	if err := gw.ConfigureService("a/b", denyAll, map[string][]string{"v1": {up.URL}}); err == nil {
+		t.Error(`ConfigureService accepted tenant "a/b"`)
+	}
+	if err := gw.SetServiceRate("a/b", "c", 1e-9, 0.5); err == nil {
+		t.Error(`SetServiceRate accepted tenant "a/b"`)
+	}
+	gw.ClearServiceRate("a/b", "c")
+	req, _ := http.NewRequest(http.MethodGet, gwSrv.URL+"/", nil)
+	req.Header.Set(HeaderTenant, "a")
+	req.Header.Set(HeaderService, "b/c")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK || body != "a-backend|/|v1" {
+		t.Errorf(`tenant "a" service "b/c" got %d %q, want 200 from its own upstream`, resp.StatusCode, body)
+	}
+}
+
 func TestGatewayMissingHeaders(t *testing.T) {
 	gw := NewGatewayServer(1)
 	srv := httptest.NewServer(gw)

@@ -2,11 +2,14 @@ package canal
 
 import (
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -17,10 +20,15 @@ import (
 // logged exactly once and that every state the gateway ever created is back
 // to its zero value: a state that was not recycled would still hold its
 // request.
+//
+// The refused upstream is a transport that refuses every dial, not a closed
+// port: the kernel may hand a closed port to the gateway's own test server,
+// which would then proxy to itself.
 func TestPooledStateReleasedOnEveryPath(t *testing.T) {
-	dead := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
-	deadURL := dead.URL
-	dead.Close()
+	refused := roundTripFunc(func(*http.Request) (*http.Response, error) {
+		return nil, &net.OpError{Op: "dial", Net: "tcp", Err: os.NewSyscallError("connect", syscall.ECONNREFUSED)}
+	})
+	const unused = "http://upstream.test" // a pool the request never reaches
 	unblock := make(chan struct{})
 	hung := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-unblock }))
 	defer hung.Close()
@@ -30,14 +38,15 @@ func TestPooledStateReleasedOnEveryPath(t *testing.T) {
 		name   string
 		cfg    ServiceConfig
 		pool   string
+		rt     http.RoundTripper // nil: the gateway's own transport
 		source string
 		want   int
 	}{
-		{name: "upstream refused", cfg: ServiceConfig{Service: "web", DefaultSubset: "v1"}, pool: deadURL, want: http.StatusBadGateway},
-		{name: "authz deny", pool: deadURL, source: "intruder", want: http.StatusForbidden,
+		{name: "upstream refused", cfg: ServiceConfig{Service: "web", DefaultSubset: "v1"}, pool: unused, rt: refused, want: http.StatusBadGateway},
+		{name: "authz deny", pool: unused, source: "intruder", want: http.StatusForbidden,
 			cfg: ServiceConfig{Service: "web", DefaultSubset: "v1",
 				Authz: []AuthzRule{{Name: "block-intruder", Action: AuthzDeny, SourceService: Exact("intruder")}}}},
-		{name: "throttled", pool: deadURL, want: http.StatusTooManyRequests,
+		{name: "throttled", pool: unused, want: http.StatusTooManyRequests,
 			cfg: ServiceConfig{Service: "web", DefaultSubset: "v1", ServiceRateLimit: &RateLimitSpec{RPS: 1e-9, Burst: 0.5}}},
 		{name: "upstream timeout", pool: hung.URL, want: http.StatusBadGateway,
 			cfg: ServiceConfig{Service: "web", DefaultSubset: "v1", Rules: []Rule{{Name: "bounded", Timeout: 20 * time.Millisecond}}}},
@@ -45,6 +54,9 @@ func TestPooledStateReleasedOnEveryPath(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			gw := NewGatewayServer(1)
+			if tc.rt != nil {
+				gw = newGatewayServer(1, tc.rt)
+			}
 			var mu sync.Mutex
 			var created []*requestState
 			newState := gw.states.New

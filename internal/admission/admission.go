@@ -165,12 +165,10 @@ func NewMetrics() *Metrics {
 
 // Tenant returns (creating if needed) the named tenant's metrics.
 func (m *Metrics) Tenant(name string) *TenantMetrics {
-	//canal:allow hotpath tenant registry must serialize on the concurrent live gateway; uncontended under the sim
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	tm, ok := m.tenants[name]
 	if !ok {
-		//canal:allow hotpath lazy init: allocates once per tenant at first sight, not per request
 		tm = &TenantMetrics{Admitted: &telemetry.Counter{}, Shed: &telemetry.Counter{}, Sojourn: &telemetry.Sample{}}
 		m.tenants[name] = tm
 	}
@@ -179,12 +177,10 @@ func (m *Metrics) Tenant(name string) *TenantMetrics {
 
 // ShedCounter returns (creating if needed) the counter for a shed reason.
 func (m *Metrics) ShedCounter(r Reason) *telemetry.Counter {
-	//canal:allow hotpath shed-reason registry must serialize on the concurrent live gateway; uncontended under the sim
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c, ok := m.shedByReason[r]
 	if !ok {
-		//canal:allow hotpath lazy init: allocates once per shed reason, not per request
 		c = &telemetry.Counter{}
 		m.shedByReason[r] = c
 	}

@@ -20,7 +20,7 @@ import (
 )
 
 // hotPathBaselineFile is the checked-in allocs/op baseline for the
-// //canal:hotpath operations; TestHotPathAllocs fails on any increase.
+// request-path operations; TestHotPathAllocs fails on any increase.
 // Regenerate with CANAL_UPDATE_BENCH=1 go test -run TestHotPathAllocs ./internal/bench
 const hotPathBaselineFile = "BENCH_hotpath.json"
 
@@ -31,16 +31,16 @@ type hotPathBaseline struct {
 }
 
 // measureHotPathAllocs measures allocations per operation on the
-// request-time operations the hotpath analyzer polices statically: L7
-// route matching, one sim event-loop step (push + pop + dispatch), trace
-// hop recording, the policy lookup, the trace-context codec, a
-// verified-peer memo hit, the flow hash and a processor completion — and on
-// the simulated request paths built over them, a gateway dispatch with
-// admission off and on and a mesh hop chain, whose recycled per-request
-// values leave them nothing to allocate at steady state, even with a fresh
-// request built for every call. The static
-// analyzer proves the code *shape* cannot allocate; this measures that the
-// compiler agrees at runtime.
+// request-time operations: L7 route matching (on prefix, exact, regex and
+// cookie conditions), one sim event-loop step (push + pop + dispatch), trace
+// hop recording, the policy lookup (exact and wildcard destination), the
+// trace-context codec (a refused header included), a verified-peer memo
+// hit, the flow hash and a processor completion — and on the simulated
+// request paths built over them, a gateway dispatch with admission off and
+// on and a mesh hop chain, whose recycled per-request values leave them
+// nothing to allocate at steady state, even with a fresh request built for
+// every call. Each row guards the branches it runs and no others: a branch
+// that must not allocate gets a row of its own.
 func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	t.Helper()
 	got := map[string]float64{}
@@ -78,6 +78,42 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	})
 	if !dec.Allowed || dec.Rule != "api" {
 		t.Fatalf("route bench did not exercise the matched allow path: %+v", dec)
+	}
+
+	// L7 route match on the branches route_match leaves: a regex path and
+	// header, whose pattern runs on the compiled policy.Match, and a
+	// cookie.
+	if err := eng.Configure(l7.ServiceConfig{
+		Service:       "search",
+		DefaultSubset: "v1",
+		Rules: []l7.Rule{{
+			Name: "beta",
+			Match: l7.RouteMatch{
+				Path:    l7.Regex(`^/api/v[0-9]+/items$`),
+				Headers: []l7.KVMatch{{Name: "x-tenant", Match: l7.Regex(`^ac`)}},
+				Cookies: []l7.KVMatch{{Name: "lane", Match: l7.Exact("beta")}},
+			},
+			Splits: []l7.Split{{Subset: "v2", Weight: 1}},
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rreq := &l7.Request{
+		Service: "search",
+		Method:  "GET",
+		Path:    "/api/v2/items",
+		Headers: map[string]string{"x-tenant": "acme"},
+		Cookies: map[string]string{"lane": "beta"},
+	}
+	got["route_match_regex_cookie"] = testing.AllocsPerRun(1000, func() {
+		d, err := eng.Route(0, rreq)
+		if err != nil {
+			panic(err)
+		}
+		dec = d
+	})
+	if !dec.Allowed || dec.Rule != "beta" || dec.Subset != "v2" {
+		t.Fatalf("regex/cookie route bench did not match its rule: %+v", dec)
 	}
 
 	// Sim event-loop step: schedule one event and drain it. The closure is
@@ -166,6 +202,24 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 		t.Fatalf("policy bench did not exercise the matched allow path: %+v", pv)
 	}
 
+	// Policy lookup through an any-tenant, any-destination intention: the
+	// wildcard-destination buckets the table probes only when one exists.
+	wc := policy.NewCompiler(policy.Config{Seed: 43})
+	if _, err := wc.Apply(nil, []policy.Intention{
+		{ID: "w", Name: "deny-debug", Src: policy.Exact("web"),
+			Dst: policy.Any(), Path: policy.Prefix("/debug"), Action: policy.ActionDeny},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wq := policy.Query{SrcTenant: "acme", SrcService: "web", DstService: "checkout",
+		Method: "GET", Path: "/debug/vars"}
+	got["policy_lookup_wildcard_dst"] = testing.AllocsPerRun(1000, func() {
+		pv = wc.Eval(wq)
+	})
+	if pv.Allowed || pv.Rule != "deny-debug" {
+		t.Fatalf("wildcard-destination policy bench did not match its intention: %+v", pv)
+	}
+
 	// Trace-context codec: every live request parses one traceparent and
 	// renders one toward the upstream, and its trace ID is rendered for the
 	// access log. Parsing decodes in place; a render allocates its result.
@@ -176,6 +230,14 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	got["traceparent_parse"] = testing.AllocsPerRun(1000, func() {
 		tid, sid, sampled, _ = trace.ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
 	})
+	// A refused header: the error naming it is the cost of a rejection.
+	var perr error
+	got["traceparent_parse_refused"] = testing.AllocsPerRun(1000, func() {
+		_, _, _, perr = trace.ParseTraceparent("00-4bf92f3577b34da6-00f067aa0ba902b7-01")
+	})
+	if perr == nil {
+		t.Fatal("codec bench accepted a short trace ID")
+	}
 	var rendered string
 	got["traceparent_render"] = testing.AllocsPerRun(1000, func() {
 		rendered = trace.Traceparent(tid, sid, sampled)
@@ -302,9 +364,9 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	return got
 }
 
-// TestHotPathAllocs is the allocation-regression gate riding on the
-// hotpath analyzer: the checked-in BENCH_hotpath.json pins allocs/op for
-// each //canal:hotpath operation and any increase fails the test. It skips
+// TestHotPathAllocs is the request paths' allocation-regression gate: the
+// checked-in BENCH_hotpath.json pins allocs/op for each operation and any
+// increase fails the test. It skips
 // under -race (instrumentation changes counts), so verify.sh runs it in a
 // dedicated non-race invocation.
 func TestHotPathAllocs(t *testing.T) {
@@ -315,7 +377,7 @@ func TestHotPathAllocs(t *testing.T) {
 	path := filepath.Join("..", "..", hotPathBaselineFile)
 	if updateReports() {
 		out, err := json.MarshalIndent(hotPathBaseline{
-			Note:        "allocs/op baseline for //canal:hotpath operations; regenerate with CANAL_UPDATE_BENCH=1 go test -run TestHotPathAllocs ./internal/bench",
+			Note:        "allocs/op baseline for the request-path operations, the one guard of their allocation contract; regenerate with CANAL_UPDATE_BENCH=1 go test -run TestHotPathAllocs ./internal/bench",
 			AllocsPerOp: got,
 		}, "", "  ")
 		if err != nil {

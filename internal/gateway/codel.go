@@ -42,7 +42,6 @@ func newCoDel(target, interval time.Duration) *coDel {
 	if interval <= 0 {
 		interval = admission.DefaultInterval
 	}
-	//canal:allow hotpath allocates once per tenant queue at first sight, not per request
 	return &coDel{Target: target, Interval: interval}
 }
 

@@ -23,7 +23,6 @@ type tenantQueue struct {
 
 func (q *tenantQueue) len() int { return len(q.items) - q.head }
 
-//canal:allow hotpath amortized queue growth, bounded by PerTenantCap
 func (q *tenantQueue) push(w *sim.Work) { q.items = append(q.items, w) }
 
 func (q *tenantQueue) peek() *sim.Work { return q.items[q.head] }
@@ -85,7 +84,6 @@ func (q *wdrrQueue) Enqueue(now time.Duration, w *sim.Work) bool {
 	name := q.key(w.Tenant)
 	tq, ok := q.byName[name]
 	if !ok {
-		//canal:allow hotpath lazy init: one queue per tenant at first sight, not per request
 		tq = &tenantQueue{
 			tenant: name,
 			weight: q.cfg.Weight(name),
@@ -105,7 +103,6 @@ func (q *wdrrQueue) Enqueue(now time.Duration, w *sim.Work) bool {
 	if !tq.active {
 		tq.active = true
 		tq.deficit = 0
-		//canal:allow hotpath active-ring growth is bounded by the tenant count, not the request rate
 		q.ring = append(q.ring, tq)
 		if len(q.ring) == 1 {
 			q.cur = 0
@@ -171,7 +168,6 @@ func (q *wdrrQueue) deactivate(i int) {
 	tq := q.ring[i]
 	tq.active = false
 	tq.deficit = 0
-	//canal:allow hotpath in-place removal: appending into a prefix of the same backing array never grows it
 	q.ring = append(q.ring[:i], q.ring[i+1:]...)
 	if q.cur > i {
 		q.cur--

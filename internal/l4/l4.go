@@ -16,8 +16,6 @@ import (
 // The hash is FNV-1a-64 over "SrcIP|SrcPort|DstIP|DstPort|Proto" with the
 // integers in decimal — the bytes fmt's "%s|%d|%s|%d|%d" renders — computed
 // inline, so a flow hashes without a hasher or a formatted string.
-//
-//canal:hotpath
 func Hash5Tuple(k cloud.SessionKey) uint64 {
 	h := fnvString(fnvOffset64, k.SrcIP)
 	h = fnvUint(fnvByte(h, '|'), uint64(k.SrcPort))

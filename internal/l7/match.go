@@ -59,8 +59,6 @@ type cond struct {
 }
 
 // matches reports whether the request's field satisfies the condition.
-//
-//canal:hotpath
 func (c *cond) matches(r *Request) bool {
 	switch c.field {
 	case fieldMethod:
@@ -142,8 +140,6 @@ func (p *program) matchers(start, end int) []*policy.Match {
 
 // match runs the program against a request: the index of the first rule
 // whose every condition holds, or -1 when none does.
-//
-//canal:hotpath
 func (p *program) match(r *Request) int {
 	c := 0
 	for i, end := range p.ends {

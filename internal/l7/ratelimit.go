@@ -34,7 +34,6 @@ func (b *TokenBucket) Allow(now time.Duration) bool {
 
 // AllowN consumes n tokens at virtual time now.
 func (b *TokenBucket) AllowN(now time.Duration, n float64) bool {
-	//canal:allow hotpath the bucket's own mutex: refill and draw are one step, and only requests that meet a rate limit take it
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if now > b.lastFill {

@@ -51,10 +51,9 @@ type Decision struct {
 	Allowed     bool
 	DenyReason  string
 	RateLimited bool
-	Rule        string // name of the matched route rule ("" if default)
-	Subset      string // destination subset chosen by the traffic split
-	PathRewrite string // non-empty if the rule rewrites the path
-	Retry       RetryPolicy
+	Rule        string        // name of the matched route rule ("" if default)
+	Subset      string        // destination subset chosen by the traffic split
+	PathRewrite string        // non-empty if the rule rewrites the path
 	MirrorTo    string        // non-empty if traffic is mirrored to another subset
 	Delay       time.Duration // injected latency (fault injection)
 	Timeout     time.Duration // upstream deadline; zero = unbounded
@@ -63,12 +62,6 @@ type Decision struct {
 	// read them, never write them.
 	SetHeaders    map[string]string
 	RemoveHeaders []string
-}
-
-// RetryPolicy configures retries the data plane performs on upstream failure.
-type RetryPolicy struct {
-	Attempts int
-	PerTry   time.Duration
 }
 
 // Status codes the engine emits for local responses.

@@ -29,7 +29,7 @@ func TestParseDirectivesWellFormed(t *testing.T) {
 func f() {
 	//canal:allow simdeterminism the sim harness epoch is wall-clock anchored
 	g()
-	h() //canal:allow hotpath amortized growth against preallocated capacity
+	h() //canal:allow unitsafe the literal is a count of nanoseconds by contract
 }
 
 func g() {}
@@ -45,7 +45,7 @@ func h() {}
 	if dirs[0].Analyzer != "simdeterminism" || !strings.Contains(dirs[0].Reason, "wall-clock anchored") {
 		t.Errorf("directive 0 parsed as %+v", dirs[0])
 	}
-	if dirs[1].Analyzer != "hotpath" || !strings.Contains(dirs[1].Reason, "amortized growth") {
+	if dirs[1].Analyzer != "unitsafe" || !strings.Contains(dirs[1].Reason, "count of nanoseconds") {
 		t.Errorf("directive 1 parsed as %+v", dirs[1])
 	}
 }

@@ -4,29 +4,22 @@
 // zero-dependency).
 //
 // The repository's tables and figures are regenerated by a discrete-event
-// simulator that must be bit-for-bit deterministic under a seed (DESIGN §1),
-// and the request paths, simulated and live, must not allocate where they
-// say they do not. canalvet encodes the invariants behind those claims as
-// analyzers over one engine: the module is parsed (load.go), type-checked
-// once from source into one shared types.Info (typecheck.go), and held in
-// one module value that also builds, on first use, the CHA-style call graph
-// (callgraph.go).
-//
-// Two analyzers check one package at a time, on its syntax and type
-// information:
-//
-//	maporder    no order-dependent output from map iteration
-//	unitsafe    no unit-less mixing of durations and bare numbers; the
-//	            named sim constructors are the blessed conversions
-//
-// Two read the call graph's per-function facts and edges over the whole
-// module:
+// simulator that must be bit-for-bit deterministic under a seed (DESIGN §1).
+// canalvet encodes the invariants behind that claim as analyzers over one
+// engine: the module is parsed (load.go) and type-checked once from source
+// into one shared types.Info (typecheck.go), and each analyzer then checks
+// one package at a time, on its syntax and type information:
 //
 //	simdeterminism  no wall clock or global math/rand in simulation
 //	                packages
-//	hotpath         //canal:hotpath functions and everything reachable
-//	                from them must not allocate, lock, block on
-//	                channels, or call fmt/reflect/regexp
+//	maporder        no order-dependent output from map iteration
+//	unitsafe        no unit-less mixing of durations and bare numbers; the
+//	                named sim constructors are the blessed conversions
+//
+// The request paths' allocation contract is checked at run time, not here:
+// TestHotPathAllocs (internal/bench, pinned by BENCH_hotpath.json) and
+// TestServeHTTPAllocs (root package) pin allocations per operation and per
+// way through ServeHTTP.
 //
 // Tenant isolation on the live gateway is checked at run time, not here:
 // TestPooledStateTenantIsolation (gateway_isolation_test.go) drives three
@@ -113,17 +106,12 @@ func (r *Reporter) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzer is one invariant checker. A per-package analyzer sets Run; an
-// analyzer whose findings need the whole module at once (the call graph)
-// sets runModule instead.
+// Analyzer is one invariant checker: Run reads one package's syntax and
+// types and reports through r.
 type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(p *Package, r *Reporter)
-	// runModule computes the analyzer's findings over the whole module;
-	// module.analyze stamps them with the analyzer's name and Run routes
-	// each to the package whose directives govern its file.
-	runModule func(m *module) []Diagnostic
 }
 
 // Analyzers returns the full suite in stable order.
@@ -132,7 +120,6 @@ func Analyzers() []*Analyzer {
 		SimDeterminism(),
 		MapOrder(),
 		UnitSafe(),
-		HotPath(),
 	}
 }
 
@@ -146,34 +133,11 @@ func AnalyzerNames() map[string]bool {
 	return names
 }
 
-// module is the engine's one value: the type-checked packages (sharing one
-// types.Info, see typecheck.go) plus the module-wide indexes built on them
-// on first use. Run makes one per call and every analyzer reads from it, so
-// nothing an analysis computes outlives the call or is shared between two.
-type module struct {
-	pkgs  []*Package
-	graph *CallGraph
-}
-
-// callGraph returns the module's call graph, building it on first use.
-func (m *module) callGraph() *CallGraph {
-	if m.graph == nil {
-		m.graph = BuildCallGraph(m.pkgs)
-	}
-	return m.graph
-}
-
-// analyze runs one analyzer over every package of the module.
-func (m *module) analyze(a *Analyzer) []Diagnostic {
+// analyze runs the analyzers over one package and returns their raw
+// findings, before any directive is applied.
+func analyze(p *Package, analyzers []*Analyzer) []Diagnostic {
 	var out []Diagnostic
-	if a.runModule != nil {
-		out = a.runModule(m)
-		for i := range out {
-			out[i].Analyzer = a.Name
-		}
-		return out
-	}
-	for _, p := range m.pkgs {
+	for _, a := range analyzers {
 		a.Run(p, &Reporter{fset: p.Fset, analyzer: a.Name, out: &out})
 	}
 	return out
@@ -190,26 +154,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	if len(pkgs) > 0 && pkgs[0].TypesInfo == nil {
 		TypeCheck(pkgs)
 	}
-	m := &module{pkgs: pkgs}
-	// A finding belongs to the package that holds its file: that package's
-	// directives decide whether it survives.
-	owner := map[string]*Package{}
-	for _, p := range pkgs {
-		for _, sf := range p.Files {
-			owner[sf.Name] = p
-		}
-	}
-	raw := map[*Package][]Diagnostic{}
 	// Directive staleness is judged only against the analyzers actually
 	// running: a subset run (a fixture test of one analyzer) must not report
 	// the other analyzers' directives as suppressing nothing.
 	active := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		active[a.Name] = true
-		for _, d := range m.analyze(a) {
-			p := owner[d.Pos.Filename]
-			raw[p] = append(raw[p], d)
-		}
 	}
 	var out []Diagnostic
 	for _, p := range pkgs {
@@ -222,7 +172,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 		out = append(out, bad...)
 		out = append(out, p.TypeErrors...)
-		out = append(out, ApplyDirectives(raw[p], activeDirs)...)
+		out = append(out, ApplyDirectives(analyze(p, analyzers), activeDirs)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
@@ -238,18 +188,17 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		if out[i].Analyzer != out[j].Analyzer {
 			return out[i].Analyzer < out[j].Analyzer
 		}
-		// Message tiebreak: several interprocedural findings can share one
-		// position (e.g. CHA fan-out), and output order is a tested
-		// byte-for-byte invariant.
+		// Message tiebreak: two findings can share one position, and
+		// output order is a tested byte-for-byte invariant.
 		return out[i].Message < out[j].Message
 	})
 	return out
 }
 
-// exprString renders a small expression (lock targets, range subjects) into
-// a stable key for lock-fact messages and sort mentions. It is not a full
-// printer: anything beyond idents, selectors, stars, parens, and index
-// expressions renders as "?".
+// exprString renders a small expression (append targets, sort arguments)
+// into a stable key for matching a sort to the slice a loop built. It is
+// not a full printer: anything beyond idents, selectors, stars, parens, and
+// index expressions renders as "?".
 func exprString(e ast.Expr) string {
 	switch v := e.(type) {
 	case *ast.Ident:

@@ -79,8 +79,8 @@ func checkFixture(t *testing.T, fixtureFile string, diags []Diagnostic) {
 // runTypedFixture loads testdata/<name> posed as module directory poseDir,
 // type-checks it (it must type-check cleanly — a fixture with type errors
 // would silently test nothing, since the analyzers degrade to silence on
-// partial information) and runs the single named analyzer over it as a
-// one-package module, without directive processing.
+// partial information) and runs the single named analyzer over it,
+// without directive processing.
 func runTypedFixture(t *testing.T, name, poseDir, analyzer string) []Diagnostic {
 	t.Helper()
 	pkg, err := LoadDir(filepath.Join("testdata", name), poseDir)
@@ -91,14 +91,13 @@ func runTypedFixture(t *testing.T, name, poseDir, analyzer string) []Diagnostic 
 	for _, d := range pkg.TypeErrors {
 		t.Fatalf("fixture %s must type-check: %s", name, d)
 	}
-	m := &module{pkgs: []*Package{pkg}}
-	var diags []Diagnostic
 	for _, a := range Analyzers() {
 		if a.Name == analyzer {
-			diags = append(diags, m.analyze(a)...)
+			return analyze(pkg, []*Analyzer{a})
 		}
 	}
-	return diags
+	t.Fatalf("no analyzer %q", analyzer)
+	return nil
 }
 
 func fixtureFile(name string) string {
@@ -139,7 +138,7 @@ func TestSimDeterminismScope(t *testing.T) {
 }
 
 func TestMapOrder(t *testing.T) {
-	diags := runTypedFixture(t, "maporder", "internal/anomaly", "maporder")
+	diags := runTypedFixture(t, "maporder", "internal/cluster", "maporder")
 	checkFixture(t, fixtureFile("maporder"), diags)
 }
 
@@ -149,7 +148,7 @@ func TestUnitSafe(t *testing.T) {
 }
 
 // TestDirectivePipeline runs the full suite (analyzers + directive
-// processing) over the directive fixture, and then hotpath alone.
+// processing) over the directive fixture.
 func TestDirectivePipeline(t *testing.T) {
 	pkg, err := LoadDir(filepath.Join("testdata", "directive"), "internal/sim")
 	if err != nil {
@@ -174,7 +173,7 @@ func TestDirectivePipeline(t *testing.T) {
 }
 
 // TestTaintSubsetDirectives checks that a subset run judges staleness only
-// for the analyzers it runs: with hotpath alone, the directive fixture's
+// for the analyzers it runs: with unitsafe alone, the directive fixture's
 // simdeterminism and maporder directives are not stale, and only the
 // malformed ones are reported. (The name predates the fixture: the check
 // once ran over the taint fixture.)
@@ -183,9 +182,9 @@ func TestTaintSubsetDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{HotPath()}) {
+	for _, d := range Run([]*Package{pkg}, []*Analyzer{UnitSafe()}) {
 		if d.Analyzer != "directive" || strings.Contains(d.Message, "suppresses nothing") {
-			t.Errorf("hotpath-only run reported %s", d)
+			t.Errorf("unitsafe-only run reported %s", d)
 		}
 	}
 }
@@ -197,19 +196,17 @@ func TestTaintSubsetDirectives(t *testing.T) {
 // analyzer absent here carries no allows.
 var selfHostDirectives = map[string]int{
 	"simdeterminism": 20,
-	"hotpath":        31,
 	"unitsafe":       13,
 }
 
 // TestSelfHost runs the full suite over this repository: the codebase must
 // stay canalvet-clean, with every intentional violation carrying a justified
-// //canal:allow. This is the regression gate for the engine too — all four
+// //canal:allow. This is the regression gate for the engine too — all three
 // analyzers run with full type information over every package, any
-// type-check failure surfaces here as a "typecheck" diagnostic, and the
-// call-graph pair sees the module-wide graph.
+// type-check failure surfaces here as a "typecheck" diagnostic.
 func TestSelfHost(t *testing.T) {
-	if n := len(Analyzers()); n != 4 {
-		t.Fatalf("suite has %d analyzers, want 4 (2 per-package + 2 call-graph); the count is frozen", n)
+	if n := len(Analyzers()); n != 3 {
+		t.Fatalf("suite has %d analyzers, want 3; the count is frozen", n)
 	}
 	root, err := FindModuleRoot(".")
 	if err != nil {

@@ -1,6 +1,10 @@
 package lint
 
-import "strings"
+import (
+	"go/ast"
+	"go/types"
+	"strings"
+)
 
 // simScopeDirs are the packages whose code runs under (or feeds) the
 // discrete-event simulator. Inside them, virtual time must come from the sim
@@ -27,7 +31,6 @@ var simScopeDirs = []string{
 	"internal/policy",
 	"internal/federation",
 	"internal/proxy",
-	"internal/anomaly",
 	"internal/cloud",
 	"internal/cluster",
 	"internal/controlplane",
@@ -46,41 +49,65 @@ func inSimScope(dir string) bool {
 	return false
 }
 
+// wallClockFuncs are the package time functions that read or wait on the
+// wall clock. Conversions and constructors (time.Duration, time.Unix,
+// time.Date) are pure and stay allowed.
+var wallClockFuncs = map[string]bool{
+	"Now":       true,
+	"Since":     true,
+	"Until":     true,
+	"Sleep":     true,
+	"After":     true,
+	"Tick":      true,
+	"NewTimer":  true,
+	"NewTicker": true,
+	"AfterFunc": true,
+}
+
+// randConstructors are the math/rand package-level functions that build
+// explicit sources rather than drawing from the shared global one.
+var randConstructors = map[string]bool{
+	"New":       true,
+	"NewSource": true,
+	"NewZipf":   true,
+}
+
 // SimDeterminism forbids wall-clock access and global math/rand draws in
-// simulation-facing packages. The detector is the call-graph builder, which
-// records each such call as a FactWallClock or FactGlobalRand fact on the
-// function (or package init node) it sits in; this analyzer reports the
-// facts of sim-scope nodes, test files included. A read laundered through
-// an out-of-scope helper is left to TestSuiteRenderedSHA and the run-twice
-// determinism tests, which fail once it reaches rendered output.
+// simulation-facing packages. It walks every call of a sim-scope package,
+// test files and package-level var initialisers included, and resolves the
+// callee through the type checker, so a renamed import is still package
+// time and a local that happens to be called time is not. A read laundered
+// through an out-of-scope helper is left to TestSuiteRenderedSHA and the
+// run-twice determinism tests, which fail once it reaches rendered output.
 func SimDeterminism() *Analyzer {
 	return &Analyzer{
-		Name:      "simdeterminism",
-		Doc:       "forbid wall-clock and global math/rand use in simulation packages",
-		runModule: simDeterminismFindings,
+		Name: "simdeterminism",
+		Doc:  "forbid wall-clock and global math/rand use in simulation packages",
+		Run:  runSimDeterminism,
 	}
 }
 
-func simDeterminismFindings(m *module) []Diagnostic {
-	g := m.callGraph()
-	var out []Diagnostic
-	for _, key := range g.keys {
-		n := g.Nodes[key]
-		if !inSimScope(n.Dir) {
-			continue
-		}
-		for _, f := range n.Facts {
-			var msg string
-			switch f.Kind {
-			case FactWallClock:
-				msg = "time." + f.callee.Name() + " reads the wall clock in a simulation package; derive time from the sim clock (sim.Now/After)"
-			case FactGlobalRand:
-				msg = "rand." + f.callee.Name() + " draws from the global " + f.callee.Pkg().Path() + " source; use an explicitly seeded *rand.Rand"
-			default:
-				continue
-			}
-			out = append(out, Diagnostic{Pos: f.Position, Message: msg})
-		}
+func runSimDeterminism(p *Package, r *Reporter) {
+	if !inSimScope(p.Dir) {
+		return
 	}
-	return out
+	for _, sf := range p.Files {
+		ast.Inspect(sf.AST, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := p.callee(call)
+			if fn == nil || fn.Type().(*types.Signature).Recv() != nil {
+				return true
+			}
+			switch path := fn.Pkg().Path(); {
+			case path == "time" && wallClockFuncs[fn.Name()]:
+				r.Reportf(call.Pos(), "time.%s reads the wall clock in a simulation package; derive time from the sim clock (sim.Now/After)", fn.Name())
+			case (path == "math/rand" || path == "math/rand/v2") && !randConstructors[fn.Name()]:
+				r.Reportf(call.Pos(), "rand.%s draws from the global %s source; use an explicitly seeded *rand.Rand", fn.Name(), path)
+			}
+			return true
+		})
+	}
 }

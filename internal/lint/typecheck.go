@@ -318,13 +318,6 @@ func funcPkgPath(fn *types.Func) string {
 	return fn.Pkg().Path()
 }
 
-// inModule reports whether a package path belongs to the module under
-// analysis, external test packages included.
-func (p *Package) inModule(path string) bool {
-	path = strings.TrimSuffix(path, "_test")
-	return path == p.Module || strings.HasPrefix(path, p.Module+"/")
-}
-
 // isConst reports whether e type-checked as a compile-time constant.
 func (p *Package) isConst(e ast.Expr) bool {
 	if p.TypesInfo == nil {

@@ -297,10 +297,7 @@ func (c *Compiler) Full() int {
 }
 
 // Eval resolves one request against the compiled table.
-//
-//canal:hotpath
 func (c *Compiler) Eval(q Query) Verdict {
-	//canal:allow hotpath uncontended RLock guarding the table against incremental recompiles on the concurrent live gateway
 	c.mu.RLock()
 	v := c.table.eval(&q)
 	c.mu.RUnlock()

@@ -111,8 +111,6 @@ func (m *Match) Compile() error {
 // regex predicate that was not compiled matches nothing. A regex whose
 // every match starts with a literal (anchoredPrefix) runs only on values
 // that start with it.
-//
-//canal:hotpath
 func (m *Match) Matches(v string) bool {
 	switch m.Op {
 	case OpAny:
@@ -122,7 +120,6 @@ func (m *Match) Matches(v string) bool {
 	case OpPrefix:
 		return strings.HasPrefix(v, m.Value)
 	case OpRegex:
-		//canal:allow hotpath operator-authored pattern, precompiled by Compile; matching a bounded path/method/header value
 		return m.re != nil && strings.HasPrefix(v, m.re.prefix) && m.re.re.MatchString(v)
 	case OpPresent:
 		return v != ""

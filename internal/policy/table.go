@@ -73,8 +73,6 @@ func (c *compiled) key() key3 {
 
 // matches reports whether the request satisfies every remaining predicate.
 // Dimensions that are part of the bucket key are already proven equal.
-//
-//canal:hotpath
 func (c *compiled) matches(q *Query) bool {
 	if c.srcPred && !c.in.Src.Matches(q.SrcService) {
 		return false
@@ -105,8 +103,6 @@ func (c *compiled) matches(q *Query) bool {
 // allow at equal precedence, then the earlier-installed intention. The
 // relation is a strict total order (order is unique), so bucket sorting and
 // cross-bucket comparison are deterministic.
-//
-//canal:hotpath
 func (c *compiled) beats(o *compiled) bool {
 	if c.in.Precedence != o.in.Precedence {
 		return c.in.Precedence > o.in.Precedence
@@ -222,8 +218,6 @@ func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
 
 // fnv64 hashes a sequence of strings with FNV-1a, byte-by-byte so the
 // lookup path never converts strings to byte slices (no allocation).
-//
-//canal:hotpath
 func fnv64(parts ...string) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -243,8 +237,6 @@ func fnv64(parts ...string) uint64 {
 
 // shardOf maps an exact-tenant key onto one of the tenant's assigned
 // shards. idxs is the tenant's shuffle assignment.
-//
-//canal:hotpath
 func shardOf(idxs []int, k key3) int {
 	return idxs[fnv64(k.t, k.s, k.d)%uint64(len(idxs))]
 }
@@ -304,8 +296,6 @@ func (t *Table) remove(k key3) {
 // between the bucket and the incumbent. Because rules are beats-sorted, the
 // walk stops as soon as the remaining candidates cannot beat the incumbent
 // — per-request cost is bounded by the candidate bucket, never the table.
-//
-//canal:hotpath
 func (t *Table) scan(b *bucket, q *Query, best *compiled) *compiled {
 	if b == nil {
 		return best
@@ -327,8 +317,6 @@ func (t *Table) scan(b *bucket, q *Query, best *compiled) *compiled {
 // — the two wildcard-destination keys; pick the winning match, and fall
 // back to the zero-trust default. The winner is the beats-best matching
 // candidate whatever order the buckets are probed in.
-//
-//canal:hotpath
 func (t *Table) eval(q *Query) Verdict {
 	var best *compiled
 	if idxs := t.assign[q.SrcTenant]; idxs != nil {

@@ -138,8 +138,7 @@ type Event struct {
 }
 
 // AlertLevel is the backend water level at which the operations loop
-// alerts: anomaly.Classify's water-level alarm, and the alert that starts
-// precise scaling.
+// alerts: the alert that starts precise scaling.
 const AlertLevel = 0.70
 
 // The planner's production-calibrated settings.

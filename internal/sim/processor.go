@@ -104,11 +104,8 @@ func (p *Processor) BusyTotal() time.Duration { return p.total }
 // work item is still one event in the queue's order. With a queue
 // discipline installed, a second event right behind the completion hands
 // queued work to the cores it frees.
-//
-//canal:hotpath
 func (p *Processor) Exec(cost time.Duration, fn func()) time.Duration {
 	if cost < 0 {
-		//canal:allow hotpath panic path: only reached on an experiment bug, never at steady state
 		panic(fmt.Sprintf("sim: processor %q got negative cost %v", p.name, cost))
 	}
 	now := p.sim.Now()
@@ -166,11 +163,8 @@ func (p *Processor) QueueLen() int {
 // like Exec(w.Cost, w.Do). With one, w starts immediately if a core is idle;
 // otherwise it enters the discipline's queue and starts when the discipline
 // hands it to a freed core — or gets shed, invoking w.Drop.
-//
-//canal:hotpath
 func (p *Processor) Submit(w *Work) {
 	if w.Cost < 0 {
-		//canal:allow hotpath panic path: only reached on an experiment bug, never at steady state
 		panic(fmt.Sprintf("sim: processor %q got negative cost %v", p.name, w.Cost))
 	}
 	if p.disc == nil {

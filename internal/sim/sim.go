@@ -53,11 +53,8 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // At schedules fn to run at virtual time t. Scheduling in the past is an
 // error in experiment logic, so it panics loudly rather than corrupting the
 // causal order of events.
-//
-//canal:hotpath
 func (s *Sim) At(t time.Duration, fn func()) {
 	if t < s.now {
-		//canal:allow hotpath panic path: only reached on a scheduling bug, never at steady state
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	s.seq++
@@ -89,8 +86,6 @@ func (s *Sim) Every(interval time.Duration, fn func() bool) {
 }
 
 // Run processes events until the queue is empty or Halt is called.
-//
-//canal:hotpath
 func (s *Sim) Run() {
 	s.halted = false
 	for len(s.queue) > 0 && !s.halted {
@@ -100,8 +95,6 @@ func (s *Sim) Run() {
 
 // RunUntil processes events with timestamps <= t, then advances the clock to
 // t. Events scheduled after t remain queued.
-//
-//canal:hotpath
 func (s *Sim) RunUntil(t time.Duration) {
 	s.halted = false
 	for len(s.queue) > 0 && !s.halted && s.queue[0].at <= t {
@@ -144,11 +137,8 @@ func (e *event) before(o *event) bool {
 }
 
 // hold stores fn in a free slot of the slab and returns the slot's index.
-//
-//canal:hotpath
 func (s *Sim) hold(fn func()) uint32 {
 	if s.free == 0 {
-		//canal:allow hotpath amortized: the slab grows to the peak number of pending events, O(log n) times over a whole run
 		s.fns = append(s.fns, slot{fn: fn})
 		return uint32(len(s.fns) - 1)
 	}
@@ -161,8 +151,6 @@ func (s *Sim) hold(fn func()) uint32 {
 // step pops the earliest event, advances the clock to it and runs it. Its
 // slot is freed before the callback runs, so whatever the callback
 // schedules can reuse it.
-//
-//canal:hotpath
 func (s *Sim) step() {
 	ev := s.pop()
 	fn := s.fns[ev.slot].fn
@@ -174,10 +162,7 @@ func (s *Sim) step() {
 
 // push appends ev and sifts the hole it fills up to restore the heap
 // invariant.
-//
-//canal:hotpath
 func (s *Sim) push(ev event) {
-	//canal:allow hotpath amortized: the queue's backing array grows O(log n) times over a whole run
 	s.queue = append(s.queue, ev)
 	q := s.queue
 	i := len(q) - 1
@@ -196,8 +181,6 @@ func (s *Sim) push(ev event) {
 // entry fills the root's hole, which sinks below every smaller child. The
 // four children of a full node are compared through one fixed-length view,
 // so the comparisons carry no bounds checks.
-//
-//canal:hotpath
 func (s *Sim) pop() event {
 	q := s.queue
 	top := q[0]

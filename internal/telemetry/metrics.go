@@ -81,9 +81,7 @@ type Sample struct {
 
 // Observe records one value.
 func (s *Sample) Observe(v float64) {
-	//canal:allow hotpath sample reservoir must serialize on the concurrent live path; uncontended under the sim
 	s.mu.Lock()
-	//canal:allow hotpath amortized reservoir growth; bounded by the run length
 	s.vals = append(s.vals, v)
 	s.sorted = false
 	s.mu.Unlock()

@@ -151,11 +151,8 @@ func (t *Trace) Hops() []Span { return t.Spans[1:] }
 func (t *Trace) Total() time.Duration { return t.Spans[0].End - t.Spans[0].Start }
 
 // AddHop appends one hop span parented on the root and returns its ID.
-//
-//canal:hotpath
 func (t *Trace) AddHop(h Hop) SpanID {
 	id := t.tracer.NewSpanID()
-	//canal:allow hotpath amortized: Spans is sized at start to the deepest trace the tracer has finished; only a deeper path grows it
 	t.Spans = append(t.Spans, Span{
 		ID:     id,
 		Parent: t.Spans[0].ID,
@@ -278,7 +275,6 @@ func (tr *Tracer) Now() time.Duration { return tr.now() }
 
 // NewSpanID allocates a span ID from the seeded generator.
 func (tr *Tracer) NewSpanID() SpanID {
-	//canal:allow hotpath the seeded ID generator must serialize on the concurrent live path; uncontended under the sim
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return tr.newSpanIDLocked()

@@ -18,8 +18,6 @@ const traceparentLen = 2 + 1 + 32 + 1 + 16 + 1 + 2
 
 // Traceparent renders a version-00 traceparent header value:
 // 00-<32 hex trace id>-<16 hex parent span id>-<2 hex flags>.
-//
-//canal:hotpath
 func Traceparent(id TraceID, span SpanID, sampled bool) string {
 	b := [traceparentLen]byte{0: '0', 1: '0', 2: '-', 35: '-', 52: '-', 53: '0', 54: '0'}
 	hex.Encode(b[3:35], id[:])
@@ -27,7 +25,6 @@ func Traceparent(id TraceID, span SpanID, sampled bool) string {
 	if sampled {
 		b[54] = '0' + flagSampled
 	}
-	//canal:allow hotpath the returned header value is the one allocation a render makes
 	return string(b[:])
 }
 
@@ -37,8 +34,6 @@ func Traceparent(id TraceID, span SpanID, sampled bool) string {
 // HEXDIGLC), and the reserved version ff; unknown future versions are
 // accepted as long as the version-00 prefix fields parse. It decodes in
 // place and allocates only the error of a rejection.
-//
-//canal:hotpath
 func ParseTraceparent(s string) (TraceID, SpanID, bool, error) {
 	version, rest, _ := strings.Cut(s, "-")
 	rawID, rest, _ := strings.Cut(rest, "-")
@@ -101,6 +96,5 @@ func fromHex(c byte) byte {
 // badTraceparent is every rejection: zero IDs and an error naming what is
 // wrong with s.
 func badTraceparent(s, why string) (TraceID, SpanID, bool, error) {
-	//canal:allow hotpath reject path: one error for a header that is already refused
 	return TraceID{}, SpanID{}, false, fmt.Errorf("trace: traceparent %q: %s", s, why)
 }

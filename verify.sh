@@ -1,9 +1,10 @@
 #!/bin/sh
 # Repo-wide verification: build, formatting, vet, the canalvet invariant
-# linters (map-order hygiene and unit-safety per package; sim determinism
-# and hotpath over the call graph — see internal/lint), the full test suite
-# under the race detector in shuffled order, the shared-state tests and the
-# tenant-isolation check ten times over, and the fuzz smokes. This is
+# linters (sim determinism, map-order hygiene and unit-safety, each per
+# package — see internal/lint), the full test suite under the race detector
+# in shuffled order, the shared-state tests and the tenant-isolation check
+# ten times over, the fuzz smokes, and the request paths' pinned allocation
+# rows without the race detector. This is
 # the one gate every PR must pass: CI (.github/workflows/ci.yml) calls this
 # script and otherwise only publishes artifacts.
 set -eu
@@ -35,8 +36,8 @@ fi
 
 # The findings gate: canalvet exits 1 on any surviving diagnostic, stale
 # //canal:allow directives included. Diagnostic order is a byte-stable
-# invariant too: -runs 2 analyzes the type-checked module twice, rebuilding
-# the call graph each time, and exits 2 if the runs differ.
+# invariant too: -runs 2 analyzes the type-checked module twice, recomputing
+# every finding each time, and exits 2 if the runs differ.
 go run ./cmd/canalvet -runs 2 ./...
 
 # Shuffled execution order catches tests that depend on package-level state
@@ -109,11 +110,14 @@ go test -run '^$' -fuzz FuzzConfigSnapshots -fuzztime 5s ./internal/configpush
 # (benchmark/go.mod), so the root module's ./... does not reach it.
 (cd benchmark && go vet ./... && go test -race ./...)
 
-# The hot-path allocation gate skips itself under -race (instrumentation
-# changes allocation counts), so it gets a dedicated non-race invocation
-# against the checked-in BENCH_hotpath.json baseline. The suite's rendered
-# SHA-256 (every experiment through the parallel runner) skips under -race
-# too, for time, and runs beside it.
+# The request paths' allocation contract is the pinned rows of two tests,
+# and both skip themselves under -race (instrumentation changes allocation
+# counts), so they get dedicated non-race invocations: TestHotPathAllocs
+# against the checked-in BENCH_hotpath.json baseline, and TestServeHTTPAllocs,
+# one row per way through the live ServeHTTP. The suite's rendered SHA-256
+# (every experiment through the parallel runner) skips under -race too, for
+# time, and runs beside them.
+go test -run TestServeHTTPAllocs .
 go test -run 'TestHotPathAllocs|TestSuiteRenderedSHA' ./internal/bench
 # The digest once more at GOMAXPROCS=1 (-cpu 1): the runner and every
 # ForEachPoint sweep inside an experiment then run serially, so the same
