@@ -120,6 +120,11 @@ func LoadConfig(r io.Reader) (*FileConfig, error) {
 		if tenants[t.Name] {
 			return nil, fmt.Errorf("canal: tenant %s declared twice", t.Name)
 		}
+		// Refused here, not first at a service's configure: a tenant with
+		// no services would otherwise be registered, CA and all.
+		if err := checkTenant(t.Name); err != nil {
+			return nil, err
+		}
 		tenants[t.Name] = true
 		services := make(map[string]bool, len(t.Services))
 		for _, s := range t.Services {

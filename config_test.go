@@ -106,6 +106,8 @@ func TestLoadConfigValidation(t *testing.T) {
 		{"second object", `{"tenants":[{"name":"t"}]} {"tenants":[{"name":"u"}]}`},
 		{"trailing garbage", `{"tenants":[{"name":"t"}]} xyz`},
 		{"duplicate tenant", `{"tenants":[{"name":"t","services":[{"name":"s","default_subset":"v1","pools":{"v1":["http://x"]}}]},{"name":"t"}]}`},
+		{"tenant name with separator", `{"tenants":[{"name":"a/b","services":[{"name":"s","default_subset":"v1","pools":{"v1":["http://x"]}}]}]}`},
+		{"service-less tenant name with separator", `{"tenants":[{"name":"a/b"}]}`},
 		{"duplicate service", `{"tenants":[{"name":"t","services":[{"name":"s","default_subset":"v1","pools":{"v1":["http://x"]}},{"name":"s","default_subset":"v2","pools":{"v2":["http://y"]}}]}]}`},
 	}
 	for _, tc := range cases {

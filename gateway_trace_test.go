@@ -83,6 +83,45 @@ func TestGatewayTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGatewayUnsampledTraceTailKeptOnlyOnError joins requests to an
+// unsampled propagated context (trace-flags 00). One that gets a 200 is in
+// neither Kept nor Tail; the same context denied with 403 is tail-kept,
+// keyed to its tenant.
+func TestGatewayUnsampledTraceTailKeptOnlyOnError(t *testing.T) {
+	v1 := echoServer("v1")
+	defer v1.Close()
+	cfg := ServiceConfig{Service: "web", DefaultSubset: "v1",
+		Authz: []AuthzRule{{Name: "deny-admin", Action: AuthzDeny, Path: Prefix("/admin")}}}
+	_, agent, gw := testMesh(t, cfg, map[string][]string{"v1": {v1.URL}}, false)
+	const id = "0af7651916cd43dd8448eb211c80319c"
+	get := func(path string, want int) {
+		t.Helper()
+		resp, err := agent.Do("GET", "web", path, nil, map[string]string{trace.TraceparentHeader: "00-" + id + "-b7ad6b7169203331-00"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+
+	get("/hello", http.StatusOK)
+	if kept, tail := gw.Tracer().Kept(), gw.Tracer().Tail(); len(kept) != 0 || len(tail) != 0 {
+		t.Fatalf("an unsampled 200 left %d kept and %d tail traces, want none", len(kept), len(tail))
+	}
+
+	get("/admin", http.StatusForbidden)
+	kept, tail := gw.Tracer().Kept(), gw.Tracer().Tail()
+	if len(kept) != 0 || len(tail) != 1 {
+		t.Fatalf("after an unsampled 403: %d kept and %d tail traces, want 0 and 1", len(kept), len(tail))
+	}
+	if tr := tail[0]; tr.Sampled || tr.Status != http.StatusForbidden || tr.Tenant != "tenant1" || tr.ID.String() != id {
+		t.Errorf("tail trace = sampled %v, status %d, tenant %q, id %s; want unsampled, 403, tenant1, %s",
+			tr.Sampled, tr.Status, tr.Tenant, tr.ID, id)
+	}
+}
+
 func TestNodeAgentOriginatesTraceparent(t *testing.T) {
 	upstream := echoServer("v1")
 	defer upstream.Close()

@@ -68,16 +68,14 @@ func (r *Rejection) Error() string {
 }
 
 // Config tunes a gateway's admission layer. The zero value is usable: every
-// field falls back to the package default. Quantum, PerTenantCap, Target and
-// Interval shape the simulated gateway's per-replica WDRR+CoDel queues
+// field falls back to the package default. Quantum, Target and Interval
+// shape the simulated gateway's per-replica WDRR+CoDel queues
 // (internal/gateway); the live HTTPController keeps no queue and reads none
 // of them.
 type Config struct {
 	// Quantum is the WDRR deficit replenished per round, in CPU-cost units.
 	// Default: 500µs (~2 typical gateway L7 requests).
 	Quantum time.Duration
-	// PerTenantCap bounds each tenant's queue at each replica. Default 128.
-	PerTenantCap int
 	// Target is the CoDel target sojourn time. Default 2ms.
 	Target time.Duration
 	// Interval is the CoDel control interval. Default 20ms.
@@ -96,7 +94,6 @@ type Config struct {
 // Defaults for Config fields.
 const (
 	DefaultQuantum          = 500 * time.Microsecond
-	DefaultPerTenantCap     = 128
 	DefaultTarget           = 2 * time.Millisecond
 	DefaultInterval         = 20 * time.Millisecond
 	DefaultRetryBudgetRatio = 0.1
@@ -107,9 +104,6 @@ const (
 func (c Config) WithDefaults() Config {
 	if c.Quantum <= 0 {
 		c.Quantum = DefaultQuantum
-	}
-	if c.PerTenantCap <= 0 {
-		c.PerTenantCap = DefaultPerTenantCap
 	}
 	if c.Target <= 0 {
 		c.Target = DefaultTarget

@@ -3,9 +3,9 @@
 // router in front plus a redirector embedded in every replica. A fixed-size
 // bucket table, identical on all replicas and updated by the controller,
 // maps each flow to a replica chain sorted by priority; SYN packets insert
-// at the chain head (the newest replica) while packets of existing flows
-// chase the chain until the replica holding their flow record is found.
-// This keeps sessions consistent across scale-out, scale-in, and crashes
+// at the chain head (the replica taking new flows) while packets of existing
+// flows chase the chain until the replica holding their flow record is
+// found. This keeps sessions consistent while replicas drain and leave,
 // without any dedicated LB appliance.
 package beamer
 
@@ -27,23 +27,19 @@ const DefaultBuckets = 256
 // survive multiple scale events in a short period (§4.4 modification (i)).
 const DefaultChainLimit = 4
 
-// ErrNoReplicas is returned when no alive replica can serve.
+// ErrNoReplicas is returned when no replica is left to serve.
 var ErrNoReplicas = errors.New("beamer: no alive replicas")
 
 // Replica is one gateway replica with its embedded redirector state and its
 // kernel flow table.
 type Replica struct {
 	ID       string
-	alive    bool
 	draining bool
 	flows    map[cloud.SessionKey]bool
 }
 
 // Flows returns the number of flow records the replica holds.
 func (r *Replica) Flows() int { return len(r.flows) }
-
-// Alive reports liveness.
-func (r *Replica) Alive() bool { return r.alive }
 
 // Result describes how one packet was served.
 type Result struct {
@@ -97,26 +93,9 @@ func (b *Beamer) addReplica(id string) error {
 	if _, ok := b.replicas[id]; ok {
 		return fmt.Errorf("beamer: duplicate replica %q", id)
 	}
-	b.replicas[id] = &Replica{ID: id, alive: true, flows: make(map[cloud.SessionKey]bool)}
+	b.replicas[id] = &Replica{ID: id, flows: make(map[cloud.SessionKey]bool)}
 	b.order = append(b.order, id)
 	return nil
-}
-
-// Service returns the owning service ID string.
-func (b *Beamer) Service() string { return b.service }
-
-// Replica returns a replica by ID.
-func (b *Beamer) Replica(id string) *Replica { return b.replicas[id] }
-
-// AliveReplicas returns the IDs of alive replicas in insertion order.
-func (b *Beamer) AliveReplicas() []string {
-	var out []string
-	for _, id := range b.order {
-		if r := b.replicas[id]; r != nil && r.alive {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // bucketOf hashes a flow to its bucket; the bucket count is fixed, so the
@@ -126,26 +105,25 @@ func (b *Beamer) bucketOf(k cloud.SessionKey) int {
 }
 
 // Process handles one packet. isSYN marks the first packet of a new flow.
-// The router's stateless ECMP picks a landing replica among alive replicas;
+// The router's stateless ECMP picks a landing replica among the replicas;
 // the landing replica's redirector then consults the bucket chain and
 // forwards as needed. The returned Result counts those extra redirections.
 func (b *Beamer) Process(k cloud.SessionKey, isSYN bool) (Result, error) {
-	alive := b.AliveReplicas()
-	if len(alive) == 0 {
+	if len(b.order) == 0 {
 		return Result{}, ErrNoReplicas
 	}
-	// Router: hash 5-tuple mod #alive replicas (stateless, changes when the
+	// Router: hash 5-tuple mod #replicas (stateless, changes when the
 	// replica set changes — the very problem the redirectors fix).
-	landing := alive[int(l4.Hash5Tuple(k)%uint64(len(alive)))]
+	landing := b.order[int(l4.Hash5Tuple(k)%uint64(len(b.order)))]
 	bucket := b.bucketOf(k)
 	chain := b.buckets[bucket]
 
 	res := Result{Bucket: bucket}
 	if isSYN {
-		// New flows insert at the highest-priority alive replica that is
-		// not draining; a draining replica serves only its existing flows
+		// New flows insert at the highest-priority replica that is not
+		// draining; a draining replica serves only its existing flows
 		// (Fig 26). If every chain entry is draining, fall back to the
-		// first alive one rather than resetting the connection.
+		// chain head rather than resetting the connection.
 		insert := func(id string) (Result, error) {
 			b.replicas[id].flows[k] = true
 			res.ServedBy = id
@@ -156,19 +134,14 @@ func (b *Beamer) Process(k cloud.SessionKey, isSYN bool) (Result, error) {
 			return res, nil
 		}
 		for _, id := range chain {
-			r := b.replicas[id]
-			if r == nil || !r.alive || r.draining {
-				continue
-			}
-			return insert(id)
-		}
-		for _, id := range chain {
-			r := b.replicas[id]
-			if r != nil && r.alive {
+			if !b.replicas[id].draining {
 				return insert(id)
 			}
 		}
-		return Result{}, fmt.Errorf("beamer: bucket %d of %s has no alive replica in chain", bucket, b.service)
+		if len(chain) > 0 {
+			return insert(chain[0])
+		}
+		return Result{}, fmt.Errorf("beamer: bucket %d of %s has no replica in chain", bucket, b.service)
 	}
 	// Existing flows chase the chain for their flow record.
 	hops := 0
@@ -176,11 +149,7 @@ func (b *Beamer) Process(k cloud.SessionKey, isSYN bool) (Result, error) {
 		hops = 1 // router landed us off-chain-head; first redirect to head
 	}
 	for i, id := range chain {
-		r := b.replicas[id]
-		if r == nil || !r.alive {
-			continue
-		}
-		if r.flows[k] {
+		if b.replicas[id].flows[k] {
 			res.ServedBy = id
 			res.Redirects = hops
 			return res, nil
@@ -190,33 +159,6 @@ func (b *Beamer) Process(k cloud.SessionKey, isSYN bool) (Result, error) {
 		}
 	}
 	return Result{}, fmt.Errorf("beamer: no replica holds flow %s (connection reset)", k)
-}
-
-// ScaleOut adds a replica and makes it the new-flow owner of an even share
-// of buckets by prepending it to their chains (truncated at the chain
-// limit). Existing flows keep flowing to their old owners via the chain.
-func (b *Beamer) ScaleOut(id string) error {
-	if err := b.addReplica(id); err != nil {
-		return err
-	}
-	// Take over every len(alive)-th bucket.
-	alive := b.AliveReplicas()
-	share := len(b.buckets) / len(alive)
-	if share == 0 {
-		share = 1
-	}
-	taken := 0
-	for i := range b.buckets {
-		if taken >= share {
-			break
-		}
-		if len(b.buckets[i]) > 0 && b.buckets[i][0] == id {
-			continue
-		}
-		b.prepend(i, id)
-		taken++
-	}
-	return nil
 }
 
 // Drain prepares a replica to go offline: every bucket it heads gets a new
@@ -230,7 +172,7 @@ func (b *Beamer) Drain(id string) error {
 	r.draining = true
 	replacementPool := []string{}
 	for _, rid := range b.order {
-		if rr := b.replicas[rid]; rr != nil && rr.alive && !rr.draining && rid != id {
+		if !b.replicas[rid].draining && rid != id {
 			replacementPool = append(replacementPool, rid)
 		}
 	}
@@ -255,22 +197,6 @@ func (b *Beamer) Drain(id string) error {
 	return nil
 }
 
-// Fail marks a replica dead immediately (crash): its flow records are lost
-// and, unlike Drain, affected flows must re-establish. Buckets it headed get
-// new owners.
-func (b *Beamer) Fail(id string) error {
-	r := b.replicas[id]
-	if r == nil {
-		return fmt.Errorf("beamer: unknown replica %q", id)
-	}
-	r.alive = false
-	r.flows = make(map[cloud.SessionKey]bool)
-	if len(b.AliveReplicas()) == 0 {
-		return nil
-	}
-	return b.Drain(id) // install replacements in front of the corpse
-}
-
 // Remove deletes a fully drained replica from all chains and the replica
 // set. It refuses while the replica still holds flows.
 func (b *Beamer) Remove(id string) error {
@@ -278,7 +204,7 @@ func (b *Beamer) Remove(id string) error {
 	if r == nil {
 		return fmt.Errorf("beamer: unknown replica %q", id)
 	}
-	if r.alive && r.Flows() > 0 {
+	if r.Flows() > 0 {
 		return fmt.Errorf("beamer: replica %q still holds %d flows", id, r.Flows())
 	}
 	for i, chain := range b.buckets {
@@ -320,21 +246,4 @@ func (b *Beamer) prepend(i int, id string) {
 		chain = chain[:b.chainLimit]
 	}
 	b.buckets[i] = chain
-}
-
-// ChainOf returns a copy of the chain serving a flow (diagnostics).
-func (b *Beamer) ChainOf(k cloud.SessionKey) []string {
-	return append([]string(nil), b.buckets[b.bucketOf(k)]...)
-}
-
-// MaxChainLen returns the longest current chain, a measure of how many
-// scale events are in flight.
-func (b *Beamer) MaxChainLen() int {
-	max := 0
-	for _, c := range b.buckets {
-		if len(c) > max {
-			max = len(c)
-		}
-	}
-	return max
 }

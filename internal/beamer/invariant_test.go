@@ -10,33 +10,36 @@ import (
 )
 
 // TestRandomizedOperationInvariants drives a Beamer instance through long
-// random sequences of scale-outs, drains, crashes, removals, flow arrivals
-// and departures, checking the structural invariants after every step:
+// random sequences of drains, removals, flow arrivals and departures,
+// checking the structural invariants after every step:
 //
-//  1. a SYN never lands on a draining (non-head) or dead replica;
+//  1. a SYN never lands on a draining or removed replica while a replica
+//     taking new flows is left;
 //  2. an established flow keeps hitting the replica holding its record;
 //  3. chains never exceed the configured limit;
-//  4. every chain head is an alive replica while any replica is alive.
+//  4. a removed replica is in no chain.
 func TestRandomizedOperationInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			b, err := New("svc", []string{"r0", "r1", "r2", "r3"}, 64, 4)
+			ids := []string{"r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7"}
+			b, err := New("svc", ids, 64, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nextID := 4
-			alive := map[string]bool{"r0": true, "r1": true, "r2": true, "r3": true}
+			present := map[string]bool{}
+			for _, id := range ids {
+				present[id] = true
+			}
 			draining := map[string]bool{}
 			owner := map[uint16]string{} // live flows -> owning replica
 			nextPort := uint16(1)
 
-			countAlive := func() int {
+			countTaking := func() int {
 				n := 0
-				for id, ok := range alive {
-					if ok && !draining[id] {
-						_ = id
+				for id := range present {
+					if !draining[id] {
 						n++
 					}
 				}
@@ -45,94 +48,80 @@ func TestRandomizedOperationInvariants(t *testing.T) {
 
 			for step := 0; step < 2000; step++ {
 				switch op := rng.Intn(100); {
-				case op < 50: // new flow
+				case op < 55: // new flow
 					p := nextPort
 					nextPort++
-					k := flowKey(p)
-					res, err := b.Process(k, true)
-					if len(b.AliveReplicas()) == 0 {
-						if err == nil {
-							t.Fatal("SYN succeeded with no alive replicas")
-						}
-						continue
-					}
+					res, err := b.Process(flowKey(p), true)
 					if err != nil {
 						t.Fatalf("step %d: SYN failed: %v", step, err)
 					}
-					if !alive[res.ServedBy] {
-						t.Fatalf("step %d: SYN landed on dead replica %s", step, res.ServedBy)
+					if !present[res.ServedBy] {
+						t.Fatalf("step %d: SYN landed on removed replica %s", step, res.ServedBy)
 					}
-					if draining[res.ServedBy] && countAlive() > 0 {
+					if draining[res.ServedBy] && countTaking() > 0 {
 						// A draining replica may only take new flows for
 						// buckets whose whole chain is draining; with a
-						// healthy pool and controller-updated chains this
-						// must not happen.
+						// replica still taking new flows and
+						// controller-updated chains this must not happen.
 						t.Fatalf("step %d: SYN landed on draining replica %s", step, res.ServedBy)
 					}
 					owner[p] = res.ServedBy
-				case op < 75: // revisit an existing flow
+				case op < 80: // revisit an existing flow
 					if len(owner) == 0 {
 						continue
 					}
 					p := randomKey(rng, owner)
 					res, err := b.Process(flowKey(p), false)
 					if err != nil {
-						// Acceptable only if the owner crashed (record lost)
-						// or history was truncated past the chain limit.
+						// Acceptable only if history was truncated past
+						// the chain limit.
 						delete(owner, p)
 						continue
 					}
 					if res.ServedBy != owner[p] {
 						t.Fatalf("step %d: flow %d moved from %s to %s", step, p, owner[p], res.ServedBy)
 					}
-				case op < 80: // flow ends
+				case op < 88: // flow ends
 					if len(owner) == 0 {
 						continue
 					}
 					p := randomKey(rng, owner)
 					b.EndFlow(flowKey(p))
 					delete(owner, p)
-				case op < 88: // scale out
-					id := fmt.Sprintf("r%d", nextID)
-					nextID++
-					if err := b.ScaleOut(id); err != nil {
-						t.Fatalf("step %d: scale out: %v", step, err)
-					}
-					alive[id] = true
-				case op < 94: // drain one alive, non-draining replica
-					if countAlive() < 2 {
+				case op < 95: // drain one replica still taking new flows
+					if countTaking() < 2 {
 						continue
 					}
-					id := pickReplica(rng, alive, draining)
-					if id == "" {
-						continue
-					}
+					id := pickReplica(rng, present, draining)
 					if err := b.Drain(id); err != nil {
 						t.Fatalf("step %d: drain %s: %v", step, id, err)
 					}
 					draining[id] = true
-				default: // crash
-					if countAlive() < 2 {
-						continue
-					}
-					id := pickReplica(rng, alive, draining)
+				default: // a draining replica's flows age out and it leaves
+					id := pickReplica(rng, draining, nil)
 					if id == "" {
 						continue
 					}
-					if err := b.Fail(id); err != nil {
-						t.Fatalf("step %d: fail %s: %v", step, id, err)
+					for k := range b.replicas[id].flows {
+						b.EndFlow(k)
+						delete(owner, k.SrcPort)
 					}
-					alive[id] = false
-					// Its flows are gone.
-					for p, o := range owner {
-						if o == id {
-							delete(owner, p)
-						}
+					if err := b.Remove(id); err != nil {
+						t.Fatalf("step %d: remove %s: %v", step, id, err)
 					}
+					delete(present, id)
+					delete(draining, id)
 				}
 
-				if b.MaxChainLen() > 4 {
-					t.Fatalf("step %d: chain length %d exceeds limit", step, b.MaxChainLen())
+				for i, chain := range b.buckets {
+					if len(chain) > 4 {
+						t.Fatalf("step %d: bucket %d chain length %d exceeds limit", step, i, len(chain))
+					}
+					for _, id := range chain {
+						if !present[id] {
+							t.Fatalf("step %d: removed replica %s still in bucket %d", step, id, i)
+						}
+					}
 				}
 			}
 		})
@@ -155,10 +144,12 @@ func randomKey(rng *rand.Rand, m map[uint16]string) uint16 {
 	return keys[rng.Intn(len(keys))]
 }
 
-func pickReplica(rng *rand.Rand, alive, draining map[string]bool) string {
+// pickReplica draws one of the replicas set in from and not set in
+// excluded, or "" when there is none.
+func pickReplica(rng *rand.Rand, from, excluded map[string]bool) string {
 	var candidates []string
-	for id, ok := range alive {
-		if ok && !draining[id] {
+	for id, ok := range from {
+		if ok && !excluded[id] {
 			candidates = append(candidates, id)
 		}
 	}

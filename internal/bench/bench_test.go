@@ -163,6 +163,22 @@ func TestFig16RecoversAndIsolates(t *testing.T) {
 	}
 }
 
+// TestFig16RootCauseNamesNoisyService pins the §4.3 claim Fig 16 makes:
+// every alert runs root-cause analysis over the hot backend's own samples,
+// and every analysis succeeds and names the surging service. The figure
+// panics on an alert whose analysis fails or names another service.
+func TestFig16RootCauseNamesNoisyService(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("fig16 alert loop: %v", r)
+		}
+	}()
+	s := Fig16NoisyNeighbor()
+	if !strings.Contains(s.Notes[0], " Reuse operations") || strings.Contains(s.Notes[0], "after 0 Reuse") {
+		t.Fatalf("fig16 ran no root-cause-driven operation: %q", s.Notes[0])
+	}
+}
+
 func TestFig17P50Separation(t *testing.T) {
 	s := Fig17ScalingCDF(context.Background())
 	reuse, newer := s.Get("reuse"), s.Get("new")

@@ -17,9 +17,10 @@ import (
 
 // Fig16NoisyNeighbor reproduces the noisy-neighbor isolation timeline
 // (Fig 16): a sudden surge on one service raises a shared backend past the
-// safety threshold; a backend-level alert fires and precise scaling (Reuse)
-// brings the CPU back down within tens of seconds, while the co-located
-// services' RPS and latency stay flat and error codes remain zero.
+// safety threshold; a backend-level alert fires, root-cause analysis names
+// the surging service, and precise scaling (Reuse) brings the CPU back down
+// within tens of seconds, while the co-located services' RPS and latency
+// stay flat and error codes remain zero.
 func Fig16NoisyNeighbor() *Series {
 	sc := newGatewayScenario(16, 10, 1, 2, 6)
 	s, g := sc.Sim, sc.GW
@@ -62,8 +63,9 @@ func Fig16NoisyNeighbor() *Series {
 		g.Dispatch(noisy.ID, "az1", dispatchFlow(j), gwRequest(), 1, func(time.Duration, int) {})
 	})
 
-	// Backend-level alert loop: on threshold breach, run precise scaling
-	// (Reuse for responsiveness), with a cooldown between operations.
+	// Backend-level alert loop: on threshold breach, run root-cause
+	// analysis and precise scaling (Reuse for responsiveness), with a
+	// cooldown between operations.
 	planner := scaling.NewPlanner(s, g, sc.Region)
 	var alertAt time.Duration = -1
 	var lastOp time.Duration = -time.Hour
@@ -85,8 +87,13 @@ func Fig16NoisyNeighbor() *Series {
 				alertAt = now
 			}
 			lastOp = now
-			_, err := planner.ScaleService(noisy.ID, hot, alertAt, nil)
-			_ = err
+			// Root-cause analysis over the backend's own samples must
+			// name the noisy service at every alert; the figure claims
+			// nothing else.
+			ev, err := planner.HandleAlert(hot, alertAt, nil)
+			if err != nil || ev.Service != noisy.ID {
+				panic(fmt.Sprintf("fig16: alert at %v: root cause %v (%v), want the noisy service %d", now, ev, err, noisy.ID))
+			}
 		}
 		return true
 	})

@@ -37,8 +37,8 @@ type TraceBreakdownReport struct {
 }
 
 // TraceExperiment drives an identical HTTPS workload through each requested
-// architecture with tracing on (head rate 1, so every request's trace is
-// kept), then collapses the traces into per-architecture critical-path
+// architecture with tracing on (every trace started in the simulator is
+// sampled and kept), then collapses the traces into per-architecture critical-path
 // breakdowns. Requests arrive in bursts of four so the per-hop Queue column
 // is exercised, and each burst opens one new TLS connection so the asymmetric
 // crypto share appears on the handshake-bearing hops.

@@ -53,28 +53,21 @@ func (r *Region) AZ(name string) *AZ {
 }
 
 // VM is a virtual machine placed in an AZ. Its Proc is the simulated CPU all
-// work scheduled onto the VM runs on. Sessions tracks live transport sessions
-// against the SmartNIC-backed capacity limit (§3.2 Issue #4).
+// work scheduled onto the VM runs on.
 type VM struct {
-	ID       string
-	Place    netmodel.Place
-	Proc     *sim.Processor
-	HasQAT   bool
-	Sessions *SessionTable
-	az       *AZ
-	failed   bool
+	ID     string
+	Place  netmodel.Place
+	Proc   *sim.Processor
+	HasQAT bool
+	az     *AZ
+	failed bool
 }
 
 // VMSpec describes a VM to create.
 type VMSpec struct {
-	Cores           int
-	SessionCapacity int  // 0 means DefaultSessionCapacity
-	HasQAT          bool // requires the AZ to support QAT
+	Cores  int
+	HasQAT bool // requires the AZ to support QAT
 }
-
-// DefaultSessionCapacity is the per-VM session budget sourced from the
-// underlying server's SmartNIC memory.
-const DefaultSessionCapacity = 100_000
 
 // NewVM creates a VM in the zone. It returns an error if QAT is requested in
 // a zone without QAT-capable hardware.
@@ -85,30 +78,21 @@ func (az *AZ) NewVM(spec VMSpec) (*VM, error) {
 	if spec.Cores <= 0 {
 		spec.Cores = 1
 	}
-	capacity := spec.SessionCapacity
-	if capacity == 0 {
-		capacity = DefaultSessionCapacity
-	}
 	az.Region.vmSeq++
 	id := fmt.Sprintf("%s-%s-vm%d", az.Region.Name, az.Name, az.Region.vmSeq)
 	vm := &VM{
-		ID:       id,
-		Place:    netmodel.Place{Region: az.Region.Name, AZ: az.Name, Node: id},
-		Proc:     sim.NewProcessor(az.Region.sim, id, spec.Cores),
-		HasQAT:   spec.HasQAT,
-		Sessions: NewSessionTable(capacity),
-		az:       az,
+		ID:     id,
+		Place:  netmodel.Place{Region: az.Region.Name, AZ: az.Name, Node: id},
+		Proc:   sim.NewProcessor(az.Region.sim, id, spec.Cores),
+		HasQAT: spec.HasQAT,
+		az:     az,
 	}
 	az.vms = append(az.vms, vm)
 	return vm, nil
 }
 
-// Fail marks the VM as failed (power loss, crash). Failed VMs drop all
-// sessions.
-func (vm *VM) Fail() {
-	vm.failed = true
-	vm.Sessions.Reset()
-}
+// Fail marks the VM as failed (power loss, crash).
+func (vm *VM) Fail() { vm.failed = true }
 
 // Recover clears the failed state.
 func (vm *VM) Recover() { vm.failed = false }

@@ -33,9 +33,6 @@ func TestNewVMPlacement(t *testing.T) {
 	if vm.Proc.Cores() != 4 {
 		t.Errorf("cores = %d, want 4", vm.Proc.Cores())
 	}
-	if vm.Sessions.Capacity() != DefaultSessionCapacity {
-		t.Errorf("capacity = %d, want default", vm.Sessions.Capacity())
-	}
 }
 
 func TestVMIDsUniqueAcrossAZs(t *testing.T) {
@@ -61,26 +58,6 @@ func TestQATRequiresCapableAZ(t *testing.T) {
 	}
 	if _, err := r.AZ("az3").NewVM(VMSpec{Cores: 1}); err != nil {
 		t.Errorf("plain VM in non-QAT AZ should work: %v", err)
-	}
-}
-
-func TestVMFailureDropsSessions(t *testing.T) {
-	r := region(t)
-	vm, _ := r.AZ("az1").NewVM(VMSpec{Cores: 1})
-	k := SessionKey{SrcIP: "10.0.0.1", SrcPort: 1234, DstIP: "10.0.0.2", DstPort: 80, Proto: 6}
-	if err := vm.Sessions.Add(k); err != nil {
-		t.Fatal(err)
-	}
-	vm.Fail()
-	if !vm.Failed() {
-		t.Error("VM should be failed")
-	}
-	if vm.Sessions.Len() != 0 {
-		t.Error("failure should reset session table")
-	}
-	vm.Recover()
-	if vm.Failed() {
-		t.Error("VM should have recovered")
 	}
 }
 
@@ -166,48 +143,6 @@ func TestOverlappingVPCsAllocSameIPs(t *testing.T) {
 func TestNewTenantBadCIDR(t *testing.T) {
 	if _, err := NewTenant("t1", "a", "not-a-cidr", 1); err == nil {
 		t.Error("expected error for invalid CIDR")
-	}
-}
-
-func TestSessionTable(t *testing.T) {
-	st := NewSessionTable(2)
-	k1 := SessionKey{SrcIP: "a", DstIP: "b", SrcPort: 1, DstPort: 2, Proto: 6}
-	k2 := SessionKey{SrcIP: "a", DstIP: "b", SrcPort: 3, DstPort: 2, Proto: 6}
-	k3 := SessionKey{SrcIP: "a", DstIP: "b", SrcPort: 4, DstPort: 2, Proto: 6}
-	if err := st.Add(k1); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Add(k1); err != nil {
-		t.Fatal("re-adding same key should be a no-op:", err)
-	}
-	if st.Len() != 1 {
-		t.Errorf("Len = %d, want 1", st.Len())
-	}
-	if err := st.Add(k2); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Add(k3); err != ErrSessionCapacity {
-		t.Errorf("expected ErrSessionCapacity, got %v", err)
-	}
-	if u := st.Utilization(); u != 1.0 {
-		t.Errorf("Utilization = %v, want 1", u)
-	}
-	st.Remove(k1)
-	if st.Has(k1) {
-		t.Error("k1 should be gone")
-	}
-	if err := st.Add(k3); err != nil {
-		t.Errorf("add after remove should succeed: %v", err)
-	}
-	if st.Peak() != 2 {
-		t.Errorf("Peak = %d, want 2", st.Peak())
-	}
-	st.Reset()
-	if st.Len() != 0 {
-		t.Error("Reset should clear the table")
-	}
-	if st.Peak() != 2 {
-		t.Error("Reset should preserve Peak")
 	}
 }
 

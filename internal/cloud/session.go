@@ -1,14 +1,6 @@
 package cloud
 
-import (
-	"errors"
-	"fmt"
-)
-
-// ErrSessionCapacity is returned when a VM's SmartNIC-backed session table is
-// full. The paper's session-aggregation mechanism (§4.4) exists to avoid
-// hitting this limit long before CPU is exhausted.
-var ErrSessionCapacity = errors.New("cloud: session table at capacity")
+import "fmt"
 
 // SessionKey identifies one transport session (a 5-tuple in the real system).
 type SessionKey struct {
@@ -23,58 +15,3 @@ type SessionKey struct {
 func (k SessionKey) String() string {
 	return fmt.Sprintf("%s:%d->%s:%d/%d", k.SrcIP, k.SrcPort, k.DstIP, k.DstPort, k.Proto)
 }
-
-// SessionTable tracks live sessions against a hard capacity, modeling the
-// limited memory of the attached SmartNIC.
-type SessionTable struct {
-	capacity int
-	entries  map[SessionKey]struct{}
-	peak     int
-}
-
-// NewSessionTable returns an empty table with the given capacity.
-func NewSessionTable(capacity int) *SessionTable {
-	return &SessionTable{capacity: capacity, entries: make(map[SessionKey]struct{})}
-}
-
-// Add inserts a session. Inserting an existing key is a no-op. It returns
-// ErrSessionCapacity when the table is full.
-func (t *SessionTable) Add(k SessionKey) error {
-	if _, ok := t.entries[k]; ok {
-		return nil
-	}
-	if len(t.entries) >= t.capacity {
-		return ErrSessionCapacity
-	}
-	t.entries[k] = struct{}{}
-	if len(t.entries) > t.peak {
-		t.peak = len(t.entries)
-	}
-	return nil
-}
-
-// Has reports whether the session is tracked.
-func (t *SessionTable) Has(k SessionKey) bool {
-	_, ok := t.entries[k]
-	return ok
-}
-
-// Remove deletes a session if present.
-func (t *SessionTable) Remove(k SessionKey) { delete(t.entries, k) }
-
-// Len returns the live session count.
-func (t *SessionTable) Len() int { return len(t.entries) }
-
-// Peak returns the maximum live session count observed.
-func (t *SessionTable) Peak() int { return t.peak }
-
-// Capacity returns the table's hard limit.
-func (t *SessionTable) Capacity() int { return t.capacity }
-
-// Utilization returns Len/Capacity in [0,1].
-func (t *SessionTable) Utilization() float64 {
-	return float64(len(t.entries)) / float64(t.capacity)
-}
-
-// Reset drops every session (VM failure, lossy migration).
-func (t *SessionTable) Reset() { t.entries = make(map[SessionKey]struct{}) }

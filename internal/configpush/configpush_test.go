@@ -259,25 +259,27 @@ func TestSameCountRouteUpdateIsPushed(t *testing.T) {
 }
 
 // TestMaxCoalesceBoundsWindowUnderSustainedChurn: events arriving faster
-// than the debounce window would re-arm it forever; MaxCoalesce must force
-// periodic flushes so subscribers keep converging during sustained churn.
+// than the debounce window would re-arm it forever; the maxCoalesce cap must
+// force periodic flushes so subscribers keep converging during sustained
+// churn.
 func TestMaxCoalesceBoundsWindowUnderSustainedChurn(t *testing.T) {
 	s := simNew(t)
 	c := buildCluster(t, 4, 3, 4)
 	d := New(Config{
 		Sim: s, Cluster: c, Sizing: controlplane.DefaultSizing(),
-		Model: controlplane.CanalModel, Debounce: 2 * time.Second, MaxCoalesce: 5 * time.Second,
+		Model: controlplane.CanalModel, Debounce: time.Second,
 	})
 	d.SubscribeModel()
 	d.SyncAll()
-	// 20 events at 1.5s spacing (< debounce) over 30s: an uncapped window
-	// would extend to a single flush at ~31.5s; the 5s cap forces ~6.
-	for i := 0; i < 20; i++ {
-		addPod(t, s, c, time.Duration(i)*1500*time.Millisecond, "svc00", i%4)
+	// 40 events at 0.75s spacing (< debounce) over 30s: an uncapped window
+	// would extend to a single flush at ~30.25s; the cap of maxCoalesce
+	// windows (5s) forces ~6.
+	for i := 0; i < 40; i++ {
+		addPod(t, s, c, time.Duration(i)*750*time.Millisecond, "svc00", i%4)
 	}
 	s.Run()
 	if d.Builds() < 5 {
-		t.Errorf("builds = %d, want >= 5 (MaxCoalesce must bound the window)", d.Builds())
+		t.Errorf("builds = %d, want >= 5 (maxCoalesce must bound the window)", d.Builds())
 	}
 	if d.Builds() >= 20 {
 		t.Errorf("builds = %d, want coalescing below one per event", d.Builds())

@@ -34,14 +34,6 @@ type Config struct {
 	// Debounce is the coalescing window: API events arriving within it
 	// merge into one snapshot build. Zero builds on every event.
 	Debounce time.Duration
-	// MaxCoalesce caps how long a re-arming window may extend past its
-	// earliest un-flushed event before a flush is forced, so sustained
-	// churn with gaps below Debounce cannot defer building indefinitely
-	// (istiod's PILOT_DEBOUNCE_MAX). Default 5x Debounce.
-	MaxCoalesce time.Duration
-	// Retain is how many snapshot versions stay diffable (minimum 2,
-	// default 8). A subscriber acked before the window full-resyncs.
-	Retain int
 	// Policy, when set, contributes the compiled intention dispatch buckets
 	// (one content-addressed resource per bucket) to every snapshot. New
 	// turns on the compiler's change feed, so a flush ships the buckets
@@ -59,6 +51,16 @@ const (
 	backoffBase = 200 * time.Millisecond
 	backoffMax  = 10 * time.Second
 )
+
+// retainVersions is how many snapshot versions stay diffable: a subscriber
+// acked before the window full-resyncs.
+const retainVersions = 8
+
+// maxCoalesce caps, in Debounce windows, how long a re-arming window may
+// extend past its earliest un-flushed event before a flush is forced, so
+// sustained churn with gaps below Debounce cannot defer building
+// indefinitely (istiod's PILOT_DEBOUNCE_MAX).
+const maxCoalesce = 5
 
 // Distributor owns the snapshot store, the watch sessions, and the modeled
 // southbound link. It coalesces cluster events into versioned snapshot
@@ -132,20 +134,9 @@ func New(cfg Config) *Distributor {
 	if cfg.Cluster == nil && cfg.Resources == nil {
 		panic("configpush: one of Config.Cluster or Config.Resources is required")
 	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = 8
-	} else if cfg.Retain < 2 {
-		// The documented minimum: head plus one diff base. Retain==1 used to
-		// slip through this clamp, turning every head advance into a forced
-		// full resync.
-		cfg.Retain = 2
-	}
-	if cfg.MaxCoalesce <= 0 {
-		cfg.MaxCoalesce = 5 * cfg.Debounce
-	}
 	d := &Distributor{
 		cfg:          cfg,
-		store:        NewStore(cfg.Retain),
+		store:        NewStore(retainVersions),
 		byID:         make(map[string]*Session),
 		routeRev:     make(map[string]int),
 		payloadCache: make(map[payloadKey]Payload),
@@ -449,16 +440,17 @@ func (d *Distributor) Reconnect(id string) {
 }
 
 // schedule arms (or re-arms) the debounce timer: the window extends while
-// events keep arriving, but never past earliestEvent+MaxCoalesce — otherwise
-// continuous churn with inter-event gaps below Debounce would starve flushes
-// indefinitely (the same hazard istiod bounds with PILOT_DEBOUNCE_MAX).
+// events keep arriving, but never past maxCoalesce windows after
+// earliestEvent — otherwise continuous churn with inter-event gaps below
+// Debounce would starve flushes indefinitely (the same hazard istiod bounds
+// with PILOT_DEBOUNCE_MAX).
 func (d *Distributor) schedule() {
 	if d.cfg.Debounce <= 0 {
 		d.flush()
 		return
 	}
 	d.flushAt = d.cfg.Sim.Now() + d.cfg.Debounce
-	if cap := d.earliestEvent + d.cfg.MaxCoalesce; d.flushAt > cap {
+	if cap := d.earliestEvent + maxCoalesce*d.cfg.Debounce; d.flushAt > cap {
 		d.flushAt = cap
 	}
 	if d.armed {

@@ -10,29 +10,6 @@ import (
 	"canalmesh/internal/sim"
 )
 
-// TestRetainClampMinimumTwo is the regression test for the documented
-// "minimum 2" retention floor: Retain==1 used to slip past the clamp (only
-// Retain<=0 was adjusted), silently turning every head advance into a
-// forced full resync for any subscriber one version behind.
-func TestRetainClampMinimumTwo(t *testing.T) {
-	s := sim.New(1)
-	c := buildCluster(t, 2, 1, 2)
-	d := New(Config{Sim: s, Cluster: c, Sizing: controlplane.DefaultSizing(), Retain: 1})
-	if d.cfg.Retain != 2 {
-		t.Fatalf("Config.Retain = %d after New, want the documented minimum 2", d.cfg.Retain)
-	}
-	// Behavioral check: with two versions retained, head-1 stays diffable.
-	d.SyncAll()
-	v1 := d.Version()
-	if _, err := c.AddPod("svc00", c.Nodes()[0], clusterResources()); err != nil {
-		t.Fatal(err)
-	}
-	d.flush()
-	if dd := d.store.DiffToHead(v1); dd == nil {
-		t.Fatal("version head-1 must remain diffable under Retain:1 (clamped to 2)")
-	}
-}
-
 // policyRig builds a synced Canal-model distributor whose snapshots include
 // a compiled policy table.
 func policyRig(t *testing.T, pc *policy.Compiler) (*sim.Sim, *Distributor) {

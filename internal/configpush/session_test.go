@@ -44,17 +44,17 @@ func TestReconnectPastRetentionForcesFullResync(t *testing.T) {
 	c := buildCluster(t, 4, 3, 4)
 	d := New(Config{
 		Sim: s, Cluster: c, Sizing: controlplane.DefaultSizing(),
-		Model: controlplane.AmbientModel, Debounce: time.Second, Retain: 3,
+		Model: controlplane.AmbientModel, Debounce: time.Second,
 	})
 	d.SubscribeModel()
 	d.SyncAll()
 	sess := d.Session("l4/n001")
 	s.At(2*time.Second, func() { d.Disconnect("l4/n001") })
-	// Five separated windows > Retain(3): the baseline version is evicted.
-	for i := 0; i < 5; i++ {
+	// retainVersions+2 separated windows: the baseline version is evicted.
+	for i := 0; i < retainVersions+2; i++ {
 		addPod(t, s, c, time.Duration(i+5)*5*time.Second, "svc00", i%4)
 	}
-	s.At(60*time.Second, func() { d.Reconnect("l4/n001") })
+	s.At(120*time.Second, func() { d.Reconnect("l4/n001") })
 	s.Run()
 
 	if sess.Resyncs != 1 {

@@ -72,14 +72,13 @@ func (r *Region) serviceHealth(id uint64) float64 {
 // fractional accumulator so surviving local capacity stays utilized while
 // the overflow sheds to peers.
 func (r *Region) shouldSpill(id uint64, health float64) bool {
-	gate := r.mesh.cfg.SpillGate
-	if health >= gate {
+	if health >= spillGate {
 		return false
 	}
 	if health <= 0 {
 		return true
 	}
-	frac := 1 - health/gate
+	frac := 1 - health/spillGate
 	r.spillAcc[id] += frac
 	if r.spillAcc[id] >= 1 {
 		r.spillAcc[id]--

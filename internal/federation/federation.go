@@ -36,19 +36,14 @@ const (
 	// FailAfter is how many consecutive missed heartbeats disconnect a
 	// peering.
 	FailAfter = 3
+	// spillGate is the local-health threshold below which cross-region
+	// spillover engages, as an alive-replica fraction.
+	spillGate = 0.5
 )
 
-// Config parameterizes a Mesh. Zero values take the documented defaults.
+// Config parameterizes a Mesh.
 type Config struct {
 	Sim *sim.Sim
-	// Retain is the export stream's snapshot retention window: a peer
-	// reconnecting within it gets one combined catch-up delta, beyond it a
-	// full resync (default 8).
-	Retain int
-	// SpillGate is the local-health threshold below which cross-region
-	// spillover engages, as an alive-replica fraction in (0, 1]
-	// (default 0.5).
-	SpillGate float64
 	// Tracer, when set, records per-request hop attribution — including the
 	// WAN segments of spilled requests — on traces passed to Dispatch.
 	Tracer *trace.Tracer
@@ -76,12 +71,6 @@ type Mesh struct {
 func New(cfg Config) *Mesh {
 	if cfg.Sim == nil {
 		panic("federation: Config.Sim is required")
-	}
-	if cfg.Retain <= 0 {
-		cfg.Retain = 8
-	}
-	if cfg.SpillGate <= 0 || cfg.SpillGate > 1 {
-		cfg.SpillGate = 0.5
 	}
 	return &Mesh{
 		cfg:      cfg,

@@ -175,11 +175,20 @@ func TestSpilloverOnRegionEvacuation(t *testing.T) {
 }
 
 func TestPartialFailureSpillsFraction(t *testing.T) {
-	tm := newTestMesh(t, Config{SpillGate: 0.75}, 2)
+	tm := newTestMesh(t, Config{}, 2)
 	tm.start(20 * time.Second)
-	// Kill az1 (half the replicas): health 0.5 < gate 0.75, so the excess
-	// share 1 - 0.5/0.75 = 1/3 of requests should spill.
-	tm.s.At(3*time.Second, func() { tm.mesh.Region("region-1").Cloud().AZ("az1").FailAZ() })
+	// Kill az1 (half the replicas) and one replica of each az2 backend:
+	// health 2/8 < gate 0.5, so the excess share 1 - 0.25/0.5 = 1/2 of
+	// requests should spill.
+	tm.s.At(3*time.Second, func() {
+		r := tm.mesh.Region("region-1")
+		r.Cloud().AZ("az1").FailAZ()
+		for _, b := range r.gw.Backends() {
+			if b.AZ == "az2" {
+				b.Replicas[0].VM.Fail()
+			}
+		}
+	})
 	counts := map[int]int{}
 	for i := 0; i < 60; i++ {
 		tm.dispatchAt("region-1", 6*time.Second+time.Duration(i)*50*time.Millisecond, i, nil, counts, nil)
@@ -188,8 +197,8 @@ func TestPartialFailureSpillsFraction(t *testing.T) {
 	tm.s.Run()
 
 	r1 := tm.mesh.Region("region-1").Stats()
-	if r1.Spilled != 20 || r1.Local != 40 {
-		t.Fatalf("stats %+v, want exactly 1/3 of 60 spilled", r1)
+	if r1.Spilled != 30 || r1.Local != 30 {
+		t.Fatalf("stats %+v, want exactly 1/2 of 60 spilled", r1)
 	}
 	if counts[200] != 60 {
 		t.Fatalf("status counts %v, want all served", counts)

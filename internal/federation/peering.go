@@ -226,7 +226,6 @@ func newStream(m *Mesh, exporter, importer *Region) *stream {
 		Sim:       m.cfg.Sim,
 		Resources: func() []configpush.Resource { return st.exported },
 		Sizing:    sizing,
-		Retain:    m.cfg.Retain,
 		// Heartbeat-paced publishing needs no extra coalescing window.
 		Debounce: 0,
 	})

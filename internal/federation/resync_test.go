@@ -13,9 +13,9 @@ import (
 
 // runEstablished brings a 2-region mesh to steady state (peering active,
 // both directions acked) and returns it with the heartbeat horizon set.
-func runEstablished(t *testing.T, retain int, horizon time.Duration) *testMesh {
+func runEstablished(t *testing.T, horizon time.Duration) *testMesh {
 	t.Helper()
-	tm := newTestMesh(t, Config{Retain: retain}, 2)
+	tm := newTestMesh(t, Config{}, 2)
 	tm.start(horizon)
 	tm.s.RunUntil(5 * time.Second)
 	p := tm.mesh.Peering("region-1", "region-2")
@@ -34,7 +34,7 @@ func (tm *testMesh) touchEvery(start, gap time.Duration, n int) {
 }
 
 func TestReconnectWithinRetainGetsOneCombinedDelta(t *testing.T) {
-	tm := runEstablished(t, 8, 60*time.Second)
+	tm := runEstablished(t, 60*time.Second)
 	p := tm.mesh.Peering("region-1", "region-2")
 	sess := p.SessionTo("region-1") // region-2 exports -> region-1 imports
 	d := p.DistributorTo("region-1")
@@ -71,9 +71,10 @@ func TestReconnectWithinRetainGetsOneCombinedDelta(t *testing.T) {
 }
 
 func TestReconnectPastRetainFullResyncs(t *testing.T) {
-	// Retain only 2 versions; publish 6 during the outage so the importer's
-	// acked base is long evicted when the link heals.
-	tm := runEstablished(t, 2, 80*time.Second)
+	// Publish 10 versions during the outage, more than the export stream
+	// retains (8), so the importer's acked base is evicted when the link
+	// heals.
+	tm := runEstablished(t, 80*time.Second)
 	p := tm.mesh.Peering("region-1", "region-2")
 	sess := p.SessionTo("region-1")
 	d := p.DistributorTo("region-1")
@@ -81,9 +82,9 @@ func TestReconnectPastRetainFullResyncs(t *testing.T) {
 	preDeltas, preResyncs := sess.Deltas, sess.Resyncs
 
 	tm.s.At(10*time.Second, func() { _ = tm.mesh.Partition("region-1", "region-2") })
-	tm.touchEvery(12*time.Second, 2*time.Second, 6)
-	tm.s.At(30*time.Second, func() { _ = tm.mesh.Heal("region-1", "region-2") })
-	tm.s.RunUntil(50 * time.Second)
+	tm.touchEvery(12*time.Second, 2*time.Second, 10)
+	tm.s.At(34*time.Second, func() { _ = tm.mesh.Heal("region-1", "region-2") })
+	tm.s.RunUntil(54 * time.Second)
 	tm.s.Run()
 
 	if sess.Acked() != d.Version() {
@@ -98,7 +99,7 @@ func TestReconnectPastRetainFullResyncs(t *testing.T) {
 }
 
 func TestDisconnectMidDeltaDropsInFlight(t *testing.T) {
-	tm := runEstablished(t, 8, 60*time.Second)
+	tm := runEstablished(t, 60*time.Second)
 	p := tm.mesh.Peering("region-1", "region-2")
 	sess := p.SessionTo("region-1")
 
@@ -125,7 +126,7 @@ func TestDisconnectMidDeltaDropsInFlight(t *testing.T) {
 }
 
 func TestHealedPartitionLeavesNoStaleWindowsOpen(t *testing.T) {
-	tm := runEstablished(t, 8, 60*time.Second)
+	tm := runEstablished(t, 60*time.Second)
 	p := tm.mesh.Peering("region-1", "region-2")
 
 	tm.s.At(10*time.Second, func() { _ = tm.mesh.Partition("region-1", "region-2") })

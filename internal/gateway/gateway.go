@@ -4,14 +4,13 @@
 // subset of backends spanning availability zones, tenant dispatch on the
 // globally unique service IDs the vSwitch attaches, hierarchical failure
 // recovery (replica -> backend -> AZ), AZ-affine DNS resolution, sandbox
-// isolation, and per-service/per-backend telemetry feeding the anomaly
-// detection and precise-scaling layers.
+// isolation, and per-service/per-backend telemetry feeding root-cause
+// analysis and precise scaling.
 package gateway
 
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"canalmesh/internal/admission"
@@ -51,16 +50,6 @@ type Backend struct {
 
 // HostsService reports whether the backend carries a service's config.
 func (b *Backend) HostsService(id uint64) bool { return b.services[id] }
-
-// Services returns the installed service IDs, sorted.
-func (b *Backend) Services() []uint64 {
-	out := make([]uint64, 0, len(b.services))
-	for id := range b.services {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // Alive reports whether any replica is up.
 func (b *Backend) Alive() bool {
@@ -104,8 +93,6 @@ type ServiceState struct {
 
 	Latency *telemetry.Sample
 	Errors  *telemetry.Counter
-	// Sessions counts live transport sessions attributed to the service.
-	Sessions int
 
 	// engineName is the service's name in the shared L7 engine.
 	engineName string
@@ -127,9 +114,6 @@ type Config struct {
 	ShardSize int
 	// Seed drives shard assignment and seeds the gateway's L7 engine.
 	Seed int64
-	// Log, when non-nil, receives an L7 access entry per dispatch — the
-	// rich gateway-side observability of §4.1.1.
-	Log *telemetry.AccessLog
 }
 
 // Gateway is the centralized multi-tenant mesh gateway.
@@ -154,14 +138,11 @@ type Gateway struct {
 // admissionState holds the gateway's proactive overload-control layer when
 // enabled: per-service AIMD limiters, per-replica WDRR+CoDel queues (wired
 // into each replica Processor as its queue discipline), shared shed/sojourn
-// metrics, and a 1-second shed-rate series fed by StartSampling.
+// metrics.
 type admissionState struct {
 	cfg      admission.Config
 	metrics  *admission.Metrics
 	limiters map[uint64]*admission.Limiter
-	// ShedSeries samples gateway-wide sheds per second.
-	shedSeries *telemetry.Series
-	shedWindow int
 }
 
 // New creates an empty gateway.
@@ -224,18 +205,14 @@ func (g *Gateway) AddBackend(az *cloud.AZ, replicas, cores int, sandbox bool) (*
 // with admission off, Dispatch behaves exactly as without this layer.
 func (g *Gateway) EnableAdmission(cfg admission.Config) {
 	g.adm = &admissionState{
-		cfg:        cfg.WithDefaults(),
-		metrics:    admission.NewMetrics(),
-		limiters:   make(map[uint64]*admission.Limiter),
-		shedSeries: telemetry.NewSeries("admission-shed"),
+		cfg:      cfg.WithDefaults(),
+		metrics:  admission.NewMetrics(),
+		limiters: make(map[uint64]*admission.Limiter),
 	}
 	for _, b := range append(append([]*Backend{}, g.backends...), g.sandboxes...) {
 		g.installAdmission(b)
 	}
 }
-
-// AdmissionEnabled reports whether the admission layer is active.
-func (g *Gateway) AdmissionEnabled() bool { return g.adm != nil }
 
 // AdmissionMetrics returns the admission layer's metrics, or nil when
 // disabled.
@@ -244,15 +221,6 @@ func (g *Gateway) AdmissionMetrics() *admission.Metrics {
 		return nil
 	}
 	return g.adm.metrics
-}
-
-// ShedSeries returns the 1-second gateway-wide shed-rate series (sampled by
-// StartSampling), or nil when admission is disabled.
-func (g *Gateway) ShedSeries() *telemetry.Series {
-	if g.adm == nil {
-		return nil
-	}
-	return g.adm.shedSeries
 }
 
 // installAdmission puts a fresh per-tenant fair queue on each replica of b.
@@ -272,44 +240,11 @@ func (g *Gateway) limiterFor(s *ServiceState) *admission.Limiter {
 	return lim
 }
 
-// ServiceLimiter exposes a service's adaptive limiter (nil when admission is
-// disabled or the service unknown) for tests and operators.
-func (g *Gateway) ServiceLimiter(id uint64) *admission.Limiter {
-	if g.adm == nil {
-		return nil
-	}
-	s, ok := g.services[id]
-	if !ok {
-		return nil
-	}
-	return g.limiterFor(s)
-}
-
 // Backends returns the non-sandbox backends.
 func (g *Gateway) Backends() []*Backend { return g.backends }
 
 // Service returns a registered service by ID.
 func (g *Gateway) Service(id uint64) *ServiceState { return g.services[id] }
-
-// ServiceByName finds a service by tenant and name.
-func (g *Gateway) ServiceByName(tenant, name string) *ServiceState {
-	for _, s := range g.services {
-		if s.Tenant == tenant && s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
-// Services returns all services sorted by ID.
-func (g *Gateway) Services() []*ServiceState {
-	out := make([]*ServiceState, 0, len(g.services))
-	for _, s := range g.services {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
 
 // RegisterService installs a tenant service: maps its (VNI, addr, port) to a
 // globally unique service ID at the vSwitch, installs its L7 configuration,
@@ -376,17 +311,6 @@ func (g *Gateway) ExtendService(id uint64, b *Backend) error {
 	}
 	g.installOn(s, b)
 	return nil
-}
-
-// ResolveBackend performs the customized DNS resolution of §4.2: requests
-// resolve to an alive backend hosting the service in the client's AZ when
-// possible; only if the whole local AZ is down do they cross AZs.
-func (g *Gateway) ResolveBackend(id uint64, clientAZ string, flow cloud.SessionKey) (*Backend, error) {
-	s, ok := g.services[id]
-	if !ok {
-		return nil, fmt.Errorf("gateway: unknown service %d", id)
-	}
-	return g.resolveBackend(s, clientAZ, l4.Hash5Tuple(flow))
 }
 
 // resolveBackend picks the backend for a flow hashing to h: candidate
@@ -507,7 +431,7 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 	if g.adm != nil {
 		d.lim = g.limiterFor(s)
 		if !d.lim.Acquire(d.start) {
-			g.noteShed(s.Tenant, admission.ReasonLimiter)
+			g.adm.metrics.RecordShed(s.Tenant, admission.ReasonLimiter)
 			d.fail(l7.StatusTooManyRequests)
 			return
 		}
@@ -528,16 +452,6 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 		d.abort(l7.StatusOf(err))
 		return
 	}
-	if d.req.NewConnection {
-		// New transport sessions occupy the replica's SmartNIC-backed
-		// session table (§3.2 Issue #4); a full table rejects the
-		// connection — the pressure session aggregation relieves.
-		if err := d.r.VM.Sessions.Add(flow); err != nil {
-			d.abort(l7.StatusUnavailable)
-			return
-		}
-		s.Sessions++
-	}
 	b.window[id]++
 	cost := units.Scale(g.cfg.Costs.GatewayL7Cost(d.req.BodyBytes), costMult)
 	if d.req.TLS {
@@ -553,24 +467,9 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 	d.r.VM.Proc.Submit(&d.Work)
 }
 
-// logEntry writes the request's access-log entry, when the gateway logs.
-func (d *dispatch) logEntry(status int, where string) {
-	log := d.g.cfg.Log
-	if log == nil {
-		return
-	}
-	log.Log(telemetry.AccessEntry{
-		At: d.start, Layer: telemetry.AccessL7, Where: where,
-		Tenant: d.s.Tenant, Service: d.s.Name, SrcPod: d.req.SourcePod,
-		Method: d.req.Method, Path: d.req.Path, Status: status,
-		Latency: d.g.cfg.Sim.Now() - d.start, BodySize: d.req.BodyBytes,
-	})
-}
-
 // fail answers the request at the gateway with an error status.
 func (d *dispatch) fail(status int) {
 	d.s.Errors.Inc()
-	d.logEntry(status, "gateway")
 	d.finish(d.g.cfg.Sim.Now()-d.start, status)
 }
 
@@ -594,7 +493,6 @@ func (d *dispatch) complete() {
 	lat := d.g.cfg.Sim.Now() - d.start
 	d.release(lat, true)
 	d.s.Latency.ObserveDuration(lat)
-	d.logEntry(l7.StatusOK, d.r.VM.ID)
 	d.finish(lat, l7.StatusOK)
 }
 
@@ -606,57 +504,9 @@ func (d *dispatch) admitted() {
 
 // shed is the admission path's drop: the discipline shed the work.
 func (d *dispatch) shed(time.Duration) {
+	// The discipline already recorded the shed reason.
 	d.release(0, false)
-	// The discipline already recorded the shed reason; count it toward the
-	// gateway-wide shed rate here.
-	d.g.adm.shedWindow++
 	d.fail(l7.StatusTooManyRequests)
-}
-
-// noteShed records a limiter-stage shed in the admission metrics and the
-// per-second shed window.
-func (g *Gateway) noteShed(tenant string, reason admission.Reason) {
-	g.adm.metrics.RecordShed(tenant, reason)
-	g.adm.shedWindow++
-}
-
-// EndSession releases a finished transport session from whichever replica
-// tracks it and decrements the service gauge.
-func (g *Gateway) EndSession(id uint64, flow cloud.SessionKey) {
-	s, ok := g.services[id]
-	if !ok {
-		return
-	}
-	for _, b := range s.Backends {
-		for _, r := range b.Replicas {
-			if r.VM.Sessions.Has(flow) {
-				r.VM.Sessions.Remove(flow)
-				if s.Sessions > 0 {
-					s.Sessions--
-				}
-				return
-			}
-		}
-	}
-}
-
-// SessionPressure returns the highest session-table utilization across the
-// service's replicas — the signal behind the 80%-of-sessions alert in §6.2
-// Case #1.
-func (g *Gateway) SessionPressure(id uint64) float64 {
-	s, ok := g.services[id]
-	if !ok {
-		return 0
-	}
-	max := 0.0
-	for _, b := range s.Backends {
-		for _, r := range b.Replicas {
-			if u := r.VM.Sessions.Utilization(); u > max {
-				max = u
-			}
-		}
-	}
-	return max
 }
 
 // StartSampling begins the 1-second per-backend sampling loop recording
@@ -679,10 +529,6 @@ func (g *Gateway) StartSampling(stop func() bool) {
 				series.Append(now, float64(b.window[id]))
 			}
 			b.window = make(map[uint64]int)
-		}
-		if g.adm != nil {
-			g.adm.shedSeries.Append(now, float64(g.adm.shedWindow))
-			g.adm.shedWindow = 0
 		}
 		return true
 	})

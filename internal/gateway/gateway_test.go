@@ -7,10 +7,10 @@ import (
 	"time"
 
 	"canalmesh/internal/cloud"
+	"canalmesh/internal/l4"
 	"canalmesh/internal/l7"
 	"canalmesh/internal/netmodel"
 	"canalmesh/internal/sim"
-	"canalmesh/internal/telemetry"
 )
 
 // testGateway builds a gateway with 4 regular backends (2 per AZ over 2
@@ -49,6 +49,19 @@ func flow(p uint16) cloud.SessionKey {
 	return cloud.SessionKey{SrcIP: "10.0.0.1", SrcPort: p, DstIP: "10.1.0.1", DstPort: 80, Proto: 6}
 }
 
+// resolve is the backend a flow from clientAZ resolves to: the pick
+// Dispatch makes.
+func resolve(g *Gateway, id uint64, clientAZ string, k cloud.SessionKey) (*Backend, error) {
+	return g.resolveBackend(g.services[id], clientAZ, l4.Hash5Tuple(k))
+}
+
+// failBackend fails every replica VM of a backend.
+func failBackend(b *Backend) {
+	for _, r := range b.Replicas {
+		r.VM.Fail()
+	}
+}
+
 func gwReq() l7.Request {
 	return l7.Request{Tenant: "t1", SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
 }
@@ -76,8 +89,8 @@ func TestOverlappingTenantAddressesGetDistinctServices(t *testing.T) {
 	if a.ID == b.ID {
 		t.Fatal("overlapping VPC addresses must map to distinct service IDs")
 	}
-	if g.ServiceByName("t2", "web") != b {
-		t.Error("ServiceByName lookup")
+	if g.Service(b.ID) != b || b.Tenant != "t2" {
+		t.Error("Service lookup")
 	}
 }
 
@@ -123,7 +136,7 @@ func TestDNSPrefersLocalAZ(t *testing.T) {
 		t.Skip("shard draw has no az1 backend; seed-dependent")
 	}
 	for p := uint16(1); p <= 50; p++ {
-		b, err := g.ResolveBackend(st.ID, "az1", flow(p))
+		b, err := resolve(g, st.ID, "az1", flow(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,14 +170,14 @@ func TestHierarchicalFailover(t *testing.T) {
 	}
 
 	// Level 2: whole backend fails -> other backends serve.
-	g.FailBackend(first)
-	if b, err := g.ResolveBackend(st.ID, first.AZ, flow(2)); err != nil || b == first {
+	failBackend(first)
+	if b, err := resolve(g, st.ID, first.AZ, flow(2)); err != nil || b == first {
 		t.Fatalf("resolution after backend failure: %v %v", b, err)
 	}
 
 	// Level 3: an entire AZ fails -> cross-AZ backends serve.
 	region.AZ("az1").FailAZ()
-	b, err := g.ResolveBackend(st.ID, "az1", flow(3))
+	b, err := resolve(g, st.ID, "az1", flow(3))
 	if err != nil {
 		t.Fatalf("cross-AZ failover failed: %v", err)
 	}
@@ -174,13 +187,13 @@ func TestHierarchicalFailover(t *testing.T) {
 
 	// Everything down -> unavailable.
 	region.AZ("az2").FailAZ()
-	if _, err := g.ResolveBackend(st.ID, "az1", flow(4)); err == nil {
+	if _, err := resolve(g, st.ID, "az1", flow(4)); err == nil {
 		t.Error("total failure should be unavailable")
 	}
 
 	// Recovery restores service.
 	region.AZ("az1").RecoverAZ()
-	if _, err := g.ResolveBackend(st.ID, "az1", flow(5)); err != nil {
+	if _, err := resolve(g, st.ID, "az1", flow(5)); err != nil {
 		t.Errorf("recovery failed: %v", err)
 	}
 
@@ -214,15 +227,15 @@ func TestShuffleShardingIsolation(t *testing.T) {
 	}
 	victim := services[0]
 	for _, b := range victim.Backends {
-		g.FailBackend(b)
+		failBackend(b)
 	}
 	// The victim is down...
-	if _, err := g.ResolveBackend(victim.ID, "az1", flow(1)); err == nil {
+	if _, err := resolve(g, victim.ID, "az1", flow(1)); err == nil {
 		t.Error("victim should be unavailable")
 	}
 	// ...but no other service is fully down (distinct combinations).
 	for _, other := range services[1:] {
-		if _, err := g.ResolveBackend(other.ID, "az1", flow(1)); err != nil {
+		if _, err := resolve(g, other.ID, "az1", flow(1)); err != nil {
 			t.Errorf("service %s fully down with the victim: %v", other.FullName(), err)
 		}
 	}
@@ -364,109 +377,4 @@ func TestQueryOfDeathCostMultiplier(t *testing.T) {
 	if poisoned < 50*normal {
 		t.Errorf("query of death should be ~100x: normal=%v poisoned=%v", normal, poisoned)
 	}
-}
-
-func TestDispatchAccessLogging(t *testing.T) {
-	s := sim.New(9)
-	region := cloud.NewRegion(s, "r1", "az1")
-	log := &telemetry.AccessLog{}
-	g := New(Config{Sim: s, Costs: netmodel.Default(), ShardSize: 1, Seed: 9, Log: log})
-	if _, err := g.AddBackend(region.AZ("az1"), 1, 2, false); err != nil {
-		t.Fatal(err)
-	}
-	st := register(t, g, "t1", "web", 100, "192.168.0.10")
-	if err := g.Throttle(st.ID, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	s.At(0, func() {
-		g.Dispatch(st.ID, "az1", flow(1), gwReq(), 1, func(time.Duration, int) {})
-		g.Dispatch(st.ID, "az1", flow(2), gwReq(), 1, func(time.Duration, int) {}) // throttled
-	})
-	s.Run()
-	entries := log.Entries()
-	if len(entries) != 2 {
-		t.Fatalf("entries = %d, want 2", len(entries))
-	}
-	// The throttled entry logs synchronously; the success logs when the
-	// replica finishes processing.
-	if log.CountStatus(429) != 1 || log.CountStatus(200) != 1 {
-		t.Fatalf("status counts: 429=%d 200=%d", log.CountStatus(429), log.CountStatus(200))
-	}
-	for _, e := range entries {
-		if e.Tenant != "t1" || e.Service != "web" {
-			t.Errorf("entry = %+v", e)
-		}
-		if e.Status == 200 && e.Where == "gateway" {
-			t.Errorf("success entry should name the serving replica VM, got %q", e.Where)
-		}
-	}
-}
-
-func TestDispatchSessionAccounting(t *testing.T) {
-	s := sim.New(12)
-	region := cloud.NewRegion(s, "r1", "az1")
-	g := New(Config{Sim: s, Costs: netmodel.Default(), ShardSize: 1, Seed: 12})
-	// Tiny SmartNIC session table to hit the ceiling quickly.
-	az := region.AZ("az1")
-	b := &Backend{}
-	_ = b
-	gwB, err := g.AddBackend(az, 1, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Shrink the replica VM's session capacity by replacing its table.
-	gwB.Replicas[0].VM.Sessions = cloud.NewSessionTable(10)
-	st := register(t, g, "t1", "web", 100, "192.168.0.10")
-
-	results := map[int]int{}
-	s.At(0, func() {
-		for i := 0; i < 15; i++ {
-			req := gwReq()
-			req.NewConnection = true
-			g.Dispatch(st.ID, "az1", flow(uint16(i+1)), req, 1, func(_ time.Duration, status int) {
-				results[status]++
-			})
-		}
-	})
-	s.Run()
-	if results[200] != 10 {
-		t.Errorf("admitted = %d, want 10 (session capacity)", results[200])
-	}
-	if results[503] != 5 {
-		t.Errorf("rejected = %d, want 5", results[503])
-	}
-	if st.Sessions != 10 {
-		t.Errorf("service sessions = %d, want 10", st.Sessions)
-	}
-	if p := g.SessionPressure(st.ID); p != 1.0 {
-		t.Errorf("session pressure = %v, want 1.0", p)
-	}
-	// Ending a session frees capacity.
-	g.EndSession(st.ID, flow(1))
-	if st.Sessions != 9 {
-		t.Errorf("after end, sessions = %d", st.Sessions)
-	}
-	s.After(time.Second, func() {
-		req := gwReq()
-		req.NewConnection = true
-		g.Dispatch(st.ID, "az1", flow(99), req, 1, func(_ time.Duration, status int) {
-			if status != 200 {
-				t.Errorf("freed slot should admit, got %d", status)
-			}
-		})
-	})
-	s.Run()
-	// Established (non-new) traffic is never session-limited.
-	s.After(time.Second, func() {
-		g.Dispatch(st.ID, "az1", flow(2), gwReq(), 1, func(_ time.Duration, status int) {
-			if status != 200 {
-				t.Errorf("established traffic rejected: %d", status)
-			}
-		})
-	})
-	s.Run()
-	if g.SessionPressure(999) != 0 {
-		t.Error("unknown service pressure should be 0")
-	}
-	g.EndSession(999, flow(1)) // no-op, must not panic
 }

@@ -12,7 +12,6 @@ import (
 	"canalmesh/internal/l7"
 	"canalmesh/internal/netmodel"
 	"canalmesh/internal/sim"
-	"canalmesh/internal/telemetry"
 )
 
 // checkRecycled fails unless d holds nothing of the request it served: only
@@ -44,7 +43,6 @@ func TestDispatchRecycleEveryTerminalPath(t *testing.T) {
 		l7cfg     l7.ServiceConfig
 		// prepare breaks the world after registration.
 		prepare func(t *testing.T, g *Gateway, st *ServiceState)
-		newConn bool
 		n       int
 		want    int              // a status at least one request must end with
 		reason  admission.Reason // a shed reason that must have been counted
@@ -66,18 +64,10 @@ func TestDispatchRecycleEveryTerminalPath(t *testing.T) {
 			}},
 		{name: "route error", n: 3, want: l7.StatusForbidden,
 			l7cfg: l7.ServiceConfig{DefaultSubset: "v1", Authz: []l7.AuthzRule{{Name: "deny-all", Action: l7.AuthzDeny}}}},
-		{name: "full session table", l7cfg: allow, n: 3, newConn: true, want: l7.StatusUnavailable,
-			prepare: func(_ *testing.T, _ *Gateway, st *ServiceState) {
-				for _, b := range st.Backends {
-					for _, r := range b.Replicas {
-						r.VM.Sessions = cloud.NewSessionTable(1)
-					}
-				}
-			}},
 		{name: "limiter shed", l7cfg: allow, n: 4, want: l7.StatusTooManyRequests, reason: admission.ReasonLimiter,
 			admission: &admission.Config{Limiter: admission.LimiterConfig{InitialLimit: 1, MaxLimit: 1}}},
-		{name: "discipline shed at enqueue", l7cfg: allow, n: 4, want: l7.StatusTooManyRequests, reason: admission.ReasonQueueFull,
-			admission: &admission.Config{PerTenantCap: 1}},
+		{name: "discipline shed at enqueue", l7cfg: allow, n: perTenantCap + 4, want: l7.StatusTooManyRequests, reason: admission.ReasonQueueFull,
+			admission: &admission.Config{Limiter: admission.LimiterConfig{InitialLimit: 2 * perTenantCap, MaxLimit: 2 * perTenantCap}}},
 		{name: "discipline shed at dequeue", l7cfg: allow, n: 20, want: l7.StatusTooManyRequests, reason: admission.ReasonCoDel,
 			admission: &admission.Config{Target: time.Microsecond, Interval: time.Microsecond}},
 	}
@@ -90,8 +80,7 @@ func TestDispatchRecycleEveryTerminalPath(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/admission=%v", tc.name, adm != nil), func(t *testing.T) {
 				s := sim.New(21)
 				region := cloud.NewRegion(s, "r1", "az1")
-				log := &telemetry.AccessLog{}
-				g := New(Config{Sim: s, Costs: netmodel.Default(), ShardSize: 1, Seed: 21, Log: log})
+				g := New(Config{Sim: s, Costs: netmodel.Default(), ShardSize: 1, Seed: 21})
 				if _, err := g.AddBackend(region.AZ("az1"), 1, 1, false); err != nil {
 					t.Fatal(err)
 				}
@@ -112,7 +101,7 @@ func TestDispatchRecycleEveryTerminalPath(t *testing.T) {
 				calls := make([]int, 2*tc.n)
 				statuses := map[int]int{}
 				send := func(st *ServiceState, i int) {
-					req := l7.Request{Tenant: st.Tenant, SourcePod: st.Tenant + "-pod", Method: "GET", Path: "/" + st.Tenant, BodyBytes: 1024, NewConnection: tc.newConn}
+					req := l7.Request{Tenant: st.Tenant, SourcePod: st.Tenant + "-pod", Method: "GET", Path: "/" + st.Tenant, BodyBytes: 1024}
 					g.Dispatch(st.ID, "az1", flow(uint16(i+1)), req, 1, func(_ time.Duration, status int) {
 						calls[i]++
 						if st == first {
@@ -158,11 +147,6 @@ func TestDispatchRecycleEveryTerminalPath(t *testing.T) {
 					}
 					seen[d] = true
 					checkRecycled(t, g, d)
-				}
-				for _, e := range log.Entries() {
-					if e.SrcPod != e.Tenant+"-pod" || e.Path != "/"+e.Tenant {
-						t.Errorf("access entry mixes tenants: tenant %q, pod %q, path %q", e.Tenant, e.SrcPod, e.Path)
-					}
 				}
 			})
 		}

@@ -57,6 +57,9 @@ type wdrrQueue struct {
 	size    int
 }
 
+// perTenantCap bounds each tenant's queue at each replica.
+const perTenantCap = 128
+
 // newWDRRQueue returns a WDRR+CoDel queue with the given config. metrics may be
 // nil.
 func newWDRRQueue(cfg admission.Config, metrics *admission.Metrics) *wdrrQueue {
@@ -91,7 +94,7 @@ func (q *wdrrQueue) Enqueue(now time.Duration, w *sim.Work) bool {
 		}
 		q.byName[name] = tq
 	}
-	if tq.len() >= q.cfg.PerTenantCap {
+	if tq.len() >= perTenantCap {
 		if q.metrics != nil {
 			q.metrics.RecordShed(name, admission.ReasonQueueFull)
 		}

@@ -17,7 +17,7 @@ func TestWDRRFairnessUnderSkew(t *testing.T) {
 	s := sim.New(1)
 	p := sim.NewProcessor(s, "be", 1)
 	metrics := admission.NewMetrics()
-	p.SetDiscipline(newWDRRQueue(admission.Config{PerTenantCap: 10_000}, metrics))
+	p.SetDiscipline(newWDRRQueue(admission.Config{}, metrics))
 
 	done := map[string]int{}
 	submit := func(tenant string, n int) {
@@ -62,21 +62,23 @@ func TestWDRRWeights(t *testing.T) {
 	s := sim.New(1)
 	p := sim.NewProcessor(s, "be", 1)
 	q := newWDRRQueue(admission.Config{
-		PerTenantCap: 100_000,
-		Weights:      map[string]float64{"gold": 3, "bronze": 1},
+		Weights: map[string]float64{"gold": 3, "bronze": 1},
 		// A huge CoDel target so queue management stays out of the way.
 		Target: time.Hour, Interval: time.Hour,
 	}, nil)
 	p.SetDiscipline(q)
 
+	// Both tenants fill their queues to the cap. Over the first 20 ms the
+	// core serves ~100 requests and both queues stay backlogged, so WDRR
+	// alone splits the core between them.
 	done := map[string]int{}
-	for i := 0; i < 20_000; i++ {
+	for i := 0; i < perTenantCap; i++ {
 		for _, tenant := range []string{"gold", "bronze"} {
 			tenant := tenant
 			p.Submit(&sim.Work{Tenant: tenant, Cost: reqCost, Do: func() { done[tenant]++ }})
 		}
 	}
-	s.RunUntil(2 * time.Second) // core serves ~10k requests; both stay backlogged
+	s.RunUntil(20 * time.Millisecond)
 
 	ratio := float64(done["gold"]) / float64(done["bronze"])
 	if ratio < 2.5 || ratio > 3.5 {
@@ -90,10 +92,11 @@ func TestQueueCapRejection(t *testing.T) {
 	s := sim.New(1)
 	p := sim.NewProcessor(s, "be", 1)
 	metrics := admission.NewMetrics()
-	p.SetDiscipline(newWDRRQueue(admission.Config{PerTenantCap: 8}, metrics))
+	// A huge CoDel target keeps queue management out of the way.
+	p.SetDiscipline(newWDRRQueue(admission.Config{Target: time.Hour, Interval: time.Hour}, metrics))
 
 	var dropped int
-	for i := 0; i < 20; i++ {
+	for i := 0; i < perTenantCap+12; i++ {
 		p.Submit(&sim.Work{
 			Tenant: "t1",
 			Cost:   reqCost,
@@ -105,7 +108,7 @@ func TestQueueCapRejection(t *testing.T) {
 			},
 		})
 	}
-	// 1 started immediately, 8 queued, 11 rejected.
+	// 1 started immediately, perTenantCap queued, 11 rejected.
 	if dropped != 11 {
 		t.Fatalf("dropped %d, want 11", dropped)
 	}

@@ -62,6 +62,7 @@ func TestFlashCrowdAdmissionEndToEnd(t *testing.T) {
 	base := &telemetry.Sample{}
 	flash := &telemetry.Sample{}
 	statuses := map[string]map[int]int{}
+	crowdSheds := 0 // 429s for requests sent while the crowd was on
 	flow := 0
 	drive := func(idx int, rate workload.RateFunc) {
 		tenant := tenants[idx]
@@ -73,6 +74,9 @@ func TestFlashCrowdAdmissionEndToEnd(t *testing.T) {
 			req := l7.Request{Tenant: tenant, SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
 			g.Dispatch(svcs[idx].ID, "az1", key, req, 1, func(lat time.Duration, status int) {
 				statuses[tenant][status]++
+				if status == l7.StatusTooManyRequests && at >= crowdStart && at < flashTo {
+					crowdSheds++
+				}
 				if idx > 0 && status == l7.StatusOK {
 					switch {
 					case at < crowdStart:
@@ -107,21 +111,9 @@ func TestFlashCrowdAdmissionEndToEnd(t *testing.T) {
 	if fi := m.FairnessIndex(); fi <= 0 || fi > 1 {
 		t.Fatalf("fairness index = %v", fi)
 	}
-	// The shed-rate series saw the crowd: some sampled second during the
-	// flash window has a non-zero shed rate.
-	series := g.ShedSeries()
-	if series == nil {
-		t.Fatal("no shed series with admission enabled")
-	}
-	sawShed := false
-	for _, pt := range series.Points() {
-		if pt.T >= crowdStart && pt.T < flashTo && pt.V > 0 {
-			sawShed = true
-			break
-		}
-	}
-	if !sawShed {
-		t.Error("shed series flat through the flash crowd")
+	// The sheds came while the crowd was on.
+	if crowdSheds == 0 {
+		t.Error("no request sent during the flash crowd was shed")
 	}
 	// Victims keep nearly all their offered load end to end.
 	for _, tenant := range tenants[1:] {

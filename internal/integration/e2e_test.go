@@ -214,7 +214,7 @@ func TestCloudLifecycleEndToEnd(t *testing.T) {
 			})
 		})
 	}
-	drive(svcs[0], workload.Ramp(500, 14000, 20*time.Second, 30*time.Second)) // the hot one
+	drive(svcs[0], workload.FlashCrowd(500, 14000, 20*time.Second, 30*time.Second, end)) // the hot one: ramps up, then holds
 	for _, svc := range svcs[1:] {
 		drive(svc, workload.Constant(200))
 	}
@@ -250,17 +250,17 @@ func TestCloudLifecycleEndToEnd(t *testing.T) {
 	s.At(60*time.Second, func() { region.AZ("az1").FailAZ() })
 	s.At(80*time.Second, func() { region.AZ("az1").RecoverAZ() })
 
-	// During the outage, every service must still resolve (cross-AZ).
+	// During the outage, every service must still be served from az1
+	// (cross-AZ).
 	s.At(70*time.Second, func() {
 		for _, svc := range svcs {
-			b, err := g.ResolveBackend(svc.ID, "az1", cloud.SessionKey{SrcIP: "x", SrcPort: 9, DstIP: "y", DstPort: 80, Proto: 6})
-			if err != nil {
-				t.Errorf("service %s unavailable during AZ outage: %v", svc.FullName(), err)
-				continue
-			}
-			if b.AZ != "az2" {
-				t.Errorf("service %s resolved to failed AZ", svc.FullName())
-			}
+			svc := svc
+			g.Dispatch(svc.ID, "az1", cloud.SessionKey{SrcIP: "x", SrcPort: 9, DstIP: "y", DstPort: 80, Proto: 6},
+				l7.Request{Method: "GET", Path: "/"}, 1, func(_ time.Duration, status int) {
+					if status != l7.StatusOK {
+						t.Errorf("service %s got %d during the AZ outage", svc.FullName(), status)
+					}
+				})
 		}
 	})
 	s.Run()
@@ -335,14 +335,13 @@ func TestMultiTenantIsolationEndToEnd(t *testing.T) {
 	if okEvil != 5 || throttledEvil != 45 {
 		t.Errorf("throttled tenant: %d served, %d throttled; want its burst of 5 served and 45 throttled", okEvil, throttledEvil)
 	}
-	// Neither tenant's traffic lands on the sandbox pool.
+	// Neither tenant's traffic can land on the sandbox pool: no sandbox
+	// backend is in either service's set.
 	for _, svc := range []*gateway.ServiceState{good, evil} {
-		b, err := g.ResolveBackend(svc.ID, "az1", cloud.SessionKey{SrcIP: "a", SrcPort: 1, DstIP: "b", DstPort: 80, Proto: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Sandbox {
-			t.Errorf("tenant %s resolved to a sandbox backend", svc.Tenant)
+		for _, b := range svc.Backends {
+			if b.Sandbox {
+				t.Errorf("tenant %s is served by sandbox backend %s", svc.Tenant, b.ID)
+			}
 		}
 	}
 }

@@ -384,7 +384,7 @@ func TestTraceTreesDeterministic(t *testing.T) {
 		s := sim.New(5)
 		cfg := newCfg(t, s)
 		cfg.Asym = LocalSoftwareAsym(cfg.Costs)
-		cfg.Tracer = trace.New(trace.Config{Seed: 5, Clock: s.Now, HeadRate: 0.5, SlowThreshold: time.Millisecond})
+		cfg.Tracer = trace.New(trace.Config{Seed: 5, Clock: s.Now})
 		mesh, err := DefaultTestbedSpec(cfg).Build("canal")
 		if err != nil {
 			t.Fatal(err)

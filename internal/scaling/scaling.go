@@ -1,10 +1,9 @@
 // Package scaling implements Canal's precise cloud resource scaling (§4.3):
-// root-cause analysis pinpoints the service driving a backend's water level
-// (correlating per-service RPS trends with the backend utilization trend,
-// with an optional one-shot multi-backend intersection speculation), then
-// the Reuse strategy extends the service onto an existing low-water-level
-// backend in seconds, or the New strategy provisions a fresh backend in
-// minutes (Fig 17, Table 4, Fig 18).
+// root-cause analysis (run at every alert of Fig 16) pinpoints the service
+// driving a backend's water level by correlating per-service RPS trends with
+// the backend utilization trend, then the Reuse strategy extends the service
+// onto an existing low-water-level backend in seconds, or the New strategy
+// provisions a fresh backend in minutes (Fig 17, Table 4, Fig 18).
 package scaling
 
 import (
@@ -102,30 +101,6 @@ func RootCause(b *gateway.Backend, from, to time.Duration, minCorr float64) (uin
 	return best.id, best.corr, true
 }
 
-// Intersect returns the service IDs hosted by every one of the given
-// backends — the one-shot speculation run when several backends' water
-// levels rise together (§4.3). An empty result means the speculation failed
-// and the caller reverts to the basic algorithm.
-func Intersect(backends []*gateway.Backend) []uint64 {
-	if len(backends) == 0 {
-		return nil
-	}
-	count := map[uint64]int{}
-	for _, b := range backends {
-		for _, id := range b.Services() {
-			count[id]++
-		}
-	}
-	var out []uint64
-	for id, n := range count {
-		if n == len(backends) {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Event records one scaling operation's timeline (Table 4).
 type Event struct {
 	Service   uint64
@@ -197,21 +172,6 @@ func (p *Planner) HandleAlert(b *gateway.Backend, alertAt time.Duration, done fu
 		return nil, ErrNoRootCause
 	}
 	return p.ScaleService(svcID, b, alertAt, done)
-}
-
-// HandleMultiAlert runs the intersection speculation across several
-// simultaneously overloaded backends first; if it pinpoints exactly one
-// candidate hosted by all of them, that service is scaled. Otherwise it
-// reverts to the basic per-backend algorithm on the first backend (§4.3:
-// "we will run this algorithm only once at the start to speculate").
-func (p *Planner) HandleMultiAlert(bs []*gateway.Backend, alertAt time.Duration, done func(Event)) (*Event, error) {
-	if len(bs) == 0 {
-		return nil, errors.New("scaling: no backends")
-	}
-	if common := Intersect(bs); len(common) == 1 {
-		return p.ScaleService(common[0], bs[0], alertAt, done)
-	}
-	return p.HandleAlert(bs[0], alertAt, done)
 }
 
 // ScaleService extends capacity for a service whose load overran the given

@@ -104,27 +104,6 @@ func TestRootCauseTooFewSamples(t *testing.T) {
 	}
 }
 
-func TestIntersect(t *testing.T) {
-	_, _, g := setup(t)
-	a := addService(t, g, "a", "192.168.0.1")
-	if len(a.Backends) < 2 {
-		t.Fatal("need 2 backends")
-	}
-	common := Intersect(a.Backends)
-	found := false
-	for _, id := range common {
-		if id == a.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("service should be in the intersection of its own backends")
-	}
-	if got := Intersect(nil); got != nil {
-		t.Error("empty input should return nil")
-	}
-}
-
 func TestReuseExtendsWithinSeconds(t *testing.T) {
 	s, region, g := setup(t)
 	a := addService(t, g, "hot", "192.168.0.1")
@@ -216,8 +195,9 @@ func TestHandleAlertEndToEnd(t *testing.T) {
 	g.StartSampling(func() bool { return s.Now() > 50*time.Second })
 
 	overloaded := hot.Backends[0]
-	// Ramp the hot service onto its first backend via dispatch.
-	workload.OpenLoop(s, workload.Ramp(100, 3000, 5*time.Second, 20*time.Second), 50*time.Millisecond, 40*time.Second, func() {
+	// Ramp the hot service onto its first backend via dispatch (the
+	// crowd's ramp down starts after the run ends).
+	workload.OpenLoop(s, workload.FlashCrowd(100, 3000, 5*time.Second, 20*time.Second, 20*time.Second), 50*time.Millisecond, 40*time.Second, func() {
 		g.Dispatch(hot.ID, overloaded.AZ, cloud.SessionKey{SrcIP: "c", SrcPort: uint16(s.Now() / time.Millisecond), DstIP: "d", DstPort: 80, Proto: 6},
 			l7.Request{Method: "GET", Path: "/", BodyBytes: 1024}, 1, func(time.Duration, int) {})
 	})
@@ -241,40 +221,12 @@ func TestHandleAlertEndToEnd(t *testing.T) {
 	}
 }
 
-func TestHandleMultiAlertIntersection(t *testing.T) {
-	s, region, g := setup(t)
-	hot := addService(t, g, "hot", "192.168.0.1")
-	if len(hot.Backends) < 2 {
-		t.Fatal("need multi-backend service")
-	}
-	p := NewPlanner(s, g, region)
-	var ev *Event
-	s.At(0, func() {
-		// Both of the hot service's backends alert together; hot is the
-		// only service on all of them, so speculation succeeds with no
-		// series data at all.
-		e, err := p.HandleMultiAlert(hot.Backends[:2], 0, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ev = e
-	})
-	s.Run()
-	if ev == nil || ev.Service != hot.ID {
-		t.Fatalf("intersection speculation failed: %+v", ev)
-	}
-}
-
 func TestScaleUnknownService(t *testing.T) {
 	s, region, g := setup(t)
 	a := addService(t, g, "a", "192.168.0.1")
 	p := NewPlanner(s, g, region)
 	if _, err := p.ScaleService(9999, a.Backends[0], 0, nil); err == nil {
 		t.Error("unknown service should error")
-	}
-	if _, err := p.HandleMultiAlert(nil, 0, nil); err == nil {
-		t.Error("no backends should error")
 	}
 }
 

@@ -15,9 +15,12 @@ import (
 // to the same bytes, and the tracer must really have been refilling.
 func TestTracerRecycleCopiesStable(t *testing.T) {
 	clock, advance := testClock()
-	tr := New(Config{Seed: 9, Clock: clock, HeadRate: 0.5, TailCap: 16, KeptCap: 32})
+	tr := New(Config{Seed: 9, Clock: clock, KeptCap: 32})
+	// Every other trace joins an unsampled remote context, and every
+	// fourth, one of those, fails: a quarter of the traces go to the tail.
 	run := func(i int) *Trace {
-		tt := tr.StartTenant("gateway", fmt.Sprintf("tenant-%d", i%7), fmt.Sprintf("GET /%d", i))
+		id := TraceID{1, byte(i >> 8), byte(i)}
+		tt := tr.StartRemoteTenant(id, SpanID{1}, i%2 == 1, "gateway", fmt.Sprintf("tenant-%d", i%7), fmt.Sprintf("GET /%d", i))
 		for h := 0; h <= i%3; h++ {
 			advance(time.Microsecond)
 			tt.AddHop(Hop{Name: fmt.Sprintf("hop-%d", h), Start: clock(), End: clock() + time.Microsecond, CPU: time.Microsecond})
@@ -33,8 +36,8 @@ func TestTracerRecycleCopiesStable(t *testing.T) {
 		run(i)
 	}
 	kept, tail := tr.Kept(), tr.Tail()
-	if len(kept) != 32 || len(tail) != 16 {
-		t.Fatalf("kept %d tail %d traces, want 32 and 16", len(kept), len(tail))
+	if len(kept) != 32 || len(tail) != 50 {
+		t.Fatalf("kept %d tail %d traces, want 32 and 50", len(kept), len(tail))
 	}
 	taken := append(append([]*Trace(nil), kept...), tail...)
 	encode := func() [][]byte {
@@ -81,7 +84,7 @@ func TestTracerRecycleCopiesStable(t *testing.T) {
 // Every goroutine checks that the trace it holds is its own until it
 // finishes it; -race checks the hand-over between Finish and Start.
 func TestTracerRecycleConcurrent(t *testing.T) {
-	tr := New(Config{Seed: 4, Clock: func() time.Duration { return 0 }, KeptCap: 8, TailCap: 4})
+	tr := New(Config{Seed: 4, Clock: func() time.Duration { return 0 }, KeptCap: 8})
 	const goroutines, rounds = 8, 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -170,18 +170,10 @@ func (t *Trace) AddHop(h Hop) SpanID {
 
 // Config parameterizes a Tracer.
 type Config struct {
-	// Seed seeds the ID generator and the head-sampling draw.
+	// Seed seeds the ID generator.
 	Seed int64
 	// Clock supplies timestamps; required. Simulated paths pass sim.Now.
 	Clock func() time.Duration
-	// HeadRate is the probability a new trace is head-sampled (kept
-	// unconditionally). Values outside (0,1] mean "keep everything".
-	HeadRate float64
-	// SlowThreshold tail-keeps unsampled traces at least this slow; zero
-	// disables the slow criterion (errors are always tail-kept).
-	SlowThreshold time.Duration
-	// TailCap bounds the tail ring; default 256.
-	TailCap int
 	// KeptCap bounds head-sampled retention: when > 0 the kept set is a
 	// ring holding the newest KeptCap traces. Zero keeps everything, which
 	// is right for bounded simulation runs but must not be used on a
@@ -189,8 +181,8 @@ type Config struct {
 	KeptCap int
 }
 
-// defaultTailCap bounds the tail ring when Config.TailCap is zero.
-const defaultTailCap = 256
+// tailCap bounds the tail ring of unsampled errored traces.
+const tailCap = 256
 
 // liveKeptCap bounds head-sampled retention on live-path tracers: a
 // long-lived HTTP process must not retain a trace per request forever
@@ -201,11 +193,9 @@ const liveKeptCap = 4096
 // use on the live path; under the single-threaded simulator the mutex is
 // uncontended.
 type Tracer struct {
-	mu   sync.Mutex
-	rng  *rand.Rand
-	now  func() time.Duration
-	head float64
-	slow time.Duration
+	mu  sync.Mutex
+	rng *rand.Rand
+	now func() time.Duration
 	// kept holds head-sampled traces unbounded (sim path); when keptRing
 	// is non-nil it is used instead and retention is bounded (live path).
 	kept     []*Trace
@@ -233,14 +223,6 @@ func New(cfg Config) *Tracer {
 	if cfg.Clock == nil {
 		panic("trace: Config.Clock is required")
 	}
-	head := cfg.HeadRate
-	if head <= 0 || head > 1 {
-		head = 1
-	}
-	cap := cfg.TailCap
-	if cap <= 0 {
-		cap = defaultTailCap
-	}
 	var keptRing *ring
 	if cfg.KeptCap > 0 {
 		keptRing = &ring{buf: make([]*Trace, cfg.KeptCap)}
@@ -248,10 +230,8 @@ func New(cfg Config) *Tracer {
 	return &Tracer{
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		now:      cfg.Clock,
-		head:     head,
-		slow:     cfg.SlowThreshold,
 		keptRing: keptRing,
-		tail:     ring{buf: make([]*Trace, cap)},
+		tail:     ring{buf: make([]*Trace, tailCap)},
 		depth:    minSpans,
 	}
 }
@@ -289,12 +269,12 @@ func (tr *Tracer) newSpanIDLocked() SpanID {
 }
 
 // Start begins a new trace with a fresh TraceID, rooted at the current clock
-// reading. The head-sampling decision is drawn here, so propagated contexts
-// carry a consistent sampled flag end to end. Request-path traces must use
-// StartTenant instead: the collector is shared across tenants, and an
-// unkeyed trace carrying request data belongs to no tenant. The live
-// gateway's isolation test (TestPooledStateTenantIsolation in the root
-// package) fails on any kept trace that names no tenant.
+// reading. A trace started here is sampled: the head decision is made where
+// the trace starts, and propagated contexts carry it end to end.
+// Request-path traces must use StartTenant instead: the collector is shared
+// across tenants, and an unkeyed trace carrying request data belongs to no
+// tenant. The live gateway's isolation test (TestPooledStateTenantIsolation
+// in the root package) fails on any kept trace that names no tenant.
 func (tr *Tracer) Start(arch, name string) *Trace {
 	return tr.StartTenant(arch, "", name)
 }
@@ -307,17 +287,16 @@ func (tr *Tracer) StartTenant(arch, tenant, name string) *Trace {
 		tr.rng.Read(id[:])
 	}
 	root := tr.newSpanIDLocked()
-	sampled := tr.head >= 1 || tr.rng.Float64() < tr.head
 	tr.started++
 	t, depth := tr.reuseLocked(), tr.depth
 	tr.mu.Unlock()
-	return tr.start(t, id, SpanID{}, root, depth, arch, tenant, name, sampled)
+	return tr.start(t, id, SpanID{}, root, depth, arch, tenant, name, true)
 }
 
 // StartRemote begins a trace joined to a propagated context (an extracted
 // traceparent): the remote trace ID is reused and the remote span becomes
-// the parent of this trace's root. Like Start, request-path callers must
-// use the tenant-keyed variant.
+// the parent of this trace's root, and the propagated sampled flag is kept.
+// Like Start, request-path callers must use the tenant-keyed variant.
 func (tr *Tracer) StartRemote(id TraceID, parent SpanID, sampled bool, arch, name string) *Trace {
 	return tr.StartRemoteTenant(id, parent, sampled, arch, "", name)
 }
@@ -374,9 +353,8 @@ func (tr *Tracer) start(t *Trace, id TraceID, parent, root SpanID, depth int, ar
 
 // Finish stamps the root span's end, records the status, and applies
 // retention: head-sampled traces are kept (bounded to the newest KeptCap
-// when configured); unsampled traces that are errored (HTTP >= 400) or
-// slower than SlowThreshold enter the bounded tail ring, evicting the
-// oldest tail entry when full. A second Finish of the same trace does
+// when configured); unsampled traces that are errored (HTTP >= 400) enter
+// the bounded tail ring, evicting the oldest tail entry when full. A second Finish of the same trace does
 // nothing.
 //
 // The caller must not touch t once Finish has been called: a tracer with a
@@ -403,7 +381,7 @@ func (tr *Tracer) Finish(t *Trace, status int) {
 		}
 		return
 	}
-	if status >= 400 || (tr.slow > 0 && t.Total() >= tr.slow) {
+	if status >= 400 {
 		tr.tail.push(t)
 	}
 }
@@ -422,7 +400,7 @@ func (tr *Tracer) Kept() []*Trace {
 	return out
 }
 
-// Tail returns the tail-kept (slow/errored, unsampled) traces, oldest first:
+// Tail returns the tail-kept (errored, unsampled) traces, oldest first:
 // copies, like Kept's, when the tracer's kept retention is bounded.
 func (tr *Tracer) Tail() []*Trace {
 	tr.mu.Lock()

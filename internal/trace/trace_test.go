@@ -44,49 +44,34 @@ func TestIDsNeverZero(t *testing.T) {
 	}
 }
 
+// TestHeadSamplingBoundaries pins where the sampled flag comes from: a
+// trace started here is sampled and kept, and a trace joined to a
+// propagated context keeps that context's flag, so an unsampled remote
+// trace is neither kept nor, while it succeeds, tail-kept.
 func TestHeadSamplingBoundaries(t *testing.T) {
 	clock, _ := testClock()
-	// Rate 1 (and out-of-range rates) keep everything.
-	for _, rate := range []float64{1, 0, -0.5, 1.5} {
-		tr := New(Config{Seed: 3, Clock: clock, HeadRate: rate})
-		for i := 0; i < 20; i++ {
-			tt := tr.Start("a", "r")
-			if !tt.Sampled {
-				t.Fatalf("rate %v: trace unsampled", rate)
-			}
-			tr.Finish(tt, 200)
-		}
-		if len(tr.Kept()) != 20 {
-			t.Fatalf("rate %v: kept %d, want 20", rate, len(tr.Kept()))
-		}
-	}
-	// A fractional rate keeps roughly that share, deterministically per seed.
-	tr := New(Config{Seed: 3, Clock: clock, HeadRate: 0.25})
-	kept := 0
-	for i := 0; i < 400; i++ {
+	tr := New(Config{Seed: 3, Clock: clock})
+	for i := 0; i < 20; i++ {
 		tt := tr.Start("a", "r")
-		if tt.Sampled {
-			kept++
+		if !tt.Sampled {
+			t.Fatal("locally started trace unsampled")
 		}
 		tr.Finish(tt, 200)
 	}
-	if kept == 0 || kept == 400 {
-		t.Fatalf("head rate 0.25 kept %d/400", kept)
+	if len(tr.Kept()) != 20 {
+		t.Fatalf("kept %d, want 20", len(tr.Kept()))
 	}
-	if got := len(tr.Kept()); got != kept {
-		t.Fatalf("Kept() = %d, want %d", got, kept)
-	}
-	tr2 := New(Config{Seed: 3, Clock: clock, HeadRate: 0.25})
-	kept2 := 0
-	for i := 0; i < 400; i++ {
-		tt := tr2.Start("a", "r")
-		if tt.Sampled {
-			kept2++
+	var id TraceID
+	id[0] = 1
+	for _, sampled := range []bool{true, false} {
+		tt := tr.StartRemote(id, SpanID{1}, sampled, "a", "remote")
+		if tt.Sampled != sampled {
+			t.Fatalf("remote trace sampled = %v, want the propagated %v", tt.Sampled, sampled)
 		}
-		tr2.Finish(tt, 200)
+		tr.Finish(tt, 200)
 	}
-	if kept != kept2 {
-		t.Fatalf("same-seed sampling diverged: %d vs %d", kept, kept2)
+	if len(tr.Kept()) != 21 || len(tr.Tail()) != 0 {
+		t.Fatalf("kept %d tail %d, want 21 and 0: only the sampled remote trace is kept", len(tr.Kept()), len(tr.Tail()))
 	}
 }
 
@@ -148,46 +133,55 @@ func TestSpanCapacityFollowsDeepestFinished(t *testing.T) {
 	}
 }
 
-func TestTailKeepsSlowAndErrored(t *testing.T) {
+func TestTailKeepsErrored(t *testing.T) {
 	clock, advance := testClock()
-	tr := New(Config{Seed: 5, Clock: clock, HeadRate: 0.0001, SlowThreshold: 10 * time.Millisecond, TailCap: 8})
+	tr := New(Config{Seed: 5, Clock: clock})
+	var id TraceID
+	id[0] = 1
+	unsampled := func(name string) *Trace { return tr.StartRemote(id, SpanID{1}, false, "canal", name) }
 	// Fast, successful, unsampled: dropped entirely.
-	fast := tr.Start("canal", "GET /")
+	fast := unsampled("GET /")
 	advance(time.Millisecond)
 	tr.Finish(fast, 200)
-	// Slow: tail-kept.
-	slow := tr.Start("canal", "GET /slow")
+	// Slow but successful: dropped too; only errors are tail-kept.
+	slow := unsampled("GET /slow")
 	advance(50 * time.Millisecond)
 	tr.Finish(slow, 200)
-	// Errored but fast: tail-kept.
-	errd := tr.Start("canal", "GET /err")
+	// Errored: tail-kept, whatever its speed.
+	forbidden := unsampled("GET /denied")
+	tr.Finish(forbidden, 403)
+	errd := unsampled("GET /err")
 	advance(time.Millisecond)
 	tr.Finish(errd, 503)
 	tail := tr.Tail()
 	if len(tail) != 2 {
-		t.Fatalf("tail holds %d traces, want 2 (slow + errored)", len(tail))
+		t.Fatalf("tail holds %d traces, want 2 (the errored)", len(tail))
 	}
-	if tail[0].Name != "GET /slow" || tail[1].Name != "GET /err" {
+	if tail[0].Name != "GET /denied" || tail[1].Name != "GET /err" {
 		t.Fatalf("tail order wrong: %s, %s", tail[0].Name, tail[1].Name)
+	}
+	if len(tr.Kept()) != 0 {
+		t.Fatalf("kept %d unsampled traces", len(tr.Kept()))
 	}
 }
 
 func TestTailRingEviction(t *testing.T) {
 	clock, advance := testClock()
-	tr := New(Config{Seed: 5, Clock: clock, HeadRate: 0.0001, TailCap: 4})
-	for i := 0; i < 10; i++ {
-		tt := tr.Start("canal", "e")
-		tt.Status = i // tag with creation order via status below
+	tr := New(Config{Seed: 5, Clock: clock})
+	var id TraceID
+	id[0] = 1
+	for i := 0; i < tailCap+6; i++ {
+		tt := tr.StartRemote(id, SpanID{1}, false, "canal", "e")
 		advance(time.Millisecond)
-		tr.Finish(tt, 500+i)
+		tr.Finish(tt, 400+i)
 	}
 	tail := tr.Tail()
-	if len(tail) != 4 {
-		t.Fatalf("ring holds %d, want capacity 4", len(tail))
+	if len(tail) != tailCap {
+		t.Fatalf("ring holds %d, want capacity %d", len(tail), tailCap)
 	}
 	for i, tt := range tail {
-		if want := 500 + 6 + i; tt.Status != want {
-			t.Fatalf("ring slot %d holds status %d, want %d (oldest-first of the newest 4)", i, tt.Status, want)
+		if want := 400 + 6 + i; tt.Status != want {
+			t.Fatalf("ring slot %d holds status %d, want %d (oldest-first of the newest %d)", i, tt.Status, want, tailCap)
 		}
 	}
 }

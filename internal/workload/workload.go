@@ -1,9 +1,6 @@
 // Package workload generates the traffic that drives every experiment:
-// open-loop arrivals following arbitrary rate curves (constant, diurnal
-// sinusoid, flash-crowd spikes, ramps), closed-loop drivers in the style of
-// wrk (N connections, send-receive-repeat), and the abnormal patterns the
-// intervention experiments need (session floods whose #TCP sessions surge
-// without matching RPS, and query-of-death requests).
+// open-loop arrivals following rate curves (constant, diurnal sinusoid,
+// spikes and flash crowds).
 package workload
 
 import (
@@ -69,37 +66,6 @@ func FlashCrowd(base, peak float64, start, rampUp, hold time.Duration) RateFunc 
 	}
 }
 
-// Ramp linearly interpolates from -> to over [start, start+dur).
-func Ramp(from, to float64, start, dur time.Duration) RateFunc {
-	return func(t time.Duration) float64 {
-		switch {
-		case t < start:
-			return from
-		case t >= start+dur:
-			return to
-		default:
-			frac := float64(t-start) / float64(dur)
-			return from + (to-from)*frac
-		}
-	}
-}
-
-// Sum composes rate functions additively.
-func Sum(fns ...RateFunc) RateFunc {
-	return func(t time.Duration) float64 {
-		var v float64
-		for _, fn := range fns {
-			v += fn(t)
-		}
-		return v
-	}
-}
-
-// Scale multiplies a rate function by k.
-func Scale(fn RateFunc, k float64) RateFunc {
-	return func(t time.Duration) float64 { return fn(t) * k }
-}
-
 // OpenLoop schedules send calls on s following rate(t) from now until end,
 // evaluating the rate every tick. Arrival counts use a fractional
 // accumulator, so the emitted request count over any window matches the
@@ -122,67 +88,4 @@ func OpenLoop(s *sim.Sim, rate RateFunc, tick, end time.Duration, send func()) {
 		}
 		return true
 	})
-}
-
-// Target issues one request; the implementation must invoke done exactly
-// once, at the virtual time the request completes.
-type Target func(done func(ok bool))
-
-// ClosedLoopStats reports what a closed-loop run observed.
-type ClosedLoopStats struct {
-	Issued    int
-	Succeeded int
-	Failed    int
-}
-
-// ClosedLoop models a wrk-style driver: conns concurrent connections, each
-// issuing a request, waiting for completion, thinking, then repeating, until
-// end. It returns a stats handle that is final once the simulation drains.
-func ClosedLoop(s *sim.Sim, conns int, think, end time.Duration, issue Target) *ClosedLoopStats {
-	stats := &ClosedLoopStats{}
-	var loop func()
-	loop = func() {
-		if s.Now() >= end {
-			return
-		}
-		stats.Issued++
-		issue(func(ok bool) {
-			if ok {
-				stats.Succeeded++
-			} else {
-				stats.Failed++
-			}
-			if think > 0 {
-				s.After(think, loop)
-			} else {
-				// Yield one event so completions interleave fairly.
-				s.After(0, loop)
-			}
-		})
-	}
-	for i := 0; i < conns; i++ {
-		s.After(0, loop)
-	}
-	return stats
-}
-
-// QueryOfDeath wraps a base cost multiplier for poisoned requests: queries
-// whose processing cost is mult times normal, the "query of death" that can
-// crash a service's backends one after another (§4.2, [18]).
-type QueryOfDeath struct {
-	Mult    float64
-	Every   int // every N-th request is poisoned; 0 disables
-	counter int
-}
-
-// CostMultiplier returns the cost multiplier for the next request.
-func (q *QueryOfDeath) CostMultiplier() float64 {
-	if q.Every <= 0 {
-		return 1
-	}
-	q.counter++
-	if q.counter%q.Every == 0 {
-		return q.Mult
-	}
-	return 1
 }

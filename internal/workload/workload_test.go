@@ -89,95 +89,3 @@ func TestSpike(t *testing.T) {
 		t.Error("spike end is exclusive")
 	}
 }
-
-func TestRamp(t *testing.T) {
-	f := Ramp(0, 100, time.Minute, time.Minute)
-	if f(0) != 0 || f(3*time.Minute) != 100 {
-		t.Error("ramp endpoints")
-	}
-	if got := f(90 * time.Second); math.Abs(got-50) > 1e-9 {
-		t.Errorf("midpoint = %v, want 50", got)
-	}
-}
-
-func TestSumAndScale(t *testing.T) {
-	f := Sum(Constant(10), Constant(20))
-	if f(0) != 30 {
-		t.Errorf("Sum = %v", f(0))
-	}
-	g := Scale(Constant(10), 2.5)
-	if g(0) != 25 {
-		t.Errorf("Scale = %v", g(0))
-	}
-}
-
-func TestClosedLoopSerializesPerConnection(t *testing.T) {
-	s := sim.New(1)
-	inFlight, maxInFlight := 0, 0
-	stats := ClosedLoop(s, 4, 0, time.Second, func(done func(bool)) {
-		inFlight++
-		if inFlight > maxInFlight {
-			maxInFlight = inFlight
-		}
-		s.After(10*time.Millisecond, func() {
-			inFlight--
-			done(true)
-		})
-	})
-	s.Run()
-	if maxInFlight != 4 {
-		t.Errorf("max in flight = %d, want 4 (one per connection)", maxInFlight)
-	}
-	// Each connection completes ~100 requests in 1s at 10ms each.
-	if stats.Issued < 380 || stats.Issued > 420 {
-		t.Errorf("issued = %d, want ~400", stats.Issued)
-	}
-	if stats.Succeeded != stats.Issued {
-		t.Errorf("succeeded = %d of %d", stats.Succeeded, stats.Issued)
-	}
-}
-
-func TestClosedLoopThinkTime(t *testing.T) {
-	s := sim.New(1)
-	stats := ClosedLoop(s, 1, time.Second, 10*time.Second, func(done func(bool)) {
-		done(true) // instant completion
-	})
-	s.Run()
-	// ~1 request per second for 10s.
-	if stats.Issued < 9 || stats.Issued > 11 {
-		t.Errorf("issued = %d, want ~10", stats.Issued)
-	}
-}
-
-func TestClosedLoopFailuresCounted(t *testing.T) {
-	s := sim.New(1)
-	n := 0
-	stats := ClosedLoop(s, 1, 0, time.Second, func(done func(bool)) {
-		n++
-		s.After(100*time.Millisecond, func() { done(n%2 == 0) })
-	})
-	s.Run()
-	if stats.Failed == 0 || stats.Succeeded == 0 {
-		t.Errorf("expected a mix: %+v", stats)
-	}
-	if stats.Failed+stats.Succeeded != stats.Issued {
-		t.Errorf("accounting mismatch: %+v", stats)
-	}
-}
-
-func TestQueryOfDeath(t *testing.T) {
-	q := &QueryOfDeath{Mult: 100, Every: 10}
-	poisoned := 0
-	for i := 0; i < 100; i++ {
-		if q.CostMultiplier() == 100 {
-			poisoned++
-		}
-	}
-	if poisoned != 10 {
-		t.Errorf("poisoned = %d, want 10", poisoned)
-	}
-	off := &QueryOfDeath{Mult: 100, Every: 0}
-	if off.CostMultiplier() != 1 {
-		t.Error("disabled QoD should return 1")
-	}
-}

@@ -3,8 +3,8 @@
 # linters (sim determinism, map-order hygiene and unit-safety, each per
 # package — see internal/lint), the full test suite under the race detector
 # in shuffled order, the shared-state tests and the tenant-isolation check
-# ten times over, the fuzz smokes, and the request paths' pinned allocation
-# rows without the race detector. This is
+# ten times over, the fuzz smokes, the request paths' pinned allocation
+# rows without the race detector, and a run of every example. This is
 # the one gate every PR must pass: CI (.github/workflows/ci.yml) calls this
 # script and otherwise only publishes artifacts.
 set -eu
@@ -139,6 +139,16 @@ go build -o /tmp/canalbench ./cmd/canalbench
 /tmp/canalbench -parallel 8 -ablations -json /tmp/canalbench-timings.json fig2 fig15 table5 abl-shard >/tmp/canalbench-parallel.txt 2>/dev/null
 cmp /tmp/canalbench-serial.txt /tmp/canalbench-parallel.txt
 test -s /tmp/canalbench-timings.json
+
+# Run every example to a zero exit, not only build it: outside tests they
+# are the only callers of the overlay codec, VSwitch.Ingress and the
+# simulated gateway's Throttle.
+for ex in examples/*/; do
+    if ! go run "./$ex" >/dev/null; then
+        echo "example $ex exited non-zero" >&2
+        exit 1
+    fi
+done
 
 # Smoke the real gateway: on an ephemeral port, the demo tenant's signed
 # request must come back 200 through the mesh. canalgw serves until killed,
