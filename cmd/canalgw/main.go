@@ -70,7 +70,9 @@ func setupDemo(gw *canal.GatewayServer, gwAddr string) error {
 	if err != nil {
 		return err
 	}
-	gw.RegisterTenant("demo", ca)
+	if err := gw.RegisterTenant("demo", ca); err != nil {
+		return err
+	}
 
 	v1, err := startUpstream("v1 says hello")
 	if err != nil {

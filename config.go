@@ -284,7 +284,9 @@ func (c *FileConfig) Apply(gw *GatewayServer) (map[string]*CA, error) {
 		if err != nil {
 			return nil, err
 		}
-		gw.RegisterTenant(t.Name, ca)
+		if err := gw.RegisterTenant(t.Name, ca); err != nil {
+			return nil, err
+		}
 		cas[t.Name] = ca
 		for _, s := range t.Services {
 			cfg, pools, err := s.Build()

@@ -23,7 +23,9 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gw.RegisterTenant("acme", ca)
+	if err := gw.RegisterTenant("acme", ca); err != nil {
+		log.Fatal(err)
+	}
 
 	// The tenant's service and upstream pool.
 	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -21,7 +21,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gw.RegisterTenant("shop", ca)
+	if err := gw.RegisterTenant("shop", ca); err != nil {
+		log.Fatal(err)
+	}
 
 	var aHits, bHits, shadowHits atomic.Int64
 	variantA := serve("checkout-A", &aHits)

@@ -30,7 +30,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	gw.RegisterTenant("acme", ca)
+	if err := gw.RegisterTenant("acme", ca); err != nil {
+		log.Fatal(err)
+	}
 
 	// 3. Two versions of the tenant's web service as real upstreams.
 	v1 := serve("v1: stable")

@@ -60,7 +60,9 @@ func stubGateway(t *testing.T, rt http.RoundTripper, cfg ServiceConfig) *Gateway
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw.RegisterTenant("tenant1", ca)
+	if err := gw.RegisterTenant("tenant1", ca); err != nil {
+		t.Fatal(err)
+	}
 	pools := map[string][]string{"v1": {"http://upstream.invalid"}, "shadow": {"http://shadow.invalid"}}
 	if err := gw.ConfigureService("tenant1", cfg, pools); err != nil {
 		t.Fatal(err)

@@ -154,7 +154,9 @@ func TestGatewayAuthRotatedCARefusesOldIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw.RegisterTenant("tenant1", rotated)
+	if err := gw.RegisterTenant("tenant1", rotated); err != nil {
+		t.Fatal(err)
+	}
 	if status := get(agent); status != http.StatusForbidden {
 		t.Errorf("old identity after rotation: status %d, want 403", status)
 	}

@@ -90,7 +90,9 @@ func TestPooledStateTenantIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gw.RegisterTenant(tn.name, ca)
+		if err := gw.RegisterTenant(tn.name, ca); err != nil {
+			t.Fatal(err)
+		}
 		tn.ids = map[string]*Identity{}
 		for _, source := range []string{"client-" + tn.marker, "intruder-" + tn.marker} {
 			if tn.ids[source], err = ca.IssueIdentity("spiffe://" + tn.name + "/ns/default/sa/" + source); err != nil {

@@ -236,21 +236,26 @@ func (g *GatewayServer) AdmissionMetrics() *admission.Metrics {
 	return admit.Metrics()
 }
 
-// RegisterTenant installs a tenant's trust domain.
-func (g *GatewayServer) RegisterTenant(tenant string, ca *CA) {
+// RegisterTenant installs a tenant's trust domain. It refuses a tenant name
+// holding "/" (see checkTenant) and then publishes nothing.
+func (g *GatewayServer) RegisterTenant(tenant string, ca *CA) error {
+	if err := checkTenant(tenant); err != nil {
+		return err
+	}
 	g.writeMu.Lock()
 	defer g.writeMu.Unlock()
 	next := *g.config.Load()
 	next.tenants = maps.Clone(next.tenants)
 	next.tenants[tenant] = tenantConfig{ca: ca, services: next.tenants[tenant].services}
 	g.config.Store(&next)
+	return nil
 }
 
 // serviceKey namespaces a service name by tenant inside the shared engine,
 // the real-mode analogue of the vSwitch's globally unique service IDs. It is
 // injective because checkTenant keeps "/" out of every tenant name that
-// configures a service: a key splits at its first "/" into one (tenant,
-// service) pair, whatever the service name holds.
+// registers or configures a service: a key splits at its first "/" into one
+// (tenant, service) pair, whatever the service name holds.
 func serviceKey(tenant, service string) string { return tenant + "/" + service }
 
 // checkTenant refuses a tenant name holding serviceKey's separator: tenant

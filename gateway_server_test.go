@@ -33,7 +33,9 @@ func testMesh(t *testing.T, cfg ServiceConfig, pools map[string][]string, requir
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw.RegisterTenant("tenant1", ca)
+	if err := gw.RegisterTenant("tenant1", ca); err != nil {
+		t.Fatal(err)
+	}
 	if err := gw.ConfigureService("tenant1", cfg, pools); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +364,9 @@ func TestGatewayTenantIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gw.RegisterTenant(tenant, ca)
+		if err := gw.RegisterTenant(tenant, ca); err != nil {
+			t.Fatal(err)
+		}
 		if err := gw.ConfigureService(tenant, ServiceConfig{Service: "web", DefaultSubset: "v1"},
 			map[string][]string{"v1": {srv.URL}}); err != nil {
 			t.Fatal(err)
@@ -391,8 +395,9 @@ func TestGatewayTenantIsolation(t *testing.T) {
 // TestGatewayTenantNameKeepsKeysApart: tenant "a/b"'s service "c" and
 // tenant "a"'s service "b/c" would share one key in the shared engine, so a
 // deny-all rule of the first would refuse the second's requests. A tenant
-// name holding the separator is refused instead, and "a"'s service keeps
-// its own verdict.
+// name holding the separator is refused instead, by every call that takes
+// one (RegisterTenant publishing nothing), and "a"'s service keeps its own
+// verdict.
 func TestGatewayTenantNameKeepsKeysApart(t *testing.T) {
 	up := echoServer("a-backend")
 	defer up.Close()
@@ -412,6 +417,16 @@ func TestGatewayTenantNameKeepsKeysApart(t *testing.T) {
 		t.Error(`SetServiceRate accepted tenant "a/b"`)
 	}
 	gw.ClearServiceRate("a/b", "c")
+	ca, err := NewCA("a/b-ca")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.RegisterTenant("a/b", ca); err == nil {
+		t.Error(`RegisterTenant accepted tenant "a/b"`)
+	}
+	if _, ok := gw.config.Load().tenants["a/b"]; ok {
+		t.Error(`RegisterTenant published tenant "a/b"`)
+	}
 	req, _ := http.NewRequest(http.MethodGet, gwSrv.URL+"/", nil)
 	req.Header.Set(HeaderTenant, "a")
 	req.Header.Set(HeaderService, "b/c")

@@ -135,8 +135,6 @@ type TenantMetrics struct {
 	Admitted *telemetry.Counter
 	// Shed counts requests rejected or dropped for any reason.
 	Shed *telemetry.Counter
-	// Sojourn samples queue wait times (seconds) of admitted requests.
-	Sojourn *telemetry.Sample
 }
 
 // Metrics is the admission layer's telemetry root: per-reason shed counters
@@ -163,7 +161,7 @@ func (m *Metrics) Tenant(name string) *TenantMetrics {
 	defer m.mu.Unlock()
 	tm, ok := m.tenants[name]
 	if !ok {
-		tm = &TenantMetrics{Admitted: &telemetry.Counter{}, Shed: &telemetry.Counter{}, Sojourn: &telemetry.Sample{}}
+		tm = &TenantMetrics{Admitted: &telemetry.Counter{}, Shed: &telemetry.Counter{}}
 		m.tenants[name] = tm
 	}
 	return tm

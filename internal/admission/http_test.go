@@ -13,7 +13,8 @@ import (
 // TestHTTPControllerAdmitReleaseHoldsNoSamples is the regression test for
 // the per-request leak on the live path: an admitted request used to append
 // a constant zero sojourn to the tenant's unbounded Sample on release. The
-// live path has no queue, so cycles must count Admitted and retain nothing.
+// tenant's metrics now hold counters alone, so cycles must count Admitted
+// and nothing else.
 func TestHTTPControllerAdmitReleaseHoldsNoSamples(t *testing.T) {
 	var now time.Duration
 	c := newHTTPController(Config{}, func() time.Duration { return now })
@@ -30,8 +31,8 @@ func TestHTTPControllerAdmitReleaseHoldsNoSamples(t *testing.T) {
 	if got := tm.Admitted.Value(); got != cycles {
 		t.Errorf("Admitted = %v, want %d", got, cycles)
 	}
-	if got := tm.Sojourn.Count(); got != 0 {
-		t.Errorf("Sojourn holds %d samples after %d admit/release cycles, want 0", got, cycles)
+	if got := tm.Shed.Value(); got != 0 {
+		t.Errorf("Shed = %v after %d admitted cycles, want 0", got, cycles)
 	}
 }
 

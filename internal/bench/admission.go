@@ -101,31 +101,35 @@ func runAdmissionFlashCrowd(enable bool) admissionRun {
 	drive := func(idx int, rate workload.RateFunc) {
 		st := services[idx]
 		tenant := tenants[idx]
+		// lat is the whole time since Dispatch was called, so the answer
+		// carries its arrival instant and one callback serves every
+		// arrival of the tenant.
+		done := func(lat time.Duration, status int) {
+			if status != 200 {
+				return
+			}
+			at := s.Now() - lat
+			inFlash := at >= flashFrom && at < flashTo
+			if inFlash && lat <= goodputDeadline {
+				totalFlashOK++
+			}
+			if idx == 0 {
+				return
+			}
+			switch {
+			case at < crowdStart:
+				victimBase.ObserveDuration(lat)
+			case inFlash:
+				victimFlash.ObserveDuration(lat)
+				if lat <= goodputDeadline {
+					victimFlashOK++
+				}
+			}
+		}
 		workload.OpenLoop(s, rate, time.Millisecond, admRunEnd, func() {
 			flow++
-			at := s.Now()
 			req := l7.Request{Tenant: tenant, SourceService: "client", Method: "GET", Path: "/", BodyBytes: 1024}
-			g.Dispatch(st.ID, "az1", dispatchFlow(flow), req, 1, func(lat time.Duration, status int) {
-				if status != 200 {
-					return
-				}
-				inFlash := at >= flashFrom && at < flashTo
-				if inFlash && lat <= goodputDeadline {
-					totalFlashOK++
-				}
-				if idx == 0 {
-					return
-				}
-				switch {
-				case at < crowdStart:
-					victimBase.ObserveDuration(lat)
-				case inFlash:
-					victimFlash.ObserveDuration(lat)
-					if lat <= goodputDeadline {
-						victimFlashOK++
-					}
-				}
-			})
+			g.Dispatch(st.ID, "az1", dispatchFlow(flow), req, 1, done)
 		})
 	}
 	drive(0, workload.FlashCrowd(aggressorBase, aggressorPeak, crowdStart, crowdRamp, crowdHold))

@@ -257,14 +257,15 @@ func offloadRun(policy proxy.AsymPolicy, nodeCores int, rps float64) (throughput
 	var lat telemetry.Sample
 	completed := 0
 	dur := 2 * time.Second
+	done := func(l time.Duration, _ int) {
+		completed++
+		lat.ObserveDuration(l)
+	}
 	workload.OpenLoop(s, workload.Constant(rps), 5*time.Millisecond, dur, func() {
 		r := webRequest()
 		r.TLS = true
 		r.NewConnection = true
-		mesh.Send(r, func(l time.Duration, _ int) {
-			completed++
-			lat.ObserveDuration(l)
-		})
+		mesh.Send(r, done)
 	})
 	// Let the queues drain fully: completions over the drain horizon give
 	// the bottleneck's sustainable throughput even past saturation.

@@ -46,14 +46,15 @@ func Fig16NoisyNeighbor() *Series {
 
 	// Victim: steady 200 RPS; track its latency over time.
 	victimLat := telemetry.NewSeries("victim-latency")
+	victimDone := func(lat time.Duration, status int) {
+		if status == 200 && s.Now() >= victimLat.Last().T {
+			victimLat.Append(s.Now(), lat.Seconds()*1000)
+		}
+	}
 	i := 0
 	workload.OpenLoop(s, workload.Constant(200), 10*time.Millisecond, end, func() {
 		i++
-		g.Dispatch(victim.ID, "az1", dispatchFlow(i), gwRequest(), 1, func(lat time.Duration, status int) {
-			if status == 200 && s.Now() >= victimLat.Last().T {
-				victimLat.Append(s.Now(), lat.Seconds()*1000)
-			}
-		})
+		g.Dispatch(victim.ID, "az1", dispatchFlow(i), gwRequest(), 1, victimDone)
 	})
 	// Noisy neighbor: surges at t=20s from 500 to a rate that drives the
 	// shared backend toward ~80% utilization.
@@ -289,6 +290,13 @@ func Fig20DailyOps() *Series {
 		}
 	}
 
+	tally := func(_ time.Duration, status int) {
+		if status == 200 {
+			okWindow++
+		} else {
+			errWindow++
+		}
+	}
 	i := 0
 	rate := workload.Sinusoid(2500, 1500, day, -6*hourLen)
 	workload.OpenLoop(s, rate, 10*time.Millisecond, day, func() {
@@ -298,13 +306,7 @@ func Fig20DailyOps() *Series {
 		if i%200 == 0 {
 			req.Path = "/quota-exceeded" // ~0.5% baseline error codes
 		}
-		g.Dispatch(st.ID, "az1", dispatchFlow(i), req, 1, func(_ time.Duration, status int) {
-			if status == 200 {
-				okWindow++
-			} else {
-				errWindow++
-			}
-		})
+		g.Dispatch(st.ID, "az1", dispatchFlow(i), req, 1, tally)
 	})
 	s.Every(hourLen, func() bool {
 		if s.Now() > day {

@@ -75,11 +75,12 @@ func Fig11ThroughputKnee(ctx context.Context) *Series {
 		}
 		var lat telemetry.Sample
 		completed := 0
+		done := func(l time.Duration, _ int) {
+			lat.ObserveDuration(l)
+			completed++
+		}
 		workload.OpenLoop(s, workload.Constant(rps), 5*time.Millisecond, 2*time.Second, func() {
-			mesh.Send(webRequest(), func(l time.Duration, _ int) {
-				lat.ObserveDuration(l)
-				completed++
-			})
+			mesh.Send(webRequest(), done)
 		})
 		s.RunUntil(2 * time.Second)
 		p99s[k] = lat.Percentile(99) * 1000

@@ -139,16 +139,22 @@ func newGatewayScenario(seed int64, backends, replicasPerBE, coresPerReplica, se
 	return sc
 }
 
+// dispatchSrcIPs holds the 250 × 250 source addresses dispatchFlow cycles
+// through, built once on first use so that a dispatch allocates none.
+var dispatchSrcIPs = sync.OnceValue(func() []string {
+	ips := make([]string, 250*250)
+	for i := range ips {
+		ips[i] = "10.9." + strconv.Itoa(i/250) + "." + strconv.Itoa(i%250)
+	}
+	return ips
+})
+
 // dispatchFlow builds a distinct flow key per call index. Its source IP is
-// 10.9.<(i/250)%250>.<i%250>, formatted into a stack buffer.
+// 10.9.<(i/250)%250>.<i%250>, taken from dispatchSrcIPs.
 func dispatchFlow(i int) cloud.SessionKey {
-	var buf [16]byte
-	ip := append(buf[:0], "10.9."...)
-	ip = strconv.AppendInt(ip, int64((i/250)%250), 10)
-	ip = append(ip, '.')
-	ip = strconv.AppendInt(ip, int64(i%250), 10)
+	ips := dispatchSrcIPs()
 	return cloud.SessionKey{
-		SrcIP: string(ip), SrcPort: uint16(i%60000 + 1024),
+		SrcIP: ips[i%len(ips)], SrcPort: uint16(i%60000 + 1024),
 		DstIP: "10.1.0.1", DstPort: 80, Proto: 6,
 	}
 }

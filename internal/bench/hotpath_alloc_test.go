@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -69,7 +70,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 		Headers: map[string]string{"x-tenant": "acme"},
 	}
 	var dec l7.Decision
-	got["route_match"] = testing.AllocsPerRun(1000, func() {
+	got["route_match"] = allocsPerRun(1000, func() {
 		d, err := eng.Route(0, req)
 		if err != nil {
 			panic(err)
@@ -105,7 +106,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 		Headers: map[string]string{"x-tenant": "acme"},
 		Cookies: map[string]string{"lane": "beta"},
 	}
-	got["route_match_regex_cookie"] = testing.AllocsPerRun(1000, func() {
+	got["route_match_regex_cookie"] = allocsPerRun(1000, func() {
 		d, err := eng.Route(0, rreq)
 		if err != nil {
 			panic(err)
@@ -121,7 +122,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	s := sim.New(1)
 	ticks := 0
 	tick := func() { ticks++ }
-	got["sim_event_step"] = testing.AllocsPerRun(1000, func() {
+	got["sim_event_step"] = allocsPerRun(1000, func() {
 		s.At(s.Now(), tick)
 		s.RunUntil(s.Now())
 	})
@@ -136,7 +137,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	tr := trace.New(trace.Config{Seed: 7, Clock: clk.Now})
 	tc := tr.Start("canal", "req")
 	hop := trace.Hop{Name: "gw", Start: 0, End: time.Millisecond, CPU: time.Millisecond}
-	got["trace_add_hop"] = testing.AllocsPerRun(1000, func() {
+	got["trace_add_hop"] = allocsPerRun(1000, func() {
 		tc.Spans = tc.Spans[:1]
 		tc.AddHop(hop)
 	})
@@ -160,7 +161,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	for i := 0; i < 4096+100; i++ { // past the live tracer's kept-ring capacity
 		liveCycle()
 	}
-	got["live_trace_cycle"] = testing.AllocsPerRun(1000, liveCycle)
+	got["live_trace_cycle"] = allocsPerRun(1000, liveCycle)
 	if spans != 2 || lt.Started() == 0 {
 		t.Fatalf("live trace bench did not record its hop: %d spans", spans)
 	}
@@ -169,7 +170,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	// tenant the controller has seen before. The release function is the
 	// one allocation; the ticket it closes over is recycled.
 	hc := admission.NewHTTPController(admission.Config{})
-	got["http_admit_release"] = testing.AllocsPerRun(1000, func() {
+	got["http_admit_release"] = allocsPerRun(1000, func() {
 		release, rej := hc.Admit("acme", "checkout", false)
 		if rej != nil {
 			panic(rej)
@@ -195,7 +196,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	pq := policy.Query{SrcTenant: "acme", SrcService: "web", DstService: "checkout",
 		Method: "GET", Path: "/api/cart"}
 	var pv policy.Verdict
-	got["policy_lookup"] = testing.AllocsPerRun(1000, func() {
+	got["policy_lookup"] = allocsPerRun(1000, func() {
 		pv = pc.Eval(pq)
 	})
 	if !pv.Allowed || pv.Rule != "allow" {
@@ -213,7 +214,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	}
 	wq := policy.Query{SrcTenant: "acme", SrcService: "web", DstService: "checkout",
 		Method: "GET", Path: "/debug/vars"}
-	got["policy_lookup_wildcard_dst"] = testing.AllocsPerRun(1000, func() {
+	got["policy_lookup_wildcard_dst"] = allocsPerRun(1000, func() {
 		pv = wc.Eval(wq)
 	})
 	if pv.Allowed || pv.Rule != "deny-debug" {
@@ -227,25 +228,25 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got["traceparent_parse"] = testing.AllocsPerRun(1000, func() {
+	got["traceparent_parse"] = allocsPerRun(1000, func() {
 		tid, sid, sampled, _ = trace.ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01")
 	})
 	// A refused header: the error naming it is the cost of a rejection.
 	var perr error
-	got["traceparent_parse_refused"] = testing.AllocsPerRun(1000, func() {
+	got["traceparent_parse_refused"] = allocsPerRun(1000, func() {
 		_, _, _, perr = trace.ParseTraceparent("00-4bf92f3577b34da6-00f067aa0ba902b7-01")
 	})
 	if perr == nil {
 		t.Fatal("codec bench accepted a short trace ID")
 	}
 	var rendered string
-	got["traceparent_render"] = testing.AllocsPerRun(1000, func() {
+	got["traceparent_render"] = allocsPerRun(1000, func() {
 		rendered = trace.Traceparent(tid, sid, sampled)
 	})
 	if rendered != "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01" {
 		t.Fatalf("codec bench did not round-trip its header: %q", rendered)
 	}
-	got["trace_id_string"] = testing.AllocsPerRun(1000, func() {
+	got["trace_id_string"] = allocsPerRun(1000, func() {
 		rendered = tid.String()
 	})
 	if rendered != "4bf92f3577b34da6a3ce929d0e0e4736" {
@@ -266,7 +267,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 		t.Fatal(err)
 	}
 	var verified string
-	got["verify_peer_hit"] = testing.AllocsPerRun(1000, func() {
+	got["verify_peer_hit"] = allocsPerRun(1000, func() {
 		verified, _, _ = ca.VerifyPeer(peer.CertDER)
 	})
 	if verified != peer.ID {
@@ -277,7 +278,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	// runs.
 	flow := cloud.SessionKey{SrcIP: "10.9.3.17", SrcPort: 4711, DstIP: "10.1.0.1", DstPort: 80, Proto: 6}
 	var fh uint64
-	got["hash_5tuple"] = testing.AllocsPerRun(1000, func() {
+	got["hash_5tuple"] = allocsPerRun(1000, func() {
 		fh = l4.Hash5Tuple(flow)
 	})
 	if fh == 0 {
@@ -290,7 +291,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	proc := sim.NewProcessor(ps, "bench", 2)
 	served := 0
 	serve := func() { served++ }
-	got["processor_exec"] = testing.AllocsPerRun(1000, func() {
+	got["processor_exec"] = allocsPerRun(1000, func() {
 		proc.Exec(time.Microsecond, serve)
 		ps.Run()
 	})
@@ -309,7 +310,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 			ok++
 		}
 	}
-	got["gateway_dispatch"] = testing.AllocsPerRun(1000, func() {
+	got["gateway_dispatch"] = allocsPerRun(1000, func() {
 		gs.GW.Dispatch(svc.ID, "az1", flow, greq, 1, answered)
 		gs.Sim.Run()
 	})
@@ -320,7 +321,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	// The same dispatch with the request built inside the call, as the
 	// experiments build one per simulated arrival: taken by value, it stays
 	// on the caller's stack.
-	got["gateway_dispatch_fresh_request"] = testing.AllocsPerRun(1000, func() {
+	got["gateway_dispatch_fresh_request"] = allocsPerRun(1000, func() {
 		gs.GW.Dispatch(svc.ID, "az1", flow, gwRequest(), 1, answered)
 		gs.Sim.Run()
 	})
@@ -331,7 +332,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	as := newGatewayScenario(6, 2, 2, 4, 1)
 	as.GW.EnableAdmission(admission.Config{})
 	asvc := as.Services[0]
-	got["gateway_dispatch_admitted"] = testing.AllocsPerRun(1000, func() {
+	got["gateway_dispatch_admitted"] = allocsPerRun(1000, func() {
 		as.GW.Dispatch(asvc.ID, "az1", flow, greq, 1, answered)
 		as.Sim.Run()
 	})
@@ -348,12 +349,12 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	mreq := l7.Request{Tenant: "t", Method: "GET", Path: "/", BodyBytes: 1024}
 	delivered := 0
 	arrived := func(time.Duration, int) { delivered++ }
-	got["run_chain"] = testing.AllocsPerRun(1000, func() {
+	got["run_chain"] = allocsPerRun(1000, func() {
 		mesh.Send(mreq, arrived)
 		ms.Run()
 	})
 	// The same hop chain with the request built inside the call.
-	got["run_chain_fresh_request"] = testing.AllocsPerRun(1000, func() {
+	got["run_chain_fresh_request"] = allocsPerRun(1000, func() {
 		mesh.Send(webRequest(), arrived)
 		ms.Run()
 	})
@@ -362,6 +363,23 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	}
 
 	return got
+}
+
+// allocsPerRun is testing.AllocsPerRun without its truncation to a whole
+// number: it returns every allocation f made over runs calls (after one
+// warm-up call) divided by runs. AllocsPerRun's integer mean reads 0 for a
+// path that allocates on fewer than one call in runs, such as a slice that
+// grows now and then, so a row pinned at 0 would let it pass.
+func allocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // TestHotPathAllocs is the request paths' allocation-regression gate: the

@@ -53,8 +53,9 @@ func Fig02SidecarCPULatency(ctx context.Context) *Series {
 		// queueing that drives the latency curve.
 		capacityRPS := 1500.0
 		var lat telemetry.Sample
+		done := func(l time.Duration, _ int) { lat.ObserveDuration(l) }
 		workload.OpenLoop(s, workload.Constant(loadFrac*capacityRPS), 20*time.Millisecond, 10*time.Second, func() {
-			mesh.Send(webRequest(), func(l time.Duration, _ int) { lat.ObserveDuration(l) })
+			mesh.Send(webRequest(), done)
 		})
 		s.RunUntil(10 * time.Second)
 		istio := mesh.(*proxy.Istio)

@@ -91,8 +91,7 @@ type ServiceState struct {
 	// Throttle, when non-nil, rate-limits the service at dispatch.
 	Throttle *l7.TokenBucket
 
-	Latency *telemetry.Sample
-	Errors  *telemetry.Counter
+	Errors *telemetry.Counter
 
 	// engineName is the service's name in the shared L7 engine.
 	engineName string
@@ -264,8 +263,7 @@ func (g *Gateway) RegisterService(tenant, name string, vni uint32, addr netip.Ad
 	}
 	st := &ServiceState{
 		ID: id, Tenant: tenant, Name: name, VNI: vni, Addr: addr, Port: port, HTTPS: https,
-		Latency: &telemetry.Sample{}, Errors: &telemetry.Counter{},
-		engineName: l7cfg.Service,
+		Errors: &telemetry.Counter{}, engineName: l7cfg.Service,
 	}
 	k := g.cfg.ShardSize
 	if k > len(g.backends) {
@@ -409,7 +407,7 @@ func (d *dispatch) finish(lat time.Duration, status int) {
 
 // Dispatch processes one request for a service arriving from clientAZ,
 // charging L7 CPU on the chosen replica and invoking done with the gateway
-// processing latency and status. The caller (on-node proxy model or bench)
+// processing latency (the whole time since the call) and status. The caller (on-node proxy model or bench)
 // wraps network latency around it. The request is taken by value: the
 // dispatch routes and logs its own copy, so the caller's value is never
 // retained or changed, and a request built for the call stays on the
@@ -492,7 +490,6 @@ func (d *dispatch) release(lat time.Duration, ok bool) {
 func (d *dispatch) complete() {
 	lat := d.g.cfg.Sim.Now() - d.start
 	d.release(lat, true)
-	d.s.Latency.ObserveDuration(lat)
 	d.finish(lat, l7.StatusOK)
 }
 

@@ -107,17 +107,18 @@ func TestDispatchServesAndRecordsLatency(t *testing.T) {
 	s, _, g := testGateway(t)
 	st := register(t, g, "t1", "web", 100, "192.168.0.10")
 	var gotStatus int
+	var gotLat time.Duration
 	s.At(0, func() {
 		g.Dispatch(st.ID, "az1", flow(1), gwReq(), 1, func(lat time.Duration, status int) {
-			gotStatus = status
+			gotStatus, gotLat = status, lat
 		})
 	})
 	s.Run()
 	if gotStatus != l7.StatusOK {
 		t.Fatalf("status = %d", gotStatus)
 	}
-	if st.Latency.Count() != 1 {
-		t.Error("latency should be recorded")
+	if gotLat <= 0 || gotLat != s.Now() {
+		t.Errorf("latency = %v, want the request's whole time in the gateway (%v)", gotLat, s.Now())
 	}
 }
 

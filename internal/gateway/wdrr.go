@@ -156,9 +156,6 @@ func (q *wdrrQueue) Dequeue(now time.Duration) *sim.Work {
 			continue
 		}
 		tq.deficit -= w.Cost
-		if q.metrics != nil {
-			q.metrics.Tenant(tq.tenant).Sojourn.ObserveDuration(sojourn)
-		}
 		return w
 	}
 	return nil

@@ -3,11 +3,7 @@
 // internal/netmodel, not executed here.
 package l4
 
-import (
-	"strconv"
-
-	"canalmesh/internal/cloud"
-)
+import "canalmesh/internal/cloud"
 
 // Hash5Tuple returns a stable non-cryptographic hash of the flow key. The
 // gateway's backend pick and the Beamer-style redirectors use it so their
@@ -39,11 +35,14 @@ func fnvString(h uint64, s string) uint64 {
 	return h
 }
 
-// fnvUint hashes v's decimal digits, formatted into a stack buffer.
+// fnvUint hashes v's decimal digits, most significant first.
 func fnvUint(h uint64, v uint64) uint64 {
-	var buf [20]byte
-	for _, c := range strconv.AppendUint(buf[:0], v, 10) {
-		h = fnvByte(h, c)
+	d := uint64(1)
+	for d <= v/10 {
+		d *= 10
+	}
+	for ; d > 0; d /= 10 {
+		h = fnvByte(h, byte('0'+v/d%10))
 	}
 	return h
 }

@@ -64,9 +64,12 @@ type Processor struct {
 	sim   *Sim
 	name  string
 	cores []time.Duration // next instant each core becomes free
-	// busy holds the busy time of each closed utilization bucket; the open
-	// bucket's, openBusy, is folded in only when work lands in another one.
-	busy     map[int64]time.Duration
+	// busy holds the busy time of each closed utilization bucket, indexed by
+	// bucket; the open bucket's, openBusy, is folded in only when work lands
+	// in another one. It starts with room for 8 buckets, so closing one of
+	// a processor's first seconds allocates nothing: the record grows
+	// with simulated time, never with the number of requests.
+	busy     []time.Duration
 	open     int64
 	openBusy time.Duration
 	total    time.Duration // cumulative busy time across cores
@@ -85,7 +88,7 @@ func NewProcessor(s *Sim, name string, cores int) *Processor {
 		sim:   s,
 		name:  name,
 		cores: make([]time.Duration, cores),
-		busy:  make(map[int64]time.Duration),
+		busy:  make([]time.Duration, 0, 8),
 	}
 }
 
@@ -279,6 +282,9 @@ func (p *Processor) account(start, end time.Duration) {
 		}
 		if b != p.open {
 			if p.openBusy != 0 {
+				if n := int(p.open) + 1; n > len(p.busy) {
+					p.busy = append(p.busy, make([]time.Duration, n-len(p.busy))...)
+				}
 				p.busy[p.open] += p.openBusy
 			}
 			p.open, p.openBusy = b, 0
@@ -290,10 +296,14 @@ func (p *Processor) account(start, end time.Duration) {
 
 // busyIn returns the busy time accounted to bucket b, open or closed.
 func (p *Processor) busyIn(b int64) time.Duration {
-	if b == p.open {
-		return p.busy[b] + p.openBusy
+	var d time.Duration
+	if b >= 0 && b < int64(len(p.busy)) {
+		d = p.busy[b]
 	}
-	return p.busy[b]
+	if b == p.open {
+		d += p.openBusy
+	}
+	return d
 }
 
 // Utilization returns the fraction of core capacity used during the bucket

@@ -4,7 +4,8 @@
 # package — see internal/lint), the full test suite under the race detector
 # in shuffled order, the shared-state tests and the tenant-isolation check
 # ten times over, the fuzz smokes, the request paths' pinned allocation
-# rows without the race detector, and a run of every example. This is
+# rows without the race detector, both byte contracts of the experiment
+# output, and a run of every example. This is
 # the one gate every PR must pass: CI (.github/workflows/ci.yml) calls this
 # script and otherwise only publishes artifacts.
 set -eu
@@ -139,6 +140,15 @@ go build -o /tmp/canalbench ./cmd/canalbench
 /tmp/canalbench -parallel 8 -ablations -json /tmp/canalbench-timings.json fig2 fig15 table5 abl-shard >/tmp/canalbench-parallel.txt 2>/dev/null
 cmp /tmp/canalbench-serial.txt /tmp/canalbench-parallel.txt
 test -s /tmp/canalbench-timings.json
+# The second byte contract beside TestSuiteRenderedSHA's digest: every
+# experiment and ablation through the parallel runner prints exactly the
+# bytes pinned here. A change that means to move them re-pins this digest.
+want_abl=d328b4e8af976d574d7fab9bfb24ef708e1e72cf0c2e8c682f96ac7945d661c0
+got_abl=$(/tmp/canalbench -ablations -parallel 2 2>/dev/null | sha256sum | cut -d' ' -f1)
+if [ "$got_abl" != "$want_abl" ]; then
+    echo "canalbench -ablations -parallel 2 stdout sha256 is $got_abl, want $want_abl" >&2
+    exit 1
+fi
 
 # Run every example to a zero exit, not only build it: outside tests they
 # are the only callers of the overlay codec, VSwitch.Ingress and the
