@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"canalmesh/internal/admission"
@@ -14,7 +15,8 @@ import (
 // allocations, per way through it, at steady state (the tracer's kept ring
 // full and recycling), and what two of its layers cost on their own. The
 // mirrored row counts the mirror goroutine's work too. TestServeHTTPAllocs
-// fails when any row rises; a fall is logged, to be pinned here.
+// counts every allocation of a row's runs and fails when the row reads more
+// than allocsSlack over its pin; a fall is logged, to be pinned here.
 var serveHTTPAllocs = map[string]float64{
 	"routed":        22,
 	"policy_denied": 11,
@@ -24,6 +26,17 @@ var serveHTTPAllocs = map[string]float64{
 	"authenticate":  11,
 	"log_req":       1,
 }
+
+// allocsSlack is what a row may read above its pin: allocations made once
+// per measurement, not per request, spread over its 1000 runs. They are
+// the access log's entry slice growing once while it holds 4 201 to 5 202
+// entries (0.001 on every row that logs, none on authenticate), and each
+// sync.Pool the request path draws from making its per-P cache again, and
+// refilling it, after a GC in the window (up to 0.005 a row). A
+// measurement that began without mallocsPerRun's warm-up call also paid
+// every pool's refill from the per-P caches lost when GOMAXPROCS changed:
+// that is what made routed read 22.009.
+const allocsSlack = 0.02
 
 // stubUpstream answers every request with an empty 200 and sends nothing,
 // so the proxy's work is measured without a socket. Its own allocations —
@@ -206,7 +219,7 @@ func TestServeHTTPAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", row.name, err)
 		}
-		got := testing.AllocsPerRun(1000, func() {
+		got := mallocsPerRun(1000, func() {
 			if e := row.run(); e != nil {
 				err = e
 			}
@@ -216,10 +229,26 @@ func TestServeHTTPAllocs(t *testing.T) {
 		}
 		want := serveHTTPAllocs[row.name]
 		switch {
-		case got > want:
-			t.Errorf("%s: %v allocs/op, pinned at %v", row.name, got, want)
+		case got > want+allocsSlack:
+			t.Errorf("%s: %.3f allocs/op, pinned at %v", row.name, got, want)
 		case got < want:
-			t.Logf("%s: %v allocs/op, below the pin of %v: lower the pin", row.name, got, want)
+			t.Logf("%s: %.3f allocs/op, below the pin of %v: lower the pin", row.name, got, want)
 		}
 	}
+}
+
+// mallocsPerRun is every allocation runs calls of f make, divided by runs:
+// testing.AllocsPerRun truncates its mean to a whole number, which hides up
+// to 0.999 allocations a call. One call first, at GOMAXPROCS 1, refills the
+// sync.Pool caches that changing GOMAXPROCS drops.
+func mallocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }

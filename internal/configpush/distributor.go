@@ -2,6 +2,7 @@ package configpush
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -710,17 +711,20 @@ func (d *Distributor) target(sess *Session, vr *versionRecord) {
 }
 
 // settle resolves every version the session owed up to and including upTo;
-// a version converges when its last owing subscriber settles.
+// a version converges when its last owing subscriber settles. The settled
+// head is cut from the queue in place, so the queue's backing array is
+// reused by target's appends rather than left behind them.
 func (d *Distributor) settle(sess *Session, upTo uint64, at time.Duration) {
-	for len(sess.owes) > 0 && sess.owes[0].version <= upTo {
-		vr := sess.owes[0]
-		sess.owes = sess.owes[1:]
+	n := 0
+	for ; n < len(sess.owes) && sess.owes[n].version <= upTo; n++ {
+		vr := sess.owes[n]
 		vr.pending--
 		if vr.pending == 0 && !vr.converged {
 			vr.converged = true
 			vr.convergeAt = at
 		}
 	}
+	sess.owes = slices.Delete(sess.owes, 0, n)
 }
 
 // compact drops closed sessions once they outnumber the open ones, keeping

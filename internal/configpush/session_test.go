@@ -192,3 +192,33 @@ func TestStaleWindowsGrowWithLinkStarvation(t *testing.T) {
 		t.Errorf("stale p99 on starved link = %v, want > %v (fast link)", slow, fast)
 	}
 }
+
+// TestOwedQueueKeepsItsArray: in a steady publish/ack cycle a session owes
+// one version at a time, and settling it cuts it from the queue in place:
+// the queue keeps one backing array across every cycle instead of dropping
+// it with the head and allocating a new one on the next publish.
+func TestOwedQueueKeepsItsArray(t *testing.T) {
+	s, c, d := rig(t, controlplane.CanalModel, time.Second, false)
+	gw := d.Session("gateway")
+	const cycles = 20
+	start := d.Version()
+	var first **versionRecord
+	for i := 0; i < cycles; i++ {
+		addPod(t, s, c, time.Duration(i+1)*10*time.Second, "svc00", i%4)
+		s.RunUntil(time.Duration(i+2) * 10 * time.Second)
+		if len(gw.owes) != 0 || gw.Acked() != d.Version() {
+			t.Fatalf("cycle %d: %d versions owed, acked %d of %d: not a steady cycle", i, len(gw.owes), gw.Acked(), d.Version())
+		}
+		if cap(gw.owes) == 0 {
+			t.Fatalf("cycle %d: the settled queue holds no array", i)
+		}
+		if head := &gw.owes[:1][0]; first == nil {
+			first = head
+		} else if head != first {
+			t.Fatalf("cycle %d: the owed queue moved to a new array", i)
+		}
+	}
+	if got := d.Version() - start; got != cycles {
+		t.Fatalf("%d versions published over %d cycles", got, cycles)
+	}
+}

@@ -17,8 +17,8 @@ type Baseline struct {
 // the list is installation order (the same-precedence tie break).
 func NewBaseline(intents []Intention) (*Baseline, error) {
 	b := &Baseline{allowByDst: make(map[string]int)}
-	for i, in := range intents {
-		cc, err := prepare(in, &b.patterns)
+	for i := range intents {
+		cc, err := prepare(&intents[i], &b.patterns)
 		if err != nil {
 			return nil, err
 		}

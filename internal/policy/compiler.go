@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -89,10 +90,11 @@ func (c *Compiler) Apply(deletes []string, upserts []Intention) (ApplyStats, err
 	// that stays in use is never compiled again.
 	prepared := make([]*compiled, 0, len(upserts))
 	for i := range upserts {
-		cc, err := prepare(upserts[i], &c.patterns)
+		cc, err := prepare(&upserts[i], &c.patterns)
 		if err != nil {
+			var buf predicateBuf
 			for _, p := range prepared {
-				c.patterns.Release(p.in.predicates()...)
+				c.patterns.Release(p.in.appendPredicates(buf[:0])...)
 			}
 			return ApplyStats{}, err
 		}
@@ -102,32 +104,45 @@ func (c *Compiler) Apply(deletes []string, upserts []Intention) (ApplyStats, err
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := ApplyStats{Upserts: len(upserts), Deletes: len(deletes)}
-	touched := make(map[key3]struct{})
+	touched := make(map[key3]bucket)
 	for _, id := range deletes {
 		if old, ok := c.intentions[id]; ok {
-			touched[c.unplace(old)] = struct{}{}
+			c.touch(touched, c.unplace(old))
 			delete(c.intentions, id)
 		}
 	}
 	for _, cc := range prepared {
 		if old, ok := c.intentions[cc.in.ID]; ok {
-			touched[c.unplace(old)] = struct{}{}
+			c.touch(touched, c.unplace(old))
 		}
 		cc.order = c.seq
 		c.seq++
-		touched[c.place(cc)] = struct{}{}
+		c.place(touched, cc)
 		c.intentions[cc.in.ID] = cc
 	}
-	for k := range touched {
+	for k, b := range touched {
 		st.TouchedBuckets++
-		st.RebuiltRules += c.rebuild(k)
+		st.RebuiltRules += c.rebuild(k, b)
 	}
 	c.record(touched)
 	return st, nil
 }
 
+// predicateBuf is the stack array an intention's predicates are listed in
+// for Intern and Release: the four fixed ones and up to four header
+// matches before the list spills to the heap.
+type predicateBuf [8]*Match
+
+// touch adds the key's bucket to the Apply's working set, as the table
+// holds it, unless the set has it already.
+func (c *Compiler) touch(touched map[key3]bucket, k key3) {
+	if _, ok := touched[k]; !ok {
+		touched[k] = c.table.lookup(k)
+	}
+}
+
 // record adds the touched buckets to the change feed when one is tracked.
-func (c *Compiler) record(touched map[key3]struct{}) {
+func (c *Compiler) record(touched map[key3]bucket) {
 	if c.changed == nil {
 		return
 	}
@@ -153,21 +168,22 @@ func (c *Compiler) Delete(id string) ApplyStats {
 // pattern of the gateway is compiled once.
 func (c *Compiler) Patterns() *Patterns { return &c.patterns }
 
-// prepare validates and compiles one intention: predicates interned in p and
-// the deny reason pre-concatenated. The header list is copied first, so the
-// caller's slice is never written.
-func prepare(in Intention, p *Patterns) (*compiled, error) {
+// prepare validates and compiles one intention: the compiled copy's
+// predicates interned in p and the deny reason pre-concatenated. The header
+// list is copied first, so the caller's intention is never written.
+func prepare(in *Intention, p *Patterns) (*compiled, error) {
 	if in.ID == "" {
 		return nil, fmt.Errorf("policy: intention %q has no ID", in.Name)
 	}
-	in.Headers = slices.Clone(in.Headers)
-	if err := p.Intern(in.predicates()...); err != nil {
-		return nil, err
-	}
 	cc := &compiled{
-		in:      in,
+		in:      *in,
 		srcPred: in.Src.Op != OpExact && in.Src.Op != OpAny,
 		dstPred: in.Dst.Op != OpExact && in.Dst.Op != OpAny,
+	}
+	cc.in.Headers = slices.Clone(in.Headers)
+	var buf predicateBuf
+	if err := p.Intern(cc.in.appendPredicates(buf[:0])...); err != nil {
+		return nil, err
 	}
 	if in.Action == ActionDeny {
 		cc.denyReason = "denied by rule " + in.Name
@@ -186,24 +202,28 @@ func (c *Compiler) assignShards(tenant string) []int {
 	return idxs
 }
 
-// place appends a compiled intention to its bucket, creating the bucket (and
-// the tenant's shard assignment with its first bucket), and updates the
-// allow-existence counters. The bucket is sorted separately (rebuild), once
-// per touched bucket per Apply. Returns the bucket's key.
-func (c *Compiler) place(cc *compiled) key3 {
+// place appends a compiled intention to its bucket's working copy in
+// touched, taken from the table on the bucket's first touch, and updates the
+// allow-existence counters. A bucket the table does not hold yet counts as
+// its tenant's from here, and the tenant's first bucket creates its shard
+// assignment. The copy is compacted, sorted and stored by rebuild, once per
+// touched bucket per Apply.
+func (c *Compiler) place(touched map[key3]bucket, cc *compiled) {
 	k := cc.key()
 	if k.t != wild && c.table.assign[k.t] == nil {
 		c.table.assign[k.t] = c.assignShards(k.t)
 	}
-	b := c.table.lookup(k)
-	if b == nil {
-		b = &bucket{}
-		c.table.store(k, b)
-		if k.t != wild {
-			c.table.buckets[k.t]++
-		}
+	b, ok := touched[k]
+	if !ok {
+		b = c.table.lookup(k)
+	}
+	// A working copy keeps its tombstones until rebuild, so an empty one is
+	// a bucket the table does not hold.
+	if len(b.rules) == 0 && k.t != wild {
+		c.table.buckets[k.t]++
 	}
 	b.rules = append(b.rules, cc)
+	touched[k] = b
 	if cc.in.Action == ActionAllow {
 		if k.d == wild {
 			c.table.allowAnyDst++
@@ -211,7 +231,6 @@ func (c *Compiler) place(cc *compiled) key3 {
 			c.table.allowByDst[k.d]++
 		}
 	}
-	return k
 }
 
 // unplace tombstones a compiled intention in its bucket, to be compacted by
@@ -220,7 +239,8 @@ func (c *Compiler) place(cc *compiled) key3 {
 func (c *Compiler) unplace(cc *compiled) key3 {
 	k := cc.key()
 	cc.removed = true
-	c.patterns.Release(cc.in.predicates()...)
+	var buf predicateBuf
+	c.patterns.Release(cc.in.appendPredicates(buf[:0])...)
 	if cc.in.Action == ActionAllow {
 		if k.d == wild {
 			c.table.allowAnyDst--
@@ -233,15 +253,11 @@ func (c *Compiler) unplace(cc *compiled) key3 {
 	return k
 }
 
-// rebuild compacts one bucket's tombstones, re-sorts it and recomputes its
-// content hash, removing the bucket entirely when it emptied — and with a
-// tenant's last bucket, the tenant's shard assignment. Returns the bucket's
-// member count.
-func (c *Compiler) rebuild(k key3) int {
-	b := c.table.lookup(k)
-	if b == nil {
-		return 0
-	}
+// rebuild compacts the working copy b of one bucket's tombstones, re-sorts
+// it, recomputes its content hash and stores it under k, or removes the
+// bucket entirely when it emptied — and with a tenant's last bucket, the
+// tenant's shard assignment. Returns the bucket's member count.
+func (c *Compiler) rebuild(k key3, b bucket) int {
 	b.rules = slices.DeleteFunc(b.rules, func(cc *compiled) bool { return cc.removed })
 	if len(b.rules) == 0 {
 		c.table.remove(k)
@@ -269,13 +285,8 @@ func (c *Compiler) rebuild(k key3) int {
 		h = cc.in.fold(h)
 	}
 	b.hash = h
+	c.table.store(k, b)
 	return len(b.rules)
-}
-
-// fnv64Fold folds one string into a running FNV-1a hash, closing it with a
-// 0xff terminator.
-func fnv64Fold(h uint64, s string) uint64 {
-	return fnvByte(fnvString(h, s), 0xff)
 }
 
 // Full rebuilds the entire table from the intention set — the baseline
@@ -285,12 +296,12 @@ func (c *Compiler) Full() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.table = newTable(c.shards)
-	touched := make(map[key3]struct{})
+	touched := make(map[key3]bucket)
 	for _, cc := range c.intentions {
-		touched[c.place(cc)] = struct{}{}
+		c.place(touched, cc)
 	}
-	for k := range touched {
-		c.rebuild(k)
+	for k, b := range touched {
+		c.rebuild(k, b)
 	}
 	c.record(touched)
 	return len(touched)
@@ -330,7 +341,7 @@ func (c *Compiler) Stats() TableStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	st := TableStats{Intentions: len(c.intentions), Tenants: len(c.table.assign)}
-	c.table.each(func(k key3, b *bucket) {
+	c.table.each(func(k key3, b bucket) {
 		st.Buckets++
 		st.MaxBucket = max(st.MaxBucket, len(b.rules))
 		if k.t == wild {
@@ -370,23 +381,20 @@ func (c *Compiler) Resources() []BucketResource {
 // resources is Resources under the caller's lock.
 func (c *Compiler) resources() []BucketResource {
 	out := make([]BucketResource, 0, c.table.size())
-	c.table.each(func(k key3, b *bucket) { out = append(out, bucketResource(k, b)) })
+	c.table.each(func(k key3, b bucket) { out = append(out, bucketResource(k, b)) })
 	slices.SortFunc(out, func(a, b BucketResource) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 
-// bucketResource names one bucket as a resource; a nil bucket (one that
+// bucketResource names one bucket as a resource; the zero bucket (one that
 // emptied) has no members.
-func bucketResource(k key3, b *bucket) BucketResource {
-	r := BucketResource{Key: k.canon()}
+func bucketResource(k key3, b bucket) BucketResource {
+	r := BucketResource{Key: k.canon(), Members: len(b.rules), Hash: b.hash}
 	if k.t != wild {
 		r.Tenant = k.t
 	}
 	if k.d != wild {
 		r.Service = k.d
-	}
-	if b != nil {
-		r.Members, r.Hash = len(b.rules), b.hash
 	}
 	return r
 }
@@ -421,26 +429,38 @@ func (c *Compiler) Changes() []BucketResource {
 // Fingerprint digests the compiled table — bucket keys, member counts and
 // content hashes, shard assignments — into one value, read under one lock.
 // Equal fingerprints mean byte-identical compiled state; tests assert it is
-// stable across full and incremental compilation and across runs. Each
-// folded field is the text "members/hex-hash" or "tenant=[i j …]", built in
-// one stack buffer.
+// stable across full and incremental compilation and across runs. The
+// buckets fold in the order of their canonical keys, each key written once
+// into one arena sized up front; each folded field after it is the text
+// "members/hex-hash" or "tenant=[i j …]", built in one stack buffer. Its
+// allocations do not grow with the table.
 func (c *Compiler) Fingerprint() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	type keyed struct {
-		key string
-		b   *bucket
+		off, end int // the canonical key is arena[off:end]
+		members  int
+		hash     uint64
 	}
+	size := 0
+	c.table.each(func(k key3, _ bucket) { size += k.canonLen() })
+	arena := make([]byte, 0, size)
 	all := make([]keyed, 0, c.table.size())
-	c.table.each(func(k key3, b *bucket) { all = append(all, keyed{k.canon(), b}) })
-	slices.SortFunc(all, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
+	c.table.each(func(k key3, b bucket) {
+		off := len(arena)
+		arena = k.appendCanon(arena)
+		all = append(all, keyed{off, len(arena), len(b.rules), b.hash})
+	})
+	slices.SortFunc(all, func(x, y keyed) int {
+		return bytes.Compare(arena[x.off:x.end], arena[y.off:y.end])
+	})
 	h := uint64(fnvOffset)
 	var buf [64]byte
 	for _, e := range all {
-		h = fnv64Fold(h, e.key)
-		b := strconv.AppendInt(buf[:0], int64(len(e.b.rules)), 10)
+		h = fnvByte(fnvBytes(h, arena[e.off:e.end]), 0xff)
+		b := strconv.AppendInt(buf[:0], int64(e.members), 10)
 		b = append(b, '/')
-		b = strconv.AppendUint(b, e.b.hash, 16)
+		b = strconv.AppendUint(b, e.hash, 16)
 		h = fnvByte(fnvBytes(h, b), 0xff)
 	}
 	tenants := make([]string, 0, len(c.table.assign))

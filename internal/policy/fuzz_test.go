@@ -184,7 +184,7 @@ func checkAgainstOracle(t *testing.T, step int, c *Compiler, live []Intention, q
 	}
 	distinct := map[string]bool{}
 	for i := range live {
-		for _, m := range live[i].predicates() {
+		for _, m := range live[i].appendPredicates(nil) {
 			if m.Op == OpRegex {
 				distinct[m.Value] = true
 			}

@@ -77,3 +77,78 @@ func TestPolicyBytesPerRule(t *testing.T) {
 		t.Fatalf("%.0f heap bytes per installed intention, want <= 500", perRule)
 	}
 }
+
+// mallocsPerRun is every allocation runs calls of f make, divided by runs:
+// a total, never truncated to a whole number per call.
+func mallocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// exactKeyRules is n intentions in the shape l7 translates AuthzRules to
+// (wildcard source tenant, exact source and destination), each alone in its
+// bucket across eight destinations, and a sixteenth of them denies.
+func exactKeyRules(n int) []Intention {
+	out := make([]Intention, n)
+	for i := range out {
+		out[i] = Intention{
+			ID: fmt.Sprintf("r%d", i), Name: fmt.Sprintf("rule-%d", i),
+			Src: Exact(fmt.Sprintf("peer-%d", i)), Dst: Exact(fmt.Sprintf("svc-%d", i%8)),
+		}
+		if i%16 == 5 {
+			out[i].Action = ActionDeny
+		}
+	}
+	return out
+}
+
+// TestCompilerAllocs pins what compiling costs in heap objects: a bulk
+// Apply of fresh exact-key rules into an empty compiler, per rule, and
+// Fingerprint, whose pin holds over ten buckets and over a thousand alike.
+// Skipped under -race, whose instrumentation changes the counts.
+func TestCompilerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	const rules, runs = 1024, 8
+	// applyPerRule is the pin: 2.21 measured. Per rule: the compiled
+	// intention, its bucket's one-element rule slice, a sixteenth of a
+	// deny's reason, and the amortized growth of the intention index, the
+	// Apply's working set and the destination maps, whose splits move with
+	// each map's hash seed by a thousandth. fingerprintAllocs: the arena,
+	// the key offsets and the tenant list.
+	const applyPerRule, fingerprintAllocs = 2.25, 3
+	intents := exactKeyRules(rules)
+	compilers := make([]*Compiler, runs)
+	for i := range compilers {
+		compilers[i] = NewCompiler(Config{Seed: 1})
+	}
+	next := 0
+	got := mallocsPerRun(runs, func() {
+		mustApply(t, compilers[next], nil, intents)
+		next++
+	}) / rules
+	t.Logf("bulk Apply: %.3f objects per rule", got)
+	if got > applyPerRule {
+		t.Errorf("bulk Apply: %.3f objects per rule, pinned at %v", got, applyPerRule)
+	}
+
+	fingerprint := func(n int) float64 {
+		c := NewCompiler(Config{Seed: 1})
+		mustApply(t, c, nil, exactKeyRules(n))
+		mustApply(t, c, nil, []Intention{{ID: "t", SrcTenant: "tenant", Src: Exact("web"), Dst: Exact("api")}})
+		return mallocsPerRun(runs, func() { c.Fingerprint() })
+	}
+	small, large := fingerprint(10), fingerprint(1000)
+	t.Logf("Fingerprint: %v objects over 11 buckets, %v over 1001", small, large)
+	if small > fingerprintAllocs || large > fingerprintAllocs {
+		t.Errorf("Fingerprint: %v objects over 11 buckets, %v over 1001, pinned at %v whatever the table's size",
+			small, large, fingerprintAllocs)
+	}
+}

@@ -215,15 +215,16 @@ func (in *Intention) fold(h uint64) uint64 {
 	return fnvByte(h, 0xff)
 }
 
-// predicates lists the intention's string predicates, headers last: what
-// Patterns interns when the intention is installed and releases when it goes.
-func (in *Intention) predicates() []*Match {
-	ps := make([]*Match, 0, 4+len(in.Headers))
-	ps = append(ps, &in.Src, &in.Dst, &in.Method, &in.Path)
+// appendPredicates appends the intention's string predicates to buf,
+// headers last: what Patterns interns when the intention is installed and
+// releases when it goes. A caller passing a stack array's slice lists them
+// without allocating, for up to that array's length.
+func (in *Intention) appendPredicates(buf []*Match) []*Match {
+	buf = append(buf, &in.Src, &in.Dst, &in.Method, &in.Path)
 	for i := range in.Headers {
-		ps = append(ps, &in.Headers[i].Match)
+		buf = append(buf, &in.Headers[i].Match)
 	}
-	return ps
+	return buf
 }
 
 // tenantKey normalizes the source-tenant dimension ("" → "*").

@@ -547,6 +547,78 @@ func TestFingerprintAfterTenantLeaves(t *testing.T) {
 	}
 }
 
+// fnv64Fold folds one string into a running FNV-1a hash, closing it with a
+// 0xff terminator: the string-built form the compiler streams its folds in.
+func fnv64Fold(h uint64, s string) uint64 {
+	return fnvByte(fnvString(h, s), 0xff)
+}
+
+// referenceFingerprint is Fingerprint built from strings: every bucket's
+// canon() key, sorted as strings, folded with its "members/hex-hash", then
+// each tenant's "=[i j …]" shard list.
+func referenceFingerprint(c *Compiler) uint64 {
+	type keyed struct {
+		key string
+		b   bucket
+	}
+	var all []keyed
+	c.table.each(func(k key3, b bucket) { all = append(all, keyed{k.canon(), b}) })
+	slices.SortFunc(all, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
+	h := uint64(fnvOffset)
+	for _, e := range all {
+		h = fnv64Fold(h, e.key)
+		h = fnv64Fold(h, fmt.Sprintf("%d/%x", len(e.b.rules), e.b.hash))
+	}
+	tenants := make([]string, 0, len(c.table.assign))
+	for t := range c.table.assign {
+		tenants = append(tenants, t)
+	}
+	slices.Sort(tenants)
+	for _, t := range tenants {
+		h = fnv64Fold(fnvString(h, t), fmt.Sprint("=", c.table.assign[t]))
+	}
+	return h
+}
+
+// TestFingerprintMatchesCanonStrings: names holding "|" and `\`, whose
+// escaped keys sort apart from their raw bytes, fingerprint exactly as the
+// reference that sorts and folds canon() strings — in every shard, in the
+// per-destination maps and in the wildcard-destination map.
+func TestFingerprintMatchesCanonStrings(t *testing.T) {
+	names := []string{"a", "a|b", `a\b`, `a\`, "a|", "ab", "|", `\`, `\|`, "b"}
+	var intents []Intention
+	for i, tenant := range append([]string{""}, names...) {
+		for j, src := range names {
+			for k, dst := range names {
+				if (i+j+k)%3 != 0 {
+					continue
+				}
+				in := Intention{
+					ID:        fmt.Sprintf("%d/%d/%d", i, j, k),
+					SrcTenant: tenant, Src: Exact(src), Dst: Exact(dst),
+					Precedence: i - j,
+				}
+				if k%4 == 1 {
+					in.Dst = Any()
+				}
+				if j%5 == 2 {
+					in.Src, in.Action = Prefix(src), ActionDeny
+				}
+				intents = append(intents, in)
+			}
+		}
+	}
+	c := newCompiler(Config{Seed: 5}, 8, 2)
+	mustApply(t, c, nil, intents)
+	if got, want := c.Fingerprint(), referenceFingerprint(c); got != want {
+		t.Fatalf("fingerprint %x, canon-string reference %x", got, want)
+	}
+	mustApply(t, c, []string{"0/0/0", "3/3/3"}, intents[len(intents)/2:])
+	if got, want := c.Fingerprint(), referenceFingerprint(c); got != want {
+		t.Fatalf("after an incremental Apply: fingerprint %x, canon-string reference %x", got, want)
+	}
+}
+
 // TestPatternsShareAndRelease pins the intern table's lifetime through the
 // compiler: one compiled expression per distinct pattern in use, shared by
 // every predicate naming it; replacing intentions with the same patterns

@@ -26,20 +26,40 @@ func (k key3) canon() string {
 	return escapeDim(k.t) + "|" + escapeDim(k.s) + "|" + escapeDim(k.d)
 }
 
+// appendCanon appends canon's bytes to buf without building the string.
+func (k key3) appendCanon(buf []byte) []byte {
+	buf = appendDim(buf, k.t)
+	buf = append(buf, '|')
+	buf = appendDim(buf, k.s)
+	buf = append(buf, '|')
+	return appendDim(buf, k.d)
+}
+
+// canonLen is the length of canon's rendering.
+func (k key3) canonLen() int { return dimLen(k.t) + 1 + dimLen(k.s) + 1 + dimLen(k.d) }
+
 // escapeDim backslash-escapes every `\` and "|" in one key dimension.
 func escapeDim(s string) string {
-	if strings.IndexByte(s, '|') < 0 && strings.IndexByte(s, '\\') < 0 {
+	n := dimLen(s)
+	if n == len(s) {
 		return s
 	}
-	var b strings.Builder
+	return string(appendDim(make([]byte, 0, n), s))
+}
+
+// appendDim appends one key dimension to buf, escaped as escapeDim does.
+func appendDim(buf []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if s[i] == '\\' || s[i] == '|' {
-			b.WriteByte('\\')
+			buf = append(buf, '\\')
 		}
-		b.WriteByte(s[i])
+		buf = append(buf, s[i])
 	}
-	return b.String()
+	return buf
 }
+
+// dimLen is the length of one key dimension once escaped.
+func dimLen(s string) int { return len(s) + strings.Count(s, "|") + strings.Count(s, `\`) }
 
 // compiled is one intention prepared for evaluation: predicates
 // pre-compiled (regexes interned), a deny's reason pre-concatenated, and a
@@ -114,10 +134,12 @@ func (c *compiled) beats(o *compiled) bool {
 	return c.order < o.order
 }
 
-// bucket is one dispatch-table cell: the intentions sharing a key. The
-// beats-sorted slice is the membership: placing appends, unplacing
+// bucket is one dispatch-table cell: the intentions sharing a key, held by
+// value in the table's maps. The beats-sorted slice is the membership: an
+// Apply places into a working copy of the bucket (appending), unplacing
 // tombstones (compiled.removed), and the Apply's rebuild compacts and
-// re-sorts, so Eval only ever sees a sorted slice of live rules.
+// re-sorts the copy and stores it, so Eval only ever sees a sorted slice of
+// live rules.
 type bucket struct {
 	rules []*compiled // sorted: best first
 	hash  uint64      // content address over the members' canonical forms
@@ -133,9 +155,9 @@ type bucket struct {
 // track allow-intention existence per destination, which decides the
 // zero-trust default for unmatched traffic.
 type Table struct {
-	shards []map[key3]*bucket
-	byDst  map[string]map[string]*bucket // {*, s, d}: d → s → bucket
-	anyDst map[string]*bucket            // {*, s, *}: s → bucket
+	shards []map[key3]bucket
+	byDst  map[string]map[string]bucket // {*, s, d}: d → s → bucket
+	anyDst map[string]bucket            // {*, s, *}: s → bucket
 	// assign is each tenant's shuffle-shard assignment: h of the K shard
 	// indices, a deterministic function of (tenant, seed). It is created
 	// with the tenant's first bucket and released with its last; buckets
@@ -148,7 +170,7 @@ type Table struct {
 }
 
 // each calls f with every bucket and its key, in no particular order.
-func (t *Table) each(f func(key3, *bucket)) {
+func (t *Table) each(f func(key3, bucket)) {
 	for _, m := range t.shards {
 		for k, b := range m {
 			f(k, b)
@@ -179,15 +201,15 @@ func (t *Table) size() int {
 // newTable returns an empty table with k shards.
 func newTable(k int) *Table {
 	t := &Table{
-		shards:     make([]map[key3]*bucket, k),
-		byDst:      make(map[string]map[string]*bucket),
-		anyDst:     make(map[string]*bucket),
+		shards:     make([]map[key3]bucket, k),
+		byDst:      make(map[string]map[string]bucket),
+		anyDst:     make(map[string]bucket),
 		assign:     make(map[string][]int),
 		buckets:    make(map[string]int),
 		allowByDst: make(map[string]int),
 	}
 	for i := range t.shards {
-		t.shards[i] = make(map[key3]*bucket)
+		t.shards[i] = make(map[key3]bucket)
 	}
 	return t
 }
@@ -241,13 +263,13 @@ func shardOf(idxs []int, k key3) int {
 	return idxs[fnv64(k.t, k.s, k.d)%uint64(len(idxs))]
 }
 
-// lookup returns the key's bucket, or nil when it has none.
-func (t *Table) lookup(k key3) *bucket {
+// lookup returns the key's bucket, or the zero bucket when it has none.
+func (t *Table) lookup(k key3) bucket {
 	switch {
 	case k.t != wild:
 		idxs := t.assign[k.t]
 		if idxs == nil {
-			return nil
+			return bucket{}
 		}
 		return t.shards[shardOf(idxs, k)][k]
 	case k.d != wild:
@@ -257,16 +279,16 @@ func (t *Table) lookup(k key3) *bucket {
 	}
 }
 
-// store files a new bucket under its key. An exact-tenant key's tenant must
-// hold its shard assignment.
-func (t *Table) store(k key3, b *bucket) {
+// store files a bucket under its key. An exact-tenant key's tenant must hold
+// its shard assignment.
+func (t *Table) store(k key3, b bucket) {
 	switch {
 	case k.t != wild:
 		t.shards[shardOf(t.assign[k.t], k)][k] = b
 	case k.d != wild:
 		m := t.byDst[k.d]
 		if m == nil {
-			m = make(map[string]*bucket)
+			m = make(map[string]bucket)
 			t.byDst[k.d] = m
 		}
 		m[k.s] = b
@@ -292,15 +314,13 @@ func (t *Table) remove(k key3) {
 	}
 }
 
-// scan walks one candidate bucket best-first, returning the winning match
-// between the bucket and the incumbent. Because rules are beats-sorted, the
-// walk stops as soon as the remaining candidates cannot beat the incumbent
-// — per-request cost is bounded by the candidate bucket, never the table.
-func (t *Table) scan(b *bucket, q *Query, best *compiled) *compiled {
-	if b == nil {
-		return best
-	}
-	for _, c := range b.rules {
+// scan walks one candidate bucket's rules best-first, returning the winning
+// match between the bucket and the incumbent. Because rules are
+// beats-sorted, the walk stops as soon as the remaining candidates cannot
+// beat the incumbent — per-request cost is bounded by the candidate bucket,
+// never the table. A key with no bucket has no rules.
+func (t *Table) scan(rules []*compiled, q *Query, best *compiled) *compiled {
+	for _, c := range rules {
 		if best != nil && !c.beats(best) {
 			return best
 		}
@@ -320,18 +340,18 @@ func (t *Table) scan(b *bucket, q *Query, best *compiled) *compiled {
 func (t *Table) eval(q *Query) Verdict {
 	var best *compiled
 	if idxs := t.assign[q.SrcTenant]; idxs != nil {
-		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, q.SrcService, q.DstService})][key3{q.SrcTenant, q.SrcService, q.DstService}], q, best)
-		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, q.SrcService, wild})][key3{q.SrcTenant, q.SrcService, wild}], q, best)
-		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, wild, q.DstService})][key3{q.SrcTenant, wild, q.DstService}], q, best)
-		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, wild, wild})][key3{q.SrcTenant, wild, wild}], q, best)
+		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, q.SrcService, q.DstService})][key3{q.SrcTenant, q.SrcService, q.DstService}].rules, q, best)
+		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, q.SrcService, wild})][key3{q.SrcTenant, q.SrcService, wild}].rules, q, best)
+		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, wild, q.DstService})][key3{q.SrcTenant, wild, q.DstService}].rules, q, best)
+		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, wild, wild})][key3{q.SrcTenant, wild, wild}].rules, q, best)
 	}
 	if m := t.byDst[q.DstService]; m != nil {
-		best = t.scan(m[q.SrcService], q, best)
-		best = t.scan(m[wild], q, best)
+		best = t.scan(m[q.SrcService].rules, q, best)
+		best = t.scan(m[wild].rules, q, best)
 	}
 	if len(t.anyDst) > 0 {
-		best = t.scan(t.anyDst[q.SrcService], q, best)
-		best = t.scan(t.anyDst[wild], q, best)
+		best = t.scan(t.anyDst[q.SrcService].rules, q, best)
+		best = t.scan(t.anyDst[wild].rules, q, best)
 	}
 
 	if best != nil {
@@ -353,11 +373,7 @@ func (t *Table) eval(q *Query) Verdict {
 // path only widens with its own rules plus the wildcard-tenant set).
 func (t *Table) candidateRules(q *Query) int {
 	n := 0
-	count := func(b *bucket) {
-		if b != nil {
-			n += len(b.rules)
-		}
-	}
+	count := func(b bucket) { n += len(b.rules) }
 	if idxs := t.assign[q.SrcTenant]; idxs != nil {
 		for _, k := range [4]key3{
 			{q.SrcTenant, q.SrcService, q.DstService},

@@ -115,10 +115,13 @@ go test -run '^$' -fuzz FuzzConfigSnapshots -fuzztime 5s ./internal/configpush
 # and both skip themselves under -race (instrumentation changes allocation
 # counts), so they get dedicated non-race invocations: TestHotPathAllocs
 # against the checked-in BENCH_hotpath.json baseline, and TestServeHTTPAllocs,
-# one row per way through the live ServeHTTP. The suite's rendered SHA-256
-# (every experiment through the parallel runner) skips under -race too, for
-# time, and runs beside them.
+# one row per way through the live ServeHTTP. Beside them the policy
+# compiler's pins, skipped under -race for the same reason: objects per rule
+# of a bulk Apply, and a Fingerprint whose allocations do not grow with the
+# table. The suite's rendered SHA-256 (every experiment through the parallel
+# runner) skips under -race too, for time, and runs beside them.
 go test -run TestServeHTTPAllocs .
+go test -run TestCompilerAllocs ./internal/policy
 go test -run 'TestHotPathAllocs|TestSuiteRenderedSHA' ./internal/bench
 # The digest once more at GOMAXPROCS=1 (-cpu 1): the runner and every
 # ForEachPoint sweep inside an experiment then run serially, so the same
