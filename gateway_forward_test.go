@@ -48,6 +48,10 @@ func rawClient(t *testing.T) *http.Client {
 // set, for a plain request, a request behind an earlier proxy, a rule that
 // rewrites the path and sets and strips headers, a mirrored POST, and a
 // client that asks for gzip. The gateway adds no Accept-Encoding of its own.
+// A client's Connection header drops the headers it names and the
+// hop-by-hop set from both the primary and the mirror, but never a header
+// the gateway sets — not even the verified X-Canal-Source of a signed
+// request — and a requested upgrade still goes through.
 // The only normalised part is the span ID the gateway mints for traceparent
 // (and the whole trace context when the client sent none).
 func TestGatewayForwardedBytesGolden(t *testing.T) {
@@ -80,7 +84,11 @@ func TestGatewayForwardedBytesGolden(t *testing.T) {
 			{Name: "mirror-orders", Match: RouteMatch{Path: Prefix("/orders")}, MirrorTo: "shadow"},
 		},
 	}
-	gwSrv, _, _ := testMesh(t, cfg, map[string][]string{"v1": {v1.URL}, "beta": {v2.URL}, "shadow": {v3.URL}}, false)
+	pools := map[string][]string{"v1": {v1.URL}, "beta": {v2.URL}, "shadow": {v3.URL}}
+	gwSrv, _, _ := testMesh(t, cfg, pools, false)
+	_, agent, _ := testMesh(t, cfg, pools, true)
+	client := rawClient(t)
+	agent.Client = client
 
 	cases := []struct {
 		name         string
@@ -90,6 +98,7 @@ func TestGatewayForwardedBytesGolden(t *testing.T) {
 		from         <-chan string
 		want         string
 		wantMirror   string
+		signed       bool // sent by agent to a gateway with RequireAuth on
 	}{
 		{
 			name: "plain", method: "GET", path: "/hello?x=1&y=2", from: primary,
@@ -167,6 +176,80 @@ X-Canal-Tenant: tenant1
 payload-123`,
 		},
 		{
+			name: "client names gateway-set headers in Connection", method: "GET", path: "/hello", from: primary,
+			headers: [][2]string{{"Traceparent", clientTP}, {"Connection", "X-Canal-Subset, Traceparent, X-Custom"},
+				{"X-Custom", "abc"}, {"X-Canal-Subset", "forged"}, {"Proxy-Authorization", "Basic Z3c6cHc="}, {"Keep-Alive", "timeout=5"}},
+			want: `GET /hello
+Traceparent: 00-0af7651916cd43dd8448eb211c80319c-<gateway-span>-01
+User-Agent: Go-http-client/1.1
+X-Canal-Service: web
+X-Canal-Source: client
+X-Canal-Subset: v1
+X-Canal-Tenant: tenant1
+X-Forwarded-For: 127.0.0.1
+
+`,
+		},
+		{
+			name: "mirrored POST with hop-by-hop headers", method: "POST", path: "/orders/9", body: "payload-9", from: primary,
+			headers: [][2]string{{"Traceparent", clientTP}, {"Connection", "X-Custom, X-Canal-Subset"}, {"X-Custom", "abc"},
+				{"Proxy-Authorization", "Basic Z3c6cHc="}, {"Te", "trailers"}},
+			want: `POST /orders/9
+Content-Length: 9
+Te: trailers
+Traceparent: 00-0af7651916cd43dd8448eb211c80319c-<gateway-span>-01
+User-Agent: Go-http-client/1.1
+X-Canal-Service: web
+X-Canal-Source: client
+X-Canal-Subset: v1
+X-Canal-Tenant: tenant1
+X-Forwarded-For: 127.0.0.1
+
+payload-9`,
+			wantMirror: `POST /orders/9
+Content-Length: 9
+Traceparent: 00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01
+User-Agent: Go-http-client/1.1
+X-Canal-Service: web
+X-Canal-Source: client
+X-Canal-Subset: shadow
+X-Canal-Tenant: tenant1
+
+payload-9`,
+		},
+		{
+			name: "upgrade", method: "GET", path: "/hello", from: primary,
+			headers: [][2]string{{"Traceparent", clientTP}, {"Connection", "Upgrade, X-Custom"}, {"Upgrade", "websocket"},
+				{"X-Custom", "abc"}},
+			want: `GET /hello
+Connection: Upgrade
+Traceparent: 00-0af7651916cd43dd8448eb211c80319c-<gateway-span>-01
+Upgrade: websocket
+User-Agent: Go-http-client/1.1
+X-Canal-Service: web
+X-Canal-Source: client
+X-Canal-Subset: v1
+X-Canal-Tenant: tenant1
+X-Forwarded-For: 127.0.0.1
+
+`,
+		},
+		{
+			name: "signed, verified source named in Connection", method: "GET", path: "/hello", from: primary, signed: true,
+			headers: [][2]string{{"Traceparent", clientTP}, {"Connection", "X-Canal-Source, X-Canal-Subset, X-Custom"},
+				{"X-Custom", "abc"}},
+			want: `GET /hello
+Traceparent: 00-0af7651916cd43dd8448eb211c80319c-<gateway-span>-01
+User-Agent: Go-http-client/1.1
+X-Canal-Service: web
+X-Canal-Source: client
+X-Canal-Subset: v1
+X-Canal-Tenant: tenant1
+X-Forwarded-For: 127.0.0.1
+
+`,
+		},
+		{
 			name: "client asks for gzip", method: "GET", path: "/hello", from: primary,
 			headers: [][2]string{{"Traceparent", clientTP}, {"Accept-Encoding", "gzip"}},
 			want: `GET /hello
@@ -182,24 +265,34 @@ X-Forwarded-For: 127.0.0.1
 `,
 		},
 	}
-	client := rawClient(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var body io.Reader
 			if tc.body != "" {
 				body = strings.NewReader(tc.body)
 			}
-			req, err := http.NewRequest(tc.method, gwSrv.URL+tc.path, body)
-			if err != nil {
-				t.Fatal(err)
+			var resp *http.Response
+			var err error
+			if tc.signed {
+				headers := map[string]string{}
+				for _, kv := range tc.headers {
+					headers[kv[0]] = kv[1]
+				}
+				resp, err = agent.Do(tc.method, "web", tc.path, body, headers)
+			} else {
+				var req *http.Request
+				req, err = http.NewRequest(tc.method, gwSrv.URL+tc.path, body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				req.Header.Set(HeaderTenant, "tenant1")
+				req.Header.Set(HeaderService, "web")
+				req.Header.Set(HeaderSource, "client")
+				for _, kv := range tc.headers {
+					req.Header.Set(kv[0], kv[1])
+				}
+				resp, err = client.Do(req)
 			}
-			req.Header.Set(HeaderTenant, "tenant1")
-			req.Header.Set(HeaderService, "web")
-			req.Header.Set(HeaderSource, "client")
-			for _, kv := range tc.headers {
-				req.Header.Set(kv[0], kv[1])
-			}
-			resp, err := client.Do(req)
 			if err != nil {
 				t.Fatal(err)
 			}

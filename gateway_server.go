@@ -491,9 +491,6 @@ func emptied(m map[string]string) map[string]string {
 // (method + path), so an unkeyed trace would leak one tenant's paths into
 // another tenant's exports.
 func (g *GatewayServer) startTrace(r *http.Request) *trace.Trace {
-	if g.tracer == nil {
-		return nil
-	}
 	tenant := r.Header.Get(HeaderTenant)
 	name := r.Method + " " + r.URL.Path
 	if tp := r.Header[traceparentKey]; len(tp) > 0 {
@@ -506,9 +503,9 @@ func (g *GatewayServer) startTrace(r *http.Request) *trace.Trace {
 
 // traceIDString renders the request's trace ID the first time it is asked for,
 // and returns that rendering after: an error response's header and its
-// access-log line share one string. It is "" when the request has no trace.
+// access-log line share one string.
 func (st *requestState) traceIDString() string {
-	if st.traceID == "" && st.tr != nil {
+	if st.traceID == "" {
 		st.traceID = st.tr.ID.String()
 	}
 	return st.traceID
@@ -518,9 +515,7 @@ func (st *requestState) traceIDString() string {
 // the caller can join the rejection to its trace, and logs the request.
 func (g *GatewayServer) fail(w http.ResponseWriter, st *requestState, status int, msg string) {
 	st.status = status
-	if st.tr != nil {
-		w.Header().Set(HeaderTrace, st.traceIDString())
-	}
+	w.Header().Set(HeaderTrace, st.traceIDString())
 	g.logReq(st)
 	http.Error(w, msg, status)
 }
@@ -623,9 +618,7 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 
 	r = r.WithContext(context.WithValue(ctx, stateKey{}, st))
-	if st.tr != nil {
-		st.upstreamStart = g.tracer.Now()
-	}
+	st.upstreamStart = g.tracer.Now()
 	st.proxied, st.inProxy = true, true
 	if r.ContentLength != 0 {
 		// The HTTP/1 server otherwise consumes and closes the inbound body
@@ -646,7 +639,12 @@ func (g *GatewayServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (g *GatewayServer) directUpstream(out *http.Request) {
 	st := stateOf(out)
 	decision := &st.decision
-	dropCredentials(out.Header)
+	if upgrade := dropHopHeaders(out.Header); upgrade != "" {
+		// Put back what the proxy needs to carry the upgrade through; it
+		// strips them again and sets them itself.
+		out.Header.Set("Connection", "Upgrade")
+		out.Header.Set("Upgrade", upgrade)
+	}
 	out.URL.Scheme = st.target.Scheme
 	out.URL.Host = st.target.Host
 	if decision.PathRewrite != "" {
@@ -660,22 +658,44 @@ func (g *GatewayServer) directUpstream(out *http.Request) {
 	}
 	out.Header[HeaderSubset] = st.subset
 	st.forwardSource(out.Header)
-	if st.tr != nil {
-		// Propagate the trace context upstream: the gateway's root
-		// span becomes the upstream's parent.
-		setOwned(out.Header, traceparentKey, trace.Traceparent(st.tr.ID, st.tr.Root().ID, st.tr.Sampled))
-	}
+	// Propagate the trace context upstream: the gateway's root span becomes
+	// the upstream's parent.
+	setOwned(out.Header, traceparentKey, trace.Traceparent(st.tr.ID, st.tr.Root().ID, st.tr.Sampled))
 }
 
-// dropCredentials deletes the identity headers from h, a header set going
-// upstream. They are addressed to the gateway, which has verified them, as
-// Proxy-Authorization is addressed to a proxy; an upstream is told the
-// verified source instead (forwardSource). Deleted before anything is added,
-// they also leave room in h for what the gateway adds.
-func dropCredentials(h http.Header) {
+// hopByHop is the standard hop-by-hop header set (RFC 7230 §6.1 and RFC
+// 2616 §13.5.1), the one net/http/httputil strips, in canonical form.
+var hopByHop = [...]string{"Connection", "Proxy-Connection", "Keep-Alive", "Proxy-Authenticate",
+	"Proxy-Authorization", "Te", "Trailer", "Transfer-Encoding", "Upgrade"}
+
+// dropHopHeaders deletes from h, a header set going upstream, every header
+// addressed to the gateway and not to the upstream: the identity headers,
+// which the gateway verifies and an upstream is told the verified source in
+// place of (forwardSource); every header the client's Connection header
+// names; and the standard hop-by-hop set, Proxy-Authorization among them
+// (RFC 7230 §6.1). Both outbound paths call it before the gateway adds a
+// header, so nothing the gateway sets is dropped for the client's asking,
+// and the deletions leave room in h for what it adds. It returns the
+// protocol a "Connection: Upgrade" asked for, or "".
+func dropHopHeaders(h http.Header) (upgrade string) {
 	delete(h, HeaderCert)
 	delete(h, HeaderSignature)
 	delete(h, HeaderTimestamp)
+	for _, v := range h["Connection"] {
+		for v != "" {
+			var name string
+			name, v, _ = strings.Cut(v, ",")
+			name = textproto.TrimString(name)
+			if upgrade == "" && strings.EqualFold(name, "Upgrade") {
+				upgrade = h.Get("Upgrade")
+			}
+			h.Del(name)
+		}
+	}
+	for _, k := range hopByHop {
+		delete(h, k)
+	}
+	return upgrade
 }
 
 // forwardSource writes the verified source identity into h, a header set
@@ -707,7 +727,7 @@ func setOwned(h http.Header, key, v string) {
 func (g *GatewayServer) recordUpstreamStatus(resp *http.Response) error {
 	st := stateOf(resp.Request)
 	st.status = resp.StatusCode
-	if resp.StatusCode >= 400 && st.tr != nil {
+	if resp.StatusCode >= 400 {
 		resp.Header.Set(HeaderTrace, st.traceIDString())
 	}
 	return nil
@@ -728,9 +748,7 @@ func (g *GatewayServer) upstreamFailed(w http.ResponseWriter, r *http.Request, e
 // service time in the trace, and the request is logged unless upstreamFailed
 // already did.
 func (g *GatewayServer) exchanged(st *requestState) {
-	if st.tr != nil {
-		st.tr.AddHop(trace.Hop{Name: "gateway/upstream", Start: st.upstreamStart, End: g.tracer.Now()})
-	}
+	st.tr.AddHop(trace.Hop{Name: "gateway/upstream", Start: st.upstreamStart, End: g.tracer.Now()})
 	if st.proxied {
 		g.logReq(st)
 	}
@@ -751,9 +769,7 @@ func (g *GatewayServer) finish(st *requestState) {
 	if st.admitted != nil {
 		st.admitted(st.proxied)
 	}
-	if st.tr != nil {
-		g.tracer.Finish(st.tr, st.status)
-	}
+	g.tracer.Finish(st.tr, st.status)
 	g.recycle(st)
 }
 
@@ -784,7 +800,7 @@ func (g *GatewayServer) spawnMirror(r *http.Request, target *url.URL, subset []s
 		}
 	}
 	headers := r.Header.Clone()
-	dropCredentials(headers)
+	dropHopHeaders(headers)
 	headers[HeaderSubset] = subset
 	st.forwardSource(headers)
 	// The mirror's URL is the primary's as directUpstream builds it: escaped

@@ -103,7 +103,7 @@ func TestArmsMatchAtAnyWorkerCount(t *testing.T) {
 // concatenated in paper order: the byte contract the benchmark's sim-suite
 // workload checks each pass against. Changes to simulated code must leave it
 // unchanged; a deliberate change to a table moves it in the same commit.
-const suiteRenderedSHA = "6490a1b1deaf74a31f8aa0d8af129fbc74aa68a6892269c1775556def76d2a35"
+const suiteRenderedSHA = "35dc7719a2e33e5f1a8e36f26b5c68a9112f8580faa613fe1caaaf0b0eedf743"
 
 // TestSuiteRenderedSHA runs the whole suite through the parallel runner and
 // compares the digest of its rendered output with suiteRenderedSHA — which

@@ -183,7 +183,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 
 	// Policy lookup: a compiled dispatch-table Eval through a populated
 	// shard (exact-key hit plus wildcard probes) on the deny-wins path.
-	pc := policy.NewCompiler(policy.Config{Seed: 42})
+	pc := policy.NewCompiler()
 	if _, err := pc.Apply(nil, []policy.Intention{
 		{ID: "a", Name: "allow", SrcTenant: "acme", Src: policy.Exact("web"),
 			Dst: policy.Exact("checkout"), Action: policy.ActionAllow},
@@ -205,7 +205,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 
 	// Policy lookup through an any-tenant, any-destination intention: the
 	// wildcard-destination buckets the table probes only when one exists.
-	wc := policy.NewCompiler(policy.Config{Seed: 43})
+	wc := policy.NewCompiler()
 	if _, err := wc.Apply(nil, []policy.Intention{
 		{ID: "w", Name: "deny-debug", Src: policy.Exact("web"),
 			Dst: policy.Any(), Path: policy.Prefix("/debug"), Action: policy.ActionDeny},

@@ -272,7 +272,7 @@ func runPolicyScalePoint(spec PolicyScaleSpec, n int) (PolicyScaleRow, error) {
 	corpus := policyScaleCorpus(rng, n)
 	queries := policyScaleQueries(rng, n, spec.Queries)
 
-	c := policy.NewCompiler(policy.Config{Seed: spec.Seed})
+	c := policy.NewCompiler()
 	if _, err := c.Apply(nil, corpus); err != nil {
 		return PolicyScaleRow{}, err
 	}
@@ -366,7 +366,7 @@ func runPolicyChurn(spec PolicyScaleSpec, fullPush bool) (PolicyChurnRow, error)
 		return PolicyChurnRow{}, err
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	pc := policy.NewCompiler(policy.Config{Seed: spec.Seed})
+	pc := policy.NewCompiler()
 	if _, err := pc.Apply(nil, policyScaleCorpus(rng, 10_000)); err != nil {
 		return PolicyChurnRow{}, err
 	}

@@ -225,7 +225,7 @@ func TestPolicyScaleCorpusStable(t *testing.T) {
 			t.Fatalf("corpus diverges at %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	c := policy.NewCompiler(policy.Config{Seed: spec.Seed})
+	c := policy.NewCompiler()
 	if _, err := c.Apply(nil, a); err != nil {
 		t.Fatal(err)
 	}

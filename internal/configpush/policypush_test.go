@@ -49,7 +49,7 @@ func seedIntentions(t *testing.T, pc *policy.Compiler, n int) {
 // path: one intention change recompiles at most two dispatch buckets, and
 // the resulting push carries only those buckets — not the policy set.
 func TestPolicyDeltaShipsOnlyTouchedBuckets(t *testing.T) {
-	pc := policy.NewCompiler(policy.Config{Seed: 1})
+	pc := policy.NewCompiler()
 	seedIntentions(t, pc, 400)
 	s, d := policyRig(t, pc)
 
@@ -65,10 +65,10 @@ func TestPolicyDeltaShipsOnlyTouchedBuckets(t *testing.T) {
 		fullPolicyBytes += int64(br.Members * d.cfg.Sizing.PerRuleBytes)
 	}
 
-	st, err := pc.Upsert(policy.Intention{
+	st, err := pc.Apply(nil, []policy.Intention{{
 		ID: "seed/0007", Name: "seed-7-updated", SrcTenant: "t00",
 		Src: policy.Exact("src07"), Dst: policy.Exact("svc01"), Action: policy.ActionDeny,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,16 +92,16 @@ func TestPolicyDeltaShipsOnlyTouchedBuckets(t *testing.T) {
 // a burst of policy mutations builds one snapshot, and an untouched table
 // contributes no delta at all.
 func TestPolicyChangesCoalesce(t *testing.T) {
-	pc := policy.NewCompiler(policy.Config{Seed: 1})
+	pc := policy.NewCompiler()
 	seedIntentions(t, pc, 50)
 	s, d := policyRig(t, pc)
 	builds := d.Builds()
 
 	for i := 0; i < 5; i++ {
-		if _, err := pc.Upsert(policy.Intention{
+		if _, err := pc.Apply(nil, []policy.Intention{{
 			ID: fmt.Sprintf("burst/%d", i), Name: "burst", SrcTenant: "t01",
 			Src: policy.Exact("web"), Dst: policy.Exact("svc00"), Action: policy.ActionAllow,
-		}); err != nil {
+		}}); err != nil {
 			t.Fatal(err)
 		}
 		d.PolicyChanged()
@@ -157,7 +157,7 @@ func TestPolicyFlushAllocsFlat(t *testing.T) {
 		t.Skip("allocation counts need a full, uninstrumented run")
 	}
 	allocs := func(n int) float64 {
-		pc := policy.NewCompiler(policy.Config{Seed: 1})
+		pc := policy.NewCompiler()
 		ints := make([]policy.Intention, n)
 		for i := range ints {
 			ints[i] = policy.Intention{
@@ -181,7 +181,7 @@ func TestPolicyFlushAllocsFlat(t *testing.T) {
 		return testing.AllocsPerRun(50, func() {
 			runs++
 			flip.Name = names[runs%2] // moves the bucket's hash
-			if _, err := pc.Upsert(flip); err != nil {
+			if _, err := pc.Apply(nil, []policy.Intention{flip}); err != nil {
 				t.Fatal(err)
 			}
 			d.PolicyChanged() // no debounce: flushes here

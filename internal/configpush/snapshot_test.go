@@ -324,7 +324,7 @@ func checkRetained(t *testing.T, st *Store, oracles map[uint64]*oracleSnapshot, 
 func TestDistributorSnapshotsMatchRebuild(t *testing.T) {
 	s := sim.New(1)
 	c := buildCluster(t, 4, 3, 4)
-	pc := policy.NewCompiler(policy.Config{Seed: 1})
+	pc := policy.NewCompiler()
 	seedIntentions(t, pc, 60)
 	sz := controlplane.DefaultSizing()
 	d := New(Config{Sim: s, Cluster: c, Sizing: sz, Model: controlplane.CanalModel, Debounce: time.Second, Policy: pc})
@@ -359,15 +359,15 @@ func TestDistributorSnapshotsMatchRebuild(t *testing.T) {
 			case 3:
 				c.AddService(fmt.Sprintf("new%02d", rng.Intn(4)), 80, 2)
 			case 4:
-				pc.Delete(fmt.Sprintf("seed/%04d", rng.Intn(60)))
+				pc.Apply([]string{fmt.Sprintf("seed/%04d", rng.Intn(60))}, nil)
 				d.PolicyChanged()
 			default:
 				i := rng.Intn(80)
-				if _, err := pc.Upsert(policy.Intention{
+				if _, err := pc.Apply(nil, []policy.Intention{{
 					ID: fmt.Sprintf("seed/%04d", i), Name: fmt.Sprintf("v%d", rng.Intn(3)),
 					SrcTenant: fmt.Sprintf("t%02d", i%5), Src: policy.Exact(fmt.Sprintf("src%02d", rng.Intn(4))),
 					Dst: policy.Exact(fmt.Sprintf("svc%02d", rng.Intn(3))), Action: policy.ActionAllow,
-				}); err != nil {
+				}}); err != nil {
 					t.Fatal(err)
 				}
 				d.PolicyChanged()

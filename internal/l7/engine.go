@@ -127,7 +127,7 @@ func NewEngine(seed int64) *Engine {
 	return &Engine{
 		services: make(map[string]*Service),
 		rng:      rand.New(rand.NewSource(seed)),
-		policy:   policy.NewCompiler(policy.Config{Seed: seed}),
+		policy:   policy.NewCompiler(),
 	}
 }
 

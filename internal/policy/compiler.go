@@ -3,38 +3,19 @@ package policy
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 )
 
-// The shuffle-shard geometry: exact-tenant buckets spread over shardCount
-// shards, and each tenant is assigned tenantShardCount of them.
-const (
-	shardCount       = 32
-	tenantShardCount = 4
-)
-
-// Config parameterizes a Compiler.
-type Config struct {
-	// Seed drives the deterministic shuffle that assigns tenants to
-	// shards.
-	Seed int64
-}
-
 // Compiler owns the intention set and its compiled dispatch table. Apply
 // mutates incrementally — only the buckets a change touches are rebuilt —
 // and Eval is safe for concurrent use against a mutating compiler (one
 // writer, many readers).
 type Compiler struct {
-	mu  sync.RWMutex
-	cfg Config
-	// shards and tenantShards are the shuffle-shard geometry (K shards,
-	// each tenant assigned tenantShards of them).
-	shards, tenantShards int
-	table                *Table
+	mu    sync.RWMutex
+	table *Table
 	// intentions is the authoritative set by ID.
 	intentions map[string]*compiled
 	seq        int
@@ -47,20 +28,8 @@ type Compiler struct {
 }
 
 // NewCompiler returns an empty compiler.
-func NewCompiler(cfg Config) *Compiler {
-	return newCompiler(cfg, shardCount, tenantShardCount)
-}
-
-// newCompiler takes the shuffle-shard geometry explicitly, so in-package
-// tests can crowd tenants onto fewer shards than the fixed one.
-func newCompiler(cfg Config, shards, tenantShards int) *Compiler {
-	return &Compiler{
-		cfg:          cfg,
-		shards:       shards,
-		tenantShards: tenantShards,
-		table:        newTable(shards),
-		intentions:   make(map[string]*compiled),
-	}
+func NewCompiler() *Compiler {
+	return &Compiler{table: newTable(), intentions: make(map[string]*compiled)}
 }
 
 // Len returns the number of installed intentions.
@@ -151,17 +120,6 @@ func (c *Compiler) record(touched map[key3]bucket) {
 	}
 }
 
-// Upsert installs or replaces a single intention.
-func (c *Compiler) Upsert(in Intention) (ApplyStats, error) {
-	return c.Apply(nil, []Intention{in})
-}
-
-// Delete removes a single intention by ID.
-func (c *Compiler) Delete(id string) ApplyStats {
-	st, _ := c.Apply([]string{id}, nil)
-	return st
-}
-
 // Patterns is the intern table the compiler's intentions share their
 // regular expressions through. Whatever installs predicates beside the
 // compiler's (l7's route rules) interns them here too, so every distinct
@@ -191,36 +149,15 @@ func prepare(in *Intention, p *Patterns) (*compiled, error) {
 	return cc, nil
 }
 
-// assignShards computes a tenant's shuffle-shard assignment: h distinct
-// indices of the K-shard array, drawn from a generator seeded by the tenant
-// name — deterministic across processes, uncorrelated across tenants.
-func (c *Compiler) assignShards(tenant string) []int {
-	rng := rand.New(rand.NewSource(c.cfg.Seed ^ int64(fnv64(tenant))))
-	perm := rng.Perm(c.shards)
-	idxs := make([]int, c.tenantShards)
-	copy(idxs, perm)
-	return idxs
-}
-
 // place appends a compiled intention to its bucket's working copy in
 // touched, taken from the table on the bucket's first touch, and updates the
-// allow-existence counters. A bucket the table does not hold yet counts as
-// its tenant's from here, and the tenant's first bucket creates its shard
-// assignment. The copy is compacted, sorted and stored by rebuild, once per
-// touched bucket per Apply.
+// allow-existence counters. The copy is compacted, sorted and stored by
+// rebuild, once per touched bucket per Apply.
 func (c *Compiler) place(touched map[key3]bucket, cc *compiled) {
 	k := cc.key()
-	if k.t != wild && c.table.assign[k.t] == nil {
-		c.table.assign[k.t] = c.assignShards(k.t)
-	}
 	b, ok := touched[k]
 	if !ok {
 		b = c.table.lookup(k)
-	}
-	// A working copy keeps its tombstones until rebuild, so an empty one is
-	// a bucket the table does not hold.
-	if len(b.rules) == 0 && k.t != wild {
-		c.table.buckets[k.t]++
 	}
 	b.rules = append(b.rules, cc)
 	touched[k] = b
@@ -255,18 +192,11 @@ func (c *Compiler) unplace(cc *compiled) key3 {
 
 // rebuild compacts the working copy b of one bucket's tombstones, re-sorts
 // it, recomputes its content hash and stores it under k, or removes the
-// bucket entirely when it emptied — and with a tenant's last bucket, the
-// tenant's shard assignment. Returns the bucket's member count.
+// bucket entirely when it emptied. Returns the bucket's member count.
 func (c *Compiler) rebuild(k key3, b bucket) int {
 	b.rules = slices.DeleteFunc(b.rules, func(cc *compiled) bool { return cc.removed })
 	if len(b.rules) == 0 {
 		c.table.remove(k)
-		if k.t != wild {
-			if c.table.buckets[k.t]--; c.table.buckets[k.t] == 0 {
-				delete(c.table.buckets, k.t)
-				delete(c.table.assign, k.t)
-			}
-		}
 		return 0
 	}
 	// beats is a strict total order (unique installation sequence), so the
@@ -295,7 +225,7 @@ func (c *Compiler) rebuild(k key3, b bucket) int {
 func (c *Compiler) Full() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.table = newTable(c.shards)
+	c.table = newTable()
 	touched := make(map[key3]bucket)
 	for _, cc := range c.intentions {
 		c.place(touched, cc)
@@ -316,8 +246,8 @@ func (c *Compiler) Eval(q Query) Verdict {
 }
 
 // CandidateRules counts the rules on a query's probe path — the quantity
-// lookup cost scales with (tests pin the shuffle-shard isolation claim on
-// it).
+// lookup cost scales with. Another tenant's rules never add to it: tests
+// pin the tenant isolation claim on it.
 func (c *Compiler) CandidateRules(q Query) int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -332,15 +262,13 @@ type TableStats struct {
 	// GlobalRules counts rules in wildcard-tenant buckets — every
 	// tenant's probe path includes these.
 	GlobalRules int
-	// Tenants is how many tenants hold a shard assignment.
-	Tenants int
 }
 
 // Stats computes the table's current shape.
 func (c *Compiler) Stats() TableStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	st := TableStats{Intentions: len(c.intentions), Tenants: len(c.table.assign)}
+	st := TableStats{Intentions: len(c.intentions)}
 	c.table.each(func(k key3, b bucket) {
 		st.Buckets++
 		st.MaxBucket = max(st.MaxBucket, len(b.rules))
@@ -427,13 +355,12 @@ func (c *Compiler) Changes() []BucketResource {
 }
 
 // Fingerprint digests the compiled table — bucket keys, member counts and
-// content hashes, shard assignments — into one value, read under one lock.
-// Equal fingerprints mean byte-identical compiled state; tests assert it is
-// stable across full and incremental compilation and across runs. The
-// buckets fold in the order of their canonical keys, each key written once
-// into one arena sized up front; each folded field after it is the text
-// "members/hex-hash" or "tenant=[i j …]", built in one stack buffer. Its
-// allocations do not grow with the table.
+// content hashes — into one value, read under one lock. Equal fingerprints
+// mean byte-identical compiled state; tests assert it is stable across full
+// and incremental compilation and across runs. The buckets fold in the order
+// of their canonical keys, each key written once into one arena sized up
+// front; the field folded after each key is the text "members/hex-hash",
+// built in one stack buffer. Its allocations do not grow with the table.
 func (c *Compiler) Fingerprint() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -461,23 +388,6 @@ func (c *Compiler) Fingerprint() uint64 {
 		b := strconv.AppendInt(buf[:0], int64(e.members), 10)
 		b = append(b, '/')
 		b = strconv.AppendUint(b, e.hash, 16)
-		h = fnvByte(fnvBytes(h, b), 0xff)
-	}
-	tenants := make([]string, 0, len(c.table.assign))
-	for t := range c.table.assign {
-		tenants = append(tenants, t)
-	}
-	slices.Sort(tenants)
-	for _, t := range tenants {
-		h = fnvString(h, t)
-		b := append(buf[:0], "=["...)
-		for i, idx := range c.table.assign[t] {
-			if i > 0 {
-				b = append(b, ' ')
-			}
-			b = strconv.AppendInt(b, int64(idx), 10)
-		}
-		b = append(b, ']')
 		h = fnvByte(fnvBytes(h, b), 0xff)
 	}
 	return h

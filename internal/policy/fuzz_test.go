@@ -106,7 +106,7 @@ func FuzzCompilerEval(f *testing.F) {
 	f.Add([]byte("tenant t1 leaves: delete every rule it holds, then flip the survivors"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
-		c := newCompiler(Config{Seed: 3}, 8, 2)
+		c := NewCompiler()
 		c.TrackChanges()
 		fed := map[string]BucketResource{} // the bucket list rebuilt from the feed
 		var live []Intention               // installation order
@@ -174,7 +174,7 @@ func checkAgainstOracle(t *testing.T, step int, c *Compiler, live []Intention, q
 			t.Fatalf("step %d query %+v: compiled %+v, oracle %+v", step, q, got, want)
 		}
 	}
-	fresh := newCompiler(Config{Seed: 3}, 8, 2)
+	fresh := NewCompiler()
 	if _, err := fresh.Apply(nil, live); err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,7 @@ func TestPolicyBytesPerRule(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	if _, err := c.Apply(nil, intents); err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +121,13 @@ func TestCompilerAllocs(t *testing.T) {
 	// intention, its bucket's one-element rule slice, a sixteenth of a
 	// deny's reason, and the amortized growth of the intention index, the
 	// Apply's working set and the destination maps, whose splits move with
-	// each map's hash seed by a thousandth. fingerprintAllocs: the arena,
-	// the key offsets and the tenant list.
-	const applyPerRule, fingerprintAllocs = 2.25, 3
+	// each map's hash seed by a thousandth. fingerprintAllocs: the arena
+	// and the key offsets.
+	const applyPerRule, fingerprintAllocs = 2.25, 2
 	intents := exactKeyRules(rules)
 	compilers := make([]*Compiler, runs)
 	for i := range compilers {
-		compilers[i] = NewCompiler(Config{Seed: 1})
+		compilers[i] = NewCompiler()
 	}
 	next := 0
 	got := mallocsPerRun(runs, func() {
@@ -140,7 +140,7 @@ func TestCompilerAllocs(t *testing.T) {
 	}
 
 	fingerprint := func(n int) float64 {
-		c := NewCompiler(Config{Seed: 1})
+		c := NewCompiler()
 		mustApply(t, c, nil, exactKeyRules(n))
 		mustApply(t, c, nil, []Intention{{ID: "t", SrcTenant: "tenant", Src: Exact("web"), Dst: Exact("api")}})
 		return mallocsPerRun(runs, func() { c.Fingerprint() })

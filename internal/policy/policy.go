@@ -9,10 +9,9 @@
 // one bucket keyed by the exact-match dimensions of its (src tenant, src
 // service, dst service) triple — wildcard dimensions collapse to "*" — and
 // a request lookup probes at most eight such keys: the exact triple plus the
-// seven wildcard combinations. Buckets whose source tenant is exact are
-// shuffle-sharded: each tenant is deterministically assigned a small subset
-// of the shard array, so one tenant's pathological rule set lands only in
-// its own shards and can never widen another tenant's probe path.
+// seven wildcard combinations. The source tenant is part of every key, so
+// one tenant's pathological rule set lands only in its own buckets and can
+// never widen another tenant's probe path.
 //
 // Policy changes recompile only the touched buckets (incremental
 // recompilation), and every bucket is content-addressed — same members, same

@@ -20,7 +20,7 @@ func mustApply(t *testing.T, c *Compiler, deletes []string, upserts []Intention)
 }
 
 func TestDefaultAllowWithoutIntentions(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	v := c.Eval(Query{SrcTenant: "a", SrcService: "s", DstService: "d"})
 	if !v.Allowed || v.Rule != "" || v.Reason != "" {
 		t.Fatalf("unpoliced destination must default-allow: %+v", v)
@@ -28,7 +28,7 @@ func TestDefaultAllowWithoutIntentions(t *testing.T) {
 }
 
 func TestZeroTrustDefaultDeny(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	mustApply(t, c, nil, []Intention{{
 		ID: "i1", Name: "allow-web", SrcTenant: "a", Src: Exact("web"), Dst: Exact("api"),
 		Action: ActionAllow,
@@ -46,7 +46,7 @@ func TestZeroTrustDefaultDeny(t *testing.T) {
 }
 
 func TestDenyWinsAtEqualPrecedence(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	mustApply(t, c, nil, []Intention{
 		{ID: "a1", Name: "allow-all", SrcTenant: "t", Src: Any(), Dst: Exact("api"), Action: ActionAllow},
 		{ID: "d1", Name: "deny-web", SrcTenant: "t", Src: Exact("web"), Dst: Exact("api"), Action: ActionDeny},
@@ -61,7 +61,7 @@ func TestDenyWinsAtEqualPrecedence(t *testing.T) {
 }
 
 func TestExplicitPrecedenceOverridesDeny(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	mustApply(t, c, nil, []Intention{
 		{ID: "d1", Name: "deny-all", SrcTenant: "t", Src: Any(), Dst: Exact("api"), Action: ActionDeny, Precedence: 1},
 		{ID: "a1", Name: "break-glass", SrcTenant: "t", Src: Exact("oncall"), Dst: Exact("api"), Action: ActionAllow, Precedence: 9},
@@ -75,7 +75,7 @@ func TestExplicitPrecedenceOverridesDeny(t *testing.T) {
 }
 
 func TestWildcardFallbackBuckets(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	mustApply(t, c, nil, []Intention{
 		{ID: "g1", Name: "mesh-deny-admin", Src: Any(), Dst: Any(), Path: Prefix("/admin"), Action: ActionDeny, Precedence: 5},
 		{ID: "p1", Name: "tenant-allow", SrcTenant: "t", Src: Prefix("job-"), Dst: Exact("api"), Action: ActionAllow},
@@ -94,7 +94,7 @@ func TestWildcardFallbackBuckets(t *testing.T) {
 }
 
 func TestHeaderPredicates(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	mustApply(t, c, nil, []Intention{{
 		ID: "h1", Name: "internal-only", SrcTenant: "t", Src: Any(), Dst: Exact("api"),
 		Headers: []HeaderMatch{{Name: "x-internal", Match: Present()}},
@@ -110,7 +110,7 @@ func TestHeaderPredicates(t *testing.T) {
 }
 
 func TestEmptyNameDenyReason(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	mustApply(t, c, nil, []Intention{{ID: "d", SrcTenant: "t", Src: Any(), Dst: Exact("api"), Action: ActionDeny}})
 	v := c.Eval(Query{SrcTenant: "t", SrcService: "s", DstService: "api"})
 	if v.Allowed || v.Reason != "denied by rule " {
@@ -119,7 +119,7 @@ func TestEmptyNameDenyReason(t *testing.T) {
 }
 
 func TestBadRegexIsAnApplyError(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	_, err := c.Apply(nil, []Intention{{ID: "r", Src: Any(), Dst: Any(), Path: Regex("(")}})
 	if err == nil {
 		t.Fatal("invalid regex must fail Apply")
@@ -202,7 +202,7 @@ func TestCompiledMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCompiler(Config{Seed: 7})
+	c := NewCompiler()
 	mustApply(t, c, nil, intents)
 	for i, q := range queries(rng, 4000, 14, 22) {
 		got, want := c.Eval(q), base.Eval(q)
@@ -219,7 +219,7 @@ func TestCompiledMatchesBaseline(t *testing.T) {
 func TestIncrementalMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	intents := corpus(rng, 400, 8, 12)
-	c := NewCompiler(Config{Seed: 11})
+	c := NewCompiler()
 	mustApply(t, c, nil, intents)
 
 	live := make(map[string]Intention, len(intents))
@@ -259,7 +259,7 @@ func TestIncrementalMatchesFull(t *testing.T) {
 		// hashes are order-independent... they are not (order breaks
 		// ties), so install in the same logical order the incremental
 		// compiler holds: by ID.
-		fresh := NewCompiler(Config{Seed: 11})
+		fresh := NewCompiler()
 		ids := make([]string, 0, len(live))
 		for id := range live {
 			ids = append(ids, id)
@@ -318,7 +318,7 @@ func orderedCopy(c *Compiler, ids []string, live map[string]Intention) []Intenti
 // new placement), and every other bucket's content hash is untouched.
 func TestApplyTouchesOnlyAffectedBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := NewCompiler(Config{Seed: 3})
+	c := NewCompiler()
 	mustApply(t, c, nil, corpus(rng, 500, 10, 16))
 	before := map[string]uint64{}
 	for _, r := range c.Resources() {
@@ -348,7 +348,7 @@ func TestApplyTouchesOnlyAffectedBuckets(t *testing.T) {
 // so they must be two resources under two keys, while a key of plain names
 // renders as the names joined by "|".
 func TestBucketKeysInjective(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	mustApply(t, c, nil, []Intention{
 		{ID: "x", Name: "x", SrcTenant: "a|b", Src: Exact("c"), Dst: Any()},
 		{ID: "y", Name: "y", SrcTenant: "a", Src: Exact(`b|c`), Dst: Any()},
@@ -366,10 +366,11 @@ func TestBucketKeysInjective(t *testing.T) {
 }
 
 // TestShuffleShardIsolation pins the multi-tenant claim: one tenant
-// flooding the table with wildcard rules must not widen any other tenant's
-// probe path.
+// flooding the table with wildcard-source rules, or with exact-source rules
+// on the very (src, dst) pair another tenant polices, must not widen that
+// tenant's probe path.
 func TestShuffleShardIsolation(t *testing.T) {
-	c := NewCompiler(Config{Seed: 5})
+	c := NewCompiler()
 	mustApply(t, c, nil, []Intention{
 		{ID: "b1", Name: "b-allow", SrcTenant: "tenant-b", Src: Exact("web"), Dst: Exact("api"), Action: ActionAllow},
 		{ID: "b2", Name: "b-wild", SrcTenant: "tenant-b", Src: Prefix("job-"), Dst: Exact("api"), Action: ActionAllow},
@@ -385,6 +386,13 @@ func TestShuffleShardIsolation(t *testing.T) {
 			Src: Prefix(fmt.Sprintf("p%d-", i)), Dst: Exact("api"), Action: ActionDeny,
 		})
 	}
+	// And 5k exact-source rules on tenant-b's own pair, {tenant-a, web, api}.
+	for i := 0; i < 5000; i++ {
+		flood = append(flood, Intention{
+			ID: fmt.Sprintf("e%05d", i), Name: "a-exact", SrcTenant: "tenant-a",
+			Src: Exact("web"), Dst: Exact("api"), Action: ActionDeny,
+		})
+	}
 	mustApply(t, c, nil, flood)
 
 	if got := c.CandidateRules(victim); got != baseline {
@@ -392,6 +400,10 @@ func TestShuffleShardIsolation(t *testing.T) {
 	}
 	if v := c.Eval(victim); !v.Allowed || v.Rule != "b-allow" {
 		t.Fatalf("tenant-b verdict changed under tenant-a flood: %+v", v)
+	}
+	attacker := Query{SrcTenant: "tenant-a", SrcService: "web", DstService: "api"}
+	if got := c.CandidateRules(attacker); got < 25000 {
+		t.Fatalf("tenant-a's probe path holds %d candidates, want its own 25000 flood rules", got)
 	}
 }
 
@@ -402,13 +414,11 @@ func TestFingerprintDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	intents := corpus(rng, 300, 6, 10)
 
-	one := NewCompiler(Config{Seed: 9})
+	one := NewCompiler()
 	mustApply(t, one, nil, intents)
-	two := NewCompiler(Config{Seed: 9})
+	two := NewCompiler()
 	for _, in := range intents {
-		if _, err := two.Upsert(in); err != nil {
-			t.Fatal(err)
-		}
+		mustApply(t, two, nil, []Intention{in})
 	}
 	if one.Fingerprint() != two.Fingerprint() {
 		t.Fatal("batch vs per-intention compilation produced different fingerprints")
@@ -493,7 +503,7 @@ func TestFoldMatchesCanon(t *testing.T) {
 	}
 
 	// Through the compiler: a bucket's hash folds its members best first.
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	members := []Intention{
 		{ID: "a", Name: "low", SrcTenant: "t", Src: Exact("s"), Dst: Exact("d"), Precedence: -1},
 		{ID: "b", Name: "deny", SrcTenant: "t", Src: Exact("s"), Dst: Exact("d"), Action: ActionDeny,
@@ -512,11 +522,11 @@ func TestFoldMatchesCanon(t *testing.T) {
 }
 
 // TestFingerprintAfterTenantLeaves: a tenant whose last intention is
-// deleted (or moved to another tenant) gives up its shard assignment, so
-// the incrementally maintained table fingerprints like a full recompile of
-// the same set.
+// deleted (or moved to another tenant) leaves no bucket behind, so the
+// incrementally maintained table fingerprints like a full recompile of the
+// same set.
 func TestFingerprintAfterTenantLeaves(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	mustApply(t, c, nil, []Intention{
 		{ID: "a1", Name: "a1", SrcTenant: "t1", Src: Exact("web"), Dst: Exact("api")},
 		{ID: "a2", Name: "a2", SrcTenant: "t1", Src: Any(), Dst: Exact("db")},
@@ -529,9 +539,6 @@ func TestFingerprintAfterTenantLeaves(t *testing.T) {
 		{ID: "c1", Name: "c1", SrcTenant: "t1", Src: Exact("batch"), Dst: Exact("api")},
 	})
 	inc, st := c.Fingerprint(), c.Stats()
-	if st.Tenants != 1 {
-		t.Fatalf("%d tenants hold a shard assignment after t2 and t3 left, want 1", st.Tenants)
-	}
 	c.Full()
 	if full := c.Fingerprint(); inc != full {
 		t.Fatalf("incremental fingerprint %x, full recompile %x", inc, full)
@@ -539,8 +546,7 @@ func TestFingerprintAfterTenantLeaves(t *testing.T) {
 	if after := c.Stats(); after != st {
 		t.Fatalf("Full() changed the table shape: %+v -> %+v", st, after)
 	}
-	// The tenant can come back: a fresh assignment, the same deterministic
-	// shards.
+	// The tenant can come back.
 	mustApply(t, c, nil, []Intention{{ID: "b1", Name: "b1", SrcTenant: "t2", Src: Exact("web"), Dst: Exact("api"), Action: ActionDeny}})
 	if v := c.Eval(Query{SrcTenant: "t2", SrcService: "web", DstService: "api"}); v.Allowed || v.Rule != "b1" {
 		t.Fatalf("returning tenant's rule not applied: %+v", v)
@@ -554,8 +560,7 @@ func fnv64Fold(h uint64, s string) uint64 {
 }
 
 // referenceFingerprint is Fingerprint built from strings: every bucket's
-// canon() key, sorted as strings, folded with its "members/hex-hash", then
-// each tenant's "=[i j …]" shard list.
+// canon() key, sorted as strings, folded with its "members/hex-hash".
 func referenceFingerprint(c *Compiler) uint64 {
 	type keyed struct {
 		key string
@@ -569,21 +574,13 @@ func referenceFingerprint(c *Compiler) uint64 {
 		h = fnv64Fold(h, e.key)
 		h = fnv64Fold(h, fmt.Sprintf("%d/%x", len(e.b.rules), e.b.hash))
 	}
-	tenants := make([]string, 0, len(c.table.assign))
-	for t := range c.table.assign {
-		tenants = append(tenants, t)
-	}
-	slices.Sort(tenants)
-	for _, t := range tenants {
-		h = fnv64Fold(fnvString(h, t), fmt.Sprint("=", c.table.assign[t]))
-	}
 	return h
 }
 
 // TestFingerprintMatchesCanonStrings: names holding "|" and `\`, whose
 // escaped keys sort apart from their raw bytes, fingerprint exactly as the
-// reference that sorts and folds canon() strings — in every shard, in the
-// per-destination maps and in the wildcard-destination map.
+// reference that sorts and folds canon() strings — in the exact-tenant map,
+// in the per-destination maps and in the wildcard-destination map.
 func TestFingerprintMatchesCanonStrings(t *testing.T) {
 	names := []string{"a", "a|b", `a\b`, `a\`, "a|", "ab", "|", `\`, `\|`, "b"}
 	var intents []Intention
@@ -608,7 +605,7 @@ func TestFingerprintMatchesCanonStrings(t *testing.T) {
 			}
 		}
 	}
-	c := newCompiler(Config{Seed: 5}, 8, 2)
+	c := NewCompiler()
 	mustApply(t, c, nil, intents)
 	if got, want := c.Fingerprint(), referenceFingerprint(c); got != want {
 		t.Fatalf("fingerprint %x, canon-string reference %x", got, want)
@@ -625,7 +622,7 @@ func TestFingerprintMatchesCanonStrings(t *testing.T) {
 // holds the count; a failed Apply leaves it as it was; deleting the last
 // intention naming a pattern drops the pattern.
 func TestPatternsShareAndRelease(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	const n = 50
 	var intents []Intention
 	for i := 0; i < n; i++ {
@@ -667,7 +664,7 @@ func TestPatternsShareAndRelease(t *testing.T) {
 
 func BenchmarkCompiledEval(b *testing.B) {
 	rng := rand.New(rand.NewSource(21))
-	c := NewCompiler(Config{Seed: 21})
+	c := NewCompiler()
 	if _, err := c.Apply(nil, corpus(rng, 100000, 64, 48)); err != nil {
 		b.Fatal(err)
 	}
@@ -685,7 +682,7 @@ func BenchmarkCompiledEval(b *testing.B) {
 // it, decide the next lookup, and once removed leave the lookup to the
 // destination's buckets again.
 func TestWildcardDestinationProbes(t *testing.T) {
-	c := NewCompiler(Config{Seed: 1})
+	c := NewCompiler()
 	mustApply(t, c, nil, []Intention{{ID: "a", Name: "allow-web", Src: Exact("web"), Dst: Exact("api")}})
 	q := Query{SrcTenant: "t", SrcService: "web", DstService: "api", Path: "/x"}
 	if v := c.Eval(q); !v.Allowed || v.Rule != "allow-web" {

@@ -145,25 +145,20 @@ type bucket struct {
 	hash  uint64      // content address over the members' canonical forms
 }
 
-// Table is the compiled dispatch table. Exact-tenant buckets live in the
-// shuffle-sharded shard array. Wildcard-tenant buckets are grouped by
-// destination: those with an exact destination — every AuthzRule an l7
-// engine translates — in one small map per destination keyed by the source
-// dimension, so a lookup touches only its destination's map; those with a
-// wildcard destination in anyDst, keyed the same way, which is empty in
-// most deployments and then costs a lookup nothing. allowByDst/allowAnyDst
-// track allow-intention existence per destination, which decides the
-// zero-trust default for unmatched traffic.
+// Table is the compiled dispatch table. Exact-tenant buckets live in one
+// map keyed by the whole triple; the tenant is part of every key, so one
+// tenant's rules never land on another tenant's probe path. Wildcard-tenant
+// buckets are grouped by destination: those with an exact destination —
+// every AuthzRule an l7 engine translates — in one small map per
+// destination keyed by the source dimension, so a lookup touches only its
+// destination's map; those with a wildcard destination in anyDst, keyed the
+// same way, which is empty in most deployments and then costs a lookup
+// nothing. allowByDst/allowAnyDst track allow-intention existence per
+// destination, which decides the zero-trust default for unmatched traffic.
 type Table struct {
-	shards []map[key3]bucket
+	exact  map[key3]bucket              // {t, s, d} with an exact tenant
 	byDst  map[string]map[string]bucket // {*, s, d}: d → s → bucket
 	anyDst map[string]bucket            // {*, s, *}: s → bucket
-	// assign is each tenant's shuffle-shard assignment: h of the K shard
-	// indices, a deterministic function of (tenant, seed). It is created
-	// with the tenant's first bucket and released with its last; buckets
-	// counts each assigned tenant's buckets.
-	assign  map[string][]int
-	buckets map[string]int
 
 	allowByDst  map[string]int
 	allowAnyDst int
@@ -171,10 +166,8 @@ type Table struct {
 
 // each calls f with every bucket and its key, in no particular order.
 func (t *Table) each(f func(key3, bucket)) {
-	for _, m := range t.shards {
-		for k, b := range m {
-			f(k, b)
-		}
+	for k, b := range t.exact {
+		f(k, b)
 	}
 	for d, m := range t.byDst {
 		for s, b := range m {
@@ -188,30 +181,21 @@ func (t *Table) each(f func(key3, bucket)) {
 
 // size returns the number of buckets.
 func (t *Table) size() int {
-	n := len(t.anyDst)
-	for _, m := range t.shards {
-		n += len(m)
-	}
+	n := len(t.exact) + len(t.anyDst)
 	for _, m := range t.byDst {
 		n += len(m)
 	}
 	return n
 }
 
-// newTable returns an empty table with k shards.
-func newTable(k int) *Table {
-	t := &Table{
-		shards:     make([]map[key3]bucket, k),
+// newTable returns an empty table.
+func newTable() *Table {
+	return &Table{
+		exact:      make(map[key3]bucket),
 		byDst:      make(map[string]map[string]bucket),
 		anyDst:     make(map[string]bucket),
-		assign:     make(map[string][]int),
-		buckets:    make(map[string]int),
 		allowByDst: make(map[string]int),
 	}
-	for i := range t.shards {
-		t.shards[i] = make(map[key3]bucket)
-	}
-	return t
 }
 
 const (
@@ -238,40 +222,11 @@ func fnvBytes(h uint64, b []byte) uint64 {
 // fnvByte folds one byte into a running FNV-1a hash.
 func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime }
 
-// fnv64 hashes a sequence of strings with FNV-1a, byte-by-byte so the
-// lookup path never converts strings to byte slices (no allocation).
-func fnv64(parts ...string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, p := range parts {
-		for i := 0; i < len(p); i++ {
-			h ^= uint64(p[i])
-			h *= prime
-		}
-		h ^= 0xff
-		h *= prime
-	}
-	return h
-}
-
-// shardOf maps an exact-tenant key onto one of the tenant's assigned
-// shards. idxs is the tenant's shuffle assignment.
-func shardOf(idxs []int, k key3) int {
-	return idxs[fnv64(k.t, k.s, k.d)%uint64(len(idxs))]
-}
-
 // lookup returns the key's bucket, or the zero bucket when it has none.
 func (t *Table) lookup(k key3) bucket {
 	switch {
 	case k.t != wild:
-		idxs := t.assign[k.t]
-		if idxs == nil {
-			return bucket{}
-		}
-		return t.shards[shardOf(idxs, k)][k]
+		return t.exact[k]
 	case k.d != wild:
 		return t.byDst[k.d][k.s]
 	default:
@@ -279,12 +234,11 @@ func (t *Table) lookup(k key3) bucket {
 	}
 }
 
-// store files a bucket under its key. An exact-tenant key's tenant must hold
-// its shard assignment.
+// store files a bucket under its key.
 func (t *Table) store(k key3, b bucket) {
 	switch {
 	case k.t != wild:
-		t.shards[shardOf(t.assign[k.t], k)][k] = b
+		t.exact[k] = b
 	case k.d != wild:
 		m := t.byDst[k.d]
 		if m == nil {
@@ -302,7 +256,7 @@ func (t *Table) store(k key3, b bucket) {
 func (t *Table) remove(k key3) {
 	switch {
 	case k.t != wild:
-		delete(t.shards[shardOf(t.assign[k.t], k)], k)
+		delete(t.exact, k)
 	case k.d != wild:
 		if m := t.byDst[k.d]; m != nil {
 			if delete(m, k.s); len(m) == 0 {
@@ -332,18 +286,18 @@ func (t *Table) scan(rules []*compiled, q *Query, best *compiled) *compiled {
 }
 
 // eval resolves one query against the table: probe the source tenant's
-// four key combinations in its shards, the destination's map for the exact
-// and wildcard source, and — only when a wildcard-destination bucket exists
-// — the two wildcard-destination keys; pick the winning match, and fall
-// back to the zero-trust default. The winner is the beats-best matching
+// four key combinations only when some exact-tenant bucket exists, the
+// destination's map for the exact and wildcard source, and the two
+// wildcard-destination keys only when a wildcard-destination bucket exists;
+// pick the winning match, and fall back to the zero-trust default. The winner is the beats-best matching
 // candidate whatever order the buckets are probed in.
 func (t *Table) eval(q *Query) Verdict {
 	var best *compiled
-	if idxs := t.assign[q.SrcTenant]; idxs != nil {
-		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, q.SrcService, q.DstService})][key3{q.SrcTenant, q.SrcService, q.DstService}].rules, q, best)
-		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, q.SrcService, wild})][key3{q.SrcTenant, q.SrcService, wild}].rules, q, best)
-		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, wild, q.DstService})][key3{q.SrcTenant, wild, q.DstService}].rules, q, best)
-		best = t.scan(t.shards[shardOf(idxs, key3{q.SrcTenant, wild, wild})][key3{q.SrcTenant, wild, wild}].rules, q, best)
+	if len(t.exact) > 0 {
+		best = t.scan(t.exact[key3{q.SrcTenant, q.SrcService, q.DstService}].rules, q, best)
+		best = t.scan(t.exact[key3{q.SrcTenant, q.SrcService, wild}].rules, q, best)
+		best = t.scan(t.exact[key3{q.SrcTenant, wild, q.DstService}].rules, q, best)
+		best = t.scan(t.exact[key3{q.SrcTenant, wild, wild}].rules, q, best)
 	}
 	if m := t.byDst[q.DstService]; m != nil {
 		best = t.scan(m[q.SrcService].rules, q, best)
@@ -369,20 +323,17 @@ func (t *Table) eval(q *Query) Verdict {
 }
 
 // candidateRules counts the rules in the buckets a query would probe — the
-// quantity the shuffle-sharding isolation claim bounds (a tenant's probe
-// path only widens with its own rules plus the wildcard-tenant set).
+// quantity the isolation claim bounds (a tenant's probe path only widens
+// with its own rules plus the wildcard-tenant set).
 func (t *Table) candidateRules(q *Query) int {
 	n := 0
-	count := func(b bucket) { n += len(b.rules) }
-	if idxs := t.assign[q.SrcTenant]; idxs != nil {
-		for _, k := range [4]key3{
-			{q.SrcTenant, q.SrcService, q.DstService},
-			{q.SrcTenant, q.SrcService, wild},
-			{q.SrcTenant, wild, q.DstService},
-			{q.SrcTenant, wild, wild},
-		} {
-			count(t.shards[shardOf(idxs, k)][k])
-		}
+	for _, k := range [4]key3{
+		{q.SrcTenant, q.SrcService, q.DstService},
+		{q.SrcTenant, q.SrcService, wild},
+		{q.SrcTenant, wild, q.DstService},
+		{q.SrcTenant, wild, wild},
+	} {
+		n += len(t.exact[k].rules)
 	}
 	for _, k := range [4]key3{
 		{wild, q.SrcService, q.DstService},
@@ -390,7 +341,7 @@ func (t *Table) candidateRules(q *Query) int {
 		{wild, wild, q.DstService},
 		{wild, wild, wild},
 	} {
-		count(t.lookup(k))
+		n += len(t.lookup(k).rules)
 	}
 	return n
 }

@@ -89,9 +89,10 @@ go test -run '^$' -fuzz FuzzHash5Tuple -fuzztime 5s ./internal/l4
 # against the linear scan of the rules' conditions (kept as the oracle in
 # route_test.go).
 go test -run '^$' -fuzz FuzzRouteProgram -fuzztime 5s ./internal/l7
-# And the compiled policy table: random apply/delete sequences, checked
-# after every Apply against the linear Baseline oracle, a fresh compile's
-# fingerprint and the patterns in use.
+# And the compiled policy table, the one NewCompiler builds: random
+# apply/delete sequences, checked after every Apply against the linear
+# Baseline oracle, a fresh compile's fingerprint, the patterns in use and
+# the change feed.
 go test -run '^$' -fuzz FuzzCompilerEval -fuzztime 5s ./internal/policy
 # And the overlay decoders: whatever bytes arrive, the VXLAN, inner, shim
 # and VM-packet decoders never panic, and every header they accept
@@ -146,7 +147,7 @@ test -s /tmp/canalbench-timings.json
 # The second byte contract beside TestSuiteRenderedSHA's digest: every
 # experiment and ablation through the parallel runner prints exactly the
 # bytes pinned here. A change that means to move them re-pins this digest.
-want_abl=d328b4e8af976d574d7fab9bfb24ef708e1e72cf0c2e8c682f96ac7945d661c0
+want_abl=646a2ecae4d3b5f275a71b681450c0732fbd131f41d99dd1bbf0e1a7e855ffff
 got_abl=$(/tmp/canalbench -ablations -parallel 2 2>/dev/null | sha256sum | cut -d' ' -f1)
 if [ "$got_abl" != "$want_abl" ]; then
     echo "canalbench -ablations -parallel 2 stdout sha256 is $got_abl, want $want_abl" >&2
