@@ -4,17 +4,16 @@
 //
 // It holds what the live gateway runs and the simulated one shares:
 //
-//   - HTTPController: per-service adaptive concurrency limits and per-tenant
-//     fair shares of the gateway's concurrency, for the real HTTP gateway.
+//   - HTTPController: one gateway-wide adaptive concurrency limit and
+//     per-tenant fair shares of it, for the real HTTP gateway.
 //   - Limiter: an AIMD adaptive concurrency limit per service that tracks
 //     observed latency against a self-learned baseline and sheds excess load
 //     before queues build at all.
 //   - RetryBudget, Config, Metrics and the typed *Rejection.
 //
 // The simulated gateway's per-replica queues, weighted deficit round robin
-// across tenants with CoDel within each (fq_codel applied to requests),
-// live in internal/gateway, their one user, so this package links none of
-// the discrete-event simulator.
+// across tenants, live in internal/gateway, their one user, so this package
+// links none of the discrete-event simulator.
 //
 // Shed requests fail fast with a typed *Rejection (HTTP 429 semantics plus a
 // Retry-After hint) instead of timing out, and RetryBudget keeps retries from
@@ -36,11 +35,6 @@ import (
 type Reason string
 
 const (
-	// ReasonQueueFull: the tenant's per-replica queue hit its cap.
-	ReasonQueueFull Reason = "queue-full"
-	// ReasonCoDel: CoDel shed the request at dequeue to drain a standing
-	// queue.
-	ReasonCoDel Reason = "codel"
 	// ReasonLimiter: the adaptive concurrency limiter refused new work.
 	ReasonLimiter Reason = "limiter"
 	// ReasonFairShare: the tenant exceeded its fair share of the gateway's
@@ -58,7 +52,6 @@ type Rejection struct {
 	Tenant     string
 	Service    string
 	Reason     Reason
-	Sojourn    time.Duration // time spent queued before shedding (0 if rejected at admission)
 	RetryAfter time.Duration // suggested client backoff
 }
 
@@ -68,18 +61,13 @@ func (r *Rejection) Error() string {
 }
 
 // Config tunes a gateway's admission layer. The zero value is usable: every
-// field falls back to the package default. Quantum, Target and Interval
-// shape the simulated gateway's per-replica WDRR+CoDel queues
-// (internal/gateway); the live HTTPController keeps no queue and reads none
-// of them.
+// field falls back to the package default. Quantum shapes the simulated
+// gateway's per-replica WDRR queues (internal/gateway); the live
+// HTTPController keeps no queue and does not read it.
 type Config struct {
 	// Quantum is the WDRR deficit replenished per round, in CPU-cost units.
 	// Default: 500µs (~2 typical gateway L7 requests).
 	Quantum time.Duration
-	// Target is the CoDel target sojourn time. Default 2ms.
-	Target time.Duration
-	// Interval is the CoDel control interval. Default 20ms.
-	Interval time.Duration
 	// Weights maps tenant name to its WDRR weight (default 1.0).
 	Weights map[string]float64
 	// Limiter tunes the per-service AIMD concurrency limiter.
@@ -94,8 +82,6 @@ type Config struct {
 // Defaults for Config fields.
 const (
 	DefaultQuantum          = 500 * time.Microsecond
-	DefaultTarget           = 2 * time.Millisecond
-	DefaultInterval         = 20 * time.Millisecond
 	DefaultRetryBudgetRatio = 0.1
 	DefaultRetryAfter       = 50 * time.Millisecond
 )
@@ -104,12 +90,6 @@ const (
 func (c Config) WithDefaults() Config {
 	if c.Quantum <= 0 {
 		c.Quantum = DefaultQuantum
-	}
-	if c.Target <= 0 {
-		c.Target = DefaultTarget
-	}
-	if c.Interval <= 0 {
-		c.Interval = DefaultInterval
 	}
 	if c.RetryBudgetRatio <= 0 {
 		c.RetryBudgetRatio = DefaultRetryBudgetRatio

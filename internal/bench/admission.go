@@ -67,12 +67,10 @@ func runAdmissionFlashCrowd(enable bool) admissionRun {
 	}
 	if enable {
 		g.EnableAdmission(admission.Config{
-			// Fine-grained rounds (~1 request per visit) and a tight
-			// sojourn target suit the gateway's ~200µs request cost.
-			Quantum:  250 * time.Microsecond,
-			Target:   time.Millisecond,
-			Interval: 10 * time.Millisecond,
-			Limiter:  admission.LimiterConfig{MinLimit: 2, Tolerance: 3},
+			// Fine-grained rounds (~1 request per visit) suit the
+			// gateway's ~200µs request cost.
+			Quantum: 250 * time.Microsecond,
+			Limiter: admission.LimiterConfig{MinLimit: 2, Tolerance: 3},
 		})
 	}
 
@@ -155,8 +153,9 @@ func runAdmissionFlashCrowd(enable bool) admissionRun {
 // AdmissionFlashCrowd is the admission-control headline experiment: the same
 // 5x single-tenant flash crowd replayed with the admission layer off and on.
 // Off, the shared FCFS queue lets the aggressor's backlog set every tenant's
-// latency; on, per-tenant WDRR+CoDel queues and the AIMD limiter shed the
-// aggressor's excess while the victims keep their baseline service. This is
+// latency; on, the per-service AIMD limiters shed the aggressor's excess and
+// per-tenant WDRR queues order what they admit, so the victims keep their
+// baseline service. This is
 // the pre-migration window complement to fig16's sandbox-migration story.
 // The two runs are independent simulations, run in parallel.
 func AdmissionFlashCrowd(ctx context.Context) *Table {

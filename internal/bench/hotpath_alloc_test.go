@@ -327,7 +327,7 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 	})
 
 	// Gateway dispatch, admission on: the same request through the
-	// service's AIMD limiter and the replica's WDRR+CoDel discipline, which
+	// service's AIMD limiter and the replica's WDRR discipline, which
 	// starts it on an idle core through the Work's pre-bound completion.
 	as := newGatewayScenario(6, 2, 2, 4, 1)
 	as.GW.EnableAdmission(admission.Config{})

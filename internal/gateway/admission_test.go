@@ -24,10 +24,8 @@ func admissionGateway(t *testing.T) (*sim.Sim, *Gateway) {
 		t.Fatal(err)
 	}
 	g.EnableAdmission(admission.Config{
-		Quantum:  250 * time.Microsecond,
-		Target:   time.Millisecond,
-		Interval: 10 * time.Millisecond,
-		Limiter:  admission.LimiterConfig{MinLimit: 2, Tolerance: 3},
+		Quantum: 250 * time.Microsecond,
+		Limiter: admission.LimiterConfig{MinLimit: 2, Tolerance: 3},
 	})
 	return s, g
 }

@@ -135,9 +135,8 @@ type Gateway struct {
 }
 
 // admissionState holds the gateway's proactive overload-control layer when
-// enabled: per-service AIMD limiters, per-replica WDRR+CoDel queues (wired
-// into each replica Processor as its queue discipline), shared shed/sojourn
-// metrics.
+// enabled: per-service AIMD limiters, per-replica WDRR queues (wired into
+// each replica Processor as its queue discipline), shared shed metrics.
 type admissionState struct {
 	cfg      admission.Config
 	metrics  *admission.Metrics
@@ -198,8 +197,9 @@ func (g *Gateway) AddBackend(az *cloud.AZ, replicas, cores int, sandbox bool) (*
 }
 
 // EnableAdmission turns on the proactive overload-control layer: every
-// replica's processor gets a WDRR+CoDel queue discipline (one queue per
-// tenant per replica) and every service gets an AIMD concurrency limiter.
+// replica's processor gets a WDRR queue discipline (one queue per tenant
+// per replica) and every service gets an AIMD concurrency limiter, the one
+// place the simulated gateway sheds.
 // Backends added later are covered automatically. Call before offering load;
 // with admission off, Dispatch behaves exactly as without this layer.
 func (g *Gateway) EnableAdmission(cfg admission.Config) {
@@ -225,7 +225,7 @@ func (g *Gateway) AdmissionMetrics() *admission.Metrics {
 // installAdmission puts a fresh per-tenant fair queue on each replica of b.
 func (g *Gateway) installAdmission(b *Backend) {
 	for _, r := range b.Replicas {
-		r.VM.Proc.SetDiscipline(newWDRRQueue(g.adm.cfg, g.adm.metrics))
+		r.VM.Proc.SetDiscipline(newWDRRQueue(g.adm.cfg))
 	}
 }
 
@@ -360,9 +360,9 @@ func pickReplica(b *Backend, h uint64) (*Replica, error) {
 }
 
 // dispatch is one request's passage through the gateway: the state its
-// completion, shed and failure paths share. It embeds the sim.Work the
+// completion and failure paths share. It embeds the sim.Work the
 // admission path submits. Values are recycled through Gateway.free: each
-// binds its callbacks (Work.Do, Work.Drop and served) once, when first
+// binds its callbacks (Work.Do and served) once, when first
 // allocated, and finish — the one terminal path, which every outcome goes
 // through exactly once — zeroes the request's state and returns the value
 // just before calling done, so at steady state a request allocates nothing.
@@ -388,7 +388,7 @@ func (g *Gateway) newDispatch() *dispatch {
 		return d
 	}
 	d := &dispatch{g: g}
-	d.Do, d.Drop, d.served = d.admitted, d.shed, d.complete
+	d.Do, d.served = d.admitted, d.complete
 	return d
 }
 
@@ -399,7 +399,7 @@ func (g *Gateway) newDispatch() *dispatch {
 func (d *dispatch) finish(lat time.Duration, status int) {
 	done := d.done
 	w := d.Work
-	w.Tenant, w.Cost, w.EnqueuedAt = "", 0, 0
+	w.Tenant, w.Cost = "", 0
 	*d = dispatch{Work: w, g: d.g, served: d.served}
 	d.g.free = append(d.g.free, d)
 	done(lat, status)
@@ -459,8 +459,8 @@ func (g *Gateway) Dispatch(id uint64, clientAZ string, flow cloud.SessionKey, re
 		d.r.VM.Proc.Exec(cost, d.served)
 		return
 	}
-	// Admission stage 2: the replica's WDRR+CoDel discipline decides when
-	// (and whether) the work runs; shed requests fail fast with 429.
+	// Admission stage 2: the replica's WDRR discipline decides when the
+	// admitted work runs; it sheds nothing.
 	d.Tenant, d.Cost = s.Tenant, cost
 	d.r.VM.Proc.Submit(&d.Work)
 }
@@ -497,13 +497,6 @@ func (d *dispatch) complete() {
 func (d *dispatch) admitted() {
 	d.g.adm.metrics.Tenant(d.s.Tenant).Admitted.Inc()
 	d.complete()
-}
-
-// shed is the admission path's drop: the discipline shed the work.
-func (d *dispatch) shed(time.Duration) {
-	// The discipline already recorded the shed reason.
-	d.release(0, false)
-	d.fail(l7.StatusTooManyRequests)
 }
 
 // StartSampling begins the 1-second per-backend sampling loop recording

@@ -18,15 +18,15 @@ import (
 // the gateway and the callbacks bound when it was first allocated survive.
 func checkRecycled(t *testing.T, g *Gateway, d *dispatch) {
 	t.Helper()
-	if d.g != g || d.Do == nil || d.Drop == nil || d.served == nil {
+	if d.g != g || d.Do == nil || d.served == nil {
 		t.Fatalf("recycled dispatch lost its gateway or bound callbacks: %+v", d)
 	}
 	if d.s != nil || !reflect.ValueOf(d.req).IsZero() || d.r != nil || d.lim != nil || d.released || d.start != 0 || d.done != nil {
 		t.Fatalf("recycled dispatch keeps request state: service %v, request %v, replica %v, limiter %v, released %v, start %v",
 			d.s, d.req, d.r, d.lim, d.released, d.start)
 	}
-	if d.Tenant != "" || d.Cost != 0 || d.EnqueuedAt != 0 {
-		t.Fatalf("recycled dispatch keeps its work: tenant %q, cost %v, enqueued at %v", d.Tenant, d.Cost, d.EnqueuedAt)
+	if d.Tenant != "" || d.Cost != 0 {
+		t.Fatalf("recycled dispatch keeps its work: tenant %q, cost %v", d.Tenant, d.Cost)
 	}
 }
 
@@ -66,10 +66,6 @@ func TestDispatchRecycleEveryTerminalPath(t *testing.T) {
 			l7cfg: l7.ServiceConfig{DefaultSubset: "v1", Authz: []l7.AuthzRule{{Name: "deny-all", Action: l7.AuthzDeny}}}},
 		{name: "limiter shed", l7cfg: allow, n: 4, want: l7.StatusTooManyRequests, reason: admission.ReasonLimiter,
 			admission: &admission.Config{Limiter: admission.LimiterConfig{InitialLimit: 1, MaxLimit: 1}}},
-		{name: "discipline shed at enqueue", l7cfg: allow, n: perTenantCap + 4, want: l7.StatusTooManyRequests, reason: admission.ReasonQueueFull,
-			admission: &admission.Config{Limiter: admission.LimiterConfig{InitialLimit: 2 * perTenantCap, MaxLimit: 2 * perTenantCap}}},
-		{name: "discipline shed at dequeue", l7cfg: allow, n: 20, want: l7.StatusTooManyRequests, reason: admission.ReasonCoDel,
-			admission: &admission.Config{Target: time.Microsecond, Interval: time.Microsecond}},
 	}
 	for _, tc := range cases {
 		modes := []*admission.Config{nil, {}}

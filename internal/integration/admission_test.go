@@ -18,7 +18,7 @@ import (
 )
 
 // TestFlashCrowdAdmissionEndToEnd drives the whole stack — gateway shard,
-// per-replica WDRR+CoDel disciplines, per-service AIMD limiters, telemetry
+// per-replica WDRR disciplines, per-service AIMD limiters, telemetry
 // sampling — through a single-tenant flash crowd and checks the paper's
 // pre-migration story: while anomaly detection would still be gathering
 // evidence (tens of seconds), the admission layer already confines the blast
@@ -39,10 +39,8 @@ func TestFlashCrowdAdmissionEndToEnd(t *testing.T) {
 		}
 	}
 	g.EnableAdmission(admission.Config{
-		Quantum:  250 * time.Microsecond,
-		Target:   time.Millisecond,
-		Interval: 10 * time.Millisecond,
-		Limiter:  admission.LimiterConfig{MinLimit: 2, Tolerance: 3},
+		Quantum: 250 * time.Microsecond,
+		Limiter: admission.LimiterConfig{MinLimit: 2, Tolerance: 3},
 	})
 	g.StartSampling(func() bool { return s.Now() > end })
 

@@ -11,9 +11,8 @@ import (
 const UtilBucket = time.Second
 
 // Work is a unit of schedulable work submitted through Submit. Unlike plain
-// Exec calls, Work carries the metadata a queue discipline needs to make
-// admission decisions: which tenant it belongs to, how much CPU it costs, and
-// what to do if the discipline sheds it instead of running it.
+// Exec calls, Work carries what a queue discipline orders by: which tenant
+// it belongs to and how much CPU it costs.
 type Work struct {
 	// Tenant classifies the work for per-tenant queueing disciplines.
 	Tenant string
@@ -21,12 +20,6 @@ type Work struct {
 	Cost time.Duration
 	// Do runs at completion (after Cost of CPU time on a core).
 	Do func()
-	// Drop runs instead of Do when a discipline sheds the work; sojourn is
-	// how long the work waited in queue before being shed (0 when rejected
-	// at enqueue).
-	Drop func(sojourn time.Duration)
-	// EnqueuedAt is stamped by the processor when the work enters a queue.
-	EnqueuedAt time.Duration
 
 	// proc and core say where the work runs once started; finish, bound to
 	// the value the first time it starts, is its completion event, so a
@@ -38,20 +31,15 @@ type Work struct {
 
 // QueueDiscipline is a pluggable queue a Processor consults when all cores
 // are busy. The default (nil) discipline preserves the analytic FCFS model of
-// Exec; installing one switches Submit to explicit event-driven queueing with
-// admission control — per-tenant fair queueing, CoDel, bounded queues.
-//
-// Disciplines may shed work: Enqueue returning false rejects it outright, and
-// Dequeue may invoke Drop on items it decides to discard before returning the
-// next runnable item. The processor invokes Drop for enqueue rejections.
+// Exec; installing one switches Submit to explicit event-driven queueing,
+// such as per-tenant fair queueing. A discipline orders work and never sheds
+// it: everything enqueued is dequeued, and runs, exactly once.
 type QueueDiscipline interface {
-	// Enqueue offers w to the queue at virtual time now. Returning false
-	// rejects the work (queue full / policy); the processor then invokes
-	// w.Drop with zero sojourn.
-	Enqueue(now time.Duration, w *Work) bool
-	// Dequeue returns the next work item to run, or nil when the queue has
-	// nothing runnable. It is called each time a core frees up.
-	Dequeue(now time.Duration) *Work
+	// Enqueue adds w to the queue.
+	Enqueue(w *Work)
+	// Dequeue returns the next work item to run, or nil when the queue is
+	// empty. It is called each time a core frees up.
+	Dequeue() *Work
 	// Len reports the number of queued items.
 	Len() int
 }
@@ -74,9 +62,6 @@ type Processor struct {
 	openBusy time.Duration
 	total    time.Duration // cumulative busy time across cores
 	disc     QueueDiscipline
-	// refill is fill, bound once when a discipline is installed: the event
-	// an Exec completion schedules so queued work reclaims the freed core.
-	refill func()
 }
 
 // NewProcessor returns a processor with the given core count attached to s.
@@ -104,12 +89,16 @@ func (p *Processor) BusyTotal() time.Duration { return p.total }
 // Exec queues work costing cost CPU time and invokes fn (if non-nil) when it
 // completes. It returns the completion instant, so callers can chain hops.
 // The completion event holds fn itself; a nil fn schedules noop, so every
-// work item is still one event in the queue's order. With a queue
-// discipline installed, a second event right behind the completion hands
-// queued work to the cores it frees.
+// work item is still one event in the queue's order. Exec claims a core
+// analytically, behind the discipline's back, so it panics on a processor
+// with a queue discipline installed: that processor takes work through
+// Submit only.
 func (p *Processor) Exec(cost time.Duration, fn func()) time.Duration {
 	if cost < 0 {
 		panic(fmt.Sprintf("sim: processor %q got negative cost %v", p.name, cost))
+	}
+	if p.disc != nil {
+		panic(fmt.Sprintf("sim: Exec on processor %q, which has a queue discipline", p.name))
 	}
 	now := p.sim.Now()
 	core := 0
@@ -130,9 +119,6 @@ func (p *Processor) Exec(cost time.Duration, fn func()) time.Duration {
 		fn = noop
 	}
 	p.sim.At(end, fn)
-	if p.disc != nil {
-		p.sim.At(end, p.refill)
-	}
 	return end
 }
 
@@ -143,29 +129,18 @@ func noop() {}
 // by Submit when every core is busy. Work already queued in a replaced
 // discipline stays there and is never drained — install disciplines before
 // offering load.
-func (p *Processor) SetDiscipline(d QueueDiscipline) {
-	p.disc = d
-	if d != nil && p.refill == nil {
-		p.refill = p.fill
-	}
-}
+func (p *Processor) SetDiscipline(d QueueDiscipline) { p.disc = d }
 
 // Discipline returns the installed queue discipline, or nil.
 func (p *Processor) Discipline() QueueDiscipline { return p.disc }
 
-// QueueLen returns the number of items waiting in the installed discipline
-// (0 without one; the analytic Exec path has no countable queue).
-func (p *Processor) QueueLen() int {
-	if p.disc == nil {
-		return 0
-	}
-	return p.disc.Len()
-}
-
 // Submit offers w to the processor. Without a discipline it behaves exactly
-// like Exec(w.Cost, w.Do). With one, w starts immediately if a core is idle;
-// otherwise it enters the discipline's queue and starts when the discipline
-// hands it to a freed core — or gets shed, invoking w.Drop.
+// like Exec(w.Cost, w.Do). With one, w starts at once only while the
+// discipline is empty and a core is free; otherwise it joins the
+// discipline's queue and starts when the discipline hands it to a freed
+// core. A core whose work ends at this very instant counts as free, but
+// only an empty queue lets new work take it: anything already waiting goes
+// first.
 func (p *Processor) Submit(w *Work) {
 	if w.Cost < 0 {
 		panic(fmt.Sprintf("sim: processor %q got negative cost %v", p.name, w.Cost))
@@ -175,16 +150,13 @@ func (p *Processor) Submit(w *Work) {
 		return
 	}
 	now := p.sim.Now()
-	if core, ok := p.idleCore(now); ok {
-		p.startWork(core, now, w)
-		return
-	}
-	w.EnqueuedAt = now
-	if !p.disc.Enqueue(now, w) {
-		if w.Drop != nil {
-			w.Drop(0)
+	if p.disc.Len() == 0 {
+		if core, ok := p.idleCore(now); ok {
+			p.startWork(core, now, w)
+			return
 		}
 	}
+	p.disc.Enqueue(w)
 }
 
 // idleCore returns a core index free at now, if any.
@@ -228,31 +200,11 @@ func (p *Processor) drain(core int) {
 	}
 	now := p.sim.Now()
 	if p.cores[core] > now {
-		// An interleaved Exec claimed the core analytically; that Exec's
-		// completion drains instead.
+		// Submit started work on this core at this instant, before this
+		// completion ran; that work's own completion drains instead.
 		return
 	}
-	if w := p.disc.Dequeue(now); w != nil {
-		p.startWork(core, now, w)
-	}
-}
-
-// fill starts queued work on every idle core, for as long as the discipline
-// has any.
-func (p *Processor) fill() {
-	if p.disc == nil {
-		return
-	}
-	now := p.sim.Now()
-	for {
-		core, ok := p.idleCore(now)
-		if !ok {
-			return
-		}
-		w := p.disc.Dequeue(now)
-		if w == nil {
-			return
-		}
+	if w := p.disc.Dequeue(); w != nil {
 		p.startWork(core, now, w)
 	}
 }
@@ -331,15 +283,4 @@ func (p *Processor) UtilizationRange(from, to time.Duration) float64 {
 		u = 1
 	}
 	return u
-}
-
-// AddCores grows the processor by n cores, effective immediately. This models
-// vertical scale-up of a replica VM.
-func (p *Processor) AddCores(n int) {
-	now := p.sim.Now()
-	for i := 0; i < n; i++ {
-		p.cores = append(p.cores, now)
-	}
-	// Queued work can start on the new cores right away.
-	p.fill()
 }

@@ -268,22 +268,6 @@ func TestProcessorSaturationProducesQueueGrowth(t *testing.T) {
 	}
 }
 
-func TestProcessorAddCores(t *testing.T) {
-	s := New(1)
-	p := NewProcessor(s, "cpu", 1)
-	var ends []time.Duration
-	s.At(0, func() {
-		p.AddCores(1)
-		for i := 0; i < 2; i++ {
-			ends = append(ends, p.Exec(10*time.Millisecond, nil))
-		}
-	})
-	s.Run()
-	if ends[0] != ends[1] {
-		t.Errorf("jobs should run in parallel after AddCores: %v", ends)
-	}
-}
-
 func TestProcessorCallbackRunsAtCompletion(t *testing.T) {
 	s := New(1)
 	p := NewProcessor(s, "cpu", 1)

@@ -102,6 +102,11 @@ go test -run '^$' -fuzz FuzzOverlayDecode -fuzztime 5s ./internal/overlay
 # Every, RunUntil, Run and Halt, callbacks scheduling more, checked event by
 # event against a reference that sorts by (at, seq).
 go test -run '^$' -fuzz FuzzEventQueue -fuzztime 5s ./internal/sim
+# And the processor's queue-discipline path: random cores, costs and
+# arrivals, many on completion instants, served by a FIFO discipline; every
+# work item completes once, no core idles while work waits, and work starts
+# in the order the discipline hands it out.
+go test -run '^$' -fuzz FuzzProcessorDiscipline -fuzztime 5s ./internal/sim
 # And the persistent config snapshots: random change sets across every
 # resource kind (bulk runs, removals, reverts to an earlier value), checked
 # at every retained version against the rebuild-everything oracle for the
