@@ -370,8 +370,16 @@ func measureHotPathAllocs(t *testing.T) map[string]float64 {
 // warm-up call) divided by runs. AllocsPerRun's integer mean reads 0 for a
 // path that allocates on fewer than one call in runs, such as a slice that
 // grows now and then, so a row pinned at 0 would let it pass.
+//
+// It collects before the warm-up call, so no GC cycle starts inside the
+// window: the heap left by earlier tests could otherwise reach its goal
+// there, and a GC empties every sync.Pool's per-P array, whose next Get
+// makes it again and re-registers the pool — two allocations that no call
+// of f asked for, which read 4.002 on a row pinned at 4 (fmt's printer pool,
+// behind a refused traceparent's error).
 func allocsPerRun(runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

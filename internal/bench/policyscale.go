@@ -168,32 +168,51 @@ func policyScaleShape(rules int) (tenants, services int) {
 	return tenants, services
 }
 
+// policyNames are the strings one scale's corpus, queries and mutations
+// are drawn from, each table sliced from one string (numbered): a name costs
+// no allocation of its own, and a scale point builds its tables once.
+type policyNames struct {
+	n                 int
+	tenants, services []string // "t%05d", "svc%05d"
+	ids, rules        []string // "r%07d", "rule-%d" of the per-tenant rules
+}
+
+// newPolicyNames builds the name tables of the scale with n rules.
+func newPolicyNames(n int) policyNames {
+	tenants, services := policyScaleShape(n)
+	perTenant := n - policyScaleGlobals(n)
+	return policyNames{
+		n:        n,
+		tenants:  numbered("t", 5, tenants),
+		services: numbered("svc", 5, services),
+		ids:      numbered("r", 7, perTenant),
+		rules:    numbered("rule-", 0, perTenant),
+	}
+}
+
+// policyScaleGlobals is how many mesh-wide rules a corpus of n holds.
+func policyScaleGlobals(n int) int { return min(32, n/10) }
+
 // policyScaleCorpus generates the deterministic intention set for one scale:
 // mostly exact-key tenant rules, a slice of per-tenant wildcard/prefix
 // sources, and a small capped set of mesh-wide (wildcard tenant) rules.
-// Tenant, service and prefix names are drawn from tables formatted once,
-// not formatted per rule.
-func policyScaleCorpus(rng *rand.Rand, n int) []policy.Intention {
-	tenants, services := policyScaleShape(n)
-	globals := 32
-	if globals > n/10 {
-		globals = n / 10
-	}
-	tenantNames, serviceNames := numbered("t%05d", tenants), numbered("svc%05d", services)
-	srcPrefixes, pathPrefixes := numbered("svc%d", 10), numbered("/api/v%d", 4)
-	out := make([]policy.Intention, 0, n)
-	for i := 0; i < n-globals; i++ {
-		num := strconv.Itoa(i)
+// Every name is drawn from a table, not formatted per rule.
+func policyScaleCorpus(rng *rand.Rand, names policyNames) []policy.Intention {
+	tenants, services := len(names.tenants), len(names.services)
+	globals := policyScaleGlobals(names.n)
+	srcPrefixes, pathPrefixes := numbered("svc", 0, 10), numbered("/api/v", 0, 4)
+	out := make([]policy.Intention, 0, names.n)
+	for i := range names.ids {
 		in := policy.Intention{
-			ID:        "r" + strings.Repeat("0", max(0, 7-len(num))) + num, // "r%07d"
-			Name:      "rule-" + num,
-			SrcTenant: tenantNames[rng.Intn(tenants)],
-			Dst:       policy.Exact(serviceNames[rng.Intn(services)]),
+			ID:        names.ids[i],
+			Name:      names.rules[i],
+			SrcTenant: names.tenants[rng.Intn(tenants)],
+			Dst:       policy.Exact(names.services[rng.Intn(services)]),
 			Action:    policy.ActionAllow,
 		}
 		switch {
 		case rng.Intn(100) < 90:
-			in.Src = policy.Exact(serviceNames[rng.Intn(services)])
+			in.Src = policy.Exact(names.services[rng.Intn(services)])
 		case rng.Intn(2) == 0:
 			in.Src = policy.Prefix(srcPrefixes[rng.Intn(10)])
 		default:
@@ -208,13 +227,14 @@ func policyScaleCorpus(rng *rand.Rand, n int) []policy.Intention {
 		in.Precedence = rng.Intn(3)
 		out = append(out, in)
 	}
+	ids, meshNames, paths := numbered("g", 3, globals), numbered("mesh-", 0, globals), numbered("/admin/", 0, globals)
 	for i := 0; i < globals; i++ {
 		out = append(out, policy.Intention{
-			ID:         fmt.Sprintf("g%03d", i),
-			Name:       fmt.Sprintf("mesh-%d", i),
+			ID:         ids[i],
+			Name:       meshNames[i],
 			Src:        policy.Any(),
-			Dst:        policy.Exact(fmt.Sprintf("svc%05d", rng.Intn(services))),
-			Path:       policy.Prefix(fmt.Sprintf("/admin/%d", i)),
+			Dst:        policy.Exact(names.services[rng.Intn(services)]),
+			Path:       policy.Prefix(paths[i]),
 			Action:     policy.ActionDeny,
 			Precedence: 5,
 		})
@@ -222,26 +242,43 @@ func policyScaleCorpus(rng *rand.Rand, n int) []policy.Intention {
 	return out
 }
 
-// numbered formats the names 0..n-1 render to under format.
-func numbered(format string, n int) []string {
+// numbered returns the n names prefix followed by i, zero-padded to width
+// digits, for i in 0..n-1 — numbered("t", 5, n) renders "t%05d" — as
+// slices of one string, so a table costs two allocations however long it is.
+func numbered(prefix string, width, n int) []string {
+	var digits [20]byte
+	decimal := func(i int) []byte { return strconv.AppendInt(digits[:0], int64(i), 10) }
+	var b strings.Builder
+	b.Grow(n * (len(prefix) + max(width, len(decimal(n)))))
+	for i := 0; i < n; i++ {
+		d := decimal(i)
+		b.WriteString(prefix)
+		for range width - len(d) {
+			b.WriteByte('0')
+		}
+		b.Write(d)
+	}
+	all := b.String()
 	out := make([]string, n)
 	for i := range out {
-		out[i] = fmt.Sprintf(format, i)
+		k := len(prefix) + max(width, len(decimal(i)))
+		out[i], all = all[:k], all[k:]
 	}
 	return out
 }
 
 // policyScaleQueries draws the seeded lookup sample for one scale.
-func policyScaleQueries(rng *rand.Rand, n, count int) []policy.Query {
-	tenants, services := policyScaleShape(n)
+func policyScaleQueries(rng *rand.Rand, names policyNames, count int) []policy.Query {
+	tenants, services := len(names.tenants), len(names.services)
+	paths := [...]string{"/api/v0/x", "/api/v1/x", "/api/v2/x", "/api/v3/x", "/api/v4/x"}
 	out := make([]policy.Query, 0, count)
 	for i := 0; i < count; i++ {
 		out = append(out, policy.Query{
-			SrcTenant:  fmt.Sprintf("t%05d", rng.Intn(tenants)),
-			SrcService: fmt.Sprintf("svc%05d", rng.Intn(services)),
-			DstService: fmt.Sprintf("svc%05d", rng.Intn(services)),
+			SrcTenant:  names.tenants[rng.Intn(tenants)],
+			SrcService: names.services[rng.Intn(services)],
+			DstService: names.services[rng.Intn(services)],
 			Method:     "GET",
-			Path:       fmt.Sprintf("/api/v%d/x", rng.Intn(5)),
+			Path:       paths[rng.Intn(len(paths))],
 		})
 	}
 	return out
@@ -250,16 +287,17 @@ func policyScaleQueries(rng *rand.Rand, n, count int) []policy.Query {
 // policyScaleMutations derives the incremental change batch: existing IDs
 // re-upserted with flipped content (same key space, so buckets move but the
 // set size is stable).
-func policyScaleMutations(rng *rand.Rand, n, batch int) []policy.Intention {
-	tenants, services := policyScaleShape(n)
+func policyScaleMutations(rng *rand.Rand, names policyNames, batch int) []policy.Intention {
+	tenants, services := len(names.tenants), len(names.services)
+	mutNames := numbered("mut-", 0, batch)
 	out := make([]policy.Intention, 0, batch)
 	for i := 0; i < batch; i++ {
 		out = append(out, policy.Intention{
-			ID:        fmt.Sprintf("r%07d", rng.Intn(n-n/10)),
-			Name:      fmt.Sprintf("mut-%d", i),
-			SrcTenant: fmt.Sprintf("t%05d", rng.Intn(tenants)),
-			Src:       policy.Exact(fmt.Sprintf("svc%05d", rng.Intn(services))),
-			Dst:       policy.Exact(fmt.Sprintf("svc%05d", rng.Intn(services))),
+			ID:        names.ids[rng.Intn(names.n-names.n/10)],
+			Name:      mutNames[i],
+			SrcTenant: names.tenants[rng.Intn(tenants)],
+			Src:       policy.Exact(names.services[rng.Intn(services)]),
+			Dst:       policy.Exact(names.services[rng.Intn(services)]),
 			Action:    policy.ActionDeny,
 		})
 	}
@@ -269,8 +307,9 @@ func policyScaleMutations(rng *rand.Rand, n, batch int) []policy.Intention {
 // runPolicyScalePoint measures one scale.
 func runPolicyScalePoint(spec PolicyScaleSpec, n int) (PolicyScaleRow, error) {
 	rng := rand.New(rand.NewSource(spec.Seed ^ int64(n)))
-	corpus := policyScaleCorpus(rng, n)
-	queries := policyScaleQueries(rng, n, spec.Queries)
+	names := newPolicyNames(n)
+	corpus := policyScaleCorpus(rng, names)
+	queries := policyScaleQueries(rng, names, spec.Queries)
 
 	c := policy.NewCompiler()
 	if _, err := c.Apply(nil, corpus); err != nil {
@@ -299,7 +338,7 @@ func runPolicyScalePoint(spec PolicyScaleSpec, n int) (PolicyScaleRow, error) {
 
 	// One incremental batch: touched buckets are deterministic; its wall
 	// time is a diagnostic.
-	muts := policyScaleMutations(rng, n, spec.IncrementalBatch)
+	muts := policyScaleMutations(rng, names, spec.IncrementalBatch)
 	var incremental time.Duration
 	start := time.Now() //canal:allow simdeterminism diagnostic timing for the JSON report; never in deterministic table output
 	ist, err := c.Apply(nil, muts)
@@ -366,8 +405,9 @@ func runPolicyChurn(spec PolicyScaleSpec, fullPush bool) (PolicyChurnRow, error)
 		return PolicyChurnRow{}, err
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
+	names := newPolicyNames(10_000)
 	pc := policy.NewCompiler()
-	if _, err := pc.Apply(nil, policyScaleCorpus(rng, 10_000)); err != nil {
+	if _, err := pc.Apply(nil, policyScaleCorpus(rng, names)); err != nil {
 		return PolicyChurnRow{}, err
 	}
 	d := configpush.New(configpush.Config{
@@ -381,7 +421,7 @@ func runPolicyChurn(spec PolicyScaleSpec, fullPush bool) (PolicyChurnRow, error)
 	sink := &testingSink{}
 	gap := 250 * time.Millisecond
 	for i := 0; i < spec.ChurnMutations; i++ {
-		muts := policyScaleMutations(rng, 10_000, 4)
+		muts := policyScaleMutations(rng, names, 4)
 		s.At(time.Duration(i)*gap, func() {
 			if _, err := pc.Apply(nil, muts); err != nil {
 				sink.errf("apply: %v", err)

@@ -3,7 +3,9 @@ package bench
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -211,22 +213,112 @@ func TestPolicyChurnDebounceCoalesces(t *testing.T) {
 }
 
 // TestPolicyScaleCorpusStable pins the corpus generator itself: same seed,
-// same intentions. A silent generator change would invalidate every
-// checked-in fingerprint while looking like an engine bug.
+// same intentions, and for n = 1000 the corpus, query sample and mutation
+// batch a scale point draws equal, field for field, what the generator
+// formatting every name with fmt.Sprintf drew (sprintfPolicyScale). A silent
+// generator change would invalidate every checked-in fingerprint while
+// looking like an engine bug.
 func TestPolicyScaleCorpusStable(t *testing.T) {
 	spec := DefaultPolicyScaleSpec()
-	a := policyScaleCorpus(rand.New(rand.NewSource(spec.Seed^1000)), 1000)
-	b := policyScaleCorpus(rand.New(rand.NewSource(spec.Seed^1000)), 1000)
-	if len(a) != len(b) {
-		t.Fatalf("corpus lengths differ: %d vs %d", len(a), len(b))
+	const n = 1000
+	names := newPolicyNames(n)
+	rng := rand.New(rand.NewSource(spec.Seed ^ n))
+	a := policyScaleCorpus(rng, names)
+	queries := policyScaleQueries(rng, names, spec.Queries)
+	muts := policyScaleMutations(rng, names, spec.IncrementalBatch)
+	b := policyScaleCorpus(rand.New(rand.NewSource(spec.Seed^n)), newPolicyNames(n))
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two corpora drawn with one seed differ")
+	}
+	wantCorpus, wantQueries, wantMuts := sprintfPolicyScale(rand.New(rand.NewSource(spec.Seed^n)), n, spec.Queries, spec.IncrementalBatch)
+	if len(a) != len(wantCorpus) || len(queries) != len(wantQueries) || len(muts) != len(wantMuts) {
+		t.Fatalf("drew %d intentions, %d queries, %d mutations; the reference %d, %d, %d",
+			len(a), len(queries), len(muts), len(wantCorpus), len(wantQueries), len(wantMuts))
 	}
 	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Name != b[i].Name || a[i].SrcTenant != b[i].SrcTenant {
-			t.Fatalf("corpus diverges at %d: %+v vs %+v", i, a[i], b[i])
+		if !reflect.DeepEqual(a[i], wantCorpus[i]) {
+			t.Fatalf("intention %d: %+v, the reference %+v", i, a[i], wantCorpus[i])
+		}
+	}
+	for i := range queries {
+		if !reflect.DeepEqual(queries[i], wantQueries[i]) {
+			t.Fatalf("query %d: %+v, the reference %+v", i, queries[i], wantQueries[i])
+		}
+	}
+	for i := range muts {
+		if !reflect.DeepEqual(muts[i], wantMuts[i]) {
+			t.Fatalf("mutation %d: %+v, the reference %+v", i, muts[i], wantMuts[i])
 		}
 	}
 	c := policy.NewCompiler()
 	if _, err := c.Apply(nil, a); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sprintfPolicyScale is the reference generator: the corpus, query sample
+// and mutation batch of one scale point, in the scale point's draw order,
+// with every name formatted by fmt.Sprintf.
+func sprintfPolicyScale(rng *rand.Rand, n, queries, batch int) ([]policy.Intention, []policy.Query, []policy.Intention) {
+	tenants, services := policyScaleShape(n)
+	globals := min(32, n/10)
+	var corpus []policy.Intention
+	for i := 0; i < n-globals; i++ {
+		in := policy.Intention{
+			ID:        fmt.Sprintf("r%07d", i),
+			Name:      fmt.Sprintf("rule-%d", i),
+			SrcTenant: fmt.Sprintf("t%05d", rng.Intn(tenants)),
+			Dst:       policy.Exact(fmt.Sprintf("svc%05d", rng.Intn(services))),
+			Action:    policy.ActionAllow,
+		}
+		switch {
+		case rng.Intn(100) < 90:
+			in.Src = policy.Exact(fmt.Sprintf("svc%05d", rng.Intn(services)))
+		case rng.Intn(2) == 0:
+			in.Src = policy.Prefix(fmt.Sprintf("svc%d", rng.Intn(10)))
+		default:
+			in.Src = policy.Any()
+		}
+		if rng.Intn(100) < 25 {
+			in.Action = policy.ActionDeny
+		}
+		if rng.Intn(100) < 30 {
+			in.Path = policy.Prefix(fmt.Sprintf("/api/v%d", rng.Intn(4)))
+		}
+		in.Precedence = rng.Intn(3)
+		corpus = append(corpus, in)
+	}
+	for i := 0; i < globals; i++ {
+		corpus = append(corpus, policy.Intention{
+			ID:         fmt.Sprintf("g%03d", i),
+			Name:       fmt.Sprintf("mesh-%d", i),
+			Src:        policy.Any(),
+			Dst:        policy.Exact(fmt.Sprintf("svc%05d", rng.Intn(services))),
+			Path:       policy.Prefix(fmt.Sprintf("/admin/%d", i)),
+			Action:     policy.ActionDeny,
+			Precedence: 5,
+		})
+	}
+	var qs []policy.Query
+	for i := 0; i < queries; i++ {
+		qs = append(qs, policy.Query{
+			SrcTenant:  fmt.Sprintf("t%05d", rng.Intn(tenants)),
+			SrcService: fmt.Sprintf("svc%05d", rng.Intn(services)),
+			DstService: fmt.Sprintf("svc%05d", rng.Intn(services)),
+			Method:     "GET",
+			Path:       fmt.Sprintf("/api/v%d/x", rng.Intn(5)),
+		})
+	}
+	var muts []policy.Intention
+	for i := 0; i < batch; i++ {
+		muts = append(muts, policy.Intention{
+			ID:        fmt.Sprintf("r%07d", rng.Intn(n-n/10)),
+			Name:      fmt.Sprintf("mut-%d", i),
+			SrcTenant: fmt.Sprintf("t%05d", rng.Intn(tenants)),
+			Src:       policy.Exact(fmt.Sprintf("svc%05d", rng.Intn(services))),
+			Dst:       policy.Exact(fmt.Sprintf("svc%05d", rng.Intn(services))),
+			Action:    policy.ActionDeny,
+		})
+	}
+	return corpus, qs, muts
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -588,5 +589,65 @@ func TestPatternsInternedAndReleased(t *testing.T) {
 	}
 	if got := patterns.Len(); got != 0 {
 		t.Fatalf("%d patterns left with no service installed, want 0", got)
+	}
+}
+
+// TestReconfigureFreesReplacedBatch reconfigures one service's 96
+// authorization rules a thousand times, the live gateway's pattern: each
+// Configure is one policy Apply that deletes the previous intentions and
+// upserts the new ones. A batch's compiled intentions share one slab that
+// lives while any of them is installed, and its bucket lists one array, so
+// a configuration replaced whole must free them: the heap the engine holds
+// after the last Configure stays within 1.5x of what it held after the
+// first. Held heap is HeapAlloc over its value before the engine was built,
+// each read after two collections, so no sync.Pool cache survives into it.
+// Half the rules name the same source in every configuration, and their
+// buckets refill their lists in place; the other half alternate between two
+// sources, so their buckets empty and are carved anew each time.
+func TestReconfigureFreesReplacedBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap measurement: skipped under -short")
+	}
+	cfg := func(round int) ServiceConfig {
+		rules := []AuthzRule{
+			{Name: "deny-evil", Action: AuthzDeny, SourceService: Prefix("evil-")},
+			{Name: "deny-secret", Action: AuthzDeny, Path: Regex("^/internal/secret/.*$")},
+		}
+		for k := len(rules); k < 96; k++ {
+			peer := fmt.Sprintf("peer-%d", k)
+			if k%2 == 1 {
+				peer = fmt.Sprintf("peer-%d-%d", k, round%2)
+			}
+			rules = append(rules, AuthzRule{Name: fmt.Sprintf("a%d", k), SourceService: Exact(peer)})
+		}
+		return ServiceConfig{Service: "checkout", DefaultSubset: "v1", Authz: rules}
+	}
+	var base, first, last runtime.MemStats
+	readHeap := func(m *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(m)
+	}
+	readHeap(&base)
+	e := NewEngine(1)
+	if err := e.Configure(cfg(0)); err != nil {
+		t.Fatal(err)
+	}
+	readHeap(&first)
+	for round := 1; round < 1000; round++ {
+		if err := e.Configure(cfg(round)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readHeap(&last)
+	runtime.KeepAlive(e)
+	held := func(m *runtime.MemStats) int64 { return int64(m.HeapAlloc) - int64(base.HeapAlloc) }
+	t.Logf("engine heap: %d B after the first Configure, %d B after the thousandth", held(&first), held(&last))
+	if held(&last) > held(&first)*3/2 {
+		t.Fatalf("engine heap grew from %d B after the first Configure to %d B after the thousandth, want at most 1.5x",
+			held(&first), held(&last))
+	}
+	if got := e.Policy().Len(); got != 96 {
+		t.Fatalf("%d intentions installed, want 96", got)
 	}
 }

@@ -18,11 +18,14 @@ type Baseline struct {
 func NewBaseline(intents []Intention) (*Baseline, error) {
 	b := &Baseline{allowByDst: make(map[string]int)}
 	for i := range intents {
-		cc, err := prepare(&intents[i], &b.patterns)
-		if err != nil {
+		cc := new(compiled)
+		if err := prepare(cc, &intents[i], &b.patterns); err != nil {
 			return nil, err
 		}
 		cc.order = i
+		if cc.in.Action == ActionDeny {
+			cc.denyReason = denyPrefix + cc.in.Name
+		}
 		k := cc.key()
 		b.rules = append(b.rules, cc)
 		b.keys = append(b.keys, k)

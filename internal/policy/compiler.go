@@ -52,35 +52,40 @@ type ApplyStats struct {
 // Apply atomically deletes and upserts intentions, rebuilding only the
 // touched buckets. Deleting an unknown ID is a no-op; upserting an existing
 // ID replaces it. The change set becomes visible to Eval all at once.
+//
+// The batch's compiled intentions share one slab, their deny reasons one
+// string (denyReasons), and the lists of the buckets it creates or grows
+// one array (reserve, fill). A slab and its reasons live until the last
+// intention of the batch is replaced or deleted.
 func (c *Compiler) Apply(deletes []string, upserts []Intention) (ApplyStats, error) {
 	// Compile outside the lock: predicate validation and regex interning are
 	// per-change work, not per-reader stalls. The new predicates take their
 	// pattern references before the replaced ones drop theirs, so a pattern
 	// that stays in use is never compiled again.
-	prepared := make([]*compiled, 0, len(upserts))
+	slab := make([]compiled, len(upserts))
 	for i := range upserts {
-		cc, err := prepare(&upserts[i], &c.patterns)
-		if err != nil {
+		if err := prepare(&slab[i], &upserts[i], &c.patterns); err != nil {
 			var buf predicateBuf
-			for _, p := range prepared {
-				c.patterns.Release(p.in.appendPredicates(buf[:0])...)
+			for j := range slab[:i] {
+				c.patterns.Release(slab[j].in.appendPredicates(buf[:0])...)
 			}
 			return ApplyStats{}, err
 		}
-		prepared = append(prepared, cc)
 	}
+	denyReasons(slab)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := ApplyStats{Upserts: len(upserts), Deletes: len(deletes)}
-	touched := make(map[key3]bucket)
+	touched := make(map[key3]work)
 	for _, id := range deletes {
 		if old, ok := c.intentions[id]; ok {
 			c.touch(touched, c.unplace(old))
 			delete(c.intentions, id)
 		}
 	}
-	for _, cc := range prepared {
+	for i := range slab {
+		cc := &slab[i]
 		if old, ok := c.intentions[cc.in.ID]; ok {
 			c.touch(touched, c.unplace(old))
 		}
@@ -89,9 +94,13 @@ func (c *Compiler) Apply(deletes []string, upserts []Intention) (ApplyStats, err
 		c.place(touched, cc)
 		c.intentions[cc.in.ID] = cc
 	}
-	for k, b := range touched {
+	arena := reserve(touched)
+	for i := range slab {
+		arena = fill(touched, arena, &slab[i])
+	}
+	for k, w := range touched {
 		st.TouchedBuckets++
-		st.RebuiltRules += c.rebuild(k, b)
+		st.RebuiltRules += c.rebuild(k, w.bucket)
 	}
 	c.record(touched)
 	return st, nil
@@ -102,16 +111,24 @@ func (c *Compiler) Apply(deletes []string, upserts []Intention) (ApplyStats, err
 // matches before the list spills to the heap.
 type predicateBuf [8]*Match
 
+// work is one bucket of an Apply's working set: its working copy, taken
+// from the table on the bucket's first touch, and how many of the batch's
+// intentions place into it.
+type work struct {
+	bucket
+	add int
+}
+
 // touch adds the key's bucket to the Apply's working set, as the table
 // holds it, unless the set has it already.
-func (c *Compiler) touch(touched map[key3]bucket, k key3) {
+func (c *Compiler) touch(touched map[key3]work, k key3) {
 	if _, ok := touched[k]; !ok {
-		touched[k] = c.table.lookup(k)
+		touched[k] = work{bucket: c.table.lookup(k)}
 	}
 }
 
 // record adds the touched buckets to the change feed when one is tracked.
-func (c *Compiler) record(touched map[key3]bucket) {
+func (c *Compiler) record(touched map[key3]work) {
 	if c.changed == nil {
 		return
 	}
@@ -126,41 +143,65 @@ func (c *Compiler) record(touched map[key3]bucket) {
 // pattern of the gateway is compiled once.
 func (c *Compiler) Patterns() *Patterns { return &c.patterns }
 
-// prepare validates and compiles one intention: the compiled copy's
-// predicates interned in p and the deny reason pre-concatenated. The header
-// list is copied first, so the caller's intention is never written.
-func prepare(in *Intention, p *Patterns) (*compiled, error) {
+// prepare validates and compiles one intention into cc, with the compiled
+// copy's predicates interned in p. The header list is copied first, so the
+// caller's intention is never written. A deny's reason is the caller's to
+// set.
+func prepare(cc *compiled, in *Intention, p *Patterns) error {
 	if in.ID == "" {
-		return nil, fmt.Errorf("policy: intention %q has no ID", in.Name)
+		return fmt.Errorf("policy: intention %q has no ID", in.Name)
 	}
-	cc := &compiled{
+	*cc = compiled{
 		in:      *in,
 		srcPred: in.Src.Op != OpExact && in.Src.Op != OpAny,
 		dstPred: in.Dst.Op != OpExact && in.Dst.Op != OpAny,
 	}
 	cc.in.Headers = slices.Clone(in.Headers)
 	var buf predicateBuf
-	if err := p.Intern(cc.in.appendPredicates(buf[:0])...); err != nil {
-		return nil, err
-	}
-	if in.Action == ActionDeny {
-		cc.denyReason = "denied by rule " + in.Name
-	}
-	return cc, nil
+	return p.Intern(cc.in.appendPredicates(buf[:0])...)
 }
 
-// place appends a compiled intention to its bucket's working copy in
-// touched, taken from the table on the bucket's first touch, and updates the
-// allow-existence counters. The copy is compacted, sorted and stored by
-// rebuild, once per touched bucket per Apply.
-func (c *Compiler) place(touched map[key3]bucket, cc *compiled) {
-	k := cc.key()
-	b, ok := touched[k]
-	if !ok {
-		b = c.table.lookup(k)
+// denyPrefix begins every deny intention's reason; the rule's name ends it.
+const denyPrefix = "denied by rule "
+
+// denyReasons sets the reason of every deny intention in slab, each a
+// substring of one string built for the whole batch.
+func denyReasons(slab []compiled) {
+	size := 0
+	for i := range slab {
+		if slab[i].in.Action == ActionDeny {
+			size += len(denyPrefix) + len(slab[i].in.Name)
+		}
 	}
-	b.rules = append(b.rules, cc)
-	touched[k] = b
+	var b strings.Builder
+	b.Grow(size)
+	for i := range slab {
+		if slab[i].in.Action == ActionDeny {
+			b.WriteString(denyPrefix)
+			b.WriteString(slab[i].in.Name)
+		}
+	}
+	all := b.String()
+	for i := range slab {
+		if cc := &slab[i]; cc.in.Action == ActionDeny {
+			n := len(denyPrefix) + len(cc.in.Name)
+			cc.denyReason, all = all[:n], all[n:]
+		}
+	}
+}
+
+// place counts a compiled intention toward its bucket's additions in
+// touched and updates the allow-existence counters. reserve sizes the
+// bucket's list from the count, fill appends the intention to it, and
+// rebuild sorts and stores it, once per touched bucket per Apply.
+func (c *Compiler) place(touched map[key3]work, cc *compiled) {
+	k := cc.key()
+	w, ok := touched[k]
+	if !ok {
+		w.bucket = c.table.lookup(k)
+	}
+	w.add++
+	touched[k] = w
 	if cc.in.Action == ActionAllow {
 		if k.d == wild {
 			c.table.allowAnyDst++
@@ -168,6 +209,48 @@ func (c *Compiler) place(touched map[key3]bucket, cc *compiled) {
 			c.table.allowByDst[k.d]++
 		}
 	}
+}
+
+// reserve compacts the list of every touched bucket with additions of its
+// tombstones and returns one array with room for the lists whose spare
+// capacity cannot hold their additions, which fill carves from it.
+func reserve(touched map[key3]work) []*compiled {
+	size := 0
+	for k, w := range touched {
+		if w.add == 0 {
+			continue
+		}
+		w.rules = slices.DeleteFunc(w.rules, (*compiled).isRemoved)
+		touched[k] = w
+		if cap(w.rules)-len(w.rules) < w.add {
+			size += len(w.rules) + w.add
+		}
+	}
+	return make([]*compiled, size)
+}
+
+// fill appends a placed intention to its bucket's list and returns what is
+// left of arena. A list that cannot hold the bucket's outstanding additions
+// moves first into the next region of arena, sized to them and capped at
+// its own end, so that an append past it — a later Apply's fill — copies
+// out and never writes into the neighbouring region. Regions are carved in
+// batch order. An intention that a later upsert of the same batch replaced
+// is left out.
+func fill(touched map[key3]work, arena []*compiled, cc *compiled) []*compiled {
+	if cc.removed {
+		return arena
+	}
+	k := cc.key()
+	w := touched[k]
+	if cap(w.rules)-len(w.rules) < w.add {
+		end := len(w.rules) + w.add
+		w.rules = append(arena[:0:end], w.rules...)
+		arena = arena[end:]
+	}
+	w.rules = append(w.rules, cc)
+	w.add--
+	touched[k] = w
+	return arena
 }
 
 // unplace tombstones a compiled intention in its bucket, to be compacted by
@@ -194,7 +277,7 @@ func (c *Compiler) unplace(cc *compiled) key3 {
 // it, recomputes its content hash and stores it under k, or removes the
 // bucket entirely when it emptied. Returns the bucket's member count.
 func (c *Compiler) rebuild(k key3, b bucket) int {
-	b.rules = slices.DeleteFunc(b.rules, func(cc *compiled) bool { return cc.removed })
+	b.rules = slices.DeleteFunc(b.rules, (*compiled).isRemoved)
 	if len(b.rules) == 0 {
 		c.table.remove(k)
 		return 0
@@ -220,18 +303,22 @@ func (c *Compiler) rebuild(k key3, b bucket) int {
 }
 
 // Full rebuilds the entire table from the intention set — the baseline
-// incremental recompilation is measured against. Returns the number of
-// buckets built.
+// incremental recompilation is measured against — through the same
+// placement as Apply. Returns the number of buckets built.
 func (c *Compiler) Full() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.table = newTable()
-	touched := make(map[key3]bucket)
+	touched := make(map[key3]work)
 	for _, cc := range c.intentions {
 		c.place(touched, cc)
 	}
-	for k, b := range touched {
-		c.rebuild(k, b)
+	arena := reserve(touched)
+	for _, cc := range c.intentions {
+		arena = fill(touched, arena, cc)
+	}
+	for k, w := range touched {
+		c.rebuild(k, w.bucket)
 	}
 	c.record(touched)
 	return len(touched)

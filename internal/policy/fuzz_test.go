@@ -104,6 +104,17 @@ func FuzzCompilerEval(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte("\x02\x00\x01\x02\x03\x04\x05\x05\x05\x05\x05\x05\x05\x05\x03\x02\x01"))
 	f.Add([]byte("tenant t1 leaves: delete every rule it holds, then flip the survivors"))
+	// One batch puts allows from t0's s0 and s1 to d0 in two new buckets,
+	// whose lists fill carves side by side; a later batch adds a deny to the
+	// first. A list whose capacity ran past its own region would take the
+	// deny in place, into the second bucket's slot.
+	f.Add([]byte{
+		2, 0, 1, // two upserts
+		0, 0, 2, 2, 0, 0, 0, 0, 0, 0, 1, 1, // i0: t0 s0 -> d0, allow
+		1, 1, 2, 2, 1, 0, 0, 0, 0, 0, 1, 1, // i1: t0 s1 -> d0, allow
+		2, 0, 0, // one upsert
+		2, 2, 2, 2, 0, 0, 0, 0, 0, 1, 1, 1, // i2: t0 s0 -> d0, deny
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
 		c := NewCompiler()

@@ -62,8 +62,8 @@ func appendDim(buf []byte, s string) []byte {
 func dimLen(s string) int { return len(s) + strings.Count(s, "|") + strings.Count(s, `\`) }
 
 // compiled is one intention prepared for evaluation: predicates
-// pre-compiled (regexes interned), a deny's reason pre-concatenated, and a
-// global installation sequence breaking precedence ties deterministically.
+// pre-compiled (regexes interned), a deny's reason pre-built, and a global
+// installation sequence breaking precedence ties deterministically.
 // Its bucket key is derived from the intention on demand (key), not stored.
 type compiled struct {
 	in    Intention
@@ -77,6 +77,9 @@ type compiled struct {
 	removed    bool
 	denyReason string // set for deny intentions only
 }
+
+// isRemoved reports whether the intention is tombstoned.
+func (c *compiled) isRemoved() bool { return c.removed }
 
 // key derives the intention's dispatch key: exact dimensions as they are,
 // every other dimension collapsed to the wildcard.
